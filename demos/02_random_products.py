@@ -30,8 +30,8 @@ print(f"theta route mismatch: {routes['mismatch']:.2e} "
 
 print("\nergodic average, D(N) = ||(1/N) sum Psi_n - |psi_S><theta| ||_F:")
 _, rep = ries.simulate_forward(ens, seed=0, n_total=100_000, checkpoint_every=10_000)
-for n, d, b in zip(rep.checkpoints, rep.distances, rep.bound):
-    print(f"  N={n:>7d}  D(N)={d:.3e}   5/sqrt(N)={b:.3e}")
+for n, d in zip(rep.checkpoints, rep.distances):
+    print(f"  N={n:>7d}  D(N)={d:.3e}   5/sqrt(N)={5.0 / np.sqrt(n):.3e}")
 
 print("\ndecay of ||M_Q(w_1)...M_Q(w_n)|| over 5 seeds:")
 for seed in range(5):

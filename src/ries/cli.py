@@ -11,8 +11,11 @@ status:
 - 3: a dense-algebra capacity guard tripped.
 
 ``ries validate config.json`` prints the fully-resolved config (defaults
-applied) and exits 0/2. Identical configs and seeds give byte-identical
-summaries except for the wall-time field.
+applied) and exits 0/2; it rejects counts that are not integers >= 1,
+seeds that are not integers >= 0, and probabilities, tolerances or
+coefficients that are not finite nonnegative numbers. Seeds run one after another in
+config order. Identical configs and seeds give byte-identical summaries
+except for the wall-time field.
 """
 
 from __future__ import annotations
@@ -20,10 +23,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -33,7 +36,6 @@ from .ensemble import (
     decay_estimator,
     ensemble_from_json,
     lyapunov,
-    mean_rdo,
     simulate_forward,
     simulate_reverse,
     theta_routes,
@@ -43,7 +45,7 @@ from .linalg import random_hermitian, vec
 from .model import (
     CapacityError,
     ObservableWindow,
-    _chain_dims,
+    check_capacity,
     full_chain_oracle,
     model_from_json,
     rdo_from_model,
@@ -134,6 +136,25 @@ _SCHEMAS = {
 }
 # keys that stay absent (no default) unless the user provides them
 _OPTIONAL_NO_DEFAULT = {"model", "matrix", "psi_s", "a_s", "rho_init", "ensemble"}
+_COUNTS = (
+    "n_total",
+    "checkpoint_every",
+    "reorth_every",
+    "n_max",
+    "m_max",
+    "n_draws",
+    "n_observables",
+)
+_NUMBERS = ("bound_coefficient", "tol")
+
+
+def _is_int(x, low: int) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= low
+
+
+def _is_number(x) -> bool:
+    """A finite nonnegative JSON number (bools excluded)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) and x >= 0
 
 
 def validate_config(doc: dict) -> dict:
@@ -158,9 +179,14 @@ def validate_config(doc: dict) -> dict:
     if "tolerances" in resolved:
         tdoc = resolved["tolerances"]
         tdef = _COMMON["tolerances"]
+        if not isinstance(tdoc, dict):
+            raise ConfigError("tolerances must be a JSON object")
         if set(tdoc) - set(tdef):
             raise ConfigError(f"unknown tolerance keys: {sorted(set(tdoc) - set(tdef))}")
-        resolved["tolerances"] = {k: float(tdoc.get(k, v)) for k, v in tdef.items()}
+        tols = {k: tdoc.get(k, v) for k, v in tdef.items()}
+        if not all(_is_number(x) for x in tols.values()):
+            raise ConfigError(f"tolerances must be finite nonnegative numbers, got {tols}")
+        resolved["tolerances"] = {k: float(x) for k, x in tols.items()}
     _check_resolved(resolved)
     return resolved
 
@@ -168,11 +194,17 @@ def validate_config(doc: dict) -> dict:
 def _check_resolved(cfg: dict) -> None:
     exp = cfg["experiment"]
     if "seeds" in cfg:
-        if not isinstance(cfg["seeds"], list) or not cfg["seeds"]:
-            raise ConfigError("seeds must be a nonempty list of integers")
-        cfg["seeds"] = [int(s) for s in cfg["seeds"]]
-    if "n_total" in cfg and int(cfg["n_total"]) < 1:
-        raise ConfigError("n_total must be >= 1")
+        seeds = cfg["seeds"]
+        if not isinstance(seeds, list) or not seeds or not all(_is_int(s, 0) for s in seeds):
+            raise ConfigError(f"seeds must be a nonempty list of integers >= 0, got {seeds!r}")
+    if "seed" in cfg and not _is_int(cfg["seed"], 0):
+        raise ConfigError(f"seed must be an integer >= 0, got {cfg['seed']!r}")
+    for key in _COUNTS:
+        if key in cfg and not _is_int(cfg[key], 1):
+            raise ConfigError(f"{key} must be an integer >= 1, got {cfg[key]!r}")
+    for key in _NUMBERS:
+        if key in cfg and not _is_number(cfg[key]):
+            raise ConfigError(f"{key} must be a finite nonnegative number, got {cfg[key]!r}")
     if exp == "classify" and not (("model" in cfg) ^ ("matrix" in cfg)):
         raise ConfigError("classify needs exactly one of 'model' or 'matrix'")
     if exp == "classify" and "matrix" in cfg and "psi_s" not in cfg:
@@ -186,10 +218,19 @@ def _check_resolved(cfg: dict) -> None:
     if exp == "instant" and cfg["family"] == "system" and "a_s" not in cfg:
         raise ConfigError("family 'system' needs 'a_s'")
     # surface bad probability weights at validation time, not mid-run
-    if "ensemble" in cfg and "atoms" in cfg["ensemble"]:
-        total = sum(float(a.get("p", np.nan)) for a in cfg["ensemble"]["atoms"])
-        if not np.isfinite(total) or abs(total - 1.0) > 1e-12:
-            raise ConfigError(f"atom probabilities sum to {total}, expected 1")
+    if "ensemble" in cfg:
+        if not isinstance(cfg["ensemble"], dict):
+            raise ConfigError("ensemble must be a JSON object")
+        atoms = cfg["ensemble"].get("atoms")
+        if atoms is not None:
+            if not isinstance(atoms, list) or not all(isinstance(a, dict) for a in atoms):
+                raise ConfigError("ensemble atoms must be a list of JSON objects")
+            probs = [a.get("p") for a in atoms]
+            if not all(_is_number(p) for p in probs):
+                raise ConfigError(f"atom probabilities must be finite nonnegative numbers: {probs}")
+            total = sum(probs)
+            if abs(total - 1.0) > 1e-12:
+                raise ConfigError(f"atom probabilities sum to {total}, expected 1")
 
 
 def validate_config_file(path: str) -> dict:
@@ -205,15 +246,7 @@ def _build_ensemble(cfg: dict) -> RrdoEnsemble:
     return ensemble_from_json(cfg["ensemble"])
 
 
-def _seed_map(fn, seeds, jobs: int):
-    """Apply fn over seeds, optionally in a thread pool; order follows seeds."""
-    if jobs <= 1 or len(seeds) <= 1:
-        return [fn(s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, seeds))
-
-
-def _run_classify(cfg: dict, out: str, jobs: int) -> tuple[dict, dict]:
+def _run_classify(cfg: dict, out: str) -> tuple[dict, dict]:
     tol = cfg["tolerances"]
     if "model" in cfg:
         system, probe = model_from_json(cfg["model"])
@@ -226,7 +259,7 @@ def _run_classify(cfg: dict, out: str, jobs: int) -> tuple[dict, dict]:
     return report.to_json(), {}
 
 
-def _run_ideal(cfg: dict, out: str, jobs: int) -> tuple[dict, dict]:
+def _run_ideal(cfg: dict, out: str) -> tuple[dict, dict]:
     system, probe = model_from_json(cfg["model"])
     rdo = rdo_from_model(system, probe)
     res = ideal_asymptotics(rdo, n_max=int(cfg["n_max"]))
@@ -251,20 +284,16 @@ def _run_ideal(cfg: dict, out: str, jobs: int) -> tuple[dict, dict]:
     return payload, checks
 
 
-def _run_ergodic(cfg: dict, out: str, jobs: int) -> tuple[dict, dict]:
+def _run_ergodic(cfg: dict, out: str) -> tuple[dict, dict]:
     ens = _build_ensemble(cfg)
     routes = theta_routes(ens)
     coef = float(cfg["bound_coefficient"])
-
-    def one(seed):
-        return simulate_forward(
-            ens, seed, int(cfg["n_total"]), checkpoint_every=int(cfg["checkpoint_every"])
-        )
-
-    results = _seed_map(one, cfg["seeds"], jobs)
     per_seed = []
     bound_ok = True
-    for seed, (traj, rep) in zip(cfg["seeds"], results):
+    for seed in cfg["seeds"]:
+        traj, rep = simulate_forward(
+            ens, seed, int(cfg["n_total"]), checkpoint_every=int(cfg["checkpoint_every"])
+        )
         final_d = float(rep.distances[-1])
         final_n = int(rep.checkpoints[-1])
         ok = final_d <= coef / np.sqrt(final_n)
@@ -282,8 +311,8 @@ def _run_ergodic(cfg: dict, out: str, jobs: int) -> tuple[dict, dict]:
             os.path.join(out, f"ergodic_seed{seed}.csv"),
             ["n", "distance", "bound"],
             (
-                [int(n), float(d), float(b)]
-                for n, d, b in zip(rep.checkpoints, rep.distances, rep.bound)
+                [int(n), float(d), coef / math.sqrt(n)]
+                for n, d in zip(rep.checkpoints, rep.distances)
             ),
         )
     payload = {
@@ -298,14 +327,10 @@ def _run_ergodic(cfg: dict, out: str, jobs: int) -> tuple[dict, dict]:
     return payload, checks
 
 
-def _run_decay(cfg: dict, out: str, jobs: int) -> tuple[dict, dict]:
+def _run_decay(cfg: dict, out: str) -> tuple[dict, dict]:
     ens = _build_ensemble(cfg)
-    mean_report = classify(mean_rdo(ens))
-
-    def one(seed):
-        return decay_estimator(ens, seed, int(cfg["n_total"]))
-
-    results = _seed_map(one, cfg["seeds"], jobs)
+    mean_report = ens.mean_report
+    results = [decay_estimator(ens, seed, int(cfg["n_total"])) for seed in cfg["seeds"]]
     alphas = [float(r.alpha) for r in results]
     n0s = [int(r.n0) for r in results]
     payload = {
@@ -333,18 +358,14 @@ def _run_decay(cfg: dict, out: str, jobs: int) -> tuple[dict, dict]:
     return payload, checks
 
 
-def _run_reverse(cfg: dict, out: str, jobs: int) -> tuple[dict, dict]:
+def _run_reverse(cfg: dict, out: str) -> tuple[dict, dict]:
     ens = _build_ensemble(cfg)
-
-    def one(seed):
-        return simulate_reverse(
-            ens, seed, int(cfg["n_total"]), checkpoint_every=int(cfg["checkpoint_every"])
-        )
-
-    results = _seed_map(one, cfg["seeds"], jobs)
     per_seed = []
     decays = True
-    for seed, rep in zip(cfg["seeds"], results):
+    for seed in cfg["seeds"]:
+        rep = simulate_reverse(
+            ens, seed, int(cfg["n_total"]), checkpoint_every=int(cfg["checkpoint_every"])
+        )
         pos = rep.sigma_ratios > 0
         if pos.sum() >= 2:
             rate = float(np.polyfit(rep.checkpoints[pos], np.log(rep.sigma_ratios[pos]), 1)[0])
@@ -371,13 +392,12 @@ def _run_reverse(cfg: dict, out: str, jobs: int) -> tuple[dict, dict]:
     return {"per_seed": per_seed}, {"rank_one_decay": bool(decays)}
 
 
-def _run_lyapunov(cfg: dict, out: str, jobs: int) -> tuple[dict, dict]:
+def _run_lyapunov(cfg: dict, out: str) -> tuple[dict, dict]:
     ens = _build_ensemble(cfg)
-
-    def one(seed):
-        return lyapunov(ens, seed, int(cfg["n_total"]), reorth_every=int(cfg["reorth_every"]))
-
-    results = _seed_map(one, cfg["seeds"], jobs)
+    results = [
+        lyapunov(ens, seed, int(cfg["n_total"]), reorth_every=int(cfg["reorth_every"]))
+        for seed in cfg["seeds"]
+    ]
     payload = {
         "per_seed": [{"seed": s, **r.to_json()} for s, r in zip(cfg["seeds"], results)]
     }
@@ -387,7 +407,7 @@ def _run_lyapunov(cfg: dict, out: str, jobs: int) -> tuple[dict, dict]:
     return payload, checks
 
 
-def _run_instant(cfg: dict, out: str, jobs: int) -> tuple[dict, dict]:
+def _run_instant(cfg: dict, out: str) -> tuple[dict, dict]:
     ens = _build_ensemble(cfg)
     kind = cfg["family"]
     if kind == "identity":
@@ -412,7 +432,7 @@ def _run_instant(cfg: dict, out: str, jobs: int) -> tuple[dict, dict]:
     return payload, {"mc_within_3_sigma": within}
 
 
-def _run_fluxes(cfg: dict, out: str, jobs: int) -> tuple[dict, dict]:
+def _run_fluxes(cfg: dict, out: str) -> tuple[dict, dict]:
     ens = _build_ensemble(cfg)
     closed = flux_closed_form(ens)
     payload = {"closed_form": closed.to_json()}
@@ -442,10 +462,10 @@ def _run_fluxes(cfg: dict, out: str, jobs: int) -> tuple[dict, dict]:
     return payload, checks
 
 
-def _run_oracle_check(cfg: dict, out: str, jobs: int) -> tuple[dict, dict]:
+def _run_oracle_check(cfg: dict, out: str) -> tuple[dict, dict]:
     system, probe = model_from_json(cfg["model"])
     # fail fast: the largest chain must fit the dense-algebra guard
-    _chain_dims(system, [probe] * int(cfg["m_max"]), int(cfg["m_max"]))
+    check_capacity([system.dim_s] + [probe.dim_e] * int(cfg["m_max"]))
     rdo = rdo_from_model(system, probe)
     _, sqrt_rho, psi_s = system_gns_data(system)
     rho_s = sqrt_rho @ sqrt_rho
@@ -482,11 +502,11 @@ _RUNNERS = {
 }
 
 
-def run(cfg: dict, out: str = ".", jobs: int = 1) -> dict:
+def run(cfg: dict, out: str = ".") -> dict:
     """Execute a resolved config and return the RunReport dict."""
     os.makedirs(out, exist_ok=True)
     start = time.monotonic()
-    payload, checks = _RUNNERS[cfg["experiment"]](cfg, out, jobs)
+    payload, checks = _RUNNERS[cfg["experiment"]](cfg, out)
     elapsed = time.monotonic() - start
     digest = hashlib.sha256(
         json.dumps(cfg, sort_keys=True).encode()
@@ -509,7 +529,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--seed-offset", type=int, default=0, metavar="K")
     p_run.add_argument("--out", default=".", metavar="DIR")
-    p_run.add_argument("--jobs", type=int, default=1, metavar="N")
     p_val = sub.add_parser("validate", help="validate a config and print it resolved")
     p_val.add_argument("config")
     args = parser.parse_args(argv)
@@ -531,7 +550,7 @@ def main(argv: list[str] | None = None) -> int:
         if "seed" in cfg:
             cfg["seed"] = cfg["seed"] + args.seed_offset
     try:
-        report = run(cfg, out=args.out, jobs=args.jobs)
+        report = run(cfg, out=args.out)
     except CapacityError as exc:
         print(f"capacity guard: {exc}", file=sys.stderr)
         return 3

@@ -9,12 +9,13 @@ strictly-contracting parts, and Lyapunov exponent estimation.
 
 Randomness is counter-based (Philox) and fully reproducible: the
 trajectory stream for (master_seed, trajectory_index) never depends on
-how many other trajectories ran, so parallel fan-out is bit-stable.
+how many other trajectories ran.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .rdo import (
     GnsCertificate,
     PowerBoundCertificate,
     Rdo,
-    RdoValidationError,
+    SpectralReport,
     classify,
     decompose,
     power_bound_certificate,
@@ -90,19 +91,20 @@ class RrdoEnsemble:
 
     @property
     def has_models(self) -> bool:
-        return self.system is not None and all(a.probe is not None for a in self.atoms)
+        """Whether every atom carries its probe and Heisenberg map (model-built)."""
+        return self.system is not None and all(
+            a.probe is not None and a.rdo.phi is not None for a in self.atoms
+        )
 
-    def c0(self, rng: np.random.Generator | None = None) -> float:
-        """Uniform product bound: 1 for fully GNS-certified ensembles, else sampled."""
-        if all(isinstance(a.rdo.certificate, GnsCertificate) for a in self.atoms):
-            return 1.0
-        rng = rng if rng is not None else np.random.default_rng(0)
-        return power_bound_certificate(list(self.matrices), rng).c0
+    @cached_property
+    def mean(self) -> Rdo:
+        """E[M], computed once per ensemble (see :func:`mean_rdo`)."""
+        return mean_rdo(self, check_class=False)
 
-    def spectral_c0(self, rng: np.random.Generator | None = None) -> float:
-        """Sampled spectral-norm product bound (also for GNS-certified atoms)."""
-        rng = rng if rng is not None else np.random.default_rng(0)
-        return power_bound_certificate(list(self.matrices), rng).c0
+    @cached_property
+    def mean_report(self) -> SpectralReport:
+        """Spectral class of E[M], computed once per ensemble."""
+        return classify(self.mean)
 
     def sample_indices(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.choice(self.n_atoms, size=n, p=self.probs)
@@ -195,8 +197,7 @@ def theta_routes(ens: RrdoEnsemble) -> dict:
     when the term norm drops below 1e-14, with a geometric tail bound from
     spr(E[M_Q]).
     """
-    mean = mean_rdo(ens)
-    theta_proj = decompose(mean).psi
+    theta_proj = decompose(ens.mean).psi
 
     e_mq, e_psi = mean_mq_and_psi(ens)
     spr = float(np.abs(np.linalg.eigvals(e_mq)).max())
@@ -223,7 +224,7 @@ def theta_routes(ens: RrdoEnsemble) -> dict:
 
 
 def theta_closed_form(ens: RrdoEnsemble, tol: float = 1e-10) -> np.ndarray:
-    if not classify(mean_rdo(ens)).in_class_e:
+    if not ens.mean_report.in_class_e:
         raise EnsembleError("theta needs the mean operator in the simple-gap class")
     routes = theta_routes(ens)
     if routes["mismatch"] > tol:
@@ -237,10 +238,7 @@ def theta_closed_form(ens: RrdoEnsemble, tol: float = 1e-10) -> np.ndarray:
 @dataclass
 class Trajectory:
     seed: int
-    omega: np.ndarray
     psi_n: np.ndarray  # final running product
-    theta_n: np.ndarray | None
-    cesaro: np.ndarray  # running ergodic average of Psi_n
     n: int
     max_invariance_drift: float
 
@@ -249,14 +247,12 @@ class Trajectory:
 class ErgodicReport:
     checkpoints: np.ndarray
     distances: np.ndarray  # Frobenius distance to |psi_s><theta| at checkpoints
-    bound: np.ndarray  # 5 / sqrt(N) reference envelope
     theta: np.ndarray
 
     def to_json(self) -> dict:
         return {
             "checkpoints": [int(n) for n in self.checkpoints],
             "distances": [float(x) for x in self.distances],
-            "bound": [float(x) for x in self.bound],
             "theta": vector_to_json(self.theta),
         }
 
@@ -286,21 +282,9 @@ def simulate_forward(
             checkpoints.append(n)
             distances.append(np.linalg.norm(acc.mean - limit, "fro"))
             drift = max(drift, float(np.linalg.norm(psi_prod @ ens.psi_s - ens.psi_s)))
-    checkpoints = np.array(checkpoints)
-    traj = Trajectory(
-        seed=seed,
-        omega=omega,
-        psi_n=psi_prod,
-        theta_n=None,
-        cesaro=acc.mean,
-        n=n_total,
-        max_invariance_drift=drift,
-    )
+    traj = Trajectory(seed=seed, psi_n=psi_prod, n=n_total, max_invariance_drift=drift)
     report = ErgodicReport(
-        checkpoints=checkpoints,
-        distances=np.array(distances),
-        bound=5.0 / np.sqrt(checkpoints),
-        theta=theta,
+        checkpoints=np.array(checkpoints), distances=np.array(distances), theta=theta
     )
     return traj, report
 

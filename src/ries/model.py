@@ -22,7 +22,7 @@ The GNS transport never builds a non-normal generator: with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,16 +33,32 @@ from .linalg import (
     expm_hermitian,
     left_mult_matrix,
     require_hermitian,
+    right_mult_matrix,
     unvec,
     vec,
 )
 from .serialize import matrix_from_json, matrix_to_json
 
-ORACLE_DIM_GUARD = 4096
+ORACLE_DIM_GUARD = 4096  # largest dense chain dimension (oracle and window reductions)
+WINDOW_CAPACITY = 3  # largest l + r of an observation window
 
 
 class CapacityError(Exception):
     """Raised when a brute-force computation would exceed the dense-algebra guard."""
+
+
+def check_capacity(dims: list[int], window: int = 0) -> None:
+    """Raise CapacityError past a dense-algebra guard.
+
+    The guards: the dense space over the tensor legs `dims` may not exceed
+    ORACLE_DIM_GUARD, and an observation window extent `window` (= l + r)
+    may not exceed WINDOW_CAPACITY.
+    """
+    if window > WINDOW_CAPACITY:
+        raise CapacityError(f"window capacity guard: l + r = {window} exceeds {WINDOW_CAPACITY}")
+    dim = int(np.prod(dims, dtype=np.int64))
+    if dim > ORACLE_DIM_GUARD:
+        raise CapacityError(f"chain dimension {dim} exceeds guard {ORACLE_DIM_GUARD}")
 
 
 @dataclass(frozen=True)
@@ -170,23 +186,21 @@ def weighted_partial_trace(x: np.ndarray, dim_s: int, rho_env: np.ndarray) -> np
     return np.einsum("fe,iejf->ij", rho_env, xt)
 
 
-_weighted_partial_trace = weighted_partial_trace
-
-
 def reduced_heisenberg_map(sys: SystemSpec, probe: ProbeSpec) -> np.ndarray:
     """Matrix of the one-step Heisenberg map Phi on vectorized d x d matrices.
 
     Phi(A) = Tr_E[(1 x rho_E) U* (A x 1) U] is unital and completely positive.
+    Entry (j + d k, i + d x) is Phi(E_ix)[j, k], contracted in one einsum over
+    the unitary's (system, probe) legs.
     """
     d, e = sys.dim_s, probe.dim_e
-    u = step_unitary(sys, probe)
+    u = step_unitary(sys, probe).reshape(d, e, d, e)
     rho_e = probe.gibbs_state()
-    phi = np.empty((d * d, d * d), dtype=complex)
-    for idx in range(d * d):
-        basis = unvec(np.eye(d * d)[idx], d)
-        conj = dag(u) @ np.kron(basis, np.eye(e)) @ u
-        phi[:, idx] = vec(_weighted_partial_trace(conj, d, rho_e))
-    return phi
+    # pair U* with U before weighting by rho_E: with rho_E first, Phi(1) = 1
+    # picks up a rounding bias that long random products accumulate
+    path = ["einsum_path", (1, 2), (0, 1)]
+    phi = np.einsum("gf,iejf,xekg->kjxi", rho_e, u.conj(), u, optimize=path)
+    return phi.reshape(d * d, d * d)
 
 
 def choi_matrix(phi: np.ndarray, d: int) -> np.ndarray:
@@ -212,8 +226,7 @@ def system_gns_data(sys: SystemSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 def heisenberg_to_gns(phi: np.ndarray, sqrt_rho_s: np.ndarray) -> np.ndarray:
     """Conjugate a vectorized Heisenberg map by iota(A) = A rho_s^(1/2)."""
-    d = sqrt_rho_s.shape[0]
-    iota = np.kron(sqrt_rho_s.T, np.eye(d))
+    iota = right_mult_matrix(sqrt_rho_s)
     return iota @ phi @ np.linalg.inv(iota)
 
 
@@ -221,22 +234,34 @@ def rdo_from_model(sys: SystemSpec, probe: ProbeSpec) -> "rdo_mod.Rdo":
     """Reduced dynamics operator of one encounter, with exact GNS certificate.
 
     The returned matrix fixes psi_s = vec(rho_s^(1/2)) and contracts the
-    norm |||v||| = ||unvec(v) rho_s^(-1/2)||_op.
+    norm |||v||| = ||unvec(v) rho_s^(-1/2)||_op. It keeps the Heisenberg map
+    Phi it transports, so the Heisenberg picture needs no inverse transport.
     """
     _, sqrt_rho, psi_s = system_gns_data(sys)
     phi = reduced_heisenberg_map(sys, probe)
     m = heisenberg_to_gns(phi, sqrt_rho)
     cert = rdo_mod.GnsCertificate(sqrt_rho_s=sqrt_rho)
-    return rdo_mod.Rdo(m=m, psi_s=psi_s, certificate=cert)
+    return rdo_mod.Rdo(m=m, psi_s=psi_s, certificate=cert, phi=phi)
 
 
-def _chain_dims(sys: SystemSpec, steps: list[ProbeSpec], n_probes: int) -> list[int]:
-    dims = [sys.dim_s] + [steps[k].dim_e for k in range(n_probes)]
-    if int(np.prod(dims, dtype=np.int64)) > ORACLE_DIM_GUARD:
-        raise CapacityError(
-            f"truncated chain dimension {np.prod(dims)} exceeds guard {ORACLE_DIM_GUARD}"
-        )
-    return dims
+def _chain_unitary(
+    sys: SystemSpec, probes: list[ProbeSpec], n_steps: int, dims: list[int]
+) -> np.ndarray:
+    """W_n ... W_1 on the tensor legs `dims` = [S, E_1, E_2, ...], n = `n_steps`.
+
+    Step k couples S with leg k through `probes[k - 1]` while every other leg
+    listed in `probes` evolves freely for that step's tau. Legs past
+    ``len(probes)`` stay idle: their Gibbs states commute with free evolution.
+    """
+    u = np.eye(int(np.prod(dims, dtype=np.int64)), dtype=complex)
+    for k in range(1, n_steps + 1):
+        tau = probes[k - 1].tau
+        w_k = embed(step_unitary(sys, probes[k - 1]), dims, [0, k])
+        for n, other in enumerate(probes, start=1):
+            if n != k:
+                w_k = embed(expm_hermitian(other.h_e, -1j * tau), dims, [n]) @ w_k
+        u = w_k @ u
+    return u
 
 
 def full_chain_expectation(
@@ -265,20 +290,11 @@ def full_chain_expectation(
     n_probes = m + r
     if n_probes > len(steps):
         raise ValueError(f"need {n_probes} probe specs, got {len(steps)}")
-    dims = _chain_dims(sys, steps, n_probes)
+    dims = [d] + [p.dim_e for p in steps[:n_probes]]
+    check_capacity(dims)
 
     # U(m) = W_m ... W_1, each step with explicit free evolution of the others
-    dim_tot = int(np.prod(dims, dtype=np.int64))
-    u_total = np.eye(dim_tot, dtype=complex)
-    for k in range(1, m + 1):
-        probe = steps[k - 1]
-        w_k = embed(step_unitary(sys, probe), dims, [0, k])
-        for n in range(1, n_probes + 1):
-            if n == k:
-                continue
-            free = expm_hermitian(steps[n - 1].h_e, -1j * probe.tau)
-            w_k = embed(free, dims, [n]) @ w_k
-        u_total = w_k @ u_total
+    u_total = _chain_unitary(sys, steps[:n_probes], m, dims)
 
     o_full = embed(op_window, dims, [0] + [m + j for j in range(-l, r + 1)])
 
@@ -325,31 +341,18 @@ def reduce_window_operator(
     """
     if len(window_steps) != l + r + 1:
         raise ValueError("window_steps must have length l+r+1")
-    if l + r > 3:
-        raise CapacityError("window capacity guard: l + r must be <= 3")
     d = sys.dim_s
     dims = [d] + [p.dim_e for p in window_steps]
-    dim_tot = int(np.prod(dims, dtype=np.int64))
-    if dim_tot > ORACLE_DIM_GUARD:
-        raise CapacityError(f"window dimension {dim_tot} exceeds guard {ORACLE_DIM_GUARD}")
+    check_capacity(dims, l + r)
 
     # chain order: slot -l interacts first, slot 0 last
-    w_tilde = np.eye(dim_tot, dtype=complex)
-    for slot in range(-l, 1):
-        probe = window_steps[slot + l]
-        w_s = embed(step_unitary(sys, probe), dims, [0, slot + l + 1])
-        for other in range(-l, 1):
-            if other == slot:
-                continue
-            free = expm_hermitian(window_steps[other + l].h_e, -1j * probe.tau)
-            w_s = embed(free, dims, [other + l + 1]) @ w_s
-        w_tilde = w_s @ w_tilde
+    w_tilde = _chain_unitary(sys, window_steps[: l + 1], l + 1, dims)
 
     rho_env = window_steps[0].gibbs_state()
     for probe in window_steps[1:]:
         rho_env = np.kron(rho_env, probe.gibbs_state())
     conj = dag(w_tilde) @ op @ w_tilde
-    return _weighted_partial_trace(conj, d, rho_env)
+    return weighted_partial_trace(conj, d, rho_env)
 
 
 def reduce_instant(

@@ -15,7 +15,7 @@ eigenvector at 1 normalized so <psi, psi_s> = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -78,11 +78,16 @@ def gns_norm(v: np.ndarray, cert: GnsCertificate) -> float:
 
 @dataclass(frozen=True)
 class Rdo:
-    """A reduced dynamics operator with its invariant vector and norm certificate."""
+    """A reduced dynamics operator with its invariant vector and norm certificate.
+
+    A model-built RDO also keeps `phi`, the vectorized Heisenberg map it
+    transports to the GNS space (M = iota Phi iota^(-1)); other RDOs have None.
+    """
 
     m: np.ndarray
     psi_s: np.ndarray
     certificate: GnsCertificate | PowerBoundCertificate
+    phi: np.ndarray | None = None
 
     def __post_init__(self):
         m = np.asarray(self.m, dtype=complex)
@@ -326,22 +331,6 @@ class ProductTrace:
     @property
     def n_steps(self) -> int:
         return self.theta.shape[0]
-
-    def series_rows(self):
-        for n in range(self.n_steps):
-            row = [n + 1]
-            for z in self.theta[n]:
-                row += [float(z.real), float(z.imag)]
-            row += [float(self.mq_norms[n]), float(self.overlaps[n].real)]
-            yield row
-
-    def series_header(self) -> list[str]:
-        d = self.theta.shape[1]
-        cols = ["n"]
-        for i in range(d):
-            cols += [f"theta_re_{i}", f"theta_im_{i}"]
-        cols += ["mq_norm", "psi_overlap"]
-        return cols
 
     def to_json(self) -> dict:
         return {

@@ -11,6 +11,12 @@ flux matrix
 reduced to the system, and the entropy production weights the same
 matrix by the probe inverse temperature inside the ensemble expectation.
 At deterministic probe temperature the two satisfy dS+ = beta_E dE+.
+
+Every energy quantity is built from per-atom pieces in the Heisenberg
+picture (:func:`energy_tables`): atom i's map Phi_i, kept on its RDO, the
+Gibbs mean field vbar_i = Tr_E[(1 x rho_E) V_i], and own_i, the reduction
+of V_i through atom i's encounter. Then F_i = H_S + vbar_i - Phi_i(H_S) - own_i,
+and the energy jump when atom j follows atom i is Phi_i(vbar_j) - own_i.
 """
 
 from __future__ import annotations
@@ -20,22 +26,19 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .ensemble import EnsembleError, RrdoEnsemble, mean_rdo, theta_closed_form, trajectory_rng
-from .linalg import KahanAccumulator, dag, left_mult_matrix, vec
+from .ensemble import EnsembleError, RrdoEnsemble, theta_closed_form, trajectory_rng
+from .linalg import KahanAccumulator, dag, left_mult_matrix, right_mult_matrix, unvec, vec
 from .model import (
-    CapacityError,
     ObservableWindow,
     ProbeSpec,
     SystemSpec,
+    check_capacity,
     reduce_instant,
     reduce_window_operator,
-    step_unitary,
+    reduced_heisenberg_map,
     system_gns_data,
     weighted_partial_trace,
 )
-from .rdo import classify
-
-WINDOW_CAPACITY = 3
 
 
 @dataclass
@@ -92,8 +95,7 @@ def observable_family(
     ObservableWindow; the result is cached per tuple.
     """
     system = _require_models(ens)
-    if l + r > WINDOW_CAPACITY:
-        raise CapacityError(f"window capacity guard: l + r <= {WINDOW_CAPACITY}")
+    check_capacity([system.dim_s], l + r)
     reduced = {}
     for tup in iter_product(range(ens.n_atoms), repeat=l + r + 1):
         probes = [ens.atoms[i].probe for i in tup]
@@ -149,8 +151,6 @@ def mean_reduced_observable(ens: RrdoEnsemble, fam: InstantObservableFamily) -> 
 
 def ergodic_instant_limit(ens: RrdoEnsemble, fam: InstantObservableFamily) -> complex:
     """Closed-form ergodic limit <theta, E[N] psi_s>."""
-    if not classify(mean_rdo(ens)).in_class_e:
-        raise EnsembleError("ergodic limit needs the mean operator in the simple-gap class")
     theta = theta_closed_form(ens)
     return complex(np.vdot(theta, mean_reduced_observable(ens, fam) @ ens.psi_s))
 
@@ -192,24 +192,44 @@ def ergodic_instant_monte_carlo(
     return {"mean": complex(mean), "stderr": float(np.abs(stderr)), "per_seed": per_seed}
 
 
+def _atom_energy_terms(
+    system: SystemSpec, probe: ProbeSpec, phi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(vbar, own, F) of one atom with Heisenberg map `phi`, as system matrices.
+
+    vbar = Tr_E[(1 x rho_E) V] is the Gibbs mean field of the interaction,
+    own = Tr_E[(1 x rho_E) W* V W] its reduction through the encounter, and
+    F = H_S + vbar - Phi(H_S) - own the per-encounter flux matrix.
+    """
+    d = system.dim_s
+    vbar = weighted_partial_trace(probe.v, d, probe.gibbs_state())
+    own = reduce_window_operator(system, [probe], probe.v, 0, 0)
+    flux = system.h_s + vbar - unvec(phi @ vec(system.h_s), d) - own
+    return vbar, own, flux
+
+
 def atom_flux_matrix(system: SystemSpec, probe: ProbeSpec) -> np.ndarray:
     """Per-encounter energy flux matrix on the system.
 
     E_rho_E[(H_S + V) - W* (H_S + V) W]; its steady-state expectation is the
     energy handed to the chain per step.
     """
-    d, e = system.dim_s, probe.dim_e
-    x = np.kron(system.h_s, np.eye(e)) + probe.v
-    w = step_unitary(system, probe)
-    rho_e = probe.gibbs_state()
-    bare = weighted_partial_trace(x, d, rho_e)
-    evolved = weighted_partial_trace(dag(w) @ x @ w, d, rho_e)
-    return bare - evolved
+    return _atom_energy_terms(system, probe, reduced_heisenberg_map(system, probe))[2]
 
 
-def _mean_field_v(probe: ProbeSpec, dim_s: int) -> np.ndarray:
-    """Gibbs average of the interaction over the probe: Tr_E[(1 x rho_E) V]."""
-    return weighted_partial_trace(probe.v, dim_s, probe.gibbs_state())
+def energy_tables(ens: RrdoEnsemble) -> tuple[np.ndarray, np.ndarray]:
+    """Per-atom energy-jump and flux tables, as column-major system vectors.
+
+    ``jump[i, j] = vec(Phi_i(vbar_j) - own_i)`` is the total-energy jump of a
+    step drawn from atom i followed by atom j; ``flux[i] = vec(F_i)`` is atom
+    i's flux matrix. One reduction per atom builds both.
+    """
+    system = _require_models(ens)
+    phis = np.stack([a.rdo.phi for a in ens.atoms])
+    terms = [_atom_energy_terms(system, a.probe, a.rdo.phi) for a in ens.atoms]
+    vbar, own, flux = (np.stack([vec(x) for x in column]) for column in zip(*terms))
+    jump = np.einsum("iab,jb->ija", phis, vbar) - own[:, None, :]
+    return jump, flux
 
 
 def energy_jump_family(ens: RrdoEnsemble) -> InstantObservableFamily:
@@ -219,28 +239,13 @@ def energy_jump_family(ens: RrdoEnsemble) -> InstantObservableFamily:
     operators; slot +1 enters through its Gibbs mean field because that
     probe has not yet interacted.
     """
-    system = _require_models(ens)
-    d = system.dim_s
-    reduced = {}
-    for i, j in iter_product(range(ens.n_atoms), repeat=2):
-        probe_i, probe_j = ens.atoms[i].probe, ens.atoms[j].probe
-        vbar_j = _mean_field_v(probe_j, d)
-        next_term = reduce_window_operator(
-            system, [probe_i], np.kron(vbar_j, np.eye(probe_i.dim_e)), 0, 0
-        )
-        own_term = reduce_window_operator(system, [probe_i], probe_i.v, 0, 0)
-        reduced[(i, j)] = left_mult_matrix(next_term - own_term)
+    d = _require_models(ens).dim_s
+    jump, _ = energy_tables(ens)
+    reduced = {
+        (i, j): left_mult_matrix(unvec(jump[i, j], d))
+        for i, j in iter_product(range(ens.n_atoms), repeat=2)
+    }
     return InstantObservableFamily(l=0, r=1, reduced=reduced, name="energy_jump")
-
-
-def entropy_weighted_family(ens: RrdoEnsemble) -> InstantObservableFamily:
-    """Per-atom flux matrices weighted by the atom's inverse temperature."""
-    system = _require_models(ens)
-    reduced = {}
-    for i in range(ens.n_atoms):
-        probe = ens.atoms[i].probe
-        reduced[(i,)] = probe.beta_e * left_mult_matrix(atom_flux_matrix(system, probe))
-    return InstantObservableFamily(l=0, r=0, reduced=reduced, name="entropy_weighted_flux")
 
 
 @dataclass
@@ -269,9 +274,13 @@ class FluxReport:
         return out
 
 
+def _betas(ens: RrdoEnsemble) -> np.ndarray:
+    return np.array([a.probe.beta_e for a in ens.atoms])
+
+
 def mean_beta(ens: RrdoEnsemble) -> float:
     _require_models(ens)
-    return float(sum(p * a.probe.beta_e for p, a in zip(ens.probs, ens.atoms)))
+    return float(ens.probs @ _betas(ens))
 
 
 def flux_closed_form(ens: RrdoEnsemble) -> FluxReport:
@@ -281,17 +290,13 @@ def flux_closed_form(ens: RrdoEnsemble) -> FluxReport:
     carries beta_E inside the expectation, evaluated per joint atom draw.
     """
     system = _require_models(ens)
-    if not classify(mean_rdo(ens)).in_class_e:
-        raise EnsembleError("flux formulas need the mean operator in the simple-gap class")
     theta = theta_closed_form(ens)
+    _, flux = energy_tables(ens)
     _, sqrt_rho, _ = system_gns_data(system)
-    de = 0.0 + 0.0j
-    ds = 0.0 + 0.0j
-    for p, atom in zip(ens.probs, ens.atoms):
-        f = atom_flux_matrix(system, atom.probe)
-        pairing = np.vdot(theta, vec(f @ sqrt_rho))
-        de += p * pairing
-        ds += p * atom.probe.beta_e * pairing
+    # <theta, vec(F_i rho_s^(1/2))> for every atom at once
+    pairings = flux @ (right_mult_matrix(sqrt_rho).T @ theta.conj())
+    de = ens.probs @ pairings
+    ds = (ens.probs * _betas(ens)) @ pairings
     imag = max(abs(de.imag), abs(ds.imag))
     residual = ds.real - mean_beta(ens) * de.real
     return FluxReport(
@@ -301,16 +306,6 @@ def flux_closed_form(ens: RrdoEnsemble) -> FluxReport:
         method="closed_form",
         imag_defect=float(imag),
     )
-
-
-def _heisenberg_maps(ens: RrdoEnsemble) -> np.ndarray:
-    """Per-atom vectorized Heisenberg maps, recovered from the GNS transport."""
-    system = _require_models(ens)
-    _, sqrt_rho, _ = system_gns_data(system)
-    d = system.dim_s
-    iota = np.kron(sqrt_rho.T, np.eye(d))
-    iota_inv = np.linalg.inv(iota)
-    return np.stack([iota_inv @ m @ iota for m in ens.matrices])
 
 
 def flux_monte_carlo(
@@ -331,27 +326,12 @@ def flux_monte_carlo(
     if burn_in is None:
         burn_in = min(n_total // 10, 1000)
     system = _require_models(ens)
-    d = system.dim_s
     if rho_init is None:
         rho_init = system.gibbs_state()
-    # Heisenberg-picture reductions: plain system matrices, no GNS transport
-    jump_vecs = np.empty((ens.n_atoms**2, d * d), dtype=complex)
-    for flat, tup in enumerate(iter_product(range(ens.n_atoms), repeat=2)):
-        probe_i, probe_j = ens.atoms[tup[0]].probe, ens.atoms[tup[1]].probe
-        vbar_j = _mean_field_v(probe_j, d)
-        next_term = reduce_window_operator(
-            system, [probe_i], np.kron(vbar_j, np.eye(probe_i.dim_e)), 0, 0
-        )
-        own_term = reduce_window_operator(system, [probe_i], probe_i.v, 0, 0)
-        jump_vecs[flat] = vec(next_term - own_term)
-    ent_vecs = np.stack(
-        [
-            ens.atoms[i].probe.beta_e * vec(atom_flux_matrix(system, ens.atoms[i].probe))
-            for i in range(ens.n_atoms)
-        ]
-    )
-    phis = _heisenberg_maps(ens)
-    phis_adj = np.stack([dag(p) for p in phis])
+    # Heisenberg picture: plain system matrices, no GNS transport
+    jump, flux = energy_tables(ens)
+    ent_vecs = _betas(ens)[:, None] * flux
+    phis_adj = np.stack([dag(a.rdo.phi) for a in ens.atoms])
 
     de_seed = np.empty(n_seeds)
     ds_seed = np.empty(n_seeds)
@@ -364,7 +344,7 @@ def flux_monte_carlo(
         for n in range(burn_in + n_total):
             i, j = omega[n], omega[n + 1]
             if n >= burn_in:
-                acc_e.add(np.vdot(w, jump_vecs[i * ens.n_atoms + j]))
+                acc_e.add(np.vdot(w, jump[i, j]))
                 acc_s.add(np.vdot(w, ent_vecs[i]))
             w = phis_adj[i] @ w
         de_seed[s] = acc_e.mean.real

@@ -49,10 +49,11 @@ def test_validate_rejects_unknown_key(model_doc):
 
 
 def test_validate_rejects_bad_probabilities(ensemble_doc):
-    doc = json.loads(json.dumps(ensemble_doc))
-    doc["atoms"][0]["p"] = 0.7
-    with pytest.raises(ConfigError):
-        validate_config({"experiment": "ergodic", "ensemble": doc})
+    for p in (0.7, "half", None, -0.5):
+        doc = json.loads(json.dumps(ensemble_doc))
+        doc["atoms"][0]["p"] = p
+        with pytest.raises(ConfigError):
+            validate_config({"experiment": "ergodic", "ensemble": doc})
 
 
 def test_validate_roundtrip_idempotent(ensemble_doc):
@@ -95,6 +96,24 @@ def test_cli_exit_codes(tmp_path, model_doc, ensemble_doc):
     unknown = tmp_path / "unknown.json"
     dump_json({"experiment": "classify", "model": model_doc, "oops": 1}, str(unknown))
     assert main(["validate", str(unknown)]) == 2
+
+    # mistyped or out-of-range values are config errors, never a traceback
+    bad_probability = json.loads(json.dumps(ensemble_doc))
+    bad_probability["atoms"][0]["p"] = "half"
+    for doc in (
+        {"experiment": "ergodic", "ensemble": ensemble_doc, "checkpoint_every": 0},
+        {"experiment": "reverse", "ensemble": ensemble_doc, "checkpoint_every": 0},
+        {"experiment": "lyapunov", "ensemble": ensemble_doc, "reorth_every": 0},
+        {"experiment": "decay", "ensemble": ensemble_doc, "n_total": 10.7},
+        {"experiment": "decay", "ensemble": ensemble_doc, "seeds": [1.5]},
+        {"experiment": "decay", "ensemble": bad_probability},
+        {"experiment": "classify", "model": model_doc, "tolerances": {"tol_one": "tight"}},
+        {"experiment": "oracle-check", "model": model_doc, "tol": "small"},
+    ):
+        path = tmp_path / "mistyped.json"
+        dump_json(doc, str(path))
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 2
 
     huge = tmp_path / "huge.json"
     dump_json({"experiment": "oracle-check", "model": model_doc, "m_max": 12}, str(huge))
@@ -157,25 +176,24 @@ def test_seed_offset_changes_trajectories(tmp_path, ensemble_doc):
     assert rep_a["payload"]["alpha_min"] != rep_b["payload"]["alpha_min"]
 
 
-def test_jobs_flag_matches_sequential(tmp_path, ensemble_doc):
-    cfg_path = tmp_path / "ly.json"
+def test_ergodic_csv_bound_uses_coefficient(tmp_path, ensemble_doc):
+    cfg_path = tmp_path / "erg.json"
     dump_json(
         {
-            "experiment": "lyapunov",
+            "experiment": "ergodic",
             "ensemble": ensemble_doc,
-            "seeds": [0, 1, 2],
-            "n_total": 2000,
+            "n_total": 3000,
+            "bound_coefficient": 3.0,
         },
         str(cfg_path),
     )
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(["run", str(cfg_path), "--out", str(out_a)]) == 0
-    assert main(["run", str(cfg_path), "--out", str(out_b), "--jobs", "3"]) == 0
-    rep_a = json.loads((out_a / "summary.json").read_text())
-    rep_b = json.loads((out_b / "summary.json").read_text())
-    rep_a.pop("wall_time_s")
-    rep_b.pop("wall_time_s")
-    assert rep_a == rep_b
+    # the CSV is written whether or not the tighter bound holds
+    main(["run", str(cfg_path), "--out", str(tmp_path)])
+    lines = (tmp_path / "ergodic_seed0.csv").read_text().splitlines()
+    assert lines[0] == "n,distance,bound"
+    for line in lines[1:]:
+        n, _, bound = line.split(",")
+        assert float(bound) == 3.0 / np.sqrt(int(n))
 
 
 def test_all_demo_configs_validate():

@@ -70,6 +70,21 @@ def test_heisenberg_map_unital_and_cp(qubit_model):
     assert np.allclose(out, dag(out), atol=1e-12)
 
 
+def test_heisenberg_map_matches_definition(rng):
+    """The einsum map equals Phi(A) = Tr_E[(1 x rho_E) U* (A x 1) U] on random A."""
+    system = ries.SystemSpec(dim_s=3, h_s=random_hermitian(3, rng), beta_s=0.6)
+    probe = ries.ProbeSpec(
+        dim_e=2, h_e=random_hermitian(2, rng), beta_e=1.1, v=random_hermitian(6, rng), tau=0.8
+    )
+    phi = reduced_heisenberg_map(system, probe)
+    u = ries.step_unitary(system, probe)
+    rho_e = probe.gibbs_state()
+    for _ in range(4):
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        expected = weighted_partial_trace(dag(u) @ np.kron(a, np.eye(2)) @ u, 3, rho_e)
+        assert np.abs(unvec(phi @ vec(a), 3) - expected).max() < 1e-12
+
+
 def test_rdo_fixes_psi_s(qubit_rdo):
     assert np.allclose(qubit_rdo.m @ qubit_rdo.psi_s, qubit_rdo.psi_s, atol=1e-12)
     assert np.isclose(np.linalg.norm(qubit_rdo.psi_s), 1.0)

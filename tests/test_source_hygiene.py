@@ -1,0 +1,90 @@
+"""Static checks on the package source, so dead code cannot grow back.
+
+Every module-level import in ``src/ries/*.py`` must be used (names listed
+in ``__all__`` count as used), and no module may reach into another
+``ries`` module's underscore-prefixed names, by import or by attribute.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ries"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _names(tree: ast.AST) -> set[str]:
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    used = _names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            annotations = [a.annotation for a in args] + [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        else:
+            continue
+        for ann in annotations:  # quoted annotations such as "rdo_mod.Rdo"
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                used |= _names(ast.parse(ann.value, mode="eval"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return used
+
+
+def _is_ries_import(node: ast.ImportFrom) -> bool:
+    return node.level > 0 or (node.module or "").split(".")[0] == "ries"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    tree = _parse(path)
+    used = _used_names(tree)
+    unused = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    unused.append(bound)
+    assert not unused, f"{path.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_cross_module_access(path):
+    tree = _parse(path)
+    module_aliases = set()
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _is_ries_import(node):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    private.append(alias.name)
+                if node.module is None or node.module == "ries":  # `from . import rdo`
+                    module_aliases.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in module_aliases
+            and node.attr.startswith("_")
+        ):
+            private.append(f"{node.value.id}.{node.attr}")
+    assert not private, f"{path.name}: uses private names of other modules {private}"
+
+
+def test_checks_see_every_module():
+    assert {p.name for p in MODULES} >= {"cli.py", "ensemble.py", "model.py", "thermo.py"}

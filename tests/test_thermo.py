@@ -3,12 +3,18 @@ import pytest
 
 import ries
 from ries.ensemble import EnsembleError, RrdoEnsemble
-from ries.linalg import dag, embed, random_hermitian, vec
-from ries.model import full_chain_expectation, reduce_window_operator, weighted_partial_trace
+from ries.linalg import dag, embed, left_mult_matrix, random_hermitian, unvec, vec
+from ries.model import (
+    full_chain_expectation,
+    reduce_window_operator,
+    step_unitary,
+    weighted_partial_trace,
+)
 from ries.rdo import decompose
 from ries.thermo import (
     atom_flux_matrix,
     energy_jump_family,
+    energy_tables,
     ergodic_instant_limit,
     ergodic_instant_monte_carlo,
     flux_closed_form,
@@ -128,6 +134,57 @@ def test_jump_expectations_match_oracle(qubit_model):
         oracle_val = val_next - val_own
         assert abs(reduced_val - oracle_val) < 1e-9
         w = dag(phi) @ w
+
+
+def _heterogeneous_ensemble(rng) -> RrdoEnsemble:
+    """Qutrit system, three qubit probes with their own V, tau and beta."""
+    system = ries.SystemSpec(dim_s=3, h_s=np.diag([0.0, 1.0, 2.3]), beta_s=0.7)
+    h_e = np.diag([0.0, 1.1])
+    probes = [
+        ries.ProbeSpec(dim_e=2, h_e=h_e, beta_e=beta, v=random_hermitian(6, rng, 0.3), tau=tau)
+        for beta, tau in ((1.3, 0.7), (0.4, 1.2), (2.0, 1.6))
+    ]
+    return RrdoEnsemble.from_models(system, [(0.2, probes[0]), (0.5, probes[1]), (0.3, probes[2])])
+
+
+def test_energy_tables_match_per_pair_reductions(rng):
+    """Per-atom tables vs one window reduction per atom pair and a direct flux formula."""
+    ens = _heterogeneous_ensemble(rng)
+    system, d = ens.system, 3
+    jump, flux = energy_tables(ens)
+    fam = energy_jump_family(ens)
+    for i, atom_i in enumerate(ens.atoms):
+        p_i = atom_i.probe
+        own = reduce_window_operator(system, [p_i], p_i.v, 0, 0)
+        for j, atom_j in enumerate(ens.atoms):
+            vbar_j = weighted_partial_trace(atom_j.probe.v, d, atom_j.probe.gibbs_state())
+            nxt = reduce_window_operator(system, [p_i], np.kron(vbar_j, np.eye(2)), 0, 0)
+            assert np.abs(unvec(jump[i, j], d) - (nxt - own)).max() < 1e-12
+            assert np.abs(fam.reduced[(i, j)] - left_mult_matrix(nxt - own)).max() < 1e-12
+        # E_rho_E[(H_S + V) - W* (H_S + V) W], with W built here
+        x = np.kron(system.h_s, np.eye(2)) + p_i.v
+        w = step_unitary(system, p_i)
+        rho_e = p_i.gibbs_state()
+        ref = weighted_partial_trace(x, d, rho_e) - weighted_partial_trace(dag(w) @ x @ w, d, rho_e)
+        assert np.abs(unvec(flux[i], d) - ref).max() < 1e-12
+        assert np.abs(atom_flux_matrix(system, p_i) - ref).max() < 1e-12
+
+
+def test_mean_operator_classified_once(rng, monkeypatch):
+    """flux_closed_form and ergodic_instant_limit share one mean and one classification."""
+    ens = _heterogeneous_ensemble(rng)
+    calls = {"mean_rdo": 0, "classify": 0}
+    for name in calls:
+        orig = getattr(ries.ensemble, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(ries.ensemble, name, counted)
+    flux_closed_form(ens)
+    ergodic_instant_limit(ens, identity_family(ens))
+    assert calls == {"mean_rdo": 1, "classify": 1}
 
 
 def test_second_law_deterministic_beta(rng):
