@@ -3,8 +3,10 @@
 Builds a qubit system coupled to a train of thermal qubit probes via an
 excitation-exchange interaction, constructs the reduced dynamics operator
 (RDO) on the 4-dimensional GNS space, and checks that powers of that small
-matrix reproduce exact expectations computed on the dense truncated chain
-S x E_1 x ... x E_m. Then it does the same for a windowed observable that
+matrix reproduce exact expectations computed by brute force on the
+truncated chain S x E_1 x ... x E_m: the oracle evolves the full chain
+state, applying every step unitary and every spectator's free evolution to
+its own tensor legs. Then it does the same for a windowed observable that
 rides along with the interaction.
 """
 

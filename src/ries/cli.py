@@ -13,9 +13,14 @@ status:
 ``ries validate config.json`` prints the fully-resolved config (defaults
 applied) and exits 0/2; it rejects counts that are not integers >= 1,
 seeds that are not integers >= 0, and probabilities, tolerances or
-coefficients that are not finite nonnegative numbers. Seeds run one after another in
-config order. Identical configs and seeds give byte-identical summaries
-except for the wall-time field.
+coefficients that are not finite nonnegative numbers. In every model
+document (top-level, ensemble atom or presample) it checks the scalar
+fields: each ``dim`` an integer >= 1, each ``beta`` and ``tau`` a finite
+nonnegative number; a presample ``count`` must be an integer >= 1, its
+``seed`` an integer >= 0 and its range bounds finite. Matrices are parsed
+only by ``run``. Seeds run one after another in config order. Identical
+configs and seeds give byte-identical summaries except for the wall-time
+field.
 """
 
 from __future__ import annotations
@@ -152,9 +157,47 @@ def _is_int(x, low: int) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x >= low
 
 
+def _is_real(x) -> bool:
+    """A finite JSON number (bools excluded)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def _is_number(x) -> bool:
     """A finite nonnegative JSON number (bools excluded)."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) and x >= 0
+    return _is_real(x) and x >= 0
+
+
+def _check_model_doc(doc, where: str) -> None:
+    """Scalar fields of a model document; its matrices are parsed by `run`."""
+    parts = ("system", "probe")
+    if not isinstance(doc, dict) or not all(isinstance(doc.get(p), dict) for p in parts):
+        raise ConfigError(f"{where} must be an object with 'system' and 'probe' objects")
+    for part, keys in (("system", ("beta",)), ("probe", ("beta", "tau"))):
+        fields = doc[part]
+        dim = fields.get("dim")
+        if not _is_int(dim, 1):
+            raise ConfigError(f"{where}.{part}.dim must be an integer >= 1, got {dim!r}")
+        for key in keys:
+            x = fields.get(key)
+            if not _is_number(x):
+                raise ConfigError(f"{where}.{part}.{key} must be a finite nonnegative number, got {x!r}")
+
+
+def _check_presample(gen) -> None:
+    if not isinstance(gen, dict):
+        raise ConfigError("ensemble presample must be a JSON object")
+    _check_model_doc(gen.get("model"), "presample.model")
+    count, seed = gen.get("count", 32), gen.get("seed", 0)
+    if not _is_int(count, 1):
+        raise ConfigError(f"presample.count must be an integer >= 1, got {count!r}")
+    if not _is_int(seed, 0):
+        raise ConfigError(f"presample.seed must be an integer >= 0, got {seed!r}")
+    for key in ("tau", "beta", "coupling"):
+        if key not in gen:
+            continue
+        bounds = gen[key]
+        if not (isinstance(bounds, dict) and all(_is_real(bounds.get(b)) for b in ("low", "high"))):
+            raise ConfigError(f"presample.{key} needs finite 'low' and 'high', got {bounds!r}")
 
 
 def validate_config(doc: dict) -> dict:
@@ -217,14 +260,21 @@ def _check_resolved(cfg: dict) -> None:
         raise ConfigError("family must be identity, system or probe_energy")
     if exp == "instant" and cfg["family"] == "system" and "a_s" not in cfg:
         raise ConfigError("family 'system' needs 'a_s'")
-    # surface bad probability weights at validation time, not mid-run
+    # surface bad model scalars and probability weights at validation time, not mid-run
+    if "model" in cfg:
+        _check_model_doc(cfg["model"], "model")
     if "ensemble" in cfg:
         if not isinstance(cfg["ensemble"], dict):
             raise ConfigError("ensemble must be a JSON object")
+        if "presample" in cfg["ensemble"]:
+            _check_presample(cfg["ensemble"]["presample"])
         atoms = cfg["ensemble"].get("atoms")
         if atoms is not None:
             if not isinstance(atoms, list) or not all(isinstance(a, dict) for a in atoms):
                 raise ConfigError("ensemble atoms must be a list of JSON objects")
+            for i, atom in enumerate(atoms):
+                if "model" in atom:
+                    _check_model_doc(atom["model"], f"ensemble.atoms[{i}].model")
             probs = [a.get("p") for a in atoms]
             if not all(_is_number(p) for p in probs):
                 raise ConfigError(f"atom probabilities must be finite nonnegative numbers: {probs}")
@@ -484,8 +534,13 @@ def _run_oracle_check(cfg: dict, out: str) -> tuple[dict, dict]:
                 m,
                 rho_s,
             )
-            worst = max(worst, abs(lhs - rhs))
-    payload = {"max_residual": float(worst), "m_max": int(cfg["m_max"])}
+            # np.maximum keeps a NaN residual, where max(0.0, nan) would drop it
+            worst = float(np.maximum(worst, abs(lhs - rhs)))
+    payload = {
+        "max_residual": worst,
+        "m_max": int(cfg["m_max"]),
+        "residuals_finite": math.isfinite(worst),
+    }
     return payload, {"oracle_agreement": bool(worst <= float(cfg["tol"]))}
 
 

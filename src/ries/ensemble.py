@@ -21,7 +21,7 @@ import numpy as np
 
 from . import rdo as rdo_mod
 from .linalg import KahanAccumulator, dag, spectral_norm
-from .model import ProbeSpec, SystemSpec, rdo_from_model, system_gns_data
+from .model import ProbeSpec, SystemSpec, model_from_json, rdo_from_model, system_gns_data
 from .rdo import (
     GnsCertificate,
     PowerBoundCertificate,
@@ -238,8 +238,6 @@ def theta_closed_form(ens: RrdoEnsemble, tol: float = 1e-10) -> np.ndarray:
 @dataclass
 class Trajectory:
     seed: int
-    psi_n: np.ndarray  # final running product
-    n: int
     max_invariance_drift: float
 
 
@@ -248,13 +246,6 @@ class ErgodicReport:
     checkpoints: np.ndarray
     distances: np.ndarray  # Frobenius distance to |psi_s><theta| at checkpoints
     theta: np.ndarray
-
-    def to_json(self) -> dict:
-        return {
-            "checkpoints": [int(n) for n in self.checkpoints],
-            "distances": [float(x) for x in self.distances],
-            "theta": vector_to_json(self.theta),
-        }
 
 
 def simulate_forward(
@@ -282,7 +273,7 @@ def simulate_forward(
             checkpoints.append(n)
             distances.append(np.linalg.norm(acc.mean - limit, "fro"))
             drift = max(drift, float(np.linalg.norm(psi_prod @ ens.psi_s - ens.psi_s)))
-    traj = Trajectory(seed=seed, psi_n=psi_prod, n=n_total, max_invariance_drift=drift)
+    traj = Trajectory(seed=seed, max_invariance_drift=drift)
     report = ErgodicReport(
         checkpoints=np.array(checkpoints), distances=np.array(distances), theta=theta
     )
@@ -494,8 +485,6 @@ def ensemble_from_json(doc: dict) -> RrdoEnsemble:
      "psi_s": [[re, im], ...]   # required when any atom is matrix-form
      "presample": {...}}        # alternative generative form
     """
-    from .model import model_from_json  # local import to avoid cycle at module load
-
     if "presample" in doc:
         gen = doc["presample"]
         system, base_probe = model_from_json(gen["model"])

@@ -14,7 +14,11 @@ a time ``tau``. This module builds, from such data:
 
 and, crucially, an exact brute-force evaluation of the repeated
 interaction dynamics on a truncated chain (``full_chain_oracle``) against
-which every reduced-picture quantity can be checked at small sizes.
+which every reduced-picture quantity can be checked at small sizes. The
+oracle and the window reductions evolve one dim x dim array over the
+chain's tensor legs (the state, or the window operator): each step
+unitary and each spectator's free evolution is built and applied to its
+own legs of that array, so no chain-sized unitary is ever formed.
 
 The GNS transport never builds a non-normal generator: with
 ``iota(A) = A rho_s^(1/2)``, the RDO is ``iota o Phi o iota^(-1)``.
@@ -29,7 +33,6 @@ import numpy as np
 from . import rdo as rdo_mod
 from .linalg import (
     dag,
-    embed,
     expm_hermitian,
     left_mult_matrix,
     require_hermitian,
@@ -39,7 +42,7 @@ from .linalg import (
 )
 from .serialize import matrix_from_json, matrix_to_json
 
-ORACLE_DIM_GUARD = 4096  # largest dense chain dimension (oracle and window reductions)
+ORACLE_DIM_GUARD = 4096  # largest chain dimension (oracle and window reductions)
 WINDOW_CAPACITY = 3  # largest l + r of an observation window
 
 
@@ -104,8 +107,8 @@ class ProbeSpec:
         object.__setattr__(self, "v", v)
         if not np.isfinite(self.beta_e) or self.beta_e < 0:
             raise ValueError("beta_e must be finite and nonnegative")
-        if self.tau < 0:
-            raise ValueError("tau must be nonnegative")
+        if not np.isfinite(self.tau) or self.tau < 0:
+            raise ValueError("tau must be finite and nonnegative")
 
     def gibbs_state(self) -> np.ndarray:
         return gibbs(self.h_e, self.beta_e)
@@ -244,24 +247,62 @@ def rdo_from_model(sys: SystemSpec, probe: ProbeSpec) -> "rdo_mod.Rdo":
     return rdo_mod.Rdo(m=m, psi_s=psi_s, certificate=cert, phi=phi)
 
 
-def _chain_unitary(
-    sys: SystemSpec, probes: list[ProbeSpec], n_steps: int, dims: list[int]
-) -> np.ndarray:
-    """W_n ... W_1 on the tensor legs `dims` = [S, E_1, E_2, ...], n = `n_steps`.
+def _apply_to_rows(x: np.ndarray, g: np.ndarray, dims: list[int], legs: list[int]) -> np.ndarray:
+    """(g on `legs`, identity elsewhere) @ x, without building the embedding.
 
+    `x` is a dim x dim array over the tensor legs `dims`; `legs` is either
+    one leg [j] or the pair [0, k] with 0 < k, matching the factors of the
+    chain (a probe's free evolution, or an encounter of S with probe k).
+    """
+    dim = x.shape[0]
+    if len(legs) == 1:
+        j = legs[0]
+        outer = int(np.prod(dims[:j], dtype=np.int64))
+        return np.matmul(g, x.reshape(outer, dims[j], -1)).reshape(dim, dim)
+    k = legs[1]
+    d, e = dims[0], dims[k]
+    between = int(np.prod(dims[1:k], dtype=np.int64))
+    xt = x.reshape(d, between, e, -1)
+    out = np.tensordot(g.reshape(d, e, d, e), xt, axes=([2, 3], [0, 2]))  # (d, e, between, rest)
+    return out.transpose(0, 2, 1, 3).reshape(dim, dim)
+
+
+def _conjugate_by_chain(
+    x: np.ndarray,
+    sys: SystemSpec,
+    probes: list[ProbeSpec],
+    n_steps: int,
+    dims: list[int],
+    heisenberg: bool = False,
+) -> np.ndarray:
+    """W x W* (Schroedinger) or W* x W (Heisenberg), W = W_n ... W_1, n = `n_steps`.
+
+    `x` is a dim x dim array over the tensor legs `dims` = [S, E_1, E_2, ...].
     Step k couples S with leg k through `probes[k - 1]` while every other leg
     listed in `probes` evolves freely for that step's tau. Legs past
     ``len(probes)`` stay idle: their Gibbs states commute with free evolution.
+
+    Each local factor g acts on its own legs of `x` only, as g x g*: on the
+    row legs directly, and on the column legs as rows of the transpose,
+    x g* = (conj(g) x^T)^T. The transpose is kept from one step to the next,
+    so each step costs one. No chain-sized unitary is formed.
     """
-    u = np.eye(int(np.prod(dims, dtype=np.int64)), dtype=complex)
-    for k in range(1, n_steps + 1):
+    order = range(n_steps, 0, -1) if heisenberg else range(1, n_steps + 1)
+    transposed = False  # whether `x` currently holds the transpose
+    for k in order:
         tau = probes[k - 1].tau
-        w_k = embed(step_unitary(sys, probes[k - 1]), dims, [0, k])
+        factors = [(step_unitary(sys, probes[k - 1]), [0, k])]
         for n, other in enumerate(probes, start=1):
             if n != k:
-                w_k = embed(expm_hermitian(other.h_e, -1j * tau), dims, [n]) @ w_k
-        u = w_k @ u
-    return u
+                factors.append((expm_hermitian(other.h_e, -1j * tau), [n]))
+        if heisenberg:
+            factors = [(dag(g), legs) for g, legs in factors]
+        for g, legs in factors:
+            x = _apply_to_rows(x, g.conj() if transposed else g, dims, legs)
+        x, transposed = x.T, not transposed
+        for g, legs in factors:
+            x = _apply_to_rows(x, g.conj() if transposed else g, dims, legs)
+    return x.T if transposed else x
 
 
 def full_chain_expectation(
@@ -276,10 +317,12 @@ def full_chain_expectation(
     """Exact expectation of an arbitrary window operator after m steps.
 
     `op_window` acts on S x E_(m-l) x ... x E_(m+r), in that tensor order.
-    Builds the truncated chain S x E_1 x ... x E_K (K = m + r probes) as one
-    dense space, applies every step unitary together with the explicit free
-    evolution of all spectator probes, and traces against
-    rho_init x (x_k Gibbs_k). No reduced-picture shortcut is used.
+    Forms the state rho_init x (x_k Gibbs_k) on the truncated chain
+    S x E_1 x ... x E_K (K = m + r probes) and evolves it step by step:
+    every step unitary, together with the explicit free evolution of all
+    spectator probes, is applied to its own tensor legs of the state. The
+    evolved state is then reduced to the window legs and traced against
+    `op_window`. No reduced-picture shortcut is used.
     """
     rho_init = rho_init.rho if isinstance(rho_init, DensityMatrix) else np.asarray(rho_init)
     d = sys.dim_s
@@ -293,15 +336,17 @@ def full_chain_expectation(
     dims = [d] + [p.dim_e for p in steps[:n_probes]]
     check_capacity(dims)
 
-    # U(m) = W_m ... W_1, each step with explicit free evolution of the others
-    u_total = _chain_unitary(sys, steps[:n_probes], m, dims)
-
-    o_full = embed(op_window, dims, [0] + [m + j for j in range(-l, r + 1)])
-
     rho_tot = rho_init
     for k in range(1, n_probes + 1):
         rho_tot = np.kron(rho_tot, steps[k - 1].gibbs_state())
-    return complex(np.trace(rho_tot @ dag(u_total) @ o_full @ u_total))
+    # U(m) rho U(m)*, U(m) = W_m ... W_1, each step with explicit free evolution of the others
+    rho_tot = _conjugate_by_chain(rho_tot, sys, steps[:n_probes], m, dims)
+
+    # the window legs are S and the last l + r + 1 probes: trace out E_1 .. E_(m-l-1)
+    before = int(np.prod(dims[1 : m - l], dtype=np.int64))
+    after = int(np.prod(dims[m - l :], dtype=np.int64))
+    rho_w = np.einsum("apbcpd->abcd", rho_tot.reshape(d, before, after, d, before, after))
+    return complex(np.einsum("ij,ji->", rho_w.reshape(d * after, d * after), op_window))
 
 
 def full_chain_oracle(
@@ -346,12 +391,11 @@ def reduce_window_operator(
     check_capacity(dims, l + r)
 
     # chain order: slot -l interacts first, slot 0 last
-    w_tilde = _chain_unitary(sys, window_steps[: l + 1], l + 1, dims)
+    conj = _conjugate_by_chain(op, sys, window_steps[: l + 1], l + 1, dims, heisenberg=True)
 
     rho_env = window_steps[0].gibbs_state()
     for probe in window_steps[1:]:
         rho_env = np.kron(rho_env, probe.gibbs_state())
-    conj = dag(w_tilde) @ op @ w_tilde
     return weighted_partial_trace(conj, d, rho_env)
 
 

@@ -98,8 +98,25 @@ def test_cli_exit_codes(tmp_path, model_doc, ensemble_doc):
     assert main(["validate", str(unknown)]) == 2
 
     # mistyped or out-of-range values are config errors, never a traceback
-    bad_probability = json.loads(json.dumps(ensemble_doc))
-    bad_probability["atoms"][0]["p"] = "half"
+    def edited(doc, path, value):
+        out = json.loads(json.dumps(doc))
+        *keys, last = path
+        target = out
+        for key in keys:
+            target = target[key]
+        target[last] = value
+        return out
+
+    bad_probability = edited(ensemble_doc, ("atoms", 0, "p"), "half")
+    nan_tau_model = edited(model_doc, ("probe", "tau"), float("nan"))
+    presample = {
+        "presample": {
+            "model": model_doc,
+            "count": 4,
+            "seed": 1,
+            "tau": {"low": 0.6, "high": 1.6},
+        }
+    }
     for doc in (
         {"experiment": "ergodic", "ensemble": ensemble_doc, "checkpoint_every": 0},
         {"experiment": "reverse", "ensemble": ensemble_doc, "checkpoint_every": 0},
@@ -109,6 +126,15 @@ def test_cli_exit_codes(tmp_path, model_doc, ensemble_doc):
         {"experiment": "decay", "ensemble": bad_probability},
         {"experiment": "classify", "model": model_doc, "tolerances": {"tol_one": "tight"}},
         {"experiment": "oracle-check", "model": model_doc, "tol": "small"},
+        {"experiment": "oracle-check", "model": nan_tau_model},
+        {"experiment": "ideal", "model": edited(model_doc, ("system", "beta"), "hot")},
+        {"experiment": "classify", "model": edited(model_doc, ("probe", "dim"), 2.5)},
+        {"experiment": "decay", "ensemble": edited(ensemble_doc, ("atoms", 1, "model"), nan_tau_model)},
+        {"experiment": "ergodic", "ensemble": edited(presample, ("presample", "count"), 0)},
+        {"experiment": "ergodic", "ensemble": edited(presample, ("presample", "count"), 10.7)},
+        {"experiment": "ergodic", "ensemble": edited(presample, ("presample", "seed"), -1)},
+        {"experiment": "ergodic", "ensemble": edited(presample, ("presample", "tau", "low"), float("nan"))},
+        {"experiment": "ergodic", "ensemble": edited(presample, ("presample", "model"), nan_tau_model)},
     ):
         path = tmp_path / "mistyped.json"
         dump_json(doc, str(path))
@@ -134,6 +160,18 @@ def test_cli_exit_codes(tmp_path, model_doc, ensemble_doc):
         str(failing),
     )
     assert main(["run", str(failing), "--out", str(tmp_path)]) == 1
+
+
+def test_oracle_check_fails_on_non_finite_residual(tmp_path, model_doc, monkeypatch):
+    """max(0.0, nan) is 0.0: a NaN from the oracle must not read as agreement."""
+    monkeypatch.setattr("ries.cli.full_chain_oracle", lambda *args: complex("nan"))
+    path = tmp_path / "oracle.json"
+    dump_json({"experiment": "oracle-check", "model": model_doc, "m_max": 2}, str(path))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 1
+    with open(tmp_path / "summary.json") as fh:
+        summary = json.load(fh)
+    assert summary["payload"]["residuals_finite"] is False
+    assert summary["checks"]["oracle_agreement"] is False
 
 
 def test_run_reports_byte_identical(tmp_path, ensemble_doc):

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import ries
-from ries.linalg import dag, random_hermitian, unvec, vec
+from ries.linalg import dag, embed, expm_hermitian, random_hermitian, unvec, vec
 from ries.model import (
     CapacityError,
     choi_matrix,
+    full_chain_expectation,
     gibbs,
     model_from_json,
     model_to_json,
@@ -13,6 +14,58 @@ from ries.model import (
     reduced_heisenberg_map,
     weighted_partial_trace,
 )
+
+
+# ------------------------------------------------- dense reference contraction
+def _dense_chain_unitary(system, probes, n_steps, dims):
+    """W_n ... W_1 as one dense matrix over the legs `dims`, every factor embedded."""
+    u = np.eye(int(np.prod(dims)), dtype=complex)
+    for k in range(1, n_steps + 1):
+        tau = probes[k - 1].tau
+        w_k = embed(ries.step_unitary(system, probes[k - 1]), dims, [0, k])
+        for n, other in enumerate(probes, start=1):
+            if n != k:
+                w_k = embed(expm_hermitian(other.h_e, -1j * tau), dims, [n]) @ w_k
+        u = w_k @ u
+    return u
+
+
+def _gibbs_product(probes):
+    rho = np.eye(1, dtype=complex)
+    for p in probes:
+        rho = np.kron(rho, p.gibbs_state())
+    return rho
+
+
+def _dense_expectation(system, steps, op, m, l, r, rho_init):
+    probes = steps[: m + r]
+    dims = [system.dim_s] + [p.dim_e for p in probes]
+    u = _dense_chain_unitary(system, probes, m, dims)
+    o_full = embed(op, dims, [0] + [m + j for j in range(-l, r + 1)])
+    rho_tot = np.kron(rho_init, _gibbs_product(probes))
+    return np.trace(rho_tot @ dag(u) @ o_full @ u)
+
+
+def _dense_window_reduction(system, window_steps, op, l, r):
+    dims = [system.dim_s] + [p.dim_e for p in window_steps]
+    w = _dense_chain_unitary(system, window_steps[: l + 1], l + 1, dims)
+    return weighted_partial_trace(dag(w) @ op @ w, system.dim_s, _gibbs_product(window_steps))
+
+
+def _mixed_chain(rng):
+    """Qutrit system; probes of dims 2, 3, 2, 3 with distinct tau and beta."""
+    system = ries.SystemSpec(dim_s=3, h_s=random_hermitian(3, rng), beta_s=0.6)
+    probes = [
+        ries.ProbeSpec(
+            dim_e=e, h_e=random_hermitian(e, rng), beta_e=beta, v=random_hermitian(3 * e, rng), tau=tau
+        )
+        for e, beta, tau in ((2, 0.9, 0.7), (3, 1.4, 1.3), (2, 0.3, 0.45), (3, 1.1, 0.95))
+    ]
+    return system, probes
+
+
+def _complex_matrix(n, rng):
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
 def test_gibbs_properties(rng):
@@ -38,8 +91,9 @@ def test_gibbs_rejects_bad_beta(rng):
 def test_spec_validation():
     with pytest.raises(ValueError):
         ries.SystemSpec(dim_s=2, h_s=np.array([[0.0, 1.0], [0.0, 0.0]]), beta_s=1.0)
-    with pytest.raises(ValueError):
-        ries.ProbeSpec(dim_e=2, h_e=np.eye(2), beta_e=1.0, v=np.eye(4), tau=-0.1)
+    for tau in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            ries.ProbeSpec(dim_e=2, h_e=np.eye(2), beta_e=1.0, v=np.eye(4), tau=tau)
     with pytest.raises(ValueError):
         ries.DensityMatrix(np.eye(2))  # trace 2
 
@@ -177,6 +231,52 @@ def test_reduce_instant_future_slot_is_scalar(qubit_model, rng):
     obs0 = ries.ObservableWindow(a_s=obs.a_s, b_list=(np.eye(2),), l=0, r=0)
     n0 = ries.reduce_instant(system, [probe], obs0)
     assert np.allclose(n_mat, scalar * n0, atol=1e-12)
+
+
+def test_full_chain_matches_dense_reference_on_unequal_legs(rng):
+    """Leg-local evolution equals the dense embedded chain on legs of dims 3, 2 and 3."""
+    system, probes = _mixed_chain(rng)
+    a = _complex_matrix(3, rng)
+    rho_init = a @ dag(a) / np.trace(a @ dag(a))
+    for m, l, r in ((1, 0, 0), (2, 1, 1), (3, 1, 1), (3, 2, 0)):
+        dims = [3] + [p.dim_e for p in probes[m - l - 1 : m + r]]  # window probes
+        op = _complex_matrix(int(np.prod(dims)), rng)  # not Hermitian
+        got = full_chain_expectation(system, probes, op, m, l, r, rho_init)
+        want = _dense_expectation(system, probes, op, m, l, r, rho_init)
+        assert abs(got - want) <= 1e-12
+
+
+def test_window_reduction_matches_dense_reference_on_unequal_legs(rng):
+    system, probes = _mixed_chain(rng)
+    window = probes[:3]  # slots -1, 0, +1 with dims 2, 3, 2
+    op = _complex_matrix(3 * 2 * 3 * 2, rng)
+    got = reduce_window_operator(system, window, op, 1, 1)
+    want = _dense_window_reduction(system, window, op, 1, 1)
+    assert np.abs(got - want).max() <= 1e-12
+
+
+def test_oracle_builds_every_factor(qubit_model, uncoupled_probe, rng, monkeypatch):
+    """An m-step oracle call on K probes builds m step unitaries and m (K - 1)
+    spectator free evolutions: nothing is pruned or merged."""
+    calls = {"step_unitary": 0, "expm_hermitian": 0}
+    for name in calls:
+        original = getattr(ries.model, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(ries.model, name, counted)
+    system, probe = qubit_model
+    steps = [probe, uncoupled_probe, probe, uncoupled_probe, probe]
+    obs = ries.ObservableWindow(
+        a_s=random_hermitian(2, rng), b_list=tuple(random_hermitian(2, rng) for _ in range(3)), l=1, r=1
+    )
+    m, k = 4, 5  # K = m + r probes
+    ries.full_chain_oracle(system, steps, obs, m, system.gibbs_state())
+    assert calls["step_unitary"] == m
+    # each step unitary is itself one expm_hermitian; the rest are spectators
+    assert calls["expm_hermitian"] - calls["step_unitary"] == m * (k - 1)
 
 
 def test_reduce_window_capacity_guard(qubit_model):
