@@ -11,16 +11,18 @@ status:
 - 3: a dense-algebra capacity guard tripped.
 
 ``ries validate config.json`` prints the fully-resolved config (defaults
-applied) and exits 0/2; it rejects counts that are not integers >= 1,
-seeds that are not integers >= 0, and probabilities, tolerances or
-coefficients that are not finite nonnegative numbers. In every model
-document (top-level, ensemble atom or presample) it checks the scalar
-fields: each ``dim`` an integer >= 1, each ``beta`` and ``tau`` a finite
-nonnegative number; a presample ``count`` must be an integer >= 1, its
-``seed`` an integer >= 0 and its range bounds finite. Matrices are parsed
-only by ``run``. Seeds run one after another in config order. Identical
-configs and seeds give byte-identical summaries except for the wall-time
-field.
+applied) and exits 0/2. It rejects unknown keys at every level (the
+experiment's schema, where ``tolerances`` is a ``classify`` key, and each
+ensemble, atom and presample object), ensembles without exactly one of
+``atoms``/``presample`` and atoms without exactly one of ``model``/``matrix``;
+counts that are not integers >= 1, seeds that are not integers >= 0, and
+probabilities, tolerances or coefficients that are not finite nonnegative
+numbers. In every model document (top-level, ensemble atom or presample)
+it checks each ``dim`` is an integer >= 1 and each ``beta`` and ``tau`` a
+finite nonnegative number; presample ranges need finite bounds. Matrices
+are parsed only by ``run``. Seeds run one after another in config order.
+Identical configs and seeds give byte-identical summaries except for the
+wall-time field.
 """
 
 from __future__ import annotations
@@ -85,36 +87,22 @@ class ConfigError(Exception):
     """The config file violates the schema."""
 
 
-# allowed keys and defaults per experiment; None marks "required, no default"
-_COMMON = {"experiment": None, "tolerances": {"tol_one": 1e-8, "gap_min": 1e-6}}
+# keys and defaults per experiment besides "experiment"; None marks "no default"
+_TOLERANCES = {"tol_one": 1e-8, "gap_min": 1e-6}
 _SCHEMAS = {
-    "classify": {**_COMMON, "model": None, "matrix": None, "psi_s": None},
-    "ideal": {**_COMMON, "model": None, "n_max": 200},
+    "classify": {"tolerances": _TOLERANCES, "model": None, "matrix": None, "psi_s": None},
+    "ideal": {"model": None, "n_max": 200},
     "ergodic": {
-        **_COMMON,
         "ensemble": None,
         "seeds": [0],
         "n_total": 10_000,
         "checkpoint_every": 1000,
         "bound_coefficient": 5.0,
     },
-    "decay": {**_COMMON, "ensemble": None, "seeds": [0], "n_total": 2000},
-    "reverse": {
-        **_COMMON,
-        "ensemble": None,
-        "seeds": [0],
-        "n_total": 500,
-        "checkpoint_every": 10,
-    },
-    "lyapunov": {
-        **_COMMON,
-        "ensemble": None,
-        "seeds": [0],
-        "n_total": 5000,
-        "reorth_every": 10,
-    },
+    "decay": {"ensemble": None, "seeds": [0], "n_total": 2000},
+    "reverse": {"ensemble": None, "seeds": [0], "n_total": 500, "checkpoint_every": 10},
+    "lyapunov": {"ensemble": None, "seeds": [0], "n_total": 5000, "reorth_every": 10},
     "instant": {
-        **_COMMON,
         "ensemble": None,
         "family": "identity",
         "a_s": None,
@@ -122,7 +110,6 @@ _SCHEMAS = {
         "n_total": 10_000,
     },
     "fluxes": {
-        **_COMMON,
         "ensemble": None,
         "monte_carlo": True,
         "seeds": [0],
@@ -130,24 +117,19 @@ _SCHEMAS = {
         "rho_init": None,
     },
     "oracle-check": {
-        **_COMMON,
         "model": None,
         "m_max": 6,
-        "n_draws": 5,
         "n_observables": 5,
         "seed": 0,
         "tol": 1e-10,
     },
 }
-# keys that stay absent (no default) unless the user provides them
-_OPTIONAL_NO_DEFAULT = {"model", "matrix", "psi_s", "a_s", "rho_init", "ensemble"}
 _COUNTS = (
     "n_total",
     "checkpoint_every",
     "reorth_every",
     "n_max",
     "m_max",
-    "n_draws",
     "n_observables",
 )
 _NUMBERS = ("bound_coefficient", "tol")
@@ -183,9 +165,16 @@ def _check_model_doc(doc, where: str) -> None:
                 raise ConfigError(f"{where}.{part}.{key} must be a finite nonnegative number, got {x!r}")
 
 
+def _reject_unknown(doc: dict, allowed: set, where: str) -> None:
+    unknown = set(doc) - allowed
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+
+
 def _check_presample(gen) -> None:
     if not isinstance(gen, dict):
         raise ConfigError("ensemble presample must be a JSON object")
+    _reject_unknown(gen, {"model", "count", "seed", "tau", "beta", "coupling"}, "presample")
     _check_model_doc(gen.get("model"), "presample.model")
     count, seed = gen.get("count", 32), gen.get("seed", 0)
     if not _is_int(count, 1):
@@ -200,33 +189,57 @@ def _check_presample(gen) -> None:
             raise ConfigError(f"presample.{key} needs finite 'low' and 'high', got {bounds!r}")
 
 
+def _check_ensemble(ens) -> None:
+    """Keys at every level of an ensemble document, atom weights and model scalars."""
+    if not isinstance(ens, dict):
+        raise ConfigError("ensemble must be a JSON object")
+    _reject_unknown(ens, {"atoms", "psi_s", "presample"}, "ensemble")
+    if ("atoms" in ens) == ("presample" in ens):
+        raise ConfigError("ensemble needs exactly one of 'atoms' or 'presample'")
+    if "presample" in ens:
+        _check_presample(ens["presample"])
+        return
+    atoms = ens["atoms"]
+    if not isinstance(atoms, list) or not atoms or not all(isinstance(a, dict) for a in atoms):
+        raise ConfigError("ensemble atoms must be a nonempty list of JSON objects")
+    for i, atom in enumerate(atoms):
+        where = f"ensemble.atoms[{i}]"
+        _reject_unknown(atom, {"p", "model", "matrix"}, where)
+        if ("model" in atom) == ("matrix" in atom):
+            raise ConfigError(f"{where} needs exactly one of 'model' or 'matrix'")
+        if "model" in atom:
+            _check_model_doc(atom["model"], f"{where}.model")
+        elif "psi_s" not in ens:
+            raise ConfigError(f"{where} is matrix-form; the ensemble needs 'psi_s'")
+    probs = [a.get("p") for a in atoms]
+    if not all(_is_number(p) for p in probs):
+        raise ConfigError(f"atom probabilities must be finite nonnegative numbers: {probs}")
+    total = sum(probs)
+    if abs(total - 1.0) > 1e-12:
+        raise ConfigError(f"atom probabilities sum to {total}, expected 1")
+
+
 def validate_config(doc: dict) -> dict:
-    """Resolve defaults and reject unknown keys; idempotent on its own output."""
+    """Resolve defaults, reject unknown keys and bad values; idempotent on its own output."""
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     exp = doc.get("experiment")
     if exp not in EXPERIMENTS:
         raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {exp!r}")
-    schema = _SCHEMAS[exp]
-    unknown = set(doc) - set(schema)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    schema = {"experiment": None, **_SCHEMAS[exp]}
+    _reject_unknown(doc, set(schema), "config")
     resolved = {}
     for key, default in schema.items():
         if key in doc:
             resolved[key] = doc[key]
-        elif key in _OPTIONAL_NO_DEFAULT or default is None:
-            continue
-        else:
+        elif default is not None:
             resolved[key] = default
     if "tolerances" in resolved:
         tdoc = resolved["tolerances"]
-        tdef = _COMMON["tolerances"]
         if not isinstance(tdoc, dict):
             raise ConfigError("tolerances must be a JSON object")
-        if set(tdoc) - set(tdef):
-            raise ConfigError(f"unknown tolerance keys: {sorted(set(tdoc) - set(tdef))}")
-        tols = {k: tdoc.get(k, v) for k, v in tdef.items()}
+        _reject_unknown(tdoc, set(_TOLERANCES), "tolerance")
+        tols = {k: tdoc.get(k, v) for k, v in _TOLERANCES.items()}
         if not all(_is_number(x) for x in tols.values()):
             raise ConfigError(f"tolerances must be finite nonnegative numbers, got {tols}")
         resolved["tolerances"] = {k: float(x) for k, x in tols.items()}
@@ -264,23 +277,7 @@ def _check_resolved(cfg: dict) -> None:
     if "model" in cfg:
         _check_model_doc(cfg["model"], "model")
     if "ensemble" in cfg:
-        if not isinstance(cfg["ensemble"], dict):
-            raise ConfigError("ensemble must be a JSON object")
-        if "presample" in cfg["ensemble"]:
-            _check_presample(cfg["ensemble"]["presample"])
-        atoms = cfg["ensemble"].get("atoms")
-        if atoms is not None:
-            if not isinstance(atoms, list) or not all(isinstance(a, dict) for a in atoms):
-                raise ConfigError("ensemble atoms must be a list of JSON objects")
-            for i, atom in enumerate(atoms):
-                if "model" in atom:
-                    _check_model_doc(atom["model"], f"ensemble.atoms[{i}].model")
-            probs = [a.get("p") for a in atoms]
-            if not all(_is_number(p) for p in probs):
-                raise ConfigError(f"atom probabilities must be finite nonnegative numbers: {probs}")
-            total = sum(probs)
-            if abs(total - 1.0) > 1e-12:
-                raise ConfigError(f"atom probabilities sum to {total}, expected 1")
+        _check_ensemble(cfg["ensemble"])
 
 
 def validate_config_file(path: str) -> dict:

@@ -103,11 +103,7 @@ def random_complex_matrix(d: int, rng: np.random.Generator, scale: float = 1.0) 
 
 
 class KahanAccumulator:
-    """Compensated (Kahan) running sum of same-shape complex arrays.
-
-    Supports associative merging: ``merge`` combines two accumulators with
-    error within rounding of the direct compensated sum.
-    """
+    """Compensated (Kahan) running sum of same-shape complex arrays."""
 
     def __init__(self, shape):
         self._sum = np.zeros(shape, dtype=complex)
@@ -120,11 +116,6 @@ class KahanAccumulator:
         self._comp = (t - self._sum) - y
         self._sum = t
         self.count += 1
-
-    def merge(self, other: "KahanAccumulator") -> None:
-        self.add(other._sum - other._comp)
-        # `add` bumped count by 1; account for the true number of samples
-        self.count += other.count - 1
 
     @property
     def total(self) -> np.ndarray:

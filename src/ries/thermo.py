@@ -17,6 +17,10 @@ picture (:func:`energy_tables`): atom i's map Phi_i, kept on its RDO, the
 Gibbs mean field vbar_i = Tr_E[(1 x rho_E) V_i], and own_i, the reduction
 of V_i through atom i's encounter. Then F_i = H_S + vbar_i - Phi_i(H_S) - own_i,
 and the energy jump when atom j follows atom i is Phi_i(vbar_j) - own_i.
+
+Both Monte Carlo estimators are one seed-batched Cesaro average of the
+pairing of a vector, carried by adjoint one-step maps, with a table over
+the next atoms (:func:`_cesaro_means`); each seed keeps its own stream.
 """
 
 from __future__ import annotations
@@ -67,13 +71,6 @@ class InstantObservableFamily:
         for flat, tup in enumerate(iter_product(range(n_atoms), repeat=self.width)):
             table[flat] = self.reduced[tup] @ psi_s
         return table
-
-    @staticmethod
-    def flatten_tuple(tup, n_atoms: int) -> int:
-        flat = 0
-        for i in tup:
-            flat = flat * n_atoms + int(i)
-        return flat
 
 
 def _require_models(ens: RrdoEnsemble) -> SystemSpec:
@@ -155,6 +152,57 @@ def ergodic_instant_limit(ens: RrdoEnsemble, fam: InstantObservableFamily) -> co
     return complex(np.vdot(theta, mean_reduced_observable(ens, fam) @ ens.psi_s))
 
 
+def _cesaro_means(
+    ens: RrdoEnsemble,
+    steps: np.ndarray,
+    start: np.ndarray,
+    tables: np.ndarray,
+    width: int,
+    master_seed: int,
+    n_total: int,
+    n_seeds: int,
+    burn_in: int | None,
+) -> np.ndarray:
+    """(n_seeds, n_tables) Cesaro means of <v_n, tables[w_(n+1), ..., w_(n+width)]>.
+
+    v_0 = `start` and v_n = steps[w_n] v_(n-1). `tables` is (n_atoms**width,
+    n_tables, D), indexed by the flattened atom tuple. Seed s draws its path
+    from ``trajectory_rng(master_seed, s)``; all seeds step as one stack.
+    Steps n < `burn_in` (default min(n_total // 10, 1000)) are left out: the
+    transient decays geometrically, so this removes the O(1/n) bias of the
+    plain Cesaro mean without touching its variance.
+    """
+    if burn_in is None:
+        burn_in = min(n_total // 10, 1000)
+    n_steps = burn_in + n_total
+    # (seeds, steps) index arrays in the smallest dtype that holds a table index
+    omega = np.empty((n_seeds, n_steps + width - 1), dtype=np.min_scalar_type(len(tables)))
+    for s in range(n_seeds):
+        omega[s] = ens.sample_indices(trajectory_rng(master_seed, s), omega.shape[1])
+    flat = omega[:, burn_in : burn_in + n_total].copy()
+    for k in range(1, width):
+        flat *= ens.n_atoms
+        flat += omega[:, burn_in + k : burn_in + k + n_total]
+    # one 1 x 1 product per (seed, table): the same dot product as np.vdot,
+    # so every seed's mean is bitwise that of a loop over seeds
+    columns = tables[..., None]
+    v = np.tile(start.astype(complex)[:, None], (n_seeds, 1, 1))
+    acc = KahanAccumulator((n_seeds, tables.shape[1]))
+    for n in range(n_steps):
+        if n >= burn_in:
+            rows = v.conj().transpose(0, 2, 1)[:, None]
+            acc.add(np.matmul(rows, columns[flat[:, n - burn_in]])[:, :, 0, 0])
+        v = np.matmul(steps[omega[:, n]], v)
+    return acc.mean
+
+
+def _mean_stderr(per_seed: np.ndarray) -> tuple:
+    """Mean over seeds and its standard error (inf for a single seed)."""
+    n_seeds = per_seed.size
+    stderr = per_seed.std(ddof=1) / np.sqrt(n_seeds) if n_seeds > 1 else np.inf
+    return per_seed.mean(), stderr
+
+
 def ergodic_instant_monte_carlo(
     ens: RrdoEnsemble,
     fam: InstantObservableFamily,
@@ -165,30 +213,15 @@ def ergodic_instant_monte_carlo(
 ) -> dict:
     """Cesaro average of <psi_s, M(w_1)...M(w_n) N(w_(n+1),...) psi_s> over seeds.
 
-    The first `burn_in` steps are excluded from the average; the transient
-    of the mean decays geometrically, so this removes the O(1/n) bias of
-    the plain Cesaro estimator without touching its variance.
+    Carries (M_1 ... M_n)^* psi_s by the adjoints of the atom matrices and
+    pairs it with the stacked N psi_s table of the family; see
+    :func:`_cesaro_means` for the seed batching and the `burn_in` default.
     """
-    if burn_in is None:
-        burn_in = min(n_total // 10, 1000)
-    table = fam.n_psi_table(ens.psi_s, ens.n_atoms)
-    w = fam.width
-    per_seed = np.empty(n_seeds, dtype=complex)
-    for s in range(n_seeds):
-        rng = trajectory_rng(master_seed, s)
-        omega = ens.sample_indices(rng, burn_in + n_total + w)
-        u = ens.psi_s.copy()  # (M_1 ... M_n)^* psi_s
-        acc = KahanAccumulator(())
-        for n in range(burn_in + n_total):
-            if n >= burn_in:
-                flat = InstantObservableFamily.flatten_tuple(
-                    omega[n : n + w], ens.n_atoms
-                )
-                acc.add(np.vdot(u, table[flat]))
-            u = ens.adjoints[omega[n]] @ u
-        per_seed[s] = acc.mean
-    mean = per_seed.mean()
-    stderr = per_seed.std(ddof=1) / np.sqrt(n_seeds) if n_seeds > 1 else np.inf
+    table = fam.n_psi_table(ens.psi_s, ens.n_atoms)[:, None, :]
+    per_seed = _cesaro_means(
+        ens, ens.adjoints, ens.psi_s, table, fam.width, master_seed, n_total, n_seeds, burn_in
+    )[:, 0]
+    mean, stderr = _mean_stderr(per_seed)
     return {"mean": complex(mean), "stderr": float(np.abs(stderr)), "per_seed": per_seed}
 
 
@@ -318,47 +351,32 @@ def flux_monte_carlo(
 ) -> FluxReport:
     """Flux estimates by ergodic averaging of the jump observables.
 
-    Runs in the Heisenberg picture so any initial system state is allowed;
-    the energy route accumulates the two-slot jump family, the entropy route
-    the beta-weighted per-encounter flux matrices. The first `burn_in`
-    steps are excluded to remove the geometric transient's O(1/n) bias.
+    Runs in the Heisenberg picture so any initial system state is allowed:
+    vec(rho_init) is carried by the adjoint maps Phi_i^* and paired, in one
+    pass per seed, with two tables over consecutive atom pairs (i, j): the
+    energy jump of atom i followed by j, and atom i's beta-weighted flux
+    matrix. See :func:`_cesaro_means` for the seed batching and the
+    `burn_in` default.
     """
-    if burn_in is None:
-        burn_in = min(n_total // 10, 1000)
     system = _require_models(ens)
     if rho_init is None:
         rho_init = system.gibbs_state()
     # Heisenberg picture: plain system matrices, no GNS transport
     jump, flux = energy_tables(ens)
-    ent_vecs = _betas(ens)[:, None] * flux
+    ent = np.repeat(_betas(ens)[:, None] * flux, ens.n_atoms, axis=0)  # indexed by (i, j)
+    tables = np.stack([jump.reshape(ent.shape), ent], axis=1)
     phis_adj = np.stack([dag(a.rdo.phi) for a in ens.atoms])
-
-    de_seed = np.empty(n_seeds)
-    ds_seed = np.empty(n_seeds)
-    for s in range(n_seeds):
-        rng = trajectory_rng(master_seed, s)
-        omega = ens.sample_indices(rng, burn_in + n_total + 1)
-        w = vec(rho_init).astype(complex)  # row state: value = <w, vec(obs)>
-        acc_e = KahanAccumulator(())
-        acc_s = KahanAccumulator(())
-        for n in range(burn_in + n_total):
-            i, j = omega[n], omega[n + 1]
-            if n >= burn_in:
-                acc_e.add(np.vdot(w, jump[i, j]))
-                acc_s.add(np.vdot(w, ent_vecs[i]))
-            w = phis_adj[i] @ w
-        de_seed[s] = acc_e.mean.real
-        ds_seed[s] = acc_s.mean.real
-    de = float(de_seed.mean())
-    ds = float(ds_seed.mean())
-    de_err = float(de_seed.std(ddof=1) / np.sqrt(n_seeds)) if n_seeds > 1 else np.inf
-    ds_err = float(ds_seed.std(ddof=1) / np.sqrt(n_seeds)) if n_seeds > 1 else np.inf
+    means = _cesaro_means(
+        ens, phis_adj, vec(rho_init), tables, 2, master_seed, n_total, n_seeds, burn_in
+    )
+    de, de_err = _mean_stderr(means[:, 0].real)
+    ds, ds_err = _mean_stderr(means[:, 1].real)
     return FluxReport(
-        de_plus=de,
-        ds_plus=ds,
+        de_plus=float(de),
+        ds_plus=float(ds),
         residual=float(ds - mean_beta(ens) * de),
         method="monte_carlo",
-        de_stderr=de_err,
-        ds_stderr=ds_err,
+        de_stderr=float(de_err),
+        ds_stderr=float(ds_err),
         seeds=n_seeds,
     )

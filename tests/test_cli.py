@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ries
-from ries.cli import ConfigError, main, run, validate_config
+from ries.cli import EXPERIMENTS, ConfigError, main, run, validate_config
 from ries.model import model_to_json
 from ries.serialize import dump_json, dumps_json, matrix_from_json, matrix_to_json
 
@@ -117,6 +117,12 @@ def test_cli_exit_codes(tmp_path, model_doc, ensemble_doc):
             "tau": {"low": 0.6, "high": 1.6},
         }
     }
+    tau_range = presample["presample"]["tau"]
+    misspelt_presample = {"presample": {"model": model_doc, "tua": tau_range}}
+    atoms = ensemble_doc["atoms"]
+    misspelt_atom = {"atoms": [atoms[0], {"p": 0.5, "modle": atoms[1]["model"]}]}
+    two_sources = {"atoms": [atoms[0], {**atoms[1], "matrix": [[[1.0, 0.0]]]}]}
+    no_psi_s = {"atoms": [{"p": 1.0, "matrix": [[[1.0, 0.0]]]}]}
     for doc in (
         {"experiment": "ergodic", "ensemble": ensemble_doc, "checkpoint_every": 0},
         {"experiment": "reverse", "ensemble": ensemble_doc, "checkpoint_every": 0},
@@ -135,6 +141,16 @@ def test_cli_exit_codes(tmp_path, model_doc, ensemble_doc):
         {"experiment": "ergodic", "ensemble": edited(presample, ("presample", "seed"), -1)},
         {"experiment": "ergodic", "ensemble": edited(presample, ("presample", "tau", "low"), float("nan"))},
         {"experiment": "ergodic", "ensemble": edited(presample, ("presample", "model"), nan_tau_model)},
+        # keys no runner reads are unknown keys
+        {"experiment": "oracle-check", "model": model_doc, "n_draws": 5},
+        {"experiment": "decay", "ensemble": ensemble_doc, "tolerances": {"tol_one": 1e-8}},
+        # misspelt, conflicting or missing keys at each level of an ensemble
+        {"experiment": "ergodic", "ensemble": misspelt_presample},
+        {"experiment": "decay", "ensemble": misspelt_atom},
+        {"experiment": "decay", "ensemble": {"atomz": atoms}},
+        {"experiment": "decay", "ensemble": two_sources},
+        {"experiment": "decay", "ensemble": no_psi_s},
+        {"experiment": "decay", "ensemble": {**ensemble_doc, **presample}},
     ):
         path = tmp_path / "mistyped.json"
         dump_json(doc, str(path))
@@ -265,3 +281,59 @@ def test_run_instant_and_fluxes(tmp_path, ensemble_doc):
         path = tmp_path / f"{doc['experiment']}.json"
         dump_json(doc, str(path))
         assert main(["run", str(path), "--out", str(tmp_path)]) == 0
+
+
+class _ReadRecorder(dict):
+    """A config dict that records which keys the runner looked at."""
+
+    def __init__(self, doc):
+        super().__init__(doc)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def test_every_resolved_key_is_read(tmp_path, model_doc, ensemble_doc):
+    """A key that validates but that no runner reads is a dead knob."""
+    small = {"seeds": [0, 1], "n_total": 200}
+    docs = [
+        {
+            "experiment": "classify",
+            "matrix": matrix_to_json(np.diag([1.0, 0.5])),
+            "psi_s": [[1.0, 0.0], [0.0, 0.0]],
+        },
+        {"experiment": "ideal", "model": model_doc, "n_max": 20},
+        {"experiment": "ergodic", "ensemble": ensemble_doc, **small, "checkpoint_every": 100},
+        {"experiment": "decay", "ensemble": ensemble_doc, **small},
+        {"experiment": "reverse", "ensemble": ensemble_doc, **small},
+        {"experiment": "lyapunov", "ensemble": ensemble_doc, **small},
+        {
+            "experiment": "instant",
+            "ensemble": ensemble_doc,
+            "family": "system",
+            "a_s": matrix_to_json(np.diag([1.0, -1.0])),
+            **small,
+        },
+        {
+            "experiment": "fluxes",
+            "ensemble": ensemble_doc,
+            "rho_init": matrix_to_json(np.diag([0.25, 0.75])),
+            **small,
+        },
+        {"experiment": "oracle-check", "model": model_doc, "m_max": 2, "n_observables": 1},
+    ]
+    assert sorted(d["experiment"] for d in docs) == sorted(EXPERIMENTS)
+    for doc in docs:
+        cfg = _ReadRecorder(validate_config(doc))
+        run(cfg, out=str(tmp_path / doc["experiment"]))
+        assert set(cfg) <= cfg.read, (doc["experiment"], sorted(set(cfg) - cfg.read))

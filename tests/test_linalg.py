@@ -89,16 +89,3 @@ def test_kahan_matches_direct_sum(rng):
         acc.add(x)
     assert np.isclose(acc.total.real, np.sum(xs), rtol=1e-12)
     assert acc.count == 1000
-
-
-def test_kahan_merge_associative(rng):
-    xs = rng.standard_normal((100, 2, 2)) + 1j * rng.standard_normal((100, 2, 2))
-    whole = KahanAccumulator((2, 2))
-    left = KahanAccumulator((2, 2))
-    right = KahanAccumulator((2, 2))
-    for i, x in enumerate(xs):
-        whole.add(x)
-        (left if i < 37 else right).add(x)
-    left.merge(right)
-    assert left.count == whole.count
-    assert np.allclose(left.mean, whole.mean, atol=1e-12)

@@ -2,8 +2,17 @@ import numpy as np
 import pytest
 
 import ries
-from ries.ensemble import EnsembleError, RrdoEnsemble
-from ries.linalg import dag, embed, left_mult_matrix, random_hermitian, unvec, vec
+from ries.ensemble import EnsembleError, RrdoEnsemble, trajectory_rng
+from ries.linalg import (
+    KahanAccumulator,
+    dag,
+    embed,
+    left_mult_matrix,
+    random_complex_matrix,
+    random_hermitian,
+    unvec,
+    vec,
+)
 from ries.model import (
     full_chain_expectation,
     reduce_window_operator,
@@ -244,3 +253,86 @@ def test_flux_report_json_fields(reference_ensemble):
     assert {"de_plus", "ds_plus", "residual", "method", "imag_defect"} <= set(doc)
     mc_doc = flux_monte_carlo(reference_ensemble, 1, 2000, n_seeds=3).to_json()
     assert {"de_stderr", "ds_stderr", "seeds"} <= set(mc_doc)
+
+
+def _instant_per_seed_loop(ens, fam, master_seed, n_total, n_seeds, burn_in):
+    """Reference: one seed at a time, one np.vdot per step."""
+    table = fam.n_psi_table(ens.psi_s, ens.n_atoms)
+    w = fam.width
+    per_seed = np.empty(n_seeds, dtype=complex)
+    for s in range(n_seeds):
+        omega = ens.sample_indices(trajectory_rng(master_seed, s), burn_in + n_total + w)
+        u = ens.psi_s.copy()
+        acc = KahanAccumulator(())
+        for n in range(burn_in + n_total):
+            if n >= burn_in:
+                flat = 0
+                for i in omega[n : n + w]:
+                    flat = flat * ens.n_atoms + int(i)
+                acc.add(np.vdot(u, table[flat]))
+            u = ens.adjoints[omega[n]] @ u
+        per_seed[s] = acc.mean
+    return per_seed
+
+
+def _flux_per_seed_loop(ens, master_seed, n_total, n_seeds, rho_init, burn_in):
+    """Reference: (de, ds, de_stderr, ds_stderr), one seed at a time."""
+    jump, flux = energy_tables(ens)
+    ent_vecs = np.array([a.probe.beta_e for a in ens.atoms])[:, None] * flux
+    phis_adj = np.stack([dag(a.rdo.phi) for a in ens.atoms])
+    de_seed = np.empty(n_seeds)
+    ds_seed = np.empty(n_seeds)
+    for s in range(n_seeds):
+        omega = ens.sample_indices(trajectory_rng(master_seed, s), burn_in + n_total + 1)
+        w = vec(rho_init).astype(complex)
+        acc_e = KahanAccumulator(())
+        acc_s = KahanAccumulator(())
+        for n in range(burn_in + n_total):
+            i, j = omega[n], omega[n + 1]
+            if n >= burn_in:
+                acc_e.add(np.vdot(w, jump[i, j]))
+                acc_s.add(np.vdot(w, ent_vecs[i]))
+            w = phis_adj[i] @ w
+        de_seed[s] = acc_e.mean.real
+        ds_seed[s] = acc_s.mean.real
+    err = np.sqrt(n_seeds)
+    return (
+        float(de_seed.mean()),
+        float(ds_seed.mean()),
+        float(de_seed.std(ddof=1) / err),
+        float(ds_seed.std(ddof=1) / err),
+    )
+
+
+def _qubit_case(reference_ensemble, rng):
+    ens = reference_ensemble
+    return ens, probe_energy_family(ens), ens.system.gibbs_state(), None
+
+
+def _qutrit_case(reference_ensemble, rng):
+    ens = _heterogeneous_ensemble(rng)
+    a = random_complex_matrix(3, rng)
+    rho = a @ dag(a)
+    return ens, energy_jump_family(ens), rho / np.trace(rho), 0
+
+
+@pytest.mark.parametrize("case", [_qubit_case, _qutrit_case], ids=["qubit", "qutrit"])
+def test_monte_carlo_matches_per_seed_loops(case, reference_ensemble, rng):
+    """The seed-batched estimators are bitwise the per-seed loops."""
+    ens, fam, rho_init, burn_in = case(reference_ensemble, rng)
+    n_total, n_seeds = 1500, 4
+    burn = min(n_total // 10, 1000) if burn_in is None else burn_in
+    mc = ergodic_instant_monte_carlo(ens, fam, 17, n_total, n_seeds=n_seeds, burn_in=burn_in)
+    ref = _instant_per_seed_loop(ens, fam, 17, n_total, n_seeds, burn)
+    assert np.array_equal(mc["per_seed"], ref)
+    assert mc["mean"] == complex(ref.mean())
+    rep = flux_monte_carlo(ens, 23, n_total, n_seeds=n_seeds, rho_init=rho_init, burn_in=burn_in)
+    got = (rep.de_plus, rep.ds_plus, rep.de_stderr, rep.ds_stderr)
+    assert np.array_equal(got, _flux_per_seed_loop(ens, 23, n_total, n_seeds, rho_init, burn))
+
+
+def test_monte_carlo_seed_independent_of_batch(reference_ensemble):
+    fam = probe_energy_family(reference_ensemble)
+    small = ergodic_instant_monte_carlo(reference_ensemble, fam, 4, 400, n_seeds=5)
+    large = ergodic_instant_monte_carlo(reference_ensemble, fam, 4, 400, n_seeds=20)
+    assert np.array_equal(small["per_seed"], large["per_seed"][:5])
