@@ -8,6 +8,9 @@ gapped one, each with probability 1/2. The demo shows:
 - the ergodic convergence of the Cesaro average of Psi_n = M_1...M_n,
 - exponential decay of the strictly-contracting words,
 - reverse products becoming rank one, and the Lyapunov spectrum.
+
+Every kernel takes a list of seeds (or one seed) and steps them together;
+its arrays have one row per seed.
 """
 
 import numpy as np
@@ -29,19 +32,19 @@ print(f"theta route mismatch: {routes['mismatch']:.2e} "
       f"(spr E[M_Q] = {routes['spr_mean_mq']:.4f})")
 
 print("\nergodic average, D(N) = ||(1/N) sum Psi_n - |psi_S><theta| ||_F:")
-_, rep = ries.simulate_forward(ens, seed=0, n_total=100_000, checkpoint_every=10_000)
-for n, d in zip(rep.checkpoints, rep.distances):
+rep = ries.simulate_forward(ens, seeds=0, n_total=100_000, checkpoint_every=10_000)
+for n, d in zip(rep.checkpoints, rep.distances[0]):
     print(f"  N={n:>7d}  D(N)={d:.3e}   5/sqrt(N)={5.0 / np.sqrt(n):.3e}")
 
 print("\ndecay of ||M_Q(w_1)...M_Q(w_n)|| over 5 seeds:")
-for seed in range(5):
-    est = ries.decay_estimator(ens, seed, 2000)
-    print(f"  seed {seed}: alpha = {est.alpha:.4f}, n0 = {est.n0}")
+est = ries.decay_estimator(ens, range(5), 2000)
+for seed, alpha, n0 in zip(est.seeds, est.alpha, est.n0):
+    print(f"  seed {seed}: alpha = {alpha:.4f}, n0 = {n0}")
 
-rev = ries.simulate_reverse(ens, seed=0, n_total=600)
+rev = ries.simulate_reverse(ens, seeds=0, n_total=600)
 print(f"\nreverse product at n=600: ||Phi_n - |psi_S><eta||| = "
-      f"{rev.residuals[-1]:.2e}, sigma2/sigma1 = {rev.sigma_ratios[-1]:.2e}")
+      f"{rev.residuals[0, -1]:.2e}, sigma2/sigma1 = {rev.sigma_ratios[0, -1]:.2e}")
 
-est = ries.lyapunov(ens, seed=0, n_total=30_000)
-print(f"Lyapunov: gamma_1 = {est.gamma_1:+.2e}, gamma_2 = {est.gamma_2:+.4f}, "
-      f"gap = {est.gap:.4f}")
+est = ries.lyapunov(ens, seeds=0, n_total=30_000)
+print(f"Lyapunov: gamma_1 = {est.gamma_1[0]:+.2e}, gamma_2 = {est.gamma_2[0]:+.4f}, "
+      f"gap = {est.gap[0]:.4f}")

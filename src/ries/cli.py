@@ -13,16 +13,20 @@ status:
 ``ries validate config.json`` prints the fully-resolved config (defaults
 applied) and exits 0/2. It rejects unknown keys at every level (the
 experiment's schema, where ``tolerances`` is a ``classify`` key, and each
-ensemble, atom and presample object), ensembles without exactly one of
-``atoms``/``presample`` and atoms without exactly one of ``model``/``matrix``;
-counts that are not integers >= 1, seeds that are not integers >= 0, and
-probabilities, tolerances or coefficients that are not finite nonnegative
-numbers. In every model document (top-level, ensemble atom or presample)
-it checks each ``dim`` is an integer >= 1 and each ``beta`` and ``tau`` a
-finite nonnegative number; presample ranges need finite bounds. Matrices
-are parsed only by ``run``. Seeds run one after another in config order.
-Identical configs and seeds give byte-identical summaries except for the
-wall-time field.
+ensemble, atom and presample object), keys the run would not read
+(``seeds``/``n_total``/``rho_init`` of ``fluxes`` without Monte Carlo,
+``a_s`` outside the ``system`` family, ``psi_s`` without matrix-form atoms),
+ensembles without exactly one of ``atoms``/``presample``, atoms without
+exactly one of ``model``/``matrix``, counts that are not integers >= 1,
+seeds that are not integers >= 0 (or fewer than 2 for Monte Carlo), and
+probabilities, tolerances, coefficients, model ``beta``/``tau`` or
+presample bounds that are not finite (and, but for bounds, nonnegative);
+each model ``dim`` must be an integer >= 1. Matrices are parsed only by
+``run``. All seeds of a config step as one batch: seed s drives
+``trajectory_rng(s)`` (the Monte Carlo of ``instant``/``fluxes``:
+``trajectory_rng(seeds[0], i)``, i < len(seeds)), so a seed's results do
+not depend on the batch, and identical configs give byte-identical
+summaries except for the wall-time field.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ import numpy as np
 
 from .ensemble import (
     EnsembleError,
-    RrdoEnsemble,
     decay_estimator,
     ensemble_from_json,
     lyapunov,
@@ -106,13 +109,13 @@ _SCHEMAS = {
         "ensemble": None,
         "family": "identity",
         "a_s": None,
-        "seeds": [0],
+        "seeds": [0, 1],
         "n_total": 10_000,
     },
     "fluxes": {
         "ensemble": None,
         "monte_carlo": True,
-        "seeds": [0],
+        "seeds": [0, 1],
         "n_total": 10_000,
         "rho_init": None,
     },
@@ -165,6 +168,15 @@ def _check_model_doc(doc, where: str) -> None:
                 raise ConfigError(f"{where}.{part}.{key} must be a finite nonnegative number, got {x!r}")
 
 
+def _unread_keys(doc: dict) -> set:
+    """Schema keys that the runner does not read for this config."""
+    if doc["experiment"] == "fluxes" and doc.get("monte_carlo") is False:
+        return {"seeds", "n_total", "rho_init"}
+    if doc["experiment"] == "instant" and doc.get("family", "identity") != "system":
+        return {"a_s"}
+    return set()
+
+
 def _reject_unknown(doc: dict, allowed: set, where: str) -> None:
     unknown = set(doc) - allowed
     if unknown:
@@ -198,6 +210,8 @@ def _check_ensemble(ens) -> None:
         raise ConfigError("ensemble needs exactly one of 'atoms' or 'presample'")
     if "presample" in ens:
         _check_presample(ens["presample"])
+        if "psi_s" in ens:
+            raise ConfigError("ensemble psi_s is read only with matrix-form atoms")
         return
     atoms = ens["atoms"]
     if not isinstance(atoms, list) or not atoms or not all(isinstance(a, dict) for a in atoms):
@@ -211,6 +225,8 @@ def _check_ensemble(ens) -> None:
             _check_model_doc(atom["model"], f"{where}.model")
         elif "psi_s" not in ens:
             raise ConfigError(f"{where} is matrix-form; the ensemble needs 'psi_s'")
+    if "psi_s" in ens and not any("matrix" in atom for atom in atoms):
+        raise ConfigError("ensemble psi_s is read only with matrix-form atoms")
     probs = [a.get("p") for a in atoms]
     if not all(_is_number(p) for p in probs):
         raise ConfigError(f"atom probabilities must be finite nonnegative numbers: {probs}")
@@ -228,11 +244,14 @@ def validate_config(doc: dict) -> dict:
         raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {exp!r}")
     schema = {"experiment": None, **_SCHEMAS[exp]}
     _reject_unknown(doc, set(schema), "config")
+    unread = _unread_keys(doc)
+    if unread & set(doc):
+        raise ConfigError(f"{exp} does not read {sorted(unread & set(doc))} in this configuration")
     resolved = {}
     for key, default in schema.items():
         if key in doc:
             resolved[key] = doc[key]
-        elif default is not None:
+        elif default is not None and key not in unread:
             resolved[key] = default
     if "tolerances" in resolved:
         tdoc = resolved["tolerances"]
@@ -253,6 +272,10 @@ def _check_resolved(cfg: dict) -> None:
         seeds = cfg["seeds"]
         if not isinstance(seeds, list) or not seeds or not all(_is_int(s, 0) for s in seeds):
             raise ConfigError(f"seeds must be a nonempty list of integers >= 0, got {seeds!r}")
+    if exp in ("instant", "fluxes") and "seeds" in cfg and len(cfg["seeds"]) < 2:
+        raise ConfigError(f"{exp} Monte Carlo needs at least 2 seeds for a standard error")
+    if "monte_carlo" in cfg and not isinstance(cfg["monte_carlo"], bool):
+        raise ConfigError(f"monte_carlo must be true or false, got {cfg['monte_carlo']!r}")
     if "seed" in cfg and not _is_int(cfg["seed"], 0):
         raise ConfigError(f"seed must be an integer >= 0, got {cfg['seed']!r}")
     for key in _COUNTS:
@@ -287,10 +310,6 @@ def validate_config_file(path: str) -> dict:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return validate_config(doc)
-
-
-def _build_ensemble(cfg: dict) -> RrdoEnsemble:
-    return ensemble_from_json(cfg["ensemble"])
 
 
 def _run_classify(cfg: dict, out: str) -> tuple[dict, dict]:
@@ -332,35 +351,31 @@ def _run_ideal(cfg: dict, out: str) -> tuple[dict, dict]:
 
 
 def _run_ergodic(cfg: dict, out: str) -> tuple[dict, dict]:
-    ens = _build_ensemble(cfg)
+    ens = ensemble_from_json(cfg["ensemble"])
     routes = theta_routes(ens)
     coef = float(cfg["bound_coefficient"])
-    per_seed = []
-    bound_ok = True
-    for seed in cfg["seeds"]:
-        traj, rep = simulate_forward(
-            ens, seed, int(cfg["n_total"]), checkpoint_every=int(cfg["checkpoint_every"])
+    rep = simulate_forward(
+        ens, cfg["seeds"], int(cfg["n_total"]), checkpoint_every=int(cfg["checkpoint_every"])
+    )
+    final_n = int(rep.checkpoints[-1])
+    bound_ok = rep.distances[:, -1] <= coef / np.sqrt(final_n)
+    per_seed = [
+        {
+            "seed": seed,
+            "final_distance": float(distances[-1]),
+            "final_n": final_n,
+            "bound_ok": bool(ok),
+            "max_invariance_drift": float(drift),
+        }
+        for seed, distances, ok, drift in zip(
+            cfg["seeds"], rep.distances, bound_ok, rep.max_invariance_drift
         )
-        final_d = float(rep.distances[-1])
-        final_n = int(rep.checkpoints[-1])
-        ok = final_d <= coef / np.sqrt(final_n)
-        bound_ok = bound_ok and ok
-        per_seed.append(
-            {
-                "seed": seed,
-                "final_distance": final_d,
-                "final_n": final_n,
-                "bound_ok": bool(ok),
-                "max_invariance_drift": float(traj.max_invariance_drift),
-            }
-        )
+    ]
+    for seed, distances in zip(cfg["seeds"], rep.distances):
         write_csv(
             os.path.join(out, f"ergodic_seed{seed}.csv"),
             ["n", "distance", "bound"],
-            (
-                [int(n), float(d), coef / math.sqrt(n)]
-                for n, d in zip(rep.checkpoints, rep.distances)
-            ),
+            ([int(n), float(d), coef / math.sqrt(n)] for n, d in zip(rep.checkpoints, distances)),
         )
     payload = {
         "per_seed": per_seed,
@@ -368,94 +383,78 @@ def _run_ergodic(cfg: dict, out: str) -> tuple[dict, dict]:
         "spr_mean_mq": float(routes["spr_mean_mq"]),
     }
     checks = {
-        "distance_bound": bool(bound_ok),
+        "distance_bound": bool(bound_ok.all()),
         "theta_routes_agree": bool(routes["mismatch"] <= 1e-10),
     }
     return payload, checks
 
 
 def _run_decay(cfg: dict, out: str) -> tuple[dict, dict]:
-    ens = _build_ensemble(cfg)
+    ens = ensemble_from_json(cfg["ensemble"])
     mean_report = ens.mean_report
-    results = [decay_estimator(ens, seed, int(cfg["n_total"])) for seed in cfg["seeds"]]
-    alphas = [float(r.alpha) for r in results]
-    n0s = [int(r.n0) for r in results]
+    rep = decay_estimator(ens, cfg["seeds"], int(cfg["n_total"]))
     payload = {
-        "per_seed": [
-            {"seed": s, **r.to_json()} for s, r in zip(cfg["seeds"], results)
-        ],
-        "alpha_min": float(min(alphas)),
-        "alpha_median": float(np.median(alphas)),
-        "n0_max": int(max(n0s)),
-        "n0_median": float(np.median(n0s)),
+        "per_seed": rep.to_json(),
+        "alpha_min": float(rep.alpha.min()),
+        "alpha_median": float(np.median(rep.alpha)),
+        "n0_max": int(rep.n0.max()),
+        "n0_median": float(np.median(rep.n0)),
         "mean_in_class": bool(mean_report.in_class_e),
     }
     checks = {
-        "alpha_positive_all_seeds": bool(min(alphas) > 0),
+        "alpha_positive_all_seeds": bool(rep.alpha.min() > 0),
         "mean_in_class": bool(mean_report.in_class_e),
     }
     write_csv(
         os.path.join(out, "decay_log_norms.csv"),
         ["n"] + [f"seed{s}" for s in cfg["seeds"]],
-        (
-            [n + 1] + [float(r.log_norms[n]) for r in results]
-            for n in range(int(cfg["n_total"]))
-        ),
+        ([n + 1] + row.tolist() for n, row in enumerate(rep.log_norms.T)),
     )
     return payload, checks
 
 
 def _run_reverse(cfg: dict, out: str) -> tuple[dict, dict]:
-    ens = _build_ensemble(cfg)
+    ens = ensemble_from_json(cfg["ensemble"])
+    rep = simulate_reverse(
+        ens, cfg["seeds"], int(cfg["n_total"]), checkpoint_every=int(cfg["checkpoint_every"])
+    )
     per_seed = []
     decays = True
-    for seed in cfg["seeds"]:
-        rep = simulate_reverse(
-            ens, seed, int(cfg["n_total"]), checkpoint_every=int(cfg["checkpoint_every"])
-        )
-        pos = rep.sigma_ratios > 0
+    for seed, residuals, ratios in zip(cfg["seeds"], rep.residuals, rep.sigma_ratios):
+        pos = ratios > 0
         if pos.sum() >= 2:
-            rate = float(np.polyfit(rep.checkpoints[pos], np.log(rep.sigma_ratios[pos]), 1)[0])
+            rate = float(np.polyfit(rep.checkpoints[pos], np.log(ratios[pos]), 1)[0])
         else:
             rate = -np.inf
-        ok = rate < 0 and rep.residuals[-1] <= rep.residuals[0]
-        decays = decays and ok
+        decays = decays and rate < 0 and residuals[-1] <= residuals[0]
         per_seed.append(
             {
                 "seed": seed,
                 "sigma_ratio_rate": rate,
-                "final_residual": float(rep.residuals[-1]),
-                "final_sigma_ratio": float(rep.sigma_ratios[-1]),
+                "final_residual": float(residuals[-1]),
+                "final_sigma_ratio": float(ratios[-1]),
             }
         )
         write_csv(
             os.path.join(out, f"reverse_seed{seed}.csv"),
             ["n", "residual", "sigma_ratio"],
-            (
-                [int(n), float(x), float(y)]
-                for n, x, y in zip(rep.checkpoints, rep.residuals, rep.sigma_ratios)
-            ),
+            ([int(n), float(x), float(y)] for n, x, y in zip(rep.checkpoints, residuals, ratios)),
         )
     return {"per_seed": per_seed}, {"rank_one_decay": bool(decays)}
 
 
 def _run_lyapunov(cfg: dict, out: str) -> tuple[dict, dict]:
-    ens = _build_ensemble(cfg)
-    results = [
-        lyapunov(ens, seed, int(cfg["n_total"]), reorth_every=int(cfg["reorth_every"]))
-        for seed in cfg["seeds"]
-    ]
-    payload = {
-        "per_seed": [{"seed": s, **r.to_json()} for s, r in zip(cfg["seeds"], results)]
+    ens = ensemble_from_json(cfg["ensemble"])
+    rep = lyapunov(ens, cfg["seeds"], int(cfg["n_total"]), reorth_every=int(cfg["reorth_every"]))
+    checks = {
+        "gamma1_zero": bool(np.abs(rep.gamma_1).max() <= 2e-3),
+        "gap_positive": bool(rep.gap.min() > 0),
     }
-    g1 = max(abs(r.gamma_1) for r in results)
-    gap = min(r.gap for r in results)
-    checks = {"gamma1_zero": bool(g1 <= 2e-3), "gap_positive": bool(gap > 0)}
-    return payload, checks
+    return {"per_seed": rep.to_json()}, checks
 
 
 def _run_instant(cfg: dict, out: str) -> tuple[dict, dict]:
-    ens = _build_ensemble(cfg)
+    ens = ensemble_from_json(cfg["ensemble"])
     kind = cfg["family"]
     if kind == "identity":
         fam = identity_family(ens)
@@ -480,7 +479,7 @@ def _run_instant(cfg: dict, out: str) -> tuple[dict, dict]:
 
 
 def _run_fluxes(cfg: dict, out: str) -> tuple[dict, dict]:
-    ens = _build_ensemble(cfg)
+    ens = ensemble_from_json(cfg["ensemble"])
     closed = flux_closed_form(ens)
     payload = {"closed_form": closed.to_json()}
     betas = [a.probe.beta_e for a in ens.atoms]
@@ -496,16 +495,15 @@ def _run_fluxes(cfg: dict, out: str) -> tuple[dict, dict]:
             ens,
             master_seed=cfg["seeds"][0],
             n_total=int(cfg["n_total"]),
-            n_seeds=max(len(cfg["seeds"]), 2),
+            n_seeds=len(cfg["seeds"]),
             rho_init=rho_init,
         )
         payload["monte_carlo"] = mc.to_json()
-        checks["mc_de_within_3_sigma"] = bool(
-            abs(mc.de_plus - closed.de_plus) <= 3.0 * max(mc.de_stderr, 1e-12)
-        )
-        checks["mc_ds_within_3_sigma"] = bool(
-            abs(mc.ds_plus - closed.ds_plus) <= 3.0 * max(mc.ds_stderr, 1e-12)
-        )
+        for name, value, ref, err in (
+            ("mc_de_within_3_sigma", mc.de_plus, closed.de_plus, mc.de_stderr),
+            ("mc_ds_within_3_sigma", mc.ds_plus, closed.ds_plus, mc.ds_stderr),
+        ):
+            checks[name] = bool(np.isfinite(err) and abs(value - ref) <= 3.0 * max(err, 1e-12))
     return payload, checks
 
 

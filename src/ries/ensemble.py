@@ -7,6 +7,11 @@ the closed-form asymptotic vector theta (two independent routes), seeded
 forward/reverse trajectory simulation, decay-rate estimation for the
 strictly-contracting parts, and Lyapunov exponent estimation.
 
+The trajectory kernels take a list of seeds (or one seed) and step them as
+one (S, d, d) or (S, d) stack, with one batched SVD or QR where a step or
+checkpoint needs one and norms taken slice by slice; their records hold one
+row per seed, bitwise equal to a run of that seed alone.
+
 Randomness is counter-based (Philox) and fully reproducible: the
 trajectory stream for (master_seed, trajectory_index) never depends on
 how many other trajectories ran.
@@ -14,14 +19,16 @@ how many other trajectories ran.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import rdo as rdo_mod
-from .linalg import KahanAccumulator, dag, spectral_norm
-from .model import ProbeSpec, SystemSpec, model_from_json, rdo_from_model, system_gns_data
+from .linalg import KahanAccumulator, dag
+from .model import ProbeSpec, SystemSpec, model_from_json, rdo_from_model
 from .rdo import (
     GnsCertificate,
     PowerBoundCertificate,
@@ -31,7 +38,7 @@ from .rdo import (
     decompose,
     power_bound_certificate,
 )
-from .serialize import matrix_from_json, vector_to_json
+from .serialize import matrix_from_json
 
 NEUMANN_TERM_TOL = 1e-14
 NEUMANN_MAX_TERMS = 10_000
@@ -106,8 +113,12 @@ class RrdoEnsemble:
         """Spectral class of E[M], computed once per ensemble."""
         return classify(self.mean)
 
-    def sample_indices(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.choice(self.n_atoms, size=n, p=self.probs)
+    def sample_paths(self, rngs: list[np.random.Generator], n: int) -> np.ndarray:
+        """(len(rngs), n) iid atom indices, row s drawn from rngs[s], in the smallest dtype."""
+        paths = np.empty((len(rngs), n), dtype=np.min_scalar_type(self.n_atoms))
+        for row, rng in zip(paths, rngs):
+            row[:] = rng.choice(self.n_atoms, size=n, p=self.probs)
+        return paths
 
     @classmethod
     def from_models(
@@ -183,12 +194,6 @@ def mean_rdo(ens: RrdoEnsemble, check_class: bool = True) -> Rdo:
     return out
 
 
-def mean_mq_and_psi(ens: RrdoEnsemble) -> tuple[np.ndarray, np.ndarray]:
-    e_mq = np.einsum("k,kij->ij", ens.probs, ens.mq)
-    e_psi = np.einsum("k,ki->i", ens.probs, ens.psi_omega)
-    return e_mq, e_psi
-
-
 def theta_routes(ens: RrdoEnsemble) -> dict:
     """Asymptotic vector theta by two independent formulas.
 
@@ -199,7 +204,8 @@ def theta_routes(ens: RrdoEnsemble) -> dict:
     """
     theta_proj = decompose(ens.mean).psi
 
-    e_mq, e_psi = mean_mq_and_psi(ens)
+    e_mq = np.einsum("k,kij->ij", ens.probs, ens.mq)
+    e_psi = np.einsum("k,ki->i", ens.probs, ens.psi_omega)
     spr = float(np.abs(np.linalg.eigvals(e_mq)).max())
     if spr >= 1.0:
         raise EnsembleError(f"spr(E[M_Q]) = {spr} >= 1; Neumann series diverges")
@@ -235,121 +241,117 @@ def theta_closed_form(ens: RrdoEnsemble, tol: float = 1e-10) -> np.ndarray:
     return theta
 
 
-@dataclass
-class Trajectory:
-    seed: int
-    max_invariance_drift: float
+def _start(ens: RrdoEnsemble, seeds, n_total: int) -> tuple[np.ndarray, ...]:
+    """Seeds as a 1-d array, their (S, n_total) paths and an (S, d, d) identity stack.
+
+    Seed s draws its path from trajectory_rng(s); the kernels start their
+    products from the identities and never write into them.
+    """
+    seeds = np.atleast_1d(seeds)
+    paths = ens.sample_paths([trajectory_rng(int(s)) for s in seeds], n_total)
+    return seeds, paths, np.tile(np.eye(ens.dim, dtype=complex), (len(seeds), 1, 1))
+
+
+def _blocks(omega: np.ndarray, every: int) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """Checkpoints after every `every`-th step and the last, and the steps before each.
+
+    Block c is made when reached, as the (steps, S) atom indices since the
+    previous checkpoint; iterating it yields one contiguous (S,) row per step.
+    """
+    n = omega.shape[1]
+    stops = np.unique(np.append(np.arange(every, n + 1, every), n))
+    starts = np.concatenate(([0], stops[:-1]))
+    return stops, (np.ascontiguousarray(omega[:, a:b].T, np.intp) for a, b in zip(starts, stops))
+
+
+def _records(seeds: np.ndarray, **columns: np.ndarray) -> list[dict]:
+    """One JSON record per seed: the seed, then its entry of each per-seed column."""
+    rows = zip(seeds, *columns.values())
+    return [dict(zip(["seed", *columns], (x.item() for x in row))) for row in rows]
 
 
 @dataclass
 class ErgodicReport:
+    """Forward trajectories of several seeds; row s of each array is seeds[s]."""
+
+    seeds: np.ndarray
     checkpoints: np.ndarray
-    distances: np.ndarray  # Frobenius distance to |psi_s><theta| at checkpoints
-    theta: np.ndarray
+    distances: np.ndarray  # (S, checkpoints): Frobenius distance to |psi_s><theta|
+    max_invariance_drift: np.ndarray  # (S,): max ||Psi_n psi_s - psi_s|| at checkpoints
 
 
 def simulate_forward(
-    ens: RrdoEnsemble, seed: int, n_total: int, checkpoint_every: int = 1000
-) -> tuple[Trajectory, ErgodicReport]:
-    """Simulate Psi_n = M(w_1)...M(w_n) and its Cesaro mean along one trajectory.
+    ens: RrdoEnsemble, seeds, n_total: int, checkpoint_every: int = 1000
+) -> ErgodicReport:
+    """Simulate Psi_n = M(w_1)...M(w_n) and its Cesaro mean, all seeds as one stack.
 
     At each checkpoint N the Frobenius distance between the running average
-    (1/N) sum Psi_n and the rank-one limit |psi_s><theta| is recorded.
+    (1/N) sum Psi_n and the rank-one limit |psi_s><theta| is recorded. Norms
+    are taken slice by slice, so each seed's numbers are bitwise those of a
+    one-seed run.
     """
-    rng = trajectory_rng(seed)
-    omega = ens.sample_indices(rng, n_total)
-    theta = theta_closed_form(ens)
-    limit = np.outer(ens.psi_s, theta.conj())
-
-    d = ens.dim
-    psi_prod = np.eye(d, dtype=complex)
-    acc = KahanAccumulator((d, d))
-    checkpoints, distances = [], []
-    drift = 0.0
-    for n in range(1, n_total + 1):
-        psi_prod = psi_prod @ ens.matrices[omega[n - 1]]
-        acc.add(psi_prod)
-        if n % checkpoint_every == 0 or n == n_total:
-            checkpoints.append(n)
-            distances.append(np.linalg.norm(acc.mean - limit, "fro"))
-            drift = max(drift, float(np.linalg.norm(psi_prod @ ens.psi_s - ens.psi_s)))
-    traj = Trajectory(seed=seed, max_invariance_drift=drift)
-    report = ErgodicReport(
-        checkpoints=np.array(checkpoints), distances=np.array(distances), theta=theta
-    )
-    return traj, report
+    seeds, omega, psi_prod = _start(ens, seeds, n_total)
+    limit = np.outer(ens.psi_s, theta_closed_form(ens).conj())
+    checkpoints, blocks = _blocks(omega, checkpoint_every)
+    acc = KahanAccumulator(psi_prod.shape)
+    distances = np.empty((len(seeds), len(checkpoints)))
+    drift = np.zeros(len(seeds))
+    for c, block in enumerate(blocks):
+        for k in block:
+            psi_prod = np.matmul(psi_prod, ens.matrices[k])
+            acc.add(psi_prod)
+        mean = acc.mean
+        for s in range(len(seeds)):
+            distances[s, c] = np.linalg.norm(mean[s] - limit, "fro")
+            drift[s] = max(drift[s], np.linalg.norm(psi_prod[s] @ ens.psi_s - ens.psi_s))
+    return ErgodicReport(seeds, checkpoints, distances, drift)
 
 
-def simulate_theta(ens: RrdoEnsemble, seed: int, n_total: int) -> dict:
-    """Cesaro mean of the Markov process theta_n = M^*(w_n) theta_(n-1)."""
-    rng = trajectory_rng(seed)
-    omega = ens.sample_indices(rng, n_total)
-    th = ens.psi_omega[omega[0]].copy()
-    acc = KahanAccumulator(ens.dim)
+def simulate_theta(ens: RrdoEnsemble, seeds, n_total: int) -> dict:
+    """Cesaro mean of the Markov process theta_n = M^*(w_n) theta_(n-1), per seed.
+
+    The overlap <psi_s, theta_n> - 1 is checked at theta_0, every 1000 steps
+    and at the end; every returned array has one row per seed.
+    """
+    seeds, omega, _ = _start(ens, seeds, n_total)
+    th = ens.psi_omega[omega[:, 0]]
+    acc = KahanAccumulator(th.shape)
     acc.add(th)
-    max_overlap_err = abs(np.vdot(ens.psi_s, th) - 1.0)
-    for n in range(1, n_total):
-        th = ens.adjoints[omega[n]] @ th
-        acc.add(th)
-        if n % 1000 == 0:
-            max_overlap_err = max(max_overlap_err, abs(np.vdot(ens.psi_s, th) - 1.0))
-    max_overlap_err = max(max_overlap_err, abs(np.vdot(ens.psi_s, th) - 1.0))
-    return {
-        "cesaro_theta": acc.mean,
-        "final_theta": th,
-        "max_overlap_error": float(max_overlap_err),
-        "n": n_total,
-    }
+    err = np.zeros(len(seeds))  # max |<psi_s, theta_n> - 1| at the checks
+    _, blocks = _blocks(omega[:, 1:], 1000)
+    for block in itertools.chain([()], blocks):  # the empty first block checks theta_0
+        for k in block:
+            th = np.matmul(ens.adjoints[k], th[:, :, None])[:, :, 0]
+            acc.add(th)
+        for s in range(len(seeds)):
+            err[s] = max(err[s], abs(np.vdot(ens.psi_s, th[s]) - 1.0))
+    return {"seeds": seeds, "cesaro_theta": acc.mean, "final_theta": th, "max_overlap_error": err}
 
 
 @dataclass
 class DecayEstimate:
-    log_norms: np.ndarray  # log ||M_Q(w_1)...M_Q(w_n)||
-    alpha: float
-    n0: int
-    log_c: float
+    """Decay of the M_Q words of several seeds; row s of each array is seeds[s]."""
 
-    def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "n0": self.n0,
-            "log_c": self.log_c,
-            "final_log_norm": float(self.log_norms[-1]),
-        }
+    seeds: np.ndarray
+    log_norms: np.ndarray  # (S, n_total): log ||M_Q(w_1)...M_Q(w_n)||
+    alpha: np.ndarray
+    n0: np.ndarray
+    log_c: np.ndarray
+
+    def to_json(self) -> list[dict]:
+        columns = {"alpha": self.alpha, "n0": self.n0, "log_c": self.log_c}
+        return _records(self.seeds, **columns, final_log_norm=self.log_norms[:, -1])
 
 
-def decay_estimator(ens: RrdoEnsemble, seed: int, n_total: int) -> DecayEstimate:
-    """Norm series of the strictly-contracting word, with fitted decay rate.
-
-    Needs at least one atom in the simple-gap class; the fitted envelope
-    C e^(-alpha n) comes from a log-linear fit on the second half of the
-    series, and n0 is the first index from which the envelope bounds the
-    whole tail.
-    """
-    if not any(ic and p > 0 for ic, p in zip(ens.in_class, ens.probs)):
-        raise EnsembleError("decay estimation needs an in-class atom with positive probability")
-    rng = trajectory_rng(seed)
-    omega = ens.sample_indices(rng, n_total)
-    d = ens.dim
-    word = np.eye(d, dtype=complex)
-    log_norms = np.empty(n_total)
-    log_scale = 0.0
-    for n in range(n_total):
-        word = word @ ens.mq[omega[n]]
-        s = spectral_norm(word)
-        if s == 0.0:
-            log_norms[n:] = -np.inf
-            break
-        log_scale += np.log(s)
-        log_norms[n] = log_scale
-        word = word / s
-
+def _fit_envelope(log_norms: np.ndarray) -> tuple[float, int, float]:
+    """(alpha, n0, log_c) of one seed's log-norm series; see :func:`decay_estimator`."""
+    n_total = log_norms.size
     finite = np.isfinite(log_norms)
     ns = np.arange(1, n_total + 1)
     fit_from = max(n_total // 2, 1)
     sel = finite & (ns >= fit_from)
     if sel.sum() < 2:  # word hit exact zero early; decay is as fast as it gets
-        return DecayEstimate(log_norms=log_norms, alpha=np.inf, n0=1, log_c=0.0)
+        return np.inf, 1, 0.0
     slope, intercept = np.polyfit(ns[sel], log_norms[sel], 1)
     alpha = -float(slope)
     # envelope C e^(-alpha n) with C inflated by the fit's residual spread,
@@ -359,117 +361,123 @@ def decay_estimator(ens: RrdoEnsemble, seed: int, n_total: int) -> DecayEstimate
     envelope = log_c - alpha * ns
     violations = np.nonzero(log_norms[finite] > envelope[finite])[0]
     n0 = int(ns[finite][violations.max()]) + 1 if violations.size else 1
-    return DecayEstimate(log_norms=log_norms, alpha=alpha, n0=n0, log_c=log_c)
+    return alpha, n0, log_c
+
+
+def decay_estimator(ens: RrdoEnsemble, seeds, n_total: int) -> DecayEstimate:
+    """Norm series of the strictly-contracting words, with fitted decay rates.
+
+    Needs at least one atom in the simple-gap class. All seeds step as one
+    stack with one batched SVD per step; a word that hits exact zero stays
+    zero, and its log norms are -inf from then on. Per seed, the fitted
+    envelope C e^(-alpha n) comes from a log-linear fit on the second half of
+    the series, and n0 is the first index from which the envelope bounds the
+    whole tail.
+    """
+    if not any(ic and p > 0 for ic, p in zip(ens.in_class, ens.probs)):
+        raise EnsembleError("decay estimation needs an in-class atom with positive probability")
+    seeds, omega, word = _start(ens, seeds, n_total)
+    log_norms = np.empty((len(seeds), n_total))
+    log_scale = np.zeros(len(seeds))
+    _, steps = _blocks(omega, 1)  # a checkpoint after every step
+    for n, (k,) in enumerate(steps):
+        word = np.matmul(word, ens.mq[k])
+        s = np.linalg.svd(word, compute_uv=False)[:, 0]
+        alive = s > 0
+        s[~alive] = 1.0
+        log_scale += np.log(s)
+        log_norms[:, n] = np.where(alive, log_scale, -np.inf)
+        word = word / s[:, None, None]
+    alpha, n0, log_c = (np.array(x) for x in zip(*map(_fit_envelope, log_norms)))
+    return DecayEstimate(seeds, log_norms, alpha, n0, log_c)
 
 
 @dataclass
 class ReverseReport:
-    checkpoints: np.ndarray
-    residuals: np.ndarray  # ||Phi_n - |psi_s><eta_n||
-    sigma_ratios: np.ndarray  # sigma_2 / sigma_1 of Phi_n
-    eta: np.ndarray  # final partial sum of eta_inf
+    """Reverse products of several seeds; row s of each array is seeds[s]."""
 
-    def to_json(self) -> dict:
-        return {
-            "checkpoints": [int(n) for n in self.checkpoints],
-            "residuals": [float(x) for x in self.residuals],
-            "sigma_ratios": [float(x) for x in self.sigma_ratios],
-            "eta": vector_to_json(self.eta),
-        }
+    seeds: np.ndarray
+    checkpoints: np.ndarray
+    residuals: np.ndarray  # (S, checkpoints): ||Phi_n - |psi_s><eta_n|||
+    sigma_ratios: np.ndarray  # (S, checkpoints): sigma_2 / sigma_1 of Phi_n
+    eta: np.ndarray  # (S, d): final partial sums of eta_inf
 
 
 def simulate_reverse(
-    ens: RrdoEnsemble, seed: int, n_total: int, checkpoint_every: int = 10
+    ens: RrdoEnsemble, seeds, n_total: int, checkpoint_every: int = 10
 ) -> ReverseReport:
-    """Reverse-order product Phi_n = M(w_n)...M(w_1) and its rank-one limit.
+    """Reverse-order products Phi_n = M(w_n)...M(w_1) and their rank-one limits.
 
-    eta_inf is accumulated incrementally as
-    sum_k M_Q^*(w_1)...M_Q^*(w_(k-1)) psi(w_k); the residual to
+    eta_inf is accumulated incrementally as sum_k lead_k psi(w_k), with
+    lead_k = M_Q^*(w_1)...M_Q^*(w_(k-1)); the residual to
     |psi_s><eta| and the singular-value ratio of Phi_n both decay
-    exponentially when decay of the M_Q words holds.
+    exponentially when decay of the M_Q words holds. All seeds step as one
+    stack, with one batched SVD per checkpoint for each quantity.
     """
     if not any(ic and p > 0 for ic, p in zip(ens.in_class, ens.probs)):
         raise EnsembleError("reverse-product analysis needs an in-class atom")
-    rng = trajectory_rng(seed)
-    omega = ens.sample_indices(rng, n_total)
-    d = ens.dim
-    phi = np.eye(d, dtype=complex)
-    lead = np.eye(d, dtype=complex)  # M_Q^*(w_1)...M_Q^*(w_(k-1))
-    eta = np.zeros(d, dtype=complex)
-    checkpoints, residuals, ratios = [], [], []
-    for n in range(1, n_total + 1):
-        k = omega[n - 1]
-        phi = ens.matrices[k] @ phi
-        eta = eta + lead @ ens.psi_omega[k]
-        lead = lead @ ens.mq_adjoints[k]
-        if n % checkpoint_every == 0 or n == n_total:
-            checkpoints.append(n)
-            residuals.append(spectral_norm(phi - np.outer(ens.psi_s, eta.conj())))
-            sv = np.linalg.svd(phi, compute_uv=False)
-            ratios.append(sv[1] / sv[0] if sv[0] > 0 else 0.0)
-    return ReverseReport(
-        checkpoints=np.array(checkpoints),
-        residuals=np.array(residuals),
-        sigma_ratios=np.array(ratios),
-        eta=eta,
-    )
+    seeds, omega, phi = _start(ens, seeds, n_total)
+    lead = phi  # M_Q^*(w_1)...M_Q^*(w_(k-1))
+    checkpoints, blocks = _blocks(omega, checkpoint_every)
+    eta = np.zeros((len(seeds), ens.dim), dtype=complex)
+    residuals = np.empty((len(seeds), len(checkpoints)))
+    ratios = np.zeros((len(seeds), len(checkpoints)))
+    for c, block in enumerate(blocks):
+        for k in block:
+            phi = np.matmul(ens.matrices[k], phi)
+            eta = eta + np.matmul(lead, ens.psi_omega[k][:, :, None])[:, :, 0]
+            lead = np.matmul(lead, ens.mq_adjoints[k])
+        rank_one = ens.psi_s[:, None] * eta.conj()[:, None, :]
+        residuals[:, c] = np.linalg.svd(phi - rank_one, compute_uv=False)[:, 0]
+        sv = np.linalg.svd(phi, compute_uv=False)
+        np.divide(sv[:, 1], sv[:, 0], out=ratios[:, c], where=sv[:, 0] > 0)
+    return ReverseReport(seeds, checkpoints, residuals, ratios, eta)
 
 
 @dataclass
 class LyapunovEstimate:
-    gamma_1: float
-    gamma_2: float
-    gap: float
+    """Top two Lyapunov exponents of several seeds; entry s is seeds[s]."""
 
-    def to_json(self) -> dict:
-        return {
-            "gamma_1": self.gamma_1,
-            "gamma_2": self.gamma_2,
-            "gap": self.gap,
-        }
+    seeds: np.ndarray
+    gamma_1: np.ndarray
+    gamma_2: np.ndarray
+    gap: np.ndarray
+
+    def to_json(self) -> list[dict]:
+        return _records(self.seeds, gamma_1=self.gamma_1, gamma_2=self.gamma_2, gap=self.gap)
 
 
 def lyapunov(
-    ens: RrdoEnsemble,
-    seed: int,
-    n_total: int,
-    reorth_every: int = 10,
+    ens: RrdoEnsemble, seeds, n_total: int, reorth_every: int = 10
 ) -> LyapunovEstimate:
-    """Lyapunov spectrum of the random product via periodic re-orthonormalization.
+    """Lyapunov spectra of the random products via periodic re-orthonormalization.
 
     Works on transposed factors so that appending a factor on the right of
-    Psi_n becomes a left multiplication; QR steps accumulate the log
-    stretching factors. The sigma_2 / sigma_1 diagnostic of the reverse
-    product belongs to :func:`simulate_reverse`.
+    Psi_n becomes a left multiplication; one batched QR per
+    re-orthonormalization accumulates every seed's log stretching factors.
+    The sigma_2 / sigma_1 diagnostic of the reverse product belongs to
+    :func:`simulate_reverse`.
     """
-    rng = trajectory_rng(seed)
-    omega = ens.sample_indices(rng, n_total)
-    d = ens.dim
-    frame = np.eye(d, dtype=complex)
-    log_r = np.zeros(d)
-    steps = 0
-    for n in range(1, n_total + 1):
-        frame = ens.matrices[omega[n - 1]].T @ frame
-        if n % reorth_every == 0 or n == n_total:
-            q, r = np.linalg.qr(frame)
-            diag = np.abs(np.diag(r))
-            diag[diag == 0] = np.finfo(float).tiny
-            log_r += np.log(diag)
-            frame = q
-            steps = n
-    exponents = np.sort(log_r / steps)[::-1]
-    return LyapunovEstimate(
-        gamma_1=float(exponents[0]),
-        gamma_2=float(exponents[1]) if d > 1 else -np.inf,
-        gap=float(exponents[0] - exponents[1]) if d > 1 else np.inf,
-    )
+    seeds, omega, frame = _start(ens, seeds, n_total)
+    _, blocks = _blocks(omega, reorth_every)
+    log_r = np.zeros((len(seeds), ens.dim))
+    for block in blocks:
+        for k in block:
+            frame = np.matmul(ens.matrices[k].transpose(0, 2, 1), frame)
+        frame, r = np.linalg.qr(frame)
+        diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+        diag[diag == 0] = np.finfo(float).tiny
+        log_r += np.log(diag)
+    exponents = np.sort(log_r / n_total)[:, ::-1]
+    gamma_2 = exponents[:, 1] if ens.dim > 1 else np.full(len(seeds), -np.inf)
+    return LyapunovEstimate(seeds, exponents[:, 0], gamma_2, exponents[:, 0] - gamma_2)
 
 
 def ensemble_from_json(doc: dict) -> RrdoEnsemble:
     """Build an ensemble from its JSON document.
 
     {"atoms": [{"p": w, "model": {...}} | {"p": w, "matrix": [...]}, ...],
-     "psi_s": [[re, im], ...]   # required when any atom is matrix-form
+     "psi_s": [[re, im], ...]   # with matrix-form atoms only, and then required
      "presample": {...}}        # alternative generative form
     """
     if "presample" in doc:
@@ -506,9 +514,4 @@ def ensemble_from_json(doc: dict) -> RrdoEnsemble:
             atoms.append(EnsembleAtom(prob=p, rdo=rdo_mod.validate(m, psi_s)))
         else:
             raise EnsembleError("each atom needs 'model' or 'matrix'")
-    if system is not None and psi_s is None:
-        _, _, psi_gns = system_gns_data(system)
-        for a in atoms:
-            if not np.allclose(a.rdo.psi_s, psi_gns, atol=1e-12):
-                raise EnsembleError("atom psi_s differs from the system reference vector")
     return RrdoEnsemble(atoms, system=system)

@@ -175,11 +175,10 @@ def _cesaro_means(
     if burn_in is None:
         burn_in = min(n_total // 10, 1000)
     n_steps = burn_in + n_total
-    # (seeds, steps) index arrays in the smallest dtype that holds a table index
-    omega = np.empty((n_seeds, n_steps + width - 1), dtype=np.min_scalar_type(len(tables)))
-    for s in range(n_seeds):
-        omega[s] = ens.sample_indices(trajectory_rng(master_seed, s), omega.shape[1])
-    flat = omega[:, burn_in : burn_in + n_total].copy()
+    rngs = [trajectory_rng(master_seed, s) for s in range(n_seeds)]
+    omega = ens.sample_paths(rngs, n_steps + width - 1)
+    # flattened tuples in the smallest dtype that holds a table index
+    flat = omega[:, burn_in : burn_in + n_total].astype(np.min_scalar_type(len(tables)))
     for k in range(1, width):
         flat *= ens.n_atoms
         flat += omega[:, burn_in + k : burn_in + k + n_total]

@@ -125,17 +125,12 @@ def reference(qubit_model, uncoupled_probe):
 
 def _criterion_4_summary(ens):
     routes = theta_routes(ens)
-    per_seed = []
-    for seed in range(20):
-        _, rep = ries.simulate_forward(ens, seed, 100_000, checkpoint_every=1000)
-        idx4 = int(np.nonzero(rep.checkpoints == 10_000)[0][0])
-        per_seed.append(
-            {
-                "seed": seed,
-                "d_1e4": float(rep.distances[idx4]),
-                "d_1e5": float(rep.distances[-1]),
-            }
-        )
+    rep = ries.simulate_forward(ens, range(20), 100_000, checkpoint_every=1000)
+    idx4 = int(np.nonzero(rep.checkpoints == 10_000)[0][0])
+    per_seed = [
+        {"seed": seed, "d_1e4": float(dist[idx4]), "d_1e5": float(dist[-1])}
+        for seed, dist in enumerate(rep.distances)
+    ]
     return {
         "per_seed": per_seed,
         "theta_mismatch": float(routes["mismatch"]),
@@ -145,10 +140,11 @@ def _criterion_4_summary(ens):
 
 
 def _criterion_5_summary(ens):
-    per_seed = []
-    for seed in range(100):
-        est = ries.decay_estimator(ens, seed, 2000)
-        per_seed.append({"seed": seed, "alpha": float(est.alpha), "n0": int(est.n0)})
+    est = ries.decay_estimator(ens, range(100), 2000)
+    per_seed = [
+        {"seed": seed, "alpha": float(alpha), "n0": int(n0)}
+        for seed, (alpha, n0) in enumerate(zip(est.alpha, est.n0))
+    ]
     alphas = [p["alpha"] for p in per_seed]
     n0s = [p["n0"] for p in per_seed]
     return {
@@ -161,20 +157,18 @@ def _criterion_5_summary(ens):
 
 
 def _criterion_6_summary(ens, alpha_ref):
+    rep = ries.simulate_reverse(ens, range(10), 800, checkpoint_every=10)
     rates = []
-    for seed in range(10):
-        rep = ries.simulate_reverse(ens, seed, 800, checkpoint_every=10)
-        pos = rep.sigma_ratios > 1e-300
-        rates.append(
-            float(np.polyfit(rep.checkpoints[pos], np.log(rep.sigma_ratios[pos]), 1)[0])
-        )
-    ly = [ries.lyapunov(ens, seed, 30_000) for seed in range(5)]
+    for ratios in rep.sigma_ratios:
+        pos = ratios > 1e-300
+        rates.append(float(np.polyfit(rep.checkpoints[pos], np.log(ratios[pos]), 1)[0]))
+    ly = ries.lyapunov(ens, range(5), 30_000)
     return {
         "sigma_ratio_rates": rates,
         "sigma_ratio_rate_mean": float(np.mean(rates)),
         "alpha_ref": float(alpha_ref),
-        "gamma_1": [float(e.gamma_1) for e in ly],
-        "gamma_2": [float(e.gamma_2) for e in ly],
+        "gamma_1": ly.gamma_1.tolist(),
+        "gamma_2": ly.gamma_2.tolist(),
     }
 
 

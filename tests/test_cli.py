@@ -123,6 +123,12 @@ def test_cli_exit_codes(tmp_path, model_doc, ensemble_doc):
     misspelt_atom = {"atoms": [atoms[0], {"p": 0.5, "modle": atoms[1]["model"]}]}
     two_sources = {"atoms": [atoms[0], {**atoms[1], "matrix": [[[1.0, 0.0]]]}]}
     no_psi_s = {"atoms": [{"p": 1.0, "matrix": [[[1.0, 0.0]]]}]}
+    matrix_atoms = {**no_psi_s, "psi_s": [[1.0, 0.0]]}
+    path = tmp_path / "matrix_atoms.json"
+    dump_json({"experiment": "decay", "ensemble": matrix_atoms}, str(path))
+    assert main(["validate", str(path)]) == 0
+    diagonal = matrix_to_json(np.diag([1.0, 0.5]))
+    a_s = matrix_to_json(np.diag([1.0, -1.0]))
     for doc in (
         {"experiment": "ergodic", "ensemble": ensemble_doc, "checkpoint_every": 0},
         {"experiment": "reverse", "ensemble": ensemble_doc, "checkpoint_every": 0},
@@ -151,6 +157,19 @@ def test_cli_exit_codes(tmp_path, model_doc, ensemble_doc):
         {"experiment": "decay", "ensemble": two_sources},
         {"experiment": "decay", "ensemble": no_psi_s},
         {"experiment": "decay", "ensemble": {**ensemble_doc, **presample}},
+        # an ensemble psi_s is read only next to matrix-form atoms
+        {"experiment": "ergodic", "ensemble": {**presample, "psi_s": [[1.0, 0.0]] * 4}},
+        {"experiment": "decay", "ensemble": {**ensemble_doc, "psi_s": [[1.0, 0.0]] * 4}},
+        # keys a configuration does not read
+        {"experiment": "fluxes", "ensemble": ensemble_doc, "monte_carlo": False, "seeds": [0, 1]},
+        {"experiment": "fluxes", "ensemble": ensemble_doc, "monte_carlo": False, "n_total": 100},
+        {"experiment": "fluxes", "ensemble": ensemble_doc, "monte_carlo": False, "rho_init": diagonal},
+        {"experiment": "fluxes", "ensemble": ensemble_doc, "monte_carlo": "no"},
+        {"experiment": "instant", "ensemble": ensemble_doc, "a_s": a_s},
+        {"experiment": "instant", "ensemble": ensemble_doc, "family": "probe_energy", "a_s": a_s},
+        # Monte Carlo with one seed has no standard error
+        {"experiment": "instant", "ensemble": ensemble_doc, "seeds": [3]},
+        {"experiment": "fluxes", "ensemble": ensemble_doc, "seeds": [3]},
     ):
         path = tmp_path / "mistyped.json"
         dump_json(doc, str(path))
@@ -280,7 +299,25 @@ def test_run_instant_and_fluxes(tmp_path, ensemble_doc):
     ):
         path = tmp_path / f"{doc['experiment']}.json"
         dump_json(doc, str(path))
-        assert main(["run", str(path), "--out", str(tmp_path)]) == 0
+        assert main(["run", str(path), "--out", str(tmp_path / doc["experiment"])]) == 0
+    # the flux Monte Carlo runs exactly the listed seeds
+    summary = json.loads((tmp_path / "fluxes" / "summary.json").read_text())
+    assert summary["payload"]["monte_carlo"]["seeds"] == 3
+
+
+def test_flux_checks_need_finite_stderr(tmp_path, ensemble_doc, monkeypatch):
+    """One Monte Carlo seed gives an infinite stderr, which must not pass 3 sigma."""
+    real = ries.cli.flux_monte_carlo
+    monkeypatch.setattr(
+        "ries.cli.flux_monte_carlo", lambda ens, **kw: real(ens, **{**kw, "n_seeds": 1})
+    )
+    path = tmp_path / "fluxes.json"
+    dump_json({"experiment": "fluxes", "ensemble": ensemble_doc, "n_total": 500}, str(path))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 1
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["payload"]["monte_carlo"]["de_stderr"] == float("inf")
+    assert summary["checks"]["mc_de_within_3_sigma"] is False
+    assert summary["checks"]["mc_ds_within_3_sigma"] is False
 
 
 class _ReadRecorder(dict):
@@ -331,8 +368,11 @@ def test_every_resolved_key_is_read(tmp_path, model_doc, ensemble_doc):
             **small,
         },
         {"experiment": "oracle-check", "model": model_doc, "m_max": 2, "n_observables": 1},
+        # configurations that leave some schema keys unread resolve without them
+        {"experiment": "fluxes", "ensemble": ensemble_doc, "monte_carlo": False},
+        {"experiment": "instant", "ensemble": ensemble_doc, "family": "probe_energy", **small},
     ]
-    assert sorted(d["experiment"] for d in docs) == sorted(EXPERIMENTS)
+    assert {d["experiment"] for d in docs} == set(EXPERIMENTS)
     for doc in docs:
         cfg = _ReadRecorder(validate_config(doc))
         run(cfg, out=str(tmp_path / doc["experiment"]))

@@ -261,7 +261,8 @@ def _instant_per_seed_loop(ens, fam, master_seed, n_total, n_seeds, burn_in):
     w = fam.width
     per_seed = np.empty(n_seeds, dtype=complex)
     for s in range(n_seeds):
-        omega = ens.sample_indices(trajectory_rng(master_seed, s), burn_in + n_total + w)
+        rng = trajectory_rng(master_seed, s)
+        omega = rng.choice(ens.n_atoms, size=burn_in + n_total + w, p=ens.probs)
         u = ens.psi_s.copy()
         acc = KahanAccumulator(())
         for n in range(burn_in + n_total):
@@ -283,7 +284,8 @@ def _flux_per_seed_loop(ens, master_seed, n_total, n_seeds, rho_init, burn_in):
     de_seed = np.empty(n_seeds)
     ds_seed = np.empty(n_seeds)
     for s in range(n_seeds):
-        omega = ens.sample_indices(trajectory_rng(master_seed, s), burn_in + n_total + 1)
+        rng = trajectory_rng(master_seed, s)
+        omega = rng.choice(ens.n_atoms, size=burn_in + n_total + 1, p=ens.probs)
         w = vec(rho_init).astype(complex)
         acc_e = KahanAccumulator(())
         acc_s = KahanAccumulator(())
