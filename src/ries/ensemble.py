@@ -429,8 +429,9 @@ def simulate_reverse(
             lead = np.matmul(lead, ens.mq_adjoints[k])
         rank_one = ens.psi_s[:, None] * eta.conj()[:, None, :]
         residuals[:, c] = np.linalg.svd(phi - rank_one, compute_uv=False)[:, 0]
-        sv = np.linalg.svd(phi, compute_uv=False)
-        np.divide(sv[:, 1], sv[:, 0], out=ratios[:, c], where=sv[:, 0] > 0)
+        if ens.dim > 1:  # at GNS dim 1 every product is rank one: ratio 0
+            sv = np.linalg.svd(phi, compute_uv=False)
+            np.divide(sv[:, 1], sv[:, 0], out=ratios[:, c], where=sv[:, 0] > 0)
     return ReverseReport(seeds, checkpoints, residuals, ratios, eta)
 
 

@@ -18,7 +18,9 @@ which every reduced-picture quantity can be checked at small sizes. The
 oracle and the window reductions evolve one dim x dim array over the
 chain's tensor legs (the state, or the window operator): each step
 unitary and each spectator's free evolution is built and applied to its
-own legs of that array, so no chain-sized unitary is ever formed.
+own legs of that array, so no chain-sized unitary is ever formed. The
+oracle evolves the chain state once per m and contracts that one state
+with every observable of a stack.
 
 The GNS transport never builds a non-normal generator: with
 ``iota(A) = A rho_s^(1/2)``, the RDO is ``iota o Phi o iota^(-1)``.
@@ -50,18 +52,31 @@ class CapacityError(Exception):
     """Raised when a brute-force computation would exceed the dense-algebra guard."""
 
 
-def check_capacity(dims: list[int], window: int = 0) -> None:
+def check_capacity(dims: list[int], window: int = 0, n_steps: int | None = None) -> None:
     """Raise CapacityError past a dense-algebra guard.
 
     The guards: the dense space over the tensor legs `dims` may not exceed
     ORACLE_DIM_GUARD, and an observation window extent `window` (= l + r)
-    may not exceed WINDOW_CAPACITY.
+    may not exceed WINDOW_CAPACITY. Past the dimension guard, the error
+    states the estimated cost of evolving the chain for `n_steps` steps
+    (default: one per probe leg): the peak bytes of the dense arrays and
+    the number of factor applications.
     """
     if window > WINDOW_CAPACITY:
         raise CapacityError(f"window capacity guard: l + r = {window} exceeds {WINDOW_CAPACITY}")
     dim = int(np.prod(dims, dtype=np.int64))
     if dim > ORACLE_DIM_GUARD:
-        raise CapacityError(f"chain dimension {dim} exceeds guard {ORACLE_DIM_GUARD}")
+        k = len(dims) - 1
+        m = k if n_steps is None else n_steps
+        # tracemalloc peak of an oracle call: 5 dim x dim complex arrays live at once;
+        # a factor on legs of total dim d_leg (d_S * d_E for an encounter) costs dim^2 * d_leg
+        peak = 5 * dim * dim * np.dtype(complex).itemsize
+        raise CapacityError(
+            f"chain dimension {dim} exceeds guard {ORACLE_DIM_GUARD}: estimated peak "
+            f"{peak / 2**20:,.0f} MiB (5 dense {dim}x{dim} complex arrays) and "
+            f"up to m*K = {m}*{k} = {m * k} factor applications g x g*, each touching "
+            f"dim^2*d_leg <= {dim * dim * dims[0] * max(dims[1:], default=1):,} entries per side"
+        )
 
 
 @dataclass(frozen=True)
@@ -138,6 +153,9 @@ class ObservableWindow:
 
     ``b_list[j + l]`` sits on the probe at relative slot ``j``, for
     ``j = -l..r``; slot 0 is the probe interacting at the observation step.
+    ``a_s`` is one (d, d) observable or an (n, d, d) stack of them sharing
+    the probe train; :func:`full_chain_oracle` evaluates a stack on one
+    chain evolution.
     """
 
     a_s: np.ndarray
@@ -313,7 +331,7 @@ def full_chain_expectation(
     l: int,
     r: int,
     rho_init: np.ndarray | DensityMatrix,
-) -> complex:
+) -> complex | np.ndarray:
     """Exact expectation of an arbitrary window operator after m steps.
 
     `op_window` acts on S x E_(m-l) x ... x E_(m+r), in that tensor order.
@@ -323,6 +341,11 @@ def full_chain_expectation(
     spectator probes, is applied to its own tensor legs of the state. The
     evolved state is then reduced to the window legs and traced against
     `op_window`. No reduced-picture shortcut is used.
+
+    `op_window` is one (D, D) operator, giving a complex, or an (n, D, D)
+    stack, giving an (n,) complex array. The evolved state does not depend
+    on the operator, so a stack shares one chain evolution; each operator
+    is contracted with it exactly as a one-operator call would be.
     """
     rho_init = rho_init.rho if isinstance(rho_init, DensityMatrix) else np.asarray(rho_init)
     d = sys.dim_s
@@ -334,7 +357,7 @@ def full_chain_expectation(
     if n_probes > len(steps):
         raise ValueError(f"need {n_probes} probe specs, got {len(steps)}")
     dims = [d] + [p.dim_e for p in steps[:n_probes]]
-    check_capacity(dims)
+    check_capacity(dims, n_steps=m)
 
     rho_tot = rho_init
     for k in range(1, n_probes + 1):
@@ -346,7 +369,11 @@ def full_chain_expectation(
     before = int(np.prod(dims[1 : m - l], dtype=np.int64))
     after = int(np.prod(dims[m - l :], dtype=np.int64))
     rho_w = np.einsum("apbcpd->abcd", rho_tot.reshape(d, before, after, d, before, after))
-    return complex(np.einsum("ij,ji->", rho_w.reshape(d * after, d * after), op_window))
+    rho_w = rho_w.reshape(d * after, d * after)
+    ops = np.asarray(op_window)
+    if ops.ndim == 2:
+        return complex(np.einsum("ij,ji->", rho_w, ops))
+    return np.array([np.einsum("ij,ji->", rho_w, op) for op in ops], dtype=complex)
 
 
 def full_chain_oracle(
@@ -355,22 +382,27 @@ def full_chain_oracle(
     obs: ObservableWindow,
     m: int,
     rho_init: np.ndarray | DensityMatrix,
-) -> complex:
+) -> complex | np.ndarray:
     """Exact expectation of a windowed product observable after m steps.
 
     See :func:`full_chain_expectation` for the underlying brute-force
-    contraction; this wrapper assembles A_S x B^(-l) x ... x B^(r).
+    contraction; this wrapper assembles A_S x B^(-l) x ... x B^(r). With
+    a stack of system observables in `obs.a_s` it assembles one operator
+    per observable, evaluates them all on one chain evolution and returns
+    an (n,) complex array.
     """
     if m == 0:
         rho0 = rho_init.rho if isinstance(rho_init, DensityMatrix) else np.asarray(rho_init)
         for b in obs.b_list:
             if not np.allclose(b, np.eye(b.shape[0]), atol=1e-14):
                 raise ValueError("m = 0 supports system-only observables")
-        return complex(np.trace(rho0 @ obs.a_s))
-    op = obs.a_s
+        if obs.a_s.ndim == 2:
+            return complex(np.trace(rho0 @ obs.a_s))
+        return np.array([np.trace(rho0 @ a) for a in obs.a_s], dtype=complex)
+    ops = obs.a_s
     for b in obs.b_list:
-        op = np.kron(op, b)
-    return full_chain_expectation(sys, steps, op, m, obs.l, obs.r, rho_init)
+        ops = np.kron(ops, b)
+    return full_chain_expectation(sys, steps, ops, m, obs.l, obs.r, rho_init)
 
 
 def reduce_window_operator(
@@ -388,7 +420,7 @@ def reduce_window_operator(
         raise ValueError("window_steps must have length l+r+1")
     d = sys.dim_s
     dims = [d] + [p.dim_e for p in window_steps]
-    check_capacity(dims, l + r)
+    check_capacity(dims, l + r, n_steps=l + 1)
 
     # chain order: slot -l interacts first, slot 0 last
     conj = _conjugate_by_chain(op, sys, window_steps[: l + 1], l + 1, dims, heisenberg=True)

@@ -41,18 +41,15 @@ def test_criterion_1_oracle_equivalence():
         _, sqrt_rho, psi_s = ries.system_gns_data(system)
         rho_s = sqrt_rho @ sqrt_rho
         observables = [random_hermitian(2, rng) for _ in range(10)]
+        basis_ops = np.kron(np.eye(4, dtype=complex).reshape(4, 2, 2), np.eye(2))
         power = np.eye(4, dtype=complex)
         for m in range(1, 7):
             power = power @ rdo.m
-            # the oracle is linear in A_S: evaluate it on a matrix basis once
-            basis_vals = np.empty((2, 2), dtype=complex)
-            for k in range(2):
-                for ll in range(2):
-                    e_kl = np.zeros((2, 2), dtype=complex)
-                    e_kl[k, ll] = 1.0
-                    basis_vals[k, ll] = ries.full_chain_expectation(
-                        system, [probe] * m, np.kron(e_kl, np.eye(2)), m, 0, 0, rho_s
-                    )
+            # the oracle is linear in A_S: evaluate it on the matrix basis E_kl x 1,
+            # all four on one chain evolution
+            basis_vals = ries.full_chain_expectation(
+                system, [probe] * m, basis_ops, m, 0, 0, rho_s
+            ).reshape(2, 2)
             for a_s in observables:
                 lhs = np.vdot(psi_s, power @ vec(a_s @ sqrt_rho))
                 rhs = np.sum(a_s * basis_vals)

@@ -199,7 +199,11 @@ def test_cli_exit_codes(tmp_path, model_doc, ensemble_doc):
 
 def test_oracle_check_fails_on_non_finite_residual(tmp_path, model_doc, monkeypatch):
     """max(0.0, nan) is 0.0: a NaN from the oracle must not read as agreement."""
-    monkeypatch.setattr("ries.cli.full_chain_oracle", lambda *args: complex("nan"))
+
+    def nan_oracle(system, steps, obs, m, rho_init):
+        return np.full(len(obs.a_s), complex("nan"))  # one entry per observable
+
+    monkeypatch.setattr("ries.cli.full_chain_oracle", nan_oracle)
     path = tmp_path / "oracle.json"
     dump_json({"experiment": "oracle-check", "model": model_doc, "m_max": 2}, str(path))
     assert main(["run", str(path), "--out", str(tmp_path)]) == 1
@@ -207,6 +211,18 @@ def test_oracle_check_fails_on_non_finite_residual(tmp_path, model_doc, monkeypa
         summary = json.load(fh)
     assert summary["payload"]["residuals_finite"] is False
     assert summary["checks"]["oracle_agreement"] is False
+
+
+def test_reverse_on_gns_dim_one(tmp_path, capsys):
+    """1 x 1 matrix atoms: every product is rank one, so the sigma ratio is 0."""
+    path = tmp_path / "reverse.json"
+    ensemble = {"psi_s": [[1, 0]], "atoms": [{"p": 1, "matrix": [[[1, 0]]]}]}
+    dump_json({"experiment": "reverse", "ensemble": ensemble, "n_total": 20}, str(path))
+    assert main(["run", str(path), "--out", str(tmp_path)]) in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+    with open(tmp_path / "summary.json") as fh:
+        summary = json.load(fh)
+    assert summary["payload"]["per_seed"][0]["final_sigma_ratio"] == 0.0
 
 
 def test_run_reports_byte_identical(tmp_path, ensemble_doc):

@@ -181,6 +181,16 @@ def test_oracle_capacity_guard(qubit_model):
     obs = ries.ObservableWindow.system_only(np.eye(2), 2)
     with pytest.raises(CapacityError):
         ries.full_chain_oracle(system, [probe] * 12, obs, 12, system.gibbs_state())
+    # the message states the estimated cost: chain dim, peak bytes, factor applications;
+    # with r = 1, m = 11 steps run over K = 12 probes
+    future = ries.ObservableWindow(a_s=np.eye(2), b_list=(np.eye(2), np.eye(2)), l=0, r=1)
+    with pytest.raises(CapacityError) as exc:
+        ries.full_chain_oracle(system, [probe] * 12, future, 11, system.gibbs_state())
+    message = str(exc.value)
+    assert "chain dimension 8192" in message
+    assert f"{5 * 8192**2 * 16 / 2**20:,.0f} MiB" in message
+    assert "m*K = 11*12 = 132 factor applications" in message
+    assert f"dim^2*d_leg <= {8192**2 * 4:,} entries" in message
 
 
 def test_oracle_heterogeneous_chain(qubit_model, uncoupled_probe, rng):
@@ -257,7 +267,8 @@ def test_window_reduction_matches_dense_reference_on_unequal_legs(rng):
 
 def test_oracle_builds_every_factor(qubit_model, uncoupled_probe, rng, monkeypatch):
     """An m-step oracle call on K probes builds m step unitaries and m (K - 1)
-    spectator free evolutions: nothing is pruned or merged."""
+    spectator free evolutions: nothing is pruned or merged, and a stack of
+    n observables shares them (m step unitaries, not n m)."""
     calls = {"step_unitary": 0, "expm_hermitian": 0}
     for name in calls:
         original = getattr(ries.model, name)
@@ -269,14 +280,41 @@ def test_oracle_builds_every_factor(qubit_model, uncoupled_probe, rng, monkeypat
         monkeypatch.setattr(ries.model, name, counted)
     system, probe = qubit_model
     steps = [probe, uncoupled_probe, probe, uncoupled_probe, probe]
-    obs = ries.ObservableWindow(
-        a_s=random_hermitian(2, rng), b_list=tuple(random_hermitian(2, rng) for _ in range(3)), l=1, r=1
-    )
+    b_list = tuple(random_hermitian(2, rng) for _ in range(3))
     m, k = 4, 5  # K = m + r probes
-    ries.full_chain_oracle(system, steps, obs, m, system.gibbs_state())
-    assert calls["step_unitary"] == m
-    # each step unitary is itself one expm_hermitian; the rest are spectators
-    assert calls["expm_hermitian"] - calls["step_unitary"] == m * (k - 1)
+    for a_s in (random_hermitian(2, rng), np.array([random_hermitian(2, rng) for _ in range(3)])):
+        calls.update(step_unitary=0, expm_hermitian=0)
+        obs = ries.ObservableWindow(a_s=a_s, b_list=b_list, l=1, r=1)
+        ries.full_chain_oracle(system, steps, obs, m, system.gibbs_state())
+        assert calls["step_unitary"] == m
+        # each step unitary is itself one expm_hermitian; the rest are spectators
+        assert calls["expm_hermitian"] - calls["step_unitary"] == m * (k - 1)
+
+
+def test_stacked_oracle_equals_one_call_per_operator(rng):
+    """A stack shares one chain evolution; every entry is bitwise the one-operator
+    value, which stays a Python complex. Qutrit S with qubit and qutrit probes, a
+    non-Gibbs start, an l = r = 1 window and the m = 0 path."""
+    system, probes = _mixed_chain(rng)
+    a = _complex_matrix(3, rng)
+    rho_init = a @ dag(a) / np.trace(a @ dag(a))
+    a_s = np.array([random_hermitian(3, rng) for _ in range(4)])
+    b_list = (random_hermitian(2, rng), random_hermitian(3, rng), random_hermitian(2, rng))
+    windowed = ries.ObservableWindow(a_s=a_s, b_list=b_list, l=1, r=1)  # probes 1..3 at m = 2
+    system_only = ries.ObservableWindow.system_only(a_s, 2)
+    for obs, m in ((windowed, 2), (system_only, 3), (system_only, 0)):
+        got = ries.full_chain_oracle(system, probes, obs, m, rho_init)
+        assert got.shape == (4,) and got.dtype == complex
+        one_each = [ries.ObservableWindow(a, obs.b_list, obs.l, obs.r) for a in a_s]
+        single = [ries.full_chain_oracle(system, probes, one, m, rho_init) for one in one_each]
+        assert all(type(value) is complex for value in single)
+        assert np.array_equal(got, np.array(single))
+    # arbitrary (n, D, D) window operators on S x E_1 x E_2 x E_3 (dims 3, 2, 3, 2)
+    ops = np.array([_complex_matrix(36, rng) for _ in range(3)])
+    got = full_chain_expectation(system, probes, ops, 2, 1, 1, rho_init)
+    single = [full_chain_expectation(system, probes, op, 2, 1, 1, rho_init) for op in ops]
+    assert all(type(value) is complex for value in single)
+    assert np.array_equal(got, np.array(single))
 
 
 def test_reduce_window_capacity_guard(qubit_model):
