@@ -44,7 +44,7 @@ n_mat = ries.reduce_instant(system, [probe] * 3, obs)
 print("\nwindowed observable (l = r = 1):")
 for m in (3, 4, 5):
     word = np.linalg.matrix_power(rdo.m, m - 2)
-    lhs = np.vdot(psi_s, word @ n_mat @ psi_s)
+    lhs = np.vdot(psi_s, word @ vec(n_mat @ sqrt_rho))
     rhs = ries.full_chain_oracle(system, [probe] * (m + 1), obs, m, rho_s)
     print(f"  m={m}: reduced {lhs.real:+.12f}  oracle {rhs.real:+.12f}  "
           f"|diff| {abs(lhs - rhs):.2e}")

@@ -8,25 +8,22 @@ Subpackages:
 - ``ensemble``: random products, ergodic limits, decay and Lyapunov rates,
 - ``thermo``: instantaneous observables and energy/entropy fluxes,
 - ``cli``: configuration-driven experiment runner.
+
+The package namespace re-exports the most used entry points; everything
+else is reached through its submodule.
 """
 
 from .ensemble import (
-    EnsembleAtom,
-    EnsembleError,
     RrdoEnsemble,
     decay_estimator,
-    ensemble_from_json,
     lyapunov,
     mean_rdo,
     simulate_forward,
     simulate_reverse,
     simulate_theta,
-    theta_closed_form,
     theta_routes,
-    trajectory_rng,
 )
 from .model import (
-    CapacityError,
     DensityMatrix,
     ObservableWindow,
     ProbeSpec,
@@ -34,7 +31,6 @@ from .model import (
     full_chain_expectation,
     full_chain_oracle,
     model_from_json,
-    model_to_json,
     qubit_exchange_model,
     rdo_from_model,
     reduce_instant,
@@ -42,79 +38,29 @@ from .model import (
     step_unitary,
     system_gns_data,
 )
-from .rdo import (
-    GnsCertificate,
-    PowerBoundCertificate,
-    Rdo,
-    RdoDecomposition,
-    RdoValidationError,
-    SpectralReport,
-    classify,
-    convergence_equivalence_check,
-    decompose,
-    gns_norm,
-    ideal_asymptotics,
-    product_diagnostics,
-    uniform_bound_report,
-    validate,
-)
-from .thermo import (
-    FluxReport,
-    InstantObservableFamily,
-    energy_jump_family,
-    ergodic_instant_limit,
-    ergodic_instant_monte_carlo,
-    flux_closed_form,
-    flux_monte_carlo,
-    identity_family,
-    mean_reduced_observable,
-    observable_family,
-    probe_energy_family,
-    system_observable_family,
-)
+from .rdo import classify, gns_norm, ideal_asymptotics, uniform_bound_report, validate
+from .thermo import ergodic_instant_limit, flux_closed_form, flux_monte_carlo
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapacityError",
     "DensityMatrix",
-    "EnsembleAtom",
-    "EnsembleError",
-    "FluxReport",
-    "GnsCertificate",
-    "InstantObservableFamily",
     "ObservableWindow",
-    "PowerBoundCertificate",
     "ProbeSpec",
-    "Rdo",
-    "RdoDecomposition",
-    "RdoValidationError",
     "RrdoEnsemble",
-    "SpectralReport",
     "SystemSpec",
     "classify",
-    "convergence_equivalence_check",
     "decay_estimator",
-    "decompose",
-    "energy_jump_family",
-    "ensemble_from_json",
     "ergodic_instant_limit",
-    "ergodic_instant_monte_carlo",
     "flux_closed_form",
     "flux_monte_carlo",
     "full_chain_expectation",
     "full_chain_oracle",
     "gns_norm",
     "ideal_asymptotics",
-    "identity_family",
     "lyapunov",
     "mean_rdo",
-    "mean_reduced_observable",
     "model_from_json",
-    "model_to_json",
-    "observable_family",
-    "probe_energy_family",
-    "product_diagnostics",
     "qubit_exchange_model",
     "rdo_from_model",
     "reduce_instant",
@@ -124,10 +70,7 @@ __all__ = [
     "simulate_theta",
     "step_unitary",
     "system_gns_data",
-    "system_observable_family",
-    "theta_closed_form",
     "theta_routes",
-    "trajectory_rng",
     "uniform_bound_report",
     "validate",
 ]

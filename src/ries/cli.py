@@ -48,7 +48,6 @@ from .ensemble import (
     lyapunov,
     simulate_forward,
     simulate_reverse,
-    theta_routes,
     trajectory_rng,
 )
 from .linalg import random_hermitian, vec
@@ -352,7 +351,7 @@ def _run_ideal(cfg: dict, out: str) -> tuple[dict, dict]:
 
 def _run_ergodic(cfg: dict, out: str) -> tuple[dict, dict]:
     ens = ensemble_from_json(cfg["ensemble"])
-    routes = theta_routes(ens)
+    routes = ens.routes
     coef = float(cfg["bound_coefficient"])
     rep = simulate_forward(
         ens, cfg["seeds"], int(cfg["n_total"]), checkpoint_every=int(cfg["checkpoint_every"])

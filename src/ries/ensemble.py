@@ -113,6 +113,11 @@ class RrdoEnsemble:
         """Spectral class of E[M], computed once per ensemble."""
         return classify(self.mean)
 
+    @cached_property
+    def routes(self) -> dict:
+        """Theta by both routes (see :func:`theta_routes`), computed once per ensemble."""
+        return theta_routes(self)
+
     def sample_paths(self, rngs: list[np.random.Generator], n: int) -> np.ndarray:
         """(len(rngs), n) iid atom indices, row s drawn from rngs[s], in the smallest dtype."""
         paths = np.empty((len(rngs), n), dtype=np.min_scalar_type(self.n_atoms))
@@ -229,11 +234,11 @@ def theta_routes(ens: RrdoEnsemble) -> dict:
     }
 
 
-def theta_closed_form(ens: RrdoEnsemble, tol: float = 1e-10) -> np.ndarray:
+def theta_closed_form(ens: RrdoEnsemble) -> np.ndarray:
     if not ens.mean_report.in_class_e:
         raise EnsembleError("theta needs the mean operator in the simple-gap class")
-    routes = theta_routes(ens)
-    if routes["mismatch"] > tol:
+    routes = ens.routes
+    if routes["mismatch"] > 1e-10:
         raise EnsembleError(f"theta routes disagree by {routes['mismatch']:.3e}")
     theta = routes["theta_projector"]
     if abs(np.vdot(ens.psi_s, theta) - 1.0) > 1e-10:

@@ -34,11 +34,6 @@ def unvec(v: np.ndarray, d: int | None = None) -> np.ndarray:
     return v.reshape((d, d), order="F")
 
 
-def left_mult_matrix(a: np.ndarray) -> np.ndarray:
-    """Matrix of X -> A X in the column-major vectorized picture."""
-    return np.kron(np.eye(a.shape[0]), a)
-
-
 def right_mult_matrix(b: np.ndarray) -> np.ndarray:
     """Matrix of X -> X B in the column-major vectorized picture."""
     return np.kron(b.T, np.eye(b.shape[0]))
@@ -63,26 +58,6 @@ def expm_hermitian(h: np.ndarray, scale: complex = 1.0) -> np.ndarray:
     """exp(scale * h) for Hermitian h, via eigendecomposition."""
     w, u = np.linalg.eigh(h)
     return (u * np.exp(scale * w)) @ dag(u)
-
-
-def embed(op: np.ndarray, dims: list[int], sites: list[int]) -> np.ndarray:
-    """Embed an operator acting on `sites` (in that tensor order) into the
-    full product space with factor dimensions `dims`.
-
-    `op` must act on the tensor product of the listed sites, ordered as given.
-    """
-    n = len(dims)
-    rest = [s for s in range(n) if s not in sites]
-    order = sites + rest
-    dim_rest = int(np.prod([dims[s] for s in rest], dtype=np.int64)) if rest else 1
-    big = np.kron(op, np.eye(dim_rest))
-    # permute tensor factors from `order` back to 0..n-1
-    shaped = big.reshape([dims[s] for s in order] * 2)
-    inv = np.argsort(order)
-    perm = list(inv) + [n + i for i in inv]
-    shaped = shaped.transpose(perm)
-    dim_tot = int(np.prod(dims, dtype=np.int64))
-    return shaped.reshape(dim_tot, dim_tot)
 
 
 def spectral_norm(a: np.ndarray) -> float:

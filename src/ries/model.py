@@ -9,8 +9,8 @@ a time ``tau``. This module builds, from such data:
 - the reduced Heisenberg map ``Phi(A) = Tr_E[(1 x rho_E) U* (A x 1) U]``,
 - the reduced dynamics operator (RDO) acting on the vectorized GNS
   space of the system, with invariant vector ``psi_s = vec(rho_s^(1/2))``,
-- reductions of windowed chain observables to single matrices on the
-  GNS space,
+- reductions of windowed chain observables to single system matrices in
+  the Heisenberg picture (the GNS space sees them by left multiplication),
 
 and, crucially, an exact brute-force evaluation of the repeated
 interaction dynamics on a truncated chain (``full_chain_oracle``) against
@@ -36,10 +36,8 @@ from . import rdo as rdo_mod
 from .linalg import (
     dag,
     expm_hermitian,
-    left_mult_matrix,
     require_hermitian,
     right_mult_matrix,
-    unvec,
     vec,
 )
 from .serialize import matrix_from_json, matrix_to_json
@@ -224,17 +222,6 @@ def reduced_heisenberg_map(sys: SystemSpec, probe: ProbeSpec) -> np.ndarray:
     return phi.reshape(d * d, d * d)
 
 
-def choi_matrix(phi: np.ndarray, d: int) -> np.ndarray:
-    """Choi matrix sum_kl E_kl x Phi(E_kl) of a vectorized map."""
-    c = np.zeros((d * d, d * d), dtype=complex)
-    for k in range(d):
-        for ll in range(d):
-            e_kl = np.zeros((d, d), dtype=complex)
-            e_kl[k, ll] = 1.0
-            c += np.kron(e_kl, unvec(phi @ vec(e_kl), d))
-    return c
-
-
 def system_gns_data(sys: SystemSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rho_s, rho_s^(1/2), psi_s) for the system Gibbs reference state."""
     rho_s = sys.gibbs_state()
@@ -243,12 +230,6 @@ def system_gns_data(sys: SystemSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray
         raise ValueError("rho_s is singular; beta_s must be finite")
     sqrt_rho = (u * np.sqrt(w)) @ dag(u)
     return rho_s, sqrt_rho, vec(sqrt_rho)
-
-
-def heisenberg_to_gns(phi: np.ndarray, sqrt_rho_s: np.ndarray) -> np.ndarray:
-    """Conjugate a vectorized Heisenberg map by iota(A) = A rho_s^(1/2)."""
-    iota = right_mult_matrix(sqrt_rho_s)
-    return iota @ phi @ np.linalg.inv(iota)
 
 
 def rdo_from_model(sys: SystemSpec, probe: ProbeSpec) -> "rdo_mod.Rdo":
@@ -260,7 +241,8 @@ def rdo_from_model(sys: SystemSpec, probe: ProbeSpec) -> "rdo_mod.Rdo":
     """
     _, sqrt_rho, psi_s = system_gns_data(sys)
     phi = reduced_heisenberg_map(sys, probe)
-    m = heisenberg_to_gns(phi, sqrt_rho)
+    iota = right_mult_matrix(sqrt_rho)  # iota(A) = A rho_s^(1/2)
+    m = iota @ phi @ np.linalg.inv(iota)
     cert = rdo_mod.GnsCertificate(sqrt_rho_s=sqrt_rho)
     return rdo_mod.Rdo(m=m, psi_s=psi_s, certificate=cert, phi=phi)
 
@@ -434,11 +416,12 @@ def reduce_window_operator(
 def reduce_instant(
     sys: SystemSpec, window_steps: list[ProbeSpec], obs: ObservableWindow
 ) -> np.ndarray:
-    """GNS matrix N of an instantaneous observable, acting by left multiplication.
+    """Reduced Heisenberg system matrix X of an instantaneous observable.
 
-    Satisfies <psi_0, alpha^m(O) psi_0> = <psi_S, M_1 ... M_(m-l-1) N psi_S>
-    with the M_k built from the same models; probes at future slots (j > 0)
-    enter only through the scalars Tr[Gibbs_j B_j].
+    Its GNS matrix N is left multiplication by X, so N psi_S = vec(X rho_s^(1/2))
+    and <psi_0, alpha^m(O) psi_0> = <psi_S, M_1 ... M_(m-l-1) N psi_S> with the
+    M_k built from the same models; probes at future slots (j > 0) enter only
+    through the scalars Tr[Gibbs_j B_j].
     """
     l, r = obs.l, obs.r
     if len(window_steps) != l + r + 1:
@@ -449,8 +432,7 @@ def reduce_instant(
     op = obs.a_s
     for j in range(-l, 1):
         op = np.kron(op, obs.b_list[j + l])
-    n_heis = reduce_window_operator(sys, window_steps[: l + 1], op, l, 0)
-    return scalar * left_mult_matrix(n_heis)
+    return scalar * reduce_window_operator(sys, window_steps[: l + 1], op, l, 0)
 
 
 def sigma_plus() -> np.ndarray:

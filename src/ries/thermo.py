@@ -1,10 +1,11 @@
 """Instantaneous observables, their ergodic limits, and energy/entropy fluxes.
 
-A window family maps tuples of ensemble atom indices to reduced matrices
-on the GNS space; its ergodic limit in the asymptotic state is
-<theta, E[N] psi_s>, with E[N] a finite weighted sum over atom tuples.
-The asymptotic energy production per step comes from the per-encounter
-flux matrix
+A window family is one stack of reduced Heisenberg system matrices X, one
+per tuple of ensemble atom indices. Every ergodic limit is read off one
+asymptotic state on the system, rho_+ = unvec(psi_s) unvec(theta)^*: the
+limit of a family is Tr[rho_+ E[X]], with E[X] a finite weighted sum over
+atom tuples. The asymptotic energy production per step comes from the
+per-encounter flux matrix
 
     F = E_rho_E[(H_S + V) - W* (H_S + V) W]
 
@@ -31,7 +32,7 @@ from itertools import product as iter_product
 import numpy as np
 
 from .ensemble import EnsembleError, RrdoEnsemble, theta_closed_form, trajectory_rng
-from .linalg import KahanAccumulator, dag, left_mult_matrix, right_mult_matrix, unvec, vec
+from .linalg import KahanAccumulator, dag, unvec, vec
 from .model import (
     ObservableWindow,
     ProbeSpec,
@@ -40,7 +41,6 @@ from .model import (
     reduce_instant,
     reduce_window_operator,
     reduced_heisenberg_map,
-    system_gns_data,
     weighted_partial_trace,
 )
 
@@ -49,28 +49,25 @@ from .model import (
 class InstantObservableFamily:
     """Stationary family of reduced window observables over atom tuples.
 
-    `reduced` maps (i_(-l), ..., i_r) atom-index tuples to the d^2 x d^2
-    GNS matrix of the corresponding instantaneous observable. Stationarity
-    (no dependence on the absolute time step) is built in: the same map is
-    used at every step.
+    `x` is the (n_atoms**width, d, d) stack of reduced Heisenberg system
+    matrices X, one per atom tuple (i_(-l), ..., i_r), flattened row-major
+    as ``itertools.product`` enumerates them. Stationarity (no dependence
+    on the absolute time step) is built in: the same stack is used at every
+    step.
     """
 
     l: int
     r: int
-    reduced: dict
+    x: np.ndarray
     name: str = ""
 
     @property
     def width(self) -> int:
         return self.l + self.r + 1
 
-    def n_psi_table(self, psi_s: np.ndarray, n_atoms: int) -> np.ndarray:
-        """Stacked N psi_s vectors, indexed by flattened atom tuple."""
-        d2 = psi_s.size
-        table = np.empty((n_atoms**self.width, d2), dtype=complex)
-        for flat, tup in enumerate(iter_product(range(n_atoms), repeat=self.width)):
-            table[flat] = self.reduced[tup] @ psi_s
-        return table
+    def n_psi_table(self, psi_s: np.ndarray) -> np.ndarray:
+        """(n_atoms**width, d^2) GNS vectors vec(X unvec(psi_s)), one per atom tuple."""
+        return (self.x @ unvec(psi_s, self.x.shape[1])).transpose(0, 2, 1).reshape(len(self.x), -1)
 
 
 def _require_models(ens: RrdoEnsemble) -> SystemSpec:
@@ -89,16 +86,16 @@ def observable_family(
     """Reduce builder(probes) over every atom tuple of the window.
 
     `builder` receives the tuple of ProbeSpecs at slots -l..r and returns an
-    ObservableWindow; the result is cached per tuple.
+    ObservableWindow; row t of the family's stack is the reduction for the
+    t-th tuple of ``itertools.product``.
     """
     system = _require_models(ens)
     check_capacity([system.dim_s], l + r)
-    reduced = {}
+    x = []
     for tup in iter_product(range(ens.n_atoms), repeat=l + r + 1):
         probes = [ens.atoms[i].probe for i in tup]
-        obs = builder(tuple(probes))
-        reduced[tup] = reduce_instant(system, probes, obs)
-    return InstantObservableFamily(l=l, r=r, reduced=reduced, name=name)
+        x.append(reduce_instant(system, probes, builder(tuple(probes))))
+    return InstantObservableFamily(l=l, r=r, x=np.array(x), name=name)
 
 
 def system_observable_family(ens: RrdoEnsemble, a_s: np.ndarray) -> InstantObservableFamily:
@@ -137,19 +134,24 @@ def identity_family(ens: RrdoEnsemble, l: int = 0, r: int = 0) -> InstantObserva
 
 
 def mean_reduced_observable(ens: RrdoEnsemble, fam: InstantObservableFamily) -> np.ndarray:
-    """E[N]: expectation of the reduced window matrix over the product measure."""
-    d2 = ens.dim
-    out = np.zeros((d2, d2), dtype=complex)
-    for tup, n_mat in fam.reduced.items():
-        weight = float(np.prod([ens.probs[i] for i in tup]))
-        out += weight * n_mat
-    return out
+    """E[X]: expectation of the reduced system matrix over the product measure."""
+    weights = np.ones(1)
+    for _ in range(fam.width):
+        weights = np.outer(weights, ens.probs).ravel()
+    return np.einsum("t,tij->ij", weights, fam.x)
+
+
+def _rho_plus(ens: RrdoEnsemble) -> np.ndarray:
+    """Asymptotic state rho_+ = unvec(psi_s) unvec(theta)^*.
+
+    <theta, vec(X rho_s^(1/2))> = Tr[rho_+ X] for every system matrix X.
+    """
+    return unvec(ens.psi_s) @ dag(unvec(theta_closed_form(ens)))
 
 
 def ergodic_instant_limit(ens: RrdoEnsemble, fam: InstantObservableFamily) -> complex:
-    """Closed-form ergodic limit <theta, E[N] psi_s>."""
-    theta = theta_closed_form(ens)
-    return complex(np.vdot(theta, mean_reduced_observable(ens, fam) @ ens.psi_s))
+    """Closed-form ergodic limit Tr[rho_+ E[X]] (= <theta, E[N] psi_s> on the GNS space)."""
+    return complex(np.trace(_rho_plus(ens) @ mean_reduced_observable(ens, fam)))
 
 
 def _cesaro_means(
@@ -216,7 +218,7 @@ def ergodic_instant_monte_carlo(
     pairs it with the stacked N psi_s table of the family; see
     :func:`_cesaro_means` for the seed batching and the `burn_in` default.
     """
-    table = fam.n_psi_table(ens.psi_s, ens.n_atoms)[:, None, :]
+    table = fam.n_psi_table(ens.psi_s)[:, None, :]
     per_seed = _cesaro_means(
         ens, ens.adjoints, ens.psi_s, table, fam.width, master_seed, n_total, n_seeds, burn_in
     )[:, 0]
@@ -273,11 +275,9 @@ def energy_jump_family(ens: RrdoEnsemble) -> InstantObservableFamily:
     """
     d = _require_models(ens).dim_s
     jump, _ = energy_tables(ens)
-    reduced = {
-        (i, j): left_mult_matrix(unvec(jump[i, j], d))
-        for i, j in iter_product(range(ens.n_atoms), repeat=2)
-    }
-    return InstantObservableFamily(l=0, r=1, reduced=reduced, name="energy_jump")
+    # row i * n_atoms + j holds unvec(jump[i, j]); a column-major vec reshapes to X^T
+    x = jump.reshape(-1, d, d).transpose(0, 2, 1)
+    return InstantObservableFamily(l=0, r=1, x=x, name="energy_jump")
 
 
 @dataclass
@@ -318,15 +318,13 @@ def mean_beta(ens: RrdoEnsemble) -> float:
 def flux_closed_form(ens: RrdoEnsemble) -> FluxReport:
     """Asymptotic energy and entropy production per step, from the displays.
 
-    Both are steady-state pairings <theta, E[...] psi_s>; the entropy display
-    carries beta_E inside the expectation, evaluated per joint atom draw.
+    Both are steady-state values Tr[rho_+ E[...]] of the flux matrices; the
+    entropy display carries beta_E inside the expectation, evaluated per
+    joint atom draw.
     """
-    system = _require_models(ens)
-    theta = theta_closed_form(ens)
     _, flux = energy_tables(ens)
-    _, sqrt_rho, _ = system_gns_data(system)
-    # <theta, vec(F_i rho_s^(1/2))> for every atom at once
-    pairings = flux @ (right_mult_matrix(sqrt_rho).T @ theta.conj())
+    # Tr[rho_+ F_i] = vec(F_i) . vec(rho_+^T) for every atom at once
+    pairings = flux @ vec(_rho_plus(ens).T)
     de = ens.probs @ pairings
     ds = (ens.probs * _betas(ens)) @ pairings
     imag = max(abs(de.imag), abs(ds.imag))

@@ -69,7 +69,7 @@ def test_criterion_2_instant_observable_oracle():
     for _ in range(10):
         system, probe = _random_model(rng)
         rdo = ries.rdo_from_model(system, probe)
-        _, _, psi_s = ries.system_gns_data(system)
+        _, sqrt_rho, psi_s = ries.system_gns_data(system)
         rho_s = system.gibbs_state()
         obs = ries.ObservableWindow(
             a_s=random_hermitian(2, rng),
@@ -80,7 +80,7 @@ def test_criterion_2_instant_observable_oracle():
         n_mat = reduce_instant(system, [probe] * 3, obs)
         for m in (3, 4, 5):
             word = np.linalg.matrix_power(rdo.m, m - 2)  # m - l - 1 factors
-            lhs = np.vdot(psi_s, word @ n_mat @ psi_s)
+            lhs = np.vdot(psi_s, word @ vec(n_mat @ sqrt_rho))
             rhs = ries.full_chain_oracle(system, [probe] * (m + 1), obs, m, rho_s)
             worst = np.maximum(worst, abs(lhs - rhs))  # a NaN residual propagates
     elapsed = time.monotonic() - t0

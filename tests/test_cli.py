@@ -285,6 +285,28 @@ def test_ergodic_csv_bound_uses_coefficient(tmp_path, ensemble_doc):
         assert float(bound) == 3.0 / np.sqrt(int(n))
 
 
+def test_theta_computed_once_per_ensemble(tmp_path, ensemble_doc, monkeypatch):
+    """theta_closed_form, both closed forms and an ergodic run share one theta_routes."""
+    calls = {"theta_routes": 0}
+    orig = ries.ensemble.theta_routes
+
+    def counted(*args, **kwargs):
+        calls["theta_routes"] += 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(ries.ensemble, "theta_routes", counted)
+    ens = ries.ensemble.ensemble_from_json(ensemble_doc)
+    ries.ensemble.theta_closed_form(ens)
+    ries.flux_closed_form(ens)
+    ries.ergodic_instant_limit(ens, ries.thermo.identity_family(ens))
+    ries.ensemble.theta_closed_form(ens)
+    assert calls == {"theta_routes": 1}
+    # the ergodic runner reads the routes and simulate_forward reads theta: one call
+    cfg = validate_config({"experiment": "ergodic", "ensemble": ensemble_doc, "n_total": 200})
+    assert run(cfg, out=str(tmp_path))["passed"]
+    assert calls == {"theta_routes": 2}
+
+
 def test_all_demo_configs_validate():
     """Schema stability: every example config shipped with the repo validates."""
     root = os.path.join(os.path.dirname(__file__), "..", "demos", "configs")

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
+from dense_reference import embed, left_mult_matrix
 
 from ries.linalg import (
     KahanAccumulator,
     dag,
-    embed,
     expm_hermitian,
-    left_mult_matrix,
     nuclear_norm,
     random_complex_matrix,
     random_hermitian,

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
+from dense_reference import choi_matrix, embed
 
 import ries
-from ries.linalg import dag, embed, expm_hermitian, random_hermitian, unvec, vec
+from ries.linalg import dag, expm_hermitian, random_hermitian, unvec, vec
 from ries.model import (
     CapacityError,
-    choi_matrix,
     full_chain_expectation,
     gibbs,
     model_from_json,
@@ -213,7 +213,7 @@ def test_oracle_heterogeneous_chain(qubit_model, uncoupled_probe, rng):
 def test_reduce_instant_oracle_window(qubit_model, rng):
     system, probe = qubit_model
     rdo = ries.rdo_from_model(system, probe)
-    _, _, psi_s = ries.system_gns_data(system)
+    _, sqrt_rho, psi_s = ries.system_gns_data(system)
     rho_s = system.gibbs_state()
     obs = ries.ObservableWindow(
         a_s=random_hermitian(2, rng),
@@ -224,7 +224,7 @@ def test_reduce_instant_oracle_window(qubit_model, rng):
     n_mat = ries.reduce_instant(system, [probe] * 3, obs)
     for m in (3, 4):
         word = np.linalg.matrix_power(rdo.m, m - 2)  # m - l - 1 factors
-        lhs = np.vdot(psi_s, word @ n_mat @ psi_s)
+        lhs = np.vdot(psi_s, word @ vec(n_mat @ sqrt_rho))
         rhs = ries.full_chain_oracle(system, [probe] * (m + 1), obs, m, rho_s)
         assert abs(lhs - rhs) < 1e-10
 

@@ -3,12 +3,15 @@
 Every module-level import in ``src/ries/*.py`` must be used (names listed
 in ``__all__`` count as used), and no module may reach into another
 ``ries`` module's underscore-prefixed names, by import or by attribute.
+``ries.__all__`` lists exactly the names the package namespace imports.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import ries
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ries"
 MODULES = sorted(SRC.glob("*.py"))
@@ -84,6 +87,17 @@ def test_no_private_cross_module_access(path):
         ):
             private.append(f"{node.value.id}.{node.attr}")
     assert not private, f"{path.name}: uses private names of other modules {private}"
+
+
+def test_all_lists_exactly_the_package_imports():
+    """`ries.__all__` names what `ries/__init__.py` imports, no more and no less."""
+    imported = [
+        alias.asname or alias.name
+        for node in _parse(SRC / "__init__.py").body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert sorted(ries.__all__) == sorted(imported)
 
 
 def test_checks_see_every_module():

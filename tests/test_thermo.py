@@ -1,15 +1,17 @@
+from itertools import product
+
 import numpy as np
 import pytest
+from dense_reference import embed, left_mult_matrix
 
 import ries
-from ries.ensemble import EnsembleError, RrdoEnsemble, trajectory_rng
+from ries.ensemble import EnsembleError, RrdoEnsemble, theta_closed_form, trajectory_rng
 from ries.linalg import (
     KahanAccumulator,
     dag,
-    embed,
-    left_mult_matrix,
     random_complex_matrix,
     random_hermitian,
+    right_mult_matrix,
     unvec,
     vec,
 )
@@ -41,7 +43,7 @@ def test_identity_family_normalized(reference_ensemble):
     fam = identity_family(reference_ensemble)
     e_n = mean_reduced_observable(reference_ensemble, fam)
     psi = reference_ensemble.psi_s
-    assert np.isclose(np.vdot(psi, e_n @ psi), 1.0, atol=1e-12)
+    assert np.isclose(np.vdot(psi, vec(e_n @ unvec(psi))), 1.0, atol=1e-12)
     assert np.isclose(ergodic_instant_limit(reference_ensemble, fam).real, 1.0, atol=1e-10)
 
 
@@ -49,7 +51,7 @@ def test_single_atom_mean_is_atom(qubit_model):
     system, probe = qubit_model
     ens = RrdoEnsemble.from_models(system, [(1.0, probe)])
     fam = probe_energy_family(ens)
-    assert np.allclose(mean_reduced_observable(ens, fam), fam.reduced[(0,)], atol=1e-14)
+    assert np.allclose(mean_reduced_observable(ens, fam), fam.x[0], atol=1e-14)
 
 
 def test_mean_reduced_matches_enumeration(reference_ensemble, rng):
@@ -61,7 +63,7 @@ def test_mean_reduced_matches_enumeration(reference_ensemble, rng):
         return ries.ObservableWindow(a_s=a_s, b_list=(b, b, b), l=1, r=1)
 
     fam = observable_family(reference_ensemble, build, 1, 1)
-    expected = np.zeros((4, 4), dtype=complex)
+    expected = np.zeros((2, 2), dtype=complex)
     for i in range(2):
         for j in range(2):
             for k in range(2):
@@ -103,7 +105,7 @@ def test_jump_family_zero_coupling(qubit_model, uncoupled_probe):
     system, _ = qubit_model
     ens = RrdoEnsemble.from_models(system, [(1.0, uncoupled_probe)])
     fam = energy_jump_family(ens)
-    assert max(np.abs(m).max() for m in fam.reduced.values()) < 1e-12
+    assert np.abs(fam.x).max() < 1e-12
 
 
 def test_jump_family_needs_models():
@@ -169,7 +171,7 @@ def test_energy_tables_match_per_pair_reductions(rng):
             vbar_j = weighted_partial_trace(atom_j.probe.v, d, atom_j.probe.gibbs_state())
             nxt = reduce_window_operator(system, [p_i], np.kron(vbar_j, np.eye(2)), 0, 0)
             assert np.abs(unvec(jump[i, j], d) - (nxt - own)).max() < 1e-12
-            assert np.abs(fam.reduced[(i, j)] - left_mult_matrix(nxt - own)).max() < 1e-12
+            assert np.abs(fam.x[i * ens.n_atoms + j] - (nxt - own)).max() < 1e-12
         # E_rho_E[(H_S + V) - W* (H_S + V) W], with W built here
         x = np.kron(system.h_s, np.eye(2)) + p_i.v
         w = step_unitary(system, p_i)
@@ -194,6 +196,74 @@ def test_mean_operator_classified_once(rng, monkeypatch):
     flux_closed_form(ens)
     ergodic_instant_limit(ens, identity_family(ens))
     assert calls == {"mean_rdo": 1, "classify": 1}
+
+
+def _slot_dependent_family(ens, rng):
+    """l = r = 1 family whose window reads each slot's probe differently."""
+    a_s = random_complex_matrix(3, rng)
+    b_prev, b_now, b_next = (random_hermitian(2, rng) for _ in range(3))
+
+    def build(probes):
+        b_list = (probes[0].tau * b_prev, b_now + probes[1].h_e, probes[2].beta_e * b_next)
+        return ries.ObservableWindow(a_s=a_s, b_list=b_list, l=1, r=1)
+
+    return observable_family(ens, build, 1, 1), build
+
+
+def test_family_rows_follow_tuple_order(rng):
+    """Row i*9 + j*3 + k of the stack is reduce_instant of the tuple (i, j, k), on
+    three distinct atoms with unequal p, and E[X] weights it by p_i p_j p_k. The
+    Monte Carlo table row is that tuple's GNS vector N psi_s."""
+    ens = _heterogeneous_ensemble(rng)
+    fam, build = _slot_dependent_family(ens, rng)
+    assert fam.x.shape == (27, 3, 3)
+    table = fam.n_psi_table(ens.psi_s)
+    expected = np.zeros((3, 3), dtype=complex)
+    for i, j, k in np.ndindex(3, 3, 3):
+        probes = [ens.atoms[x].probe for x in (i, j, k)]
+        x_ijk = ries.reduce_instant(ens.system, probes, build(tuple(probes)))
+        assert np.array_equal(fam.x[9 * i + 3 * j + k], x_ijk)
+        assert np.abs(table[9 * i + 3 * j + k] - left_mult_matrix(x_ijk) @ ens.psi_s).max() < 1e-14
+        expected += ens.probs[i] * ens.probs[j] * ens.probs[k] * x_ijk
+    assert np.abs(mean_reduced_observable(ens, fam) - expected).max() < 1e-12
+
+
+def _gns_instant_limit(ens, fam):
+    """Reference: <theta, E[N] psi_s>, N the d^2 x d^2 left multiplication by X."""
+    e_n = sum(
+        np.prod(ens.probs[list(tup)]) * left_mult_matrix(x)
+        for tup, x in zip(product(range(ens.n_atoms), repeat=fam.width), fam.x)
+    )
+    return np.vdot(theta_closed_form(ens), e_n @ ens.psi_s)
+
+
+def _gns_fluxes(ens):
+    """Reference: (dE+, dS+) from <theta, vec(F_i rho_s^(1/2))> on the GNS space."""
+    _, flux = energy_tables(ens)
+    _, sqrt_rho, _ = ries.system_gns_data(ens.system)
+    pairings = flux @ (right_mult_matrix(sqrt_rho).T @ theta_closed_form(ens).conj())
+    betas = np.array([a.probe.beta_e for a in ens.atoms])
+    return ens.probs @ pairings, (ens.probs * betas) @ pairings
+
+
+def test_closed_forms_match_gns_matrix_formulas(reference_ensemble, rng):
+    """Tr[rho_+ E[X]] and the rho_+ flux pairing equal the GNS-matrix formulas."""
+    hetero = _heterogeneous_ensemble(rng)
+    cases = [
+        (reference_ensemble, identity_family(reference_ensemble)),
+        (reference_ensemble, probe_energy_family(reference_ensemble)),
+        (reference_ensemble, energy_jump_family(reference_ensemble)),
+        (hetero, system_observable_family(hetero, random_complex_matrix(3, rng))),
+        (hetero, energy_jump_family(hetero)),
+        (hetero, _slot_dependent_family(hetero, rng)[0]),
+    ]
+    for ens, fam in cases:
+        assert abs(ergodic_instant_limit(ens, fam) - _gns_instant_limit(ens, fam)) < 1e-12
+    for ens in (reference_ensemble, hetero):
+        rep = flux_closed_form(ens)
+        de, ds = _gns_fluxes(ens)
+        assert abs(rep.de_plus - de.real) < 1e-12 and abs(rep.ds_plus - ds.real) < 1e-12
+        assert abs(rep.imag_defect - max(abs(de.imag), abs(ds.imag))) < 1e-12
 
 
 def test_second_law_deterministic_beta(rng):
@@ -257,7 +327,7 @@ def test_flux_report_json_fields(reference_ensemble):
 
 def _instant_per_seed_loop(ens, fam, master_seed, n_total, n_seeds, burn_in):
     """Reference: one seed at a time, one np.vdot per step."""
-    table = fam.n_psi_table(ens.psi_s, ens.n_atoms)
+    table = fam.n_psi_table(ens.psi_s)
     w = fam.width
     per_seed = np.empty(n_seeds, dtype=complex)
     for s in range(n_seeds):
