@@ -43,7 +43,7 @@ for name, rho0 in [
     ("Gibbs", system.gibbs_state()),
     ("ground", np.diag([1.0, 0.0]).astype(complex)),
 ]:
-    mc = ries.flux_monte_carlo(ens, master_seed=0, n_total=20_000, n_seeds=4, rho_init=rho0)
+    mc = ries.flux_monte_carlo(ens, seeds=[0, 1, 2, 3], n_total=20_000, rho_init=rho0)
     print(f"Monte Carlo ({name} start): dE+ = {mc.de_plus:+.6e} "
           f"+- {mc.de_stderr:.1e}, dS+ = {mc.ds_plus:+.6e} +- {mc.ds_stderr:.1e}")
 

@@ -22,11 +22,10 @@ seeds that are not integers >= 0 (or fewer than 2 for Monte Carlo), and
 probabilities, tolerances, coefficients, model ``beta``/``tau`` or
 presample bounds that are not finite (and, but for bounds, nonnegative);
 each model ``dim`` must be an integer >= 1. Matrices are parsed only by
-``run``. All seeds of a config step as one batch: seed s drives
-``trajectory_rng(s)`` (the Monte Carlo of ``instant``/``fluxes``:
-``trajectory_rng(seeds[0], i)``, i < len(seeds)), so a seed's results do
-not depend on the batch, and identical configs give byte-identical
-summaries except for the wall-time field.
+``run``. All seeds of a config step as one batch, in every stochastic
+experiment alike: seed s drives ``trajectory_rng(s)``, so a seed's results
+do not depend on the batch or on which other seeds ran, and identical
+configs give byte-identical summaries except for the wall-time field.
 """
 
 from __future__ import annotations
@@ -462,9 +461,7 @@ def _run_instant(cfg: dict, out: str) -> tuple[dict, dict]:
     else:
         fam = system_observable_family(ens, matrix_from_json(cfg["a_s"], "a_s"))
     closed = ergodic_instant_limit(ens, fam)
-    mc = ergodic_instant_monte_carlo(
-        ens, fam, master_seed=cfg["seeds"][0], n_total=int(cfg["n_total"]), n_seeds=len(cfg["seeds"])
-    )
+    mc = ergodic_instant_monte_carlo(ens, fam, cfg["seeds"], int(cfg["n_total"]))
     diff = abs(mc["mean"] - closed)
     within = bool(np.isfinite(mc["stderr"]) and diff <= 3.0 * max(mc["stderr"], 1e-12))
     payload = {
@@ -490,13 +487,7 @@ def _run_fluxes(cfg: dict, out: str) -> tuple[dict, dict]:
         rho_init = (
             matrix_from_json(cfg["rho_init"], "rho_init") if "rho_init" in cfg else None
         )
-        mc = flux_monte_carlo(
-            ens,
-            master_seed=cfg["seeds"][0],
-            n_total=int(cfg["n_total"]),
-            n_seeds=len(cfg["seeds"]),
-            rho_init=rho_init,
-        )
+        mc = flux_monte_carlo(ens, cfg["seeds"], int(cfg["n_total"]), rho_init=rho_init)
         payload["monte_carlo"] = mc.to_json()
         for name, value, ref, err in (
             ("mc_de_within_3_sigma", mc.de_plus, closed.de_plus, mc.de_stderr),

@@ -12,9 +12,10 @@ one (S, d, d) or (S, d) stack, with one batched SVD or QR where a step or
 checkpoint needs one and norms taken slice by slice; their records hold one
 row per seed, bitwise equal to a run of that seed alone.
 
-Randomness is counter-based (Philox) and fully reproducible: the
-trajectory stream for (master_seed, trajectory_index) never depends on
-how many other trajectories ran.
+Randomness is counter-based (Philox) and fully reproducible: a seed is
+one realization of the atom sequence, and :meth:`RrdoEnsemble.sample_paths`
+is the one place where it becomes a stream, so a seed's path never depends
+on which other seeds ran.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from functools import cached_property
 import numpy as np
 
 from . import rdo as rdo_mod
-from .linalg import KahanAccumulator, dag
-from .model import ProbeSpec, SystemSpec, model_from_json, rdo_from_model
+from .linalg import KahanAccumulator, dag, vec
+from .model import ProbeSpec, SystemSpec, atom_energy_terms, model_from_json, rdo_from_model
 from .rdo import (
     GnsCertificate,
     PowerBoundCertificate,
@@ -48,9 +49,9 @@ class EnsembleError(Exception):
     pass
 
 
-def trajectory_rng(master_seed: int, trajectory_index: int = 0) -> np.random.Generator:
-    """Counter-based generator for one trajectory; independent across indices."""
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(trajectory_index,))
+def trajectory_rng(seed: int) -> np.random.Generator:
+    """Counter-based generator for one seed; independent across seeds."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -118,11 +119,25 @@ class RrdoEnsemble:
         """Theta by both routes (see :func:`theta_routes`), computed once per ensemble."""
         return theta_routes(self)
 
-    def sample_paths(self, rngs: list[np.random.Generator], n: int) -> np.ndarray:
-        """(len(rngs), n) iid atom indices, row s drawn from rngs[s], in the smallest dtype."""
-        paths = np.empty((len(rngs), n), dtype=np.min_scalar_type(self.n_atoms))
-        for row, rng in zip(paths, rngs):
-            row[:] = rng.choice(self.n_atoms, size=n, p=self.probs)
+    @cached_property
+    def energy_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Energy-jump and flux tables of model-built atoms, computed once per ensemble.
+
+        ``jump[i, j] = vec(Phi_i(vbar_j) - own_i)`` and ``flux[i] = vec(F_i)``
+        (see :func:`ries.thermo.energy_tables`); one reduction per atom builds both.
+        """
+        phis = np.stack([a.rdo.phi for a in self.atoms])
+        terms = [atom_energy_terms(self.system, a.probe, a.rdo.phi) for a in self.atoms]
+        vbar, own, flux = (np.stack([vec(x) for x in column]) for column in zip(*terms))
+        jump = np.einsum("iab,jb->ija", phis, vbar) - own[:, None, :]
+        return jump, flux
+
+    def sample_paths(self, seeds, n: int) -> np.ndarray:
+        """(S, n) iid atom indices, smallest dtype; row s is drawn from trajectory_rng(seeds[s])."""
+        seeds = np.atleast_1d(seeds)
+        paths = np.empty((len(seeds), n), dtype=np.min_scalar_type(self.n_atoms))
+        for row, seed in zip(paths, seeds):
+            row[:] = trajectory_rng(int(seed)).choice(self.n_atoms, size=n, p=self.probs)
         return paths
 
     @classmethod
@@ -158,7 +173,7 @@ class RrdoEnsemble:
         `ranges` maps any of "tau", "beta", "coupling" to {"low": a, "high": b};
         "coupling" scales the interaction operator.
         """
-        rng = trajectory_rng(seed, 0)
+        rng = trajectory_rng(seed)
         weighted = []
         for _ in range(count):
             tau = base_probe.tau
@@ -249,11 +264,12 @@ def theta_closed_form(ens: RrdoEnsemble) -> np.ndarray:
 def _start(ens: RrdoEnsemble, seeds, n_total: int) -> tuple[np.ndarray, ...]:
     """Seeds as a 1-d array, their (S, n_total) paths and an (S, d, d) identity stack.
 
-    Seed s draws its path from trajectory_rng(s); the kernels start their
-    products from the identities and never write into them.
+    Row s of the paths is seeds[s]'s (see :meth:`RrdoEnsemble.sample_paths`);
+    the kernels start their products from the identities and never write
+    into them.
     """
     seeds = np.atleast_1d(seeds)
-    paths = ens.sample_paths([trajectory_rng(int(s)) for s in seeds], n_total)
+    paths = ens.sample_paths(seeds, n_total)
     return seeds, paths, np.tile(np.eye(ens.dim, dtype=complex), (len(seeds), 1, 1))
 
 

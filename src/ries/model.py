@@ -38,6 +38,7 @@ from .linalg import (
     expm_hermitian,
     require_hermitian,
     right_mult_matrix,
+    unvec,
     vec,
 )
 from .serialize import matrix_from_json, matrix_to_json
@@ -433,6 +434,22 @@ def reduce_instant(
     for j in range(-l, 1):
         op = np.kron(op, obs.b_list[j + l])
     return scalar * reduce_window_operator(sys, window_steps[: l + 1], op, l, 0)
+
+
+def atom_energy_terms(
+    sys: SystemSpec, probe: ProbeSpec, phi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(vbar, own, F) of one atom with Heisenberg map `phi`, as system matrices.
+
+    vbar = Tr_E[(1 x rho_E) V] is the Gibbs mean field of the interaction,
+    own = Tr_E[(1 x rho_E) W* V W] its reduction through the encounter, and
+    F = H_S + vbar - Phi(H_S) - own the per-encounter flux matrix.
+    """
+    d = sys.dim_s
+    vbar = weighted_partial_trace(probe.v, d, probe.gibbs_state())
+    own = reduce_window_operator(sys, [probe], probe.v, 0, 0)
+    flux = sys.h_s + vbar - unvec(phi @ vec(sys.h_s), d) - own
+    return vbar, own, flux
 
 
 def sigma_plus() -> np.ndarray:

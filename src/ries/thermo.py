@@ -14,14 +14,18 @@ matrix by the probe inverse temperature inside the ensemble expectation.
 At deterministic probe temperature the two satisfy dS+ = beta_E dE+.
 
 Every energy quantity is built from per-atom pieces in the Heisenberg
-picture (:func:`energy_tables`): atom i's map Phi_i, kept on its RDO, the
-Gibbs mean field vbar_i = Tr_E[(1 x rho_E) V_i], and own_i, the reduction
-of V_i through atom i's encounter. Then F_i = H_S + vbar_i - Phi_i(H_S) - own_i,
-and the energy jump when atom j follows atom i is Phi_i(vbar_j) - own_i.
+picture (:func:`energy_tables`, built once per ensemble): atom i's map
+Phi_i, kept on its RDO, the Gibbs mean field vbar_i = Tr_E[(1 x rho_E) V_i],
+and own_i, the reduction of V_i through atom i's encounter. Then
+F_i = H_S + vbar_i - Phi_i(H_S) - own_i, and the energy jump when atom j
+follows atom i is Phi_i(vbar_j) - own_i.
 
 Both Monte Carlo estimators are one seed-batched Cesaro average of the
 pairing of a vector, carried by adjoint one-step maps, with a table over
-the next atoms (:func:`_cesaro_means`); each seed keeps its own stream.
+the next atoms (:func:`_cesaro_means`). As in every trajectory kernel, each
+listed seed is one realization: its path comes from
+:meth:`RrdoEnsemble.sample_paths`, so its mean does not depend on which
+other seeds ran.
 """
 
 from __future__ import annotations
@@ -31,17 +35,16 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .ensemble import EnsembleError, RrdoEnsemble, theta_closed_form, trajectory_rng
+from .ensemble import EnsembleError, RrdoEnsemble, theta_closed_form
 from .linalg import KahanAccumulator, dag, unvec, vec
 from .model import (
     ObservableWindow,
     ProbeSpec,
     SystemSpec,
+    atom_energy_terms,
     check_capacity,
     reduce_instant,
-    reduce_window_operator,
     reduced_heisenberg_map,
-    weighted_partial_trace,
 )
 
 
@@ -160,86 +163,59 @@ def _cesaro_means(
     start: np.ndarray,
     tables: np.ndarray,
     width: int,
-    master_seed: int,
+    seeds,
     n_total: int,
-    n_seeds: int,
-    burn_in: int | None,
 ) -> np.ndarray:
-    """(n_seeds, n_tables) Cesaro means of <v_n, tables[w_(n+1), ..., w_(n+width)]>.
+    """(S, n_tables) Cesaro means of <v_n, tables[w_(n+1), ..., w_(n+width)]>.
 
     v_0 = `start` and v_n = steps[w_n] v_(n-1). `tables` is (n_atoms**width,
-    n_tables, D), indexed by the flattened atom tuple. Seed s draws its path
-    from ``trajectory_rng(master_seed, s)``; all seeds step as one stack.
-    Steps n < `burn_in` (default min(n_total // 10, 1000)) are left out: the
-    transient decays geometrically, so this removes the O(1/n) bias of the
-    plain Cesaro mean without touching its variance.
+    n_tables, D), indexed by the flattened atom tuple. Row s is seeds[s]'s
+    path from :meth:`RrdoEnsemble.sample_paths`; all seeds step as one stack.
+    The first min(n_total // 10, 1000) steps are left out: the transient
+    decays geometrically, so this removes the O(1/n) bias of the plain
+    Cesaro mean without touching its variance.
     """
-    if burn_in is None:
-        burn_in = min(n_total // 10, 1000)
-    n_steps = burn_in + n_total
-    rngs = [trajectory_rng(master_seed, s) for s in range(n_seeds)]
-    omega = ens.sample_paths(rngs, n_steps + width - 1)
+    burn = min(n_total // 10, 1000)
+    n_steps = burn + n_total
+    omega = ens.sample_paths(seeds, n_steps + width - 1)
     # flattened tuples in the smallest dtype that holds a table index
-    flat = omega[:, burn_in : burn_in + n_total].astype(np.min_scalar_type(len(tables)))
+    flat = omega[:, burn : burn + n_total].astype(np.min_scalar_type(len(tables)))
     for k in range(1, width):
         flat *= ens.n_atoms
-        flat += omega[:, burn_in + k : burn_in + k + n_total]
+        flat += omega[:, burn + k : burn + k + n_total]
     # one 1 x 1 product per (seed, table): the same dot product as np.vdot,
     # so every seed's mean is bitwise that of a loop over seeds
     columns = tables[..., None]
-    v = np.tile(start.astype(complex)[:, None], (n_seeds, 1, 1))
-    acc = KahanAccumulator((n_seeds, tables.shape[1]))
+    v = np.tile(start.astype(complex)[:, None], (len(omega), 1, 1))
+    acc = KahanAccumulator((len(omega), tables.shape[1]))
     for n in range(n_steps):
-        if n >= burn_in:
+        if n >= burn:
             rows = v.conj().transpose(0, 2, 1)[:, None]
-            acc.add(np.matmul(rows, columns[flat[:, n - burn_in]])[:, :, 0, 0])
+            acc.add(np.matmul(rows, columns[flat[:, n - burn]])[:, :, 0, 0])
         v = np.matmul(steps[omega[:, n]], v)
     return acc.mean
 
 
 def _mean_stderr(per_seed: np.ndarray) -> tuple:
     """Mean over seeds and its standard error (inf for a single seed)."""
-    n_seeds = per_seed.size
-    stderr = per_seed.std(ddof=1) / np.sqrt(n_seeds) if n_seeds > 1 else np.inf
+    n = per_seed.size
+    stderr = per_seed.std(ddof=1) / np.sqrt(n) if n > 1 else np.inf
     return per_seed.mean(), stderr
 
 
 def ergodic_instant_monte_carlo(
-    ens: RrdoEnsemble,
-    fam: InstantObservableFamily,
-    master_seed: int,
-    n_total: int,
-    n_seeds: int = 20,
-    burn_in: int | None = None,
+    ens: RrdoEnsemble, fam: InstantObservableFamily, seeds, n_total: int
 ) -> dict:
-    """Cesaro average of <psi_s, M(w_1)...M(w_n) N(w_(n+1),...) psi_s> over seeds.
+    """Cesaro average of <psi_s, M(w_1)...M(w_n) N(w_(n+1),...) psi_s>, one per seed.
 
     Carries (M_1 ... M_n)^* psi_s by the adjoints of the atom matrices and
     pairs it with the stacked N psi_s table of the family; see
-    :func:`_cesaro_means` for the seed batching and the `burn_in` default.
+    :func:`_cesaro_means` for the seed batching and the burn-in.
     """
     table = fam.n_psi_table(ens.psi_s)[:, None, :]
-    per_seed = _cesaro_means(
-        ens, ens.adjoints, ens.psi_s, table, fam.width, master_seed, n_total, n_seeds, burn_in
-    )[:, 0]
+    per_seed = _cesaro_means(ens, ens.adjoints, ens.psi_s, table, fam.width, seeds, n_total)[:, 0]
     mean, stderr = _mean_stderr(per_seed)
     return {"mean": complex(mean), "stderr": float(np.abs(stderr)), "per_seed": per_seed}
-
-
-def _atom_energy_terms(
-    system: SystemSpec, probe: ProbeSpec, phi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(vbar, own, F) of one atom with Heisenberg map `phi`, as system matrices.
-
-    vbar = Tr_E[(1 x rho_E) V] is the Gibbs mean field of the interaction,
-    own = Tr_E[(1 x rho_E) W* V W] its reduction through the encounter, and
-    F = H_S + vbar - Phi(H_S) - own the per-encounter flux matrix.
-    """
-    d = system.dim_s
-    vbar = weighted_partial_trace(probe.v, d, probe.gibbs_state())
-    own = reduce_window_operator(system, [probe], probe.v, 0, 0)
-    flux = system.h_s + vbar - unvec(phi @ vec(system.h_s), d) - own
-    return vbar, own, flux
 
 
 def atom_flux_matrix(system: SystemSpec, probe: ProbeSpec) -> np.ndarray:
@@ -248,7 +224,7 @@ def atom_flux_matrix(system: SystemSpec, probe: ProbeSpec) -> np.ndarray:
     E_rho_E[(H_S + V) - W* (H_S + V) W]; its steady-state expectation is the
     energy handed to the chain per step.
     """
-    return _atom_energy_terms(system, probe, reduced_heisenberg_map(system, probe))[2]
+    return atom_energy_terms(system, probe, reduced_heisenberg_map(system, probe))[2]
 
 
 def energy_tables(ens: RrdoEnsemble) -> tuple[np.ndarray, np.ndarray]:
@@ -256,14 +232,11 @@ def energy_tables(ens: RrdoEnsemble) -> tuple[np.ndarray, np.ndarray]:
 
     ``jump[i, j] = vec(Phi_i(vbar_j) - own_i)`` is the total-energy jump of a
     step drawn from atom i followed by atom j; ``flux[i] = vec(F_i)`` is atom
-    i's flux matrix. One reduction per atom builds both.
+    i's flux matrix. One reduction per atom builds both, once per ensemble
+    (:attr:`RrdoEnsemble.energy_tables`); callers must not write into them.
     """
-    system = _require_models(ens)
-    phis = np.stack([a.rdo.phi for a in ens.atoms])
-    terms = [_atom_energy_terms(system, a.probe, a.rdo.phi) for a in ens.atoms]
-    vbar, own, flux = (np.stack([vec(x) for x in column]) for column in zip(*terms))
-    jump = np.einsum("iab,jb->ija", phis, vbar) - own[:, None, :]
-    return jump, flux
+    _require_models(ens)
+    return ens.energy_tables
 
 
 def energy_jump_family(ens: RrdoEnsemble) -> InstantObservableFamily:
@@ -339,12 +312,7 @@ def flux_closed_form(ens: RrdoEnsemble) -> FluxReport:
 
 
 def flux_monte_carlo(
-    ens: RrdoEnsemble,
-    master_seed: int,
-    n_total: int,
-    n_seeds: int = 20,
-    rho_init: np.ndarray | None = None,
-    burn_in: int | None = None,
+    ens: RrdoEnsemble, seeds, n_total: int, rho_init: np.ndarray | None = None
 ) -> FluxReport:
     """Flux estimates by ergodic averaging of the jump observables.
 
@@ -352,8 +320,7 @@ def flux_monte_carlo(
     vec(rho_init) is carried by the adjoint maps Phi_i^* and paired, in one
     pass per seed, with two tables over consecutive atom pairs (i, j): the
     energy jump of atom i followed by j, and atom i's beta-weighted flux
-    matrix. See :func:`_cesaro_means` for the seed batching and the
-    `burn_in` default.
+    matrix. See :func:`_cesaro_means` for the seed batching and the burn-in.
     """
     system = _require_models(ens)
     if rho_init is None:
@@ -363,9 +330,7 @@ def flux_monte_carlo(
     ent = np.repeat(_betas(ens)[:, None] * flux, ens.n_atoms, axis=0)  # indexed by (i, j)
     tables = np.stack([jump.reshape(ent.shape), ent], axis=1)
     phis_adj = np.stack([dag(a.rdo.phi) for a in ens.atoms])
-    means = _cesaro_means(
-        ens, phis_adj, vec(rho_init), tables, 2, master_seed, n_total, n_seeds, burn_in
-    )
+    means = _cesaro_means(ens, phis_adj, vec(rho_init), tables, 2, seeds, n_total)
     de, de_err = _mean_stderr(means[:, 0].real)
     ds, ds_err = _mean_stderr(means[:, 1].real)
     return FluxReport(
@@ -375,5 +340,5 @@ def flux_monte_carlo(
         method="monte_carlo",
         de_stderr=float(de_err),
         ds_stderr=float(ds_err),
-        seeds=n_seeds,
+        seeds=len(means),
     )

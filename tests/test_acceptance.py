@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ries
-from ries.ensemble import RrdoEnsemble, theta_routes, trajectory_rng
+from ries.ensemble import RrdoEnsemble, theta_routes
 from ries.linalg import random_hermitian, vec
 from ries.rdo import decompose, power_bound_certificate, product_diagnostics
 from ries.serialize import dumps_json
@@ -178,7 +178,7 @@ def _criterion_7_summary():
         if not ries.classify(ries.mean_rdo(ens, check_class=False)).in_class_e:
             continue
         closed = flux_closed_form(ens)
-        mc = flux_monte_carlo(ens, master_seed=len(models), n_total=10_000, n_seeds=4)
+        mc = flux_monte_carlo(ens, seeds=list(range(len(models), len(models) + 4)), n_total=10_000)
         models.append(
             {
                 "de_plus": closed.de_plus,
@@ -276,7 +276,7 @@ def test_criterion_7_second_law(summary_7, qubit_model, uncoupled_probe):
     system, _ = qubit_model
     assert np.abs(atom_flux_matrix(system, uncoupled_probe)).max() <= 1e-12
     ens0 = RrdoEnsemble.from_models(system, [(1.0, uncoupled_probe)])
-    mc0 = flux_monte_carlo(ens0, 0, 1000, n_seeds=2)
+    mc0 = flux_monte_carlo(ens0, list(range(0, 2)), 1000)
     assert abs(mc0.de_plus) <= 1e-12 and abs(mc0.ds_plus) <= 1e-12
     print(f"\ncriterion 7: 20 models, |dS - beta dE| <= 1e-8 in {elapsed:.1f} s")
     assert elapsed < 120.0
@@ -294,7 +294,10 @@ def test_criterion_8_uniform_bounds(reference, qubit_model, uncoupled_probe):
         [r.m for r in (r0, r1)], rng, n_words=200, max_len=300
     )
     for seed in range(5):
-        word_rng = trajectory_rng(809, seed)
+        # the Philox stream these words have always been drawn from
+        word_rng = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(809, spawn_key=(seed,)))
+        )
         rdos = [(r1 if b else r0) for b in word_rng.integers(0, 2, size=300)]
         trace = product_diagnostics(rdos)
         # exact GNS route: C0 = 1 for model-built RDOs

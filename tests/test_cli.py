@@ -347,7 +347,7 @@ def test_flux_checks_need_finite_stderr(tmp_path, ensemble_doc, monkeypatch):
     """One Monte Carlo seed gives an infinite stderr, which must not pass 3 sigma."""
     real = ries.cli.flux_monte_carlo
     monkeypatch.setattr(
-        "ries.cli.flux_monte_carlo", lambda ens, **kw: real(ens, **{**kw, "n_seeds": 1})
+        "ries.cli.flux_monte_carlo", lambda ens, seeds, *a, **kw: real(ens, seeds[:1], *a, **kw)
     )
     path = tmp_path / "fluxes.json"
     dump_json({"experiment": "fluxes", "ensemble": ensemble_doc, "n_total": 500}, str(path))
@@ -356,6 +356,37 @@ def test_flux_checks_need_finite_stderr(tmp_path, ensemble_doc, monkeypatch):
     assert summary["payload"]["monte_carlo"]["de_stderr"] == float("inf")
     assert summary["checks"]["mc_de_within_3_sigma"] is False
     assert summary["checks"]["mc_ds_within_3_sigma"] is False
+
+
+@pytest.mark.parametrize("experiment", ["instant", "fluxes"])
+def test_monte_carlo_runs_every_listed_seed(tmp_path, ensemble_doc, experiment):
+    """Seed lists that share their first seed still run different paths."""
+    doc = {"experiment": experiment, "ensemble": ensemble_doc, "n_total": 500}
+    if experiment == "instant":
+        doc.update(family="system", a_s=matrix_to_json(np.diag([1.0, -1.0])))
+    payloads = []
+    for seeds in ([5, 9], [5, 7]):
+        cfg = validate_config({**doc, "seeds": seeds})
+        payloads.append(dumps_json(run(cfg, out=str(tmp_path))["payload"]))
+    assert payloads[0] != payloads[1]
+
+
+def test_fluxes_build_energy_tables_once(tmp_path, ensemble_doc, monkeypatch):
+    """A Monte Carlo fluxes run reduces each atom's interaction once, not per estimator."""
+    calls = []
+    orig = ries.model.reduce_window_operator
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    for mod in (ries.model, ries.ensemble, ries.thermo):  # wherever it is imported by name
+        if getattr(mod, "reduce_window_operator", None) is orig:
+            monkeypatch.setattr(mod, "reduce_window_operator", counted)
+    cfg = validate_config({"experiment": "fluxes", "ensemble": ensemble_doc, "n_total": 500})
+    assert cfg["monte_carlo"]
+    run(cfg, out=str(tmp_path))
+    assert len(calls) == len(ensemble_doc["atoms"])
 
 
 class _ReadRecorder(dict):

@@ -24,9 +24,9 @@ def _diag_ensemble(pairs, psi_s=None):
 
 
 def test_trajectory_rng_independent_and_stable():
-    a = trajectory_rng(42, 0).integers(0, 1000, size=5)
-    b = trajectory_rng(42, 0).integers(0, 1000, size=5)
-    c = trajectory_rng(42, 1).integers(0, 1000, size=5)
+    a = trajectory_rng(42).integers(0, 1000, size=5)
+    b = trajectory_rng(42).integers(0, 1000, size=5)
+    c = trajectory_rng(43).integers(0, 1000, size=5)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -58,8 +58,7 @@ def test_mean_rdo_class_theorem(reference_ensemble):
 
 
 def test_sampling_frequencies(reference_ensemble):
-    rng = trajectory_rng(5)
-    idx = reference_ensemble.sample_paths([rng], 100_000)[0]
+    idx = reference_ensemble.sample_paths([5], 100_000)[0]
     p_hat = np.mean(idx == 0)
     assert abs(p_hat - 0.5) <= 4 * np.sqrt(0.25 / 100_000)
 

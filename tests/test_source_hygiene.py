@@ -4,6 +4,8 @@ Every module-level import in ``src/ries/*.py`` must be used (names listed
 in ``__all__`` count as used), and no module may reach into another
 ``ries`` module's underscore-prefixed names, by import or by attribute.
 ``ries.__all__`` lists exactly the names the package namespace imports.
+A seed becomes a random stream in one place only, so no second seed
+convention can grow back.
 """
 
 import ast
@@ -98,6 +100,41 @@ def test_all_lists_exactly_the_package_imports():
         for alias in node.names
     ]
     assert sorted(ries.__all__) == sorted(imported)
+
+
+def _uses_by_function(tree: ast.Module, name: str, scope: str = "") -> set[str]:
+    """Qualified names of the functions whose bodies read `name`."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found |= _uses_by_function(node, name, f"{scope}{node.name}.")
+        elif any(
+            (isinstance(n, ast.Name) and n.id == name)
+            or (isinstance(n, ast.Attribute) and n.attr == name)
+            for n in ast.walk(node)
+        ):
+            found.add(scope.rstrip(".") or "<module>")
+    return found
+
+
+@pytest.mark.parametrize(
+    "name, allowed",
+    [
+        (
+            "trajectory_rng",
+            {
+                "ensemble.py:RrdoEnsemble.sample_paths",
+                "ensemble.py:RrdoEnsemble.presampled",
+                "cli.py:_run_oracle_check",
+            },
+        ),
+        ("SeedSequence", {"ensemble.py:trajectory_rng"}),
+    ],
+)
+def test_one_seed_convention(name, allowed):
+    """Trajectory streams come from `RrdoEnsemble.sample_paths`; seeds go nowhere else."""
+    used = {f"{p.name}:{f}" for p in MODULES for f in _uses_by_function(_parse(p), name)}
+    assert used == allowed
 
 
 def test_checks_see_every_module():

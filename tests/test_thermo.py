@@ -97,7 +97,7 @@ def test_instant_limit_needs_class(qubit_model, uncoupled_probe):
 def test_instant_monte_carlo_agrees(reference_ensemble):
     fam = probe_energy_family(reference_ensemble)
     closed = ergodic_instant_limit(reference_ensemble, fam)
-    mc = ergodic_instant_monte_carlo(reference_ensemble, fam, 11, 20_000, n_seeds=10)
+    mc = ergodic_instant_monte_carlo(reference_ensemble, fam, list(range(11, 21)), 20_000)
     assert abs(mc["mean"] - closed) <= 3 * max(mc["stderr"], 1e-12)
 
 
@@ -294,7 +294,7 @@ def test_flux_zero_coupling(qubit_model, uncoupled_probe):
 
 def test_flux_monte_carlo_agrees(reference_ensemble):
     closed = flux_closed_form(reference_ensemble)
-    mc = flux_monte_carlo(reference_ensemble, 3, 10_000, n_seeds=10)
+    mc = flux_monte_carlo(reference_ensemble, list(range(3, 13)), 10_000)
     assert abs(mc.de_plus - closed.de_plus) <= 3 * max(mc.de_stderr, 1e-12)
     assert abs(mc.ds_plus - closed.ds_plus) <= 3 * max(mc.ds_stderr, 1e-12)
 
@@ -302,8 +302,8 @@ def test_flux_monte_carlo_agrees(reference_ensemble):
 def test_flux_monte_carlo_initial_state_independence(reference_ensemble):
     rho_a = np.diag([1.0, 0.0]).astype(complex)
     rho_b = np.diag([0.25, 0.75]).astype(complex)
-    mc_a = flux_monte_carlo(reference_ensemble, 5, 8000, n_seeds=8, rho_init=rho_a)
-    mc_b = flux_monte_carlo(reference_ensemble, 5, 8000, n_seeds=8, rho_init=rho_b)
+    mc_a = flux_monte_carlo(reference_ensemble, list(range(5, 13)), 8000, rho_init=rho_a)
+    mc_b = flux_monte_carlo(reference_ensemble, list(range(5, 13)), 8000, rho_init=rho_b)
     tol = 3 * max(np.hypot(mc_a.de_stderr, mc_b.de_stderr), 1e-10)
     assert abs(mc_a.de_plus - mc_b.de_plus) <= tol
 
@@ -321,17 +321,17 @@ def test_random_beta_residual_definition(qubit_model, rng):
 def test_flux_report_json_fields(reference_ensemble):
     doc = flux_closed_form(reference_ensemble).to_json()
     assert {"de_plus", "ds_plus", "residual", "method", "imag_defect"} <= set(doc)
-    mc_doc = flux_monte_carlo(reference_ensemble, 1, 2000, n_seeds=3).to_json()
+    mc_doc = flux_monte_carlo(reference_ensemble, list(range(1, 4)), 2000).to_json()
     assert {"de_stderr", "ds_stderr", "seeds"} <= set(mc_doc)
 
 
-def _instant_per_seed_loop(ens, fam, master_seed, n_total, n_seeds, burn_in):
+def _instant_per_seed_loop(ens, fam, seeds, n_total, burn_in):
     """Reference: one seed at a time, one np.vdot per step."""
     table = fam.n_psi_table(ens.psi_s)
     w = fam.width
-    per_seed = np.empty(n_seeds, dtype=complex)
-    for s in range(n_seeds):
-        rng = trajectory_rng(master_seed, s)
+    per_seed = np.empty(len(seeds), dtype=complex)
+    for s, seed in enumerate(seeds):
+        rng = trajectory_rng(seed)
         omega = rng.choice(ens.n_atoms, size=burn_in + n_total + w, p=ens.probs)
         u = ens.psi_s.copy()
         acc = KahanAccumulator(())
@@ -346,15 +346,15 @@ def _instant_per_seed_loop(ens, fam, master_seed, n_total, n_seeds, burn_in):
     return per_seed
 
 
-def _flux_per_seed_loop(ens, master_seed, n_total, n_seeds, rho_init, burn_in):
+def _flux_per_seed_loop(ens, seeds, n_total, rho_init, burn_in):
     """Reference: (de, ds, de_stderr, ds_stderr), one seed at a time."""
     jump, flux = energy_tables(ens)
     ent_vecs = np.array([a.probe.beta_e for a in ens.atoms])[:, None] * flux
     phis_adj = np.stack([dag(a.rdo.phi) for a in ens.atoms])
-    de_seed = np.empty(n_seeds)
-    ds_seed = np.empty(n_seeds)
-    for s in range(n_seeds):
-        rng = trajectory_rng(master_seed, s)
+    de_seed = np.empty(len(seeds))
+    ds_seed = np.empty(len(seeds))
+    for s, seed in enumerate(seeds):
+        rng = trajectory_rng(seed)
         omega = rng.choice(ens.n_atoms, size=burn_in + n_total + 1, p=ens.probs)
         w = vec(rho_init).astype(complex)
         acc_e = KahanAccumulator(())
@@ -367,7 +367,7 @@ def _flux_per_seed_loop(ens, master_seed, n_total, n_seeds, rho_init, burn_in):
             w = phis_adj[i] @ w
         de_seed[s] = acc_e.mean.real
         ds_seed[s] = acc_s.mean.real
-    err = np.sqrt(n_seeds)
+    err = np.sqrt(len(seeds))
     return (
         float(de_seed.mean()),
         float(ds_seed.mean()),
@@ -378,33 +378,55 @@ def _flux_per_seed_loop(ens, master_seed, n_total, n_seeds, rho_init, burn_in):
 
 def _qubit_case(reference_ensemble, rng):
     ens = reference_ensemble
-    return ens, probe_energy_family(ens), ens.system.gibbs_state(), None
+    return ens, probe_energy_family(ens), ens.system.gibbs_state()
 
 
 def _qutrit_case(reference_ensemble, rng):
     ens = _heterogeneous_ensemble(rng)
     a = random_complex_matrix(3, rng)
     rho = a @ dag(a)
-    return ens, energy_jump_family(ens), rho / np.trace(rho), 0
+    return ens, energy_jump_family(ens), rho / np.trace(rho)
 
 
 @pytest.mark.parametrize("case", [_qubit_case, _qutrit_case], ids=["qubit", "qutrit"])
 def test_monte_carlo_matches_per_seed_loops(case, reference_ensemble, rng):
     """The seed-batched estimators are bitwise the per-seed loops."""
-    ens, fam, rho_init, burn_in = case(reference_ensemble, rng)
-    n_total, n_seeds = 1500, 4
-    burn = min(n_total // 10, 1000) if burn_in is None else burn_in
-    mc = ergodic_instant_monte_carlo(ens, fam, 17, n_total, n_seeds=n_seeds, burn_in=burn_in)
-    ref = _instant_per_seed_loop(ens, fam, 17, n_total, n_seeds, burn)
+    ens, fam, rho_init = case(reference_ensemble, rng)
+    n_total = 1500
+    burn = min(n_total // 10, 1000)
+    seeds = list(range(17, 21))
+    mc = ergodic_instant_monte_carlo(ens, fam, seeds, n_total)
+    ref = _instant_per_seed_loop(ens, fam, seeds, n_total, burn)
     assert np.array_equal(mc["per_seed"], ref)
     assert mc["mean"] == complex(ref.mean())
-    rep = flux_monte_carlo(ens, 23, n_total, n_seeds=n_seeds, rho_init=rho_init, burn_in=burn_in)
+    seeds = list(range(23, 27))
+    rep = flux_monte_carlo(ens, seeds, n_total, rho_init=rho_init)
     got = (rep.de_plus, rep.ds_plus, rep.de_stderr, rep.ds_stderr)
-    assert np.array_equal(got, _flux_per_seed_loop(ens, 23, n_total, n_seeds, rho_init, burn))
+    assert np.array_equal(got, _flux_per_seed_loop(ens, seeds, n_total, rho_init, burn))
 
 
 def test_monte_carlo_seed_independent_of_batch(reference_ensemble):
-    fam = probe_energy_family(reference_ensemble)
-    small = ergodic_instant_monte_carlo(reference_ensemble, fam, 4, 400, n_seeds=5)
-    large = ergodic_instant_monte_carlo(reference_ensemble, fam, 4, 400, n_seeds=20)
+    """Each listed seed's row depends only on that seed, for both estimators."""
+    ens = reference_ensemble
+    fam = probe_energy_family(ens)
+    small = ergodic_instant_monte_carlo(ens, fam, list(range(4, 9)), 400)
+    large = ergodic_instant_monte_carlo(ens, fam, list(range(4, 24)), 400)
     assert np.array_equal(small["per_seed"], large["per_seed"][:5])
+    # an observable whose per-seed means differ from seed to seed
+    fam = system_observable_family(ens, np.diag([0.0, 1.0]).astype(complex))
+    rows = {}
+    for seeds in ([5, 9], [9, 5, 7]):
+        per_seed = ergodic_instant_monte_carlo(ens, fam, seeds, 400)["per_seed"]
+        for seed, row in zip(seeds, per_seed):
+            rows.setdefault(seed, []).append(row)
+    assert all(len(set(r)) == 1 for r in rows.values())
+    assert len({r[0] for r in rows.values()}) == 3
+    # flux rows: a batch's mean and stderr are those of its one-seed runs, in order
+    alone = {s: flux_monte_carlo(ens, [s], 400) for s in (5, 7, 9)}
+    for seeds in ([5, 9], [9, 5, 7]):
+        rep = flux_monte_carlo(ens, seeds, 400)
+        for field in ("de", "ds"):
+            means = np.array([getattr(alone[s], f"{field}_plus") for s in seeds])
+            assert getattr(rep, f"{field}_plus") == means.mean()
+            assert getattr(rep, f"{field}_stderr") == means.std(ddof=1) / np.sqrt(len(seeds))
+    assert len({alone[s].de_plus for s in alone}) == 3
