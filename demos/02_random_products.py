@@ -10,7 +10,11 @@ gapped one, each with probability 1/2. The demo shows:
 - reverse products becoming rank one, and the Lyapunov spectrum.
 
 Every kernel takes a list of seeds (or one seed) and steps them together;
-its arrays have one row per seed.
+its arrays have one row per seed. Time is blocked as well: the steps are
+cut into blocks of at most ceil(sqrt(n_total)) steps that are multiplied
+side by side and then chained, so the numbers printed agree with a
+one-step-at-a-time loop to about 1e-12, and do not depend on which other
+seeds ran.
 """
 
 import numpy as np

@@ -90,6 +90,9 @@ class ConfigError(Exception):
 
 # keys and defaults per experiment besides "experiment"; None marks "no default"
 _TOLERANCES = {"tol_one": 1e-8, "gap_min": 1e-6}
+# the smallest standard error a Monte Carlo 3-sigma check compares against;
+# instant and fluxes payloads report `sigma_floor_used` when a check did
+_SIGMA_FLOOR = 1e-12
 _SCHEMAS = {
     "classify": {"tolerances": _TOLERANCES, "model": None, "matrix": None, "psi_s": None},
     "ideal": {"model": None, "n_max": 200},
@@ -463,13 +466,14 @@ def _run_instant(cfg: dict, out: str) -> tuple[dict, dict]:
     closed = ergodic_instant_limit(ens, fam)
     mc = ergodic_instant_monte_carlo(ens, fam, cfg["seeds"], int(cfg["n_total"]))
     diff = abs(mc["mean"] - closed)
-    within = bool(np.isfinite(mc["stderr"]) and diff <= 3.0 * max(mc["stderr"], 1e-12))
+    within = bool(np.isfinite(mc["stderr"]) and diff <= 3.0 * max(mc["stderr"], _SIGMA_FLOOR))
     payload = {
         "family": kind,
         "closed_form": [closed.real, closed.imag],
         "monte_carlo": [mc["mean"].real, mc["mean"].imag],
         "stderr": mc["stderr"],
         "abs_difference": float(diff),
+        "sigma_floor_used": bool(mc["stderr"] < _SIGMA_FLOOR),
     }
     return payload, {"mc_within_3_sigma": within}
 
@@ -493,7 +497,9 @@ def _run_fluxes(cfg: dict, out: str) -> tuple[dict, dict]:
             ("mc_de_within_3_sigma", mc.de_plus, closed.de_plus, mc.de_stderr),
             ("mc_ds_within_3_sigma", mc.ds_plus, closed.ds_plus, mc.ds_stderr),
         ):
-            checks[name] = bool(np.isfinite(err) and abs(value - ref) <= 3.0 * max(err, 1e-12))
+            bound = 3.0 * max(err, _SIGMA_FLOOR)
+            checks[name] = bool(np.isfinite(err) and abs(value - ref) <= bound)
+        payload["sigma_floor_used"] = bool(min(mc.de_stderr, mc.ds_stderr) < _SIGMA_FLOOR)
     return payload, checks
 
 

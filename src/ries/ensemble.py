@@ -8,9 +8,16 @@ forward/reverse trajectory simulation, decay-rate estimation for the
 strictly-contracting parts, and Lyapunov exponent estimation.
 
 The trajectory kernels take a list of seeds (or one seed) and step them as
-one (S, d, d) or (S, d) stack, with one batched SVD or QR where a step or
-checkpoint needs one and norms taken slice by slice; their records hold one
-row per seed, bitwise equal to a run of that seed alone.
+one stack, with one batched SVD or QR where a step or checkpoint needs one
+and norms taken slice by slice; their records hold one row per seed. Time
+is blocked as well (a blocked prefix scan): :func:`block_grid` cuts each
+checkpoint interval into near-equal blocks of at most ceil(sqrt(n_total))
+steps, the matrix kernels step runs of blocks side by side into block
+products (:func:`_sweeps`) and then chain the blocks, and the vector
+kernels sum per-block buffers. The grid depends only on n_total and the
+interval, so each seed's results are bitwise independent of batching and
+of which other seeds ran; they are within a stated tolerance of a one-step
+loop (see the tests), not bitwise equal to it.
 
 Randomness is counter-based (Philox) and fully reproducible: a seed is
 one realization of the atom sequence, and :meth:`RrdoEnsemble.sample_paths`
@@ -20,10 +27,10 @@ on which other seeds ran.
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterator
+import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -43,6 +50,10 @@ from .serialize import matrix_from_json
 
 NEUMANN_TERM_TOL = 1e-14
 NEUMANN_MAX_TERMS = 10_000
+# matrix or vector entries per seed that one run of blocks (see _sweeps), or
+# one buffer of vectors, holds: it bounds a kernel's working set, so that its
+# peak memory stays near that of a one-step loop
+SWEEP_ENTRIES = 128
 
 
 class EnsembleError(Exception):
@@ -261,28 +272,72 @@ def theta_closed_form(ens: RrdoEnsemble) -> np.ndarray:
     return theta
 
 
-def _start(ens: RrdoEnsemble, seeds, n_total: int) -> tuple[np.ndarray, ...]:
-    """Seeds as a 1-d array, their (S, n_total) paths and an (S, d, d) identity stack.
-
-    Row s of the paths is seeds[s]'s (see :meth:`RrdoEnsemble.sample_paths`);
-    the kernels start their products from the identities and never write
-    into them.
-    """
+def _start(ens: RrdoEnsemble, seeds, n_total: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeds as a 1-d array and their (S, n_total) paths (see :meth:`RrdoEnsemble.sample_paths`)."""
     seeds = np.atleast_1d(seeds)
-    paths = ens.sample_paths(seeds, n_total)
-    return seeds, paths, np.tile(np.eye(ens.dim, dtype=complex), (len(seeds), 1, 1))
+    return seeds, ens.sample_paths(seeds, n_total)
 
 
-def _blocks(omega: np.ndarray, every: int) -> tuple[np.ndarray, Iterator[np.ndarray]]:
-    """Checkpoints after every `every`-th step and the last, and the steps before each.
+def block_grid(n: int, every: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Block grid of an n-step run: checkpoints, block ends, and which blocks end at one.
 
-    Block c is made when reached, as the (steps, S) atom indices since the
-    previous checkpoint; iterating it yields one contiguous (S,) row per step.
+    A checkpoint falls after every `every`-th step and after the last; each
+    interval between checkpoints is cut into near-equal blocks of at most
+    ceil(sqrt(n)) steps. The grid depends on n and `every` only, never on the
+    seeds, so a seed's arithmetic does not depend on which other seeds ran.
     """
-    n = omega.shape[1]
     stops = np.unique(np.append(np.arange(every, n + 1, every), n))
-    starts = np.concatenate(([0], stops[:-1]))
-    return stops, (np.ascontiguousarray(omega[:, a:b].T, np.intp) for a, b in zip(starts, stops))
+    sizes = np.diff(stops, prepend=0)
+    per = -(-sizes // (math.isqrt(max(n - 1, 0)) + 1))  # blocks per interval
+    interval = np.repeat(np.arange(len(stops)), per)
+    rank = np.arange(per.sum()) - np.repeat(np.cumsum(per) - per, per) + 1
+    size, count = sizes[interval], per[interval]
+    ends = stops[interval] - size + size * rank // count
+    return stops, ends, rank == count
+
+
+def _sweeps(
+    ens: RrdoEnsemble, omega: np.ndarray, ends: np.ndarray, *tables: tuple[np.ndarray, np.ndarray]
+) -> Iterator[tuple[np.ndarray, Callable[[], Iterator]]]:
+    """Runs of consecutive blocks of the grid, stepped side by side.
+
+    Yields (run, steps) for runs of at most max(1, SWEEP_ENTRIES // dim**2)
+    blocks: `run` holds the run's block indices into `ends`, and each call
+    of `steps()` iterates the in-block offsets j = 0, 1, ... of the run.
+    `tables` are (per-atom table, fill) pairs; offset j yields, for each
+    table, the (blocks, S, ...) stack of table[w] at each block's step j,
+    with `fill` in the slots of blocks shorter than j + 1 steps, and the
+    (blocks,) mask of blocks that have a step j (None when all do). The
+    stacks are reused from offset to offset. Indices are converted from the
+    small-dtype paths one run at a time. An identity fill is exact, so a
+    block's numbers do not depend on the run it is stepped in.
+    """
+    starts = np.concatenate(([0], ends[:-1]))
+
+    def steps(first: np.ndarray, lengths: np.ndarray) -> Iterator[tuple[list, np.ndarray | None]]:
+        offsets = np.arange(lengths.max())
+        cols = np.minimum(first[:, None] + offsets, omega.shape[1] - 1)
+        indices = np.ascontiguousarray(omega[:, cols].transpose(2, 1, 0), dtype=np.intp)
+        short_from = lengths.min()
+        stacks = [np.empty(indices.shape[1:] + table.shape[1:], table.dtype) for table, _ in tables]
+        for j, idx in enumerate(indices):
+            for stack, (table, _) in zip(stacks, tables):
+                np.take(table, idx, axis=0, out=stack, mode="clip")
+            live = None if j < short_from else j < lengths
+            if live is not None:
+                for stack, (_, fill) in zip(stacks, tables):
+                    stack[~live] = fill
+            yield stacks, live
+
+    per = max(1, SWEEP_ENTRIES // ens.dim**2)
+    for a in range(0, len(ends), per):
+        run = np.arange(a, min(a + per, len(ends)))
+        yield run, partial(steps, starts[run], ends[run] - starts[run])
+
+
+def _identities(ens: RrdoEnsemble, *shape: int) -> np.ndarray:
+    """Read-only stack of identity matrices: the empty products."""
+    return np.broadcast_to(np.eye(ens.dim, dtype=complex), (*shape, ens.dim, ens.dim))
 
 
 def _records(seeds: np.ndarray, **columns: np.ndarray) -> list[dict]:
@@ -307,24 +362,36 @@ def simulate_forward(
     """Simulate Psi_n = M(w_1)...M(w_n) and its Cesaro mean, all seeds as one stack.
 
     At each checkpoint N the Frobenius distance between the running average
-    (1/N) sum Psi_n and the rank-one limit |psi_s><theta| is recorded. Norms
-    are taken slice by slice, so each seed's numbers are bitwise those of a
-    one-seed run.
+    (1/N) sum Psi_n and the rank-one limit |psi_s><theta| is recorded. The
+    blocks of the grid (:func:`block_grid`) are stepped side by side into each
+    block's product P and local prefix sum Q; chaining them adds Psi_a Q to
+    a Kahan sum and moves Psi_a to Psi_a P. Norms are taken slice by slice.
+    Each seed's numbers are bitwise independent of batching, and within the
+    stated tolerance of a one-step loop.
     """
-    seeds, omega, psi_prod = _start(ens, seeds, n_total)
+    seeds, omega = _start(ens, seeds, n_total)
     limit = np.outer(ens.psi_s, theta_closed_form(ens).conj())
-    checkpoints, blocks = _blocks(omega, checkpoint_every)
+    checkpoints, ends, at_checkpoint = block_grid(n_total, checkpoint_every)
+    psi_prod = _identities(ens, len(seeds))
     acc = KahanAccumulator(psi_prod.shape)
     distances = np.empty((len(seeds), len(checkpoints)))
     drift = np.zeros(len(seeds))
-    for c, block in enumerate(blocks):
-        for k in block:
-            psi_prod = np.matmul(psi_prod, ens.matrices[k])
-            acc.add(psi_prod)
-        mean = acc.mean
-        for s in range(len(seeds)):
-            distances[s, c] = np.linalg.norm(mean[s] - limit, "fro")
-            drift[s] = max(drift[s], np.linalg.norm(psi_prod[s] @ ens.psi_s - ens.psi_s))
+    c = 0
+    for run, steps in _sweeps(ens, omega, ends, (ens.matrices, np.eye(ens.dim))):
+        prod = _identities(ens, len(run), len(seeds))
+        sums = np.zeros(prod.shape, dtype=complex)  # local prefix sums
+        for (factor,), live in steps():
+            prod = np.matmul(prod, factor)
+            sums += prod if live is None else prod * live[:, None, None, None]
+        for b, block in enumerate(run):
+            acc.add(np.matmul(psi_prod, sums[b]))
+            psi_prod = np.matmul(psi_prod, prod[b])
+            if at_checkpoint[block]:
+                mean = acc.total / ends[block]
+                for s in range(len(seeds)):
+                    distances[s, c] = np.linalg.norm(mean[s] - limit, "fro")
+                    drift[s] = max(drift[s], np.linalg.norm(psi_prod[s] @ ens.psi_s - ens.psi_s))
+                c += 1
     return ErgodicReport(seeds, checkpoints, distances, drift)
 
 
@@ -332,21 +399,39 @@ def simulate_theta(ens: RrdoEnsemble, seeds, n_total: int) -> dict:
     """Cesaro mean of the Markov process theta_n = M^*(w_n) theta_(n-1), per seed.
 
     The overlap <psi_s, theta_n> - 1 is checked at theta_0, every 1000 steps
-    and at the end; every returned array has one row per seed.
+    and at the end; every returned array has one row per seed. One matmul
+    per step writes theta_n into a per-block buffer (blocks of
+    :func:`block_grid`), and each block's sum is one matmul, added to a
+    Kahan sum across blocks. theta_n and the overlaps are bitwise those of a
+    one-step loop; the Cesaro mean is within the stated tolerance of it, and
+    every number is bitwise independent of batching.
     """
-    seeds, omega, _ = _start(ens, seeds, n_total)
-    th = ens.psi_omega[omega[:, 0]]
-    acc = KahanAccumulator(th.shape)
-    acc.add(th)
+    seeds, omega = _start(ens, seeds, n_total)
+    th = ens.psi_omega[omega[:, 0]][:, :, None]
+    acc = KahanAccumulator(th.shape[:2])
+    acc.add(th[:, :, 0])
     err = np.zeros(len(seeds))  # max |<psi_s, theta_n> - 1| at the checks
-    _, blocks = _blocks(omega[:, 1:], 1000)
-    for block in itertools.chain([()], blocks):  # the empty first block checks theta_0
-        for k in block:
-            th = np.matmul(ens.adjoints[k], th[:, :, None])[:, :, 0]
-            acc.add(th)
+
+    def check():
         for s in range(len(seeds)):
-            err[s] = max(err[s], abs(np.vdot(ens.psi_s, th[s]) - 1.0))
-    return {"seeds": seeds, "cesaro_theta": acc.mean, "final_theta": th, "max_overlap_error": err}
+            err[s] = max(err[s], abs(np.vdot(ens.psi_s, th[s, :, 0]) - 1.0))
+
+    check()
+    _, ends, at_check = block_grid(n_total - 1, 1000)
+    for a, b, checked in zip(np.concatenate(([0], ends[:-1])), ends, at_check):
+        buf = np.empty((len(seeds), b - a, ens.dim), dtype=complex)
+        for j in range(b - a):
+            th = np.matmul(ens.adjoints[omega[:, a + j + 1]], th)
+            buf[:, j] = th[:, :, 0]
+        acc.add(np.matmul(np.ones(b - a), buf))
+        if checked:
+            check()
+    return {
+        "seeds": seeds,
+        "cesaro_theta": acc.total / n_total,
+        "final_theta": th[:, :, 0],
+        "max_overlap_error": err,
+    }
 
 
 @dataclass
@@ -385,30 +470,74 @@ def _fit_envelope(log_norms: np.ndarray) -> tuple[float, int, float]:
     return alpha, n0, log_c
 
 
+def _pow2_scaled(a: np.ndarray) -> np.ndarray:
+    """Scale each matrix of `a` in place, exactly, by a power of two to a largest entry in [1/2, 1).
+
+    Returns the exponents e with (a before) = 2**e * (a after); a zero matrix
+    stays zero with e = 0, and a matrix already scaled is left as it is.
+    """
+    _, e = np.frexp(np.abs(a).max(axis=(-2, -1)))
+    a *= np.ldexp(1.0, -e)[..., None, None]
+    return e
+
+
 def decay_estimator(ens: RrdoEnsemble, seeds, n_total: int) -> DecayEstimate:
     """Norm series of the strictly-contracting words, with fitted decay rates.
 
-    Needs at least one atom in the simple-gap class. All seeds step as one
-    stack with one batched SVD per step; a word that hits exact zero stays
-    zero, and its log norms are -inf from then on. Per seed, the fitted
-    envelope C e^(-alpha n) comes from a log-linear fit on the second half of
-    the series, and n0 is the first index from which the envelope bounds the
+    Needs at least one atom in the simple-gap class. Two passes over each
+    run of blocks of the grid (:func:`block_grid`): the block products, scaled by
+    powers of two at every step so that they cannot underflow, are chained
+    into the word at each block start; then one batched SVD per in-block
+    offset gives the spectral norms, with the words renormalized at every
+    step as a one-step loop would. A word that hits exact zero stays zero,
+    and its log norms are -inf from then on, at the same steps as in a
+    one-step loop; the finite ones are within the stated tolerance of it, and
+    bitwise independent of batching. Per seed, the fitted envelope
+    C e^(-alpha n) comes from a log-linear fit on the second half of the
+    series, and n0 is the first index from which the envelope bounds the
     whole tail.
     """
     if not any(ic and p > 0 for ic, p in zip(ens.in_class, ens.probs)):
         raise EnsembleError("decay estimation needs an in-class atom with positive probability")
-    seeds, omega, word = _start(ens, seeds, n_total)
+    seeds, omega = _start(ens, seeds, n_total)
+    _, ends, _ = block_grid(n_total, n_total)
     log_norms = np.empty((len(seeds), n_total))
+    word = _identities(ens, len(seeds))  # the word at the next block start is e**log_scale * word
     log_scale = np.zeros(len(seeds))
-    _, steps = _blocks(omega, 1)  # a checkpoint after every step
-    for n, (k,) in enumerate(steps):
-        word = np.matmul(word, ens.mq[k])
-        s = np.linalg.svd(word, compute_uv=False)[:, 0]
-        alive = s > 0
-        s[~alive] = 1.0
-        log_scale += np.log(s)
-        log_norms[:, n] = np.where(alive, log_scale, -np.inf)
-        word = word / s[:, None, None]
+
+    def step_run(run, steps):  # a function, so that the run's stacks go on return
+        nonlocal word, log_scale
+        words = np.empty((len(run), len(seeds), ens.dim, ens.dim), dtype=complex)
+        logs = np.empty(words.shape[:2])
+        words[0], logs[0] = word, log_scale
+        if len(run) > 1:  # chain block products into the words at the later block starts
+            prod = _identities(ens, len(run) - 1, len(seeds))
+            prod_exp = np.zeros(prod.shape[:2], dtype=np.int64)
+            for (factor,), _ in steps():
+                prod = np.matmul(prod, factor[:-1])
+                prod_exp += _pow2_scaled(prod)
+            for b in range(1, len(run)):
+                words[b] = np.matmul(words[b - 1], prod[b - 1])
+                logs[b] = logs[b - 1] + (_pow2_scaled(words[b]) + prod_exp[b - 1]) * np.log(2.0)
+            del prod
+        series = []  # (blocks, S) log norms at each in-block offset
+        for (factor,), live in steps():
+            words = np.matmul(words, factor)
+            s = np.linalg.svd(words, compute_uv=False)[..., 0]
+            dead = s == 0
+            s[dead] = 1.0
+            if live is not None:  # a block past its end keeps its word and scale
+                s[~live] = 1.0
+            logs += np.log(s)
+            series.append(np.where(dead, -np.inf, logs))
+            words /= s[..., None, None]
+        series = np.array(series)
+        for b, (a, z) in enumerate(zip(np.concatenate(([0], ends))[run], ends[run])):
+            log_norms[:, a:z] = series[: z - a, b].T
+        word, log_scale = words[-1].copy(), logs[-1].copy()
+
+    for run, steps in _sweeps(ens, omega, ends, (ens.mq, np.eye(ens.dim))):
+        step_run(run, steps)
     alpha, n0, log_c = (np.array(x) for x in zip(*map(_fit_envelope, log_norms)))
     return DecayEstimate(seeds, log_norms, alpha, n0, log_c)
 
@@ -432,28 +561,56 @@ def simulate_reverse(
     eta_inf is accumulated incrementally as sum_k lead_k psi(w_k), with
     lead_k = M_Q^*(w_1)...M_Q^*(w_(k-1)); the residual to
     |psi_s><eta| and the singular-value ratio of Phi_n both decay
-    exponentially when decay of the M_Q words holds. All seeds step as one
-    stack, with one batched SVD per checkpoint for each quantity.
+    exponentially when decay of the M_Q words holds. The blocks of the grid
+    (:func:`block_grid`) are stepped side by side into their left product, local
+    lead product and local eta sum, then chained; each run of blocks ends in
+    one batched SVD per quantity over the checkpoints it reached. Each seed's
+    numbers are bitwise independent of batching, and within the stated
+    tolerance of a one-step loop.
     """
     if not any(ic and p > 0 for ic, p in zip(ens.in_class, ens.probs)):
         raise EnsembleError("reverse-product analysis needs an in-class atom")
-    seeds, omega, phi = _start(ens, seeds, n_total)
-    lead = phi  # M_Q^*(w_1)...M_Q^*(w_(k-1))
-    checkpoints, blocks = _blocks(omega, checkpoint_every)
-    eta = np.zeros((len(seeds), ens.dim), dtype=complex)
+    seeds, omega = _start(ens, seeds, n_total)
+    checkpoints, ends, at_checkpoint = block_grid(n_total, checkpoint_every)
+    tables = (
+        (ens.matrices, np.eye(ens.dim)),
+        (ens.mq_adjoints, np.eye(ens.dim)),
+        (ens.psi_omega[:, :, None], 0.0),
+    )
+    phi = lead = _identities(ens, len(seeds))  # lead = M_Q^*(w_1)...M_Q^*(w_(k-1))
+    eta = np.zeros((len(seeds), ens.dim, 1), dtype=complex)
     residuals = np.empty((len(seeds), len(checkpoints)))
     ratios = np.zeros((len(seeds), len(checkpoints)))
-    for c, block in enumerate(blocks):
-        for k in block:
-            phi = np.matmul(ens.matrices[k], phi)
-            eta = eta + np.matmul(lead, ens.psi_omega[k][:, :, None])[:, :, 0]
-            lead = np.matmul(lead, ens.mq_adjoints[k])
-        rank_one = ens.psi_s[:, None] * eta.conj()[:, None, :]
-        residuals[:, c] = np.linalg.svd(phi - rank_one, compute_uv=False)[:, 0]
+    c = 0
+
+    def step_run(run, steps):  # a function, so that the run's stacks go on return
+        nonlocal phi, eta, lead, c
+        left = local_lead = _identities(ens, len(run), len(seeds))
+        local_eta = np.zeros((len(run), len(seeds), ens.dim, 1), dtype=complex)
+        for (factor, lead_factor, psi), _ in steps():
+            left = np.matmul(factor, left)
+            local_eta += np.matmul(local_lead, psi)
+            local_lead = np.matmul(local_lead, lead_factor)
+        reached = slice(c, c + at_checkpoint[run].sum())
+        phis = np.empty((len(seeds), reached.stop - c, ens.dim, ens.dim), dtype=complex)
+        etas = np.empty(phis.shape[:3], dtype=complex)
+        for b, block in enumerate(run):
+            phi = np.matmul(left[b], phi)
+            eta = eta + np.matmul(lead, local_eta[b])
+            lead = np.matmul(lead, local_lead[b])
+            if at_checkpoint[block]:
+                phis[:, c - reached.start], etas[:, c - reached.start] = phi, eta[:, :, 0]
+                c += 1
+        del left, local_lead, local_eta, factor, lead_factor, psi  # before the SVDs
         if ens.dim > 1:  # at GNS dim 1 every product is rank one: ratio 0
-            sv = np.linalg.svd(phi, compute_uv=False)
-            np.divide(sv[:, 1], sv[:, 0], out=ratios[:, c], where=sv[:, 0] > 0)
-    return ReverseReport(seeds, checkpoints, residuals, ratios, eta)
+            sv = np.linalg.svd(phis, compute_uv=False)
+            np.divide(sv[..., 1], sv[..., 0], out=ratios[:, reached], where=sv[..., 0] > 0)
+        phis -= ens.psi_s[:, None] * etas.conj()[..., None, :]
+        residuals[:, reached] = np.linalg.svd(phis, compute_uv=False)[..., 0]
+
+    for run, steps in _sweeps(ens, omega, ends, *tables):
+        step_run(run, steps)
+    return ReverseReport(seeds, checkpoints, residuals, ratios, eta[:, :, 0])
 
 
 @dataclass
@@ -475,21 +632,31 @@ def lyapunov(
     """Lyapunov spectra of the random products via periodic re-orthonormalization.
 
     Works on transposed factors so that appending a factor on the right of
-    Psi_n becomes a left multiplication; one batched QR per
-    re-orthonormalization accumulates every seed's log stretching factors.
-    The sigma_2 / sigma_1 diagnostic of the reverse product belongs to
+    Psi_n becomes a left multiplication. The blocks of the grid (:func:`block_grid`,
+    with the re-orthonormalization interval as checkpoint interval) are
+    stepped side by side into their products, which are no longer than an
+    interval; chaining them, one batched QR per re-orthonormalization
+    accumulates every seed's log stretching factors; they are bitwise
+    independent of batching, and within the stated tolerance of a one-step
+    loop. The sigma_2 / sigma_1 diagnostic of the reverse product belongs to
     :func:`simulate_reverse`.
     """
-    seeds, omega, frame = _start(ens, seeds, n_total)
-    _, blocks = _blocks(omega, reorth_every)
+    seeds, omega = _start(ens, seeds, n_total)
+    _, ends, at_reorth = block_grid(n_total, reorth_every)
+    frame = _identities(ens, len(seeds))
     log_r = np.zeros((len(seeds), ens.dim))
-    for block in blocks:
-        for k in block:
-            frame = np.matmul(ens.matrices[k].transpose(0, 2, 1), frame)
-        frame, r = np.linalg.qr(frame)
-        diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
-        diag[diag == 0] = np.finfo(float).tiny
-        log_r += np.log(diag)
+    transposed = (ens.matrices.transpose(0, 2, 1), np.eye(ens.dim))
+    for run, steps in _sweeps(ens, omega, ends, transposed):
+        prod = _identities(ens, len(run), len(seeds))
+        for (factor,), _ in steps():
+            prod = np.matmul(factor, prod)
+        for b, block in enumerate(run):
+            frame = np.matmul(prod[b], frame)
+            if at_reorth[block]:
+                frame, r = np.linalg.qr(frame)
+                diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+                diag[diag == 0] = np.finfo(float).tiny
+                log_r += np.log(diag)
     exponents = np.sort(log_r / n_total)[:, ::-1]
     gamma_2 = exponents[:, 1] if ens.dim > 1 else np.full(len(seeds), -np.inf)
     return LyapunovEstimate(seeds, exponents[:, 0], gamma_2, exponents[:, 0] - gamma_2)

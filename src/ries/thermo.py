@@ -22,10 +22,12 @@ follows atom i is Phi_i(vbar_j) - own_i.
 
 Both Monte Carlo estimators are one seed-batched Cesaro average of the
 pairing of a vector, carried by adjoint one-step maps, with a table over
-the next atoms (:func:`_cesaro_means`). As in every trajectory kernel, each
-listed seed is one realization: its path comes from
-:meth:`RrdoEnsemble.sample_paths`, so its mean does not depend on which
-other seeds ran.
+the next atoms (:func:`_cesaro_means`). The vectors are stepped one matmul
+per step into per-block buffers, and each buffer is paired and summed in
+one matmul per seed. As in every trajectory kernel, each listed seed is one
+realization: its path comes from :meth:`RrdoEnsemble.sample_paths`, so its
+mean is bitwise independent of which other seeds ran, and within the
+stated tolerance of a one-step loop.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .ensemble import EnsembleError, RrdoEnsemble, theta_closed_form
+from .ensemble import SWEEP_ENTRIES, EnsembleError, RrdoEnsemble, block_grid, theta_closed_form
 from .linalg import KahanAccumulator, dag, unvec, vec
 from .model import (
     ObservableWindow,
@@ -169,31 +171,40 @@ def _cesaro_means(
     """(S, n_tables) Cesaro means of <v_n, tables[w_(n+1), ..., w_(n+width)]>.
 
     v_0 = `start` and v_n = steps[w_n] v_(n-1). `tables` is (n_atoms**width,
-    n_tables, D), indexed by the flattened atom tuple. Row s is seeds[s]'s
+    D, n_tables), indexed by the flattened atom tuple. Row s is seeds[s]'s
     path from :meth:`RrdoEnsemble.sample_paths`; all seeds step as one stack.
     The first min(n_total // 10, 1000) steps are left out: the transient
     decays geometrically, so this removes the O(1/n) bias of the plain
-    Cesaro mean without touching its variance.
+    Cesaro mean without touching its variance. The averaged steps follow
+    :func:`ries.ensemble.block_grid`, with blocks of at most SWEEP_ENTRIES / D
+    steps: one matmul per step writes v_n into the block's buffer, one matmul
+    per seed pairs the buffer with its gathered table rows and sums them,
+    and the block sums go into a Kahan sum. Each seed's mean is bitwise
+    independent of batching, and within the stated tolerance of a one-step
+    loop.
     """
     burn = min(n_total // 10, 1000)
-    n_steps = burn + n_total
-    omega = ens.sample_paths(seeds, n_steps + width - 1)
-    # flattened tuples in the smallest dtype that holds a table index
-    flat = omega[:, burn : burn + n_total].astype(np.min_scalar_type(len(tables)))
-    for k in range(1, width):
-        flat *= ens.n_atoms
-        flat += omega[:, burn + k : burn + k + n_total]
-    # one 1 x 1 product per (seed, table): the same dot product as np.vdot,
-    # so every seed's mean is bitwise that of a loop over seeds
-    columns = tables[..., None]
-    v = np.tile(start.astype(complex)[:, None], (len(omega), 1, 1))
-    acc = KahanAccumulator((len(omega), tables.shape[1]))
-    for n in range(n_steps):
-        if n >= burn:
-            rows = v.conj().transpose(0, 2, 1)[:, None]
-            acc.add(np.matmul(rows, columns[flat[:, n - burn]])[:, :, 0, 0])
+    omega = ens.sample_paths(seeds, burn + n_total + width - 1)
+    n_seeds, dim = len(omega), len(start)
+    v = np.tile(start.astype(complex)[:, None], (n_seeds, 1, 1))
+    for n in range(burn):
         v = np.matmul(steps[omega[:, n]], v)
-    return acc.mean
+    _, ends, _ = block_grid(n_total, max(1, SWEEP_ENTRIES // dim))
+    acc = KahanAccumulator((n_seeds, tables.shape[2]))
+    for a, b in zip(np.concatenate(([0], ends[:-1])) + burn, ends + burn):
+        buf = np.empty((n_seeds, b - a, dim), dtype=complex)
+        for j in range(b - a):
+            buf[:, j] = v[:, :, 0]
+            v = np.matmul(steps[omega[:, a + j]], v)
+        # flattened tuples of the block in the smallest dtype that holds a table index
+        flat = omega[:, a:b].astype(np.min_scalar_type(len(tables)))
+        for k in range(1, width):
+            flat *= ens.n_atoms
+            flat += omega[:, a + k : b + k]
+        rows = buf.reshape(n_seeds, 1, -1)
+        np.conjugate(rows, out=rows)
+        acc.add(np.matmul(rows, tables[flat].reshape(n_seeds, rows.shape[2], -1))[:, 0])
+    return acc.total / n_total
 
 
 def _mean_stderr(per_seed: np.ndarray) -> tuple:
@@ -212,7 +223,7 @@ def ergodic_instant_monte_carlo(
     pairs it with the stacked N psi_s table of the family; see
     :func:`_cesaro_means` for the seed batching and the burn-in.
     """
-    table = fam.n_psi_table(ens.psi_s)[:, None, :]
+    table = fam.n_psi_table(ens.psi_s)[:, :, None]
     per_seed = _cesaro_means(ens, ens.adjoints, ens.psi_s, table, fam.width, seeds, n_total)[:, 0]
     mean, stderr = _mean_stderr(per_seed)
     return {"mean": complex(mean), "stderr": float(np.abs(stderr)), "per_seed": per_seed}
@@ -328,7 +339,7 @@ def flux_monte_carlo(
     # Heisenberg picture: plain system matrices, no GNS transport
     jump, flux = energy_tables(ens)
     ent = np.repeat(_betas(ens)[:, None] * flux, ens.n_atoms, axis=0)  # indexed by (i, j)
-    tables = np.stack([jump.reshape(ent.shape), ent], axis=1)
+    tables = np.stack([jump.reshape(ent.shape), ent], axis=-1)
     phis_adj = np.stack([dag(a.rdo.phi) for a in ens.atoms])
     means = _cesaro_means(ens, phis_adj, vec(rho_init), tables, 2, seeds, n_total)
     de, de_err = _mean_stderr(means[:, 0].real)

@@ -343,6 +343,26 @@ def test_run_instant_and_fluxes(tmp_path, ensemble_doc):
     assert summary["payload"]["monte_carlo"]["seeds"] == 3
 
 
+def test_sigma_floor_used_is_reported(tmp_path, ensemble_doc):
+    """A 3-sigma check that fell back to the 1e-12 floor says so in the payload.
+
+    On the demo instant config every path's Cesaro mean is the same value,
+    so the stderr is below the floor; a system observable whose per-seed
+    means differ has a genuine stderr.
+    """
+    root = os.path.join(os.path.dirname(__file__), "..", "demos", "configs")
+    with open(os.path.join(root, "instant.json")) as fh:
+        demo = json.load(fh)
+    diag = matrix_to_json(np.diag([0.0, 1.0]).astype(complex))
+    genuine = {"experiment": "instant", "ensemble": ensemble_doc, "family": "system",
+               "a_s": diag, "seeds": [5, 7, 9], "n_total": 400}
+    for name, doc, floor in (("demo", demo, True), ("genuine", genuine, False)):
+        rep = run(validate_config(doc), out=str(tmp_path / name))
+        assert rep["passed"]
+        assert rep["payload"]["sigma_floor_used"] is floor
+        assert (rep["payload"]["stderr"] < 1e-12) is floor
+
+
 def test_flux_checks_need_finite_stderr(tmp_path, ensemble_doc, monkeypatch):
     """One Monte Carlo seed gives an infinite stderr, which must not pass 3 sigma."""
     real = ries.cli.flux_monte_carlo

@@ -1,0 +1,94 @@
+"""Peak memory of the trajectory kernels at the benchmark's sizes.
+
+The blocked kernels hold stacks of block products and buffers of vectors
+that the one-step loops they replaced did not. Each kernel's tracemalloc
+peak over one call (after a warm-up call, so the ensemble's cached tables
+exist) must stay within 1.25x of the peak those one-step loops reached on
+the same call, recorded below in bytes (numpy 2.4, Python 3.11). The sizes
+are the full sizes of the `mc_qubit` and `wide_qutrit` benchmark workloads.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import ries
+from ries.thermo import (
+    ergodic_instant_monte_carlo,
+    flux_monte_carlo,
+    identity_family,
+    probe_energy_family,
+)
+
+ONE_STEP_LOOP_PEAK = {
+    "mc_qubit-decay": 190299,
+    "mc_qubit-fluxes": 224712,
+    "mc_qubit-forward": 402228,
+    "mc_qubit-instant": 222700,
+    "mc_qubit-lyapunov": 192153,
+    "mc_qubit-reverse": 122228,
+    "wide_qutrit-decay": 53180,
+    "wide_qutrit-fluxes": 2311088,
+    "wide_qutrit-forward": 74574,
+    "wide_qutrit-instant": 117771,
+}
+ALLOWED_GROWTH = 1.25
+
+
+def _wide_qutrit_ensemble():
+    """Qutrit system, qubit probe, 64 presampled atoms (GNS dim 9), as in `wide_qutrit`."""
+    rng = np.random.default_rng(2024)
+    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    v = a + a.conj().T
+    system = ries.SystemSpec(dim_s=3, h_s=np.diag([0.0, 1.0, 2.3]), beta_s=0.7)
+    probe = ries.ProbeSpec(
+        dim_e=2, h_e=np.diag([0.0, 1.1]), beta_e=1.3, v=0.5 * v / np.linalg.norm(v, 2), tau=1.0
+    )
+    ranges = {"tau": {"low": 0.6, "high": 1.6}, "coupling": {"low": 0.5, "high": 1.5}}
+    return ries.RrdoEnsemble.presampled(system, probe, ranges, count=64, seed=31)
+
+
+def _calls(workload, ens):
+    """(kernel, call) pairs of one workload pass, at its full sizes and seed counts."""
+    seeds = list(range(100, 132))
+    if workload == "mc_qubit":
+        fam = probe_energy_family(ens)
+        return {
+            "forward": lambda: ries.simulate_forward(ens, seeds[:4], 20_000, 1000),
+            "decay": lambda: ries.decay_estimator(ens, seeds[:8], 1500),
+            "reverse": lambda: ries.simulate_reverse(ens, seeds[:4], 6000, 10),
+            "lyapunov": lambda: ries.lyapunov(ens, seeds[:3], 10_000, 10),
+            "instant": lambda: ergodic_instant_monte_carlo(ens, fam, seeds[:4], 10_000),
+            "fluxes": lambda: flux_monte_carlo(ens, seeds[:4], 10_000),
+        }
+    fam = identity_family(ens)
+    return {
+        "fluxes": lambda: flux_monte_carlo(ens, seeds, 4000),
+        "forward": lambda: ries.simulate_forward(ens, seeds[:2], 4000, 1000),
+        "decay": lambda: ries.decay_estimator(ens, seeds[:4], 500),
+        "instant": lambda: ergodic_instant_monte_carlo(ens, fam, seeds[:8], 4000),
+    }
+
+
+def peak_bytes(call) -> int:
+    """tracemalloc peak of one call, after a warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def ensembles(reference_ensemble):
+    return {"mc_qubit": reference_ensemble, "wide_qutrit": _wide_qutrit_ensemble()}
+
+
+@pytest.mark.parametrize("key", sorted(ONE_STEP_LOOP_PEAK))
+def test_kernel_peak_memory_within_one_step_loops(key, ensembles):
+    workload, kernel = key.split("-")
+    peak = peak_bytes(_calls(workload, ensembles[workload])[kernel])
+    assert peak <= ALLOWED_GROWTH * ONE_STEP_LOOP_PEAK[key], f"{key}: {peak} bytes"
