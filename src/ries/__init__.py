@@ -4,7 +4,7 @@ Subpackages:
 
 - ``linalg``: vectorization conventions and dense helpers,
 - ``model``: finite system-probe models, reductions, full-chain oracle,
-- ``rdo``: reduced dynamics operators, spectra, products,
+- ``rdo``: reduced dynamics operators, spectra, decompositions,
 - ``ensemble``: random products, ergodic limits, decay and Lyapunov rates,
 - ``thermo``: instantaneous observables and energy/entropy fluxes,
 - ``cli``: configuration-driven experiment runner.
@@ -38,7 +38,7 @@ from .model import (
     step_unitary,
     system_gns_data,
 )
-from .rdo import classify, gns_norm, ideal_asymptotics, uniform_bound_report, validate
+from .rdo import classify, ideal_asymptotics, validate
 from .thermo import ergodic_instant_limit, flux_closed_form, flux_monte_carlo
 
 __version__ = "0.1.0"
@@ -56,7 +56,6 @@ __all__ = [
     "flux_monte_carlo",
     "full_chain_expectation",
     "full_chain_oracle",
-    "gns_norm",
     "ideal_asymptotics",
     "lyapunov",
     "mean_rdo",
@@ -71,6 +70,5 @@ __all__ = [
     "step_unitary",
     "system_gns_data",
     "theta_routes",
-    "uniform_bound_report",
     "validate",
 ]

@@ -21,8 +21,10 @@ exactly one of ``model``/``matrix``, counts that are not integers >= 1,
 seeds that are not integers >= 0 (or fewer than 2 for Monte Carlo), and
 probabilities, tolerances, coefficients, model ``beta``/``tau`` or
 presample bounds that are not finite (and, but for bounds, nonnegative);
-each model ``dim`` must be an integer >= 1. Matrices are parsed only by
-``run``. All seeds of a config step as one batch, in every stochastic
+each model ``dim`` must be an integer >= 1, and each ``psi_s`` must have
+one entry per row of its matrix. Matrices are parsed only by ``run``,
+which reports a matrix that is not an RDO for its ``psi_s`` as a config
+error. All seeds of a config step as one batch, in every stochastic
 experiment alike: seed s drives ``trajectory_rng(s)``, so a seed's results
 do not depend on the batch or on which other seeds ran, and identical
 configs give byte-identical summaries except for the wall-time field.
@@ -93,6 +95,9 @@ _TOLERANCES = {"tol_one": 1e-8, "gap_min": 1e-6}
 # the smallest standard error a Monte Carlo 3-sigma check compares against;
 # instant and fluxes payloads report `sigma_floor_used` when a check did
 _SIGMA_FLOOR = 1e-12
+# reverse sigma_2 / sigma_1 ratios at or below this are rounding noise, which
+# the sigma_ratio_rate fit skips
+_SIGMA_RATIO_FLOOR = 1e3 * np.finfo(float).eps
 _SCHEMAS = {
     "classify": {"tolerances": _TOLERANCES, "model": None, "matrix": None, "psi_s": None},
     "ideal": {"model": None, "n_max": 200},
@@ -169,6 +174,12 @@ def _check_model_doc(doc, where: str) -> None:
                 raise ConfigError(f"{where}.{part}.{key} must be a finite nonnegative number, got {x!r}")
 
 
+def _check_psi_s(psi_s, matrix, where: str) -> None:
+    """One psi_s entry per matrix row; `run` parses both."""
+    if isinstance(psi_s, list) and isinstance(matrix, list) and len(psi_s) != len(matrix):
+        raise ConfigError(f"psi_s has {len(psi_s)} entries but {where} has {len(matrix)} rows")
+
+
 def _unread_keys(doc: dict) -> set:
     """Schema keys that the runner does not read for this config."""
     if doc["experiment"] == "fluxes" and doc.get("monte_carlo") is False:
@@ -226,6 +237,8 @@ def _check_ensemble(ens) -> None:
             _check_model_doc(atom["model"], f"{where}.model")
         elif "psi_s" not in ens:
             raise ConfigError(f"{where} is matrix-form; the ensemble needs 'psi_s'")
+        else:
+            _check_psi_s(ens["psi_s"], atom["matrix"], f"{where}.matrix")
     if "psi_s" in ens and not any("matrix" in atom for atom in atoms):
         raise ConfigError("ensemble psi_s is read only with matrix-form atoms")
     probs = [a.get("p") for a in atoms]
@@ -287,8 +300,10 @@ def _check_resolved(cfg: dict) -> None:
             raise ConfigError(f"{key} must be a finite nonnegative number, got {cfg[key]!r}")
     if exp == "classify" and not (("model" in cfg) ^ ("matrix" in cfg)):
         raise ConfigError("classify needs exactly one of 'model' or 'matrix'")
-    if exp == "classify" and "matrix" in cfg and "psi_s" not in cfg:
-        raise ConfigError("matrix-form classify needs 'psi_s'")
+    if exp == "classify" and "matrix" in cfg:
+        if "psi_s" not in cfg:
+            raise ConfigError("matrix-form classify needs 'psi_s'")
+        _check_psi_s(cfg["psi_s"], cfg["matrix"], "matrix")
     if exp in ("ideal", "oracle-check") and "model" not in cfg:
         raise ConfigError(f"{exp} needs a 'model'")
     if "ensemble" in _SCHEMAS[exp] and exp != "classify" and "ensemble" not in cfg:
@@ -320,8 +335,11 @@ def _run_classify(cfg: dict, out: str) -> tuple[dict, dict]:
         rdo = rdo_from_model(system, probe)
     else:
         m = matrix_from_json(cfg["matrix"], "matrix")
-        psi_s = np.array([complex(z[0], z[1]) for z in cfg["psi_s"]])
-        rdo = validate_rdo(m, psi_s)
+        psi_s = matrix_from_json([cfg["psi_s"]], "psi_s")[0]
+        try:
+            rdo = validate_rdo(m, psi_s)
+        except RdoValidationError as exc:
+            raise ConfigError(f"matrix: {exc}") from exc
     report = classify(rdo, tol_one=tol["tol_one"], gap_min=tol["gap_min"])
     return report.to_json(), {}
 
@@ -422,9 +440,9 @@ def _run_reverse(cfg: dict, out: str) -> tuple[dict, dict]:
     per_seed = []
     decays = True
     for seed, residuals, ratios in zip(cfg["seeds"], rep.residuals, rep.sigma_ratios):
-        pos = ratios > 0
-        if pos.sum() >= 2:
-            rate = float(np.polyfit(rep.checkpoints[pos], np.log(ratios[pos]), 1)[0])
+        fit = ratios > _SIGMA_RATIO_FLOOR
+        if fit.sum() >= 2:
+            rate = float(np.polyfit(rep.checkpoints[fit], np.log(ratios[fit]), 1)[0])
         else:
             rate = -np.inf
         decays = decays and rate < 0 and residuals[-1] <= residuals[0]

@@ -37,15 +37,7 @@ import numpy as np
 from . import rdo as rdo_mod
 from .linalg import KahanAccumulator, dag, vec
 from .model import ProbeSpec, SystemSpec, atom_energy_terms, model_from_json, rdo_from_model
-from .rdo import (
-    GnsCertificate,
-    PowerBoundCertificate,
-    Rdo,
-    SpectralReport,
-    classify,
-    decompose,
-    power_bound_certificate,
-)
+from .rdo import Rdo, RdoValidationError, SpectralReport, classify, decompose
 from .serialize import matrix_from_json
 
 NEUMANN_TERM_TOL = 1e-14
@@ -213,12 +205,7 @@ def mean_rdo(ens: RrdoEnsemble, check_class: bool = True) -> Rdo:
     If some atom with positive probability has a simple gapped eigenvalue 1,
     the mean must too; with `check_class` this is asserted.
     """
-    mean = np.einsum("k,kij->ij", ens.probs, ens.matrices)
-    if all(isinstance(a.rdo.certificate, GnsCertificate) for a in ens.atoms):
-        cert: GnsCertificate | PowerBoundCertificate = ens.atoms[0].rdo.certificate
-    else:
-        cert = power_bound_certificate([mean], np.random.default_rng(0))
-    out = Rdo(m=mean, psi_s=ens.psi_s, certificate=cert)
+    out = Rdo(m=np.einsum("k,kij->ij", ens.probs, ens.matrices), psi_s=ens.psi_s)
     if check_class and any(p > 0 and ic for p, ic in zip(ens.probs, ens.in_class)):
         if not classify(out).in_class_e:
             raise EnsembleError("mean operator left the simple-gap class; theorem check failed")
@@ -668,6 +655,9 @@ def ensemble_from_json(doc: dict) -> RrdoEnsemble:
     {"atoms": [{"p": w, "model": {...}} | {"p": w, "matrix": [...]}, ...],
      "psi_s": [[re, im], ...]   # with matrix-form atoms only, and then required
      "presample": {...}}        # alternative generative form
+
+    A matrix atom that ``rdo.validate`` rejects is malformed input and
+    raises ValueError, like a matrix that does not parse.
     """
     if "presample" in doc:
         gen = doc["presample"]
@@ -684,7 +674,7 @@ def ensemble_from_json(doc: dict) -> RrdoEnsemble:
     atoms = []
     psi_s = None
     if "psi_s" in doc:
-        psi_s = np.array([complex(z[0], z[1]) for z in doc["psi_s"]])
+        psi_s = matrix_from_json([doc["psi_s"]], "psi_s")[0]
     for entry in atoms_doc:
         p = float(entry["p"])
         if "model" in entry:
@@ -700,7 +690,11 @@ def ensemble_from_json(doc: dict) -> RrdoEnsemble:
             if psi_s is None:
                 raise EnsembleError("matrix-form atoms require a top-level psi_s")
             m = matrix_from_json(entry["matrix"], "atom matrix")
-            atoms.append(EnsembleAtom(prob=p, rdo=rdo_mod.validate(m, psi_s)))
+            try:
+                rdo = rdo_mod.validate(m, psi_s)
+            except RdoValidationError as exc:
+                raise ValueError(f"atom matrix: {exc}") from exc
+            atoms.append(EnsembleAtom(prob=p, rdo=rdo))
         else:
             raise EnsembleError("each atom needs 'model' or 'matrix'")
     return RrdoEnsemble(atoms, system=system)

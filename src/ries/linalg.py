@@ -64,10 +64,6 @@ def spectral_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def nuclear_norm(a: np.ndarray) -> float:
-    return float(np.linalg.svd(a, compute_uv=False).sum())
-
-
 def random_hermitian(d: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return scale * (a + dag(a)) / 2.0

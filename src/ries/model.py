@@ -234,18 +234,18 @@ def system_gns_data(sys: SystemSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def rdo_from_model(sys: SystemSpec, probe: ProbeSpec) -> "rdo_mod.Rdo":
-    """Reduced dynamics operator of one encounter, with exact GNS certificate.
+    """Reduced dynamics operator of one encounter.
 
-    The returned matrix fixes psi_s = vec(rho_s^(1/2)) and contracts the
-    norm |||v||| = ||unvec(v) rho_s^(-1/2)||_op. It keeps the Heisenberg map
-    Phi it transports, so the Heisenberg picture needs no inverse transport.
+    The returned matrix fixes psi_s = vec(rho_s^(1/2)) and is an exact
+    contraction for the GNS norm |||v||| = ||unvec(v) rho_s^(-1/2)||_op
+    (C0 = 1). It keeps the Heisenberg map Phi it transports, so the
+    Heisenberg picture needs no inverse transport.
     """
     _, sqrt_rho, psi_s = system_gns_data(sys)
     phi = reduced_heisenberg_map(sys, probe)
     iota = right_mult_matrix(sqrt_rho)  # iota(A) = A rho_s^(1/2)
     m = iota @ phi @ np.linalg.inv(iota)
-    cert = rdo_mod.GnsCertificate(sqrt_rho_s=sqrt_rho)
-    return rdo_mod.Rdo(m=m, psi_s=psi_s, certificate=cert, phi=phi)
+    return rdo_mod.Rdo(m=m, psi_s=psi_s, phi=phi)
 
 
 def _apply_to_rows(x: np.ndarray, g: np.ndarray, dims: list[int], legs: list[int]) -> np.ndarray:

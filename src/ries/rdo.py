@@ -1,11 +1,10 @@
-"""Reduced dynamics operators: norms, spectra, decompositions, products.
+"""Reduced dynamics operators: validation, spectra, decompositions.
 
-An RDO is a complex matrix that fixes a distinguished unit vector psi_s
-and is a contraction for a suitable norm. Model-built RDOs carry an
-exact certificate: in the GNS picture the norm is
-|||v||| = ||unvec(v) rho_s^(-1/2)||_op and the contraction constant is 1.
-Arbitrary matrices can instead carry an empirical power-bound
-certificate (a sampled sup over finite products).
+An RDO is a complex matrix M that fixes a distinguished unit vector psi_s
+and whose powers stay bounded. A model-built RDO is an exact contraction
+for the GNS norm |||v||| = ||unvec(v) rho_s^(-1/2)||_op, so its products
+obey the uniform bounds with C0 = 1; a matrix from a config is accepted
+when its spectral radius is at most 1 and its first powers stay bounded.
 
 The spectral class of interest contains RDOs whose only peripheral
 eigenvalue is a simple 1; for those, powers converge to the rank-one
@@ -20,13 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .linalg import dag, nuclear_norm, spectral_norm, unvec
-from .serialize import matrix_to_json, vector_to_json
+from .linalg import dag, spectral_norm
+from .serialize import vector_to_json
 
 INVARIANCE_TOL = 1e-11
 SPECTRAL_RADIUS_TOL = 1e-10
 DEFAULT_TOL_ONE = 1e-8
 DEFAULT_GAP_MIN = 1e-6
+# powers of a candidate matrix that validate() checks for boundedness
+POWER_CHECK_LEN = 50
 
 
 class RdoValidationError(Exception):
@@ -34,51 +35,8 @@ class RdoValidationError(Exception):
 
 
 @dataclass(frozen=True)
-class GnsCertificate:
-    """Exact contraction certificate carried by model-built RDOs.
-
-    Holds rho_s^(1/2); the certified norm is the operator norm of
-    unvec(v) rho_s^(-1/2), for which the RDO is an exact contraction
-    and the uniform product constant is C0 = 1.
-    """
-
-    sqrt_rho_s: np.ndarray
-
-    @property
-    def c0(self) -> float:
-        return 1.0
-
-    def _inv_sqrt(self) -> np.ndarray:
-        return np.linalg.inv(self.sqrt_rho_s)
-
-    def norm(self, v: np.ndarray) -> float:
-        """|||v||| = largest singular value of unvec(v) rho_s^(-1/2)."""
-        d = self.sqrt_rho_s.shape[0]
-        return spectral_norm(unvec(v, d) @ self._inv_sqrt())
-
-    def dual_norm(self, v: np.ndarray) -> float:
-        """Dual norm of |||.|||: nuclear norm of rho_s^(1/2) unvec(v)^dag."""
-        d = self.sqrt_rho_s.shape[0]
-        return nuclear_norm(self.sqrt_rho_s @ dag(unvec(v, d)))
-
-
-@dataclass(frozen=True)
-class PowerBoundCertificate:
-    """Empirical bound: max spectral norm over sampled words of RDO factors."""
-
-    c0: float
-    depth: int
-    n_words: int
-
-
-def gns_norm(v: np.ndarray, cert: GnsCertificate) -> float:
-    """Norm for which model-built RDOs are exact contractions."""
-    return cert.norm(v)
-
-
-@dataclass(frozen=True)
 class Rdo:
-    """A reduced dynamics operator with its invariant vector and norm certificate.
+    """A reduced dynamics operator and its invariant vector.
 
     A model-built RDO also keeps `phi`, the vectorized Heisenberg map it
     transports to the GNS space (M = iota Phi iota^(-1)); other RDOs have None.
@@ -86,7 +44,6 @@ class Rdo:
 
     m: np.ndarray
     psi_s: np.ndarray
-    certificate: GnsCertificate | PowerBoundCertificate
     phi: np.ndarray | None = None
 
     def __post_init__(self):
@@ -107,73 +64,25 @@ class Rdo:
     def dim(self) -> int:
         return self.m.shape[0]
 
-    @property
-    def c0(self) -> float:
-        return self.certificate.c0
 
-
-def validate(
-    candidate: np.ndarray,
-    psi_s: np.ndarray,
-    cert: GnsCertificate | None = None,
-    rng: np.random.Generator | None = None,
-    n_probes: int = 200,
-    max_len: int = 50,
-) -> Rdo:
+def validate(candidate: np.ndarray, psi_s: np.ndarray) -> Rdo:
     """Accept a candidate matrix as an RDO or raise RdoValidationError.
 
-    With a GNS certificate the exact contraction property is spot-checked on
-    random probe vectors. Without one, spectral radius and sampled powers up
-    to `max_len` must stay bounded; the observed sup is recorded as the
-    power-bound constant.
+    Its spectral radius must not exceed 1 and its powers up to
+    POWER_CHECK_LEN must stay bounded in spectral norm.
     """
     candidate = np.asarray(candidate, dtype=complex)
-    psi_s = np.asarray(psi_s, dtype=complex)
-    rng = rng if rng is not None else np.random.default_rng(0)
-
     spr = float(np.abs(np.linalg.eigvals(candidate)).max())
     if spr > 1.0 + SPECTRAL_RADIUS_TOL:
         raise RdoValidationError(f"spectral radius {spr} exceeds 1")
-
-    if cert is not None:
-        n = candidate.shape[0]
-        for _ in range(n_probes):
-            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            if cert.norm(candidate @ v) > cert.norm(v) * (1.0 + 1e-10):
-                raise RdoValidationError("candidate is not a contraction for the GNS norm")
-        return Rdo(m=candidate, psi_s=psi_s, certificate=cert)
-
-    c0 = 1.0
+    sup = 1.0
     power = np.eye(candidate.shape[0], dtype=complex)
-    for _ in range(max_len):
+    for _ in range(POWER_CHECK_LEN):
         power = power @ candidate
-        c0 = max(c0, spectral_norm(power))
-    if not np.isfinite(c0) or c0 > 1e8:
-        raise RdoValidationError(f"powers appear unbounded (sampled sup {c0:.3e})")
-    return Rdo(
-        m=candidate,
-        psi_s=psi_s,
-        certificate=PowerBoundCertificate(c0=c0, depth=max_len, n_words=max_len),
-    )
-
-
-def power_bound_certificate(
-    matrices: list[np.ndarray],
-    rng: np.random.Generator,
-    n_words: int = 200,
-    max_len: int = 50,
-) -> PowerBoundCertificate:
-    """Sampled sup of spectral norms over random words in the given factors."""
-    c0 = 1.0
-    for _ in range(n_words):
-        length = int(rng.integers(1, max_len + 1))
-        word = np.eye(matrices[0].shape[0], dtype=complex)
-        for idx in rng.integers(0, len(matrices), size=length):
-            word = word @ matrices[idx]
-            c0 = max(c0, spectral_norm(word))
-    if not np.isfinite(c0):
-        raise RdoValidationError("sampled word norms are unbounded")
-    return PowerBoundCertificate(c0=c0, depth=max_len, n_words=n_words)
+        sup = max(sup, spectral_norm(power))
+    if not np.isfinite(sup) or sup > 1e8:
+        raise RdoValidationError(f"powers appear unbounded (sampled sup {sup:.3e})")
+    return Rdo(m=candidate, psi_s=psi_s)
 
 
 @dataclass(frozen=True)
@@ -302,182 +211,3 @@ def ideal_asymptotics(rdo: Rdo, n_max: int = 200) -> IdealAsymptotics:
     ns = np.arange(1, n_max + 1)[valid]
     slope = np.polyfit(ns, np.log(errors[valid]), 1)[0]
     return IdealAsymptotics(errors=errors, fitted_rate=float(slope), spr_mq=dec.spr_mq)
-
-
-@dataclass
-class ProductTrace:
-    """Step-by-step diagnostics of a finite product of RDOs sharing psi_s.
-
-    theta follows the adjoint recursion theta_n = M_n^* theta_(n-1); the sum
-    form theta_n = psi_n + M_Qn^* theta_(n-1) is tracked independently and
-    the two must agree. The product is reconstructed at every step as
-    |psi_s><theta_n| + M_Q1 ... M_Qn and compared with the direct product.
-    """
-
-    psi_s: np.ndarray
-    theta: np.ndarray  # (n, d) adjoint-recursion values
-    theta_sum: np.ndarray  # (n, d) values from the telescoped sum form
-    psi_n: np.ndarray  # (n, d) per-factor left eigenvectors
-    psi_prod: np.ndarray  # final direct product Psi_n
-    mq_prod: np.ndarray  # final M_Q word
-    mq_norms: np.ndarray  # (n,) spectral norms of the M_Q words
-    psi_prod_norms: np.ndarray  # (n,) spectral norms of Psi_n
-    theta_norms: np.ndarray  # (n,) euclidean norms of theta_n
-    overlaps: np.ndarray  # (n,) <psi_s, theta_n>
-    recon_residuals: np.ndarray  # (n,) reconstruction error
-    theta_mismatch: np.ndarray  # (n,) |theta - theta_sum| per step
-    gns_theta_dual_norms: np.ndarray | None = None  # dual GNS norms, exact route
-
-    @property
-    def n_steps(self) -> int:
-        return self.theta.shape[0]
-
-    def to_json(self) -> dict:
-        return {
-            "n_steps": self.n_steps,
-            "theta_final": vector_to_json(self.theta[-1]),
-            "max_theta_mismatch": float(self.theta_mismatch.max()),
-            "max_recon_residual": float(self.recon_residuals.max()),
-            "max_overlap_error": float(np.abs(self.overlaps - 1.0).max()),
-            "final_mq_norm": float(self.mq_norms[-1]),
-            "psi_prod": matrix_to_json(self.psi_prod),
-        }
-
-
-def product_diagnostics(rdos: list[Rdo], tol: float = 1e-9) -> ProductTrace:
-    """Run the structural identities of a finite RDO product and record them.
-
-    Raises if the two theta formulas or the rank-one-plus-contraction
-    reconstruction disagree beyond `tol`.
-    """
-    if not rdos:
-        raise ValueError("empty product")
-    psi_s = rdos[0].psi_s
-    for r in rdos[1:]:
-        if not np.allclose(r.psi_s, psi_s, atol=1e-12):
-            raise RdoValidationError("all RDOs in a product must share psi_s")
-    n, d = len(rdos), rdos[0].dim
-    decs = {}
-    for r in rdos:
-        if id(r) not in decs:
-            decs[id(r)] = decompose(r)
-
-    theta = np.empty((n, d), dtype=complex)
-    theta_sum = np.empty((n, d), dtype=complex)
-    psi_n = np.empty((n, d), dtype=complex)
-    mq_norms = np.empty(n)
-    psi_prod_norms = np.empty(n)
-    theta_norms = np.empty(n)
-    overlaps = np.empty(n, dtype=complex)
-    recon = np.empty(n)
-    mismatch = np.empty(n)
-    gns_dual = None
-    cert = rdos[0].certificate
-    if isinstance(cert, GnsCertificate):
-        gns_dual = np.empty(n)
-
-    psi_prod = np.eye(d, dtype=complex)
-    mq_prod = np.eye(d, dtype=complex)
-    th = None
-    th_sum = None
-    for k, r in enumerate(rdos):
-        dec = decs[id(r)]
-        psi_prod = psi_prod @ r.m
-        mq_prod = mq_prod @ dec.m_q
-        if k == 0:
-            th = dec.psi.copy()
-            th_sum = dec.psi.copy()
-        else:
-            th = dag(r.m) @ th
-            th_sum = dec.psi + dag(dec.m_q) @ th_sum
-        theta[k], theta_sum[k], psi_n[k] = th, th_sum, dec.psi
-        mq_norms[k] = spectral_norm(mq_prod)
-        psi_prod_norms[k] = spectral_norm(psi_prod)
-        theta_norms[k] = np.linalg.norm(th)
-        overlaps[k] = np.vdot(psi_s, th)
-        recon[k] = spectral_norm(psi_prod - (np.outer(psi_s, th.conj()) + mq_prod))
-        mismatch[k] = np.linalg.norm(th - th_sum)
-        if gns_dual is not None:
-            gns_dual[k] = cert.dual_norm(th)
-
-    if mismatch.max() > tol:
-        raise RdoValidationError(f"theta formulas disagree by {mismatch.max():.3e}")
-    if recon.max() > tol:
-        raise RdoValidationError(f"product reconstruction residual {recon.max():.3e}")
-    return ProductTrace(
-        psi_s=psi_s,
-        theta=theta,
-        theta_sum=theta_sum,
-        psi_n=psi_n,
-        psi_prod=psi_prod,
-        mq_prod=mq_prod,
-        mq_norms=mq_norms,
-        psi_prod_norms=psi_prod_norms,
-        theta_norms=theta_norms,
-        overlaps=overlaps,
-        recon_residuals=recon,
-        theta_mismatch=mismatch,
-        gns_theta_dual_norms=gns_dual,
-    )
-
-
-def uniform_bound_report(trace: ProductTrace, c0: float) -> dict:
-    """Check the product bounds ||Psi_n|| <= C0, ||theta_n|| <= C0^2,
-    ||M_Q word|| <= C0 (1 + C0) along a trace, in spectral norm."""
-    slack = 1e-9
-    return {
-        "c0": c0,
-        "max_psi_prod_norm": float(trace.psi_prod_norms.max()),
-        "max_theta_norm": float(trace.theta_norms.max()),
-        "max_mq_word_norm": float(trace.mq_norms.max()),
-        "psi_prod_ok": bool(trace.psi_prod_norms.max() <= c0 + slack),
-        "theta_ok": bool(trace.theta_norms.max() <= c0**2 + slack),
-        "mq_word_ok": bool(trace.mq_norms.max() <= c0 * (1 + c0) + slack),
-    }
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    status: str  # "ok" or "inconclusive"
-    tail_distance: float
-    tail_mq_norm: float
-    limit_is_projection: bool
-    projection_residual: float
-
-    def to_json(self) -> dict:
-        return {
-            "status": self.status,
-            "tail_distance": self.tail_distance,
-            "tail_mq_norm": self.tail_mq_norm,
-            "limit_is_projection": self.limit_is_projection,
-            "projection_residual": self.projection_residual,
-        }
-
-
-def convergence_equivalence_check(
-    trace: ProductTrace, decay_tol: float = 1e-8
-) -> ConvergenceReport:
-    """Under decaying M_Q words, theta_n and psi_n converge together.
-
-    Reports the tail distance ||theta_n - psi_n||, and whether the
-    reconstructed limit |psi_s><psi_inf| squares to itself. If the M_Q
-    word has not decayed below `decay_tol`, the check is inconclusive.
-    """
-    if trace.mq_norms[-1] > decay_tol:
-        return ConvergenceReport(
-            status="inconclusive",
-            tail_distance=float(np.linalg.norm(trace.theta[-1] - trace.psi_n[-1])),
-            tail_mq_norm=float(trace.mq_norms[-1]),
-            limit_is_projection=False,
-            projection_residual=np.inf,
-        )
-    psi_inf = trace.psi_n[-1]
-    limit = np.outer(trace.psi_s, psi_inf.conj())
-    proj_res = spectral_norm(limit @ limit - limit)
-    return ConvergenceReport(
-        status="ok",
-        tail_distance=float(np.linalg.norm(trace.theta[-1] - trace.psi_n[-1])),
-        tail_mq_norm=float(trace.mq_norms[-1]),
-        limit_is_projection=bool(proj_res <= 1e-9),
-        projection_residual=float(proj_res),
-    )

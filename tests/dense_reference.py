@@ -2,12 +2,17 @@
 
 The package never forms these: the oracle applies each factor to its own
 tensor legs, and window observables stay d x d system matrices. The tests
-build the dense objects to check those shortcuts against.
+build the dense objects to check those shortcuts against. The GNS norms,
+the sampled power bound and the one-step product loop are the references
+for the uniform product bounds and identities of finite RDO products.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 
-from ries.linalg import unvec, vec
+from ries.linalg import dag, spectral_norm, unvec, vec
+from ries.rdo import decompose
 
 
 def embed(op: np.ndarray, dims: list[int], sites: list[int]) -> np.ndarray:
@@ -44,3 +49,63 @@ def choi_matrix(phi: np.ndarray, d: int) -> np.ndarray:
             e_kl[k, ll] = 1.0
             c += np.kron(e_kl, unvec(phi @ vec(e_kl), d))
     return c
+
+
+def gns_norm(v: np.ndarray, sqrt_rho: np.ndarray) -> float:
+    """|||v||| = ||unvec(v) rho_s^(-1/2)||_op, for which model RDOs are exact contractions."""
+    return spectral_norm(unvec(v, sqrt_rho.shape[0]) @ np.linalg.inv(sqrt_rho))
+
+
+def gns_dual_norm(v: np.ndarray, sqrt_rho: np.ndarray) -> float:
+    """Dual norm of :func:`gns_norm`: nuclear norm of rho_s^(1/2) unvec(v)^*."""
+    return float(np.linalg.norm(sqrt_rho @ dag(unvec(v, sqrt_rho.shape[0])), "nuc"))
+
+
+def sampled_power_bound(matrices, rng, n_words: int = 200, max_len: int = 50) -> float:
+    """Sup (at least 1) of the spectral norms of every prefix of `n_words` random
+    words of random length 1..max_len in the given factors."""
+    c0 = 1.0
+    for _ in range(n_words):
+        length = int(rng.integers(1, max_len + 1))
+        word = np.eye(matrices[0].shape[0], dtype=complex)
+        for idx in rng.integers(0, len(matrices), size=length):
+            word = word @ matrices[idx]
+            c0 = max(c0, spectral_norm(word))
+    return c0
+
+
+def product_trace(rdos) -> SimpleNamespace:
+    """Step-by-step record of the finite product Psi_n = M_1 ... M_n of RDOs sharing psi_s.
+
+    theta follows the adjoint recursion theta_n = M_n^* theta_(n-1) and,
+    independently, the sum form theta_n = psi_n + M_Qn^* theta_(n-1); the
+    product is compared at every step with |psi_s><theta_n| + M_Q1 ... M_Qn.
+    Per step it records theta_n, |theta_n - sum form|, the reconstruction
+    residual, <psi_s, theta_n>, ||Psi_n||, ||M_Q word|| (spectral) and
+    ||theta_n||; it also keeps the final Psi_n and M_Q word.
+    """
+    psi_s, d = rdos[0].psi_s, rdos[0].dim
+    decs = {id(r): decompose(r) for r in rdos}
+    psi_prod = np.eye(d, dtype=complex)
+    mq_prod = np.eye(d, dtype=complex)
+    trace = {k: [] for k in ("theta", "theta_mismatch", "recon_residuals", "overlaps",
+                             "psi_prod_norms", "mq_norms", "theta_norms")}
+    for k, r in enumerate(rdos):
+        dec = decs[id(r)]
+        psi_prod = psi_prod @ r.m
+        mq_prod = mq_prod @ dec.m_q
+        if k == 0:
+            theta, theta_sum = dec.psi, dec.psi
+        else:
+            theta = dag(r.m) @ theta
+            theta_sum = dec.psi + dag(dec.m_q) @ theta_sum
+        recon = psi_prod - (np.outer(psi_s, theta.conj()) + mq_prod)
+        trace["theta"].append(theta)
+        trace["theta_mismatch"].append(np.linalg.norm(theta - theta_sum))
+        trace["recon_residuals"].append(spectral_norm(recon))
+        trace["overlaps"].append(np.vdot(psi_s, theta))
+        trace["psi_prod_norms"].append(spectral_norm(psi_prod))
+        trace["mq_norms"].append(spectral_norm(mq_prod))
+        trace["theta_norms"].append(np.linalg.norm(theta))
+    arrays = {k: np.array(v) for k, v in trace.items()}
+    return SimpleNamespace(**arrays, psi_prod=psi_prod, mq_prod=mq_prod)

@@ -170,10 +170,25 @@ def test_cli_exit_codes(tmp_path, model_doc, ensemble_doc):
         # Monte Carlo with one seed has no standard error
         {"experiment": "instant", "ensemble": ensemble_doc, "seeds": [3]},
         {"experiment": "fluxes", "ensemble": ensemble_doc, "seeds": [3]},
+        # a psi_s needs one entry per matrix row
+        {"experiment": "classify", "matrix": diagonal, "psi_s": [[1.0, 0.0]]},
+        {"experiment": "decay", "ensemble": {**matrix_atoms, "psi_s": [[1.0, 0.0]] * 2}},
     ):
         path = tmp_path / "mistyped.json"
         dump_json(doc, str(path))
         assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+
+    # only `run` parses matrices and psi_s: one that is not an RDO is a config error too
+    e1 = [[1.0, 0.0], [0.0, 0.0]]
+    for doc in (
+        {"experiment": "classify", "matrix": matrix_to_json(np.diag([1.0, 2.0])), "psi_s": e1},
+        {"experiment": "classify", "matrix": diagonal, "psi_s": [[1.0], [0.0]]},
+        {"experiment": "decay", "ensemble": {**matrix_atoms, "psi_s": [[2.0, 0.0]]}},
+    ):
+        path = tmp_path / "not_rdo.json"
+        dump_json(doc, str(path))
+        assert main(["validate", str(path)]) == 0
         assert main(["run", str(path), "--out", str(tmp_path)]) == 2
 
     huge = tmp_path / "huge.json"
@@ -223,6 +238,31 @@ def test_reverse_on_gns_dim_one(tmp_path, capsys):
     with open(tmp_path / "summary.json") as fh:
         summary = json.load(fh)
     assert summary["payload"]["per_seed"][0]["final_sigma_ratio"] == 0.0
+
+
+def test_reverse_rate_ignores_rounding_noise(tmp_path, monkeypatch):
+    """sigma_ratio_rate fits only the ratios above the rounding floor.
+
+    On the demo reverse config the sigma_2 / sigma_1 ratio falls to ~1e-17;
+    dividing every ratio below the floor by 10 (which keeps it below) must
+    leave each rate bitwise the same.
+    """
+    root = os.path.join(os.path.dirname(__file__), "..", "demos", "configs")
+    with open(os.path.join(root, "reverse.json")) as fh:
+        cfg = validate_config(json.load(fh))
+    before = run(cfg, out=str(tmp_path / "before"))["payload"]["per_seed"]
+    real = ries.cli.simulate_reverse
+
+    def noisier(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        below = rep.sigma_ratios <= ries.cli._SIGMA_RATIO_FLOOR
+        assert below.any()
+        rep.sigma_ratios[below] /= 10.0
+        return rep
+
+    monkeypatch.setattr("ries.cli.simulate_reverse", noisier)
+    after = run(cfg, out=str(tmp_path / "after"))["payload"]["per_seed"]
+    assert [r["sigma_ratio_rate"] for r in after] == [r["sigma_ratio_rate"] for r in before]
 
 
 def test_run_reports_byte_identical(tmp_path, ensemble_doc):
@@ -346,21 +386,27 @@ def test_run_instant_and_fluxes(tmp_path, ensemble_doc):
 def test_sigma_floor_used_is_reported(tmp_path, ensemble_doc):
     """A 3-sigma check that fell back to the 1e-12 floor says so in the payload.
 
-    On the demo instant config every path's Cesaro mean is the same value,
-    so the stderr is below the floor; a system observable whose per-seed
-    means differ has a genuine stderr.
+    With the flip-flop exchange of `ensemble_doc` every path's Cesaro mean of
+    the probe energy is the same value, so the stderr is below the floor; a
+    system observable whose per-seed means differ has a genuine stderr, and
+    so do the demo instant and fluxes configs.
     """
-    root = os.path.join(os.path.dirname(__file__), "..", "demos", "configs")
-    with open(os.path.join(root, "instant.json")) as fh:
-        demo = json.load(fh)
     diag = matrix_to_json(np.diag([0.0, 1.0]).astype(complex))
+    exchange = {"experiment": "instant", "ensemble": ensemble_doc, "family": "probe_energy",
+                "seeds": list(range(10)), "n_total": 20_000}
     genuine = {"experiment": "instant", "ensemble": ensemble_doc, "family": "system",
                "a_s": diag, "seeds": [5, 7, 9], "n_total": 400}
-    for name, doc, floor in (("demo", demo, True), ("genuine", genuine, False)):
+    for name, doc, floor in (("exchange", exchange, True), ("genuine", genuine, False)):
         rep = run(validate_config(doc), out=str(tmp_path / name))
         assert rep["passed"]
         assert rep["payload"]["sigma_floor_used"] is floor
         assert (rep["payload"]["stderr"] < 1e-12) is floor
+    root = os.path.join(os.path.dirname(__file__), "..", "demos", "configs")
+    for name in ("instant", "fluxes"):
+        with open(os.path.join(root, f"{name}.json")) as fh:
+            rep = run(validate_config(json.load(fh)), out=str(tmp_path / name))
+        assert rep["passed"]
+        assert rep["payload"]["sigma_floor_used"] is False
 
 
 def test_flux_checks_need_finite_stderr(tmp_path, ensemble_doc, monkeypatch):

@@ -6,7 +6,6 @@ from ries.linalg import (
     KahanAccumulator,
     dag,
     expm_hermitian,
-    nuclear_norm,
     random_complex_matrix,
     random_hermitian,
     require_hermitian,
@@ -78,7 +77,6 @@ def test_embed_order_sensitivity(rng):
 def test_norms(rng):
     a = np.diag([3.0, -2.0, 1.0])
     assert spectral_norm(a) == 3.0
-    assert nuclear_norm(a) == 6.0
 
 
 def test_kahan_matches_direct_sum(rng):

@@ -1,21 +1,11 @@
 import numpy as np
 import pytest
+from dense_reference import gns_dual_norm, gns_norm, product_trace, sampled_power_bound
 
 import ries
-from ries.linalg import dag, random_complex_matrix, vec
-from ries.rdo import (
-    GnsCertificate,
-    PowerBoundCertificate,
-    Rdo,
-    RdoValidationError,
-    convergence_equivalence_check,
-    decompose,
-    gns_norm,
-    ideal_asymptotics,
-    power_bound_certificate,
-    product_diagnostics,
-    uniform_bound_report,
-)
+from ries.ensemble import EnsembleAtom, EnsembleError, RrdoEnsemble
+from ries.linalg import dag, random_complex_matrix
+from ries.rdo import Rdo, RdoValidationError, decompose, ideal_asymptotics
 
 E1 = np.array([1.0, 0.0])
 
@@ -23,29 +13,27 @@ E1 = np.array([1.0, 0.0])
 def _diag_rdo(diag, psi_s=None):
     d = len(diag)
     psi = psi_s if psi_s is not None else np.eye(d)[0]
-    cert = PowerBoundCertificate(c0=1.0, depth=0, n_words=0)
-    return Rdo(m=np.diag(np.asarray(diag, dtype=complex)), psi_s=psi, certificate=cert)
+    return Rdo(m=np.diag(np.asarray(diag, dtype=complex)), psi_s=psi)
 
 
 def test_gns_norm_of_psi_s(qubit_model):
     _, sqrt_rho, psi_s = ries.system_gns_data(qubit_model[0])
-    cert = GnsCertificate(sqrt_rho_s=sqrt_rho)
-    assert np.isclose(gns_norm(psi_s, cert), 1.0)
-    assert np.isclose(gns_norm(2.0 * psi_s, cert), 2.0)
+    assert np.isclose(gns_norm(psi_s, sqrt_rho), 1.0)
+    assert np.isclose(gns_norm(2.0 * psi_s, sqrt_rho), 2.0)
 
 
 def test_gns_norm_triangle_and_contraction(qubit_model, qubit_rdo, rng):
-    cert = qubit_rdo.certificate
+    _, sqrt_rho, _ = ries.system_gns_data(qubit_model[0])
     for _ in range(200):
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        assert gns_norm(v + w, cert) <= gns_norm(v, cert) + gns_norm(w, cert) + 1e-12
-        assert gns_norm(qubit_rdo.m @ v, cert) <= gns_norm(v, cert) * (1 + 1e-10)
+        assert gns_norm(v + w, sqrt_rho) <= gns_norm(v, sqrt_rho) + gns_norm(w, sqrt_rho) + 1e-12
+        assert gns_norm(qubit_rdo.m @ v, sqrt_rho) <= gns_norm(v, sqrt_rho) * (1 + 1e-10)
 
 
 def test_validate_accepts_identity():
     rdo = ries.validate(np.eye(3), np.array([0.0, 1.0, 0.0]))
-    assert rdo.c0 == 1.0
+    assert np.array_equal(rdo.m, np.eye(3))
 
 
 def test_validate_rejects_expanding():
@@ -56,11 +44,6 @@ def test_validate_rejects_expanding():
 def test_validate_rejects_broken_invariance():
     with pytest.raises(RdoValidationError):
         ries.validate(np.diag([0.5, 0.5]), E1)
-
-
-def test_validate_model_rdo_with_exact_certificate(qubit_rdo):
-    out = ries.validate(qubit_rdo.m, qubit_rdo.psi_s, cert=qubit_rdo.certificate)
-    assert isinstance(out.certificate, GnsCertificate)
 
 
 def test_spectral_radius_containment(qubit_rdo):
@@ -92,8 +75,7 @@ def test_decompose_rank_one():
     psi_s = np.array([1.0, 0.0])
     psi = np.array([1.0, 0.3])
     m = np.outer(psi_s, psi.conj())
-    cert = PowerBoundCertificate(c0=2.0, depth=0, n_words=0)
-    dec = decompose(Rdo(m=m, psi_s=psi_s, certificate=cert))
+    dec = decompose(Rdo(m=m, psi_s=psi_s))
     assert np.allclose(dec.p, m, atol=1e-12)
     assert np.allclose(dec.m_q, 0, atol=1e-12)
 
@@ -107,8 +89,7 @@ def test_decompose_diag():
 def test_decompose_upper_triangular():
     c, a = 0.3 + 0.1j, 0.5 + 0.2j
     m = np.array([[1.0, c], [0.0, a]])
-    cert = PowerBoundCertificate(c0=10.0, depth=0, n_words=0)
-    dec = decompose(Rdo(m=m, psi_s=E1.astype(complex), certificate=cert))
+    dec = decompose(Rdo(m=m, psi_s=E1.astype(complex)))
     expected = np.array([1.0, np.conj(c) / (1.0 - np.conj(a))])
     assert np.allclose(dec.psi, expected, atol=1e-10)
     assert np.allclose(dag(m) @ dec.psi, dec.psi, atol=1e-10)
@@ -145,8 +126,7 @@ def test_ideal_asymptotics_exact_diag():
 def test_ideal_asymptotics_one_step():
     psi_s = np.array([1.0, 0.0])
     m = np.outer(psi_s, np.array([1.0, 0.3]).conj())
-    cert = PowerBoundCertificate(c0=2.0, depth=0, n_words=0)
-    res = ideal_asymptotics(Rdo(m=m, psi_s=psi_s, certificate=cert), n_max=10)
+    res = ideal_asymptotics(Rdo(m=m, psi_s=psi_s), n_max=10)
     assert res.errors.max() < 1e-13
 
 
@@ -163,59 +143,41 @@ def test_ideal_asymptotics_qubit_rate(qubit_rdo):
 
 
 def test_product_diagnostics_constant_rank_one():
+    """The reference product loop: theta_n = psi for a constant rank-one factor."""
     psi_s = np.array([1.0, 0.0])
     psi = np.array([1.0, 0.3])
-    m = np.outer(psi_s, psi.conj())
-    cert = PowerBoundCertificate(c0=2.0, depth=0, n_words=0)
-    rdo = Rdo(m=m, psi_s=psi_s, certificate=cert)
-    trace = product_diagnostics([rdo] * 8)
+    rdo = Rdo(m=np.outer(psi_s, psi.conj()), psi_s=psi_s)
+    trace = product_trace([rdo] * 8)
     assert np.allclose(trace.theta, np.tile(psi, (8, 1)), atol=1e-12)
 
 
 def test_product_diagnostics_mixed_models(qubit_model, uncoupled_probe):
+    """Theta recursions, reconstruction and the dual GNS bound on a random model product."""
     system, probe = qubit_model
     r1 = ries.rdo_from_model(system, probe)
     r0 = ries.rdo_from_model(system, uncoupled_probe)
+    _, sqrt_rho, _ = ries.system_gns_data(system)
     rng = np.random.default_rng(3)
     rdos = [(r1 if b else r0) for b in rng.integers(0, 2, size=100)]
-    trace = product_diagnostics(rdos, tol=1e-9)
+    trace = product_trace(rdos)
     assert trace.recon_residuals.max() < 1e-10
     assert trace.theta_mismatch.max() < 1e-10
     assert np.abs(trace.overlaps - 1.0).max() < 1e-9
-    report = uniform_bound_report(trace, c0=1.0)
-    # spectral-norm route: bounds hold up to the sampled constant
-    assert trace.gns_theta_dual_norms is not None
-    assert trace.gns_theta_dual_norms.max() <= 1.0 + 1e-9
+    assert max(gns_dual_norm(theta, sqrt_rho) for theta in trace.theta) <= 1.0 + 1e-9
 
 
-def test_product_diagnostics_rejects_mismatched_psi():
+def test_ensemble_rejects_mismatched_psi():
     a = ries.validate(np.eye(2), np.array([1.0, 0.0]))
     b = ries.validate(np.eye(2), np.array([0.0, 1.0]))
-    with pytest.raises(RdoValidationError):
-        product_diagnostics([a, b])
-
-
-def test_convergence_equivalence_deterministic(qubit_rdo):
-    trace = product_diagnostics([qubit_rdo] * 400)
-    report = convergence_equivalence_check(trace)
-    assert report.status == "ok"
-    assert report.limit_is_projection
-    assert report.tail_distance < 1e-7
-
-
-def test_convergence_equivalence_inconclusive():
-    # unitary-like rotation on the Q sector never decays
-    theta = 0.7
-    m = np.diag([1.0, np.exp(1j * theta)])
-    rdo = ries.validate(m, np.array([1.0, 0.0]))
-    trace = product_diagnostics([rdo] * 20)
-    assert convergence_equivalence_check(trace).status == "inconclusive"
+    with pytest.raises(EnsembleError):
+        RrdoEnsemble([EnsembleAtom(prob=0.5, rdo=a), EnsembleAtom(prob=0.5, rdo=b)])
 
 
 def test_power_bound_certificate(rng):
+    """Sampled word norms of diagonal contractions stay at 1; an expanding
+    candidate is rejected by validate."""
     mats = [np.diag([1.0, 0.5]), np.diag([1.0, 0.9])]
-    cert = power_bound_certificate(mats, rng)
-    assert cert.c0 == 1.0
-    bad = [random_complex_matrix(3, rng, scale=2.0)]
+    assert sampled_power_bound(mats, rng) == 1.0
+    bad = random_complex_matrix(3, rng, scale=2.0)
     with pytest.raises(RdoValidationError):
-        ries.validate(bad[0], np.array([1.0, 0, 0]))
+        ries.validate(bad, np.array([1.0, 0, 0]))
