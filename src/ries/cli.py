@@ -12,22 +12,27 @@ status:
 
 ``ries validate config.json`` prints the fully-resolved config (defaults
 applied) and exits 0/2. It rejects unknown keys at every level (the
-experiment's schema, where ``tolerances`` is a ``classify`` key, and each
-ensemble, atom and presample object), keys the run would not read
+experiment's schema, where ``tolerances`` is a ``classify`` key, and
+each ensemble, atom and presample object), keys the run would not read
 (``seeds``/``n_total``/``rho_init`` of ``fluxes`` without Monte Carlo,
-``a_s`` outside the ``system`` family, ``psi_s`` without matrix-form atoms),
-ensembles without exactly one of ``atoms``/``presample``, atoms without
-exactly one of ``model``/``matrix``, counts that are not integers >= 1,
-seeds that are not integers >= 0 (or fewer than 2 for Monte Carlo), and
-probabilities, tolerances, coefficients, model ``beta``/``tau`` or
-presample bounds that are not finite (and, but for bounds, nonnegative);
-each model ``dim`` must be an integer >= 1, and each ``psi_s`` must have
-one entry per row of its matrix. Matrices are parsed only by ``run``,
-which reports a matrix that is not an RDO for its ``psi_s`` as a config
-error. All seeds of a config step as one batch, in every stochastic
-experiment alike: seed s drives ``trajectory_rng(s)``, so a seed's results
-do not depend on the batch or on which other seeds ran, and identical
-configs give byte-identical summaries except for the wall-time field.
+``a_s`` outside the ``system`` family, ``psi_s`` without matrix-form
+atoms), ensembles without exactly one of ``atoms``/``presample``, atoms
+without exactly one of ``model``/``matrix``, ensembles that mix
+model-form and matrix-form atoms or whose model atoms differ in system
+``dim`` or ``beta``, counts that are not integers >= 1, seeds that are
+not integers >= 0 (or fewer than 2 for Monte Carlo), and probabilities,
+tolerances, coefficients, model ``beta``/``tau`` or presample bounds
+that are not finite (and, but for bounds, nonnegative); a presample
+range needs ``low`` <= ``high``, and ``tau`` and ``beta`` ranges a
+nonnegative ``low`` (``coupling`` scales V and may be negative). Each
+model ``dim`` must be an integer >= 1, and each ``psi_s`` must have one
+entry per row of its matrix. Matrices are parsed only by ``run``, which
+reports a matrix that is not an RDO for its ``psi_s``, and model atoms
+whose system ``h`` differs, as config errors. All seeds of a config step
+as one batch, in every stochastic experiment alike: seed s drives
+``trajectory_rng(s)``, so a seed's results do not depend on the batch or
+on which other seeds ran, and identical configs give byte-identical
+summaries except for the wall-time field.
 """
 
 from __future__ import annotations
@@ -211,6 +216,9 @@ def _check_presample(gen) -> None:
         bounds = gen[key]
         if not (isinstance(bounds, dict) and all(_is_real(bounds.get(b)) for b in ("low", "high"))):
             raise ConfigError(f"presample.{key} needs finite 'low' and 'high', got {bounds!r}")
+        low_ok = bounds["low"] >= 0 or key == "coupling"  # coupling scales V and may be negative
+        if not (low_ok and bounds["low"] <= bounds["high"]):
+            raise ConfigError(f"presample.{key} {bounds!r}: need low <= high, and low >= 0 but for coupling")
 
 
 def _check_ensemble(ens) -> None:
@@ -239,7 +247,12 @@ def _check_ensemble(ens) -> None:
             raise ConfigError(f"{where} is matrix-form; the ensemble needs 'psi_s'")
         else:
             _check_psi_s(ens["psi_s"], atom["matrix"], f"{where}.matrix")
-    if "psi_s" in ens and not any("matrix" in atom for atom in atoms):
+    models = [atom["model"] for atom in atoms if "model" in atom]
+    if models and len(models) < len(atoms):
+        raise ConfigError("ensemble atoms must be all model-form or all matrix-form")
+    if len({(model["system"]["dim"], model["system"]["beta"]) for model in models}) > 1:
+        raise ConfigError("model-form atoms must share one system; their system dim or beta differs")
+    if "psi_s" in ens and models:
         raise ConfigError("ensemble psi_s is read only with matrix-form atoms")
     probs = [a.get("p") for a in atoms]
     if not all(_is_number(p) for p in probs):
@@ -500,8 +513,7 @@ def _run_fluxes(cfg: dict, out: str) -> tuple[dict, dict]:
     ens = ensemble_from_json(cfg["ensemble"])
     closed = flux_closed_form(ens)
     payload = {"closed_form": closed.to_json()}
-    betas = [a.probe.beta_e for a in ens.atoms]
-    deterministic_beta = max(betas) - min(betas) <= 1e-14
+    deterministic_beta = ens.betas.max() - ens.betas.min() <= 1e-14
     checks = {"real_valued": bool(closed.imag_defect <= 1e-9)}
     if deterministic_beta:
         checks["second_law"] = bool(abs(closed.residual) <= 1e-8)

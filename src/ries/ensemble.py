@@ -2,9 +2,11 @@
 
 An ensemble is a finite probability distribution over RDOs sharing one
 invariant vector psi_s; iid draws from it generate the random product
-Psi_n = M(w_1) ... M(w_n). This module provides the mean operator and
-the closed-form asymptotic vector theta (two independent routes), seeded
-forward/reverse trajectory simulation, decay-rate estimation for the
+Psi_n = M(w_1) ... M(w_n). :class:`RrdoEnsemble` holds it as stacks, one
+array per quantity with one row per atom, and every reader indexes those
+rows. This module provides the mean operator and the closed-form
+asymptotic vector theta (two independent routes), seeded forward/reverse
+trajectory simulation, decay-rate estimation for the
 strictly-contracting parts, and Lyapunov exponent estimation.
 
 The trajectory kernels take a list of seeds (or one seed) and step them as
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
 
 import numpy as np
@@ -58,39 +60,51 @@ def trajectory_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-@dataclass(frozen=True)
-class EnsembleAtom:
-    prob: float
-    rdo: Rdo
-    probe: ProbeSpec | None = None
-
-
 class RrdoEnsemble:
-    """Finite-support distribution over RDOs with a common invariant vector."""
+    """Finite-support distribution over RDOs with a common invariant vector, as stacks.
 
-    def __init__(self, atoms: list[EnsembleAtom], system: SystemSpec | None = None):
-        if not atoms:
+    Each per-atom quantity is stored once, as one array with one row per
+    atom: ``probs`` (the weights), ``matrices`` (M), ``adjoints`` (M*),
+    ``mq`` and ``mq_adjoints`` (M_Q = Q M Q and its adjoint), ``psi_omega``
+    (psi(w) = P_1(w)^* psi_s) and the ``in_class`` flags (simple gapped 1).
+    A model-built ensemble also holds its one ``system``, its ``probes``, the
+    ``phis`` stack of vectorized Heisenberg maps and the probe ``betas``; a
+    matrix-form ensemble has None in all four.
+    """
+
+    def __init__(
+        self,
+        probs,
+        rdos: list[Rdo],
+        system: SystemSpec | None = None,
+        probes: list[ProbeSpec] | None = None,
+    ):
+        if not rdos:
             raise EnsembleError("ensemble needs at least one atom")
-        total = sum(a.prob for a in atoms)
+        if (system is None) != (probes is None):
+            raise EnsembleError("model-built atoms need both the system and the probes")
+        if len(probs) != len(rdos) or (probes is not None and len(probes) != len(rdos)):
+            raise EnsembleError("one weight (and one probe) per atom")
+        self.probs = np.array(probs, dtype=float)
+        total = self.probs.sum()
         if abs(total - 1.0) > 1e-12:
             raise EnsembleError(f"probabilities sum to {total}, expected 1")
-        if any(a.prob < 0 for a in atoms):
+        if (self.probs < 0).any():
             raise EnsembleError("probabilities must be nonnegative")
-        psi_s = atoms[0].rdo.psi_s
-        for a in atoms[1:]:
-            if not np.allclose(a.rdo.psi_s, psi_s, atol=1e-12):
-                raise EnsembleError("all atoms must share psi_s")
-        self.atoms = list(atoms)
+        self.psi_s = rdos[0].psi_s
+        if not all(np.allclose(r.psi_s, self.psi_s, atol=1e-12) for r in rdos[1:]):
+            raise EnsembleError("all atoms must share psi_s")
+        self.matrices = np.stack([r.m for r in rdos])
+        self.adjoints = np.stack([dag(r.m) for r in rdos])
+        splits = [decompose(r) for r in rdos]
+        self.mq = np.stack([d.m_q for d in splits])
+        self.mq_adjoints = np.stack([dag(d.m_q) for d in splits])
+        self.psi_omega = np.stack([d.psi for d in splits])
+        self.in_class = [classify(r).in_class_e for r in rdos]
         self.system = system
-        self.psi_s = psi_s
-        self.probs = np.array([a.prob for a in atoms])
-        self.matrices = np.stack([a.rdo.m for a in atoms])
-        self.adjoints = np.stack([dag(a.rdo.m) for a in atoms])
-        self.decompositions = [decompose(a.rdo) for a in atoms]
-        self.mq = np.stack([d.m_q for d in self.decompositions])
-        self.mq_adjoints = np.stack([dag(d.m_q) for d in self.decompositions])
-        self.psi_omega = np.stack([d.psi for d in self.decompositions])
-        self.in_class = [classify(a.rdo).in_class_e for a in atoms]
+        self.probes = probes
+        self.phis = None if probes is None else np.stack([r.phi for r in rdos])
+        self.betas = None if probes is None else np.array([p.beta_e for p in probes])
 
     @property
     def dim(self) -> int:
@@ -98,14 +112,7 @@ class RrdoEnsemble:
 
     @property
     def n_atoms(self) -> int:
-        return len(self.atoms)
-
-    @property
-    def has_models(self) -> bool:
-        """Whether every atom carries its probe and Heisenberg map (model-built)."""
-        return self.system is not None and all(
-            a.probe is not None and a.rdo.phi is not None for a in self.atoms
-        )
+        return len(self.probs)
 
     @cached_property
     def mean(self) -> Rdo:
@@ -129,10 +136,9 @@ class RrdoEnsemble:
         ``jump[i, j] = vec(Phi_i(vbar_j) - own_i)`` and ``flux[i] = vec(F_i)``
         (see :func:`ries.thermo.energy_tables`); one reduction per atom builds both.
         """
-        phis = np.stack([a.rdo.phi for a in self.atoms])
-        terms = [atom_energy_terms(self.system, a.probe, a.rdo.phi) for a in self.atoms]
+        terms = [atom_energy_terms(self.system, p, phi) for p, phi in zip(self.probes, self.phis)]
         vbar, own, flux = (np.stack([vec(x) for x in column]) for column in zip(*terms))
-        jump = np.einsum("iab,jb->ija", phis, vbar) - own[:, None, :]
+        jump = np.einsum("iab,jb->ija", self.phis, vbar) - own[:, None, :]
         return jump, flux
 
     def sample_paths(self, seeds, n: int) -> np.ndarray:
@@ -147,20 +153,18 @@ class RrdoEnsemble:
     def from_models(
         cls, system: SystemSpec, weighted_probes: list[tuple[float, ProbeSpec]]
     ) -> "RrdoEnsemble":
-        atoms = [
-            EnsembleAtom(prob=p, rdo=rdo_from_model(system, probe), probe=probe)
-            for p, probe in weighted_probes
-        ]
-        return cls(atoms, system=system)
+        probes = [probe for _, probe in weighted_probes]
+        rdos = [rdo_from_model(system, probe) for probe in probes]
+        return cls([p for p, _ in weighted_probes], rdos, system, probes)
 
     @classmethod
     def from_matrices(
         cls, psi_s: np.ndarray, weighted_matrices: list[tuple[float, np.ndarray]]
     ) -> "RrdoEnsemble":
-        atoms = [
-            EnsembleAtom(prob=p, rdo=rdo_mod.validate(m, psi_s)) for p, m in weighted_matrices
-        ]
-        return cls(atoms)
+        return cls(
+            [p for p, _ in weighted_matrices],
+            [rdo_mod.validate(m, psi_s) for _, m in weighted_matrices],
+        )
 
     @classmethod
     def presampled(
@@ -177,26 +181,16 @@ class RrdoEnsemble:
         "coupling" scales the interaction operator.
         """
         rng = trajectory_rng(seed)
-        weighted = []
-        for _ in range(count):
-            tau = base_probe.tau
-            beta = base_probe.beta_e
-            scale = 1.0
-            if "tau" in ranges:
-                tau = rng.uniform(ranges["tau"]["low"], ranges["tau"]["high"])
-            if "beta" in ranges:
-                beta = rng.uniform(ranges["beta"]["low"], ranges["beta"]["high"])
-            if "coupling" in ranges:
-                scale = rng.uniform(ranges["coupling"]["low"], ranges["coupling"]["high"])
-            probe = ProbeSpec(
-                dim_e=base_probe.dim_e,
-                h_e=base_probe.h_e,
-                beta_e=beta,
-                v=scale * base_probe.v,
-                tau=tau,
-            )
-            weighted.append((1.0 / count, probe))
-        return cls.from_models(system, weighted)
+
+        def draw(key: str, default: float) -> float:
+            return rng.uniform(ranges[key]["low"], ranges[key]["high"]) if key in ranges else default
+
+        probes = []
+        for _ in range(count):  # per atom: tau, then beta, then the coupling scale
+            tau, beta = draw("tau", base_probe.tau), draw("beta", base_probe.beta_e)
+            v = draw("coupling", 1.0) * base_probe.v
+            probes.append(replace(base_probe, beta_e=beta, v=v, tau=tau))
+        return cls.from_models(system, [(1.0 / count, probe) for probe in probes])
 
 
 def mean_rdo(ens: RrdoEnsemble, check_class: bool = True) -> Rdo:
@@ -652,12 +646,15 @@ def lyapunov(
 def ensemble_from_json(doc: dict) -> RrdoEnsemble:
     """Build an ensemble from its JSON document.
 
-    {"atoms": [{"p": w, "model": {...}} | {"p": w, "matrix": [...]}, ...],
-     "psi_s": [[re, im], ...]   # with matrix-form atoms only, and then required
-     "presample": {...}}        # alternative generative form
+    {"atoms": [{"p": w, "model": {...}}, ...]   # all model-form, one system
+     | "atoms": [{"p": w, "matrix": [...]}, ...], "psi_s": [[re, im], ...]
+     | "presample": {...}}                      # alternative generative form
 
-    A matrix atom that ``rdo.validate`` rejects is malformed input and
-    raises ValueError, like a matrix that does not parse.
+    The document goes to :meth:`RrdoEnsemble.from_models`,
+    :meth:`RrdoEnsemble.from_matrices` or :meth:`RrdoEnsemble.presampled`.
+    A malformed document raises ValueError: no atoms, an atom without
+    exactly one form, mixed forms, model atoms whose systems differ, or
+    matrix atoms without psi_s or that are not RDOs for it.
     """
     if "presample" in doc:
         gen = doc["presample"]
@@ -667,34 +664,26 @@ def ensemble_from_json(doc: dict) -> RrdoEnsemble:
             system, base_probe, ranges, count=int(gen.get("count", 32)), seed=int(gen.get("seed", 0))
         )
 
-    atoms_doc = doc.get("atoms")
-    if not atoms_doc:
-        raise EnsembleError("ensemble document needs 'atoms' or 'presample'")
-    system = None
-    atoms = []
-    psi_s = None
-    if "psi_s" in doc:
-        psi_s = matrix_from_json([doc["psi_s"]], "psi_s")[0]
-    for entry in atoms_doc:
-        p = float(entry["p"])
-        if "model" in entry:
-            sys_k, probe = model_from_json(entry["model"])
-            if system is None:
-                system = sys_k
-            elif not (
-                np.allclose(system.h_s, sys_k.h_s) and system.beta_s == sys_k.beta_s
-            ):
-                raise EnsembleError("all atoms must share the same system")
-            atoms.append(EnsembleAtom(prob=p, rdo=rdo_from_model(sys_k, probe), probe=probe))
-        elif "matrix" in entry:
-            if psi_s is None:
-                raise EnsembleError("matrix-form atoms require a top-level psi_s")
-            m = matrix_from_json(entry["matrix"], "atom matrix")
-            try:
-                rdo = rdo_mod.validate(m, psi_s)
-            except RdoValidationError as exc:
-                raise ValueError(f"atom matrix: {exc}") from exc
-            atoms.append(EnsembleAtom(prob=p, rdo=rdo))
-        else:
-            raise EnsembleError("each atom needs 'model' or 'matrix'")
-    return RrdoEnsemble(atoms, system=system)
+    atoms = doc.get("atoms")
+    if not atoms:
+        raise ValueError("ensemble document needs 'atoms' or 'presample'")
+    probs = [float(entry["p"]) for entry in atoms]
+    if not all(("model" in entry) != ("matrix" in entry) for entry in atoms):
+        raise ValueError("each atom needs exactly one of 'model' or 'matrix'")
+    n_models = sum("model" in entry for entry in atoms)
+    if 0 < n_models < len(atoms):
+        raise ValueError("an ensemble's atoms must be all model-form or all matrix-form")
+    if n_models:
+        systems, probes = zip(*(model_from_json(entry["model"]) for entry in atoms))
+        first = (systems[0].dim_s, systems[0].beta_s, systems[0].h_s.tolist())
+        if any((s.dim_s, s.beta_s, s.h_s.tolist()) != first for s in systems[1:]):
+            raise ValueError("all model-form atoms must share one system (dim, h and beta)")
+        return RrdoEnsemble.from_models(systems[0], list(zip(probs, probes)))
+    if "psi_s" not in doc:
+        raise ValueError("matrix-form atoms require a top-level psi_s")
+    psi_s = matrix_from_json([doc["psi_s"]], "psi_s")[0]
+    matrices = [matrix_from_json(entry["matrix"], "atom matrix") for entry in atoms]
+    try:
+        return RrdoEnsemble.from_matrices(psi_s, list(zip(probs, matrices)))
+    except RdoValidationError as exc:
+        raise ValueError(f"atom matrix: {exc}") from exc

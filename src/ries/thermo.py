@@ -15,10 +15,10 @@ At deterministic probe temperature the two satisfy dS+ = beta_E dE+.
 
 Every energy quantity is built from per-atom pieces in the Heisenberg
 picture (:func:`energy_tables`, built once per ensemble): atom i's map
-Phi_i, kept on its RDO, the Gibbs mean field vbar_i = Tr_E[(1 x rho_E) V_i],
-and own_i, the reduction of V_i through atom i's encounter. Then
-F_i = H_S + vbar_i - Phi_i(H_S) - own_i, and the energy jump when atom j
-follows atom i is Phi_i(vbar_j) - own_i.
+Phi_i (row i of the ensemble's ``phis`` stack), the Gibbs mean field
+vbar_i = Tr_E[(1 x rho_E) V_i], and own_i, the reduction of V_i through
+atom i's encounter. Then F_i = H_S + vbar_i - Phi_i(H_S) - own_i, and
+the energy jump when atom j follows atom i is Phi_i(vbar_j) - own_i.
 
 Both Monte Carlo estimators are one seed-batched Cesaro average of the
 pairing of a vector, carried by adjoint one-step maps, with a table over
@@ -76,7 +76,7 @@ class InstantObservableFamily:
 
 
 def _require_models(ens: RrdoEnsemble) -> SystemSpec:
-    if not ens.has_models:
+    if ens.system is None:
         raise EnsembleError("this operation needs model-built atoms (interaction data)")
     return ens.system
 
@@ -98,7 +98,7 @@ def observable_family(
     check_capacity([system.dim_s], l + r)
     x = []
     for tup in iter_product(range(ens.n_atoms), repeat=l + r + 1):
-        probes = [ens.atoms[i].probe for i in tup]
+        probes = [ens.probes[i] for i in tup]
         x.append(reduce_instant(system, probes, builder(tuple(probes))))
     return InstantObservableFamily(l=l, r=r, x=np.array(x), name=name)
 
@@ -290,13 +290,9 @@ class FluxReport:
         return out
 
 
-def _betas(ens: RrdoEnsemble) -> np.ndarray:
-    return np.array([a.probe.beta_e for a in ens.atoms])
-
-
 def mean_beta(ens: RrdoEnsemble) -> float:
     _require_models(ens)
-    return float(ens.probs @ _betas(ens))
+    return float(ens.probs @ ens.betas)
 
 
 def flux_closed_form(ens: RrdoEnsemble) -> FluxReport:
@@ -310,7 +306,7 @@ def flux_closed_form(ens: RrdoEnsemble) -> FluxReport:
     # Tr[rho_+ F_i] = vec(F_i) . vec(rho_+^T) for every atom at once
     pairings = flux @ vec(_rho_plus(ens).T)
     de = ens.probs @ pairings
-    ds = (ens.probs * _betas(ens)) @ pairings
+    ds = (ens.probs * ens.betas) @ pairings
     imag = max(abs(de.imag), abs(ds.imag))
     residual = ds.real - mean_beta(ens) * de.real
     return FluxReport(
@@ -338,9 +334,9 @@ def flux_monte_carlo(
         rho_init = system.gibbs_state()
     # Heisenberg picture: plain system matrices, no GNS transport
     jump, flux = energy_tables(ens)
-    ent = np.repeat(_betas(ens)[:, None] * flux, ens.n_atoms, axis=0)  # indexed by (i, j)
+    ent = np.repeat(ens.betas[:, None] * flux, ens.n_atoms, axis=0)  # indexed by (i, j)
     tables = np.stack([jump.reshape(ent.shape), ent], axis=-1)
-    phis_adj = np.stack([dag(a.rdo.phi) for a in ens.atoms])
+    phis_adj = np.stack([dag(phi) for phi in ens.phis])
     means = _cesaro_means(ens, phis_adj, vec(rho_init), tables, 2, seeds, n_total)
     de, de_err = _mean_stderr(means[:, 0].real)
     ds, ds_err = _mean_stderr(means[:, 1].real)

@@ -8,7 +8,7 @@ import pytest
 import ries
 from ries.cli import EXPERIMENTS, ConfigError, main, run, validate_config
 from ries.model import model_to_json
-from ries.serialize import dump_json, dumps_json, matrix_from_json, matrix_to_json
+from ries.serialize import dump_json, dumps_json, matrix_from_json, matrix_to_json, vector_to_json
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +129,23 @@ def test_cli_exit_codes(tmp_path, model_doc, ensemble_doc):
     assert main(["validate", str(path)]) == 0
     diagonal = matrix_to_json(np.diag([1.0, 0.5]))
     a_s = matrix_to_json(np.diag([1.0, -1.0]))
+    system, probe = ries.model_from_json(model_doc)
+    # atom 1 on a qutrit system: both systems and both atoms are valid on their own
+    qutrit = ries.SystemSpec(dim_s=3, h_s=np.diag([0.0, 1.0, 2.0]), beta_s=system.beta_s)
+    v = 0.3 * np.kron(np.diag([1.0, 0.0, -1.0]), np.diag([1.0, -1.0]))
+    qutrit_probe = ries.ProbeSpec(dim_e=2, h_e=probe.h_e, beta_e=probe.beta_e, v=v, tau=probe.tau)
+    other_dim = {"atoms": [atoms[0], {"p": 0.5, "model": model_to_json(qutrit, qutrit_probe)}]}
+    other_beta = edited(ensemble_doc, ("atoms", 1, "model", "system", "beta"), 0.9)
+    other_h = edited(ensemble_doc, ("atoms", 1, "model", "system", "h"), diagonal)
+    # a matrix atom next to a model atom, with the model's GNS psi_s
+    gns_psi_s = vector_to_json(ries.system_gns_data(system)[2])
+    identity_atom = {"p": 0.5, "matrix": matrix_to_json(np.eye(4))}
+    mixed_forms = {"atoms": [atoms[1], identity_atom], "psi_s": gns_psi_s}
+    swapped_range, negative_range = {"low": 1.6, "high": 0.6}, {"low": -0.5, "high": 1.0}
+    coupling_range = edited(presample, ("presample", "coupling"), negative_range)
+    path = tmp_path / "negative_coupling.json"
+    dump_json({"experiment": "ergodic", "ensemble": coupling_range}, str(path))
+    assert main(["validate", str(path)]) == 0
     for doc in (
         {"experiment": "ergodic", "ensemble": ensemble_doc, "checkpoint_every": 0},
         {"experiment": "reverse", "ensemble": ensemble_doc, "checkpoint_every": 0},
@@ -173,6 +190,14 @@ def test_cli_exit_codes(tmp_path, model_doc, ensemble_doc):
         # a psi_s needs one entry per matrix row
         {"experiment": "classify", "matrix": diagonal, "psi_s": [[1.0, 0.0]]},
         {"experiment": "decay", "ensemble": {**matrix_atoms, "psi_s": [[1.0, 0.0]] * 2}},
+        # an ensemble has one system, and its atoms are all model-form or all matrix-form
+        {"experiment": "decay", "ensemble": other_dim},
+        {"experiment": "decay", "ensemble": other_beta},
+        {"experiment": "decay", "ensemble": mixed_forms},
+        # presample ranges: low <= high, and nonnegative tau and beta
+        {"experiment": "ergodic", "ensemble": edited(presample, ("presample", "tau"), swapped_range)},
+        {"experiment": "ergodic", "ensemble": edited(presample, ("presample", "tau", "low"), -0.5)},
+        {"experiment": "ergodic", "ensemble": edited(presample, ("presample", "beta"), negative_range)},
     ):
         path = tmp_path / "mistyped.json"
         dump_json(doc, str(path))
@@ -185,6 +210,8 @@ def test_cli_exit_codes(tmp_path, model_doc, ensemble_doc):
         {"experiment": "classify", "matrix": matrix_to_json(np.diag([1.0, 2.0])), "psi_s": e1},
         {"experiment": "classify", "matrix": diagonal, "psi_s": [[1.0], [0.0]]},
         {"experiment": "decay", "ensemble": {**matrix_atoms, "psi_s": [[2.0, 0.0]]}},
+        # model atoms whose system h differs
+        {"experiment": "decay", "ensemble": other_h},
     ):
         path = tmp_path / "not_rdo.json"
         dump_json(doc, str(path))
@@ -197,7 +224,6 @@ def test_cli_exit_codes(tmp_path, model_doc, ensemble_doc):
 
     failing = tmp_path / "failing.json"
     # an all-unitary ensemble cannot satisfy the decay precondition
-    system, probe = ries.model_from_json(model_doc)
     probe0 = ries.ProbeSpec(
         dim_e=2, h_e=probe.h_e, beta_e=probe.beta_e, v=0.0 * probe.v, tau=probe.tau
     )

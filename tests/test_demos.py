@@ -1,12 +1,18 @@
-"""Smoke tests: each demo runs, and every agreement it prints is tight."""
+"""Smoke tests: each demo and demo config runs, and every agreement it reports is tight."""
 
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from ries.cli import run, validate_config
+
 ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = sorted((ROOT / "demos" / "configs").glob("*.json"))
 
 
 def _run_demo(name: str) -> str:
@@ -46,3 +52,9 @@ def test_energy_entropy_fluxes_demo():
     assert residual is not None and jump_diff is not None, out
     assert abs(float(residual.group(1))) <= 1e-12
     assert float(jump_diff.group(1)) <= 1e-12
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+def test_demo_config_runs_and_passes(path, tmp_path):
+    report = run(validate_config(json.loads(path.read_text())), out=str(tmp_path))
+    assert report["passed"], report["checks"]

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +16,10 @@ from ries.ensemble import (
     theta_routes,
     trajectory_rng,
 )
-from ries.linalg import KahanAccumulator, random_hermitian, spectral_norm
+from ries.linalg import KahanAccumulator, dag, random_hermitian, spectral_norm
 from ries.model import model_to_json
-from ries.rdo import decompose
+from ries.rdo import classify, decompose
+from ries.thermo import energy_tables
 
 
 def _diag_ensemble(pairs, psi_s=None):
@@ -38,7 +41,7 @@ def test_ensemble_validation():
     with pytest.raises(EnsembleError):
         _diag_ensemble([(0.6, [1, 0.5]), (0.6, [1, 0.4])])
     with pytest.raises(EnsembleError):
-        RrdoEnsemble([])
+        RrdoEnsemble([], [])
 
 
 def test_mean_rdo_diagonal():
@@ -178,13 +181,13 @@ def test_presampled_ensemble(qubit_model):
     )
     assert ens.n_atoms == 8
     assert np.isclose(ens.probs.sum(), 1.0)
-    taus = {a.probe.tau for a in ens.atoms}
+    taus = {p.tau for p in ens.probes}
     assert len(taus) == 8
     # reproducible
     ens2 = RrdoEnsemble.presampled(
         system, probe, {"tau": {"low": 0.5, "high": 1.5}}, count=8, seed=3
     )
-    assert {a.probe.tau for a in ens2.atoms} == taus
+    assert {p.tau for p in ens2.probes} == taus
 
 
 def test_ensemble_from_json(qubit_model, uncoupled_probe):
@@ -196,9 +199,80 @@ def test_ensemble_from_json(qubit_model, uncoupled_probe):
         ]
     }
     ens = ensemble_from_json(doc)
-    assert ens.n_atoms == 2 and ens.has_models
-    with pytest.raises(EnsembleError):
+    assert ens.n_atoms == 2 and ens.system is not None
+    with pytest.raises(ValueError):
         ensemble_from_json({"atoms": [{"p": 1.0, "matrix": [[[1.0, 0.0]]]}]})
+
+
+def _assert_rows_match(ens, k, rdo):
+    """Row k of every stack is the build of atom k alone: its RDO, then decompose and classify."""
+    split = decompose(rdo)
+    for stack, ref in (
+        (ens.matrices, rdo.m),
+        (ens.adjoints, dag(rdo.m)),
+        (ens.mq, split.m_q),
+        (ens.mq_adjoints, dag(split.m_q)),
+        (ens.psi_omega, split.psi),
+    ):
+        assert np.array_equal(stack[k], ref)
+    assert ens.in_class[k] == classify(rdo).in_class_e
+    if rdo.phi is not None:
+        assert np.array_equal(ens.phis[k], rdo.phi)
+
+
+def _same_probe(a, b):
+    return (a.dim_e, a.beta_e, a.tau) == (b.dim_e, b.beta_e, b.tau) and all(
+        np.array_equal(x, y) for x, y in ((a.h_e, b.h_e), (a.v, b.v))
+    )
+
+
+def test_ensemble_stacks_match_per_atom_builds(qubit_model):
+    """Each stack has one row per atom, bitwise that atom's own build, in input order."""
+    rng = np.random.default_rng(11)
+    # heterogeneous qutrit ensemble: unequal weights, betas and taus
+    qutrit = ries.SystemSpec(dim_s=3, h_s=np.diag([0.0, 1.0, 2.3]), beta_s=0.7)
+    h_e = np.diag([0.0, 1.1])
+    probes = [
+        ries.ProbeSpec(dim_e=2, h_e=h_e, beta_e=beta, v=random_hermitian(6, rng, 0.3), tau=tau)
+        for beta, tau in ((1.3, 0.7), (0.4, 1.2), (2.0, 1.6))
+    ]
+    hetero = RrdoEnsemble.from_models(qutrit, list(zip([0.2, 0.5, 0.3], probes)))
+    assert np.array_equal(hetero.probs, [0.2, 0.5, 0.3])
+    assert np.array_equal(hetero.betas, [1.3, 0.4, 2.0])
+    for k, probe in enumerate(probes):
+        assert hetero.probes[k] is probe
+        _assert_rows_match(hetero, k, ries.rdo_from_model(qutrit, probe))
+
+    # presample: atom k is the k-th draw of (tau, beta) from the seed's stream
+    system, probe = qubit_model
+    ranges = {"tau": {"low": 0.5, "high": 1.5}, "beta": {"low": 0.2, "high": 2.0}}
+    pre = RrdoEnsemble.presampled(system, probe, ranges, count=5, seed=4)
+    draws = trajectory_rng(4)
+    for k in range(5):
+        tau, beta = draws.uniform(0.5, 1.5), draws.uniform(0.2, 2.0)
+        assert (pre.probes[k].tau, pre.probes[k].beta_e, pre.betas[k]) == (tau, beta, beta)
+        _assert_rows_match(pre, k, ries.rdo_from_model(system, pre.probes[k]))
+
+    # the fluxes demo config's ensemble, each atom parsed on its own
+    path = Path(__file__).resolve().parent.parent / "demos" / "configs" / "fluxes.json"
+    doc = json.loads(path.read_text())["ensemble"]
+    demo = ensemble_from_json(doc)
+    for k, atom in enumerate(doc["atoms"]):
+        sys_k, probe_k = ries.model_from_json(atom["model"])
+        assert demo.probs[k] == atom["p"] and demo.betas[k] == probe_k.beta_e
+        assert _same_probe(demo.probes[k], probe_k)
+        _assert_rows_match(demo, k, ries.rdo_from_model(sys_k, probe_k))
+
+    # matrix-form atoms carry no model data
+    psi_s = np.array([1.0, 0.0])
+    matrices = [np.diag([1.0, 0.5]), np.array([[1.0, 0.3], [0.0, -0.4]])]
+    plain = RrdoEnsemble.from_matrices(psi_s, [(0.4, matrices[0]), (0.6, matrices[1])])
+    for k, m in enumerate(matrices):
+        _assert_rows_match(plain, k, ries.validate(m, psi_s))
+    assert plain.system is None and plain.probes is None
+    assert plain.phis is None and plain.betas is None
+    with pytest.raises(EnsembleError):
+        energy_tables(plain)
 
 
 # ------------------------------------------------- per-seed reference loops

@@ -3,7 +3,7 @@ import pytest
 from dense_reference import gns_dual_norm, gns_norm, product_trace, sampled_power_bound
 
 import ries
-from ries.ensemble import EnsembleAtom, EnsembleError, RrdoEnsemble
+from ries.ensemble import EnsembleError, RrdoEnsemble
 from ries.linalg import dag, random_complex_matrix
 from ries.rdo import Rdo, RdoValidationError, decompose, ideal_asymptotics
 
@@ -170,7 +170,7 @@ def test_ensemble_rejects_mismatched_psi():
     a = ries.validate(np.eye(2), np.array([1.0, 0.0]))
     b = ries.validate(np.eye(2), np.array([0.0, 1.0]))
     with pytest.raises(EnsembleError):
-        RrdoEnsemble([EnsembleAtom(prob=0.5, rdo=a), EnsembleAtom(prob=0.5, rdo=b)])
+        RrdoEnsemble([0.5, 0.5], [a, b])
 
 
 def test_power_bound_certificate(rng):

@@ -67,7 +67,7 @@ def test_mean_reduced_matches_enumeration(reference_ensemble, rng):
     for i in range(2):
         for j in range(2):
             for k in range(2):
-                probes = [reference_ensemble.atoms[x].probe for x in (i, j, k)]
+                probes = [reference_ensemble.probes[x] for x in (i, j, k)]
                 n_mat = ries.reduce_instant(reference_ensemble.system, probes, build(probes))
                 expected += 0.125 * n_mat
     assert np.allclose(mean_reduced_observable(reference_ensemble, fam), expected, atol=1e-12)
@@ -164,11 +164,10 @@ def test_energy_tables_match_per_pair_reductions(rng):
     system, d = ens.system, 3
     jump, flux = energy_tables(ens)
     fam = energy_jump_family(ens)
-    for i, atom_i in enumerate(ens.atoms):
-        p_i = atom_i.probe
+    for i, p_i in enumerate(ens.probes):
         own = reduce_window_operator(system, [p_i], p_i.v, 0, 0)
-        for j, atom_j in enumerate(ens.atoms):
-            vbar_j = weighted_partial_trace(atom_j.probe.v, d, atom_j.probe.gibbs_state())
+        for j, p_j in enumerate(ens.probes):
+            vbar_j = weighted_partial_trace(p_j.v, d, p_j.gibbs_state())
             nxt = reduce_window_operator(system, [p_i], np.kron(vbar_j, np.eye(2)), 0, 0)
             assert np.abs(unvec(jump[i, j], d) - (nxt - own)).max() < 1e-12
             assert np.abs(fam.x[i * ens.n_atoms + j] - (nxt - own)).max() < 1e-12
@@ -220,7 +219,7 @@ def test_family_rows_follow_tuple_order(rng):
     table = fam.n_psi_table(ens.psi_s)
     expected = np.zeros((3, 3), dtype=complex)
     for i, j, k in np.ndindex(3, 3, 3):
-        probes = [ens.atoms[x].probe for x in (i, j, k)]
+        probes = [ens.probes[x] for x in (i, j, k)]
         x_ijk = ries.reduce_instant(ens.system, probes, build(tuple(probes)))
         assert np.array_equal(fam.x[9 * i + 3 * j + k], x_ijk)
         assert np.abs(table[9 * i + 3 * j + k] - left_mult_matrix(x_ijk) @ ens.psi_s).max() < 1e-14
@@ -242,7 +241,7 @@ def _gns_fluxes(ens):
     _, flux = energy_tables(ens)
     _, sqrt_rho, _ = ries.system_gns_data(ens.system)
     pairings = flux @ (right_mult_matrix(sqrt_rho).T @ theta_closed_form(ens).conj())
-    betas = np.array([a.probe.beta_e for a in ens.atoms])
+    betas = np.array([p.beta_e for p in ens.probes])
     return ens.probs @ pairings, (ens.probs * betas) @ pairings
 
 
@@ -349,8 +348,8 @@ def _instant_per_seed_loop(ens, fam, seeds, n_total, burn_in):
 def _flux_per_seed_loop(ens, seeds, n_total, rho_init, burn_in):
     """Reference: (de, ds, de_stderr, ds_stderr), one seed at a time."""
     jump, flux = energy_tables(ens)
-    ent_vecs = np.array([a.probe.beta_e for a in ens.atoms])[:, None] * flux
-    phis_adj = np.stack([dag(a.rdo.phi) for a in ens.atoms])
+    ent_vecs = np.array([p.beta_e for p in ens.probes])[:, None] * flux
+    phis_adj = np.stack([dag(phi) for phi in ens.phis])
     de_seed = np.empty(len(seeds))
     ds_seed = np.empty(len(seeds))
     for s, seed in enumerate(seeds):
