@@ -38,7 +38,7 @@ import numpy as np
 
 from . import rdo as rdo_mod
 from .linalg import KahanAccumulator, dag, vec
-from .model import ProbeSpec, SystemSpec, atom_energy_terms, model_from_json, rdo_from_model
+from .model import ProbeSpec, SystemSpec, energy_terms, model_from_json, rdos_from_model
 from .rdo import Rdo, RdoValidationError, SpectralReport, classify, decompose
 from .serialize import matrix_from_json
 
@@ -70,6 +70,12 @@ class RrdoEnsemble:
     A model-built ensemble also holds its one ``system``, its ``probes``, the
     ``phis`` stack of vectorized Heisenberg maps and the probe ``betas``; a
     matrix-form ensemble has None in all four.
+
+    The stacks are filled by batched builds, never atom by atom: the atoms'
+    psi_s must all equal the first to 1e-12 (absolute), one batched eig of
+    the M* gives the classes, psi(w) and M_Q (:func:`ries.rdo.rank_one_split`),
+    and :meth:`from_models` builds every M and Phi as one stack
+    (:func:`ries.model.rdos_from_model`). Row k is bitwise atom k's own build.
     """
 
     def __init__(
@@ -91,16 +97,18 @@ class RrdoEnsemble:
             raise EnsembleError(f"probabilities sum to {total}, expected 1")
         if (self.probs < 0).any():
             raise EnsembleError("probabilities must be nonnegative")
-        self.psi_s = rdos[0].psi_s
-        if not all(np.allclose(r.psi_s, self.psi_s, atol=1e-12) for r in rdos[1:]):
-            raise EnsembleError("all atoms must share psi_s")
         self.matrices = np.stack([r.m for r in rdos])
-        self.adjoints = np.stack([dag(r.m) for r in rdos])
-        splits = [decompose(r) for r in rdos]
-        self.mq = np.stack([d.m_q for d in splits])
-        self.mq_adjoints = np.stack([dag(d.m_q) for d in splits])
-        self.psi_omega = np.stack([d.psi for d in splits])
-        self.in_class = [classify(r).in_class_e for r in rdos]
+        psis = np.stack([r.psi_s for r in rdos])
+        self.psi_s = psis[0]
+        if not np.allclose(psis, self.psi_s, rtol=0.0, atol=1e-12):
+            raise EnsembleError("all atoms must share psi_s")
+        self.adjoints = np.ascontiguousarray(dag(self.matrices))
+        # one batched eig of the M* gives the spectral classes and the splits
+        eigs, left = rdo_mod.spectra(self.matrices)
+        self.in_class = rdo_mod.class_flags(eigs)[2].tolist()
+        split = rdo_mod.rank_one_split(self.matrices, self.psi_s, eigs, left)
+        self.mq, self.psi_omega = split.m_q, split.psi
+        self.mq_adjoints = np.ascontiguousarray(dag(self.mq))
         self.system = system
         self.probes = probes
         self.phis = None if probes is None else np.stack([r.phi for r in rdos])
@@ -134,10 +142,10 @@ class RrdoEnsemble:
         """Energy-jump and flux tables of model-built atoms, computed once per ensemble.
 
         ``jump[i, j] = vec(Phi_i(vbar_j) - own_i)`` and ``flux[i] = vec(F_i)``
-        (see :func:`ries.thermo.energy_tables`); one reduction per atom builds both.
+        (see :func:`ries.thermo.energy_tables`); one stacked reduction of every
+        atom's encounter builds both (:func:`ries.model.energy_terms`).
         """
-        terms = [atom_energy_terms(self.system, p, phi) for p, phi in zip(self.probes, self.phis)]
-        vbar, own, flux = (np.stack([vec(x) for x in column]) for column in zip(*terms))
+        vbar, own, flux = map(vec, energy_terms(self.system, self.probes, self.phis))
         jump = np.einsum("iab,jb->ija", self.phis, vbar) - own[:, None, :]
         return jump, flux
 
@@ -154,8 +162,7 @@ class RrdoEnsemble:
         cls, system: SystemSpec, weighted_probes: list[tuple[float, ProbeSpec]]
     ) -> "RrdoEnsemble":
         probes = [probe for _, probe in weighted_probes]
-        rdos = [rdo_from_model(system, probe) for probe in probes]
-        return cls([p for p, _ in weighted_probes], rdos, system, probes)
+        return cls([p for p, _ in weighted_probes], rdos_from_model(system, probes), system, probes)
 
     @classmethod
     def from_matrices(

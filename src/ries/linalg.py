@@ -4,6 +4,9 @@ Conventions fixed here and used everywhere else:
 
 - Vectorization is **column-major**: ``vec(A) = A.flatten(order="F")``,
   so ``vec(A X B) = (B.T kron A) vec(X)``.
+- ``dag``, ``vec``, ``unvec`` and ``expm_hermitian`` act on the last two
+  axes (the last one for ``unvec``), so a stack of matrices is handled
+  row by row, each row exactly as it would be on its own.
 - Matrix exponentials of Hermitian generators go through an
   eigendecomposition (``expm_hermitian``), never Padé.
 """
@@ -16,22 +19,23 @@ HERMITICITY_TOL = 1e-12
 
 
 def dag(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    return a.conj().swapaxes(-1, -2)
 
 
 def vec(a: np.ndarray) -> np.ndarray:
-    """Column-major vectorization of a square matrix."""
-    return np.asarray(a).flatten(order="F")
+    """Column-major vectorization of a square matrix (of each matrix of a stack)."""
+    a = np.asarray(a)
+    return a.swapaxes(-1, -2).reshape(*a.shape[:-2], -1)
 
 
 def unvec(v: np.ndarray, d: int | None = None) -> np.ndarray:
     """Inverse of :func:`vec`."""
     v = np.asarray(v)
     if d is None:
-        d = round(np.sqrt(v.size))
-        if d * d != v.size:
-            raise ValueError(f"vector of size {v.size} is not a vectorized square matrix")
-    return v.reshape((d, d), order="F")
+        d = round(np.sqrt(v.shape[-1]))
+        if d * d != v.shape[-1]:
+            raise ValueError(f"vector of size {v.shape[-1]} is not a vectorized square matrix")
+    return v.reshape(*v.shape[:-1], d, d).swapaxes(-1, -2)
 
 
 def right_mult_matrix(b: np.ndarray) -> np.ndarray:
@@ -54,10 +58,13 @@ def require_hermitian(a: np.ndarray, name: str = "matrix", tol: float = HERMITIC
     return a
 
 
-def expm_hermitian(h: np.ndarray, scale: complex = 1.0) -> np.ndarray:
-    """exp(scale * h) for Hermitian h, via eigendecomposition."""
+def expm_hermitian(h: np.ndarray, scale: complex | np.ndarray = 1.0) -> np.ndarray:
+    """exp(scale * h) for Hermitian h, via eigendecomposition.
+
+    `h` may be a stack of matrices, with one scale or one scale per matrix.
+    """
     w, u = np.linalg.eigh(h)
-    return (u * np.exp(scale * w)) @ dag(u)
+    return (u * np.exp(np.asarray(scale)[..., None] * w)[..., None, :]) @ dag(u)
 
 
 def spectral_norm(a: np.ndarray) -> float:

@@ -22,13 +22,27 @@ own legs of that array, so no chain-sized unitary is ever formed. The
 oracle evolves the chain state once per m and contracts that one state
 with every observable of a stack.
 
+Encounters are built as stacks, one row per probe: :func:`step_unitaries`
+diagonalizes every generator h_s x 1 + 1 x h_e + v of one probe dimension in
+one batched eigh, the probe Gibbs states take one eigh per distinct h_e,
+and every Phi (:func:`reduced_heisenberg_maps`), every RDO
+(:func:`rdos_from_model`, with iota and iota^(-1) formed once) and every
+atom's energy terms (:func:`energy_terms`) come from batched products.
+Probes of different dimensions are built group by group. Each batched step
+runs once per row (batched eigh and matmul, never a contraction that folds
+the row axis), so a row is bitwise what a one-probe build gives; the
+one-probe functions (:func:`step_unitary`, :func:`reduced_heisenberg_map`,
+:func:`rdo_from_model`) are the one-row case.
+
 The GNS transport never builds a non-normal generator: with
 ``iota(A) = A rho_s^(1/2)``, the RDO is ``iota o Phi o iota^(-1)``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -67,12 +81,14 @@ def check_capacity(dims: list[int], window: int = 0, n_steps: int | None = None)
     if dim > ORACLE_DIM_GUARD:
         k = len(dims) - 1
         m = k if n_steps is None else n_steps
-        # tracemalloc peak of an oracle call: 5 dim x dim complex arrays live at once;
-        # a factor on legs of total dim d_leg (d_S * d_E for an encounter) costs dim^2 * d_leg
-        peak = 5 * dim * dim * np.dtype(complex).itemsize
+        # tracemalloc peak of an oracle call: 4 dim x dim complex arrays live at once
+        # (4.00 at dims 256 to 1024 on the qubit chain: the state, the copy that reshapes
+        # its transpose, and the copy and result of an encounter's tensordot); a factor
+        # on legs of total dim d_leg (d_S * d_E for an encounter) costs dim^2 * d_leg
+        peak = 4 * dim * dim * np.dtype(complex).itemsize
         raise CapacityError(
             f"chain dimension {dim} exceeds guard {ORACLE_DIM_GUARD}: estimated peak "
-            f"{peak / 2**20:,.0f} MiB (5 dense {dim}x{dim} complex arrays) and "
+            f"{peak / 2**20:,.0f} MiB (4 dense {dim}x{dim} complex arrays) and "
             f"up to m*K = {m}*{k} = {m * k} factor applications g x g*, each touching "
             f"dim^2*d_leg <= {dim * dim * dims[0] * max(dims[1:], default=1):,} entries per side"
         )
@@ -178,49 +194,99 @@ class ObservableWindow:
 
 def gibbs(h: np.ndarray, beta: float) -> np.ndarray:
     """Gibbs state exp(-beta h) / Tr[exp(-beta h)]; full rank for finite beta."""
-    h = require_hermitian(h, "h")
-    if not np.isfinite(beta) or beta < 0:
+    return _gibbs_states(require_hermitian(h, "h"), [beta])[0]
+
+
+def _gibbs_states(h: np.ndarray, betas) -> np.ndarray:
+    """(n, e, e) Gibbs states of one Hermitian h at each of n inverse temperatures: one eigh."""
+    betas = np.asarray(betas, dtype=float)
+    if not np.isfinite(betas).all() or (betas < 0).any():
         raise ValueError("beta must be finite and nonnegative")
     w, u = np.linalg.eigh(h)
-    x = -beta * (w - w.min())  # shift avoids overflow; cancels in the ratio
-    p = np.exp(x)
-    z = p.sum()
-    if not np.isfinite(z) or z <= 0:
+    p = np.exp(-betas[:, None] * (w - w.min()))  # shift avoids overflow; cancels in the ratio
+    z = p.sum(axis=1, keepdims=True)
+    if not np.isfinite(z).all() or (z <= 0).any():
         raise OverflowError("Gibbs weights over/underflowed")
-    return (u * (p / z)) @ dag(u)
+    return (u * (p / z)[:, None, :]) @ dag(u)
+
+
+def step_unitaries(sys: SystemSpec, probes: list[ProbeSpec]) -> np.ndarray:
+    """(n, d e, d e) one-encounter unitaries exp(-i tau (h_s x 1 + 1 x h_e + v)) on S x E.
+
+    The probes share one dimension e; one batched eigh gives every unitary.
+    """
+    d, e = sys.dim_s, probes[0].dim_e
+    for probe in probes:
+        if probe.dim_e != e:
+            raise ValueError(f"probes of dimension {probe.dim_e} and {e} in one stack")
+        if probe.v.shape != (d * e, d * e):
+            raise ValueError(f"v has shape {probe.v.shape}, expected ({d * e}, {d * e})")
+    h_e = np.stack([probe.h_e for probe in probes])
+    v = np.stack([probe.v for probe in probes])
+    h = np.kron(sys.h_s, np.eye(e)) + np.kron(np.eye(d), h_e) + v
+    return expm_hermitian(h, -1j * np.array([probe.tau for probe in probes]))
 
 
 def step_unitary(sys: SystemSpec, probe: ProbeSpec) -> np.ndarray:
     """One-encounter unitary exp(-i tau (h_s x 1 + 1 x h_e + v)) on S x E."""
-    d, e = sys.dim_s, probe.dim_e
-    if probe.v.shape != (d * e, d * e):
-        raise ValueError(f"v has shape {probe.v.shape}, expected ({d * e}, {d * e})")
-    h = np.kron(sys.h_s, np.eye(e)) + np.kron(np.eye(d), probe.h_e) + probe.v
-    return expm_hermitian(h, -1j * probe.tau)
+    return step_unitaries(sys, [probe])[0]
+
+
+def _encounters(sys: SystemSpec, probes: list[ProbeSpec]) -> Iterator[tuple]:
+    """(rows, U, rho_E) per probe dimension: the stacked step unitaries and
+    probe Gibbs states of ``probes[rows]``, with one eigh per distinct h_e."""
+    dims = np.array([probe.dim_e for probe in probes])
+    for e in np.unique(dims):
+        rows = np.flatnonzero(dims == e)
+        group = [probes[k] for k in rows]
+        by_h: dict[bytes, list[int]] = {}
+        for i, probe in enumerate(group):
+            by_h.setdefault(probe.h_e.tobytes(), []).append(i)
+        rho_e = np.empty((len(group), e, e), dtype=complex)
+        for same in by_h.values():
+            rho_e[same] = _gibbs_states(group[same[0]].h_e, [group[i].beta_e for i in same])
+        yield rows, step_unitaries(sys, group), rho_e
 
 
 def weighted_partial_trace(x: np.ndarray, dim_s: int, rho_env: np.ndarray) -> np.ndarray:
-    """Tr_E[(1_S x rho_env) X] for X on S x E."""
-    de = rho_env.shape[0]
-    xt = x.reshape(dim_s, de, dim_s, de)
-    return np.einsum("fe,iejf->ij", rho_env, xt)
+    """Tr_E[(1_S x rho_env) X] for X on S x E, or for each X of a stack (with one
+    rho_env or one per X); one matmul per X, so each is reduced as it would be alone."""
+    de = rho_env.shape[-1]
+    batch = x.shape[:-2]
+    xt = x.reshape(*batch, dim_s, de, dim_s, de).swapaxes(-3, -2)  # (i, j, e, f)
+    r = rho_env.swapaxes(-1, -2).reshape(*rho_env.shape[:-2], de * de, 1)  # rho_env[f, e]
+    return (xt.reshape(*batch, dim_s * dim_s, de * de) @ r).reshape(*batch, dim_s, dim_s)
+
+
+def reduced_heisenberg_maps(sys: SystemSpec, probes: list[ProbeSpec]) -> np.ndarray:
+    """(n, d^2, d^2) matrices of the one-step Heisenberg maps Phi, one per probe.
+
+    Phi(A) = Tr_E[(1 x rho_E) U* (A x 1) U] is unital and completely positive;
+    entry (j + d k, i + d x) is Phi(E_ix)[j, k]. Per probe dimension, the
+    stacked unitaries and Gibbs states are contracted by two batched matmuls.
+    """
+    d = sys.dim_s
+    phis = np.empty((len(probes), d * d, d * d), dtype=complex)
+    for rows, u, rho_e in _encounters(sys, probes):
+        n, e = len(rows), rho_e.shape[-1]
+        u = u.reshape(n, d, e, d, e)
+        # pair U* with U over the probe leg of their rows before weighting by rho_E:
+        # with rho_E first, Phi(1) = 1 picks up a rounding bias that long random
+        # products accumulate. t[(i, j, f), (x, k, g)] = sum_e conj(U[ie, jf]) U[xe, kg]
+        a = u.conj().transpose(0, 1, 3, 4, 2).reshape(n, d * d * e, e)
+        t = a @ u.transpose(0, 2, 1, 3, 4).reshape(n, e, d * d * e)
+        # Phi(E_ix)[j, k] = sum_(g, f) t[i, j, f, x, k, g] rho_E[g, f]
+        t = t.reshape(n, d, d, e, d, d, e).transpose(0, 5, 2, 4, 1, 6, 3).reshape(n, d**4, e * e)
+        phis[rows] = (t @ rho_e.reshape(n, e * e, 1)).reshape(n, d * d, d * d)
+    return phis
 
 
 def reduced_heisenberg_map(sys: SystemSpec, probe: ProbeSpec) -> np.ndarray:
     """Matrix of the one-step Heisenberg map Phi on vectorized d x d matrices.
 
-    Phi(A) = Tr_E[(1 x rho_E) U* (A x 1) U] is unital and completely positive.
-    Entry (j + d k, i + d x) is Phi(E_ix)[j, k], contracted in one einsum over
-    the unitary's (system, probe) legs.
+    Entry (j + d k, i + d x) is Phi(E_ix)[j, k]; see :func:`reduced_heisenberg_maps`.
     """
-    d, e = sys.dim_s, probe.dim_e
-    u = step_unitary(sys, probe).reshape(d, e, d, e)
-    rho_e = probe.gibbs_state()
-    # pair U* with U before weighting by rho_E: with rho_E first, Phi(1) = 1
-    # picks up a rounding bias that long random products accumulate
-    path = ["einsum_path", (1, 2), (0, 1)]
-    phi = np.einsum("gf,iejf,xekg->kjxi", rho_e, u.conj(), u, optimize=path)
-    return phi.reshape(d * d, d * d)
+    return reduced_heisenberg_maps(sys, [probe])[0]
 
 
 def system_gns_data(sys: SystemSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -233,19 +299,26 @@ def system_gns_data(sys: SystemSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return rho_s, sqrt_rho, vec(sqrt_rho)
 
 
-def rdo_from_model(sys: SystemSpec, probe: ProbeSpec) -> "rdo_mod.Rdo":
-    """Reduced dynamics operator of one encounter.
+def rdos_from_model(sys: SystemSpec, probes: list[ProbeSpec]) -> list["rdo_mod.Rdo"]:
+    """Reduced dynamics operators of the system's encounter with each probe.
 
-    The returned matrix fixes psi_s = vec(rho_s^(1/2)) and is an exact
-    contraction for the GNS norm |||v||| = ||unvec(v) rho_s^(-1/2)||_op
-    (C0 = 1). It keeps the Heisenberg map Phi it transports, so the
+    The maps Phi come as one stack (:func:`reduced_heisenberg_maps`), and
+    iota and iota^(-1) are formed once: M = iota Phi iota^(-1) is one batched
+    product. Each returned matrix fixes psi_s = vec(rho_s^(1/2)) and is an
+    exact contraction for the GNS norm |||v||| = ||unvec(v) rho_s^(-1/2)||_op
+    (C0 = 1). Each RDO keeps the Heisenberg map Phi it transports, so the
     Heisenberg picture needs no inverse transport.
     """
     _, sqrt_rho, psi_s = system_gns_data(sys)
-    phi = reduced_heisenberg_map(sys, probe)
+    phis = reduced_heisenberg_maps(sys, probes)
     iota = right_mult_matrix(sqrt_rho)  # iota(A) = A rho_s^(1/2)
-    m = iota @ phi @ np.linalg.inv(iota)
-    return rdo_mod.Rdo(m=m, psi_s=psi_s, phi=phi)
+    ms = iota @ phis @ np.linalg.inv(iota)
+    return [rdo_mod.Rdo(m=m, psi_s=psi_s, phi=phi) for m, phi in zip(ms, phis)]
+
+
+def rdo_from_model(sys: SystemSpec, probe: ProbeSpec) -> "rdo_mod.Rdo":
+    """Reduced dynamics operator of one encounter (see :func:`rdos_from_model`)."""
+    return rdos_from_model(sys, [probe])[0]
 
 
 def _apply_to_rows(x: np.ndarray, g: np.ndarray, dims: list[int], legs: list[int]) -> np.ndarray:
@@ -342,11 +415,12 @@ def full_chain_expectation(
     dims = [d] + [p.dim_e for p in steps[:n_probes]]
     check_capacity(dims, n_steps=m)
 
-    rho_tot = rho_init
-    for k in range(1, n_probes + 1):
-        rho_tot = np.kron(rho_tot, steps[k - 1].gibbs_state())
-    # U(m) rho U(m)*, U(m) = W_m ... W_1, each step with explicit free evolution of the others
-    rho_tot = _conjugate_by_chain(rho_tot, sys, steps[:n_probes], m, dims)
+    # U(m) rho U(m)*, U(m) = W_m ... W_1, each step with explicit free evolution of the
+    # others; the initial state rho_init x Gibbs_1 x ... x Gibbs_K is built in the call,
+    # so the evolution holds its only reference and releases it after the first factor
+    probes = steps[:n_probes]
+    gibbs_states = [p.gibbs_state() for p in probes]
+    rho_tot = _conjugate_by_chain(reduce(np.kron, gibbs_states, rho_init), sys, probes, m, dims)
 
     # the window legs are S and the last l + r + 1 probes: trace out E_1 .. E_(m-l-1)
     before = int(np.prod(dims[1 : m - l], dtype=np.int64))
@@ -436,19 +510,26 @@ def reduce_instant(
     return scalar * reduce_window_operator(sys, window_steps[: l + 1], op, l, 0)
 
 
-def atom_energy_terms(
-    sys: SystemSpec, probe: ProbeSpec, phi: np.ndarray
+def energy_terms(
+    sys: SystemSpec, probes: list[ProbeSpec], phis: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(vbar, own, F) of one atom with Heisenberg map `phi`, as system matrices.
+    """(vbar, own, F) of each probe's encounter, as (n, d, d) stacks of system matrices.
 
-    vbar = Tr_E[(1 x rho_E) V] is the Gibbs mean field of the interaction,
-    own = Tr_E[(1 x rho_E) W* V W] its reduction through the encounter, and
-    F = H_S + vbar - Phi(H_S) - own the per-encounter flux matrix.
+    `phis` holds the probes' Heisenberg maps. vbar = Tr_E[(1 x rho_E) V] is
+    the Gibbs mean field of the interaction, own = Tr_E[(1 x rho_E) W* V W]
+    its reduction through the encounter, and F = H_S + vbar - Phi(H_S) - own
+    the per-encounter flux matrix. Both reductions read one stack of step
+    unitaries and Gibbs states per probe dimension, built as for
+    :func:`reduced_heisenberg_maps`.
     """
     d = sys.dim_s
-    vbar = weighted_partial_trace(probe.v, d, probe.gibbs_state())
-    own = reduce_window_operator(sys, [probe], probe.v, 0, 0)
-    flux = sys.h_s + vbar - unvec(phi @ vec(sys.h_s), d) - own
+    vbar = np.empty((len(probes), d, d), dtype=complex)
+    own = np.empty_like(vbar)
+    for rows, u, rho_e in _encounters(sys, probes):
+        v = np.stack([probes[k].v for k in rows])
+        vbar[rows] = weighted_partial_trace(v, d, rho_e)
+        own[rows] = weighted_partial_trace(dag(u) @ v @ u, d, rho_e)
+    flux = sys.h_s + vbar - unvec(phis @ vec(sys.h_s), d) - own
     return vbar, own, flux
 
 

@@ -10,6 +10,17 @@ The spectral class of interest contains RDOs whose only peripheral
 eigenvalue is a simple 1; for those, powers converge to the rank-one
 projection |psi_s><psi| exponentially fast, with psi the left
 eigenvector at 1 normalized so <psi, psi_s> = 1.
+
+A stack of RDOs (an ensemble's atoms) is classified and split in one
+pass: :func:`spectra` is one batched eig of the adjoints M_k*, whose
+eigenvalues give every spectral class (:func:`class_flags`) and whose
+eigenvectors give psi_k wherever exactly one eigenvalue lies within
+tol_one of 1 (:func:`rank_one_split`); M_Q = Q M Q is one batched
+product. An atom whose cluster at 1 has any other size, such as an
+uncoupled encounter, whose eigenvalue 1 is degenerate, falls back to the
+Schur/Sylvester spectral projection, which stays robust there. Each row is
+computed as it would be alone, so :func:`classify` and :func:`decompose`
+are the one-row case.
 """
 
 from __future__ import annotations
@@ -105,25 +116,51 @@ class SpectralReport:
         }
 
 
+def spectra(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of each matrix of a stack, and its left eigenvectors.
+
+    One batched eig of the adjoints M_k*: row k of the first array holds the
+    eigenvalues of M_k, column j of the k-th left matrix a left eigenvector
+    of M_k at eigenvalue j (a right eigenvector of M_k*).
+    """
+    w, left = np.linalg.eig(dag(ms))
+    return w.conj(), left
+
+
+def class_flags(
+    eigs: np.ndarray, tol_one: float = DEFAULT_TOL_ONE, gap_min: float = DEFAULT_GAP_MIN
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(multiplicity at 1, gap, in class) of each row of eigenvalues.
+
+    The multiplicity counts eigenvalues within `tol_one` of 1, the gap is 1
+    minus the largest modulus of the others (1 if there are none), and a row
+    is in the class when the multiplicity is 1 and the gap is at least `gap_min`.
+    """
+    near_one = np.abs(eigs - 1.0) <= tol_one
+    mult = near_one.sum(axis=-1)
+    gap = 1.0 - np.where(near_one, 0.0, np.abs(eigs)).max(axis=-1)
+    in_class = (mult == 1) & ((mult == eigs.shape[-1]) | (gap >= gap_min))
+    return mult, gap, in_class
+
+
 def classify(
     rdo: Rdo | np.ndarray,
     tol_one: float = DEFAULT_TOL_ONE,
     gap_min: float = DEFAULT_GAP_MIN,
 ) -> SpectralReport:
-    """Spectral classification: is 1 the only peripheral eigenvalue, and simple?"""
+    """Spectral classification: is 1 the only peripheral eigenvalue, and simple?
+
+    The one-row case of :func:`spectra` and :func:`class_flags`.
+    """
     m = rdo.m if isinstance(rdo, Rdo) else np.asarray(rdo, dtype=complex)
-    eigs = np.linalg.eigvals(m)
-    near_one = np.abs(eigs - 1.0) <= tol_one
-    mult = int(near_one.sum())
-    others = np.abs(eigs[~near_one])
-    gap = float(1.0 - others.max()) if others.size else 1.0
-    in_class = mult == 1 and (others.size == 0 or gap >= gap_min)
-    order = np.argsort(-np.abs(eigs))
+    eigs = spectra(m[None])[0]
+    mult, gap, in_class = class_flags(eigs, tol_one, gap_min)
+    eigs = eigs[0]
     return SpectralReport(
-        eigenvalues=eigs[order],
-        gap=gap,
-        one_multiplicity=mult,
-        in_class_e=in_class,
+        eigenvalues=eigs[np.argsort(-np.abs(eigs))],
+        gap=float(gap[0]),
+        one_multiplicity=int(mult[0]),
+        in_class_e=bool(in_class[0]),
         tol_one=tol_one,
         gap_min=gap_min,
     )
@@ -168,18 +205,46 @@ def _spectral_projection_one(m: np.ndarray, tol_one: float) -> np.ndarray:
     return z @ proj @ dag(z)
 
 
+def rank_one_split(
+    ms: np.ndarray,
+    psi_s: np.ndarray,
+    eigs: np.ndarray,
+    left: np.ndarray,
+    tol_one: float = DEFAULT_TOL_ONE,
+) -> RdoDecomposition:
+    """Rank-one/strictly-contracting split of a stack of RDOs fixing psi_s.
+
+    `eigs` and `left` are the stack's :func:`spectra`. Where exactly one
+    eigenvalue lies within `tol_one` of 1, psi is its left eigenvector,
+    normalized so <psi, psi_s> = 1; a cluster of any other size goes
+    through the Schur/Sylvester spectral projection. Every field is a stack
+    with one row per matrix, each row computed as it would be alone.
+    """
+    near_one = np.abs(eigs - 1.0) <= tol_one
+    simple = near_one.sum(axis=-1) == 1
+    rows = np.flatnonzero(simple)
+    v = left[rows, :, near_one[rows].argmax(axis=-1)][:, None, :]  # (n, 1, D)
+    overlap = np.matmul(v.conj(), psi_s[:, None])  # <v, psi_s>, one dot per row
+    psi = np.empty(ms.shape[:2], dtype=complex)
+    psi[rows] = (v / overlap.conj())[:, 0]
+    for k in np.flatnonzero(~simple):
+        psi[k] = dag(_spectral_projection_one(ms[k], tol_one)) @ psi_s
+    overlap = np.matmul(psi.conj()[:, None, :], psi_s[:, None])[:, 0, 0]
+    if (bad := np.abs(overlap - 1.0) > 1e-10).any():
+        raise RdoValidationError(f"<psi, psi_s> = {overlap[bad][0]}, expected 1")
+    p = psi_s[:, None] * psi.conj()[:, None, :]
+    q = np.eye(ms.shape[-1]) - p
+    return RdoDecomposition(psi=psi, p=p, q=q, m_q=q @ ms @ q)
+
+
 def decompose(rdo: Rdo, tol_one: float = DEFAULT_TOL_ONE) -> RdoDecomposition:
-    """Rank-one/strictly-contracting split of an RDO at eigenvalue 1."""
-    m, psi_s = rdo.m, rdo.psi_s
-    p1 = _spectral_projection_one(m, tol_one)
-    psi = dag(p1) @ psi_s
-    overlap = np.vdot(psi, psi_s)
-    if abs(overlap - 1.0) > 1e-10:
-        raise RdoValidationError(f"<psi, psi_s> = {overlap}, expected 1")
-    p = np.outer(psi_s, psi.conj())
-    q = np.eye(rdo.dim) - p
-    m_q = q @ m @ q
-    return RdoDecomposition(psi=psi, p=p, q=q, m_q=m_q)
+    """Rank-one/strictly-contracting split of an RDO at eigenvalue 1.
+
+    The one-row case of :func:`rank_one_split`.
+    """
+    m = rdo.m[None]
+    split = rank_one_split(m, rdo.psi_s, *spectra(m), tol_one)
+    return RdoDecomposition(psi=split.psi[0], p=split.p[0], q=split.q[0], m_q=split.m_q[0])
 
 
 @dataclass(frozen=True)

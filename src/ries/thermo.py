@@ -43,10 +43,10 @@ from .model import (
     ObservableWindow,
     ProbeSpec,
     SystemSpec,
-    atom_energy_terms,
     check_capacity,
+    energy_terms,
     reduce_instant,
-    reduced_heisenberg_map,
+    reduced_heisenberg_maps,
 )
 
 
@@ -184,6 +184,7 @@ def _cesaro_means(
     loop.
     """
     burn = min(n_total // 10, 1000)
+    steps = np.ascontiguousarray(steps)  # gathered once per step
     omega = ens.sample_paths(seeds, burn + n_total + width - 1)
     n_seeds, dim = len(omega), len(start)
     v = np.tile(start.astype(complex)[:, None], (n_seeds, 1, 1))
@@ -235,7 +236,7 @@ def atom_flux_matrix(system: SystemSpec, probe: ProbeSpec) -> np.ndarray:
     E_rho_E[(H_S + V) - W* (H_S + V) W]; its steady-state expectation is the
     energy handed to the chain per step.
     """
-    return atom_energy_terms(system, probe, reduced_heisenberg_map(system, probe))[2]
+    return energy_terms(system, [probe], reduced_heisenberg_maps(system, [probe]))[2][0]
 
 
 def energy_tables(ens: RrdoEnsemble) -> tuple[np.ndarray, np.ndarray]:
@@ -336,8 +337,7 @@ def flux_monte_carlo(
     jump, flux = energy_tables(ens)
     ent = np.repeat(ens.betas[:, None] * flux, ens.n_atoms, axis=0)  # indexed by (i, j)
     tables = np.stack([jump.reshape(ent.shape), ent], axis=-1)
-    phis_adj = np.stack([dag(phi) for phi in ens.phis])
-    means = _cesaro_means(ens, phis_adj, vec(rho_init), tables, 2, seeds, n_total)
+    means = _cesaro_means(ens, dag(ens.phis), vec(rho_init), tables, 2, seeds, n_total)
     de, de_err = _mean_stderr(means[:, 0].real)
     ds, ds_err = _mean_stderr(means[:, 1].real)
     return FluxReport(

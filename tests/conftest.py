@@ -32,6 +32,21 @@ def reference_ensemble(qubit_model, uncoupled_probe):
     return ries.RrdoEnsemble.from_models(system, [(0.5, uncoupled_probe), (0.5, probe)])
 
 
+@pytest.fixture(scope="session")
+def wide_qutrit_model():
+    """(system, base probe, ranges) of a `wide_qutrit`-like presample: qutrit system,
+    qubit probe, random interaction, tau and coupling drawn per atom."""
+    rng = np.random.default_rng(2024)
+    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    v = a + a.conj().T
+    system = ries.SystemSpec(dim_s=3, h_s=np.diag([0.0, 1.0, 2.3]), beta_s=0.7)
+    probe = ries.ProbeSpec(
+        dim_e=2, h_e=np.diag([0.0, 1.1]), beta_e=1.3, v=0.5 * v / np.linalg.norm(v, 2), tau=1.0
+    )
+    ranges = {"tau": {"low": 0.6, "high": 1.6}, "coupling": {"low": 0.5, "high": 1.5}}
+    return system, probe, ranges
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(7)

@@ -4,7 +4,8 @@ The package never forms these: the oracle applies each factor to its own
 tensor legs, and window observables stay d x d system matrices. The tests
 build the dense objects to check those shortcuts against. The GNS norms,
 the sampled power bound and the one-step product loop are the references
-for the uniform product bounds and identities of finite RDO products.
+for the uniform product bounds and identities of finite RDO products. The
+per-pair energy tables are the reference for the stacked energy reduction.
 """
 
 from types import SimpleNamespace
@@ -12,6 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from ries.linalg import dag, spectral_norm, unvec, vec
+from ries.model import reduce_window_operator, step_unitary, weighted_partial_trace
 from ries.rdo import decompose
 
 
@@ -109,3 +111,27 @@ def product_trace(rdos) -> SimpleNamespace:
         trace["theta_norms"].append(np.linalg.norm(theta))
     arrays = {k: np.array(v) for k, v in trace.items()}
     return SimpleNamespace(**arrays, psi_prod=psi_prod, mq_prod=mq_prod)
+
+
+def per_pair_energy_tables(ens) -> tuple[np.ndarray, np.ndarray]:
+    """(jump, flux) of a model-built ensemble, as (n, n, d, d) and (n, d, d) system matrices.
+
+    jump[i, j] = Phi_i(vbar_j) - own_i comes from one window reduction per atom
+    pair, and flux[i] from the direct formula E_rho_E[(H_S + V) - W* (H_S + V) W]
+    with W built for atom i alone.
+    """
+    system, d, n = ens.system, ens.system.dim_s, ens.n_atoms
+    jump = np.empty((n, n, d, d), dtype=complex)
+    flux = np.empty((n, d, d), dtype=complex)
+    for i, p_i in enumerate(ens.probes):
+        eye_e = np.eye(p_i.dim_e)
+        own = reduce_window_operator(system, [p_i], p_i.v, 0, 0)
+        for j, p_j in enumerate(ens.probes):
+            vbar_j = weighted_partial_trace(p_j.v, d, p_j.gibbs_state())
+            jump[i, j] = reduce_window_operator(system, [p_i], np.kron(vbar_j, eye_e), 0, 0) - own
+        x = np.kron(system.h_s, eye_e) + p_i.v
+        w = step_unitary(system, p_i)
+        rho_e = p_i.gibbs_state()
+        after = weighted_partial_trace(dag(w) @ x @ w, d, rho_e)
+        flux[i] = weighted_partial_trace(x, d, rho_e) - after
+    return jump, flux

@@ -464,21 +464,22 @@ def test_monte_carlo_runs_every_listed_seed(tmp_path, ensemble_doc, experiment):
 
 
 def test_fluxes_build_energy_tables_once(tmp_path, ensemble_doc, monkeypatch):
-    """A Monte Carlo fluxes run reduces each atom's interaction once, not per estimator."""
+    """A Monte Carlo fluxes run reduces each atom's interaction once, not per
+    estimator: one stacked reduction over all atoms."""
     calls = []
-    orig = ries.model.reduce_window_operator
+    orig = ries.model.energy_terms
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return orig(*args, **kwargs)
+    def counted(system, probes, phis):
+        calls.append(len(probes))
+        return orig(system, probes, phis)
 
     for mod in (ries.model, ries.ensemble, ries.thermo):  # wherever it is imported by name
-        if getattr(mod, "reduce_window_operator", None) is orig:
-            monkeypatch.setattr(mod, "reduce_window_operator", counted)
+        if getattr(mod, "energy_terms", None) is orig:
+            monkeypatch.setattr(mod, "energy_terms", counted)
     cfg = validate_config({"experiment": "fluxes", "ensemble": ensemble_doc, "n_total": 500})
     assert cfg["monte_carlo"]
     run(cfg, out=str(tmp_path))
-    assert len(calls) == len(ensemble_doc["atoms"])
+    assert calls == [len(ensemble_doc["atoms"])]
 
 
 class _ReadRecorder(dict):

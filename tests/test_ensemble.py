@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
+from dense_reference import per_pair_energy_tables
 
 import ries
 from ries.ensemble import (
@@ -16,9 +18,9 @@ from ries.ensemble import (
     theta_routes,
     trajectory_rng,
 )
-from ries.linalg import KahanAccumulator, dag, random_hermitian, spectral_norm
+from ries.linalg import KahanAccumulator, dag, random_hermitian, spectral_norm, unvec
 from ries.model import model_to_json
-from ries.rdo import classify, decompose
+from ries.rdo import Rdo, classify, decompose
 from ries.thermo import energy_tables
 
 
@@ -273,6 +275,88 @@ def test_ensemble_stacks_match_per_atom_builds(qubit_model):
     assert plain.phis is None and plain.betas is None
     with pytest.raises(EnsembleError):
         energy_tables(plain)
+
+
+def test_ensemble_mixed_probe_dimensions(rng):
+    """Qubit and qutrit probes on one qutrit system, interleaved, with unequal
+    weights and two probe Hamiltonians per dimension: each stack row is bitwise
+    the atom's own build, and the energy tables match the per-pair reductions."""
+    system = ries.SystemSpec(dim_s=3, h_s=np.diag([0.0, 1.0, 2.3]), beta_s=0.7)
+    h_e = {2: np.diag([0.0, 1.1]), 3: np.diag([0.0, 0.8, 1.9])}
+    probes = [
+        ries.ProbeSpec(
+            dim_e=e, h_e=scale * h_e[e], beta_e=beta, v=random_hermitian(3 * e, rng, 0.3), tau=tau
+        )
+        for e, scale, beta, tau in (
+            (2, 1.0, 1.3, 0.7),
+            (3, 1.0, 0.4, 1.2),
+            (2, 0.5, 2.0, 1.6),
+            (3, 1.0, 0.9, 0.5),
+            (2, 1.0, 0.6, 1.1),
+        )
+    ]
+    probs = [0.1, 0.15, 0.2, 0.25, 0.3]
+    ens = RrdoEnsemble.from_models(system, list(zip(probs, probes)))
+    assert np.array_equal(ens.probs, probs)
+    for k, probe in enumerate(probes):
+        assert ens.probes[k] is probe
+        _assert_rows_match(ens, k, ries.rdo_from_model(system, probe))
+    jump, flux = energy_tables(ens)
+    ref_jump, ref_flux = per_pair_energy_tables(ens)
+    assert np.abs(unvec(jump, 3) - ref_jump).max() < 1e-12
+    assert np.abs(unvec(flux, 3) - ref_flux).max() < 1e-12
+
+
+def _count_schur(monkeypatch) -> list:
+    calls = []
+    orig = scipy.linalg.schur
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", counted)
+    return calls
+
+
+def test_schur_fallback_only_for_clusters_at_one(wide_qutrit_model, monkeypatch):
+    """The split reads each simple eigenvalue 1 off the batched eig: a 64-atom
+    presample never calls the Schur route, and the fluxes demo ensemble calls it
+    once, for its uncoupled atom (eigenvalue 1 of multiplicity 2)."""
+    calls = _count_schur(monkeypatch)
+    wide = RrdoEnsemble.presampled(*wide_qutrit_model, count=64, seed=31)
+    assert all(wide.in_class) and calls == []
+    path = Path(__file__).resolve().parent.parent / "demos" / "configs" / "fluxes.json"
+    demo = ensemble_from_json(json.loads(path.read_text())["ensemble"])
+    assert demo.in_class == [False, True] and calls == [(4, 4)]
+
+
+def test_large_presample_rows_match_per_atom_builds(wide_qutrit_model):
+    """A 1,024-atom presample builds as stacks; its first, middle and last rows are
+    bitwise the per-atom builds."""
+    system, probe, ranges = wide_qutrit_model
+    ens = RrdoEnsemble.presampled(system, probe, ranges, count=1024, seed=5)
+    assert ens.matrices.shape == ens.phis.shape == (1024, 9, 9)
+    for k in (0, 511, 1023):
+        _assert_rows_match(ens, k, ries.rdo_from_model(system, ens.probes[k]))
+
+
+def test_ensemble_psi_s_shared_without_relative_slack():
+    """Atoms whose psi_s differ by 4e-6 are not one ensemble: the check is absolute
+    (1e-12), with no relative tolerance. A difference of 1e-13 is still accepted."""
+    psi = np.array([0.6, 0.8])
+
+    def rotated(angle):
+        c, s = np.cos(angle), np.sin(angle)
+        psi_k = np.array([[c, -s], [s, c]]) @ psi
+        p = np.outer(psi_k, psi_k)
+        return Rdo(m=p + 0.5 * (np.eye(2) - p), psi_s=psi_k)
+
+    far = rotated(4e-6)
+    assert np.abs(far.psi_s - psi).max() > 3e-6
+    with pytest.raises(EnsembleError, match="share psi_s"):
+        RrdoEnsemble([0.5, 0.5], [Rdo(m=np.eye(2), psi_s=psi), far])
+    RrdoEnsemble([0.5, 0.5], [Rdo(m=np.eye(2), psi_s=psi), rotated(1e-13)])
 
 
 # ------------------------------------------------- per-seed reference loops

@@ -36,19 +36,6 @@ ONE_STEP_LOOP_PEAK = {
 ALLOWED_GROWTH = 1.25
 
 
-def _wide_qutrit_ensemble():
-    """Qutrit system, qubit probe, 64 presampled atoms (GNS dim 9), as in `wide_qutrit`."""
-    rng = np.random.default_rng(2024)
-    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    v = a + a.conj().T
-    system = ries.SystemSpec(dim_s=3, h_s=np.diag([0.0, 1.0, 2.3]), beta_s=0.7)
-    probe = ries.ProbeSpec(
-        dim_e=2, h_e=np.diag([0.0, 1.1]), beta_e=1.3, v=0.5 * v / np.linalg.norm(v, 2), tau=1.0
-    )
-    ranges = {"tau": {"low": 0.6, "high": 1.6}, "coupling": {"low": 0.5, "high": 1.5}}
-    return ries.RrdoEnsemble.presampled(system, probe, ranges, count=64, seed=31)
-
-
 def _calls(workload, ens):
     """(kernel, call) pairs of one workload pass, at its full sizes and seed counts."""
     seeds = list(range(100, 132))
@@ -83,8 +70,10 @@ def peak_bytes(call) -> int:
 
 
 @pytest.fixture(scope="module")
-def ensembles(reference_ensemble):
-    return {"mc_qubit": reference_ensemble, "wide_qutrit": _wide_qutrit_ensemble()}
+def ensembles(reference_ensemble, wide_qutrit_model):
+    # 64 presampled atoms (GNS dim 9), as in `wide_qutrit`
+    wide = ries.RrdoEnsemble.presampled(*wide_qutrit_model, count=64, seed=31)
+    return {"mc_qubit": reference_ensemble, "wide_qutrit": wide}
 
 
 @pytest.mark.parametrize("key", sorted(ONE_STEP_LOOP_PEAK))

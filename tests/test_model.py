@@ -188,7 +188,7 @@ def test_oracle_capacity_guard(qubit_model):
         ries.full_chain_oracle(system, [probe] * 12, future, 11, system.gibbs_state())
     message = str(exc.value)
     assert "chain dimension 8192" in message
-    assert f"{5 * 8192**2 * 16 / 2**20:,.0f} MiB" in message
+    assert f"{4 * 8192**2 * 16 / 2**20:,.0f} MiB" in message
     assert "m*K = 11*12 = 132 factor applications" in message
     assert f"dim^2*d_leg <= {8192**2 * 4:,} entries" in message
 
