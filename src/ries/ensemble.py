@@ -92,11 +92,12 @@ class RrdoEnsemble:
         if len(probs) != len(rdos) or (probes is not None and len(probes) != len(rdos)):
             raise EnsembleError("one weight (and one probe) per atom")
         self.probs = np.array(probs, dtype=float)
+        # a NaN weight passes every tolerance comparison, so it is rejected by name
+        if not np.isfinite(self.probs).all() or (self.probs < 0).any():
+            raise EnsembleError(f"probabilities must be finite and nonnegative: {self.probs}")
         total = self.probs.sum()
         if abs(total - 1.0) > 1e-12:
             raise EnsembleError(f"probabilities sum to {total}, expected 1")
-        if (self.probs < 0).any():
-            raise EnsembleError("probabilities must be nonnegative")
         self.matrices = np.stack([r.m for r in rdos])
         psis = np.stack([r.psi_s for r in rdos])
         self.psi_s = psis[0]

@@ -15,12 +15,10 @@ a time ``tau``. This module builds, from such data:
 and, crucially, an exact brute-force evaluation of the repeated
 interaction dynamics on a truncated chain (``full_chain_oracle``) against
 which every reduced-picture quantity can be checked at small sizes. The
-oracle and the window reductions evolve one dim x dim array over the
-chain's tensor legs (the state, or the window operator): each step
-unitary and each spectator's free evolution is built and applied to its
-own legs of that array, so no chain-sized unitary is ever formed. The
-oracle evolves the chain state once per m and contracts that one state
-with every observable of a stack.
+oracle alone evolves a dim x dim chain state over the chain's tensor legs:
+each step unitary and each spectator's free evolution is built and applied
+to its own legs, so no chain-sized unitary is ever formed, and one
+evolution per m serves every observable of a stack.
 
 Encounters are built as stacks, one row per probe: :func:`step_unitaries`
 diagonalizes every generator h_s x 1 + 1 x h_e + v of one probe dimension in
@@ -32,7 +30,9 @@ Probes of different dimensions are built group by group. Each batched step
 runs once per row (batched eigh and matmul, never a contraction that folds
 the row axis), so a row is bitwise what a one-probe build gives; the
 one-probe functions (:func:`step_unitary`, :func:`reduced_heisenberg_map`,
-:func:`rdo_from_model`) are the one-row case.
+:func:`rdo_from_model`) are the one-row case. A window family reduces every
+atom tuple at once from the same stacked encounters, slot by slot
+(:func:`reduce_windows`); :func:`reduce_instant` is the one-tuple case.
 
 The GNS transport never builds a non-normal generator: with
 ``iota(A) = A rho_s^(1/2)``, the RDO is ``iota o Phi o iota^(-1)``.
@@ -40,9 +40,11 @@ The GNS transport never builds a non-normal generator: with
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import reduce
+from itertools import product as iter_product
 
 import numpy as np
 
@@ -57,7 +59,7 @@ from .linalg import (
 )
 from .serialize import matrix_from_json, matrix_to_json
 
-ORACLE_DIM_GUARD = 4096  # largest chain dimension (oracle and window reductions)
+ORACLE_DIM_GUARD = 4096  # largest chain dimension; its square bounds a stack of window reductions
 WINDOW_CAPACITY = 3  # largest l + r of an observation window
 
 
@@ -65,33 +67,43 @@ class CapacityError(Exception):
     """Raised when a brute-force computation would exceed the dense-algebra guard."""
 
 
-def check_capacity(dims: list[int], window: int = 0, n_steps: int | None = None) -> None:
+def check_capacity(
+    dims: list[int], window: int = 0, n_steps: int | None = None, stack: int = 1
+) -> None:
     """Raise CapacityError past a dense-algebra guard.
 
-    The guards: the dense space over the tensor legs `dims` may not exceed
-    ORACLE_DIM_GUARD, and an observation window extent `window` (= l + r)
-    may not exceed WINDOW_CAPACITY. Past the dimension guard, the error
-    states the estimated cost of evolving the chain for `n_steps` steps
-    (default: one per probe leg): the peak bytes of the dense arrays and
-    the number of factor applications.
+    The guards: an observation window extent `window` (= l + r) may not
+    exceed WINDOW_CAPACITY, and `stack` dense arrays over the tensor legs
+    `dims` may not hold more than ORACLE_DIM_GUARD^2 entries (one chain: its
+    dimension may not exceed ORACLE_DIM_GUARD). The error states the
+    estimated peak bytes and, for a chain evolved `n_steps` steps (default:
+    one per probe leg), the number of factor applications.
     """
     if window > WINDOW_CAPACITY:
         raise CapacityError(f"window capacity guard: l + r = {window} exceeds {WINDOW_CAPACITY}")
     dim = int(np.prod(dims, dtype=np.int64))
-    if dim > ORACLE_DIM_GUARD:
-        k = len(dims) - 1
-        m = k if n_steps is None else n_steps
-        # tracemalloc peak of an oracle call: 4 dim x dim complex arrays live at once
-        # (4.00 at dims 256 to 1024 on the qubit chain: the state, the copy that reshapes
-        # its transpose, and the copy and result of an encounter's tensordot); a factor
-        # on legs of total dim d_leg (d_S * d_E for an encounter) costs dim^2 * d_leg
-        peak = 4 * dim * dim * np.dtype(complex).itemsize
+    if stack * dim * dim <= ORACLE_DIM_GUARD**2:
+        return
+    # tracemalloc peaks in dim x dim complex arrays. An oracle call holds 4 (4.00 at dims
+    # 256 to 1024 on the qubit chain: the state, the copy that reshapes its transpose,
+    # and the copy and result of an encounter's tensordot). A window reduction holds 3
+    # per tuple (3.3 at d = 8, e = 16, l = 1: a gathered U or U*, the product it enters
+    # and its result; at d = e = 2 the tuple's ObservableWindow adds about 4 more).
+    arrays = 4 if stack == 1 else 3 * stack
+    peak = f"{arrays * dim * dim * 16 / 2**20:,.0f} MiB ({arrays:,} dense {dim}x{dim} arrays)"
+    if stack > 1:
         raise CapacityError(
-            f"chain dimension {dim} exceeds guard {ORACLE_DIM_GUARD}: estimated peak "
-            f"{peak / 2**20:,.0f} MiB (4 dense {dim}x{dim} complex arrays) and "
-            f"up to m*K = {m}*{k} = {m * k} factor applications g x g*, each touching "
-            f"dim^2*d_leg <= {dim * dim * dims[0] * max(dims[1:], default=1):,} entries per side"
+            f"{stack:,} stacked window reductions hold {stack * dim * dim:,} entries, past "
+            f"ORACLE_DIM_GUARD^2 = {ORACLE_DIM_GUARD**2:,}: estimated peak {peak}"
         )
+    k = len(dims) - 1
+    m = k if n_steps is None else n_steps
+    # a factor on legs of total dim d_leg (d_S * d_E for an encounter) costs dim^2 * d_leg
+    raise CapacityError(
+        f"chain dimension {dim} exceeds guard {ORACLE_DIM_GUARD}: estimated peak {peak} and "
+        f"up to m*K = {m}*{k} = {m * k} factor applications g x g*, each touching "
+        f"dim^2*d_leg <= {dim * dim * dims[0] * max(dims[1:], default=1):,} entries per side"
+    )
 
 
 @dataclass(frozen=True)
@@ -342,14 +354,9 @@ def _apply_to_rows(x: np.ndarray, g: np.ndarray, dims: list[int], legs: list[int
 
 
 def _conjugate_by_chain(
-    x: np.ndarray,
-    sys: SystemSpec,
-    probes: list[ProbeSpec],
-    n_steps: int,
-    dims: list[int],
-    heisenberg: bool = False,
+    x: np.ndarray, sys: SystemSpec, probes: list[ProbeSpec], n_steps: int, dims: list[int]
 ) -> np.ndarray:
-    """W x W* (Schroedinger) or W* x W (Heisenberg), W = W_n ... W_1, n = `n_steps`.
+    """W x W*, W = W_n ... W_1, n = `n_steps`: the oracle's chain evolution.
 
     `x` is a dim x dim array over the tensor legs `dims` = [S, E_1, E_2, ...].
     Step k couples S with leg k through `probes[k - 1]` while every other leg
@@ -361,16 +368,13 @@ def _conjugate_by_chain(
     x g* = (conj(g) x^T)^T. The transpose is kept from one step to the next,
     so each step costs one. No chain-sized unitary is formed.
     """
-    order = range(n_steps, 0, -1) if heisenberg else range(1, n_steps + 1)
     transposed = False  # whether `x` currently holds the transpose
-    for k in order:
+    for k in range(1, n_steps + 1):
         tau = probes[k - 1].tau
         factors = [(step_unitary(sys, probes[k - 1]), [0, k])]
         for n, other in enumerate(probes, start=1):
             if n != k:
                 factors.append((expm_hermitian(other.h_e, -1j * tau), [n]))
-        if heisenberg:
-            factors = [(dag(g), legs) for g, legs in factors]
         for g, legs in factors:
             x = _apply_to_rows(x, g.conj() if transposed else g, dims, legs)
         x, transposed = x.T, not transposed
@@ -462,52 +466,73 @@ def full_chain_oracle(
     return full_chain_expectation(sys, steps, ops, m, obs.l, obs.r, rho_init)
 
 
-def reduce_window_operator(
-    sys: SystemSpec, window_steps: list[ProbeSpec], op: np.ndarray, l: int, r: int
+def reduce_windows(
+    sys: SystemSpec, probes: list[ProbeSpec], choices: list, build, l: int, r: int
 ) -> np.ndarray:
-    """Reduce an arbitrary operator on S x (window probes) to a matrix on S.
+    """(n, d, d) reduced Heisenberg system matrices X, one per window tuple.
 
-    `window_steps` lists the probes at slots -l..r. Slots -l..0 have already
-    interacted by the observation step and are conjugated with their step
-    unitaries (plus free evolution of the other interacting window probes);
-    slots 1..r have not interacted and only their Gibbs averages survive.
-    The reduction is exact, by the same contraction the oracle performs.
+    The tuples are those of ``itertools.product(*choices)``; ``choices[j + l]``
+    lists the indices into `probes` allowed at slot j, and `build` maps a
+    tuple's ProbeSpecs to its ObservableWindow (extents l, r; a (d, d) A_S).
+    All tuples are reduced at once, slot by slot from r down to -l: from
+    Y = A_S, slot j sets Y <- Tr_E[(1 x rho_E) U* (Y x B_j(t)) U], with the
+    stacked step unitary U and Gibbs state rho_E of the slot's probe and
+    B_j(t) = e^(ith) B_j e^(-ith) evolved freely over the summed tau t of
+    slots j+1..0. A future slot (j > 0) has not interacted: it takes no U,
+    so it only scales Y by Tr[rho_E B_j]. Each step is a batched matmul per
+    tuple, so a row is bitwise its one-tuple reduction. The window guard is
+    checked before any window is built.
     """
-    if len(window_steps) != l + r + 1:
-        raise ValueError("window_steps must have length l+r+1")
-    d = sys.dim_s
-    dims = [d] + [p.dim_e for p in window_steps]
-    check_capacity(dims, l + r, n_steps=l + 1)
-
-    # chain order: slot -l interacts first, slot 0 last
-    conj = _conjugate_by_chain(op, sys, window_steps[: l + 1], l + 1, dims, heisenberg=True)
-
-    rho_env = window_steps[0].gibbs_state()
-    for probe in window_steps[1:]:
-        rho_env = np.kron(rho_env, probe.gibbs_state())
-    return weighted_partial_trace(conj, d, rho_env)
+    d, n = sys.dim_s, math.prod(len(c) for c in choices)
+    check_capacity([d, max(probes[k].dim_e for c in choices for k in c)], l + r, stack=n)
+    tuples = np.array(list(iter_product(*choices)), dtype=np.intp).reshape(n, len(choices))
+    windows = [build(tuple(probes[k] for k in tup)) for tup in tuples]
+    if any((w.l, w.r, w.a_s.shape) != (l, r, (d, d)) for w in windows):
+        raise ValueError(f"every window needs extents l = {l}, r = {r} and a ({d}, {d}) A_S")
+    x = np.stack([w.a_s for w in windows])
+    # per probe dimension e: the stacked (U, U*, rho_E, h_E) and each probe's row in them
+    dim_e, taus = np.array([p.dim_e for p in probes]), np.array([p.tau for p in probes])
+    pos = np.empty(len(probes), dtype=np.intp)
+    groups = {}
+    for rows, u, rho_e in _encounters(sys, probes):
+        pos[rows] = np.arange(len(rows))
+        h_e = np.stack([probes[k].h_e for k in rows])
+        groups[rho_e.shape[-1]] = (u, np.ascontiguousarray(dag(u)), rho_e, h_e)
+    elapsed = np.zeros(n)  # summed tau of the slots j+1..0
+    for j in range(r, -l - 1, -1):
+        atoms = tuples[:, j + l]
+        for e in np.unique(dim_e[atoms]):
+            u, u_adj, rho_e, h_e = groups[e]
+            rows = np.flatnonzero(dim_e[atoms] == e)
+            k, m = pos[atoms[rows]], len(rows)
+            b = np.stack([windows[t].b_list[j + l] for t in rows]).reshape(m, e, e)
+            if j < 0:
+                free = expm_hermitian(h_e[k], -1j * elapsed[rows])
+                b = dag(free) @ b @ free
+            y = (x[rows][:, :, None, :, None] * b[:, None, :, None, :]).reshape(m, d * e, d * e)
+            if j <= 0:  # one gathered factor per product: 3 (m, d e, d e) arrays live at most
+                y = u_adj[k] @ y
+                y = y @ u[k]
+            x[rows] = weighted_partial_trace(y, d, rho_e[k])
+        if j <= 0:
+            elapsed += taus[atoms]
+    return x
 
 
 def reduce_instant(
     sys: SystemSpec, window_steps: list[ProbeSpec], obs: ObservableWindow
 ) -> np.ndarray:
-    """Reduced Heisenberg system matrix X of an instantaneous observable.
+    """Reduced Heisenberg system matrix X of one instantaneous observable.
 
-    Its GNS matrix N is left multiplication by X, so N psi_S = vec(X rho_s^(1/2))
-    and <psi_0, alpha^m(O) psi_0> = <psi_S, M_1 ... M_(m-l-1) N psi_S> with the
-    M_k built from the same models; probes at future slots (j > 0) enter only
-    through the scalars Tr[Gibbs_j B_j].
+    The one-tuple case of :func:`reduce_windows`, with `window_steps` the
+    probes at slots -l..r. The GNS matrix N of X is left multiplication by X,
+    so N psi_S = vec(X rho_s^(1/2)) and <psi_0, alpha^m(O) psi_0> =
+    <psi_S, M_1 ... M_(m-l-1) N psi_S> with the M_k of the same models.
     """
-    l, r = obs.l, obs.r
-    if len(window_steps) != l + r + 1:
+    if len(window_steps) != obs.l + obs.r + 1:
         raise ValueError("window_steps must have length l+r+1")
-    scalar = 1.0 + 0.0j
-    for j in range(1, r + 1):
-        scalar *= np.trace(window_steps[j + l].gibbs_state() @ obs.b_list[j + l])
-    op = obs.a_s
-    for j in range(-l, 1):
-        op = np.kron(op, obs.b_list[j + l])
-    return scalar * reduce_window_operator(sys, window_steps[: l + 1], op, l, 0)
+    choices = [[k] for k in range(len(window_steps))]
+    return reduce_windows(sys, window_steps, choices, lambda _: obs, obs.l, obs.r)[0]
 
 
 def energy_terms(

@@ -1,7 +1,8 @@
 """Instantaneous observables, their ergodic limits, and energy/entropy fluxes.
 
 A window family is one stack of reduced Heisenberg system matrices X, one
-per tuple of ensemble atom indices. Every ergodic limit is read off one
+per tuple of ensemble atom indices, all reduced at once, slot by slot, by
+:func:`ries.model.reduce_windows`. Every ergodic limit is read off one
 asymptotic state on the system, rho_+ = unvec(psi_s) unvec(theta)^*: the
 limit of a family is Tr[rho_+ E[X]], with E[X] a finite weighted sum over
 atom tuples. The asymptotic energy production per step comes from the
@@ -33,7 +34,6 @@ stated tolerance of a one-step loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
 
 import numpy as np
 
@@ -43,9 +43,8 @@ from .model import (
     ObservableWindow,
     ProbeSpec,
     SystemSpec,
-    check_capacity,
     energy_terms,
-    reduce_instant,
+    reduce_windows,
     reduced_heisenberg_maps,
 )
 
@@ -64,7 +63,6 @@ class InstantObservableFamily:
     l: int
     r: int
     x: np.ndarray
-    name: str = ""
 
     @property
     def width(self) -> int:
@@ -81,61 +79,35 @@ def _require_models(ens: RrdoEnsemble) -> SystemSpec:
     return ens.system
 
 
-def observable_family(
-    ens: RrdoEnsemble,
-    builder,
-    l: int,
-    r: int,
-    name: str = "",
-) -> InstantObservableFamily:
-    """Reduce builder(probes) over every atom tuple of the window.
+def observable_family(ens: RrdoEnsemble, builder, l: int, r: int) -> InstantObservableFamily:
+    """Reduce builder(probes) over every atom tuple of the window, as one stack.
 
-    `builder` receives the tuple of ProbeSpecs at slots -l..r and returns an
-    ObservableWindow; row t of the family's stack is the reduction for the
-    t-th tuple of ``itertools.product``.
+    `builder` maps the ProbeSpecs at slots -l..r to an ObservableWindow; row t
+    of the stack reduces the t-th tuple of ``itertools.product``.
     """
     system = _require_models(ens)
-    check_capacity([system.dim_s], l + r)
-    x = []
-    for tup in iter_product(range(ens.n_atoms), repeat=l + r + 1):
-        probes = [ens.probes[i] for i in tup]
-        x.append(reduce_instant(system, probes, builder(tuple(probes))))
-    return InstantObservableFamily(l=l, r=r, x=np.array(x), name=name)
+    x = reduce_windows(system, ens.probes, [range(ens.n_atoms)] * (l + r + 1), builder, l, r)
+    return InstantObservableFamily(l=l, r=r, x=x)
 
 
 def system_observable_family(ens: RrdoEnsemble, a_s: np.ndarray) -> InstantObservableFamily:
     """Window family carrying only a system observable (l = r = 0, B = 1)."""
-
-    def build(probes):
-        return ObservableWindow.system_only(a_s, probes[0].dim_e)
-
-    return observable_family(ens, build, 0, 0, name="system_observable")
+    return observable_family(ens, lambda p: ObservableWindow.system_only(a_s, p[0].dim_e), 0, 0)
 
 
 def probe_energy_family(ens: RrdoEnsemble) -> InstantObservableFamily:
     """B^(0) = probe Hamiltonian at the interacting slot."""
-    system = _require_models(ens)
-
-    def build(probes):
-        return ObservableWindow(
-            a_s=np.eye(system.dim_s), b_list=(probes[0].h_e,), l=0, r=0
-        )
-
-    return observable_family(ens, build, 0, 0, name="probe_energy")
+    eye = np.eye(_require_models(ens).dim_s)
+    return observable_family(ens, lambda p: ObservableWindow(eye, (p[0].h_e,), 0, 0), 0, 0)
 
 
 def identity_family(ens: RrdoEnsemble, l: int = 0, r: int = 0) -> InstantObservableFamily:
-    system = _require_models(ens)
+    eye = np.eye(_require_models(ens).dim_s)
 
     def build(probes):
-        return ObservableWindow(
-            a_s=np.eye(system.dim_s),
-            b_list=tuple(np.eye(p.dim_e) for p in probes),
-            l=l,
-            r=r,
-        )
+        return ObservableWindow(eye, tuple(np.eye(p.dim_e) for p in probes), l, r)
 
-    return observable_family(ens, build, l, r, name="identity")
+    return observable_family(ens, build, l, r)
 
 
 def mean_reduced_observable(ens: RrdoEnsemble, fam: InstantObservableFamily) -> np.ndarray:
@@ -262,7 +234,7 @@ def energy_jump_family(ens: RrdoEnsemble) -> InstantObservableFamily:
     jump, _ = energy_tables(ens)
     # row i * n_atoms + j holds unvec(jump[i, j]); a column-major vec reshapes to X^T
     x = jump.reshape(-1, d, d).transpose(0, 2, 1)
-    return InstantObservableFamily(l=0, r=1, x=x, name="energy_jump")
+    return InstantObservableFamily(l=0, r=1, x=x)
 
 
 @dataclass

@@ -2,7 +2,8 @@
 
 The package never forms these: the oracle applies each factor to its own
 tensor legs, and window observables stay d x d system matrices. The tests
-build the dense objects to check those shortcuts against. The GNS norms,
+build the dense objects to check those shortcuts against. The dense window
+reduction is the reference for the stacked window reductions. The GNS norms,
 the sampled power bound and the one-step product loop are the references
 for the uniform product bounds and identities of finite RDO products. The
 per-pair energy tables are the reference for the stacked energy reduction.
@@ -12,8 +13,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ries.linalg import dag, spectral_norm, unvec, vec
-from ries.model import reduce_window_operator, step_unitary, weighted_partial_trace
+from ries.linalg import dag, expm_hermitian, spectral_norm, unvec, vec
+from ries.model import step_unitary, weighted_partial_trace
 from ries.rdo import decompose
 
 
@@ -35,6 +36,35 @@ def embed(op: np.ndarray, dims: list[int], sites: list[int]) -> np.ndarray:
     shaped = shaped.transpose(perm)
     dim_tot = int(np.prod(dims, dtype=np.int64))
     return shaped.reshape(dim_tot, dim_tot)
+
+
+def dense_chain_unitary(system, probes, n_steps: int, dims: list[int]) -> np.ndarray:
+    """W_n ... W_1 as one dense matrix over the legs `dims`, every factor embedded."""
+    u = np.eye(int(np.prod(dims)), dtype=complex)
+    for k in range(1, n_steps + 1):
+        tau = probes[k - 1].tau
+        w_k = embed(step_unitary(system, probes[k - 1]), dims, [0, k])
+        for n, other in enumerate(probes, start=1):
+            if n != k:
+                w_k = embed(expm_hermitian(other.h_e, -1j * tau), dims, [n]) @ w_k
+        u = w_k @ u
+    return u
+
+
+def gibbs_product(probes) -> np.ndarray:
+    """Gibbs_1 x Gibbs_2 x ... of the listed probes."""
+    rho = np.eye(1, dtype=complex)
+    for p in probes:
+        rho = np.kron(rho, p.gibbs_state())
+    return rho
+
+
+def dense_window_reduction(system, window_steps, op: np.ndarray, l: int, r: int) -> np.ndarray:
+    """Tr_E[(1 x Gibbs) W* op W] of an operator on S x (window probes), W the dense
+    chain unitary of slots -l..0 (slot -l first): the window reduction, by brute force."""
+    dims = [system.dim_s] + [p.dim_e for p in window_steps]
+    w = dense_chain_unitary(system, window_steps[: l + 1], l + 1, dims)
+    return weighted_partial_trace(dag(w) @ op @ w, system.dim_s, gibbs_product(window_steps))
 
 
 def left_mult_matrix(a: np.ndarray) -> np.ndarray:
@@ -116,8 +146,8 @@ def product_trace(rdos) -> SimpleNamespace:
 def per_pair_energy_tables(ens) -> tuple[np.ndarray, np.ndarray]:
     """(jump, flux) of a model-built ensemble, as (n, n, d, d) and (n, d, d) system matrices.
 
-    jump[i, j] = Phi_i(vbar_j) - own_i comes from one window reduction per atom
-    pair, and flux[i] from the direct formula E_rho_E[(H_S + V) - W* (H_S + V) W]
+    jump[i, j] = Phi_i(vbar_j) - own_i comes from one dense window reduction per
+    atom pair, and flux[i] from the direct formula E_rho_E[(H_S + V) - W* (H_S + V) W]
     with W built for atom i alone.
     """
     system, d, n = ens.system, ens.system.dim_s, ens.n_atoms
@@ -125,10 +155,10 @@ def per_pair_energy_tables(ens) -> tuple[np.ndarray, np.ndarray]:
     flux = np.empty((n, d, d), dtype=complex)
     for i, p_i in enumerate(ens.probes):
         eye_e = np.eye(p_i.dim_e)
-        own = reduce_window_operator(system, [p_i], p_i.v, 0, 0)
+        own = dense_window_reduction(system, [p_i], p_i.v, 0, 0)
         for j, p_j in enumerate(ens.probes):
             vbar_j = weighted_partial_trace(p_j.v, d, p_j.gibbs_state())
-            jump[i, j] = reduce_window_operator(system, [p_i], np.kron(vbar_j, eye_e), 0, 0) - own
+            jump[i, j] = dense_window_reduction(system, [p_i], np.kron(vbar_j, eye_e), 0, 0) - own
         x = np.kron(system.h_s, eye_e) + p_i.v
         w = step_unitary(system, p_i)
         rho_e = p_i.gibbs_state()

@@ -1,3 +1,4 @@
+import dataclasses
 import glob
 import json
 import os
@@ -448,6 +449,50 @@ def test_flux_checks_need_finite_stderr(tmp_path, ensemble_doc, monkeypatch):
     assert summary["payload"]["monte_carlo"]["de_stderr"] == float("inf")
     assert summary["checks"]["mc_de_within_3_sigma"] is False
     assert summary["checks"]["mc_ds_within_3_sigma"] is False
+
+
+DEMO_CONFIGS = os.path.join(os.path.dirname(__file__), "..", "demos", "configs")
+
+
+def _run_summary(path, out) -> tuple[int, dict]:
+    rc = main(["run", path, "--out", str(out)])
+    return rc, json.loads((out / "summary.json").read_text())
+
+
+def test_instant_check_trips_on_shifted_closed_form(tmp_path, monkeypatch):
+    """Mutation: the demo instant closed form moved by +10 sigma fails the 3-sigma
+    check with rc 1, so the check tests the Monte Carlo statistics."""
+    path = os.path.join(DEMO_CONFIGS, "instant.json")
+    rc, base = _run_summary(path, tmp_path / "base")
+    assert rc == 0 and base["checks"]["mc_within_3_sigma"] is True
+    shift = 10.0 * base["payload"]["stderr"]
+    real = ries.cli.ergodic_instant_limit
+    monkeypatch.setattr("ries.cli.ergodic_instant_limit", lambda ens, fam: real(ens, fam) + shift)
+    rc, shifted = _run_summary(path, tmp_path / "shifted")
+    assert rc == 1 and shifted["checks"]["mc_within_3_sigma"] is False
+    assert shifted["payload"]["closed_form"][0] == base["payload"]["closed_form"][0] + shift
+
+
+@pytest.mark.parametrize("field", ["de", "ds"])
+def test_flux_check_trips_on_shifted_closed_form(tmp_path, monkeypatch, field):
+    """Mutation: the demo fluxes closed-form dE+ (or dS+) moved by +10 sigma fails
+    its own 3-sigma check with rc 1; the other Monte Carlo check still holds."""
+    path = os.path.join(DEMO_CONFIGS, "fluxes.json")
+    rc, base = _run_summary(path, tmp_path / "base")
+    assert rc == 0 and base["payload"]["sigma_floor_used"] is False
+    shift = 10.0 * base["payload"]["monte_carlo"][f"{field}_stderr"]
+    real = ries.cli.flux_closed_form
+
+    def shifted_form(ens):
+        rep = real(ens)
+        return dataclasses.replace(rep, **{f"{field}_plus": getattr(rep, f"{field}_plus") + shift})
+
+    monkeypatch.setattr("ries.cli.flux_closed_form", shifted_form)
+    rc, shifted = _run_summary(path, tmp_path / "shifted")
+    other = {"de": "ds", "ds": "de"}[field]
+    assert rc == 1
+    assert shifted["checks"][f"mc_{field}_within_3_sigma"] is False
+    assert shifted["checks"][f"mc_{other}_within_3_sigma"] is True
 
 
 @pytest.mark.parametrize("experiment", ["instant", "fluxes"])

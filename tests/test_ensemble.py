@@ -39,11 +39,17 @@ def test_trajectory_rng_independent_and_stable():
     assert not np.array_equal(a, c)
 
 
-def test_ensemble_validation():
+def test_ensemble_validation(qubit_model):
     with pytest.raises(EnsembleError):
         _diag_ensemble([(0.6, [1, 0.5]), (0.6, [1, 0.4])])
     with pytest.raises(EnsembleError):
         RrdoEnsemble([], [])
+    # a NaN weight makes the sum NaN, which no tolerance comparison rejects
+    system, probe = qubit_model
+    with pytest.raises(EnsembleError, match="finite"):
+        RrdoEnsemble.from_models(system, [(np.nan, probe), (1.0, probe)])
+    with pytest.raises(EnsembleError, match="finite"):
+        _diag_ensemble([(np.nan, [1, 0.5]), (1.0, [1, 0.4])])
 
 
 def test_mean_rdo_diagonal():

@@ -1,55 +1,34 @@
 import numpy as np
 import pytest
-from dense_reference import choi_matrix, embed
+from dense_reference import (
+    choi_matrix,
+    dense_chain_unitary,
+    dense_window_reduction,
+    embed,
+    gibbs_product,
+)
 
 import ries
-from ries.linalg import dag, expm_hermitian, random_hermitian, unvec, vec
+from ries.linalg import dag, random_hermitian, unvec, vec
 from ries.model import (
     CapacityError,
     full_chain_expectation,
     gibbs,
     model_from_json,
     model_to_json,
-    reduce_window_operator,
     reduced_heisenberg_map,
     weighted_partial_trace,
 )
 
 
 # ------------------------------------------------- dense reference contraction
-def _dense_chain_unitary(system, probes, n_steps, dims):
-    """W_n ... W_1 as one dense matrix over the legs `dims`, every factor embedded."""
-    u = np.eye(int(np.prod(dims)), dtype=complex)
-    for k in range(1, n_steps + 1):
-        tau = probes[k - 1].tau
-        w_k = embed(ries.step_unitary(system, probes[k - 1]), dims, [0, k])
-        for n, other in enumerate(probes, start=1):
-            if n != k:
-                w_k = embed(expm_hermitian(other.h_e, -1j * tau), dims, [n]) @ w_k
-        u = w_k @ u
-    return u
-
-
-def _gibbs_product(probes):
-    rho = np.eye(1, dtype=complex)
-    for p in probes:
-        rho = np.kron(rho, p.gibbs_state())
-    return rho
-
-
 def _dense_expectation(system, steps, op, m, l, r, rho_init):
     probes = steps[: m + r]
     dims = [system.dim_s] + [p.dim_e for p in probes]
-    u = _dense_chain_unitary(system, probes, m, dims)
+    u = dense_chain_unitary(system, probes, m, dims)
     o_full = embed(op, dims, [0] + [m + j for j in range(-l, r + 1)])
-    rho_tot = np.kron(rho_init, _gibbs_product(probes))
+    rho_tot = np.kron(rho_init, gibbs_product(probes))
     return np.trace(rho_tot @ dag(u) @ o_full @ u)
-
-
-def _dense_window_reduction(system, window_steps, op, l, r):
-    dims = [system.dim_s] + [p.dim_e for p in window_steps]
-    w = _dense_chain_unitary(system, window_steps[: l + 1], l + 1, dims)
-    return weighted_partial_trace(dag(w) @ op @ w, system.dim_s, _gibbs_product(window_steps))
 
 
 def _mixed_chain(rng):
@@ -256,12 +235,27 @@ def test_full_chain_matches_dense_reference_on_unequal_legs(rng):
         assert abs(got - want) <= 1e-12
 
 
+def _product_window(system, window, l, r, rng):
+    """A random non-Hermitian product window A_S x B^(-l) x ... x B^(r) on the
+    window probes, and its dense operator."""
+    obs = ries.ObservableWindow(
+        a_s=_complex_matrix(system.dim_s, rng),
+        b_list=tuple(_complex_matrix(p.dim_e, rng) for p in window),
+        l=l,
+        r=r,
+    )
+    op = obs.a_s
+    for b in obs.b_list:
+        op = np.kron(op, b)
+    return obs, op
+
+
 def test_window_reduction_matches_dense_reference_on_unequal_legs(rng):
     system, probes = _mixed_chain(rng)
     window = probes[:3]  # slots -1, 0, +1 with dims 2, 3, 2
-    op = _complex_matrix(3 * 2 * 3 * 2, rng)
-    got = reduce_window_operator(system, window, op, 1, 1)
-    want = _dense_window_reduction(system, window, op, 1, 1)
+    obs, op = _product_window(system, window, 1, 1, rng)
+    got = ries.reduce_instant(system, window, obs)
+    want = dense_window_reduction(system, window, op, 1, 1)
     assert np.abs(got - want).max() <= 1e-12
 
 
@@ -317,10 +311,16 @@ def test_stacked_oracle_equals_one_call_per_operator(rng):
     assert np.array_equal(got, np.array(single))
 
 
-def test_reduce_window_capacity_guard(qubit_model):
+def test_reduce_window_capacity_guard(qubit_model, rng):
+    """l + r = 4 is past the window guard; l + r = 3 reduces, and matches the
+    dense reduction."""
     system, probe = qubit_model
-    with pytest.raises(CapacityError):
-        reduce_window_operator(system, [probe] * 5, np.eye(2**5), 2, 2)
+    obs, _ = _product_window(system, [probe] * 5, 2, 2, rng)
+    with pytest.raises(CapacityError, match="l \\+ r = 4"):
+        ries.reduce_instant(system, [probe] * 5, obs)
+    obs, op = _product_window(system, [probe] * 4, 2, 1, rng)
+    want = dense_window_reduction(system, [probe] * 4, op, 2, 1)
+    assert np.abs(ries.reduce_instant(system, [probe] * 4, obs) - want).max() <= 1e-12
 
 
 def test_model_json_roundtrip(qubit_model):

@@ -137,5 +137,19 @@ def test_one_seed_convention(name, allowed):
     assert used == allowed
 
 
+@pytest.mark.parametrize(
+    "name, allowed",
+    [
+        ("_conjugate_by_chain", {"model.py:full_chain_expectation"}),
+        ("reduce_windows", {"model.py:reduce_instant", "thermo.py:observable_family"}),
+    ],
+)
+def test_one_path_per_reduction(name, allowed):
+    """The chain engine serves only the oracle, and every window reduction is the
+    stacked one, so an oracle check compares two independent code paths."""
+    used = {f"{p.name}:{f}" for p in MODULES for f in _uses_by_function(_parse(p), name)}
+    assert used == allowed
+
+
 def test_checks_see_every_module():
     assert {p.name for p in MODULES} >= {"cli.py", "ensemble.py", "model.py", "thermo.py"}

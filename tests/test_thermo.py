@@ -2,7 +2,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from dense_reference import embed, left_mult_matrix, per_pair_energy_tables
+from dense_reference import dense_window_reduction, embed, left_mult_matrix, per_pair_energy_tables
 
 import ries
 from ries.ensemble import EnsembleError, RrdoEnsemble, theta_closed_form, trajectory_rng
@@ -15,11 +15,7 @@ from ries.linalg import (
     unvec,
     vec,
 )
-from ries.model import (
-    full_chain_expectation,
-    reduce_window_operator,
-    weighted_partial_trace,
-)
+from ries.model import full_chain_expectation, weighted_partial_trace
 from ries.rdo import decompose
 from ries.thermo import (
     atom_flux_matrix,
@@ -129,10 +125,8 @@ def test_jump_expectations_match_oracle(qubit_model):
     rho_init = system.gibbs_state()
     phi = ries.reduced_heisenberg_map(system, probe)
     vbar = weighted_partial_trace(probe.v, d, probe.gibbs_state())
-    next_term = reduce_window_operator(
-        system, [probe], np.kron(vbar, np.eye(2)), 0, 0
-    )
-    own_term = reduce_window_operator(system, [probe], probe.v, 0, 0)
+    next_term = dense_window_reduction(system, [probe], np.kron(vbar, np.eye(2)), 0, 0)
+    own_term = dense_window_reduction(system, [probe], probe.v, 0, 0)
     jump_red = next_term - own_term
     w = vec(rho_init).astype(complex)
     for k in range(1, 5):
@@ -189,34 +183,77 @@ def test_mean_operator_classified_once(rng, monkeypatch):
     assert calls == {"mean_rdo": 1, "classify": 1}
 
 
-def _slot_dependent_family(ens, rng):
-    """l = r = 1 family whose window reads each slot's probe differently."""
-    a_s = random_complex_matrix(3, rng)
-    b_prev, b_now, b_next = (random_hermitian(2, rng) for _ in range(3))
+def _slot_dependent_family(ens, rng, l=1, r=1):
+    """Window family whose window reads each slot's probe differently."""
+    a_s = random_complex_matrix(ens.system.dim_s, rng)
+    base = {e: [random_hermitian(e, rng) for _ in range(l + r + 1)] for e in {2, 3}}
 
     def build(probes):
-        b_list = (probes[0].tau * b_prev, b_now + probes[1].h_e, probes[2].beta_e * b_next)
-        return ries.ObservableWindow(a_s=a_s, b_list=b_list, l=1, r=1)
+        b_list = tuple(
+            (p.tau, p.beta_e, 1.0)[j % 3] * base[p.dim_e][j] + (j % 2) * p.h_e
+            for j, p in enumerate(probes)
+        )
+        return ries.ObservableWindow(a_s=a_s, b_list=b_list, l=l, r=r)
 
-    return observable_family(ens, build, 1, 1), build
+    return observable_family(ens, build, l, r), build
+
+
+def _mixed_dimension_ensemble(rng) -> RrdoEnsemble:
+    """Qutrit system; probes of dims 2, 3, 2 with their own V, tau and beta."""
+    system = ries.SystemSpec(dim_s=3, h_s=np.diag([0.0, 1.0, 2.3]), beta_s=0.7)
+    probes = [
+        ries.ProbeSpec(
+            dim_e=e, h_e=random_hermitian(e, rng), beta_e=beta, v=random_hermitian(3 * e, rng), tau=tau
+        )
+        for e, beta, tau in ((2, 1.3, 0.7), (3, 0.4, 1.2), (2, 2.0, 1.6))
+    ]
+    return RrdoEnsemble.from_models(system, [(0.2, probes[0]), (0.5, probes[1]), (0.3, probes[2])])
 
 
 def test_family_rows_follow_tuple_order(rng):
-    """Row i*9 + j*3 + k of the stack is reduce_instant of the tuple (i, j, k), on
-    three distinct atoms with unequal p, and E[X] weights it by p_i p_j p_k. The
+    """Row t of the stack is reduce_instant of the t-th tuple of itertools.product,
+    bitwise, and within 1e-12 of the dense window reduction; on three atoms with
+    probe dims 2, 3, 2 and unequal p, and E[X] weights row t by its p product. The
     Monte Carlo table row is that tuple's GNS vector N psi_s."""
-    ens = _heterogeneous_ensemble(rng)
-    fam, build = _slot_dependent_family(ens, rng)
-    assert fam.x.shape == (27, 3, 3)
-    table = fam.n_psi_table(ens.psi_s)
-    expected = np.zeros((3, 3), dtype=complex)
-    for i, j, k in np.ndindex(3, 3, 3):
-        probes = [ens.probes[x] for x in (i, j, k)]
-        x_ijk = ries.reduce_instant(ens.system, probes, build(tuple(probes)))
-        assert np.array_equal(fam.x[9 * i + 3 * j + k], x_ijk)
-        assert np.abs(table[9 * i + 3 * j + k] - left_mult_matrix(x_ijk) @ ens.psi_s).max() < 1e-14
-        expected += ens.probs[i] * ens.probs[j] * ens.probs[k] * x_ijk
-    assert np.abs(mean_reduced_observable(ens, fam) - expected).max() < 1e-12
+    ens = _mixed_dimension_ensemble(rng)
+    for l, r in ((0, 0), (0, 1), (1, 0), (1, 1), (2, 1)):
+        fam, build = _slot_dependent_family(ens, rng, l, r)
+        width = l + r + 1
+        assert fam.x.shape == (3**width, 3, 3)
+        table = fam.n_psi_table(ens.psi_s)
+        expected = np.zeros((3, 3), dtype=complex)
+        for t, tup in enumerate(product(range(3), repeat=width)):
+            probes = [ens.probes[x] for x in tup]
+            obs = build(tuple(probes))
+            x_t = ries.reduce_instant(ens.system, probes, obs)
+            assert np.array_equal(fam.x[t], x_t)
+            op = obs.a_s
+            for b in obs.b_list:
+                op = np.kron(op, b)
+            want = dense_window_reduction(ens.system, probes, op, l, r)
+            assert np.abs(x_t - want).max() < 1e-12
+            assert np.abs(table[t] - left_mult_matrix(x_t) @ ens.psi_s).max() < 1e-14
+            expected += np.prod(ens.probs[list(tup)]) * x_t
+        assert np.abs(mean_reduced_observable(ens, fam) - expected).max() < 1e-12
+
+
+def test_family_capacity_guard(qubit_model):
+    """The one window guard bounds the stacked reduction: 33 atoms at l + r = 3
+    hold 33^4 (2 * 2)^2 entries, past ORACLE_DIM_GUARD^2 = 4096^2 (32 atoms would
+    reach it exactly), and fail before any window is built."""
+    system, probe = qubit_model
+    ens = RrdoEnsemble.from_models(system, [(1.0 / 33, probe)] * 33)
+    built = []
+
+    def build(probes):
+        built.append(probes)
+        return ries.ObservableWindow.system_only(np.eye(2), 2)
+
+    with pytest.raises(ries.model.CapacityError, match="1,185,921 stacked window reductions hold 18,974,736 entries"):
+        observable_family(ens, build, 3, 0)
+    assert 32**4 * 4**2 == ries.model.ORACLE_DIM_GUARD**2 and not built
+    with pytest.raises(ries.model.CapacityError, match="l \\+ r = 4"):
+        identity_family(ens, 2, 2)
 
 
 def _gns_instant_limit(ens, fam):
