@@ -27,12 +27,13 @@ range needs ``low`` <= ``high``, and ``tau`` and ``beta`` ranges a
 nonnegative ``low`` (``coupling`` scales V and may be negative). Each
 model ``dim`` must be an integer >= 1, and each ``psi_s`` must have one
 entry per row of its matrix. Matrices are parsed only by ``run``, which
-reports a matrix that is not an RDO for its ``psi_s``, and model atoms
-whose system ``h`` differs, as config errors. All seeds of a config step
-as one batch, in every stochastic experiment alike: seed s drives
-``trajectory_rng(s)``, so a seed's results do not depend on the batch or
-on which other seeds ran, and identical configs give byte-identical
-summaries except for the wall-time field.
+reports a matrix that is not an RDO for its ``psi_s``, model atoms whose
+system ``h`` differs, and a ``rho_init`` that is not a density matrix on
+the system, as config errors. All seeds of a config step as one batch,
+in every stochastic experiment alike: seed s drives ``trajectory_rng(s)``,
+so a seed's results do not depend on the batch or on which other seeds
+ran, and identical configs give byte-identical summaries except for the
+wall-time field.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from .ensemble import (
 from .linalg import random_hermitian, vec
 from .model import (
     CapacityError,
+    DensityMatrix,
     ObservableWindow,
     check_capacity,
     full_chain_oracle,
@@ -518,9 +520,15 @@ def _run_fluxes(cfg: dict, out: str) -> tuple[dict, dict]:
     if deterministic_beta:
         checks["second_law"] = bool(abs(closed.residual) <= 1e-8)
     if cfg["monte_carlo"]:
-        rho_init = (
-            matrix_from_json(cfg["rho_init"], "rho_init") if "rho_init" in cfg else None
-        )
+        rho_init, d = None, ens.system.dim_s
+        if "rho_init" in cfg:  # a density matrix on the system, or a config error
+            rho_init = matrix_from_json(cfg["rho_init"], "rho_init")
+            if rho_init.shape != (d, d):
+                raise ConfigError(f"rho_init has shape {rho_init.shape}, expected ({d}, {d})")
+            try:
+                rho_init = DensityMatrix(rho_init).rho
+            except ValueError as exc:
+                raise ConfigError(f"rho_init: {exc}") from exc
         mc = flux_monte_carlo(ens, cfg["seeds"], int(cfg["n_total"]), rho_init=rho_init)
         payload["monte_carlo"] = mc.to_json()
         for name, value, ref, err in (

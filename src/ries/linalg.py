@@ -43,15 +43,11 @@ def right_mult_matrix(b: np.ndarray) -> np.ndarray:
     return np.kron(b.T, np.eye(b.shape[0]))
 
 
-def hermiticity_defect(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a - dag(a), 2))
-
-
 def require_hermitian(a: np.ndarray, name: str = "matrix", tol: float = HERMITICITY_TOL) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    defect = hermiticity_defect(a)
+    defect = float(np.linalg.norm(a - dag(a), 2))
     scale = max(1.0, float(np.linalg.norm(a, 2)))
     if defect > tol * scale:
         raise ValueError(f"{name} is not Hermitian (defect {defect:.3e})")

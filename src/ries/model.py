@@ -30,9 +30,11 @@ Probes of different dimensions are built group by group. Each batched step
 runs once per row (batched eigh and matmul, never a contraction that folds
 the row axis), so a row is bitwise what a one-probe build gives; the
 one-probe functions (:func:`step_unitary`, :func:`reduced_heisenberg_map`,
-:func:`rdo_from_model`) are the one-row case. A window family reduces every
-atom tuple at once from the same stacked encounters, slot by slot
-(:func:`reduce_windows`); :func:`reduce_instant` is the one-tuple case.
+:func:`rdo_from_model`) are the one-row case. A window family is A_S and a
+per-slot table of B, one B per slot and allowed probe; it reduces every
+atom tuple at once from the same stacked encounters, slot by slot, each
+tuple's B gathered from its slot's table (:func:`reduce_windows`).
+:func:`reduce_instant` is the one-tuple case.
 
 The GNS transport never builds a non-normal generator: with
 ``iota(A) = A rho_s^(1/2)``, the RDO is ``iota o Phi o iota^(-1)``.
@@ -44,7 +46,6 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product as iter_product
 
 import numpy as np
 
@@ -86,11 +87,12 @@ def check_capacity(
         return
     # tracemalloc peaks in dim x dim complex arrays. An oracle call holds 4 (4.00 at dims
     # 256 to 1024 on the qubit chain: the state, the copy that reshapes its transpose,
-    # and the copy and result of an encounter's tensordot). A window reduction holds 3
-    # per tuple (3.3 at d = 8, e = 16, l = 1: a gathered U or U*, the product it enters
-    # and its result; at d = e = 2 the tuple's ObservableWindow adds about 4 more).
-    arrays = 4 if stack == 1 else 3 * stack
-    peak = f"{arrays * dim * dim * 16 / 2**20:,.0f} MiB ({arrays:,} dense {dim}x{dim} arrays)"
+    # and the copy and result of an encounter's tensordot). A window reduction holds 3.5
+    # per tuple (3.50 at d = e = 2 for l + r = 1 to 3, 3.38 at d = 3, e = 2, l = 1: a
+    # gathered U or U*, the product it enters and its result, plus the tuple's X row and
+    # indices). With l = r = 0 the tuples are the atoms, whose encounter build peaks near 8.
+    arrays = 4 if stack == 1 else 3.5 * stack
+    peak = f"{arrays * dim * dim * 16 / 2**20:,.0f} MiB ({arrays:,.0f} dense {dim}x{dim} arrays)"
     if stack > 1:
         raise CapacityError(
             f"{stack:,} stacked window reductions hold {stack * dim * dim:,} entries, past "
@@ -467,13 +469,16 @@ def full_chain_oracle(
 
 
 def reduce_windows(
-    sys: SystemSpec, probes: list[ProbeSpec], choices: list, build, l: int, r: int
+    sys: SystemSpec, probes: list[ProbeSpec], choices: list, a_s: np.ndarray, bs: list, l: int, r: int
 ) -> np.ndarray:
-    """(n, d, d) reduced Heisenberg system matrices X, one per window tuple.
+    """(n, d, d) reduced Heisenberg matrices X of A_S x B^(-l) x ... x B^(r), one per tuple.
 
-    The tuples are those of ``itertools.product(*choices)``; ``choices[j + l]``
-    lists the indices into `probes` allowed at slot j, and `build` maps a
-    tuple's ProbeSpecs to its ObservableWindow (extents l, r; a (d, d) A_S).
+    A window family is A_S and a per-slot table of B. The tuples are those of
+    ``itertools.product(*choices)``: ``choices[j + l]`` lists the indices into
+    `probes` allowed at slot j, and ``bs[j + l][i]`` is the (e, e) B at slot j
+    for probe ``choices[j + l][i]`` of dimension e; every tuple shares the
+    (d, d) `a_s`. Each is checked once, and a slot's B enter its step as one
+    gather per probe dimension.
     All tuples are reduced at once, slot by slot from r down to -l: from
     Y = A_S, slot j sets Y <- Tr_E[(1 x rho_E) U* (Y x B_j(t)) U], with the
     stacked step unitary U and Gibbs state rho_E of the slot's probe and
@@ -481,36 +486,45 @@ def reduce_windows(
     slots j+1..0. A future slot (j > 0) has not interacted: it takes no U,
     so it only scales Y by Tr[rho_E B_j]. Each step is a batched matmul per
     tuple, so a row is bitwise its one-tuple reduction. The window guard is
-    checked before any window is built.
+    checked before any encounter is built.
     """
-    d, n = sys.dim_s, math.prod(len(c) for c in choices)
+    d, n, a_s = sys.dim_s, math.prod(len(c) for c in choices), np.asarray(a_s, dtype=complex)
+    if (min(l, r) < 0 or len(choices) != l + r + 1 or a_s.shape != (d, d)
+            or [*map(len, bs)] != [*map(len, choices)]):
+        raise ValueError(f"a window family needs l, r >= 0, a ({d}, {d}) A_S and one B per choice")
     check_capacity([d, max(probes[k].dim_e for c in choices for k in c)], l + r, stack=n)
-    tuples = np.array(list(iter_product(*choices)), dtype=np.intp).reshape(n, len(choices))
-    windows = [build(tuple(probes[k] for k in tup)) for tup in tuples]
-    if any((w.l, w.r, w.a_s.shape) != (l, r, (d, d)) for w in windows):
-        raise ValueError(f"every window needs extents l = {l}, r = {r} and a ({d}, {d}) A_S")
-    x = np.stack([w.a_s for w in windows])
-    # per probe dimension e: the stacked (U, U*, rho_E, h_E) and each probe's row in them
     dim_e, taus = np.array([p.dim_e for p in probes]), np.array([p.tau for p in probes])
+    # per slot and probe dimension e: a table whose row i is choice i's B if it has dimension e
+    tables = [{e: np.zeros((len(c), e, e), complex) for e in np.unique(dim_e[c])} for c in choices]
+    for j, (c, slot_bs, table) in enumerate(zip(choices, bs, tables), start=-l):
+        for i, (e, b) in enumerate(zip(dim_e[c], slot_bs)):
+            if np.shape(b) != (e, e):
+                raise ValueError(f"slot {j}: B has shape {np.shape(b)}, expected ({e}, {e})")
+            table[e][i] = b
+    # per probe dimension e: the stacked (U, U*, rho_E, h_E) and each probe's row in them
     pos = np.empty(len(probes), dtype=np.intp)
     groups = {}
     for rows, u, rho_e in _encounters(sys, probes):
         pos[rows] = np.arange(len(rows))
         h_e = np.stack([probes[k].h_e for k in rows])
         groups[rho_e.shape[-1]] = (u, np.ascontiguousarray(dag(u)), rho_e, h_e)
+    picks = np.indices([len(c) for c in choices]).reshape(len(choices), n)  # row s: slot s - l
+    x = np.repeat(a_s[None], n, axis=0)
     elapsed = np.zeros(n)  # summed tau of the slots j+1..0
     for j in range(r, -l - 1, -1):
-        atoms = tuples[:, j + l]
-        for e in np.unique(dim_e[atoms]):
+        atoms = np.asarray(choices[j + l], dtype=np.intp)[picks[j + l]]
+        for e, table in tables[j + l].items():
             u, u_adj, rho_e, h_e = groups[e]
             rows = np.flatnonzero(dim_e[atoms] == e)
             k, m = pos[atoms[rows]], len(rows)
-            b = np.stack([windows[t].b_list[j + l] for t in rows]).reshape(m, e, e)
+            b = table[picks[j + l, rows]]
             if j < 0:
                 free = expm_hermitian(h_e[k], -1j * elapsed[rows])
                 b = dag(free) @ b @ free
+                del free
             y = (x[rows][:, :, None, :, None] * b[:, None, :, None, :]).reshape(m, d * e, d * e)
-            if j <= 0:  # one gathered factor per product: 3 (m, d e, d e) arrays live at most
+            del b  # before the products, which hold 3 (m, d e, d e) arrays at most
+            if j <= 0:
                 y = u_adj[k] @ y
                 y = y @ u[k]
             x[rows] = weighted_partial_trace(y, d, rho_e[k])
@@ -529,10 +543,9 @@ def reduce_instant(
     so N psi_S = vec(X rho_s^(1/2)) and <psi_0, alpha^m(O) psi_0> =
     <psi_S, M_1 ... M_(m-l-1) N psi_S> with the M_k of the same models.
     """
-    if len(window_steps) != obs.l + obs.r + 1:
-        raise ValueError("window_steps must have length l+r+1")
     choices = [[k] for k in range(len(window_steps))]
-    return reduce_windows(sys, window_steps, choices, lambda _: obs, obs.l, obs.r)[0]
+    bs = [[b] for b in obs.b_list]
+    return reduce_windows(sys, window_steps, choices, obs.a_s, bs, obs.l, obs.r)[0]
 
 
 def energy_terms(
@@ -558,10 +571,6 @@ def energy_terms(
     return vbar, own, flux
 
 
-def sigma_plus() -> np.ndarray:
-    return np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-
-
 def qubit_exchange_model(
     e_s: float,
     e_e: float,
@@ -575,7 +584,8 @@ def qubit_exchange_model(
     h_s = diag(0, e_s), h_e = diag(0, e_e),
     v = coupling (sp x sm + sm x sp).
     """
-    sp, sm = sigma_plus(), dag(sigma_plus())
+    sp = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    sm = dag(sp)
     v = coupling * (np.kron(sp, sm) + np.kron(sm, sp))
     sys = SystemSpec(dim_s=2, h_s=np.diag([0.0, e_s]).astype(complex), beta_s=beta_s)
     probe = ProbeSpec(dim_e=2, h_e=np.diag([0.0, e_e]).astype(complex), beta_e=beta_e, v=v, tau=tau)

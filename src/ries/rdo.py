@@ -25,7 +25,7 @@ are the one-row case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg
@@ -106,14 +106,7 @@ class SpectralReport:
     gap_min: float
 
     def to_json(self) -> dict:
-        return {
-            "eigenvalues": vector_to_json(self.eigenvalues),
-            "gap": self.gap,
-            "one_multiplicity": self.one_multiplicity,
-            "in_class_e": self.in_class_e,
-            "tol_one": self.tol_one,
-            "gap_min": self.gap_min,
-        }
+        return {**asdict(self), "eigenvalues": vector_to_json(self.eigenvalues)}
 
 
 def spectra(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,9 @@
 """Instantaneous observables, their ergodic limits, and energy/entropy fluxes.
 
-A window family is one stack of reduced Heisenberg system matrices X, one
-per tuple of ensemble atom indices, all reduced at once, slot by slot, by
+A window family A_S x B^(-l) x ... x B^(r) is A_S and a per-slot table of
+B, one B per slot and atom (:func:`observable_family`). It becomes one stack
+of reduced Heisenberg system matrices X, one per tuple of ensemble atom
+indices, all reduced at once, slot by slot, by
 :func:`ries.model.reduce_windows`. Every ergodic limit is read off one
 asymptotic state on the system, rho_+ = unvec(psi_s) unvec(theta)^*: the
 limit of a family is Tr[rho_+ E[X]], with E[X] a finite weighted sum over
@@ -33,14 +35,13 @@ stated tolerance of a one-step loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .ensemble import SWEEP_ENTRIES, EnsembleError, RrdoEnsemble, block_grid, theta_closed_form
 from .linalg import KahanAccumulator, dag, unvec, vec
 from .model import (
-    ObservableWindow,
     ProbeSpec,
     SystemSpec,
     energy_terms,
@@ -79,35 +80,35 @@ def _require_models(ens: RrdoEnsemble) -> SystemSpec:
     return ens.system
 
 
-def observable_family(ens: RrdoEnsemble, builder, l: int, r: int) -> InstantObservableFamily:
-    """Reduce builder(probes) over every atom tuple of the window, as one stack.
+def observable_family(
+    ens: RrdoEnsemble, a_s: np.ndarray, bs: list, l: int, r: int
+) -> InstantObservableFamily:
+    """Reduce A_S x B^(-l) x ... x B^(r) over every atom tuple of the window, as one stack.
 
-    `builder` maps the ProbeSpecs at slots -l..r to an ObservableWindow; row t
-    of the stack reduces the t-th tuple of ``itertools.product``.
+    A family is `a_s` and a per-slot table of B: ``bs[j + l][i]`` is the B at
+    slot j when atom i sits there. Row t of the stack reduces the t-th tuple
+    of ``itertools.product``; see :func:`ries.model.reduce_windows`.
     """
     system = _require_models(ens)
-    x = reduce_windows(system, ens.probes, [range(ens.n_atoms)] * (l + r + 1), builder, l, r)
+    x = reduce_windows(system, ens.probes, [range(ens.n_atoms)] * (l + r + 1), a_s, bs, l, r)
     return InstantObservableFamily(l=l, r=r, x=x)
 
 
 def system_observable_family(ens: RrdoEnsemble, a_s: np.ndarray) -> InstantObservableFamily:
     """Window family carrying only a system observable (l = r = 0, B = 1)."""
-    return observable_family(ens, lambda p: ObservableWindow.system_only(a_s, p[0].dim_e), 0, 0)
+    _require_models(ens)
+    return observable_family(ens, a_s, [[np.eye(p.dim_e) for p in ens.probes]], 0, 0)
 
 
 def probe_energy_family(ens: RrdoEnsemble) -> InstantObservableFamily:
     """B^(0) = probe Hamiltonian at the interacting slot."""
     eye = np.eye(_require_models(ens).dim_s)
-    return observable_family(ens, lambda p: ObservableWindow(eye, (p[0].h_e,), 0, 0), 0, 0)
+    return observable_family(ens, eye, [[p.h_e for p in ens.probes]], 0, 0)
 
 
 def identity_family(ens: RrdoEnsemble, l: int = 0, r: int = 0) -> InstantObservableFamily:
     eye = np.eye(_require_models(ens).dim_s)
-
-    def build(probes):
-        return ObservableWindow(eye, tuple(np.eye(p.dim_e) for p in probes), l, r)
-
-    return observable_family(ens, build, l, r)
+    return observable_family(ens, eye, [[np.eye(p.dim_e) for p in ens.probes]] * (l + r + 1), l, r)
 
 
 def mean_reduced_observable(ens: RrdoEnsemble, fam: InstantObservableFamily) -> np.ndarray:
@@ -249,18 +250,8 @@ class FluxReport:
     seeds: int | None = None
 
     def to_json(self) -> dict:
-        out = {
-            "de_plus": self.de_plus,
-            "ds_plus": self.ds_plus,
-            "residual": self.residual,
-            "method": self.method,
-            "imag_defect": self.imag_defect,
-        }
-        if self.de_stderr is not None:
-            out["de_stderr"] = self.de_stderr
-            out["ds_stderr"] = self.ds_stderr
-            out["seeds"] = self.seeds
-        return out
+        """Every field but the Monte Carlo ones of a closed form."""
+        return {key: value for key, value in asdict(self).items() if value is not None}
 
 
 def mean_beta(ens: RrdoEnsemble) -> float:

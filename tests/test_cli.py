@@ -2,6 +2,7 @@ import dataclasses
 import glob
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -584,3 +585,91 @@ def test_every_resolved_key_is_read(tmp_path, model_doc, ensemble_doc):
         cfg = _ReadRecorder(validate_config(doc))
         run(cfg, out=str(tmp_path / doc["experiment"]))
         assert set(cfg) <= cfg.read, (doc["experiment"], sorted(set(cfg) - cfg.read))
+
+
+@pytest.mark.parametrize(
+    "rho, match",
+    [
+        (np.diag([1.0, 1.0]), "rho_init: trace is 2"),
+        (np.array([[1.0, 5.0], [0.0, 0.0]]), "rho_init: rho is not Hermitian"),
+        (np.diag([1.5, -0.5]), "rho_init: negative eigenvalue"),
+        (np.diag([0.5, 0.25, 0.25]), "rho_init has shape \\(3, 3\\), expected \\(2, 2\\)"),
+    ],
+    ids=["trace", "non_hermitian", "negative", "shape"],
+)
+def test_fluxes_rejects_bad_rho_init(tmp_path, capsys, rho, match):
+    """A fluxes rho_init that is not a density matrix on the system is a config
+    error (rc 2), not a failed theorem check or a silent run."""
+    with open(os.path.join(DEMO_CONFIGS, "fluxes.json")) as fh:
+        doc = {**json.load(fh), "rho_init": matrix_to_json(rho)}
+    path = tmp_path / "fluxes.json"
+    dump_json(doc, str(path))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and re.search(match, err), err
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_ergodic_distance_check_trips_on_scaled_distances(tmp_path, monkeypatch):
+    """Mutation: the demo ergodic distances scaled by 1e6 break the C / sqrt(N)
+    bound, so `distance_bound` fails with rc 1 while the routes still agree."""
+    real = ries.cli.simulate_forward
+
+    def scaled(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        return dataclasses.replace(rep, distances=rep.distances * 1e6)
+
+    monkeypatch.setattr("ries.cli.simulate_forward", scaled)
+    rc, summary = _run_summary(os.path.join(DEMO_CONFIGS, "ergodic.json"), tmp_path)
+    assert rc == 1 and summary["checks"]["distance_bound"] is False
+    assert summary["checks"]["theta_routes_agree"] is True
+
+
+def test_ergodic_routes_check_trips_on_mismatch(tmp_path, monkeypatch, capsys):
+    """Mutation: a theta-route mismatch of 1e-6 ends the demo ergodic run with rc 1.
+    theta_closed_form raises on any mismatch past 1e-10 before the summary is
+    written, so `theta_routes_agree` is never reported false."""
+    real = ries.ensemble.theta_routes
+    monkeypatch.setattr(ries.ensemble, "theta_routes", lambda ens: {**real(ens), "mismatch": 1e-6})
+    out = tmp_path / "out"
+    assert main(["run", os.path.join(DEMO_CONFIGS, "ergodic.json"), "--out", str(out)]) == 1
+    assert "theta routes disagree by 1.000e-06" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+def test_decay_check_trips_on_nonpositive_alpha(tmp_path, monkeypatch):
+    """Mutation: one seed's fitted rate set to 0 fails `alpha_positive_all_seeds`
+    on the demo decay config with rc 1; `mean_in_class` still holds."""
+    real = ries.cli.decay_estimator
+
+    def flattened(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        rep.alpha[-1] = 0.0
+        return rep
+
+    monkeypatch.setattr("ries.cli.decay_estimator", flattened)
+    rc, summary = _run_summary(os.path.join(DEMO_CONFIGS, "decay.json"), tmp_path)
+    assert rc == 1 and summary["checks"]["alpha_positive_all_seeds"] is False
+    assert summary["checks"]["mean_in_class"] is True
+
+
+@pytest.mark.parametrize(
+    "check, field, mutate",
+    [
+        ("gamma1_zero", "gamma_1", lambda x: x + 1e-2),
+        ("gap_positive", "gap", lambda x: -np.abs(x)),
+    ],
+)
+def test_lyapunov_check_trips_on_mutated_exponents(tmp_path, monkeypatch, check, field, mutate):
+    """Mutation: the demo lyapunov gamma_1 moved off 0 by 1e-2 (past the 2e-3
+    bound), or every gap made nonpositive, fails that check alone with rc 1."""
+    real = ries.cli.lyapunov
+
+    def mutated(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        return dataclasses.replace(rep, **{field: mutate(getattr(rep, field))})
+
+    monkeypatch.setattr("ries.cli.lyapunov", mutated)
+    rc, summary = _run_summary(os.path.join(DEMO_CONFIGS, "lyapunov.json"), tmp_path)
+    assert rc == 1 and summary["checks"][check] is False
+    assert all(ok for name, ok in summary["checks"].items() if name != check)

@@ -6,6 +6,8 @@ peak over one call (after a warm-up call, so the ensemble's cached tables
 exist) must stay within 1.25x of the peak those one-step loops reached on
 the same call, recorded below in bytes (numpy 2.4, Python 3.11). The sizes
 are the full sizes of the `mc_qubit` and `wide_qutrit` benchmark workloads.
+The stacked window reduction must stay within the peak per tuple that its
+capacity guard states.
 """
 
 import tracemalloc
@@ -81,3 +83,15 @@ def test_kernel_peak_memory_within_one_step_loops(key, ensembles):
     workload, kernel = key.split("-")
     peak = peak_bytes(_calls(workload, ensembles[workload])[kernel])
     assert peak <= ALLOWED_GROWTH * ONE_STEP_LOOP_PEAK[key], f"{key}: {peak} bytes"
+
+
+WINDOW_ARRAYS_PER_TUPLE = 3.5  # the factor `ries.model.check_capacity` states
+
+
+def test_window_family_peak_within_guard_estimate(ensembles):
+    """The 4,096-tuple l = 1 identity family on 64 atoms (d = 3, e = 2) peaks at or
+    below the guard's stated arrays per tuple, each (d e)^2 complex entries."""
+    wide = ensembles["wide_qutrit"]
+    n, de = wide.n_atoms**2, wide.system.dim_s * 2
+    peak = peak_bytes(lambda: identity_family(wide, 1, 0))
+    assert peak <= WINDOW_ARRAYS_PER_TUPLE * 16 * n * de**2, f"{peak / (16 * n * de**2):.2f} arrays"

@@ -5,7 +5,8 @@ in ``__all__`` count as used), and no module may reach into another
 ``ries`` module's underscore-prefixed names, by import or by attribute.
 ``ries.__all__`` lists exactly the names the package namespace imports.
 A seed becomes a random stream in one place only, so no second seed
-convention can grow back.
+convention can grow back, and a window family is data (A_S and a per-slot
+table of B), so ``ries.thermo`` builds no per-tuple window.
 """
 
 import ast
@@ -149,6 +150,13 @@ def test_one_path_per_reduction(name, allowed):
     stacked one, so an oracle check compares two independent code paths."""
     used = {f"{p.name}:{f}" for p in MODULES for f in _uses_by_function(_parse(p), name)}
     assert used == allowed
+
+
+def test_thermo_reads_no_observable_window():
+    """Window families pass A_S and a table of B to `reduce_windows`, never a window."""
+    tree = _parse(SRC / "thermo.py")
+    imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert "ObservableWindow" not in imported and not _uses_by_function(tree, "ObservableWindow")
 
 
 def test_checks_see_every_module():

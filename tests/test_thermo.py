@@ -53,18 +53,14 @@ def test_mean_reduced_matches_enumeration(reference_ensemble, rng):
     """l = r = 1: the weighted sum over all 8 tuples, enumerated independently."""
     a_s = random_hermitian(2, rng)
     b = random_hermitian(2, rng)
-
-    def build(probes):
-        return ries.ObservableWindow(a_s=a_s, b_list=(b, b, b), l=1, r=1)
-
-    fam = observable_family(reference_ensemble, build, 1, 1)
+    fam = observable_family(reference_ensemble, a_s, [[b, b]] * 3, 1, 1)
+    obs = ries.ObservableWindow(a_s=a_s, b_list=(b, b, b), l=1, r=1)
     expected = np.zeros((2, 2), dtype=complex)
     for i in range(2):
         for j in range(2):
             for k in range(2):
                 probes = [reference_ensemble.probes[x] for x in (i, j, k)]
-                n_mat = ries.reduce_instant(reference_ensemble.system, probes, build(probes))
-                expected += 0.125 * n_mat
+                expected += 0.125 * ries.reduce_instant(reference_ensemble.system, probes, obs)
     assert np.allclose(mean_reduced_observable(reference_ensemble, fam), expected, atol=1e-12)
 
 
@@ -184,18 +180,15 @@ def test_mean_operator_classified_once(rng, monkeypatch):
 
 
 def _slot_dependent_family(ens, rng, l=1, r=1):
-    """Window family whose window reads each slot's probe differently."""
+    """Window family whose B at each slot reads that slot's probe differently;
+    returns the family, its A_S and its per-(slot, atom) table of B."""
     a_s = random_complex_matrix(ens.system.dim_s, rng)
     base = {e: [random_hermitian(e, rng) for _ in range(l + r + 1)] for e in {2, 3}}
-
-    def build(probes):
-        b_list = tuple(
-            (p.tau, p.beta_e, 1.0)[j % 3] * base[p.dim_e][j] + (j % 2) * p.h_e
-            for j, p in enumerate(probes)
-        )
-        return ries.ObservableWindow(a_s=a_s, b_list=b_list, l=l, r=r)
-
-    return observable_family(ens, build, l, r), build
+    bs = [
+        [(p.tau, p.beta_e, 1.0)[j % 3] * base[p.dim_e][j] + (j % 2) * p.h_e for p in ens.probes]
+        for j in range(l + r + 1)
+    ]
+    return observable_family(ens, a_s, bs, l, r), a_s, bs
 
 
 def _mixed_dimension_ensemble(rng) -> RrdoEnsemble:
@@ -217,14 +210,14 @@ def test_family_rows_follow_tuple_order(rng):
     Monte Carlo table row is that tuple's GNS vector N psi_s."""
     ens = _mixed_dimension_ensemble(rng)
     for l, r in ((0, 0), (0, 1), (1, 0), (1, 1), (2, 1)):
-        fam, build = _slot_dependent_family(ens, rng, l, r)
+        fam, a_s, bs = _slot_dependent_family(ens, rng, l, r)
         width = l + r + 1
         assert fam.x.shape == (3**width, 3, 3)
         table = fam.n_psi_table(ens.psi_s)
         expected = np.zeros((3, 3), dtype=complex)
         for t, tup in enumerate(product(range(3), repeat=width)):
             probes = [ens.probes[x] for x in tup]
-            obs = build(tuple(probes))
+            obs = ries.ObservableWindow(a_s, tuple(bs[s][x] for s, x in enumerate(tup)), l, r)
             x_t = ries.reduce_instant(ens.system, probes, obs)
             assert np.array_equal(fam.x[t], x_t)
             op = obs.a_s
@@ -237,23 +230,44 @@ def test_family_rows_follow_tuple_order(rng):
         assert np.abs(mean_reduced_observable(ens, fam) - expected).max() < 1e-12
 
 
-def test_family_capacity_guard(qubit_model):
+def test_family_capacity_guard(qubit_model, monkeypatch):
     """The one window guard bounds the stacked reduction: 33 atoms at l + r = 3
     hold 33^4 (2 * 2)^2 entries, past ORACLE_DIM_GUARD^2 = 4096^2 (32 atoms would
-    reach it exactly), and fail before any window is built."""
+    reach it exactly), and fail before any encounter is built."""
     system, probe = qubit_model
     ens = RrdoEnsemble.from_models(system, [(1.0 / 33, probe)] * 33)
     built = []
-
-    def build(probes):
-        built.append(probes)
-        return ries.ObservableWindow.system_only(np.eye(2), 2)
-
+    encounters = ries.model._encounters
+    monkeypatch.setattr(ries.model, "_encounters", lambda *a: built.append(a) or encounters(*a))
     with pytest.raises(ries.model.CapacityError, match="1,185,921 stacked window reductions hold 18,974,736 entries"):
-        observable_family(ens, build, 3, 0)
+        identity_family(ens, 3, 0)
     assert 32**4 * 4**2 == ries.model.ORACLE_DIM_GUARD**2 and not built
     with pytest.raises(ries.model.CapacityError, match="l \\+ r = 4"):
         identity_family(ens, 2, 2)
+
+
+def test_family_builds_no_windows(wide_qutrit_model, monkeypatch):
+    """A family is A_S and a per-slot table of B: the 4,096 tuples of the
+    64-atom l = 1 identity family build no ObservableWindow."""
+    ens = RrdoEnsemble.presampled(*wide_qutrit_model, count=64, seed=31)
+    calls = []
+    monkeypatch.setattr(ries.ObservableWindow, "__post_init__", lambda self: calls.append(self))
+    assert len(identity_family(ens, 1, 0).x) == 4096 and not calls
+
+
+def test_family_tables_are_checked(reference_ensemble):
+    """A_S must be (d, d), each B (e, e) for its probe, one B per slot and atom."""
+    eye = np.eye(2)
+    for a_s, bs, match in (
+        (np.eye(3), [[eye, eye]], "a \\(2, 2\\) A_S"),
+        (eye, [[eye, np.eye(3)]], "slot 0: B has shape \\(3, 3\\), expected \\(2, 2\\)"),
+        (eye, [[eye]], "one B per choice"),
+        (eye, [[eye, eye]] * 2, "one B per choice"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            observable_family(reference_ensemble, a_s, bs, 0, 0)
+    with pytest.raises(ValueError, match="l, r >= 0"):
+        observable_family(reference_ensemble, eye, [[eye, eye]], -1, 1)
 
 
 def _gns_instant_limit(ens, fam):
