@@ -20,16 +20,18 @@ atoms), ensembles without exactly one of ``atoms``/``presample``, atoms
 without exactly one of ``model``/``matrix``, ensembles that mix
 model-form and matrix-form atoms or whose model atoms differ in system
 ``dim`` or ``beta``, counts that are not integers >= 1, seeds that are
-not integers >= 0 (or fewer than 2 for Monte Carlo), and probabilities,
-tolerances, coefficients, model ``beta``/``tau`` or presample bounds
-that are not finite (and, but for bounds, nonnegative); a presample
-range needs ``low`` <= ``high``, and ``tau`` and ``beta`` ranges a
-nonnegative ``low`` (``coupling`` scales V and may be negative). Each
-model ``dim`` must be an integer >= 1, and each ``psi_s`` must have one
-entry per row of its matrix. Matrices are parsed only by ``run``, which
-reports a matrix that is not an RDO for its ``psi_s``, model atoms whose
-system ``h`` differs, and a ``rho_init`` that is not a density matrix on
-the system, as config errors. All seeds of a config step as one batch,
+not distinct integers >= 0 (or fewer than 2 for Monte Carlo), and
+probabilities, tolerances, coefficients, model ``beta``/``tau`` or
+presample bounds that are not finite (and, but for bounds, nonnegative);
+a presample range needs ``low`` <= ``high`` and a finite span, and
+``tau`` and ``beta`` ranges a nonnegative ``low`` (``coupling`` scales V
+and may be negative). Each model ``dim`` must be an integer >= 1, each
+entry of a model's ``h`` and ``v`` an ``[re, im]`` pair of finite
+numbers, and each ``psi_s`` must have one entry per row of its matrix.
+Other matrices are parsed only by ``run``, which reports a matrix that is
+not an RDO for its ``psi_s``, model atoms whose system ``h`` differs, and
+a ``rho_init`` that is not a density matrix on the system, as config
+errors. All seeds of a config step as one batch,
 in every stochastic experiment alike: seed s drives ``trajectory_rng(s)``,
 so a seed's results do not depend on the batch or on which other seeds
 ran, and identical configs give byte-identical summaries except for the
@@ -45,6 +47,7 @@ import math
 import os
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -69,7 +72,7 @@ from .model import (
     system_gns_data,
 )
 from .rdo import RdoValidationError, classify, ideal_asymptotics, validate as validate_rdo
-from .serialize import dump_json, matrix_from_json, write_csv
+from .serialize import dump_json, is_real, matrix_from_json, write_csv
 from .thermo import (
     ergodic_instant_limit,
     ergodic_instant_monte_carlo,
@@ -155,22 +158,17 @@ def _is_int(x, low: int) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x >= low
 
 
-def _is_real(x) -> bool:
-    """A finite JSON number (bools excluded)."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-
-
 def _is_number(x) -> bool:
     """A finite nonnegative JSON number (bools excluded)."""
-    return _is_real(x) and x >= 0
+    return is_real(x) and x >= 0
 
 
 def _check_model_doc(doc, where: str) -> None:
-    """Scalar fields of a model document; its matrices are parsed by `run`."""
+    """Scalar fields of a model document, and the entries of its matrices h and v."""
     parts = ("system", "probe")
     if not isinstance(doc, dict) or not all(isinstance(doc.get(p), dict) for p in parts):
         raise ConfigError(f"{where} must be an object with 'system' and 'probe' objects")
-    for part, keys in (("system", ("beta",)), ("probe", ("beta", "tau"))):
+    for part, keys, matrices in (("system", ("beta",), ("h",)), ("probe", ("beta", "tau"), ("h", "v"))):
         fields = doc[part]
         dim = fields.get("dim")
         if not _is_int(dim, 1):
@@ -179,6 +177,11 @@ def _check_model_doc(doc, where: str) -> None:
             x = fields.get(key)
             if not _is_number(x):
                 raise ConfigError(f"{where}.{part}.{key} must be a finite nonnegative number, got {x!r}")
+        for key in matrices:
+            try:
+                matrix_from_json(fields.get(key), f"{where}.{part}.{key}")
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
 
 
 def _check_psi_s(psi_s, matrix, where: str) -> None:
@@ -216,8 +219,9 @@ def _check_presample(gen) -> None:
         if key not in gen:
             continue
         bounds = gen[key]
-        if not (isinstance(bounds, dict) and all(_is_real(bounds.get(b)) for b in ("low", "high"))):
-            raise ConfigError(f"presample.{key} needs finite 'low' and 'high', got {bounds!r}")
+        if not (isinstance(bounds, dict) and all(is_real(bounds.get(b)) for b in ("low", "high"))
+                and is_real(bounds["high"] - bounds["low"])):
+            raise ConfigError(f"presample.{key} needs finite 'low', 'high' and span, got {bounds!r}")
         low_ok = bounds["low"] >= 0 or key == "coupling"  # coupling scales V and may be negative
         if not (low_ok and bounds["low"] <= bounds["high"]):
             raise ConfigError(f"presample.{key} {bounds!r}: need low <= high, and low >= 0 but for coupling")
@@ -301,6 +305,9 @@ def _check_resolved(cfg: dict) -> None:
         seeds = cfg["seeds"]
         if not isinstance(seeds, list) or not seeds or not all(_is_int(s, 0) for s in seeds):
             raise ConfigError(f"seeds must be a nonempty list of integers >= 0, got {seeds!r}")
+        repeated = [s for s, n in Counter(seeds).items() if n > 1]
+        if repeated:  # a repeated seed repeats its stream: no independent samples
+            raise ConfigError(f"seeds must be distinct; {repeated[0]} is repeated")
     if exp in ("instant", "fluxes") and "seeds" in cfg and len(cfg["seeds"]) < 2:
         raise ConfigError(f"{exp} Monte Carlo needs at least 2 seeds for a standard error")
     if "monte_carlo" in cfg and not isinstance(cfg["monte_carlo"], bool):

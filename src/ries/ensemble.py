@@ -31,14 +31,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
 
 from . import rdo as rdo_mod
 from .linalg import KahanAccumulator, dag, vec
-from .model import ProbeSpec, SystemSpec, energy_terms, model_from_json, rdos_from_model
+from .model import ProbeSpec, SystemSpec, energy_terms, model_from_json, rdos_from_model, scaled_probes
 from .rdo import Rdo, RdoValidationError, SpectralReport, classify, decompose
 from .serialize import matrix_from_json
 
@@ -186,18 +186,27 @@ class RrdoEnsemble:
         """Realize continuous parameter distributions as `count` equal-weight atoms.
 
         `ranges` maps any of "tau", "beta", "coupling" to {"low": a, "high": b};
-        "coupling" scales the interaction operator.
+        "coupling" scales the interaction operator. Atom by atom, tau, then
+        beta, then the coupling scale is drawn from ``trajectory_rng(seed)``.
+        The draws are validated once, as arrays, and the atoms' probes are
+        built from the checked base probe without re-checking each one
+        (:func:`ries.model.scaled_probes`). A range whose bounds or span are
+        not finite, or a draw that ProbeSpec would reject, raises ValueError.
         """
+        for key, bounds in ranges.items():
+            if not np.isfinite(bounds["high"] - bounds["low"]):
+                raise ValueError(f"{key} range {bounds}: bounds and span must be finite")
         rng = trajectory_rng(seed)
 
         def draw(key: str, default: float) -> float:
             return rng.uniform(ranges[key]["low"], ranges[key]["high"]) if key in ranges else default
 
-        probes = []
-        for _ in range(count):  # per atom: tau, then beta, then the coupling scale
-            tau, beta = draw("tau", base_probe.tau), draw("beta", base_probe.beta_e)
-            v = draw("coupling", 1.0) * base_probe.v
-            probes.append(replace(base_probe, beta_e=beta, v=v, tau=tau))
+        draws = [  # per atom: tau, then beta, then the coupling scale
+            (draw("tau", base_probe.tau), draw("beta", base_probe.beta_e), draw("coupling", 1.0))
+            for _ in range(count)
+        ]
+        taus, betas, scales = np.array(draws, dtype=float).reshape(-1, 3).T  # count < 1: no rows
+        probes = scaled_probes(base_probe, taus, betas, scales)
         return cls.from_models(system, [(1.0 / count, probe) for probe in probes])
 
 

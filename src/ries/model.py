@@ -87,16 +87,21 @@ def check_capacity(
         return
     # tracemalloc peaks in dim x dim complex arrays. An oracle call holds 4 (4.00 at dims
     # 256 to 1024 on the qubit chain: the state, the copy that reshapes its transpose,
-    # and the copy and result of an encounter's tensordot). A window reduction holds 3.5
-    # per tuple (3.50 at d = e = 2 for l + r = 1 to 3, 3.38 at d = 3, e = 2, l = 1: a
-    # gathered U or U*, the product it enters and its result, plus the tuple's X row and
-    # indices). With l = r = 0 the tuples are the atoms, whose encounter build peaks near 8.
-    arrays = 4 if stack == 1 else 3.5 * stack
+    # and the copy and result of an encounter's tensordot). A window reduction with
+    # l + r >= 1 holds 3.5 per tuple (3.50 at d = e = 2 for l + r = 1 to 3, 3.38 at d = 3,
+    # e = 2, l = 1: a gathered U or U*, the product it enters and its result, plus the
+    # tuple's X row and indices). With l = r = 0 the tuples are the atoms, and the stacked
+    # encounter build (the batched eigh and the U, U* stacks) sets the peak: 8 per tuple
+    # (7.92 at d = e = 2, 7.37 at d = 2, e = 3, 6.88 at d = 3, e = 2, 6.63 at d = e = 3,
+    # on 1,024 and 4,096 atoms); below d e = 4 the per-tuple bookkeeping weighs more.
+    per_tuple = 8 if window == 0 else 3.5
+    arrays = 4 if stack == 1 else per_tuple * stack
     peak = f"{arrays * dim * dim * 16 / 2**20:,.0f} MiB ({arrays:,.0f} dense {dim}x{dim} arrays)"
     if stack > 1:
         raise CapacityError(
             f"{stack:,} stacked window reductions hold {stack * dim * dim:,} entries, past "
-            f"ORACLE_DIM_GUARD^2 = {ORACLE_DIM_GUARD**2:,}: estimated peak {peak}"
+            f"ORACLE_DIM_GUARD^2 = {ORACLE_DIM_GUARD**2:,}: estimated peak {peak}, "
+            f"{per_tuple} per tuple at l + r = {window}"
         )
     k = len(dims) - 1
     m = k if n_steps is None else n_steps
@@ -156,6 +161,34 @@ class ProbeSpec:
 
     def gibbs_state(self) -> np.ndarray:
         return gibbs(self.h_e, self.beta_e)
+
+
+def scaled_probes(base: ProbeSpec, taus, betas, scales) -> list[ProbeSpec]:
+    """Copies of the checked `base` probe, copy k with taus[k], betas[k] and v = scales[k] V.
+
+    The copies are checked once as a batch, not one by one. Each field that
+    ``ProbeSpec.__post_init__`` checks is then either the base's own checked
+    value (dim_e, h_e) or covered here: every tau, beta and scale must be
+    finite, and tau and beta nonnegative. One Hermitian check of c V with the
+    largest |c| covers every c V: for real c the defect of c V is |c| D, D
+    that of V, so its ratio to the allowed defect tol max(1, |c| ||V||) does
+    not decrease as |c| grows, and if some c V fails, the largest |c| fails.
+    Skipping ``__post_init__`` on the copies is therefore safe: it could
+    reject none of them. Copy k's v is ``scales[k] * base.v``, bitwise.
+    """
+    taus, betas, scales = (np.asarray(x, dtype=float) for x in (taus, betas, scales))
+    if not all(np.isfinite(x).all() for x in (taus, betas, scales)):
+        raise ValueError("tau, beta and coupling draws must be finite")
+    if (taus < 0).any() or (betas < 0).any():
+        raise ValueError("tau and beta draws must be nonnegative")
+    require_hermitian(np.abs(scales).max(initial=0.0) * base.v, "v")
+    vs = scales[:, None, None] * base.v
+    probes = []
+    for tau, beta, v in zip(taus.tolist(), betas.tolist(), vs):
+        probe = object.__new__(ProbeSpec)  # no __post_init__: checked above as a batch
+        probe.__dict__.update(dim_e=base.dim_e, h_e=base.h_e, beta_e=beta, v=v, tau=tau)
+        probes.append(probe)
+    return probes
 
 
 @dataclass(frozen=True)

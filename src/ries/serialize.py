@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -28,17 +29,47 @@ def vector_to_json(v: np.ndarray) -> list[list[float]]:
     return [complex_to_json(z) for z in np.asarray(v, dtype=complex)]
 
 
-def matrix_from_json(data: Any, name: str = "matrix") -> np.ndarray:
+def is_real(x: Any) -> bool:
+    """A finite real JSON number: bools, and integers too large for a float, excluded."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
     try:
-        rows = []
-        for row in data:
-            rows.append([complex(entry[0], entry[1]) for entry in row])
-        a = np.array(rows, dtype=complex)
-    except (TypeError, IndexError) as exc:
-        raise ValueError(f"{name}: entries must be [re, im] pairs in nested lists") from exc
-    if a.ndim != 2:
-        raise ValueError(f"{name}: expected a 2-d array, got shape {a.shape}")
-    return a
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+_NUMBER_TYPES = {int, float}  # exact types: a JSON true or false is a bool, which is no number here
+
+
+def matrix_from_json(data: Any, name: str = "matrix") -> np.ndarray:
+    """A complex matrix from row-major nested lists of [re, im] pairs of finite numbers.
+
+    Anything else is a ValueError that names the first entry that is not
+    such a pair, or says that the rows differ in length.
+    """
+    if type(data) is list and all(type(row) is list for row in data):
+        pairs = [entry for row in data for entry in row]
+        if all(type(entry) is list and len(entry) == 2 for entry in pairs):
+            numbers = [x for entry in pairs for x in entry]
+            try:
+                finite = {type(x) for x in numbers} <= _NUMBER_TYPES and all(map(math.isfinite, numbers))
+            except OverflowError:  # an integer past the float range
+                finite = False
+            if finite:
+                if len({len(row) for row in data}) != 1:
+                    raise ValueError(f"{name}: expected a matrix, rows of equal length")
+                return np.array(numbers, dtype=float).view(complex).reshape(len(data), -1)
+    raise ValueError(_first_bad_entry(data, name))
+
+
+def _first_bad_entry(data: Any, name: str) -> str:
+    if isinstance(data, list) and all(isinstance(row, list) for row in data):
+        for i, row in enumerate(data):
+            for j, entry in enumerate(row):
+                if not (isinstance(entry, list) and len(entry) == 2 and all(map(is_real, entry))):
+                    return f"{name}[{i}][{j}] must be an [re, im] pair of finite numbers, got {entry!r}"
+    return f"{name}: expected a matrix, as nested lists of [re, im] pairs"
 
 
 def dump_json(obj: Any, path: str) -> None:

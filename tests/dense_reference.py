@@ -7,12 +7,16 @@ reduction is the reference for the stacked window reductions. The GNS norms,
 the sampled power bound and the one-step product loop are the references
 for the uniform product bounds and identities of finite RDO products. The
 per-pair energy tables are the reference for the stacked energy reduction.
+The per-atom presample, which builds and checks each atom's probe on its own,
+is the reference for the presample that checks its draws once.
 """
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 
+from ries.ensemble import RrdoEnsemble, trajectory_rng
 from ries.linalg import dag, expm_hermitian, spectral_norm, unvec, vec
 from ries.model import step_unitary, weighted_partial_trace
 from ries.rdo import decompose
@@ -165,3 +169,19 @@ def per_pair_energy_tables(ens) -> tuple[np.ndarray, np.ndarray]:
         after = weighted_partial_trace(dag(w) @ x @ w, d, rho_e)
         flux[i] = weighted_partial_trace(x, d, rho_e) - after
     return jump, flux
+
+
+def per_atom_presample(system, base_probe, ranges: dict, count: int, seed: int) -> RrdoEnsemble:
+    """:meth:`RrdoEnsemble.presampled` with each atom's probe built by ``dataclasses.replace``,
+    so that every atom re-runs all of ``ProbeSpec``'s checks: same draws, same order."""
+    rng = trajectory_rng(seed)
+
+    def draw(key: str, default: float) -> float:
+        return rng.uniform(ranges[key]["low"], ranges[key]["high"]) if key in ranges else default
+
+    probes = []
+    for _ in range(count):  # per atom: tau, then beta, then the coupling scale
+        tau, beta = draw("tau", base_probe.tau), draw("beta", base_probe.beta_e)
+        v = draw("coupling", 1.0) * base_probe.v
+        probes.append(replace(base_probe, beta_e=beta, v=v, tau=tau))
+    return RrdoEnsemble.from_models(system, [(1.0 / count, probe) for probe in probes])

@@ -1,6 +1,7 @@
 import dataclasses
 import glob
 import json
+import math
 import os
 import re
 
@@ -144,6 +145,7 @@ def test_cli_exit_codes(tmp_path, model_doc, ensemble_doc):
     identity_atom = {"p": 0.5, "matrix": matrix_to_json(np.eye(4))}
     mixed_forms = {"atoms": [atoms[1], identity_atom], "psi_s": gns_psi_s}
     swapped_range, negative_range = {"low": 1.6, "high": 0.6}, {"low": -0.5, "high": 1.0}
+    wide_range = {"low": -1e308, "high": 1e308}
     coupling_range = edited(presample, ("presample", "coupling"), negative_range)
     path = tmp_path / "negative_coupling.json"
     dump_json({"experiment": "ergodic", "ensemble": coupling_range}, str(path))
@@ -200,6 +202,9 @@ def test_cli_exit_codes(tmp_path, model_doc, ensemble_doc):
         {"experiment": "ergodic", "ensemble": edited(presample, ("presample", "tau"), swapped_range)},
         {"experiment": "ergodic", "ensemble": edited(presample, ("presample", "tau", "low"), -0.5)},
         {"experiment": "ergodic", "ensemble": edited(presample, ("presample", "beta"), negative_range)},
+        # a span past the largest float, and an integer too large for one, are not finite
+        {"experiment": "ergodic", "ensemble": edited(presample, ("presample", "coupling"), wide_range)},
+        {"experiment": "ideal", "model": edited(model_doc, ("probe", "tau"), 10**400)},
     ):
         path = tmp_path / "mistyped.json"
         dump_json(doc, str(path))
@@ -608,6 +613,54 @@ def test_fluxes_rejects_bad_rho_init(tmp_path, capsys, rho, match):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and re.search(match, err), err
     assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("name", ["fluxes", "ergodic"])
+def test_repeated_seeds_are_config_errors(tmp_path, capsys, name):
+    """A repeated seed repeats its stream, so Monte Carlo errors shrink to nothing:
+    validate and run both reject it (rc 2) and name the seed."""
+    with open(os.path.join(DEMO_CONFIGS, f"{name}.json")) as fh:
+        doc = {**json.load(fh), "seeds": [2, 0, 5, 0]}
+    path = tmp_path / "repeated.json"
+    dump_json(doc, str(path))
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("config error: seeds must be distinct; 0 is repeated") == 2, err
+    assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "entry, shown",
+    [("[1e400, 0.0]", "[inf, 0.0]"), ("[0.9, 0, 5]", "[0.9, 0, 5]")],
+    ids=["overflow", "three_numbers"],
+)
+def test_model_matrix_entries_are_finite_pairs(tmp_path, capsys, entry, shown):
+    """Mutation of the demo fluxes config: a probe h entry that is not an [re, im]
+    pair of finite numbers is a config error in validate and run (rc 2), named by
+    its place, not an SVD failure mid-run or a silently dropped number."""
+    with open(os.path.join(DEMO_CONFIGS, "fluxes.json")) as fh:
+        doc = json.load(fh)
+    doc["ensemble"]["atoms"][1]["model"]["probe"]["h"][1][1] = "ENTRY"
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps(doc).replace('"ENTRY"', entry))
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+    where = "ensemble.atoms[1].model.probe.h[1][1]"
+    message = f"config error: {where} must be an [re, im] pair of finite numbers, got {shown}"
+    assert capsys.readouterr().err.count(message) == 2
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_matrix_from_json_takes_only_finite_pairs():
+    assert np.array_equal(matrix_from_json([[[1, 0], [0.5, -2]]]), [[1.0, 0.5 - 2j]])
+    for entry in ([1.0], [1.0, 0.0, 0.0], [True, 0.0], ["1", 0.0], [math.nan, 0.0],
+                  [0.0, -math.inf], [10**400, 0], (1.0, 0.0), 1.0):
+        with pytest.raises(ValueError, match=re.escape("m[0][1] must be an [re, im] pair")):
+            matrix_from_json([[[1.0, 0.0], entry]], "m")
+    for data in ([[[1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]], "[[1, 0]]", [[1.0, 0.0]]):
+        with pytest.raises(ValueError):
+            matrix_from_json(data)
 
 
 def test_ergodic_distance_check_trips_on_scaled_distances(tmp_path, monkeypatch):

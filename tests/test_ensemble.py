@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from dense_reference import per_pair_energy_tables
+from dense_reference import per_atom_presample, per_pair_energy_tables
 
 import ries
 from ries.ensemble import (
@@ -18,7 +18,7 @@ from ries.ensemble import (
     theta_routes,
     trajectory_rng,
 )
-from ries.linalg import KahanAccumulator, dag, random_hermitian, spectral_norm, unvec
+from ries.linalg import HERMITICITY_TOL, KahanAccumulator, dag, random_hermitian, spectral_norm, unvec
 from ries.model import model_to_json
 from ries.rdo import Rdo, classify, decompose
 from ries.thermo import energy_tables
@@ -345,6 +345,102 @@ def test_large_presample_rows_match_per_atom_builds(wide_qutrit_model):
     assert ens.matrices.shape == ens.phis.shape == (1024, 9, 9)
     for k in (0, 511, 1023):
         _assert_rows_match(ens, k, ries.rdo_from_model(system, ens.probes[k]))
+
+
+_PRESAMPLE_RANGES = {
+    "tau_beta": {"tau": {"low": 0.6, "high": 1.6}, "beta": {"low": 0.2, "high": 2.0}},
+    "tau_coupling": {"tau": {"low": 0.6, "high": 1.6}, "coupling": {"low": 0.5, "high": 1.5}},
+    "negative_coupling": {"coupling": {"low": -1.5, "high": 0.5}},
+}
+
+
+@pytest.mark.parametrize("ranges", _PRESAMPLE_RANGES.values(), ids=_PRESAMPLE_RANGES)
+def test_presampled_matches_per_atom_build(wide_qutrit_model, ranges):
+    """Validating the draws once builds bitwise the ensemble that checking each
+    atom's probe on its own builds: every stack, the betas and every probe field."""
+    system, probe, _ = wide_qutrit_model
+    ens = RrdoEnsemble.presampled(system, probe, ranges, count=16, seed=9)
+    ref = per_atom_presample(system, probe, ranges, count=16, seed=9)
+    for name in ("probs", "matrices", "adjoints", "mq", "mq_adjoints", "psi_omega", "phis", "betas"):
+        assert np.array_equal(getattr(ens, name), getattr(ref, name)), name
+    assert ens.in_class == ref.in_class
+    for got, want in zip(ens.probes, ref.probes, strict=True):
+        assert type(got) is ries.ProbeSpec and _same_probe(got, want)
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    calls = []
+    orig = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_presampled_validates_once(wide_qutrit_model, monkeypatch):
+    """The draws are checked as arrays: 4 and 64 atoms make the same number of
+    Hermitian checks, and no atom's probe re-runs ProbeSpec's checks."""
+    hermitian = _count_calls(monkeypatch, ries.model, "require_hermitian")
+    post_init = _count_calls(monkeypatch, ries.ProbeSpec, "__post_init__")
+    counts = []
+    for count in (4, 64):
+        hermitian.clear()
+        RrdoEnsemble.presampled(*wide_qutrit_model, count=count, seed=31)
+        counts.append(len(hermitian))
+    assert counts[0] == counts[1] and not post_init
+
+
+def _near_hermitian_probe(qubit_model):
+    """The qubit probe with a V of norm 0.5 and Hermitian defect 0.9 HERMITICITY_TOL:
+    V = H + eps A, H Hermitian, A anti-Hermitian. V passes its own check; a coupling
+    scale c passes only if |c| 0.9 <= 1, since |c| ||V|| < 1 for |c| < 2."""
+    _, probe = qubit_model
+    h = 0.5 * probe.v / np.linalg.norm(probe.v, 2)
+    a = 1j * np.diag([1.0, -1.0, 0.5, 0.0])
+    v = h + 0.45 * HERMITICITY_TOL * a
+    assert np.isclose(np.linalg.norm(v - dag(v), 2), 0.9 * HERMITICITY_TOL, rtol=1e-6)
+    assert np.isclose(np.linalg.norm(v, 2), 0.5)
+    return ries.ProbeSpec(dim_e=2, h_e=probe.h_e, beta_e=probe.beta_e, v=v, tau=probe.tau)
+
+
+@pytest.mark.parametrize("build", [RrdoEnsemble.presampled, per_atom_presample], ids=["once", "per_atom"])
+def test_presampled_hermitian_check_covers_every_scale(qubit_model, build):
+    """The one check of max|c| V rejects what checking each c V rejects: the
+    couplings 1.2..1.5 all fail on the near-Hermitian V, 0.5..0.9 all pass."""
+    system, _ = qubit_model
+    probe = _near_hermitian_probe(qubit_model)
+    with pytest.raises(ValueError, match="v is not Hermitian"):
+        build(system, probe, {"coupling": {"low": 1.2, "high": 1.5}}, count=8, seed=0)
+    ens = build(system, probe, {"coupling": {"low": 0.5, "high": 0.9}}, count=8, seed=0)
+    assert ens.n_atoms == 8
+
+
+@pytest.mark.parametrize(
+    "ranges, match",
+    [
+        ({"tau": {"low": -0.5, "high": 1.0}}, "nonnegative"),
+        ({"beta": {"low": -2.0, "high": -1.0}}, "nonnegative"),
+        ({"tau": {"low": 0.5, "high": math.inf}}, "finite"),
+        ({"beta": {"low": math.nan, "high": 1.0}}, "finite"),
+        ({"coupling": {"low": -math.inf, "high": 1.0}}, "finite"),
+        ({"coupling": {"low": -1e308, "high": 1e308}}, "finite"),
+    ],
+    ids=["tau_low", "beta_range", "tau_inf", "beta_nan", "coupling_inf", "coupling_span"],
+)
+def test_presampled_rejects_bad_ranges(qubit_model, ranges, match):
+    """A range that gives a negative tau or beta, or whose bounds or span are not
+    finite, is a ValueError (not an OverflowError from the generator)."""
+    with pytest.raises(ValueError, match=match):
+        RrdoEnsemble.presampled(*qubit_model, ranges, count=16, seed=0)
+
+
+def test_presampled_needs_an_atom(qubit_model):
+    for count in (0, -1):
+        with pytest.raises(EnsembleError, match="at least one atom"):
+            RrdoEnsemble.presampled(*qubit_model, {"tau": {"low": 0.5, "high": 1.5}}, count=count)
 
 
 def test_ensemble_psi_s_shared_without_relative_slack():

@@ -7,7 +7,7 @@ exist) must stay within 1.25x of the peak those one-step loops reached on
 the same call, recorded below in bytes (numpy 2.4, Python 3.11). The sizes
 are the full sizes of the `mc_qubit` and `wide_qutrit` benchmark workloads.
 The stacked window reduction must stay within the peak per tuple that its
-capacity guard states.
+capacity guard states, for a window (l + r >= 1) and for one slot.
 """
 
 import tracemalloc
@@ -85,7 +85,8 @@ def test_kernel_peak_memory_within_one_step_loops(key, ensembles):
     assert peak <= ALLOWED_GROWTH * ONE_STEP_LOOP_PEAK[key], f"{key}: {peak} bytes"
 
 
-WINDOW_ARRAYS_PER_TUPLE = 3.5  # the factor `ries.model.check_capacity` states
+WINDOW_ARRAYS_PER_TUPLE = 3.5  # the factors `ries.model.check_capacity` states: l + r >= 1,
+ONE_SLOT_ARRAYS_PER_TUPLE = 8  # and l = r = 0
 
 
 def test_window_family_peak_within_guard_estimate(ensembles):
@@ -95,3 +96,15 @@ def test_window_family_peak_within_guard_estimate(ensembles):
     n, de = wide.n_atoms**2, wide.system.dim_s * 2
     peak = peak_bytes(lambda: identity_family(wide, 1, 0))
     assert peak <= WINDOW_ARRAYS_PER_TUPLE * 16 * n * de**2, f"{peak / (16 * n * de**2):.2f} arrays"
+
+
+def test_one_slot_family_peak_within_guard_estimate(qubit_model):
+    """A one-slot identity family (l = r = 0) on 1,024 qubit atoms (d = e = 2), whose
+    tuples are the atoms, peaks at or below the guard's stated arrays per tuple."""
+    ens = ries.RrdoEnsemble.presampled(
+        *qubit_model, {"tau": {"low": 0.6, "high": 1.6}, "coupling": {"low": 0.5, "high": 1.5}},
+        count=1024, seed=3,
+    )
+    unit = 16 * ens.n_atoms * 4**2
+    peak = peak_bytes(lambda: identity_family(ens, 0, 0))
+    assert peak <= ONE_SLOT_ARRAYS_PER_TUPLE * unit, f"{peak / unit:.2f} arrays"

@@ -6,7 +6,8 @@ in ``__all__`` count as used), and no module may reach into another
 ``ries.__all__`` lists exactly the names the package namespace imports.
 A seed becomes a random stream in one place only, so no second seed
 convention can grow back, and a window family is data (A_S and a per-slot
-table of B), so ``ries.thermo`` builds no per-tuple window.
+table of B), so ``ries.thermo`` builds no per-tuple window. Probes that skip
+their own checks are built for the presample alone, which checks its draws.
 """
 
 import ast
@@ -157,6 +158,17 @@ def test_thermo_reads_no_observable_window():
     tree = _parse(SRC / "thermo.py")
     imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
     assert "ObservableWindow" not in imported and not _uses_by_function(tree, "ObservableWindow")
+
+
+def test_unchecked_probes_only_in_presampled():
+    """`scaled_probes` skips ProbeSpec's per-probe checks, so its one caller is the
+    presample, which checks its draws; and the ensemble does not copy probes with
+    `dataclasses.replace`, which would re-run those checks once per atom."""
+    used = {f"{p.name}:{f}" for p in MODULES for f in _uses_by_function(_parse(p), "scaled_probes")}
+    assert used == {"ensemble.py:RrdoEnsemble.presampled"}
+    tree = _parse(SRC / "ensemble.py")
+    imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert "replace" not in imported
 
 
 def test_checks_see_every_module():
