@@ -26,11 +26,12 @@ presample bounds that are not finite (and, but for bounds, nonnegative);
 a presample range needs ``low`` <= ``high`` and a finite span, and
 ``tau`` and ``beta`` ranges a nonnegative ``low`` (``coupling`` scales V
 and may be negative). Each model ``dim`` must be an integer >= 1, each
-entry of a model's ``h`` and ``v`` an ``[re, im]`` pair of finite
-numbers, and each ``psi_s`` must have one entry per row of its matrix.
-Other matrices are parsed only by ``run``, which reports a matrix that is
-not an RDO for its ``psi_s``, model atoms whose system ``h`` differs, and
-a ``rho_init`` that is not a density matrix on the system, as config
+entry of every matrix that ``run`` parses (a model's ``h`` and ``v``,
+``a_s``, ``matrix``, ``psi_s``, ``rho_init`` and matrix-form atoms) an
+``[re, im]`` pair of finite numbers, and each ``psi_s`` must have one entry
+per row of its matrix. Only ``run`` reports a matrix that is not an RDO
+for its ``psi_s``, model atoms whose system ``h`` differs, and a
+``rho_init`` that is not a density matrix on the system, as config
 errors. All seeds of a config step as one batch,
 in every stochastic experiment alike: seed s drives ``trajectory_rng(s)``,
 so a seed's results do not depend on the batch or on which other seeds
@@ -178,10 +179,15 @@ def _check_model_doc(doc, where: str) -> None:
             if not _is_number(x):
                 raise ConfigError(f"{where}.{part}.{key} must be a finite nonnegative number, got {x!r}")
         for key in matrices:
-            try:
-                matrix_from_json(fields.get(key), f"{where}.{part}.{key}")
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+            _parse_matrix(fields.get(key), f"{where}.{part}.{key}")
+
+
+def _parse_matrix(data, name: str) -> np.ndarray:
+    """`matrix_from_json`, its ValueError a ConfigError."""
+    try:
+        return matrix_from_json(data, name)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _check_psi_s(psi_s, matrix, where: str) -> None:
@@ -252,6 +258,7 @@ def _check_ensemble(ens) -> None:
         elif "psi_s" not in ens:
             raise ConfigError(f"{where} is matrix-form; the ensemble needs 'psi_s'")
         else:
+            _parse_matrix(atom["matrix"], f"{where}.matrix")
             _check_psi_s(ens["psi_s"], atom["matrix"], f"{where}.matrix")
     models = [atom["model"] for atom in atoms if "model" in atom]
     if models and len(models) < len(atoms):
@@ -260,6 +267,8 @@ def _check_ensemble(ens) -> None:
         raise ConfigError("model-form atoms must share one system; their system dim or beta differs")
     if "psi_s" in ens and models:
         raise ConfigError("ensemble psi_s is read only with matrix-form atoms")
+    if "psi_s" in ens:
+        _parse_matrix([ens["psi_s"]], "ensemble.psi_s")
     probs = [a.get("p") for a in atoms]
     if not all(_is_number(p) for p in probs):
         raise ConfigError(f"atom probabilities must be finite nonnegative numbers: {probs}")
@@ -322,6 +331,12 @@ def _check_resolved(cfg: dict) -> None:
             raise ConfigError(f"{key} must be a finite nonnegative number, got {cfg[key]!r}")
     if exp == "classify" and not (("model" in cfg) ^ ("matrix" in cfg)):
         raise ConfigError("classify needs exactly one of 'model' or 'matrix'")
+    # every top-level matrix, parsed as its runner parses it
+    for key in ("a_s", "matrix", "rho_init"):
+        if key in cfg:
+            _parse_matrix(cfg[key], key)
+    if "psi_s" in cfg:
+        _parse_matrix([cfg["psi_s"]], "psi_s")
     if exp == "classify" and "matrix" in cfg:
         if "psi_s" not in cfg:
             raise ConfigError("matrix-form classify needs 'psi_s'")

@@ -15,10 +15,12 @@ a time ``tau``. This module builds, from such data:
 and, crucially, an exact brute-force evaluation of the repeated
 interaction dynamics on a truncated chain (``full_chain_oracle``) against
 which every reduced-picture quantity can be checked at small sizes. The
-oracle alone evolves a dim x dim chain state over the chain's tensor legs:
-each step unitary and each spectator's free evolution is built and applied
-to its own legs, so no chain-sized unitary is ever formed, and one
-evolution per m serves every observable of a stack.
+oracle alone evolves a dim x dim chain state over the chain's tensor legs,
+grown one leg per step: each probe joins in its Gibbs state at its own
+encounter, and each step unitary and the free evolution of each probe
+already coupled is built and applied to its own legs, so no chain-sized
+unitary is ever formed, and one evolution per m serves every observable of
+a stack.
 
 Encounters are built as stacks, one row per probe: :func:`step_unitaries`
 diagonalizes every generator h_s x 1 + 1 x h_e + v of one probe dimension in
@@ -78,24 +80,29 @@ def check_capacity(
     `dims` may not hold more than ORACLE_DIM_GUARD^2 entries (one chain: its
     dimension may not exceed ORACLE_DIM_GUARD). The error states the
     estimated peak bytes and, for a chain evolved `n_steps` steps (default:
-    one per probe leg), the number of factor applications.
+    one per probe leg), the number of factor applications: the chain grows
+    one leg per step, so step k applies its encounter and the free evolutions
+    of the k - 1 legs coupled before it, m (m + 1) / 2 factors in m steps.
     """
     if window > WINDOW_CAPACITY:
         raise CapacityError(f"window capacity guard: l + r = {window} exceeds {WINDOW_CAPACITY}")
     dim = int(np.prod(dims, dtype=np.int64))
     if stack * dim * dim <= ORACLE_DIM_GUARD**2:
         return
-    # tracemalloc peaks in dim x dim complex arrays. An oracle call holds 4 (4.00 at dims
-    # 256 to 1024 on the qubit chain: the state, the copy that reshapes its transpose,
-    # and the copy and result of an encounter's tensordot). A window reduction with
-    # l + r >= 1 holds 3.5 per tuple (3.50 at d = e = 2 for l + r = 1 to 3, 3.38 at d = 3,
-    # e = 2, l = 1: a gathered U or U*, the product it enters and its result, plus the
-    # tuple's X row and indices). With l = r = 0 the tuples are the atoms, and the stacked
-    # encounter build (the batched eigh and the U, U* stacks) sets the peak: 8 per tuple
-    # (7.92 at d = e = 2, 7.37 at d = 2, e = 3, 6.88 at d = 3, e = 2, 6.63 at d = e = 3,
-    # on 1,024 and 4,096 atoms); below d e = 4 the per-tuple bookkeeping weighs more.
+    # tracemalloc peaks in dim x dim complex arrays. An oracle call holds 2 + 1/d_S (2.50 at
+    # dims 256 to 4096 on the qubit chain: the state, the result of the encounter with the
+    # leg that joined last, and one block product of 1/d_S of an array); the guard states 3,
+    # which bounds 2 + 1/d_S at every d_S. On the qubit chain (2 cores, OpenBLAS) one call
+    # took 0.8 s at dim 2048 (m = 10) and 4.6 s at dim 4096 (m = 11, traced peak 640 MiB,
+    # maximum RSS 700 MiB). A window reduction with l + r >= 1 holds 3.5 per tuple (3.50 at
+    # d = e = 2 for l + r = 1 to 3, 3.38 at d = 3, e = 2, l = 1: a gathered U or U*, the
+    # product it enters and its result, plus the tuple's X row and indices). With l = r = 0
+    # the tuples are the atoms, and the stacked encounter build (the batched eigh and the U,
+    # U* stacks) sets the peak: 8 per tuple (7.92 at d = e = 2, 7.37 at d = 2, e = 3, 6.88 at
+    # d = 3, e = 2, 6.63 at d = e = 3, on 1,024 and 4,096 atoms); below d e = 4 the per-tuple
+    # bookkeeping weighs more.
     per_tuple = 8 if window == 0 else 3.5
-    arrays = 4 if stack == 1 else per_tuple * stack
+    arrays = 3 if stack == 1 else per_tuple * stack
     peak = f"{arrays * dim * dim * 16 / 2**20:,.0f} MiB ({arrays:,.0f} dense {dim}x{dim} arrays)"
     if stack > 1:
         raise CapacityError(
@@ -103,12 +110,11 @@ def check_capacity(
             f"ORACLE_DIM_GUARD^2 = {ORACLE_DIM_GUARD**2:,}: estimated peak {peak}, "
             f"{per_tuple} per tuple at l + r = {window}"
         )
-    k = len(dims) - 1
-    m = k if n_steps is None else n_steps
+    m = len(dims) - 1 if n_steps is None else n_steps
     # a factor on legs of total dim d_leg (d_S * d_E for an encounter) costs dim^2 * d_leg
     raise CapacityError(
         f"chain dimension {dim} exceeds guard {ORACLE_DIM_GUARD}: estimated peak {peak} and "
-        f"up to m*K = {m}*{k} = {m * k} factor applications g x g*, each touching "
+        f"m(m+1)/2 = {m * (m + 1) // 2} factor applications g x g* in m = {m} steps, each touching "
         f"dim^2*d_leg <= {dim * dim * dims[0] * max(dims[1:], default=1):,} entries per side"
     )
 
@@ -372,50 +378,67 @@ def _apply_to_rows(x: np.ndarray, g: np.ndarray, dims: list[int], legs: list[int
     """(g on `legs`, identity elsewhere) @ x, without building the embedding.
 
     `x` is a dim x dim array over the tensor legs `dims`; `legs` is either
-    one leg [j] or the pair [0, k] with 0 < k, matching the factors of the
-    chain (a probe's free evolution, or an encounter of S with probe k).
+    one leg [j] or the pair [0, k] with k the last leg, matching the factors
+    of the grown chain (a probe's free evolution, or the encounter of S with
+    the probe that joined last). A single leg is one matmul on a view of a
+    C-contiguous `x`. The pair is applied block by block of S's rows: block a
+    of the result is the sum over b of g[(a, .), (b, .)] times block b of `x`,
+    each block a view of `x` whether it holds the state or its transpose,
+    so the pair holds `x`, the result and one block product (1/d_S of an array).
     """
     dim = x.shape[0]
     if len(legs) == 1:
         j = legs[0]
         outer = int(np.prod(dims[:j], dtype=np.int64))
         return np.matmul(g, x.reshape(outer, dims[j], -1)).reshape(dim, dim)
-    k = legs[1]
-    d, e = dims[0], dims[k]
-    between = int(np.prod(dims[1:k], dtype=np.int64))
-    xt = x.reshape(d, between, e, -1)
-    out = np.tensordot(g.reshape(d, e, d, e), xt, axes=([2, 3], [0, 2]))  # (d, e, between, rest)
-    return out.transpose(0, 2, 1, 3).reshape(dim, dim)
+    d, e = dims[0], dims[legs[1]]
+    g, x = g.reshape(d, e, d, e), x.reshape(d, -1, e, dim)  # rows (S, between, E_k)
+    out = np.empty(x.shape, dtype=complex)
+    for a in range(d):
+        np.matmul(g[a, :, 0], x[0], out=out[a])
+        for b in range(1, d):
+            out[a] += g[a, :, b] @ x[b]
+    return out.reshape(dim, dim)
 
 
 def _conjugate_by_chain(
-    x: np.ndarray, sys: SystemSpec, probes: list[ProbeSpec], n_steps: int, dims: list[int]
+    x: np.ndarray, sys: SystemSpec, probes: list[ProbeSpec], n_steps: int
 ) -> np.ndarray:
-    """W x W*, W = W_n ... W_1, n = `n_steps`: the oracle's chain evolution.
+    """W (x x Gibbs_1 x ... x Gibbs_K) W*, W = W_n ... W_1, n = `n_steps`, K = len(probes):
+    the oracle's chain evolution, on the chain grown one leg per step.
 
-    `x` is a dim x dim array over the tensor legs `dims` = [S, E_1, E_2, ...].
-    Step k couples S with leg k through `probes[k - 1]` while every other leg
-    listed in `probes` evolves freely for that step's tau. Legs past
-    ``len(probes)`` stay idle: their Gibbs states commute with free evolution.
+    `x` is a state on S alone. Just before step k, probe leg E_k joins last,
+    in its Gibbs state, so the legs are [S, E_1, ..., E_k]. Step k couples S
+    with E_k through `probes[k - 1]` while every leg already coupled
+    (E_1 .. E_(k-1)) evolves freely for that step's tau. A leg not yet
+    coupled gets no factor: it is in its Gibbs state, which its free
+    evolution leaves unchanged. The legs past `n_steps` are never coupled;
+    they join in their Gibbs states after the last step.
 
     Each local factor g acts on its own legs of `x` only, as g x g*: on the
     row legs directly, and on the column legs as rows of the transpose,
     x g* = (conj(g) x^T)^T. The transpose is kept from one step to the next,
-    so each step costs one. No chain-sized unitary is formed.
+    so each step costs one, and a leg joining the transpose joins as
+    Gibbs_k^T. No chain-sized unitary is formed.
     """
+    dims = [sys.dim_s]
     transposed = False  # whether `x` currently holds the transpose
-    for k in range(1, n_steps + 1):
-        tau = probes[k - 1].tau
-        factors = [(step_unitary(sys, probes[k - 1]), [0, k])]
-        for n, other in enumerate(probes, start=1):
-            if n != k:
-                factors.append((expm_hermitian(other.h_e, -1j * tau), [n]))
+    for k, probe in enumerate(probes[:n_steps], start=1):
+        gibbs_k = probe.gibbs_state()
+        x = np.kron(x, gibbs_k.T if transposed else gibbs_k)
+        dims.append(probe.dim_e)
+        # the encounter first: its result is C-contiguous, so each free evolution after it
+        # is a matmul on a view of x on either side
+        factors = [(step_unitary(sys, probe), [0, k])]
+        for n, coupled in enumerate(probes[: k - 1], start=1):
+            factors.append((expm_hermitian(coupled.h_e, -1j * probe.tau), [n]))
         for g, legs in factors:
             x = _apply_to_rows(x, g.conj() if transposed else g, dims, legs)
         x, transposed = x.T, not transposed
         for g, legs in factors:
             x = _apply_to_rows(x, g.conj() if transposed else g, dims, legs)
-    return x.T if transposed else x
+    idle = [probe.gibbs_state() for probe in probes[n_steps:]]
+    return reduce(np.kron, idle, x.T if transposed else x)
 
 
 def full_chain_expectation(
@@ -430,11 +453,15 @@ def full_chain_expectation(
     """Exact expectation of an arbitrary window operator after m steps.
 
     `op_window` acts on S x E_(m-l) x ... x E_(m+r), in that tensor order.
-    Forms the state rho_init x (x_k Gibbs_k) on the truncated chain
-    S x E_1 x ... x E_K (K = m + r probes) and evolves it step by step:
-    every step unitary, together with the explicit free evolution of all
-    spectator probes, is applied to its own tensor legs of the state. The
-    evolved state is then reduced to the window legs and traced against
+    Evolves the state rho_init x (x_k Gibbs_k) of the truncated chain
+    S x E_1 x ... x E_K (K = m + r probes) step by step, growing the chain
+    one leg per step: probe k joins in its Gibbs state just before its own
+    encounter, and at each step the step unitary and the free evolution of
+    every probe already coupled are applied to their own tensor legs of the
+    state. A probe not yet coupled needs no factor, as its Gibbs state
+    commutes with its free evolution; the r probes after step m join in
+    their Gibbs states once the m steps are done. The evolved state on the
+    whole chain is then reduced to the window legs and traced against
     `op_window`. No reduced-picture shortcut is used.
 
     `op_window` is one (D, D) operator, giving a complex, or an (n, D, D)
@@ -454,12 +481,8 @@ def full_chain_expectation(
     dims = [d] + [p.dim_e for p in steps[:n_probes]]
     check_capacity(dims, n_steps=m)
 
-    # U(m) rho U(m)*, U(m) = W_m ... W_1, each step with explicit free evolution of the
-    # others; the initial state rho_init x Gibbs_1 x ... x Gibbs_K is built in the call,
-    # so the evolution holds its only reference and releases it after the first factor
-    probes = steps[:n_probes]
-    gibbs_states = [p.gibbs_state() for p in probes]
-    rho_tot = _conjugate_by_chain(reduce(np.kron, gibbs_states, rho_init), sys, probes, m, dims)
+    # U(m) rho U(m)*, U(m) = W_m ... W_1, on rho_init x Gibbs_1 x ... x Gibbs_K
+    rho_tot = _conjugate_by_chain(rho_init, sys, steps[:n_probes], m)
 
     # the window legs are S and the last l + r + 1 probes: trace out E_1 .. E_(m-l-1)
     before = int(np.prod(dims[1 : m - l], dtype=np.int64))

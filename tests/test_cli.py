@@ -211,11 +211,16 @@ def test_cli_exit_codes(tmp_path, model_doc, ensemble_doc):
         assert main(["validate", str(path)]) == 2
         assert main(["run", str(path), "--out", str(tmp_path)]) == 2
 
-    # only `run` parses matrices and psi_s: one that is not an RDO is a config error too
+    # validate parses every matrix and psi_s as run does: a psi_s entry that is no pair
+    path = tmp_path / "psi_s_entry.json"
+    dump_json({"experiment": "classify", "matrix": diagonal, "psi_s": [[1.0], [0.0]]}, str(path))
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+
+    # only `run` checks that a matrix is an RDO for its psi_s: one that is not is a config error too
     e1 = [[1.0, 0.0], [0.0, 0.0]]
     for doc in (
         {"experiment": "classify", "matrix": matrix_to_json(np.diag([1.0, 2.0])), "psi_s": e1},
-        {"experiment": "classify", "matrix": diagonal, "psi_s": [[1.0], [0.0]]},
         {"experiment": "decay", "ensemble": {**matrix_atoms, "psi_s": [[2.0, 0.0]]}},
         # model atoms whose system h differs
         {"experiment": "decay", "ensemble": other_h},
@@ -650,6 +655,61 @@ def test_model_matrix_entries_are_finite_pairs(tmp_path, capsys, entry, shown):
     message = f"config error: {where} must be an [re, im] pair of finite numbers, got {shown}"
     assert capsys.readouterr().err.count(message) == 2
     assert not (tmp_path / "summary.json").exists()
+
+
+def _matrix_docs():
+    """(field: (config, path to one of its matrix entries, name in the message)) for
+    every matrix `run` parses besides a model's h and v, each config valid as is."""
+    with open(os.path.join(DEMO_CONFIGS, "instant.json")) as fh:
+        instant = {**json.load(fh), "family": "system", "a_s": matrix_to_json(np.diag([0.5, -1.0]))}
+    with open(os.path.join(DEMO_CONFIGS, "fluxes.json")) as fh:
+        fluxes = {**json.load(fh), "rho_init": matrix_to_json(np.diag([0.75, 0.25]))}
+    classify = {
+        "experiment": "classify",
+        "matrix": matrix_to_json(np.diag([1.0, 0.5])),
+        "psi_s": [[1.0, 0.0], [0.0, 0.0]],
+    }
+    ergodic = {
+        "experiment": "ergodic",
+        "ensemble": {
+            "atoms": [{"p": 0.5, "matrix": classify["matrix"]},
+                      {"p": 0.5, "matrix": matrix_to_json(np.diag([1.0, 0.25]))}],
+            "psi_s": classify["psi_s"],
+        },
+        "n_total": 200,
+        "checkpoint_every": 100,
+    }
+    return {
+        "a_s": (instant, ["a_s", 0, 0], "a_s[0][0]"),
+        "matrix": (classify, ["matrix", 1, 1], "matrix[1][1]"),
+        "psi_s": (classify, ["psi_s", 0], "psi_s[0][0]"),
+        "rho_init": (fluxes, ["rho_init", 0, 1], "rho_init[0][1]"),
+        "atom_matrix": (ergodic, ["ensemble", "atoms", 1, "matrix", 0, 0], "ensemble.atoms[1].matrix[0][0]"),
+        "ensemble_psi_s": (ergodic, ["ensemble", "psi_s", 1], "ensemble.psi_s[0][1]"),
+    }
+
+
+@pytest.mark.parametrize("field", sorted(_matrix_docs()))
+def test_validate_parses_every_matrix_run_parses(tmp_path, capsys, field):
+    """`validate` rc 2 <=> `run` rc 2 for each matrix field: the config as is passes
+    both (run exits 0 or 1), and with one entry of 1e400 (inf) both exit 2 with
+    the same message, so validate no longer passes what run rejects."""
+    doc, where, name = _matrix_docs()[field]
+    path = tmp_path / "config.json"
+    dump_json(doc, str(path))
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path), "--out", str(tmp_path / "as_is")]) in (0, 1)
+    entry = doc
+    for key in where:
+        entry = entry[key]
+    entry[0] = "ENTRY"
+    path.write_text(json.dumps(doc).replace('"ENTRY"', "1e400"))
+    capsys.readouterr()
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path), "--out", str(tmp_path / "bad")]) == 2
+    message = f"config error: {name} must be an [re, im] pair of finite numbers, got [inf, "
+    assert capsys.readouterr().err.count(message) == 2
+    assert not (tmp_path / "bad" / "summary.json").exists()
 
 
 def test_matrix_from_json_takes_only_finite_pairs():

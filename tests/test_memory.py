@@ -7,7 +7,8 @@ exist) must stay within 1.25x of the peak those one-step loops reached on
 the same call, recorded below in bytes (numpy 2.4, Python 3.11). The sizes
 are the full sizes of the `mc_qubit` and `wide_qutrit` benchmark workloads.
 The stacked window reduction must stay within the peak per tuple that its
-capacity guard states, for a window (l + r >= 1) and for one slot.
+capacity guard states, for a window (l + r >= 1) and for one slot, and a
+full-chain oracle call within the dense arrays that its guard states.
 """
 
 import tracemalloc
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 import ries
+from ries.linalg import random_hermitian
 from ries.thermo import (
     ergodic_instant_monte_carlo,
     flux_monte_carlo,
@@ -108,3 +110,18 @@ def test_one_slot_family_peak_within_guard_estimate(qubit_model):
     unit = 16 * ens.n_atoms * 4**2
     peak = peak_bytes(lambda: identity_family(ens, 0, 0))
     assert peak <= ONE_SLOT_ARRAYS_PER_TUPLE * unit, f"{peak / unit:.2f} arrays"
+
+
+ORACLE_ARRAYS = 3  # the factor `ries.model.check_capacity` states for one oracle call
+
+
+def test_oracle_peak_within_guard_estimate(qubit_model, rng):
+    """An m = 8 oracle call on the qubit chain (dim 512) with two observables, as in
+    `oracle_chain`, peaks at or below the guard's stated dense dim x dim arrays."""
+    system, probe = qubit_model
+    m, dim = 8, 512
+    a_s = np.array([random_hermitian(2, rng) for _ in range(2)])
+    obs = ries.ObservableWindow.system_only(a_s, 2)
+    unit = 16 * dim**2
+    peak = peak_bytes(lambda: ries.full_chain_oracle(system, [probe] * m, obs, m, system.gibbs_state()))
+    assert peak <= ORACLE_ARRAYS * unit, f"{peak / unit:.3f} arrays"

@@ -167,8 +167,9 @@ def test_oracle_capacity_guard(qubit_model):
         ries.full_chain_oracle(system, [probe] * 12, future, 11, system.gibbs_state())
     message = str(exc.value)
     assert "chain dimension 8192" in message
-    assert f"{4 * 8192**2 * 16 / 2**20:,.0f} MiB" in message
-    assert "m*K = 11*12 = 132 factor applications" in message
+    assert f"{3 * 8192**2 * 16 / 2**20:,.0f} MiB" in message
+    # the chain grows one leg per step: 11 encounters and 0 + 1 + ... + 10 free evolutions
+    assert "m(m+1)/2 = 66 factor applications g x g* in m = 11 steps" in message
     assert f"dim^2*d_leg <= {8192**2 * 4:,} entries" in message
 
 
@@ -223,11 +224,14 @@ def test_reduce_instant_future_slot_is_scalar(qubit_model, rng):
 
 
 def test_full_chain_matches_dense_reference_on_unequal_legs(rng):
-    """Leg-local evolution equals the dense embedded chain on legs of dims 3, 2 and 3."""
+    """Leg-local evolution on the grown chain equals the dense embedded chain, which
+    evolves every leg from the first step, on legs of dims 3, 2 and 3."""
     system, probes = _mixed_chain(rng)
     a = _complex_matrix(3, rng)
     rho_init = a @ dag(a) / np.trace(a @ dag(a))
-    for m, l, r in ((1, 0, 0), (2, 1, 1), (3, 1, 1), (3, 2, 0)):
+    # (1, 0, 2) and (1, 0, 3): idle legs of unequal dims join after the one step;
+    # (4, 0, 0): all four legs coupled, chain dim 108
+    for m, l, r in ((1, 0, 0), (2, 1, 1), (3, 1, 1), (3, 2, 0), (1, 0, 2), (1, 0, 3), (4, 0, 0)):
         dims = [3] + [p.dim_e for p in probes[m - l - 1 : m + r]]  # window probes
         op = _complex_matrix(int(np.prod(dims)), rng)  # not Hermitian
         got = full_chain_expectation(system, probes, op, m, l, r, rho_init)
@@ -260,9 +264,11 @@ def test_window_reduction_matches_dense_reference_on_unequal_legs(rng):
 
 
 def test_oracle_builds_every_factor(qubit_model, uncoupled_probe, rng, monkeypatch):
-    """An m-step oracle call on K probes builds m step unitaries and m (K - 1)
-    spectator free evolutions: nothing is pruned or merged, and a stack of
-    n observables shares them (m step unitaries, not n m)."""
+    """An m-step oracle call builds m step unitaries and, as the chain grows one
+    leg per step, the k - 1 free evolutions of the legs coupled before step k:
+    m (m - 1) / 2 in all. A leg not yet coupled is in its Gibbs state, which its
+    free evolution leaves unchanged, so it gets no factor; nor do the r legs
+    after step m. A stack of n observables shares them (m step unitaries, not n m)."""
     calls = {"step_unitary": 0, "expm_hermitian": 0}
     for name in calls:
         original = getattr(ries.model, name)
@@ -275,14 +281,14 @@ def test_oracle_builds_every_factor(qubit_model, uncoupled_probe, rng, monkeypat
     system, probe = qubit_model
     steps = [probe, uncoupled_probe, probe, uncoupled_probe, probe]
     b_list = tuple(random_hermitian(2, rng) for _ in range(3))
-    m, k = 4, 5  # K = m + r probes
+    m = 4  # K = m + r = 5 probes
     for a_s in (random_hermitian(2, rng), np.array([random_hermitian(2, rng) for _ in range(3)])):
         calls.update(step_unitary=0, expm_hermitian=0)
         obs = ries.ObservableWindow(a_s=a_s, b_list=b_list, l=1, r=1)
         ries.full_chain_oracle(system, steps, obs, m, system.gibbs_state())
         assert calls["step_unitary"] == m
-        # each step unitary is itself one expm_hermitian; the rest are spectators
-        assert calls["expm_hermitian"] - calls["step_unitary"] == m * (k - 1)
+        # each step unitary is itself one expm_hermitian; the rest are free evolutions
+        assert calls["expm_hermitian"] - calls["step_unitary"] == m * (m - 1) // 2 == 6
 
 
 def test_stacked_oracle_equals_one_call_per_operator(rng):
