@@ -1,38 +1,25 @@
 """Configuration-driven experiment runner.
 
-``ries run config.json`` validates the config, dispatches to the named
-experiment, writes a JSON summary (and CSV series where a time series is
-produced) into the output directory, and encodes the outcome in the exit
-status:
+``ries run config.json`` validates the config, builds its inputs, dispatches
+to the named experiment, writes a JSON summary (and CSV series where a time
+series is produced) into the output directory, and encodes the outcome in
+the exit status:
 
 - 0: run completed and every enabled theorem check passed,
-- 1: run completed but a theorem check failed (report still written),
+- 1: run completed but a theorem check failed (report still written), or a
+  theorem precondition failed (no report),
 - 2: config schema violation or parse error,
-- 3: a dense-algebra capacity guard tripped.
+- 3: a dense-algebra capacity guard tripped,
+- 4: internal error: any other exception, reported in one line.
 
 ``ries validate config.json`` prints the fully-resolved config (defaults
-applied) and exits 0/2. It rejects unknown keys at every level (the
-experiment's schema, where ``tolerances`` is a ``classify`` key, and
-each ensemble, atom and presample object), keys the run would not read
-(``seeds``/``n_total``/``rho_init`` of ``fluxes`` without Monte Carlo,
-``a_s`` outside the ``system`` family, ``psi_s`` without matrix-form
-atoms), ensembles without exactly one of ``atoms``/``presample``, atoms
-without exactly one of ``model``/``matrix``, ensembles that mix
-model-form and matrix-form atoms or whose model atoms differ in system
-``dim`` or ``beta``, counts that are not integers >= 1, seeds that are
-not distinct integers >= 0 (or fewer than 2 for Monte Carlo), and
-probabilities, tolerances, coefficients, model ``beta``/``tau`` or
-presample bounds that are not finite (and, but for bounds, nonnegative);
-a presample range needs ``low`` <= ``high`` and a finite span, and
-``tau`` and ``beta`` ranges a nonnegative ``low`` (``coupling`` scales V
-and may be negative). Each model ``dim`` must be an integer >= 1, each
-entry of every matrix that ``run`` parses (a model's ``h`` and ``v``,
-``a_s``, ``matrix``, ``psi_s``, ``rho_init`` and matrix-form atoms) an
-``[re, im]`` pair of finite numbers, and each ``psi_s`` must have one entry
-per row of its matrix. Only ``run`` reports a matrix that is not an RDO
-for its ``psi_s``, model atoms whose system ``h`` differs, and a
-``rho_init`` that is not a density matrix on the system, as config
-errors. All seeds of a config step as one batch,
+applied) and exits 0/2. Both commands read a config in the same two steps,
+once each: :func:`validate_config` checks the config level (the
+experiment's keys and defaults, keys the run would not read, seeds,
+counts, numbers and which sources are present), and the library builders
+turn its model, ensemble and matrices into the run's typed inputs, with
+their own checks. Whatever either step rejects exits 2 in both commands.
+All seeds of a config step as one batch,
 in every stochastic experiment alike: seed s drives ``trajectory_rng(s)``,
 so a seed's results do not depend on the batch or on which other seeds
 ran, and identical configs give byte-identical summaries except for the
@@ -73,7 +60,7 @@ from .model import (
     system_gns_data,
 )
 from .rdo import RdoValidationError, classify, ideal_asymptotics, validate as validate_rdo
-from .serialize import dump_json, is_real, matrix_from_json, write_csv
+from .serialize import dump_json, is_int, is_real, matrix_from_json, write_csv
 from .thermo import (
     ergodic_instant_limit,
     ergodic_instant_monte_carlo,
@@ -155,45 +142,9 @@ _COUNTS = (
 _NUMBERS = ("bound_coefficient", "tol")
 
 
-def _is_int(x, low: int) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool) and x >= low
-
-
 def _is_number(x) -> bool:
     """A finite nonnegative JSON number (bools excluded)."""
     return is_real(x) and x >= 0
-
-
-def _check_model_doc(doc, where: str) -> None:
-    """Scalar fields of a model document, and the entries of its matrices h and v."""
-    parts = ("system", "probe")
-    if not isinstance(doc, dict) or not all(isinstance(doc.get(p), dict) for p in parts):
-        raise ConfigError(f"{where} must be an object with 'system' and 'probe' objects")
-    for part, keys, matrices in (("system", ("beta",), ("h",)), ("probe", ("beta", "tau"), ("h", "v"))):
-        fields = doc[part]
-        dim = fields.get("dim")
-        if not _is_int(dim, 1):
-            raise ConfigError(f"{where}.{part}.dim must be an integer >= 1, got {dim!r}")
-        for key in keys:
-            x = fields.get(key)
-            if not _is_number(x):
-                raise ConfigError(f"{where}.{part}.{key} must be a finite nonnegative number, got {x!r}")
-        for key in matrices:
-            _parse_matrix(fields.get(key), f"{where}.{part}.{key}")
-
-
-def _parse_matrix(data, name: str) -> np.ndarray:
-    """`matrix_from_json`, its ValueError a ConfigError."""
-    try:
-        return matrix_from_json(data, name)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _check_psi_s(psi_s, matrix, where: str) -> None:
-    """One psi_s entry per matrix row; `run` parses both."""
-    if isinstance(psi_s, list) and isinstance(matrix, list) and len(psi_s) != len(matrix):
-        raise ConfigError(f"psi_s has {len(psi_s)} entries but {where} has {len(matrix)} rows")
 
 
 def _unread_keys(doc: dict) -> set:
@@ -211,74 +162,9 @@ def _reject_unknown(doc: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
 
 
-def _check_presample(gen) -> None:
-    if not isinstance(gen, dict):
-        raise ConfigError("ensemble presample must be a JSON object")
-    _reject_unknown(gen, {"model", "count", "seed", "tau", "beta", "coupling"}, "presample")
-    _check_model_doc(gen.get("model"), "presample.model")
-    count, seed = gen.get("count", 32), gen.get("seed", 0)
-    if not _is_int(count, 1):
-        raise ConfigError(f"presample.count must be an integer >= 1, got {count!r}")
-    if not _is_int(seed, 0):
-        raise ConfigError(f"presample.seed must be an integer >= 0, got {seed!r}")
-    for key in ("tau", "beta", "coupling"):
-        if key not in gen:
-            continue
-        bounds = gen[key]
-        if not (isinstance(bounds, dict) and all(is_real(bounds.get(b)) for b in ("low", "high"))
-                and is_real(bounds["high"] - bounds["low"])):
-            raise ConfigError(f"presample.{key} needs finite 'low', 'high' and span, got {bounds!r}")
-        low_ok = bounds["low"] >= 0 or key == "coupling"  # coupling scales V and may be negative
-        if not (low_ok and bounds["low"] <= bounds["high"]):
-            raise ConfigError(f"presample.{key} {bounds!r}: need low <= high, and low >= 0 but for coupling")
-
-
-def _check_ensemble(ens) -> None:
-    """Keys at every level of an ensemble document, atom weights and model scalars."""
-    if not isinstance(ens, dict):
-        raise ConfigError("ensemble must be a JSON object")
-    _reject_unknown(ens, {"atoms", "psi_s", "presample"}, "ensemble")
-    if ("atoms" in ens) == ("presample" in ens):
-        raise ConfigError("ensemble needs exactly one of 'atoms' or 'presample'")
-    if "presample" in ens:
-        _check_presample(ens["presample"])
-        if "psi_s" in ens:
-            raise ConfigError("ensemble psi_s is read only with matrix-form atoms")
-        return
-    atoms = ens["atoms"]
-    if not isinstance(atoms, list) or not atoms or not all(isinstance(a, dict) for a in atoms):
-        raise ConfigError("ensemble atoms must be a nonempty list of JSON objects")
-    for i, atom in enumerate(atoms):
-        where = f"ensemble.atoms[{i}]"
-        _reject_unknown(atom, {"p", "model", "matrix"}, where)
-        if ("model" in atom) == ("matrix" in atom):
-            raise ConfigError(f"{where} needs exactly one of 'model' or 'matrix'")
-        if "model" in atom:
-            _check_model_doc(atom["model"], f"{where}.model")
-        elif "psi_s" not in ens:
-            raise ConfigError(f"{where} is matrix-form; the ensemble needs 'psi_s'")
-        else:
-            _parse_matrix(atom["matrix"], f"{where}.matrix")
-            _check_psi_s(ens["psi_s"], atom["matrix"], f"{where}.matrix")
-    models = [atom["model"] for atom in atoms if "model" in atom]
-    if models and len(models) < len(atoms):
-        raise ConfigError("ensemble atoms must be all model-form or all matrix-form")
-    if len({(model["system"]["dim"], model["system"]["beta"]) for model in models}) > 1:
-        raise ConfigError("model-form atoms must share one system; their system dim or beta differs")
-    if "psi_s" in ens and models:
-        raise ConfigError("ensemble psi_s is read only with matrix-form atoms")
-    if "psi_s" in ens:
-        _parse_matrix([ens["psi_s"]], "ensemble.psi_s")
-    probs = [a.get("p") for a in atoms]
-    if not all(_is_number(p) for p in probs):
-        raise ConfigError(f"atom probabilities must be finite nonnegative numbers: {probs}")
-    total = sum(probs)
-    if abs(total - 1.0) > 1e-12:
-        raise ConfigError(f"atom probabilities sum to {total}, expected 1")
-
-
 def validate_config(doc: dict) -> dict:
-    """Resolve defaults, reject unknown keys and bad values; idempotent on its own output."""
+    """Resolve defaults, reject unknown keys and bad config-level values; idempotent on
+    its own output. The model, ensemble and matrices are checked by :func:`_load`."""
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     exp = doc.get("experiment")
@@ -312,7 +198,7 @@ def _check_resolved(cfg: dict) -> None:
     exp = cfg["experiment"]
     if "seeds" in cfg:
         seeds = cfg["seeds"]
-        if not isinstance(seeds, list) or not seeds or not all(_is_int(s, 0) for s in seeds):
+        if not isinstance(seeds, list) or not seeds or not all(is_int(s, 0) for s in seeds):
             raise ConfigError(f"seeds must be a nonempty list of integers >= 0, got {seeds!r}")
         repeated = [s for s, n in Counter(seeds).items() if n > 1]
         if repeated:  # a repeated seed repeats its stream: no independent samples
@@ -321,26 +207,18 @@ def _check_resolved(cfg: dict) -> None:
         raise ConfigError(f"{exp} Monte Carlo needs at least 2 seeds for a standard error")
     if "monte_carlo" in cfg and not isinstance(cfg["monte_carlo"], bool):
         raise ConfigError(f"monte_carlo must be true or false, got {cfg['monte_carlo']!r}")
-    if "seed" in cfg and not _is_int(cfg["seed"], 0):
+    if "seed" in cfg and not is_int(cfg["seed"], 0):
         raise ConfigError(f"seed must be an integer >= 0, got {cfg['seed']!r}")
     for key in _COUNTS:
-        if key in cfg and not _is_int(cfg[key], 1):
+        if key in cfg and not is_int(cfg[key], 1):
             raise ConfigError(f"{key} must be an integer >= 1, got {cfg[key]!r}")
     for key in _NUMBERS:
         if key in cfg and not _is_number(cfg[key]):
             raise ConfigError(f"{key} must be a finite nonnegative number, got {cfg[key]!r}")
     if exp == "classify" and not (("model" in cfg) ^ ("matrix" in cfg)):
         raise ConfigError("classify needs exactly one of 'model' or 'matrix'")
-    # every top-level matrix, parsed as its runner parses it
-    for key in ("a_s", "matrix", "rho_init"):
-        if key in cfg:
-            _parse_matrix(cfg[key], key)
-    if "psi_s" in cfg:
-        _parse_matrix([cfg["psi_s"]], "psi_s")
-    if exp == "classify" and "matrix" in cfg:
-        if "psi_s" not in cfg:
-            raise ConfigError("matrix-form classify needs 'psi_s'")
-        _check_psi_s(cfg["psi_s"], cfg["matrix"], "matrix")
+    if exp == "classify" and "matrix" in cfg and "psi_s" not in cfg:
+        raise ConfigError("matrix-form classify needs 'psi_s'")
     if exp in ("ideal", "oracle-check") and "model" not in cfg:
         raise ConfigError(f"{exp} needs a 'model'")
     if "ensemble" in _SCHEMAS[exp] and exp != "classify" and "ensemble" not in cfg:
@@ -349,11 +227,6 @@ def _check_resolved(cfg: dict) -> None:
         raise ConfigError("family must be identity, system or probe_energy")
     if exp == "instant" and cfg["family"] == "system" and "a_s" not in cfg:
         raise ConfigError("family 'system' needs 'a_s'")
-    # surface bad model scalars and probability weights at validation time, not mid-run
-    if "model" in cfg:
-        _check_model_doc(cfg["model"], "model")
-    if "ensemble" in cfg:
-        _check_ensemble(cfg["ensemble"])
 
 
 def validate_config_file(path: str) -> dict:
@@ -365,26 +238,53 @@ def validate_config_file(path: str) -> dict:
     return validate_config(doc)
 
 
-def _run_classify(cfg: dict, out: str) -> tuple[dict, dict]:
+def _load(cfg: dict) -> dict:
+    """The typed inputs of a resolved config, each built once by its library builder.
+
+    A model becomes its ``system``, ``probe`` and ``rdo``, an ensemble its
+    ``ens``, a classify matrix and psi_s an ``rdo`` (:func:`ries.rdo.validate`),
+    ``a_s`` a (d, d) matrix and ``rho_init`` a density matrix on the system.
+    This is the one place where what the builders reject becomes a ConfigError.
+    """
+    inputs = {}
+    try:
+        if "model" in cfg:
+            system, probe = model_from_json(cfg["model"])
+            inputs.update(system=system, probe=probe, rdo=rdo_from_model(system, probe))
+        if "matrix" in cfg:
+            m = matrix_from_json(cfg["matrix"], "matrix")
+            try:
+                inputs["rdo"] = validate_rdo(m, matrix_from_json([cfg["psi_s"]], "psi_s")[0])
+            except RdoValidationError as exc:
+                raise ConfigError(f"matrix: {exc}") from exc
+        if "ensemble" in cfg:
+            ens = inputs["ens"] = ensemble_from_json(cfg["ensemble"])
+            if cfg["experiment"] in ("instant", "fluxes") and ens.system is None:
+                raise ConfigError(f"{cfg['experiment']} needs model-form atoms")
+        for key in ("a_s", "rho_init"):  # read with a model-form ensemble only
+            if key in cfg:
+                d = ens.system.dim_s
+                x = inputs[key] = matrix_from_json(cfg[key], key)
+                if x.shape != (d, d):
+                    raise ConfigError(f"{key} has shape {x.shape}, expected ({d}, {d})")
+        if "rho_init" in cfg:
+            try:
+                inputs["rho_init"] = DensityMatrix(inputs["rho_init"]).rho
+            except ValueError as exc:
+                raise ConfigError(f"rho_init: {exc}") from exc
+    except (ValueError, KeyError, TypeError, RdoValidationError, EnsembleError) as exc:
+        raise ConfigError(str(exc)) from exc
+    return inputs
+
+
+def _run_classify(cfg: dict, inputs: dict, out: str) -> tuple[dict, dict]:
     tol = cfg["tolerances"]
-    if "model" in cfg:
-        system, probe = model_from_json(cfg["model"])
-        rdo = rdo_from_model(system, probe)
-    else:
-        m = matrix_from_json(cfg["matrix"], "matrix")
-        psi_s = matrix_from_json([cfg["psi_s"]], "psi_s")[0]
-        try:
-            rdo = validate_rdo(m, psi_s)
-        except RdoValidationError as exc:
-            raise ConfigError(f"matrix: {exc}") from exc
-    report = classify(rdo, tol_one=tol["tol_one"], gap_min=tol["gap_min"])
+    report = classify(inputs["rdo"], tol_one=tol["tol_one"], gap_min=tol["gap_min"])
     return report.to_json(), {}
 
 
-def _run_ideal(cfg: dict, out: str) -> tuple[dict, dict]:
-    system, probe = model_from_json(cfg["model"])
-    rdo = rdo_from_model(system, probe)
-    res = ideal_asymptotics(rdo, n_max=int(cfg["n_max"]))
+def _run_ideal(cfg: dict, inputs: dict, out: str) -> tuple[dict, dict]:
+    res = ideal_asymptotics(inputs["rdo"], n_max=int(cfg["n_max"]))
     rate_ref = np.log(res.spr_mq) if res.spr_mq > 0 else -np.inf
     rate_ok = bool(
         np.isfinite(res.fitted_rate)
@@ -406,8 +306,8 @@ def _run_ideal(cfg: dict, out: str) -> tuple[dict, dict]:
     return payload, checks
 
 
-def _run_ergodic(cfg: dict, out: str) -> tuple[dict, dict]:
-    ens = ensemble_from_json(cfg["ensemble"])
+def _run_ergodic(cfg: dict, inputs: dict, out: str) -> tuple[dict, dict]:
+    ens = inputs["ens"]
     routes = ens.routes
     coef = float(cfg["bound_coefficient"])
     rep = simulate_forward(
@@ -445,8 +345,8 @@ def _run_ergodic(cfg: dict, out: str) -> tuple[dict, dict]:
     return payload, checks
 
 
-def _run_decay(cfg: dict, out: str) -> tuple[dict, dict]:
-    ens = ensemble_from_json(cfg["ensemble"])
+def _run_decay(cfg: dict, inputs: dict, out: str) -> tuple[dict, dict]:
+    ens = inputs["ens"]
     mean_report = ens.mean_report
     rep = decay_estimator(ens, cfg["seeds"], int(cfg["n_total"]))
     payload = {
@@ -469,8 +369,8 @@ def _run_decay(cfg: dict, out: str) -> tuple[dict, dict]:
     return payload, checks
 
 
-def _run_reverse(cfg: dict, out: str) -> tuple[dict, dict]:
-    ens = ensemble_from_json(cfg["ensemble"])
+def _run_reverse(cfg: dict, inputs: dict, out: str) -> tuple[dict, dict]:
+    ens = inputs["ens"]
     rep = simulate_reverse(
         ens, cfg["seeds"], int(cfg["n_total"]), checkpoint_every=int(cfg["checkpoint_every"])
     )
@@ -499,8 +399,8 @@ def _run_reverse(cfg: dict, out: str) -> tuple[dict, dict]:
     return {"per_seed": per_seed}, {"rank_one_decay": bool(decays)}
 
 
-def _run_lyapunov(cfg: dict, out: str) -> tuple[dict, dict]:
-    ens = ensemble_from_json(cfg["ensemble"])
+def _run_lyapunov(cfg: dict, inputs: dict, out: str) -> tuple[dict, dict]:
+    ens = inputs["ens"]
     rep = lyapunov(ens, cfg["seeds"], int(cfg["n_total"]), reorth_every=int(cfg["reorth_every"]))
     checks = {
         "gamma1_zero": bool(np.abs(rep.gamma_1).max() <= 2e-3),
@@ -509,15 +409,15 @@ def _run_lyapunov(cfg: dict, out: str) -> tuple[dict, dict]:
     return {"per_seed": rep.to_json()}, checks
 
 
-def _run_instant(cfg: dict, out: str) -> tuple[dict, dict]:
-    ens = ensemble_from_json(cfg["ensemble"])
+def _run_instant(cfg: dict, inputs: dict, out: str) -> tuple[dict, dict]:
+    ens = inputs["ens"]
     kind = cfg["family"]
     if kind == "identity":
         fam = identity_family(ens)
     elif kind == "probe_energy":
         fam = probe_energy_family(ens)
     else:
-        fam = system_observable_family(ens, matrix_from_json(cfg["a_s"], "a_s"))
+        fam = system_observable_family(ens, inputs["a_s"])
     closed = ergodic_instant_limit(ens, fam)
     mc = ergodic_instant_monte_carlo(ens, fam, cfg["seeds"], int(cfg["n_total"]))
     diff = abs(mc["mean"] - closed)
@@ -533,8 +433,8 @@ def _run_instant(cfg: dict, out: str) -> tuple[dict, dict]:
     return payload, {"mc_within_3_sigma": within}
 
 
-def _run_fluxes(cfg: dict, out: str) -> tuple[dict, dict]:
-    ens = ensemble_from_json(cfg["ensemble"])
+def _run_fluxes(cfg: dict, inputs: dict, out: str) -> tuple[dict, dict]:
+    ens = inputs["ens"]
     closed = flux_closed_form(ens)
     payload = {"closed_form": closed.to_json()}
     deterministic_beta = ens.betas.max() - ens.betas.min() <= 1e-14
@@ -542,15 +442,7 @@ def _run_fluxes(cfg: dict, out: str) -> tuple[dict, dict]:
     if deterministic_beta:
         checks["second_law"] = bool(abs(closed.residual) <= 1e-8)
     if cfg["monte_carlo"]:
-        rho_init, d = None, ens.system.dim_s
-        if "rho_init" in cfg:  # a density matrix on the system, or a config error
-            rho_init = matrix_from_json(cfg["rho_init"], "rho_init")
-            if rho_init.shape != (d, d):
-                raise ConfigError(f"rho_init has shape {rho_init.shape}, expected ({d}, {d})")
-            try:
-                rho_init = DensityMatrix(rho_init).rho
-            except ValueError as exc:
-                raise ConfigError(f"rho_init: {exc}") from exc
+        rho_init = inputs.get("rho_init")
         mc = flux_monte_carlo(ens, cfg["seeds"], int(cfg["n_total"]), rho_init=rho_init)
         payload["monte_carlo"] = mc.to_json()
         for name, value, ref, err in (
@@ -563,11 +455,10 @@ def _run_fluxes(cfg: dict, out: str) -> tuple[dict, dict]:
     return payload, checks
 
 
-def _run_oracle_check(cfg: dict, out: str) -> tuple[dict, dict]:
-    system, probe = model_from_json(cfg["model"])
+def _run_oracle_check(cfg: dict, inputs: dict, out: str) -> tuple[dict, dict]:
+    system, probe, rdo = inputs["system"], inputs["probe"], inputs["rdo"]
     # fail fast: the largest chain must fit the dense-algebra guard
     check_capacity([system.dim_s] + [probe.dim_e] * int(cfg["m_max"]))
-    rdo = rdo_from_model(system, probe)
     _, sqrt_rho, psi_s = system_gns_data(system)
     rho_s = sqrt_rho @ sqrt_rho
     rng = trajectory_rng(int(cfg["seed"]))
@@ -606,10 +497,12 @@ _RUNNERS = {
 
 
 def run(cfg: dict, out: str = ".") -> dict:
-    """Execute a resolved config and return the RunReport dict."""
-    os.makedirs(out, exist_ok=True)
+    """Build the inputs of a resolved config (:func:`_load`), execute it and return
+    the RunReport dict."""
     start = time.monotonic()
-    payload, checks = _RUNNERS[cfg["experiment"]](cfg, out)
+    inputs = _load(cfg)
+    os.makedirs(out, exist_ok=True)
+    payload, checks = _RUNNERS[cfg["experiment"]](cfg, inputs, out)
     elapsed = time.monotonic() - start
     digest = hashlib.sha256(
         json.dumps(cfg, sort_keys=True).encode()
@@ -638,31 +531,30 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = validate_config_file(args.config)
+        if args.command == "validate":
+            _load(cfg)
+            json.dump(cfg, sys.stdout, sort_keys=True, indent=2)
+            print()
+            return 0
+        if args.seed_offset:
+            if "seeds" in cfg:
+                cfg["seeds"] = [s + args.seed_offset for s in cfg["seeds"]]
+            if "seed" in cfg:
+                cfg["seed"] = cfg["seed"] + args.seed_offset
+            cfg = validate_config(cfg)  # the shifted seeds are checked as the config's own
+        report = run(cfg, out=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-    if args.command == "validate":
-        json.dump(cfg, sys.stdout, sort_keys=True, indent=2)
-        print()
-        return 0
-
-    if args.seed_offset:
-        if "seeds" in cfg:
-            cfg["seeds"] = [s + args.seed_offset for s in cfg["seeds"]]
-        if "seed" in cfg:
-            cfg["seed"] = cfg["seed"] + args.seed_offset
-    try:
-        report = run(cfg, out=args.out)
     except CapacityError as exc:
         print(f"capacity guard: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError, KeyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except (EnsembleError, RdoValidationError) as exc:
         print(f"theorem-check failure: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # a defect of the program, not of the config: no traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     dump_json(report, os.path.join(args.out, "summary.json"))
     status = "pass" if report["passed"] else "FAIL"
     print(f"{cfg['experiment']}: {status} ({report['wall_time_s']:.2f} s)")

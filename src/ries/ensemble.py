@@ -40,7 +40,7 @@ from . import rdo as rdo_mod
 from .linalg import KahanAccumulator, dag, vec
 from .model import ProbeSpec, SystemSpec, energy_terms, model_from_json, rdos_from_model, scaled_probes
 from .rdo import Rdo, RdoValidationError, SpectralReport, classify, decompose
-from .serialize import matrix_from_json
+from .serialize import is_int, is_real, matrix_from_json
 
 NEUMANN_TERM_TOL = 1e-14
 NEUMANN_MAX_TERMS = 10_000
@@ -167,12 +167,17 @@ class RrdoEnsemble:
 
     @classmethod
     def from_matrices(
-        cls, psi_s: np.ndarray, weighted_matrices: list[tuple[float, np.ndarray]]
+        cls, psi_s: np.ndarray, weighted_matrices: list[tuple[float, np.ndarray]], where: str = "atoms"
     ) -> "RrdoEnsemble":
-        return cls(
-            [p for p, _ in weighted_matrices],
-            [rdo_mod.validate(m, psi_s) for _, m in weighted_matrices],
-        )
+        """Atoms from matrices, each one an RDO for `psi_s` (:func:`ries.rdo.validate`); one that
+        is not raises RdoValidationError naming it as ``{where}[k].matrix``."""
+        rdos = []
+        for k, (_, m) in enumerate(weighted_matrices):
+            try:
+                rdos.append(rdo_mod.validate(m, psi_s))
+            except RdoValidationError as exc:
+                raise RdoValidationError(f"{where}[{k}].matrix: {exc}") from exc
+        return cls([p for p, _ in weighted_matrices], rdos)
 
     @classmethod
     def presampled(
@@ -191,11 +196,16 @@ class RrdoEnsemble:
         The draws are validated once, as arrays, and the atoms' probes are
         built from the checked base probe without re-checking each one
         (:func:`ries.model.scaled_probes`). A range whose bounds or span are
-        not finite, or a draw that ProbeSpec would reject, raises ValueError.
+        not finite, whose low exceeds its high, or (but for the coupling,
+        which scales V and may be negative) whose low is negative, or a draw
+        that ProbeSpec would reject, raises ValueError.
         """
         for key, bounds in ranges.items():
-            if not np.isfinite(bounds["high"] - bounds["low"]):
+            low, high = bounds["low"], bounds["high"]
+            if not np.isfinite(high - low):
                 raise ValueError(f"{key} range {bounds}: bounds and span must be finite")
+            if low > high or (low < 0 and key != "coupling"):
+                raise ValueError(f"{key} range {bounds}: need low <= high, and low nonnegative but for coupling")
         rng = trajectory_rng(seed)
 
         def draw(key: str, default: float) -> float:
@@ -660,47 +670,76 @@ def lyapunov(
     return LyapunovEstimate(seeds, exponents[:, 0], gamma_2, exponents[:, 0] - gamma_2)
 
 
-def ensemble_from_json(doc: dict) -> RrdoEnsemble:
+def _fields(doc, allowed: tuple, one_of: tuple, where: str) -> None:
+    """`doc` is a JSON object with keys from `allowed`, and exactly one of `one_of` (if given)."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    unknown = set(doc) - set(allowed)
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
+    if one_of and (one_of[0] in doc) == (one_of[1] in doc):
+        raise ValueError(f"{where} needs exactly one of {one_of[0]!r} or {one_of[1]!r}")
+
+
+def ensemble_from_json(doc: dict, where: str = "ensemble") -> RrdoEnsemble:
     """Build an ensemble from its JSON document.
 
     {"atoms": [{"p": w, "model": {...}}, ...]   # all model-form, one system
      | "atoms": [{"p": w, "matrix": [...]}, ...], "psi_s": [[re, im], ...]
-     | "presample": {...}}                      # alternative generative form
+     | "presample": {"model": {...}, "count": 32, "seed": 0,
+                     "tau" | "beta" | "coupling": {"low": a, "high": b}}}
 
     The document goes to :meth:`RrdoEnsemble.from_models`,
-    :meth:`RrdoEnsemble.from_matrices` or :meth:`RrdoEnsemble.presampled`.
-    A malformed document raises ValueError: no atoms, an atom without
-    exactly one form, mixed forms, model atoms whose systems differ, or
-    matrix atoms without psi_s or that are not RDOs for it.
+    :meth:`RrdoEnsemble.from_matrices` or :meth:`RrdoEnsemble.presampled`,
+    each of its matrices parsed once. A malformed document raises ValueError
+    naming its place below `where`: an unknown key, an ensemble or atom
+    without exactly one form, mixed forms, a weight that is no finite real
+    number, model atoms whose systems differ, matrix atoms without psi_s (or
+    a psi_s next to model atoms), a presample count or seed that is no
+    integer >= 1 (>= 0), or a bad range. Matrix atoms that are not RDOs for
+    psi_s raise RdoValidationError, and weights that are negative or do not
+    sum to 1 EnsembleError.
     """
+    _fields(doc, ("atoms", "psi_s", "presample"), ("atoms", "presample"), where)
     if "presample" in doc:
-        gen = doc["presample"]
-        system, base_probe = model_from_json(gen["model"])
-        ranges = {k: gen[k] for k in ("tau", "beta", "coupling") if k in gen}
-        return RrdoEnsemble.presampled(
-            system, base_probe, ranges, count=int(gen.get("count", 32)), seed=int(gen.get("seed", 0))
-        )
-
-    atoms = doc.get("atoms")
-    if not atoms:
-        raise ValueError("ensemble document needs 'atoms' or 'presample'")
-    probs = [float(entry["p"]) for entry in atoms]
-    if not all(("model" in entry) != ("matrix" in entry) for entry in atoms):
-        raise ValueError("each atom needs exactly one of 'model' or 'matrix'")
-    n_models = sum("model" in entry for entry in atoms)
-    if 0 < n_models < len(atoms):
-        raise ValueError("an ensemble's atoms must be all model-form or all matrix-form")
-    if n_models:
-        systems, probes = zip(*(model_from_json(entry["model"]) for entry in atoms))
+        if "psi_s" in doc:
+            raise ValueError(f"{where}.psi_s is read only with matrix-form atoms")
+        gen, where = doc["presample"], f"{where}.presample"
+        _fields(gen, ("model", "count", "seed", "tau", "beta", "coupling"), (), where)
+        count, seed = gen.get("count", 32), gen.get("seed", 0)
+        if not (is_int(count, 1) and is_int(seed, 0)):
+            raise ValueError(f"{where} needs integers count >= 1 and seed >= 0, got {count!r}, {seed!r}")
+        ranges = {key: gen[key] for key in ("tau", "beta", "coupling") if key in gen}
+        for key, bounds in ranges.items():
+            if not (isinstance(bounds, dict) and all(is_real(bounds.get(b)) for b in ("low", "high"))):
+                raise ValueError(f"{where}.{key} needs finite real 'low' and 'high', got {bounds!r}")
+        system, base_probe = model_from_json(gen.get("model"), f"{where}.model")
+        try:
+            return RrdoEnsemble.presampled(system, base_probe, ranges, count=count, seed=seed)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
+    atoms = doc["atoms"]
+    if not (isinstance(atoms, list) and atoms):
+        raise ValueError(f"{where}.atoms must be a nonempty list")
+    for i, atom in enumerate(atoms):
+        _fields(atom, ("p", "model", "matrix"), ("model", "matrix"), f"{where}.atoms[{i}]")
+        if not is_real(atom.get("p")):
+            raise ValueError(f"{where}.atoms[{i}].p must be a finite real number, got {atom.get('p')!r}")
+    probs = [float(atom["p"]) for atom in atoms]
+    if len({"model" in atom for atom in atoms}) > 1:
+        raise ValueError(f"{where}: atoms must be all model-form or all matrix-form")
+    if "model" in atoms[0]:
+        if "psi_s" in doc:
+            raise ValueError(f"{where}.psi_s is read only with matrix-form atoms")
+        systems, probes = zip(*(
+            model_from_json(atom["model"], f"{where}.atoms[{i}].model") for i, atom in enumerate(atoms)
+        ))
         first = (systems[0].dim_s, systems[0].beta_s, systems[0].h_s.tolist())
         if any((s.dim_s, s.beta_s, s.h_s.tolist()) != first for s in systems[1:]):
-            raise ValueError("all model-form atoms must share one system (dim, h and beta)")
+            raise ValueError(f"{where}: model-form atoms must share one system (dim, h and beta)")
         return RrdoEnsemble.from_models(systems[0], list(zip(probs, probes)))
     if "psi_s" not in doc:
-        raise ValueError("matrix-form atoms require a top-level psi_s")
-    psi_s = matrix_from_json([doc["psi_s"]], "psi_s")[0]
-    matrices = [matrix_from_json(entry["matrix"], "atom matrix") for entry in atoms]
-    try:
-        return RrdoEnsemble.from_matrices(psi_s, list(zip(probs, matrices)))
-    except RdoValidationError as exc:
-        raise ValueError(f"atom matrix: {exc}") from exc
+        raise ValueError(f"{where}: matrix-form atoms need a psi_s")
+    psi_s = matrix_from_json([doc["psi_s"]], f"{where}.psi_s")[0]
+    matrices = [matrix_from_json(a["matrix"], f"{where}.atoms[{i}].matrix") for i, a in enumerate(atoms)]
+    return RrdoEnsemble.from_matrices(psi_s, list(zip(probs, matrices)), where=f"{where}.atoms")

@@ -72,10 +72,6 @@ def random_hermitian(d: int, rng: np.random.Generator, scale: float = 1.0) -> np
     return scale * (a + dag(a)) / 2.0
 
 
-def random_complex_matrix(d: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    return scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-
-
 class KahanAccumulator:
     """Compensated (Kahan) running sum of same-shape complex arrays."""
 

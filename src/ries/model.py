@@ -60,7 +60,7 @@ from .linalg import (
     unvec,
     vec,
 )
-from .serialize import matrix_from_json, matrix_to_json
+from .serialize import is_int, is_real, matrix_from_json
 
 ORACLE_DIM_GUARD = 4096  # largest chain dimension; its square bounds a stack of window reductions
 WINDOW_CAPACITY = 3  # largest l + r of an observation window
@@ -70,19 +70,17 @@ class CapacityError(Exception):
     """Raised when a brute-force computation would exceed the dense-algebra guard."""
 
 
-def check_capacity(
-    dims: list[int], window: int = 0, n_steps: int | None = None, stack: int = 1
-) -> None:
+def check_capacity(dims: list[int], window: int = 0, stack: int = 1) -> None:
     """Raise CapacityError past a dense-algebra guard.
 
     The guards: an observation window extent `window` (= l + r) may not
     exceed WINDOW_CAPACITY, and `stack` dense arrays over the tensor legs
     `dims` may not hold more than ORACLE_DIM_GUARD^2 entries (one chain: its
     dimension may not exceed ORACLE_DIM_GUARD). The error states the
-    estimated peak bytes and, for a chain evolved `n_steps` steps (default:
-    one per probe leg), the number of factor applications: the chain grows
-    one leg per step, so step k applies its encounter and the free evolutions
-    of the k - 1 legs coupled before it, m (m + 1) / 2 factors in m steps.
+    estimated peak bytes and, for a chain of S and one probe leg per step,
+    the number of factor applications: the chain grows one leg per step, so
+    step k applies its encounter and the free evolutions of the k - 1 legs
+    coupled before it, m (m + 1) / 2 factors in m steps.
     """
     if window > WINDOW_CAPACITY:
         raise CapacityError(f"window capacity guard: l + r = {window} exceeds {WINDOW_CAPACITY}")
@@ -110,7 +108,7 @@ def check_capacity(
             f"ORACLE_DIM_GUARD^2 = {ORACLE_DIM_GUARD**2:,}: estimated peak {peak}, "
             f"{per_tuple} per tuple at l + r = {window}"
         )
-    m = len(dims) - 1 if n_steps is None else n_steps
+    m = len(dims) - 1
     # a factor on legs of total dim d_leg (d_S * d_E for an encounter) costs dim^2 * d_leg
     raise CapacityError(
         f"chain dimension {dim} exceeds guard {ORACLE_DIM_GUARD}: estimated peak {peak} and "
@@ -401,10 +399,8 @@ def _apply_to_rows(x: np.ndarray, g: np.ndarray, dims: list[int], legs: list[int
     return out.reshape(dim, dim)
 
 
-def _conjugate_by_chain(
-    x: np.ndarray, sys: SystemSpec, probes: list[ProbeSpec], n_steps: int
-) -> np.ndarray:
-    """W (x x Gibbs_1 x ... x Gibbs_K) W*, W = W_n ... W_1, n = `n_steps`, K = len(probes):
+def _conjugate_by_chain(x: np.ndarray, sys: SystemSpec, probes: list[ProbeSpec]) -> np.ndarray:
+    """W (x x Gibbs_1 x ... x Gibbs_n) W*, W = W_n ... W_1, n = len(probes):
     the oracle's chain evolution, on the chain grown one leg per step.
 
     `x` is a state on S alone. Just before step k, probe leg E_k joins last,
@@ -412,8 +408,7 @@ def _conjugate_by_chain(
     with E_k through `probes[k - 1]` while every leg already coupled
     (E_1 .. E_(k-1)) evolves freely for that step's tau. A leg not yet
     coupled gets no factor: it is in its Gibbs state, which its free
-    evolution leaves unchanged. The legs past `n_steps` are never coupled;
-    they join in their Gibbs states after the last step.
+    evolution leaves unchanged.
 
     Each local factor g acts on its own legs of `x` only, as g x g*: on the
     row legs directly, and on the column legs as rows of the transpose,
@@ -423,7 +418,7 @@ def _conjugate_by_chain(
     """
     dims = [sys.dim_s]
     transposed = False  # whether `x` currently holds the transpose
-    for k, probe in enumerate(probes[:n_steps], start=1):
+    for k, probe in enumerate(probes, start=1):
         gibbs_k = probe.gibbs_state()
         x = np.kron(x, gibbs_k.T if transposed else gibbs_k)
         dims.append(probe.dim_e)
@@ -437,8 +432,7 @@ def _conjugate_by_chain(
         x, transposed = x.T, not transposed
         for g, legs in factors:
             x = _apply_to_rows(x, g.conj() if transposed else g, dims, legs)
-    idle = [probe.gibbs_state() for probe in probes[n_steps:]]
-    return reduce(np.kron, idle, x.T if transposed else x)
+    return x.T if transposed else x
 
 
 def full_chain_expectation(
@@ -454,15 +448,15 @@ def full_chain_expectation(
 
     `op_window` acts on S x E_(m-l) x ... x E_(m+r), in that tensor order.
     Evolves the state rho_init x (x_k Gibbs_k) of the truncated chain
-    S x E_1 x ... x E_K (K = m + r probes) step by step, growing the chain
-    one leg per step: probe k joins in its Gibbs state just before its own
-    encounter, and at each step the step unitary and the free evolution of
-    every probe already coupled are applied to their own tensor legs of the
-    state. A probe not yet coupled needs no factor, as its Gibbs state
-    commutes with its free evolution; the r probes after step m join in
-    their Gibbs states once the m steps are done. The evolved state on the
-    whole chain is then reduced to the window legs and traced against
-    `op_window`. No reduced-picture shortcut is used.
+    S x E_1 x ... x E_m step by step, growing the chain one leg per step:
+    probe k joins in its Gibbs state just before its own encounter, and at
+    each step the step unitary and the free evolution of every probe already
+    coupled are applied to their own tensor legs of the state. A probe not
+    yet coupled needs no factor, as its Gibbs state commutes with its free
+    evolution. So the r probes after step m are still in their Gibbs states:
+    they are traced out of `op_window` against them, never joined to the
+    state. The evolved state is reduced to S x E_(m-l) x ... x E_m and traced
+    against that reduced operator. No reduced-picture shortcut is used.
 
     `op_window` is one (D, D) operator, giving a complex, or an (n, D, D)
     stack, giving an (n,) complex array. The evolved state does not depend
@@ -475,21 +469,23 @@ def full_chain_expectation(
         raise ValueError("rho_init must act on the system space")
     if m - l < 1:
         raise ValueError(f"window slot -l reaches probe {m - l} < 1")
-    n_probes = m + r
-    if n_probes > len(steps):
-        raise ValueError(f"need {n_probes} probe specs, got {len(steps)}")
-    dims = [d] + [p.dim_e for p in steps[:n_probes]]
-    check_capacity(dims, n_steps=m)
+    if m + r > len(steps):
+        raise ValueError(f"need {m + r} probe specs, got {len(steps)}")
+    dims = [d] + [p.dim_e for p in steps[:m]]
+    check_capacity(dims)
 
-    # U(m) rho U(m)*, U(m) = W_m ... W_1, on rho_init x Gibbs_1 x ... x Gibbs_K
-    rho_tot = _conjugate_by_chain(rho_init, sys, steps[:n_probes], m)
+    # U(m) rho U(m)*, U(m) = W_m ... W_1, on rho_init x Gibbs_1 x ... x Gibbs_m
+    rho_tot = _conjugate_by_chain(rho_init, sys, steps[:m])
 
-    # the window legs are S and the last l + r + 1 probes: trace out E_1 .. E_(m-l-1)
+    # the evolved window legs are S and the last l + 1 probes: trace out E_1 .. E_(m-l-1)
     before = int(np.prod(dims[1 : m - l], dtype=np.int64))
     after = int(np.prod(dims[m - l :], dtype=np.int64))
     rho_w = np.einsum("apbcpd->abcd", rho_tot.reshape(d, before, after, d, before, after))
     rho_w = rho_w.reshape(d * after, d * after)
     ops = np.asarray(op_window)
+    if r:  # Tr_idle[(1 x Gibbs_(m+1) x ... x Gibbs_(m+r)) op], the idle legs' expectation
+        idle = reduce(np.kron, [probe.gibbs_state() for probe in steps[m : m + r]])
+        ops = weighted_partial_trace(ops, d * after, idle)
     if ops.ndim == 2:
         return complex(np.einsum("ij,ji->", rho_w, ops))
     return np.array([np.einsum("ij,ji->", rho_w, op) for op in ops], dtype=complex)
@@ -648,38 +644,33 @@ def qubit_exchange_model(
     return sys, probe
 
 
-def model_to_json(sys: SystemSpec, probe: ProbeSpec) -> dict:
-    return {
-        "system": {
-            "dim": sys.dim_s,
-            "h": matrix_to_json(sys.h_s),
-            "beta": float(sys.beta_s),
-        },
-        "probe": {
-            "dim": probe.dim_e,
-            "h": matrix_to_json(probe.h_e),
-            "beta": float(probe.beta_e),
-            "v": matrix_to_json(probe.v),
-            "tau": float(probe.tau),
-        },
-    }
+def model_from_json(doc: dict, where: str = "model") -> tuple[SystemSpec, ProbeSpec]:
+    """The (system, probe) of a model document.
 
-
-def model_from_json(doc: dict) -> tuple[SystemSpec, ProbeSpec]:
-    try:
-        sdoc, pdoc = doc["system"], doc["probe"]
-        sys = SystemSpec(
-            dim_s=int(sdoc["dim"]),
-            h_s=matrix_from_json(sdoc["h"], "system.h"),
-            beta_s=float(sdoc["beta"]),
-        )
+    ``{"system": {"dim", "h", "beta"}, "probe": {"dim", "h", "beta", "v", "tau"}}``:
+    each dim an integer >= 1, each beta and tau a finite real number (not a
+    bool), each matrix as :func:`ries.serialize.matrix_from_json` parses it.
+    Anything else, or a value the specs reject, is a ValueError that names
+    its field by its path below `where`.
+    """
+    parts = {"system": ("beta",), "probe": ("beta", "tau")}
+    if not (isinstance(doc, dict) and all(isinstance(doc.get(part), dict) for part in parts)):
+        raise ValueError(f"{where} must be an object with 'system' and 'probe' objects")
+    for part, reals in parts.items():
+        if not is_int(doc[part].get("dim"), 1):
+            raise ValueError(f"{where}.{part}.dim must be an integer >= 1, got {doc[part].get('dim')!r}")
+        for key in reals:
+            if not is_real(x := doc[part].get(key)):
+                raise ValueError(f"{where}.{part}.{key} must be a finite real number, got {x!r}")
+    sdoc, pdoc = doc["system"], doc["probe"]
+    h_s = matrix_from_json(sdoc.get("h"), f"{where}.system.h")
+    h_e = matrix_from_json(pdoc.get("h"), f"{where}.probe.h")
+    v = matrix_from_json(pdoc.get("v"), f"{where}.probe.v")
+    try:  # the specs name the field they reject: h_s, beta_s, h_e, v, beta_e or tau
+        sys = SystemSpec(dim_s=sdoc["dim"], h_s=h_s, beta_s=float(sdoc["beta"]))
         probe = ProbeSpec(
-            dim_e=int(pdoc["dim"]),
-            h_e=matrix_from_json(pdoc["h"], "probe.h"),
-            beta_e=float(pdoc["beta"]),
-            v=matrix_from_json(pdoc["v"], "probe.v"),
-            tau=float(pdoc["tau"]),
+            dim_e=pdoc["dim"], h_e=h_e, beta_e=float(pdoc["beta"]), v=v, tau=float(pdoc["tau"])
         )
-    except KeyError as exc:
-        raise ValueError(f"model document missing key: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
     return sys, probe

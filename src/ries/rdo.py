@@ -79,21 +79,23 @@ class Rdo:
 def validate(candidate: np.ndarray, psi_s: np.ndarray) -> Rdo:
     """Accept a candidate matrix as an RDO or raise RdoValidationError.
 
-    Its spectral radius must not exceed 1 and its powers up to
-    POWER_CHECK_LEN must stay bounded in spectral norm.
+    It must be square with one psi_s entry per row, fix the unit vector
+    psi_s (checked first, by :class:`Rdo`), have a spectral radius of at
+    most 1, and its powers up to POWER_CHECK_LEN must stay bounded in
+    spectral norm.
     """
-    candidate = np.asarray(candidate, dtype=complex)
-    spr = float(np.abs(np.linalg.eigvals(candidate)).max())
+    rdo = Rdo(m=candidate, psi_s=psi_s)
+    spr = float(np.abs(np.linalg.eigvals(rdo.m)).max())
     if spr > 1.0 + SPECTRAL_RADIUS_TOL:
         raise RdoValidationError(f"spectral radius {spr} exceeds 1")
     sup = 1.0
-    power = np.eye(candidate.shape[0], dtype=complex)
+    power = np.eye(rdo.dim, dtype=complex)
     for _ in range(POWER_CHECK_LEN):
-        power = power @ candidate
+        power = power @ rdo.m
         sup = max(sup, spectral_norm(power))
     if not np.isfinite(sup) or sup > 1e8:
         raise RdoValidationError(f"powers appear unbounded (sampled sup {sup:.3e})")
-    return Rdo(m=candidate, psi_s=psi_s)
+    return rdo
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,11 @@ def is_real(x: Any) -> bool:
         return False
 
 
+def is_int(x: Any, low: int) -> bool:
+    """A JSON integer >= `low` (bools excluded)."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= low
+
+
 _NUMBER_TYPES = {int, float}  # exact types: a JSON true or false is a bool, which is no number here
 
 
@@ -76,10 +81,6 @@ def dump_json(obj: Any, path: str) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def dumps_json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def write_csv(path: str, header: list[str], rows) -> None:

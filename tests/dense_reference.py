@@ -8,9 +8,12 @@ the sampled power bound and the one-step product loop are the references
 for the uniform product bounds and identities of finite RDO products. The
 per-pair energy tables are the reference for the stacked energy reduction.
 The per-atom presample, which builds and checks each atom's probe on its own,
-is the reference for the presample that checks its draws once.
+is the reference for the presample that checks its draws once. The last
+helpers write model documents and JSON text and draw random matrices for the
+tests; the package reads config documents but never writes them.
 """
 
+import json
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -20,6 +23,7 @@ from ries.ensemble import RrdoEnsemble, trajectory_rng
 from ries.linalg import dag, expm_hermitian, spectral_norm, unvec, vec
 from ries.model import step_unitary, weighted_partial_trace
 from ries.rdo import decompose
+from ries.serialize import matrix_to_json
 
 
 def embed(op: np.ndarray, dims: list[int], sites: list[int]) -> np.ndarray:
@@ -185,3 +189,26 @@ def per_atom_presample(system, base_probe, ranges: dict, count: int, seed: int) 
         v = draw("coupling", 1.0) * base_probe.v
         probes.append(replace(base_probe, beta_e=beta, v=v, tau=tau))
     return RrdoEnsemble.from_models(system, [(1.0 / count, probe) for probe in probes])
+
+
+def model_to_json(system, probe) -> dict:
+    """The model document that :func:`ries.model.model_from_json` reads back."""
+    return {
+        "system": {"dim": system.dim_s, "h": matrix_to_json(system.h_s), "beta": float(system.beta_s)},
+        "probe": {
+            "dim": probe.dim_e,
+            "h": matrix_to_json(probe.h_e),
+            "beta": float(probe.beta_e),
+            "v": matrix_to_json(probe.v),
+            "tau": float(probe.tau),
+        },
+    }
+
+
+def dumps_json(obj) -> str:
+    """JSON text as :func:`ries.serialize.dump_json` writes it."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def random_complex_matrix(d: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+    return scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))

@@ -8,13 +8,12 @@ import time
 
 import numpy as np
 import pytest
-from dense_reference import gns_dual_norm, gns_norm, product_trace, sampled_power_bound
+from dense_reference import dumps_json, gns_dual_norm, gns_norm, product_trace, sampled_power_bound
 
 import ries
 from ries.ensemble import RrdoEnsemble, theta_routes
 from ries.linalg import random_hermitian, vec
 from ries.rdo import decompose
-from ries.serialize import dumps_json
 from ries.thermo import atom_flux_matrix, flux_closed_form, flux_monte_carlo
 from ries.model import reduce_instant
 

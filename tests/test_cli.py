@@ -4,14 +4,15 @@ import json
 import math
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from dense_reference import dumps_json, model_to_json
 
 import ries
 from ries.cli import EXPERIMENTS, ConfigError, main, run, validate_config
-from ries.model import model_to_json
-from ries.serialize import dump_json, dumps_json, matrix_from_json, matrix_to_json, vector_to_json
+from ries.serialize import dump_json, matrix_from_json, matrix_to_json, vector_to_json
 
 
 @pytest.fixture(scope="module")
@@ -51,12 +52,15 @@ def test_validate_rejects_unknown_key(model_doc):
         validate_config({"experiment": "classify", "model": model_doc, "bogus": 1})
 
 
-def test_validate_rejects_bad_probabilities(ensemble_doc):
+def test_validate_rejects_bad_probabilities(tmp_path, ensemble_doc):
+    """Atom weights are the ensemble builder's to check: validate and run both exit 2."""
     for p in (0.7, "half", None, -0.5):
         doc = json.loads(json.dumps(ensemble_doc))
         doc["atoms"][0]["p"] = p
-        with pytest.raises(ConfigError):
-            validate_config({"experiment": "ergodic", "ensemble": doc})
+        path = tmp_path / "weights.json"
+        dump_json({"experiment": "ergodic", "ensemble": doc}, str(path))
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 2
 
 
 def test_validate_roundtrip_idempotent(ensemble_doc):
@@ -217,7 +221,7 @@ def test_cli_exit_codes(tmp_path, model_doc, ensemble_doc):
     assert main(["validate", str(path)]) == 2
     assert main(["run", str(path), "--out", str(tmp_path)]) == 2
 
-    # only `run` checks that a matrix is an RDO for its psi_s: one that is not is a config error too
+    # the builders check that a matrix is an RDO for its psi_s, in validate as in run
     e1 = [[1.0, 0.0], [0.0, 0.0]]
     for doc in (
         {"experiment": "classify", "matrix": matrix_to_json(np.diag([1.0, 2.0])), "psi_s": e1},
@@ -227,7 +231,7 @@ def test_cli_exit_codes(tmp_path, model_doc, ensemble_doc):
     ):
         path = tmp_path / "not_rdo.json"
         dump_json(doc, str(path))
-        assert main(["validate", str(path)]) == 0
+        assert main(["validate", str(path)]) == 2
         assert main(["run", str(path), "--out", str(tmp_path)]) == 2
 
     huge = tmp_path / "huge.json"
@@ -609,14 +613,16 @@ def test_every_resolved_key_is_read(tmp_path, model_doc, ensemble_doc):
 )
 def test_fluxes_rejects_bad_rho_init(tmp_path, capsys, rho, match):
     """A fluxes rho_init that is not a density matrix on the system is a config
-    error (rc 2), not a failed theorem check or a silent run."""
+    error (rc 2) in validate and run, not a failed theorem check or a silent run."""
     with open(os.path.join(DEMO_CONFIGS, "fluxes.json")) as fh:
         doc = {**json.load(fh), "rho_init": matrix_to_json(rho)}
     path = tmp_path / "fluxes.json"
     dump_json(doc, str(path))
+    assert main(["validate", str(path)]) == 2
     assert main(["run", str(path), "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and re.search(match, err), err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2, err
+    assert all(line.startswith("config error:") and re.search(match, line) for line in err), err
     assert not (tmp_path / "summary.json").exists()
 
 
@@ -786,3 +792,107 @@ def test_lyapunov_check_trips_on_mutated_exponents(tmp_path, monkeypatch, check,
     rc, summary = _run_summary(os.path.join(DEMO_CONFIGS, "lyapunov.json"), tmp_path)
     assert rc == 1 and summary["checks"][check] is False
     assert all(ok for name, ok in summary["checks"].items() if name != check)
+
+
+def test_reverse_check_trips_on_growing_residuals(tmp_path, monkeypatch):
+    """Mutation: the demo reverse residuals played backwards grow instead of
+    decaying, which fails `rank_one_decay` with rc 1 and a written summary."""
+    path = os.path.join(DEMO_CONFIGS, "reverse.json")
+    rc, base = _run_summary(path, tmp_path / "base")
+    assert rc == 0 and base["checks"]["rank_one_decay"] is True
+    real = ries.cli.simulate_reverse
+
+    def backwards(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        return dataclasses.replace(rep, residuals=rep.residuals[:, ::-1])
+
+    monkeypatch.setattr("ries.cli.simulate_reverse", backwards)
+    rc, summary = _run_summary(path, tmp_path / "mutated")
+    assert rc == 1 and summary["checks"]["rank_one_decay"] is False
+
+
+@pytest.mark.parametrize(
+    "check, mutate",
+    [
+        ("rate_within_10pct", lambda res: dataclasses.replace(res, fitted_rate=0.5 * res.fitted_rate)),
+        ("final_error_small", lambda res: dataclasses.replace(res, errors=res.errors + 1e-6)),
+    ],
+)
+def test_ideal_check_trips_on_mutated_asymptotics(tmp_path, monkeypatch, check, mutate):
+    """Mutation: the demo ideal fitted rate halved (50% off log spr(M_Q)), or every
+    error raised by 1e-6 (past the 1e-8 bound), fails that check alone with rc 1."""
+    real = ries.cli.ideal_asymptotics
+    monkeypatch.setattr("ries.cli.ideal_asymptotics", lambda rdo, **kw: mutate(real(rdo, **kw)))
+    rc, summary = _run_summary(os.path.join(DEMO_CONFIGS, "ideal.json"), tmp_path)
+    assert rc == 1 and summary["checks"][check] is False
+    assert all(ok for name, ok in summary["checks"].items() if name != check)
+
+
+def test_decay_check_trips_on_mean_out_of_class(tmp_path, monkeypatch):
+    """Mutation: the spectral class of E[M] reported out of class fails `mean_in_class`
+    on the demo decay config with rc 1; `alpha_positive_all_seeds` still holds."""
+    real = ries.ensemble.classify
+    out_of_class = lambda rdo: dataclasses.replace(real(rdo), in_class_e=False)  # noqa: E731
+    monkeypatch.setattr(ries.ensemble, "classify", out_of_class)
+    rc, summary = _run_summary(os.path.join(DEMO_CONFIGS, "decay.json"), tmp_path)
+    assert rc == 1 and summary["checks"]["mean_in_class"] is False
+    assert summary["payload"]["mean_in_class"] is False
+    assert summary["checks"]["alpha_positive_all_seeds"] is True
+
+
+def test_internal_error_exits_4_without_traceback(tmp_path, capsys, monkeypatch):
+    """An exception that is neither a config error, a capacity guard nor a theorem
+    failure is a defect of the program: exit 4 and one line, no traceback."""
+
+    def broken(cfg, inputs, out):
+        raise ValueError("a defect")
+
+    monkeypatch.setitem(ries.cli._RUNNERS, "classify", broken)
+    path = os.path.join(DEMO_CONFIGS, "classify.json")
+    assert main(["validate", path]) == 0
+    capsys.readouterr()
+    assert main(["run", path, "--out", str(tmp_path)]) == 4
+    assert capsys.readouterr().err == "internal error: ValueError: a defect\n"
+    assert not (tmp_path / "summary.json").exists()
+
+
+def _matrix_names(doc: dict, where: str = "") -> list[str]:
+    """The name each matrix of a config document is parsed under: its path."""
+    names = []
+    for key, value in doc.items():
+        path = f"{where}.{key}" if where else key
+        if key in ("h", "v", "matrix", "psi_s", "a_s", "rho_init"):
+            names.append(path)
+        elif key == "atoms":
+            for i, atom in enumerate(value):
+                names += _matrix_names(atom, f"{path}[{i}]")
+        elif isinstance(value, dict):
+            names += _matrix_names(value, path)
+    return names
+
+
+def test_every_matrix_is_parsed_once(tmp_path, monkeypatch):
+    """`validate` and `run` each parse every matrix of a config exactly once: every
+    demo config, and configs with each matrix field besides a model's h and v.
+    The runs use n_total <= 200, which bounds their time and parses nothing."""
+    parsed = []
+    real = ries.serialize.matrix_from_json
+
+    def counted(data, name="matrix"):
+        parsed.append(name)
+        return real(data, name)
+
+    for mod in (ries.cli, ries.model, ries.ensemble):
+        monkeypatch.setattr(mod, "matrix_from_json", counted)
+    docs = [json.loads(p.read_text()) for p in sorted(Path(DEMO_CONFIGS).glob("*.json"))]
+    docs += [doc for doc, _, _ in _matrix_docs().values()]
+    for k, doc in enumerate(docs):
+        doc = {**doc, "n_total": min(doc["n_total"], 200)} if "n_total" in doc else doc
+        path = tmp_path / f"{k}.json"
+        dump_json(doc, str(path))
+        expected = sorted(_matrix_names(doc))
+        assert expected, doc["experiment"]
+        for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / str(k))]):
+            parsed.clear()
+            assert main(argv) in (0, 1)
+            assert sorted(parsed) == expected, (argv[0], doc["experiment"])

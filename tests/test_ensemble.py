@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from dense_reference import per_atom_presample, per_pair_energy_tables
+from dense_reference import model_to_json, per_atom_presample, per_pair_energy_tables
 
 import ries
 from ries.ensemble import (
@@ -19,7 +19,6 @@ from ries.ensemble import (
     trajectory_rng,
 )
 from ries.linalg import HERMITICITY_TOL, KahanAccumulator, dag, random_hermitian, spectral_norm, unvec
-from ries.model import model_to_json
 from ries.rdo import Rdo, classify, decompose
 from ries.thermo import energy_tables
 

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
-from dense_reference import embed, left_mult_matrix
+from dense_reference import embed, left_mult_matrix, random_complex_matrix
 
 from ries.linalg import (
     KahanAccumulator,
     dag,
     expm_hermitian,
-    random_complex_matrix,
     random_hermitian,
     require_hermitian,
     right_mult_matrix,

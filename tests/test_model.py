@@ -6,6 +6,7 @@ from dense_reference import (
     dense_window_reduction,
     embed,
     gibbs_product,
+    model_to_json,
 )
 
 import ries
@@ -15,7 +16,6 @@ from ries.model import (
     full_chain_expectation,
     gibbs,
     model_from_json,
-    model_to_json,
     reduced_heisenberg_map,
     weighted_partial_trace,
 )
@@ -161,15 +161,16 @@ def test_oracle_capacity_guard(qubit_model):
     with pytest.raises(CapacityError):
         ries.full_chain_oracle(system, [probe] * 12, obs, 12, system.gibbs_state())
     # the message states the estimated cost: chain dim, peak bytes, factor applications;
-    # with r = 1, m = 11 steps run over K = 12 probes
+    # with r = 1 the probe after step m is traced out of the operator, never evolved, so
+    # only the m = 12 evolved legs count: m = 11 (dim 4096) is within the guard
     future = ries.ObservableWindow(a_s=np.eye(2), b_list=(np.eye(2), np.eye(2)), l=0, r=1)
     with pytest.raises(CapacityError) as exc:
-        ries.full_chain_oracle(system, [probe] * 12, future, 11, system.gibbs_state())
+        ries.full_chain_oracle(system, [probe] * 13, future, 12, system.gibbs_state())
     message = str(exc.value)
     assert "chain dimension 8192" in message
     assert f"{3 * 8192**2 * 16 / 2**20:,.0f} MiB" in message
-    # the chain grows one leg per step: 11 encounters and 0 + 1 + ... + 10 free evolutions
-    assert "m(m+1)/2 = 66 factor applications g x g* in m = 11 steps" in message
+    # the chain grows one leg per step: 12 encounters and 0 + 1 + ... + 11 free evolutions
+    assert "m(m+1)/2 = 78 factor applications g x g* in m = 12 steps" in message
     assert f"dim^2*d_leg <= {8192**2 * 4:,} entries" in message
 
 

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
-from dense_reference import gns_dual_norm, gns_norm, product_trace, sampled_power_bound
+from dense_reference import (
+    gns_dual_norm,
+    gns_norm,
+    product_trace,
+    random_complex_matrix,
+    sampled_power_bound,
+)
 
 import ries
 from ries.ensemble import EnsembleError, RrdoEnsemble
-from ries.linalg import dag, random_complex_matrix
+from ries.linalg import dag
 from ries.rdo import Rdo, RdoValidationError, decompose, ideal_asymptotics
 
 E1 = np.array([1.0, 0.0])

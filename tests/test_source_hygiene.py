@@ -8,6 +8,8 @@ A seed becomes a random stream in one place only, so no second seed
 convention can grow back, and a window family is data (A_S and a per-slot
 table of B), so ``ries.thermo`` builds no per-tuple window. Probes that skip
 their own checks are built for the presample alone, which checks its draws.
+A config is built into typed inputs in one place, and helpers that only the
+tests use stay out of the package.
 """
 
 import ast
@@ -169,6 +171,28 @@ def test_unchecked_probes_only_in_presampled():
     tree = _parse(SRC / "ensemble.py")
     imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
     assert "replace" not in imported
+
+
+def _defined(tree: ast.AST) -> set[str]:
+    return {n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+
+
+def test_test_only_helpers_stay_out_of_the_package():
+    """Writing model documents and JSON text and drawing random complex matrices
+    serve the tests alone: they live in ``tests/dense_reference.py``."""
+    defined = set().union(*(_defined(_parse(p)) for p in MODULES))
+    assert not defined & {"model_to_json", "dumps_json", "random_complex_matrix"}
+
+
+def test_configs_are_built_in_one_place():
+    """The cli's loader is the one place where a config's model, ensemble and
+    matrices become typed inputs: no runner calls a ``*_from_json`` builder, and
+    the cli keeps no copy of the builders' checks."""
+    cli = _parse(SRC / "cli.py")
+    for name in ("model_from_json", "ensemble_from_json", "matrix_from_json"):
+        assert _uses_by_function(cli, name) == {"_load"}, name
+    copies = {"_check_model_doc", "_check_presample", "_check_ensemble", "_check_psi_s", "_parse_matrix"}
+    assert not _defined(cli) & copies
 
 
 def test_checks_see_every_module():

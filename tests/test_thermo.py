@@ -2,14 +2,19 @@ from itertools import product
 
 import numpy as np
 import pytest
-from dense_reference import dense_window_reduction, embed, left_mult_matrix, per_pair_energy_tables
+from dense_reference import (
+    dense_window_reduction,
+    embed,
+    left_mult_matrix,
+    per_pair_energy_tables,
+    random_complex_matrix,
+)
 
 import ries
 from ries.ensemble import EnsembleError, RrdoEnsemble, theta_closed_form, trajectory_rng
 from ries.linalg import (
     KahanAccumulator,
     dag,
-    random_complex_matrix,
     random_hermitian,
     right_mult_matrix,
     unvec,
