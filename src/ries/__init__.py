@@ -20,7 +20,6 @@ from .ensemble import (
     mean_rdo,
     simulate_forward,
     simulate_reverse,
-    simulate_theta,
     theta_routes,
 )
 from .model import (
@@ -66,7 +65,6 @@ __all__ = [
     "reduced_heisenberg_map",
     "simulate_forward",
     "simulate_reverse",
-    "simulate_theta",
     "step_unitary",
     "system_gns_data",
     "theta_routes",

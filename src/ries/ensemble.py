@@ -126,7 +126,7 @@ class RrdoEnsemble:
     @cached_property
     def mean(self) -> Rdo:
         """E[M], computed once per ensemble (see :func:`mean_rdo`)."""
-        return mean_rdo(self, check_class=False)
+        return mean_rdo(self)
 
     @cached_property
     def mean_report(self) -> SpectralReport:
@@ -220,17 +220,9 @@ class RrdoEnsemble:
         return cls.from_models(system, [(1.0 / count, probe) for probe in probes])
 
 
-def mean_rdo(ens: RrdoEnsemble, check_class: bool = True) -> Rdo:
-    """Probability-weighted mean of the ensemble's RDOs.
-
-    If some atom with positive probability has a simple gapped eigenvalue 1,
-    the mean must too; with `check_class` this is asserted.
-    """
-    out = Rdo(m=np.einsum("k,kij->ij", ens.probs, ens.matrices), psi_s=ens.psi_s)
-    if check_class and any(p > 0 and ic for p, ic in zip(ens.probs, ens.in_class)):
-        if not classify(out).in_class_e:
-            raise EnsembleError("mean operator left the simple-gap class; theorem check failed")
-    return out
+def mean_rdo(ens: RrdoEnsemble) -> Rdo:
+    """Probability-weighted mean of the ensemble's RDOs."""
+    return Rdo(m=np.einsum("k,kij->ij", ens.probs, ens.matrices), psi_s=ens.psi_s)
 
 
 def theta_routes(ens: RrdoEnsemble) -> dict:
@@ -239,45 +231,36 @@ def theta_routes(ens: RrdoEnsemble) -> dict:
     Route "projector": adjoint of the spectral projection of E[M] at 1,
     applied to psi_s. Route "neumann": sum_k (E[M_Q]^*)^k E[psi], truncated
     when the term norm drops below 1e-14, with a geometric tail bound from
-    spr(E[M_Q]).
+    spr(E[M_Q]). The tail bound is inf when the sum did not get there in
+    NEUMANN_MAX_TERMS terms; at spr(E[M_Q]) >= 1 the sum is not taken, and
+    its vector is NaN and the mismatch inf. Whether theta exists is the
+    runners' to judge, from these numbers and the class of E[M].
     """
     theta_proj = decompose(ens.mean).psi
 
     e_mq = np.einsum("k,kij->ij", ens.probs, ens.mq)
     e_psi = np.einsum("k,ki->i", ens.probs, ens.psi_omega)
     spr = float(np.abs(np.linalg.eigvals(e_mq)).max())
-    if spr >= 1.0:
-        raise EnsembleError(f"spr(E[M_Q]) = {spr} >= 1; Neumann series diverges")
-    e_mq_adj = dag(e_mq)
-    term = e_psi.copy()
-    theta_series = np.zeros_like(e_psi)
-    tail_bound = np.inf
-    for k in range(NEUMANN_MAX_TERMS):
-        theta_series = theta_series + term
-        term = e_mq_adj @ term
-        tnorm = np.linalg.norm(term)
-        if tnorm < NEUMANN_TERM_TOL:
-            tail_bound = tnorm / (1.0 - spr)
-            break
+    theta_series = np.full_like(e_psi, np.nan)
+    mismatch = tail_bound = np.inf
+    if spr < 1.0:
+        e_mq_adj = dag(e_mq)
+        term, theta_series = e_psi, np.zeros_like(e_psi)
+        for _ in range(NEUMANN_MAX_TERMS):
+            theta_series = theta_series + term
+            term = e_mq_adj @ term
+            tnorm = np.linalg.norm(term)
+            if tnorm < NEUMANN_TERM_TOL:
+                tail_bound = tnorm / (1.0 - spr)
+                break
+        mismatch = np.linalg.norm(theta_proj - theta_series)
     return {
         "theta_projector": theta_proj,
         "theta_neumann": theta_series,
-        "mismatch": float(np.linalg.norm(theta_proj - theta_series)),
+        "mismatch": float(mismatch),
         "spr_mean_mq": spr,
         "neumann_tail_bound": float(tail_bound),
     }
-
-
-def theta_closed_form(ens: RrdoEnsemble) -> np.ndarray:
-    if not ens.mean_report.in_class_e:
-        raise EnsembleError("theta needs the mean operator in the simple-gap class")
-    routes = ens.routes
-    if routes["mismatch"] > 1e-10:
-        raise EnsembleError(f"theta routes disagree by {routes['mismatch']:.3e}")
-    theta = routes["theta_projector"]
-    if abs(np.vdot(ens.psi_s, theta) - 1.0) > 1e-10:
-        raise EnsembleError("theta lost its normalization against psi_s")
-    return theta
 
 
 def _start(ens: RrdoEnsemble, seeds, n_total: int) -> tuple[np.ndarray, np.ndarray]:
@@ -378,7 +361,7 @@ def simulate_forward(
     stated tolerance of a one-step loop.
     """
     seeds, omega = _start(ens, seeds, n_total)
-    limit = np.outer(ens.psi_s, theta_closed_form(ens).conj())
+    limit = np.outer(ens.psi_s, ens.routes["theta_projector"].conj())
     checkpoints, ends, at_checkpoint = block_grid(n_total, checkpoint_every)
     psi_prod = _identities(ens, len(seeds))
     acc = KahanAccumulator(psi_prod.shape)
@@ -401,45 +384,6 @@ def simulate_forward(
                     drift[s] = max(drift[s], np.linalg.norm(psi_prod[s] @ ens.psi_s - ens.psi_s))
                 c += 1
     return ErgodicReport(seeds, checkpoints, distances, drift)
-
-
-def simulate_theta(ens: RrdoEnsemble, seeds, n_total: int) -> dict:
-    """Cesaro mean of the Markov process theta_n = M^*(w_n) theta_(n-1), per seed.
-
-    The overlap <psi_s, theta_n> - 1 is checked at theta_0, every 1000 steps
-    and at the end; every returned array has one row per seed. One matmul
-    per step writes theta_n into a per-block buffer (blocks of
-    :func:`block_grid`), and each block's sum is one matmul, added to a
-    Kahan sum across blocks. theta_n and the overlaps are bitwise those of a
-    one-step loop; the Cesaro mean is within the stated tolerance of it, and
-    every number is bitwise independent of batching.
-    """
-    seeds, omega = _start(ens, seeds, n_total)
-    th = ens.psi_omega[omega[:, 0]][:, :, None]
-    acc = KahanAccumulator(th.shape[:2])
-    acc.add(th[:, :, 0])
-    err = np.zeros(len(seeds))  # max |<psi_s, theta_n> - 1| at the checks
-
-    def check():
-        for s in range(len(seeds)):
-            err[s] = max(err[s], abs(np.vdot(ens.psi_s, th[s, :, 0]) - 1.0))
-
-    check()
-    _, ends, at_check = block_grid(n_total - 1, 1000)
-    for a, b, checked in zip(np.concatenate(([0], ends[:-1])), ends, at_check):
-        buf = np.empty((len(seeds), b - a, ens.dim), dtype=complex)
-        for j in range(b - a):
-            th = np.matmul(ens.adjoints[omega[:, a + j + 1]], th)
-            buf[:, j] = th[:, :, 0]
-        acc.add(np.matmul(np.ones(b - a), buf))
-        if checked:
-            check()
-    return {
-        "seeds": seeds,
-        "cesaro_theta": acc.total / n_total,
-        "final_theta": th[:, :, 0],
-        "max_overlap_error": err,
-    }
 
 
 @dataclass
@@ -492,7 +436,8 @@ def _pow2_scaled(a: np.ndarray) -> np.ndarray:
 def decay_estimator(ens: RrdoEnsemble, seeds, n_total: int) -> DecayEstimate:
     """Norm series of the strictly-contracting words, with fitted decay rates.
 
-    Needs at least one atom in the simple-gap class. Two passes over each
+    The words decay when some atom is in the simple-gap class, which the
+    decay runner checks; the estimator runs either way. Two passes over each
     run of blocks of the grid (:func:`block_grid`): the block products, scaled by
     powers of two at every step so that they cannot underflow, are chained
     into the word at each block start; then one batched SVD per in-block
@@ -505,8 +450,6 @@ def decay_estimator(ens: RrdoEnsemble, seeds, n_total: int) -> DecayEstimate:
     series, and n0 is the first index from which the envelope bounds the
     whole tail.
     """
-    if not any(ic and p > 0 for ic, p in zip(ens.in_class, ens.probs)):
-        raise EnsembleError("decay estimation needs an in-class atom with positive probability")
     seeds, omega = _start(ens, seeds, n_total)
     _, ends, _ = block_grid(n_total, n_total)
     log_norms = np.empty((len(seeds), n_total))
@@ -576,8 +519,6 @@ def simulate_reverse(
     numbers are bitwise independent of batching, and within the stated
     tolerance of a one-step loop.
     """
-    if not any(ic and p > 0 for ic, p in zip(ens.in_class, ens.probs)):
-        raise EnsembleError("reverse-product analysis needs an in-class atom")
     seeds, omega = _start(ens, seeds, n_total)
     checkpoints, ends, at_checkpoint = block_grid(n_total, checkpoint_every)
     tables = (

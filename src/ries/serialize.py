@@ -3,7 +3,8 @@
 Complex scalars are stored as ``[re, im]`` pairs; matrices are row-major
 nested lists of such pairs. All JSON emitted by this package is written
 with sorted keys and a fixed float format so identical inputs give
-byte-identical files.
+byte-identical files, and is standard JSON: a float that is NaN or
+infinite is written as null.
 """
 
 from __future__ import annotations
@@ -77,9 +78,21 @@ def _first_bad_entry(data: Any, name: str) -> str:
     return f"{name}: expected a matrix, as nested lists of [re, im] pairs"
 
 
+def _finite_or_null(obj: Any) -> Any:
+    """`obj` with every non-finite float replaced by None, which JSON writes as null."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(value) for value in obj]
+    return obj
+
+
 def dump_json(obj: Any, path: str) -> None:
+    """Standard JSON: a NaN or infinite float is written as null, never as a NaN token."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
+        json.dump(_finite_or_null(obj), fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 

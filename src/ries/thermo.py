@@ -39,15 +39,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .ensemble import SWEEP_ENTRIES, EnsembleError, RrdoEnsemble, block_grid, theta_closed_form
+from .ensemble import SWEEP_ENTRIES, EnsembleError, RrdoEnsemble, block_grid
 from .linalg import KahanAccumulator, dag, unvec, vec
-from .model import (
-    ProbeSpec,
-    SystemSpec,
-    energy_terms,
-    reduce_windows,
-    reduced_heisenberg_maps,
-)
+from .model import SystemSpec, reduce_windows
 
 
 @dataclass
@@ -124,7 +118,7 @@ def _rho_plus(ens: RrdoEnsemble) -> np.ndarray:
 
     <theta, vec(X rho_s^(1/2))> = Tr[rho_+ X] for every system matrix X.
     """
-    return unvec(ens.psi_s) @ dag(unvec(theta_closed_form(ens)))
+    return unvec(ens.psi_s) @ dag(unvec(ens.routes["theta_projector"]))
 
 
 def ergodic_instant_limit(ens: RrdoEnsemble, fam: InstantObservableFamily) -> complex:
@@ -201,15 +195,6 @@ def ergodic_instant_monte_carlo(
     per_seed = _cesaro_means(ens, ens.adjoints, ens.psi_s, table, fam.width, seeds, n_total)[:, 0]
     mean, stderr = _mean_stderr(per_seed)
     return {"mean": complex(mean), "stderr": float(np.abs(stderr)), "per_seed": per_seed}
-
-
-def atom_flux_matrix(system: SystemSpec, probe: ProbeSpec) -> np.ndarray:
-    """Per-encounter energy flux matrix on the system.
-
-    E_rho_E[(H_S + V) - W* (H_S + V) W]; its steady-state expectation is the
-    energy handed to the chain per step.
-    """
-    return energy_terms(system, [probe], reduced_heisenberg_maps(system, [probe]))[2][0]
 
 
 def energy_tables(ens: RrdoEnsemble) -> tuple[np.ndarray, np.ndarray]:

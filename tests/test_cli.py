@@ -192,6 +192,7 @@ def test_cli_exit_codes(tmp_path, model_doc, ensemble_doc):
         {"experiment": "fluxes", "ensemble": ensemble_doc, "monte_carlo": "no"},
         {"experiment": "instant", "ensemble": ensemble_doc, "a_s": a_s},
         {"experiment": "instant", "ensemble": ensemble_doc, "family": "probe_energy", "a_s": a_s},
+        {"experiment": "classify", "model": model_doc, "psi_s": [[1.0, 0.0]]},
         # Monte Carlo with one seed has no standard error
         {"experiment": "instant", "ensemble": ensemble_doc, "seeds": [3]},
         {"experiment": "fluxes", "ensemble": ensemble_doc, "seeds": [3]},
@@ -239,7 +240,7 @@ def test_cli_exit_codes(tmp_path, model_doc, ensemble_doc):
     assert main(["run", str(huge), "--out", str(tmp_path)]) == 3
 
     failing = tmp_path / "failing.json"
-    # an all-unitary ensemble cannot satisfy the decay precondition
+    # an all-unitary ensemble has no in-class atom: a failed check, with its report
     probe0 = ries.ProbeSpec(
         dim_e=2, h_e=probe.h_e, beta_e=probe.beta_e, v=0.0 * probe.v, tau=probe.tau
     )
@@ -251,7 +252,9 @@ def test_cli_exit_codes(tmp_path, model_doc, ensemble_doc):
         },
         str(failing),
     )
+    (tmp_path / "summary.json").unlink(missing_ok=True)
     assert main(["run", str(failing), "--out", str(tmp_path)]) == 1
+    assert json.loads((tmp_path / "summary.json").read_text())["checks"]["in_class_atom"] is False
 
 
 def test_oracle_check_fails_on_non_finite_residual(tmp_path, model_doc, monkeypatch):
@@ -368,7 +371,7 @@ def test_ergodic_csv_bound_uses_coefficient(tmp_path, ensemble_doc):
 
 
 def test_theta_computed_once_per_ensemble(tmp_path, ensemble_doc, monkeypatch):
-    """theta_closed_form, both closed forms and an ergodic run share one theta_routes."""
+    """The runners' theta checks, both closed forms and an ergodic run share one theta_routes."""
     calls = {"theta_routes": 0}
     orig = ries.ensemble.theta_routes
 
@@ -378,12 +381,12 @@ def test_theta_computed_once_per_ensemble(tmp_path, ensemble_doc, monkeypatch):
 
     monkeypatch.setattr(ries.ensemble, "theta_routes", counted)
     ens = ries.ensemble.ensemble_from_json(ensemble_doc)
-    ries.ensemble.theta_closed_form(ens)
+    ries.cli._theta_checks(ens)
     ries.flux_closed_form(ens)
     ries.ergodic_instant_limit(ens, ries.thermo.identity_family(ens))
-    ries.ensemble.theta_closed_form(ens)
+    ries.cli._theta_checks(ens)
     assert calls == {"theta_routes": 1}
-    # the ergodic runner reads the routes and simulate_forward reads theta: one call
+    # the ergodic runner's checks read the routes and simulate_forward reads theta: one call
     cfg = validate_config({"experiment": "ergodic", "ensemble": ensemble_doc, "n_total": 200})
     assert run(cfg, out=str(tmp_path))["passed"]
     assert calls == {"theta_routes": 2}
@@ -452,7 +455,8 @@ def test_sigma_floor_used_is_reported(tmp_path, ensemble_doc):
 
 
 def test_flux_checks_need_finite_stderr(tmp_path, ensemble_doc, monkeypatch):
-    """One Monte Carlo seed gives an infinite stderr, which must not pass 3 sigma."""
+    """One Monte Carlo seed gives an infinite stderr, which must not pass 3 sigma;
+    the summary, standard JSON, writes it as null."""
     real = ries.cli.flux_monte_carlo
     monkeypatch.setattr(
         "ries.cli.flux_monte_carlo", lambda ens, seeds, *a, **kw: real(ens, seeds[:1], *a, **kw)
@@ -461,7 +465,7 @@ def test_flux_checks_need_finite_stderr(tmp_path, ensemble_doc, monkeypatch):
     dump_json({"experiment": "fluxes", "ensemble": ensemble_doc, "n_total": 500}, str(path))
     assert main(["run", str(path), "--out", str(tmp_path)]) == 1
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["payload"]["monte_carlo"]["de_stderr"] == float("inf")
+    assert summary["payload"]["monte_carlo"]["de_stderr"] is None
     assert summary["checks"]["mc_de_within_3_sigma"] is False
     assert summary["checks"]["mc_ds_within_3_sigma"] is False
 
@@ -744,16 +748,15 @@ def test_ergodic_distance_check_trips_on_scaled_distances(tmp_path, monkeypatch)
     assert summary["checks"]["theta_routes_agree"] is True
 
 
-def test_ergodic_routes_check_trips_on_mismatch(tmp_path, monkeypatch, capsys):
-    """Mutation: a theta-route mismatch of 1e-6 ends the demo ergodic run with rc 1.
-    theta_closed_form raises on any mismatch past 1e-10 before the summary is
-    written, so `theta_routes_agree` is never reported false."""
+def test_ergodic_routes_check_trips_on_mismatch(tmp_path, monkeypatch):
+    """Mutation: a theta-route mismatch of 1e-6 fails `theta_routes_agree` on the demo
+    ergodic config with rc 1 and a written summary; the other checks still hold."""
     real = ries.ensemble.theta_routes
     monkeypatch.setattr(ries.ensemble, "theta_routes", lambda ens: {**real(ens), "mismatch": 1e-6})
-    out = tmp_path / "out"
-    assert main(["run", os.path.join(DEMO_CONFIGS, "ergodic.json"), "--out", str(out)]) == 1
-    assert "theta routes disagree by 1.000e-06" in capsys.readouterr().err
-    assert not (out / "summary.json").exists()
+    rc, summary = _run_summary(os.path.join(DEMO_CONFIGS, "ergodic.json"), tmp_path)
+    assert rc == 1 and summary["checks"]["theta_routes_agree"] is False
+    assert summary["payload"]["theta_mismatch"] == 1e-6
+    assert all(ok for name, ok in summary["checks"].items() if name != "theta_routes_agree")
 
 
 def test_decay_check_trips_on_nonpositive_alpha(tmp_path, monkeypatch):
@@ -840,9 +843,60 @@ def test_decay_check_trips_on_mean_out_of_class(tmp_path, monkeypatch):
     assert summary["checks"]["alpha_positive_all_seeds"] is True
 
 
+def _uncoupled(node):
+    """A copy of `node` with every interaction operator `v` below it zeroed."""
+    if isinstance(node, list):
+        return [_uncoupled(x) for x in node]
+    if not isinstance(node, dict):
+        return node
+    out = {k: _uncoupled(v) for k, v in node.items()}
+    if "v" in out:
+        out["v"] = [[[0.0, 0.0]] * len(row) for row in node["v"]]
+    return out
+
+
+def _strict_json(text: str):
+    """Parse standard JSON only: a NaN or Infinity token raises."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize(
+    "name, hypothesis",
+    [
+        ("ergodic", "mean_in_class"),
+        ("instant", "mean_in_class"),
+        ("fluxes", "mean_in_class"),
+        ("decay", "in_class_atom"),
+        ("reverse", "in_class_atom"),
+        ("ideal", "in_class"),
+    ],
+)
+def test_uncoupled_demo_fails_its_hypothesis_with_a_report(tmp_path, capsys, name, hypothesis):
+    """The demo qubit ensemble (or the ideal model) with every coupling zeroed breaks
+    the theorems' hypotheses: rc 1, a written standard-JSON summary, and the named
+    hypothesis check false; no exit 4 and no traceback. `n_total` is lowered to 500
+    only to bound the runtime."""
+    doc = _uncoupled(json.loads(Path(DEMO_CONFIGS, f"{name}.json").read_text()))
+    if "n_total" in doc:
+        doc["n_total"] = min(doc["n_total"], 500)
+    path = tmp_path / "uncoupled.json"
+    dump_json(doc, str(path))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    summary = _strict_json((out / "summary.json").read_text())
+    assert summary["passed"] is False and summary["checks"][hypothesis] is False
+    if name == "ergodic":  # the Neumann sum is not taken: an inf mismatch, written as null
+        assert summary["payload"]["theta_mismatch"] is None
+
+
 def test_internal_error_exits_4_without_traceback(tmp_path, capsys, monkeypatch):
-    """An exception that is neither a config error, a capacity guard nor a theorem
-    failure is a defect of the program: exit 4 and one line, no traceback."""
+    """An exception that is neither a config error nor a capacity guard is a defect
+    of the program: exit 4 and one line, no traceback."""
 
     def broken(cfg, inputs, out):
         raise ValueError("a defect")

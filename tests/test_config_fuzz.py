@@ -2,9 +2,12 @@
 
 Hypothesis mutates the ten demo configs: it drops, retypes and misspells keys
 at every level, puts NaN, inf or a 3-number entry into a matrix (or NaN or
-inf in place of a number), bends a matrix's shape and repeats a seed. For
+inf in place of a number), zeroes a number (a zero tau or coupling entry can
+break a theorem's hypothesis), bends a matrix's shape and repeats a seed. For
 every mutant, `ries validate` exits 2 exactly when `ries run` does, neither
-exits 4 (internal error), and neither prints a traceback.
+exits 4 (internal error), and neither prints a traceback. A run that exits 1
+has written its summary with at least one false check, and one that exits 0
+a summary whose checks are all true.
 
 Before mutating, each config's `n_total` is lowered to 50, only to bound the
 runtime of the runs; the mutations themselves do not depend on it.
@@ -78,7 +81,7 @@ def mutants(draw):
     numbers = [p for p, v in paths if _is_number(v)]
     matrices = [p for p, v in paths if _is_matrix(v)]
     pairs = [p for p, v in paths if _is_pair(v)]
-    kinds = ["drop", "retype", "misspell", "non_finite", "three_numbers", "bend"]
+    kinds = ["drop", "retype", "misspell", "non_finite", "zero", "three_numbers", "bend"]
     if "seeds" in doc:
         kinds.append("repeat_seed")
     kind = draw(st.sampled_from(kinds))
@@ -95,6 +98,9 @@ def mutants(draw):
     elif kind == "non_finite":
         path = draw(st.sampled_from(numbers))
         _get(doc, path[:-1])[path[-1]] = draw(st.sampled_from((math.nan, math.inf, -math.inf)))
+    elif kind == "zero":
+        path = draw(st.sampled_from(numbers))
+        _get(doc, path[:-1])[path[-1]] = 0.0
     elif kind == "three_numbers":
         _get(doc, draw(st.sampled_from(pairs))).append(0.0)
     elif kind == "bend":
@@ -131,7 +137,13 @@ def test_validate_and_run_agree_on_mutated_demo_configs(mutant):
             json.dump(doc, fh)
         rc_validate, err_validate = _cli("validate", path)
         rc_run, err_run = _cli("run", path, "--out", os.path.join(tmp, "out"))
+        if rc_run in (0, 1):
+            checks = json.loads(Path(tmp, "out", "summary.json").read_text())["checks"]
     assert rc_validate in (0, 2), (name, kind, err_validate)
+    if rc_run == 0:
+        assert all(checks.values()), (name, kind, checks)
+    if rc_run == 1:
+        assert not all(checks.values()), (name, kind, checks)
     assert (rc_validate == 2) == (rc_run == 2), (name, kind, rc_validate, rc_run, err_validate, err_run)
     assert rc_run != 4, (name, kind, err_run)
     assert "Traceback" not in err_validate + err_run

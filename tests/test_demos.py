@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from ries.cli import run, validate_config
+from ries.serialize import dump_json
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "demos" / "configs").glob("*.json"))
@@ -54,7 +55,14 @@ def test_energy_entropy_fluxes_demo():
     assert float(jump_diff.group(1)) <= 1e-12
 
 
+def _reject(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
 @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
 def test_demo_config_runs_and_passes(path, tmp_path):
+    """Every check passes, and the summary as written is standard JSON."""
     report = run(validate_config(json.loads(path.read_text())), out=str(tmp_path))
     assert report["passed"], report["checks"]
+    dump_json(report, str(tmp_path / "summary.json"))
+    json.loads((tmp_path / "summary.json").read_text(), parse_constant=_reject)

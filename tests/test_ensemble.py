@@ -8,13 +8,13 @@ import scipy.linalg
 from dense_reference import model_to_json, per_atom_presample, per_pair_energy_tables
 
 import ries
+from ries.cli import _theta_checks, main
 from ries.ensemble import (
     EnsembleError,
     RrdoEnsemble,
     block_grid,
     ensemble_from_json,
     mean_rdo,
-    theta_closed_form,
     theta_routes,
     trajectory_rng,
 )
@@ -79,13 +79,13 @@ def test_sampling_frequencies(reference_ensemble):
 def test_theta_deterministic_equals_psi(qubit_model, qubit_rdo):
     system, probe = qubit_model
     ens = RrdoEnsemble.from_models(system, [(1.0, probe)])
-    theta = theta_closed_form(ens)
+    theta = ens.routes["theta_projector"]
     assert np.allclose(theta, decompose(qubit_rdo).psi, atol=1e-10)
 
 
 def test_theta_diagonal_ensemble():
     ens = _diag_ensemble([(0.5, [1, 0.5]), (0.5, [1, 0.2])])
-    assert np.allclose(theta_closed_form(ens), [1.0, 0.0], atol=1e-12)
+    assert np.allclose(ens.routes["theta_projector"], [1.0, 0.0], atol=1e-12)
 
 
 def test_theta_routes_agree(reference_ensemble):
@@ -96,10 +96,17 @@ def test_theta_routes_agree(reference_ensemble):
 
 
 def test_theta_routes_diverge_for_unitary_ensemble():
+    """A unitary E[M] is out of the class, which the runners' theta checks report;
+    at spr(E[M_Q]) >= 1 the Neumann sum is not taken and the mismatch is inf."""
     m = np.diag([1.0, np.exp(0.3j)])
     ens = RrdoEnsemble.from_matrices(np.array([1.0, 0.0]), [(1.0, m)])
-    with pytest.raises(EnsembleError):
-        theta_closed_form(ens)
+    assert abs(ens.routes["spr_mean_mq"] - 1.0) < 1e-15
+    assert _theta_checks(ens)["mean_in_class"] is False
+    outward = RrdoEnsemble.from_matrices(np.array([1.0, 0.0]), [(1.0, np.diag([1.0, -1.0]))])
+    routes = theta_routes(outward)
+    assert routes["spr_mean_mq"] >= 1.0
+    assert routes["mismatch"] == routes["neumann_tail_bound"] == np.inf
+    assert np.isnan(routes["theta_neumann"]).all()
 
 
 def test_simulate_forward_deterministic(qubit_model):
@@ -117,16 +124,6 @@ def test_simulate_forward_reference(reference_ensemble):
     assert rep.max_invariance_drift[0] < 1e-8
 
 
-def test_simulate_theta_consistency(reference_ensemble):
-    theta = theta_closed_form(reference_ensemble)
-    out = ries.simulate_theta(reference_ensemble, range(10), 20_000)
-    assert out["max_overlap_error"].max() < 1e-8
-    means = out["cesaro_theta"]
-    agg = np.mean(means, axis=0)
-    spread = np.std([np.linalg.norm(m - theta) for m in means])
-    assert np.linalg.norm(agg - theta) <= 3 * max(spread / np.sqrt(10), 1e-12)
-
-
 def test_decay_deterministic_rate(qubit_model, qubit_rdo):
     system, probe = qubit_model
     ens = RrdoEnsemble.from_models(system, [(1.0, probe)])
@@ -135,11 +132,18 @@ def test_decay_deterministic_rate(qubit_model, qubit_rdo):
     assert abs(est.alpha[0] - (-np.log(spr))) <= 0.1 * abs(np.log(spr))
 
 
-def test_decay_needs_in_class_atom(qubit_model, uncoupled_probe):
+def test_decay_needs_in_class_atom(tmp_path, qubit_model, uncoupled_probe):
+    """Without an in-class atom the estimator still runs; the decay runner reports
+    the missing hypothesis as a false `in_class_atom` check, with rc 1."""
     system, _ = qubit_model
     ens = RrdoEnsemble.from_models(system, [(1.0, uncoupled_probe)])
-    with pytest.raises(EnsembleError):
-        ries.decay_estimator(ens, 0, 100)
+    assert np.isfinite(ries.decay_estimator(ens, 0, 100).log_norms).all()
+    atoms = [{"p": 1.0, "model": model_to_json(system, uncoupled_probe)}]
+    path = tmp_path / "decay.json"
+    path.write_text(json.dumps({"experiment": "decay", "ensemble": {"atoms": atoms}, "n_total": 100}))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 1
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["checks"]["in_class_atom"] is False
 
 
 def test_reverse_deterministic_neumann(qubit_model, qubit_rdo):
@@ -153,7 +157,7 @@ def test_reverse_deterministic_neumann(qubit_model, qubit_rdo):
 
 
 def test_reverse_mean_eta_equals_theta(reference_ensemble):
-    theta = theta_closed_form(reference_ensemble)
+    theta = reference_ensemble.routes["theta_projector"]
     etas = ries.simulate_reverse(reference_ensemble, range(30), 400).eta
     mean_eta = np.mean(etas, axis=0)
     spread = np.std([np.linalg.norm(e - theta) for e in etas]) / np.sqrt(30)
@@ -465,12 +469,9 @@ def test_ensemble_psi_s_shared_without_relative_slack():
 # engine replaced, kept as references. The blocked kernels multiply and sum
 # in another order, so they match the loops to the tolerances below, each
 # about 100x the largest deviation measured on these tests (the measured
-# value follows each one), and never looser than 1e-10 absolute. Where the
-# arithmetic is unchanged (theta_n itself and its overlap checks) they must
-# be equal.
+# value follows each one), and never looser than 1e-10 absolute.
 FORWARD_DISTANCE_ATOL = 2e-13  # measured 1.4e-15
 FORWARD_DRIFT_ATOL = 1e-11  # measured 9.0e-14
-THETA_CESARO_ATOL = 2e-14  # measured 2.2e-16
 DECAY_LOG_NORM_ATOL = 1e-10  # measured 1.4e-12 (log norms down to about -780)
 REVERSE_RESIDUAL_ATOL = 1e-11  # measured 9.3e-14
 REVERSE_RATIO_ATOL = 3e-14  # measured 2.8e-16
@@ -480,8 +481,7 @@ LYAPUNOV_ATOL = 2e-14  # measured 1.7e-16
 
 def _forward_loop(ens, seed, n_total, checkpoint_every):
     omega = trajectory_rng(seed).choice(ens.n_atoms, size=n_total, p=ens.probs)
-    theta = theta_closed_form(ens)
-    limit = np.outer(ens.psi_s, theta.conj())
+    limit = np.outer(ens.psi_s, ens.routes["theta_projector"].conj())
     psi_prod = np.eye(ens.dim, dtype=complex)
     acc = KahanAccumulator((ens.dim, ens.dim))
     checkpoints, distances = [], []
@@ -494,21 +494,6 @@ def _forward_loop(ens, seed, n_total, checkpoint_every):
             distances.append(np.linalg.norm(acc.mean - limit, "fro"))
             drift = max(drift, float(np.linalg.norm(psi_prod @ ens.psi_s - ens.psi_s)))
     return np.array(checkpoints), np.array(distances), drift
-
-
-def _theta_loop(ens, seed, n_total):
-    omega = trajectory_rng(seed).choice(ens.n_atoms, size=n_total, p=ens.probs)
-    th = ens.psi_omega[omega[0]].copy()
-    acc = KahanAccumulator(ens.dim)
-    acc.add(th)
-    max_overlap_err = abs(np.vdot(ens.psi_s, th) - 1.0)
-    for n in range(1, n_total):
-        th = ens.adjoints[omega[n]] @ th
-        acc.add(th)
-        if n % 1000 == 0:
-            max_overlap_err = max(max_overlap_err, abs(np.vdot(ens.psi_s, th) - 1.0))
-    max_overlap_err = max(max_overlap_err, abs(np.vdot(ens.psi_s, th) - 1.0))
-    return acc.mean, th, float(max_overlap_err)
 
 
 def _decay_loop(ens, seed, n_total):
@@ -575,7 +560,7 @@ def _assert_log_norms_match(got, want, atol=DECAY_LOG_NORM_ATOL, rtol=0.0):
 
 
 def _assert_kernels_match_loops(ens, seeds, n_total, every):
-    """All five batched kernels against the per-seed loops, at the stated tolerances.
+    """All four batched kernels against the per-seed loops, at the stated tolerances.
 
     Lyapunov re-orthonormalizes at most every 10 steps (the CLI default) here:
     over a much longer interval the loop itself loses gamma_2 to rounding on
@@ -583,7 +568,6 @@ def _assert_kernels_match_loops(ens, seeds, n_total, every):
     """
     reorth = min(every, 10)
     fwd = ries.simulate_forward(ens, seeds, n_total, checkpoint_every=every)
-    theta = ries.simulate_theta(ens, seeds, n_total)
     dec = ries.decay_estimator(ens, seeds, n_total)
     rev = ries.simulate_reverse(ens, seeds, n_total, checkpoint_every=every)
     lya = ries.lyapunov(ens, seeds, n_total, reorth_every=reorth)
@@ -593,10 +577,6 @@ def _assert_kernels_match_loops(ens, seeds, n_total, every):
         assert np.array_equal(fwd.checkpoints, checkpoints)
         close(fwd.distances[s], distances, rtol=0, atol=FORWARD_DISTANCE_ATOL)
         close(fwd.max_invariance_drift[s], drift, rtol=0, atol=FORWARD_DRIFT_ATOL)
-        cesaro, final, overlap = _theta_loop(ens, seed, n_total)
-        close(theta["cesaro_theta"][s], cesaro, rtol=0, atol=THETA_CESARO_ATOL)
-        assert np.array_equal(theta["final_theta"][s], final)
-        assert theta["max_overlap_error"][s] == overlap
         _assert_log_norms_match(dec.log_norms[s], _decay_loop(ens, seed, n_total))
         checkpoints, residuals, ratios, eta = _reverse_loop(ens, seed, n_total, every)
         assert np.array_equal(rev.checkpoints, checkpoints)
@@ -605,7 +585,6 @@ def _assert_kernels_match_loops(ens, seeds, n_total, every):
         close(rev.eta[s], eta, rtol=0, atol=REVERSE_ETA_ATOL)
         want = _lyapunov_loop(ens, seed, n_total, reorth)
         close((lya.gamma_1[s], lya.gamma_2[s], lya.gap[s]), want, rtol=0, atol=LYAPUNOV_ATOL)
-    return fwd, theta, dec, rev, lya
 
 
 def _wide_ensemble():
@@ -623,9 +602,8 @@ def _wide_ensemble():
 def test_batched_kernels_match_per_seed_loops(case, reference_ensemble):
     """Blocked, seed-batched kernels match the per-seed loops (GNS dim 4 and 9).
 
-    2600 steps take the theta check past two 1000-step marks; a checkpoint
-    interval of 7 leaves a partial last block. Two-step runs make the
-    checks at theta_0 and at the first checkpoint count.
+    A checkpoint interval of 7 leaves a partial last block in 2600 steps;
+    two-step runs make the first checkpoint count.
     """
     ens = reference_ensemble if case == "qubit" else _wide_ensemble()
     assert ens.dim == (4 if case == "qubit" else 9)
@@ -680,9 +658,6 @@ def test_batched_kernels_independent_of_batch(reference_ensemble):
     fwd = [ries.simulate_forward(ens, seeds, n_total, 50) for seeds in (short, long)]
     assert np.array_equal(fwd[0].distances, fwd[1].distances[:2])
     assert np.array_equal(fwd[0].max_invariance_drift, fwd[1].max_invariance_drift[:2])
-    theta = [ries.simulate_theta(ens, seeds, n_total) for seeds in (short, long)]
-    for key in ("cesaro_theta", "final_theta", "max_overlap_error"):
-        assert np.array_equal(theta[0][key], theta[1][key][:2])
     dec = [ries.decay_estimator(ens, seeds, n_total) for seeds in (short, long)]
     assert np.array_equal(dec[0].log_norms, dec[1].log_norms[:2])
     assert dec[0].to_json() == dec[1].to_json()[:2]

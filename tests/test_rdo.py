@@ -1,14 +1,18 @@
+import json
+
 import numpy as np
 import pytest
 from dense_reference import (
     gns_dual_norm,
     gns_norm,
+    model_to_json,
     product_trace,
     random_complex_matrix,
     sampled_power_bound,
 )
 
 import ries
+from ries.cli import main
 from ries.ensemble import EnsembleError, RrdoEnsemble
 from ries.linalg import dag
 from ries.rdo import Rdo, RdoValidationError, decompose, ideal_asymptotics
@@ -136,10 +140,15 @@ def test_ideal_asymptotics_one_step():
     assert res.errors.max() < 1e-13
 
 
-def test_ideal_asymptotics_requires_class(qubit_model, uncoupled_probe):
-    rdo = ries.rdo_from_model(qubit_model[0], uncoupled_probe)
-    with pytest.raises(RdoValidationError):
-        ideal_asymptotics(rdo)
+def test_ideal_asymptotics_requires_class(tmp_path, qubit_model, uncoupled_probe):
+    """Out of the class M^n need not converge to P_1: the asymptotics still run,
+    and the ideal runner reports the hypothesis as a false `in_class` check, rc 1."""
+    system = qubit_model[0]
+    assert ideal_asymptotics(ries.rdo_from_model(system, uncoupled_probe)).errors[-1] > 1e-8
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps({"experiment": "ideal", "model": model_to_json(system, uncoupled_probe)}))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 1
+    assert json.loads((tmp_path / "summary.json").read_text())["checks"]["in_class"] is False
 
 
 def test_ideal_asymptotics_qubit_rate(qubit_rdo):

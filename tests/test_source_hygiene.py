@@ -9,7 +9,8 @@ convention can grow back, and a window family is data (A_S and a per-slot
 table of B), so ``ries.thermo`` builds no per-tuple window. Probes that skip
 their own checks are built for the presample alone, which checks its draws.
 A config is built into typed inputs in one place, and helpers that only the
-tests use stay out of the package.
+tests use stay out of the package. Only construction and validation code
+raises the library's own errors: a theorem's hypothesis is a runner's check.
 """
 
 import ast
@@ -193,6 +194,38 @@ def test_configs_are_built_in_one_place():
         assert _uses_by_function(cli, name) == {"_load"}, name
     copies = {"_check_model_doc", "_check_presample", "_check_ensemble", "_check_psi_s", "_parse_matrix"}
     assert not _defined(cli) & copies
+
+
+def _raisers(tree: ast.AST, names: set[str], scope: str = "") -> set[str]:
+    """Qualified names of the functions that raise one of `names`, called or bare."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found |= _raisers(node, names, f"{scope}{node.name}.")
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in names:
+                found.add(scope.rstrip(".") or "<module>")
+        else:
+            found |= _raisers(node, names, scope)
+    return found
+
+
+def test_library_errors_only_in_construction_and_validation():
+    """EnsembleError and RdoValidationError reject malformed input while it is built or
+    validated; no kernel raises on a theorem's hypothesis, which the runners check."""
+    allowed = {
+        "ensemble.py:RrdoEnsemble.__init__",
+        "ensemble.py:RrdoEnsemble.from_matrices",
+        "thermo.py:_require_models",
+        "rdo.py:Rdo.__post_init__",
+        "rdo.py:validate",
+        "rdo.py:rank_one_split",
+        "rdo.py:_spectral_projection_one",
+    }
+    names = {"EnsembleError", "RdoValidationError"}
+    raised = {f"{p.name}:{f}" for p in MODULES for f in _raisers(_parse(p), names)}
+    assert raised and raised <= allowed, sorted(raised - allowed)
 
 
 def test_checks_see_every_module():
