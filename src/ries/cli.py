@@ -100,6 +100,9 @@ _SIGMA_FLOOR = 1e-12
 # reverse sigma_2 / sigma_1 ratios at or below this are rounding noise, which
 # the sigma_ratio_rate fit skips
 _SIGMA_RATIO_FLOOR = 1e3 * np.finfo(float).eps
+# a decay rate alpha or a Lyapunov gap must exceed this to count as positive:
+# unitary atoms, which neither decay nor have a gap, read about 1e-16
+_RATE_FLOOR = 1e-12
 _SCHEMAS = {
     "classify": {"tolerances": _TOLERANCES, "model": None, "matrix": None, "psi_s": None},
     "ideal": {"model": None, "n_max": 200},
@@ -380,7 +383,7 @@ def _run_decay(cfg: dict, inputs: dict, out: str) -> tuple[dict, dict]:
         "mean_in_class": bool(mean_report.in_class_e),
     }
     checks = {
-        "alpha_positive_all_seeds": bool(rep.alpha.min() > 0),
+        "alpha_positive_all_seeds": bool(rep.alpha.min() > _RATE_FLOOR),
         "in_class_atom": _in_class_atom(ens),
         "mean_in_class": bool(mean_report.in_class_e),
     }
@@ -428,7 +431,7 @@ def _run_lyapunov(cfg: dict, inputs: dict, out: str) -> tuple[dict, dict]:
     rep = lyapunov(ens, cfg["seeds"], int(cfg["n_total"]), reorth_every=int(cfg["reorth_every"]))
     checks = {
         "gamma1_zero": bool(np.abs(rep.gamma_1).max() <= 2e-3),
-        "gap_positive": bool(rep.gap.min() > 0),
+        "gap_positive": bool(rep.gap.min() > _RATE_FLOOR),
     }
     return {"per_seed": rep.to_json()}, checks
 

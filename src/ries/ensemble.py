@@ -21,6 +21,19 @@ interval, so each seed's results are bitwise independent of batching and
 of which other seeds ran; they are within a stated tolerance of a one-step
 loop (see the tests), not bitwise equal to it.
 
+The matrix kernels step their block products in float64. A complex D x D
+product X is carried as [Re X; Im X], the first column of its real 2D x 2D
+embedding [[Re X, -Im X], [Im X, Re X]] (:func:`ries.linalg.embed`), and
+each step left-multiplies it by the embedded atom matrix, gathered from a
+float64 table that the ensemble builds once, on first use; a product that
+grows on the right steps as its adjoint. The embedding is an exact algebra
+homomorphism, so the products are those of the complex matrices up to
+rounding. Each kernel reads its blocks back as complex once per run of
+blocks (the decay norms once per in-block offset), and its Kahan sums,
+distances, drift, SVDs and QRs stay complex. The vector kernels of
+:mod:`ries.thermo` step in complex, with their step matrices gathered once
+per chunk of steps.
+
 Randomness is counter-based (Philox) and fully reproducible: a seed is
 one realization of the atom sequence, and :meth:`RrdoEnsemble.sample_paths`
 is the one place where it becomes a stream, so a seed's path never depends
@@ -29,6 +42,7 @@ on which other seeds ran.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -37,16 +51,17 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import rdo as rdo_mod
-from .linalg import KahanAccumulator, dag, vec
+from .linalg import KahanAccumulator, dag, embed, readback, vec
 from .model import ProbeSpec, SystemSpec, energy_terms, model_from_json, rdos_from_model, scaled_probes
 from .rdo import Rdo, RdoValidationError, SpectralReport, classify, decompose
 from .serialize import is_int, is_real, matrix_from_json
 
 NEUMANN_TERM_TOL = 1e-14
 NEUMANN_MAX_TERMS = 10_000
-# matrix or vector entries per seed that one run of blocks (see _sweeps), or
-# one buffer of vectors, holds: it bounds a kernel's working set, so that its
-# peak memory stays near that of a one-step loop
+# complex entries per seed that the products of one run of blocks (see
+# _sweeps), or one buffer of vectors, hold: 2048 bytes, a float64 block product
+# holding D**2 of them as its 2D x D embedding column. It bounds a kernel's
+# working set, so that its peak memory stays near that of a one-step loop
 SWEEP_ENTRIES = 128
 
 
@@ -58,6 +73,17 @@ def trajectory_rng(seed: int) -> np.random.Generator:
     """Counter-based generator for one seed; independent across seeds."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def _embedded(name: str) -> cached_property:
+    """The ensemble's stack `name` as float64, built on first use: embed() of each row
+    (:func:`ries.linalg.embed`), a vector row taken as a D x 1 column."""
+
+    def build(ens: "RrdoEnsemble") -> np.ndarray:
+        table = getattr(ens, name)
+        return np.ascontiguousarray(embed(table if table.ndim == 3 else table[:, :, None]))
+
+    return cached_property(build)
 
 
 class RrdoEnsemble:
@@ -76,7 +102,18 @@ class RrdoEnsemble:
     the M* gives the classes, psi(w) and M_Q (:func:`ries.rdo.rank_one_split`),
     and :meth:`from_models` builds every M and Phi as one stack
     (:func:`ries.model.rdos_from_model`). Row k is bitwise atom k's own build.
+
+    The trajectory kernels step on float64 tables, each built once, on first
+    use: ``real_matrices``, ``real_adjoints``, ``real_mq`` and
+    ``real_mq_adjoints`` embed M, M*, M_Q and M_Q*, and ``real_psi_omega``
+    embeds each psi(w) as a 2D x 2 block (:func:`ries.linalg.embed`).
     """
+
+    real_matrices = _embedded("matrices")
+    real_adjoints = _embedded("adjoints")
+    real_mq = _embedded("mq")
+    real_mq_adjoints = _embedded("mq_adjoints")
+    real_psi_omega = _embedded("psi_omega")
 
     def __init__(
         self,
@@ -295,40 +332,51 @@ def _sweeps(
     Yields (run, steps) for runs of at most max(1, SWEEP_ENTRIES // dim**2)
     blocks: `run` holds the run's block indices into `ends`, and each call
     of `steps()` iterates the in-block offsets j = 0, 1, ... of the run.
-    `tables` are (per-atom table, fill) pairs; offset j yields, for each
-    table, the (blocks, S, ...) stack of table[w] at each block's step j,
-    with `fill` in the slots of blocks shorter than j + 1 steps, and the
-    (blocks,) mask of blocks that have a step j (None when all do). The
-    stacks are reused from offset to offset. Indices are converted from the
-    small-dtype paths one run at a time. An identity fill is exact, so a
-    block's numbers do not depend on the run it is stepped in.
+    `tables` are (per-atom table, fill) pairs, the ensemble's float64 step
+    tables; offset j yields one gather per table and the (blocks,) mask of
+    blocks that have a step j (None when all do). A gather returns the
+    (blocks, S, ...) stack of table[w] at each block's step j, with `fill` in
+    the slots of blocks shorter than j + 1 steps. Tables of one shape share
+    one stack, reused from offset to offset, so a gather overwrites the last
+    one of its shape. The run's indices are cut from the small-dtype paths.
+    An identity fill is exact, so a block's numbers do not depend on the run
+    it is stepped in.
     """
-    starts = np.concatenate(([0], ends[:-1]))
 
-    def steps(first: np.ndarray, lengths: np.ndarray) -> Iterator[tuple[list, np.ndarray | None]]:
-        offsets = np.arange(lengths.max())
-        cols = np.minimum(first[:, None] + offsets, omega.shape[1] - 1)
-        indices = np.ascontiguousarray(omega[:, cols].transpose(2, 1, 0), dtype=np.intp)
+    def steps(run: np.ndarray) -> Iterator[tuple[list, np.ndarray | None]]:
+        first = np.where(run > 0, ends[run - 1], 0)
+        lengths = ends[run] - first
+        cols = np.minimum(first[:, None] + np.arange(lengths.max()), omega.shape[1] - 1)
+        indices = np.ascontiguousarray(omega[:, cols].transpose(2, 1, 0))
         short_from = lengths.min()
-        stacks = [np.empty(indices.shape[1:] + table.shape[1:], table.dtype) for table, _ in tables]
-        for j, idx in enumerate(indices):
-            for stack, (table, _) in zip(stacks, tables):
-                np.take(table, idx, axis=0, out=stack, mode="clip")
-            live = None if j < short_from else j < lengths
+        shapes = {table.shape[1:] for table, _ in tables}
+        stacks = {shape: np.empty(indices.shape[1:] + shape) for shape in shapes}
+
+        def gather(table: np.ndarray, fill, idx: np.ndarray, live: np.ndarray | None) -> np.ndarray:
+            stack = table.take(idx, axis=0, out=stacks[table.shape[1:]], mode="clip")
             if live is not None:
-                for stack, (_, fill) in zip(stacks, tables):
-                    stack[~live] = fill
-            yield stacks, live
+                stack[~live] = fill
+            return stack
+
+        for j, idx in enumerate(indices):
+            live = None if j < short_from else j < lengths
+            yield [partial(gather, table, fill, idx, live) for table, fill in tables], live
 
     per = max(1, SWEEP_ENTRIES // ens.dim**2)
     for a in range(0, len(ends), per):
         run = np.arange(a, min(a + per, len(ends)))
-        yield run, partial(steps, starts[run], ends[run] - starts[run])
+        yield run, partial(steps, run)
 
 
-def _identities(ens: RrdoEnsemble, *shape: int) -> np.ndarray:
-    """Read-only stack of identity matrices: the empty products."""
-    return np.broadcast_to(np.eye(ens.dim, dtype=complex), (*shape, ens.dim, ens.dim))
+def _identities(eye: np.ndarray, *shape: int) -> np.ndarray:
+    """Read-only stack of `eye`, the empty products: np.eye(d) for a complex product, or
+    np.eye(2 d, d) = [1; 0] for the first embedding column of a float64 one."""
+    return np.broadcast_to(eye, (*shape, *eye.shape))
+
+
+def _pair(shape: tuple) -> Iterator[np.ndarray]:
+    """Two float64 buffers of `shape`, in turn: the out= of a running product."""
+    return itertools.cycle(np.empty((2, *shape)))
 
 
 def _records(seeds: np.ndarray, **columns: np.ndarray) -> list[dict]:
@@ -355,25 +403,30 @@ def simulate_forward(
     At each checkpoint N the Frobenius distance between the running average
     (1/N) sum Psi_n and the rank-one limit |psi_s><theta| is recorded. The
     blocks of the grid (:func:`block_grid`) are stepped side by side into each
-    block's product P and local prefix sum Q; chaining them adds Psi_a Q to
-    a Kahan sum and moves Psi_a to Psi_a P. Norms are taken slice by slice.
-    Each seed's numbers are bitwise independent of batching, and within the
-    stated tolerance of a one-step loop.
+    block's product P and local prefix sum Q, in float64: P^* = M^*(w_b)...M^*(w_a)
+    steps as the first column of its embedding (:func:`ries.linalg.embed`),
+    left-multiplied by the embedded M^*. Chaining the blocks, read back once
+    per run, adds Psi_a Q to a Kahan sum and moves Psi_a to Psi_a P. Norms are
+    taken slice by slice. Each seed's numbers are bitwise independent of
+    batching, and within the stated tolerance of a one-step loop.
     """
     seeds, omega = _start(ens, seeds, n_total)
     limit = np.outer(ens.psi_s, ens.routes["theta_projector"].conj())
     checkpoints, ends, at_checkpoint = block_grid(n_total, checkpoint_every)
-    psi_prod = _identities(ens, len(seeds))
+    d = ens.dim
+    psi_prod = _identities(np.eye(d, dtype=complex), len(seeds))
     acc = KahanAccumulator(psi_prod.shape)
     distances = np.empty((len(seeds), len(checkpoints)))
     drift = np.zeros(len(seeds))
     c = 0
-    for run, steps in _sweeps(ens, omega, ends, (ens.matrices, np.eye(ens.dim))):
-        prod = _identities(ens, len(run), len(seeds))
-        sums = np.zeros(prod.shape, dtype=complex)  # local prefix sums
+    for run, steps in _sweeps(ens, omega, ends, (ens.real_adjoints, np.eye(2 * d))):
+        prod = _identities(np.eye(2 * d, d), len(run), len(seeds))
+        outs = _pair(prod.shape)
+        sums = np.zeros(prod.shape)  # local prefix sums of the P^*
         for (factor,), live in steps():
-            prod = np.matmul(prod, factor)
+            prod = np.matmul(factor(), prod, out=next(outs))
             sums += prod if live is None else prod * live[:, None, None, None]
+        prod, sums = dag(readback(prod)), dag(readback(sums))
         for b, block in enumerate(run):
             acc.add(np.matmul(psi_prod, sums[b]))
             psi_prod = np.matmul(psi_prod, prod[b])
@@ -423,71 +476,92 @@ def _fit_envelope(log_norms: np.ndarray) -> tuple[float, int, float]:
 
 
 def _pow2_scaled(a: np.ndarray) -> np.ndarray:
-    """Scale each matrix of `a` in place, exactly, by a power of two to a largest entry in [1/2, 1).
+    """Scale each real matrix of `a` in place, exactly, by a power of two to a largest entry in [1/2, 1).
 
     Returns the exponents e with (a before) = 2**e * (a after); a zero matrix
     stays zero with e = 0, and a matrix already scaled is left as it is.
     """
-    _, e = np.frexp(np.abs(a).max(axis=(-2, -1)))
+    _, e = np.frexp(np.maximum(a.max(axis=(-2, -1)), -a.min(axis=(-2, -1))))
     a *= np.ldexp(1.0, -e)[..., None, None]
     return e
+
+
+def _top_singular_values(c: np.ndarray) -> np.ndarray:
+    """sigma_max of each complex Y = A + iB given as the first column [A; B] of its embedding.
+
+    sigma_max^2 is the largest eigenvalue of Y^* Y = A^T A + B^T B + i (A^T B - B^T A).
+    """
+    d = c.shape[-1]
+    ab = np.matmul(c[..., :d, :].swapaxes(-1, -2), c[..., d:, :])
+    gram = np.empty(ab.shape, dtype=complex)
+    np.matmul(c.swapaxes(-1, -2), c, out=gram.real)
+    np.subtract(ab, ab.swapaxes(-1, -2), out=gram.imag)
+    return np.sqrt(np.linalg.eigvalsh(gram)[..., -1])
 
 
 def decay_estimator(ens: RrdoEnsemble, seeds, n_total: int) -> DecayEstimate:
     """Norm series of the strictly-contracting words, with fitted decay rates.
 
     The words decay when some atom is in the simple-gap class, which the
-    decay runner checks; the estimator runs either way. Two passes over each
-    run of blocks of the grid (:func:`block_grid`): the block products, scaled by
-    powers of two at every step so that they cannot underflow, are chained
-    into the word at each block start; then one batched SVD per in-block
-    offset gives the spectral norms, with the words renormalized at every
-    step as a one-step loop would. A word that hits exact zero stays zero,
-    and its log norms are -inf from then on, at the same steps as in a
-    one-step loop; the finite ones are within the stated tolerance of it, and
-    bitwise independent of batching. Per seed, the fitted envelope
-    C e^(-alpha n) comes from a log-linear fit on the second half of the
-    series, and n0 is the first index from which the envelope bounds the
-    whole tail.
+    decay runner checks; the estimator runs either way. Each word W steps in
+    float64 as W^* = M_Q^*(w_n)...M_Q^*(w_1), the first column of its
+    embedding (:func:`ries.linalg.embed`), scaled by a power of two at every
+    step so that it can neither underflow nor overflow: the scale is an exact
+    integer exponent per word. Two passes over each run of blocks of the grid
+    (:func:`block_grid`): the block products are chained into the word at
+    each block start; then, at each in-block offset, the words step on, and
+    their spectral norms are sqrt(lambda_max(W W^*)), one batched eigvalsh.
+    A word that hits exact zero stays zero, and its log norms are -inf from
+    then on, at the same steps as in a one-step loop; the finite ones are
+    within the stated tolerance of it, and bitwise independent of batching.
+    Per seed, the fitted envelope C e^(-alpha n) comes from a log-linear fit
+    on the second half of the series, and n0 is the first index from which
+    the envelope bounds the whole tail.
     """
     seeds, omega = _start(ens, seeds, n_total)
     _, ends, _ = block_grid(n_total, n_total)
+    d = ens.dim
     log_norms = np.empty((len(seeds), n_total))
-    word = _identities(ens, len(seeds))  # the word at the next block start is e**log_scale * word
-    log_scale = np.zeros(len(seeds))
+    word = _identities(np.eye(2 * d, d), len(seeds))  # W^* at the next block start is 2**exp * word
+    exp = np.zeros(len(seeds), dtype=np.int64)
 
     def step_run(run, steps):  # a function, so that the run's stacks go on return
-        nonlocal word, log_scale
-        words = np.empty((len(run), len(seeds), ens.dim, ens.dim), dtype=complex)
-        logs = np.empty(words.shape[:2])
-        words[0], logs[0] = word, log_scale
+        nonlocal word, exp
+        first = np.where(run > 0, ends[run - 1], 0)
+        n_offsets = (ends[run] - first).max()
+        # the words, and the buffer they step into in turn; the first pass steps
+        # the block products in the rows of both that the later words fill after it
+        bufs = np.empty((2, len(run), len(seeds), 2 * d, d))
+        words = bufs[n_offsets % 2]  # the buffer that the first pass does not end in
+        exps = np.empty(words.shape[:2], dtype=np.int64)
+        words[0], exps[0] = word, exp
         if len(run) > 1:  # chain block products into the words at the later block starts
-            prod = _identities(ens, len(run) - 1, len(seeds))
+            prod = _identities(np.eye(2 * d, d), len(run) - 1, len(seeds))
+            outs = itertools.cycle(bufs[:, 1:])
             prod_exp = np.zeros(prod.shape[:2], dtype=np.int64)
             for (factor,), _ in steps():
-                prod = np.matmul(prod, factor[:-1])
+                prod = np.matmul(factor()[:-1], prod, out=next(outs))
                 prod_exp += _pow2_scaled(prod)
             for b in range(1, len(run)):
-                words[b] = np.matmul(words[b - 1], prod[b - 1])
-                logs[b] = logs[b - 1] + (_pow2_scaled(words[b]) + prod_exp[b - 1]) * np.log(2.0)
-            del prod
-        series = []  # (blocks, S) log norms at each in-block offset
-        for (factor,), live in steps():
-            words = np.matmul(words, factor)
-            s = np.linalg.svd(words, compute_uv=False)[..., 0]
+                np.matmul(embed(readback(prod[b - 1])), words[b - 1], out=words[b])
+                exps[b] = exps[b - 1] + prod_exp[b - 1] + _pow2_scaled(words[b])
+        outs = itertools.cycle((bufs[1 - n_offsets % 2], words))
+        for j, ((factor,), live) in enumerate(steps()):
+            words = np.matmul(factor(), words, out=next(outs))
+            exps += _pow2_scaled(words)
+            s = _top_singular_values(words)
             dead = s == 0
             s[dead] = 1.0
-            if live is not None:  # a block past its end keeps its word and scale
-                s[~live] = 1.0
-            logs += np.log(s)
-            series.append(np.where(dead, -np.inf, logs))
-            words /= s[..., None, None]
-        series = np.array(series)
-        for b, (a, z) in enumerate(zip(np.concatenate(([0], ends))[run], ends[run])):
-            log_norms[:, a:z] = series[: z - a, b].T
-        word, log_scale = words[-1].copy(), logs[-1].copy()
+            value = exps * np.log(2.0) + np.log(s)
+            value[dead] = -np.inf
+            cols = first + j
+            if live is None:
+                log_norms[:, cols] = value.T
+            else:  # a block past its end keeps its word
+                log_norms[:, cols[live]] = value[live].T
+        word, exp = words[-1].copy(), exps[-1].copy()
 
-    for run, steps in _sweeps(ens, omega, ends, (ens.mq, np.eye(ens.dim))):
+    for run, steps in _sweeps(ens, omega, ends, (ens.real_mq_adjoints, np.eye(2 * d))):
         step_run(run, steps)
     alpha, n0, log_c = (np.array(x) for x in zip(*map(_fit_envelope, log_norms)))
     return DecayEstimate(seeds, log_norms, alpha, n0, log_c)
@@ -513,35 +587,45 @@ def simulate_reverse(
     lead_k = M_Q^*(w_1)...M_Q^*(w_(k-1)); the residual to
     |psi_s><eta| and the singular-value ratio of Phi_n both decay
     exponentially when decay of the M_Q words holds. The blocks of the grid
-    (:func:`block_grid`) are stepped side by side into their left product, local
-    lead product and local eta sum, then chained; each run of blocks ends in
-    one batched SVD per quantity over the checkpoints it reached. Each seed's
-    numbers are bitwise independent of batching, and within the stated
-    tolerance of a one-step loop.
+    (:func:`block_grid`) are stepped side by side, in float64, into their left
+    product and local lead product, each as the first column of an embedding
+    (:func:`ries.linalg.embed`; the lead product as its adjoint, a left
+    product of the M_Q), and their local eta sum; read back once per run, they
+    are chained. Each run of blocks ends in one batched SVD for the ratios and
+    one batched eigvalsh for the residuals (:func:`_top_singular_values`) over
+    the checkpoints it reached. Each seed's numbers are bitwise independent of
+    batching, and within the stated tolerance of a one-step loop.
     """
     seeds, omega = _start(ens, seeds, n_total)
     checkpoints, ends, at_checkpoint = block_grid(n_total, checkpoint_every)
+    d = ens.dim
     tables = (
-        (ens.matrices, np.eye(ens.dim)),
-        (ens.mq_adjoints, np.eye(ens.dim)),
-        (ens.psi_omega[:, :, None], 0.0),
+        (ens.real_matrices, np.eye(2 * d)),
+        (ens.real_mq, np.eye(2 * d)),
+        (ens.real_psi_omega, 0.0),  # embed(psi(w)), 2D x 2
     )
-    phi = lead = _identities(ens, len(seeds))  # lead = M_Q^*(w_1)...M_Q^*(w_(k-1))
-    eta = np.zeros((len(seeds), ens.dim, 1), dtype=complex)
+    phi = lead = _identities(np.eye(d, dtype=complex), len(seeds))  # lead = M_Q^*(w_1)...M_Q^*(w_(k-1))
+    eta = np.zeros((len(seeds), d, 1), dtype=complex)
     residuals = np.empty((len(seeds), len(checkpoints)))
     ratios = np.zeros((len(seeds), len(checkpoints)))
     c = 0
 
     def step_run(run, steps):  # a function, so that the run's stacks go on return
         nonlocal phi, eta, lead, c
-        left = local_lead = _identities(ens, len(run), len(seeds))
-        local_eta = np.zeros((len(run), len(seeds), ens.dim, 1), dtype=complex)
-        for (factor, lead_factor, psi), _ in steps():
-            left = np.matmul(factor, left)
-            local_eta += np.matmul(local_lead, psi)
-            local_lead = np.matmul(local_lead, lead_factor)
+        left = lead_adj = _identities(np.eye(2 * d, d), len(run), len(seeds))
+        left_outs, lead_outs = _pair(left.shape), _pair(left.shape)
+        local_eta = np.zeros((len(run), len(seeds), d, 2))  # [Re, -Im] of the local eta sum
+        for (factor, mq, psi), _ in steps():
+            left = np.matmul(factor(), left, out=next(left_outs))
+            # lead psi = [A; B]^T embed(psi) for lead^* = A + iB, as [Re, -Im]
+            local_eta += np.matmul(lead_adj.swapaxes(-1, -2), psi())
+            lead_adj = np.matmul(mq(), lead_adj, out=next(lead_outs))
+        del factor, mq, psi  # their stacks go before the read-back
+        left, local_lead = readback(left), dag(readback(lead_adj))
+        local_eta = local_eta[..., :1] - 1j * local_eta[..., 1:]
+        del left_outs, lead_outs, lead_adj
         reached = slice(c, c + at_checkpoint[run].sum())
-        phis = np.empty((len(seeds), reached.stop - c, ens.dim, ens.dim), dtype=complex)
+        phis = np.empty((len(seeds), reached.stop - c, d, d), dtype=complex)
         etas = np.empty(phis.shape[:3], dtype=complex)
         for b, block in enumerate(run):
             phi = np.matmul(left[b], phi)
@@ -550,12 +634,12 @@ def simulate_reverse(
             if at_checkpoint[block]:
                 phis[:, c - reached.start], etas[:, c - reached.start] = phi, eta[:, :, 0]
                 c += 1
-        del left, local_lead, local_eta, factor, lead_factor, psi  # before the SVDs
-        if ens.dim > 1:  # at GNS dim 1 every product is rank one: ratio 0
+        del left, local_lead, local_eta  # before the SVDs
+        if d > 1:  # at GNS dim 1 every product is rank one: ratio 0
             sv = np.linalg.svd(phis, compute_uv=False)
             np.divide(sv[..., 1], sv[..., 0], out=ratios[:, reached], where=sv[..., 0] > 0)
         phis -= ens.psi_s[:, None] * etas.conj()[..., None, :]
-        residuals[:, reached] = np.linalg.svd(phis, compute_uv=False)[..., 0]
+        residuals[:, reached] = _top_singular_values(embed(phis)[..., :d])
 
     for run, steps in _sweeps(ens, omega, ends, *tables):
         step_run(run, steps)
@@ -584,21 +668,26 @@ def lyapunov(
     Psi_n becomes a left multiplication. The blocks of the grid (:func:`block_grid`,
     with the re-orthonormalization interval as checkpoint interval) are
     stepped side by side into their products, which are no longer than an
-    interval; chaining them, one batched QR per re-orthonormalization
-    accumulates every seed's log stretching factors; they are bitwise
+    interval. A block steps in float64 as M^*(w_b)...M^*(w_a), the first
+    column of its embedding (embed(M^*) = embed(M)^T, :func:`ries.linalg.embed`),
+    and is read back and conjugated once per run, since conj(M^*) = M^T.
+    Chaining them, one batched QR per re-orthonormalization accumulates every
+    seed's log stretching factors; they are bitwise
     independent of batching, and within the stated tolerance of a one-step
     loop. The sigma_2 / sigma_1 diagnostic of the reverse product belongs to
     :func:`simulate_reverse`.
     """
     seeds, omega = _start(ens, seeds, n_total)
     _, ends, at_reorth = block_grid(n_total, reorth_every)
-    frame = _identities(ens, len(seeds))
-    log_r = np.zeros((len(seeds), ens.dim))
-    transposed = (ens.matrices.transpose(0, 2, 1), np.eye(ens.dim))
-    for run, steps in _sweeps(ens, omega, ends, transposed):
-        prod = _identities(ens, len(run), len(seeds))
+    d = ens.dim
+    frame = _identities(np.eye(d, dtype=complex), len(seeds))
+    log_r = np.zeros((len(seeds), d))
+    for run, steps in _sweeps(ens, omega, ends, (ens.real_adjoints, np.eye(2 * d))):
+        prod = _identities(np.eye(2 * d, d), len(run), len(seeds))
+        outs = _pair(prod.shape)
         for (factor,), _ in steps():
-            prod = np.matmul(factor, prod)
+            prod = np.matmul(factor(), prod, out=next(outs))
+        prod = np.conjugate(readback(prod))  # M^T(w_b)...M^T(w_a)
         for b, block in enumerate(run):
             frame = np.matmul(prod[b], frame)
             if at_reorth[block]:
@@ -607,7 +696,7 @@ def lyapunov(
                 diag[diag == 0] = np.finfo(float).tiny
                 log_r += np.log(diag)
     exponents = np.sort(log_r / n_total)[:, ::-1]
-    gamma_2 = exponents[:, 1] if ens.dim > 1 else np.full(len(seeds), -np.inf)
+    gamma_2 = exponents[:, 1] if d > 1 else np.full(len(seeds), -np.inf)
     return LyapunovEstimate(seeds, exponents[:, 0], gamma_2, exponents[:, 0] - gamma_2)
 
 

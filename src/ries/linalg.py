@@ -9,6 +9,9 @@ Conventions fixed here and used everywhere else:
   row by row, each row exactly as it would be on its own.
 - Matrix exponentials of Hermitian generators go through an
   eigendecomposition (``expm_hermitian``), never Padé.
+- A complex matrix A has one real form, ``embed(A) = [[Re A, -Im A], [Im A,
+  Re A]]``, and ``readback`` inverts it: the trajectory kernels step their
+  products in float64 in this form.
 """
 
 from __future__ import annotations
@@ -26,6 +29,31 @@ def vec(a: np.ndarray) -> np.ndarray:
     """Column-major vectorization of a square matrix (of each matrix of a stack)."""
     a = np.asarray(a)
     return a.swapaxes(-1, -2).reshape(*a.shape[:-2], -1)
+
+
+def embed(a: np.ndarray) -> np.ndarray:
+    """Real 2D x 2D form [[Re A, -Im A], [Im A, Re A]] of a complex D x D matrix (of each of a stack).
+
+    It is an exact algebra homomorphism: embed(A B) = embed(A) embed(B) and
+    embed(A + B) = embed(A) + embed(B), so a product or sum of embeddings,
+    read back, is the complex product or sum. Also embed(A).T = embed(A*),
+    and the first block column of embed(v[:, None]) is the stacked [Re v; Im v].
+    """
+    re, im = a.real, a.imag
+    return np.block([[re, -im], [im, re]])
+
+
+def readback(x: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`embed`, from the first block column: X[:D, :D] + i X[D:, :D].
+
+    `x` has 2D rows; it is an embedding (2D x 2D, of each of a stack) or
+    stacked [Re; Im] columns (2D x k with k <= D), read back whole.
+    """
+    d = x.shape[-2] // 2
+    k = min(d, x.shape[-1])
+    z = np.empty((*x.shape[:-2], d, k), dtype=complex)
+    z.real, z.imag = x[..., :d, :k], x[..., d:, :k]
+    return z
 
 
 def unvec(v: np.ndarray, d: int | None = None) -> np.ndarray:

@@ -97,8 +97,8 @@ def dump_json(obj: Any, path: str) -> None:
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
+    """A header row and rows of Python ints and floats, byte for byte as ``csv.writer``
+    writes them: each number as its repr, and every line ended by \\r\\n."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
+        csv.writer(fh).writerow(header)
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)

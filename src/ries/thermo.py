@@ -25,9 +25,10 @@ the energy jump when atom j follows atom i is Phi_i(vbar_j) - own_i.
 
 Both Monte Carlo estimators are one seed-batched Cesaro average of the
 pairing of a vector, carried by adjoint one-step maps, with a table over
-the next atoms (:func:`_cesaro_means`). The vectors are stepped one matmul
-per step into per-block buffers, and each buffer is paired and summed in
-one matmul per seed. As in every trajectory kernel, each listed seed is one
+the next atoms (:func:`_cesaro_means`). The step matrices are gathered once
+per chunk of steps, the vectors are stepped one matmul per step straight into
+a time-major block buffer, and each block is paired and summed in one matmul
+per seed. As in every trajectory kernel, each listed seed is one
 realization: its path comes from :meth:`RrdoEnsemble.sample_paths`, so its
 mean is bitwise independent of which other seeds ran, and within the
 stated tolerance of a one-step loop.
@@ -144,33 +145,45 @@ def _cesaro_means(
     decays geometrically, so this removes the O(1/n) bias of the plain
     Cesaro mean without touching its variance. The averaged steps follow
     :func:`ries.ensemble.block_grid`, with blocks of at most SWEEP_ENTRIES / D
-    steps: one matmul per step writes v_n into the block's buffer, one matmul
-    per seed pairs the buffer with its gathered table rows and sums them,
-    and the block sums go into a Kahan sum. Each seed's mean is bitwise
-    independent of batching, and within the stated tolerance of a one-step
-    loop.
+    steps. The step matrices are gathered once per chunk of SWEEP_ENTRIES / D^2
+    steps, rounded up, and one matmul per step writes v_n straight
+    into a time-major buffer; one matmul per seed pairs the block's vectors
+    with its gathered table rows and sums them, and the block sums go into a
+    Kahan sum. Each seed's mean is bitwise independent of batching, and
+    within the stated tolerance of a one-step loop.
     """
     burn = min(n_total // 10, 1000)
-    steps = np.ascontiguousarray(steps)  # gathered once per step
+    steps = np.ascontiguousarray(steps)
     omega = ens.sample_paths(seeds, burn + n_total + width - 1)
     n_seeds, dim = len(omega), len(start)
-    v = np.tile(start.astype(complex)[:, None], (n_seeds, 1, 1))
-    for n in range(burn):
-        v = np.matmul(steps[omega[:, n]], v)
+    chunk = -(-SWEEP_ENTRIES // dim**2)
     _, ends, _ = block_grid(n_total, max(1, SWEEP_ENTRIES // dim))
+    starts = np.concatenate(([0], ends[:-1])) + burn
+    # time-major: while steps a, a + 1, ... are walked, buf[k] holds v_(a+k)
+    buf = np.empty((max(chunk, (ends + burn - starts).max()) + 1, n_seeds, dim, 1), dtype=complex)
+    buf[0] = start[:, None]
+    slots = list(buf)  # its rows, as views made once
+
+    def walk(a: int, b: int) -> None:
+        """v_(a+1), ..., v_b into buf[1 : b - a + 1], from v_a in buf[0]."""
+        for c in range(a, b, chunk):  # one gather of step matrices per chunk of steps
+            for k, step in enumerate(steps[omega[:, c : min(c + chunk, b)].T], c - a):
+                np.matmul(step, slots[k], out=slots[k + 1])
+
+    for a in range(0, burn, chunk):  # the burn-in, a chunk at a time
+        b = min(a + chunk, burn)
+        walk(a, b)
+        buf[0] = buf[b - a]
     acc = KahanAccumulator((n_seeds, tables.shape[2]))
-    for a, b in zip(np.concatenate(([0], ends[:-1])) + burn, ends + burn):
-        buf = np.empty((n_seeds, b - a, dim), dtype=complex)
-        for j in range(b - a):
-            buf[:, j] = v[:, :, 0]
-            v = np.matmul(steps[omega[:, a + j]], v)
+    for a, b in zip(starts, ends + burn):
+        walk(a, b)
+        rows = np.conjugate(buf[: b - a, :, :, 0].transpose(1, 0, 2), order="C").reshape(n_seeds, 1, -1)
+        buf[0] = buf[b - a]
         # flattened tuples of the block in the smallest dtype that holds a table index
         flat = omega[:, a:b].astype(np.min_scalar_type(len(tables)))
         for k in range(1, width):
             flat *= ens.n_atoms
             flat += omega[:, a + k : b + k]
-        rows = buf.reshape(n_seeds, 1, -1)
-        np.conjugate(rows, out=rows)
         acc.add(np.matmul(rows, tables[flat].reshape(n_seeds, rows.shape[2], -1))[:, 0])
     return acc.total / n_total
 

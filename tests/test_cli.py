@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import glob
 import json
@@ -12,7 +13,7 @@ from dense_reference import dumps_json, model_to_json
 
 import ries
 from ries.cli import EXPERIMENTS, ConfigError, main, run, validate_config
-from ries.serialize import dump_json, matrix_from_json, matrix_to_json, vector_to_json
+from ries.serialize import dump_json, matrix_from_json, matrix_to_json, vector_to_json, write_csv
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +34,20 @@ def ensemble_doc(model_doc):
             {"p": 0.5, "model": model_doc},
         ]
     }
+
+
+def test_write_csv_matches_csv_writer(tmp_path):
+    """write_csv gives the bytes that csv.writer gives with every float as its repr,
+    for ints, floats, -inf and nan."""
+    header = ["n", "a", "b"]
+    rows = [[1, 0.1, -np.inf], [2, float("nan"), 1e-300], [30, -0.0, 2.5], [4, 1 / 3, 7]]
+    write_csv(str(tmp_path / "fast.csv"), header, rows)
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_matrix_json_roundtrip(rng):
@@ -873,13 +888,15 @@ def _strict_json(text: str):
         ("decay", "in_class_atom"),
         ("reverse", "in_class_atom"),
         ("ideal", "in_class"),
+        ("lyapunov", "gap_positive"),
     ],
 )
 def test_uncoupled_demo_fails_its_hypothesis_with_a_report(tmp_path, capsys, name, hypothesis):
     """The demo qubit ensemble (or the ideal model) with every coupling zeroed breaks
     the theorems' hypotheses: rc 1, a written standard-JSON summary, and the named
-    hypothesis check false; no exit 4 and no traceback. `n_total` is lowered to 500
-    only to bound the runtime."""
+    check false; no exit 4 and no traceback. Its atoms are unitary, so the Lyapunov
+    gap is rounding, which the stated floor does not pass. `n_total` is lowered to
+    500 only to bound the runtime."""
     doc = _uncoupled(json.loads(Path(DEMO_CONFIGS, f"{name}.json").read_text()))
     if "n_total" in doc:
         doc["n_total"] = min(doc["n_total"], 500)
