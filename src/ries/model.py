@@ -17,10 +17,11 @@ interaction dynamics on a truncated chain (``full_chain_oracle``) against
 which every reduced-picture quantity can be checked at small sizes. The
 oracle alone evolves a dim x dim chain state over the chain's tensor legs,
 grown one leg per step: each probe joins in its Gibbs state at its own
-encounter, and each step unitary and the free evolution of each probe
-already coupled is built and applied to its own legs, so no chain-sized
-unitary is ever formed, and one evolution per m serves every observable of
-a stack.
+encounter, which alone is applied to the chain, on its own legs, so no
+chain-sized unitary is ever formed. A probe's free evolution commutes with
+every later encounter: it is applied once, on the reduced window state, and
+only to the window legs that keep it. One evolution per m serves every
+observable of a stack.
 
 Encounters are built as stacks, one row per probe: :func:`step_unitaries`
 diagonalizes every generator h_s x 1 + 1 x h_e + v of one probe dimension in
@@ -78,9 +79,10 @@ def check_capacity(dims: list[int], window: int = 0, stack: int = 1) -> None:
     `dims` may not hold more than ORACLE_DIM_GUARD^2 entries (one chain: its
     dimension may not exceed ORACLE_DIM_GUARD). The error states the
     estimated peak bytes and, for a chain of S and one probe leg per step,
-    the number of factor applications: the chain grows one leg per step, so
-    step k applies its encounter and the free evolutions of the k - 1 legs
-    coupled before it, m (m + 1) / 2 factors in m steps.
+    the number of factor applications: the chain grows one leg per step and
+    step k applies only the encounter of S with E_k, m encounters in m steps,
+    each touching dim^2 d_S d_E entries per side. The free evolutions of the
+    l kept window legs act on the reduced window state, not on the chain.
     """
     if window > WINDOW_CAPACITY:
         raise CapacityError(f"window capacity guard: l + r = {window} exceeds {WINDOW_CAPACITY}")
@@ -108,12 +110,10 @@ def check_capacity(dims: list[int], window: int = 0, stack: int = 1) -> None:
             f"ORACLE_DIM_GUARD^2 = {ORACLE_DIM_GUARD**2:,}: estimated peak {peak}, "
             f"{per_tuple} per tuple at l + r = {window}"
         )
-    m = len(dims) - 1
-    # a factor on legs of total dim d_leg (d_S * d_E for an encounter) costs dim^2 * d_leg
     raise CapacityError(
         f"chain dimension {dim} exceeds guard {ORACLE_DIM_GUARD}: estimated peak {peak} and "
-        f"m(m+1)/2 = {m * (m + 1) // 2} factor applications g x g* in m = {m} steps, each touching "
-        f"dim^2*d_leg <= {dim * dim * dims[0] * max(dims[1:], default=1):,} entries per side"
+        f"m = {len(dims) - 1} encounters g x g*, each touching "
+        f"dim^2*d_S*d_E <= {dim * dim * dims[0] * max(dims[1:], default=1):,} entries per side"
     )
 
 
@@ -372,66 +372,54 @@ def rdo_from_model(sys: SystemSpec, probe: ProbeSpec) -> "rdo_mod.Rdo":
     return rdos_from_model(sys, [probe])[0]
 
 
-def _apply_to_rows(x: np.ndarray, g: np.ndarray, dims: list[int], legs: list[int]) -> np.ndarray:
-    """(g on `legs`, identity elsewhere) @ x, without building the embedding.
+def _apply_encounter(x: np.ndarray, u: np.ndarray, d: int, e: int) -> np.ndarray:
+    """(u on S and the last leg, identity elsewhere) @ x, without building the embedding.
 
-    `x` is a dim x dim array over the tensor legs `dims`; `legs` is either
-    one leg [j] or the pair [0, k] with k the last leg, matching the factors
-    of the grown chain (a probe's free evolution, or the encounter of S with
-    the probe that joined last). A single leg is one matmul on a view of a
-    C-contiguous `x`. The pair is applied block by block of S's rows: block a
-    of the result is the sum over b of g[(a, .), (b, .)] times block b of `x`,
-    each block a view of `x` whether it holds the state or its transpose,
-    so the pair holds `x`, the result and one block product (1/d_S of an array).
+    `x` is a dim x dim array whose rows are (S, legs between, last leg E),
+    with S of dimension `d` and E of dimension `e`; `u` acts on S x E. It is
+    applied block by block of S's rows: block a of the result is the sum
+    over b of u[(a, .), (b, .)] times block b of `x`, each block a view of
+    `x` whether it holds the state or its transpose, so it holds `x`, the
+    result and one block product (1/d_S of an array).
     """
     dim = x.shape[0]
-    if len(legs) == 1:
-        j = legs[0]
-        outer = int(np.prod(dims[:j], dtype=np.int64))
-        return np.matmul(g, x.reshape(outer, dims[j], -1)).reshape(dim, dim)
-    d, e = dims[0], dims[legs[1]]
-    g, x = g.reshape(d, e, d, e), x.reshape(d, -1, e, dim)  # rows (S, between, E_k)
+    u, x = u.reshape(d, e, d, e), x.reshape(d, -1, e, dim)
     out = np.empty(x.shape, dtype=complex)
     for a in range(d):
-        np.matmul(g[a, :, 0], x[0], out=out[a])
+        np.matmul(u[a, :, 0], x[0], out=out[a])
         for b in range(1, d):
-            out[a] += g[a, :, b] @ x[b]
+            out[a] += u[a, :, b] @ x[b]
     return out.reshape(dim, dim)
 
 
 def _conjugate_by_chain(x: np.ndarray, sys: SystemSpec, probes: list[ProbeSpec]) -> np.ndarray:
-    """W (x x Gibbs_1 x ... x Gibbs_n) W*, W = W_n ... W_1, n = len(probes):
-    the oracle's chain evolution, on the chain grown one leg per step.
+    """U (x x Gibbs_1 x ... x Gibbs_n) U*, U = U_n ... U_1, n = len(probes):
+    the oracle's chain evolution by its encounters alone (the free evolutions
+    are left to :func:`full_chain_expectation`), on the chain grown one leg
+    per step.
 
     `x` is a state on S alone. Just before step k, probe leg E_k joins last,
-    in its Gibbs state, so the legs are [S, E_1, ..., E_k]. Step k couples S
-    with E_k through `probes[k - 1]` while every leg already coupled
-    (E_1 .. E_(k-1)) evolves freely for that step's tau. A leg not yet
-    coupled gets no factor: it is in its Gibbs state, which its free
-    evolution leaves unchanged.
+    in its Gibbs state, so the legs are [S, E_1, ..., E_k], and step k applies
+    the encounter U_k of S with E_k through `probes[k - 1]`. Every U_k and
+    Gibbs state is built once, in stacks (:func:`_encounters`).
 
-    Each local factor g acts on its own legs of `x` only, as g x g*: on the
-    row legs directly, and on the column legs as rows of the transpose,
-    x g* = (conj(g) x^T)^T. The transpose is kept from one step to the next,
-    so each step costs one, and a leg joining the transpose joins as
+    Each U_k acts on its own legs of `x` only, as U_k x U_k*: on the row legs
+    directly, and on the column legs as rows of the transpose,
+    x U_k* = (conj(U_k) x^T)^T. The transpose is kept from one step to the
+    next, so each step costs one, and a leg joining the transpose joins as
     Gibbs_k^T. No chain-sized unitary is formed.
     """
-    dims = [sys.dim_s]
-    transposed = False  # whether `x` currently holds the transpose
-    for k, probe in enumerate(probes, start=1):
-        gibbs_k = probe.gibbs_state()
+    encounters = [None] * len(probes)
+    for rows, us, rho_e in _encounters(sys, probes):
+        for k, u, gibbs_k in zip(rows, us, rho_e):
+            encounters[k] = (u, gibbs_k)
+    d, transposed = sys.dim_s, False  # whether `x` currently holds the transpose
+    for u, gibbs_k in encounters:
         x = np.kron(x, gibbs_k.T if transposed else gibbs_k)
-        dims.append(probe.dim_e)
-        # the encounter first: its result is C-contiguous, so each free evolution after it
-        # is a matmul on a view of x on either side
-        factors = [(step_unitary(sys, probe), [0, k])]
-        for n, coupled in enumerate(probes[: k - 1], start=1):
-            factors.append((expm_hermitian(coupled.h_e, -1j * probe.tau), [n]))
-        for g, legs in factors:
-            x = _apply_to_rows(x, g.conj() if transposed else g, dims, legs)
+        e = gibbs_k.shape[0]
+        x = _apply_encounter(x, u.conj() if transposed else u, d, e)
         x, transposed = x.T, not transposed
-        for g, legs in factors:
-            x = _apply_to_rows(x, g.conj() if transposed else g, dims, legs)
+        x = _apply_encounter(x, u.conj() if transposed else u, d, e)
     return x.T if transposed else x
 
 
@@ -448,15 +436,20 @@ def full_chain_expectation(
 
     `op_window` acts on S x E_(m-l) x ... x E_(m+r), in that tensor order.
     Evolves the state rho_init x (x_k Gibbs_k) of the truncated chain
-    S x E_1 x ... x E_m step by step, growing the chain one leg per step:
-    probe k joins in its Gibbs state just before its own encounter, and at
-    each step the step unitary and the free evolution of every probe already
-    coupled are applied to their own tensor legs of the state. A probe not
-    yet coupled needs no factor, as its Gibbs state commutes with its free
-    evolution. So the r probes after step m are still in their Gibbs states:
-    they are traced out of `op_window` against them, never joined to the
-    state. The evolved state is reduced to S x E_(m-l) x ... x E_m and traced
-    against that reduced operator. No reduced-picture shortcut is used.
+    S x E_1 x ... x E_m, growing the chain one leg per step: probe k joins
+    in its Gibbs state just before its own encounter, which is applied to
+    its own tensor legs (:func:`_conjugate_by_chain`). Step k also evolves
+    every other probe freely for tau_k. A probe not yet coupled needs no
+    factor, as its Gibbs state commutes with its free evolution, so the r
+    probes after step m are traced out of `op_window` against their Gibbs
+    states, never joined to the state. The free evolution of a probe E_n
+    already coupled acts on its leg alone, commutes with every later
+    encounter and so collects into one factor g_n = exp(-i h_(E_n) t_n),
+    t_n = tau_(n+1) + ... + tau_m. E_1 .. E_(m-l-1) are traced out first and
+    need none, as Tr_E[g x g*] = Tr_E[x]; each kept leg E_n (m - l <= n < m)
+    gets its g_n once, as g rho_w g* on the reduced window state rho_w on
+    S x E_(m-l) x ... x E_m, which is traced against that reduced operator.
+    No reduced-picture shortcut is used.
 
     `op_window` is one (D, D) operator, giving a complex, or an (n, D, D)
     stack, giving an (n,) complex array. The evolved state does not depend
@@ -474,7 +467,7 @@ def full_chain_expectation(
     dims = [d] + [p.dim_e for p in steps[:m]]
     check_capacity(dims)
 
-    # U(m) rho U(m)*, U(m) = W_m ... W_1, on rho_init x Gibbs_1 x ... x Gibbs_m
+    # U rho U*, U = U_m ... U_1 the encounters, on rho_init x Gibbs_1 x ... x Gibbs_m
     rho_tot = _conjugate_by_chain(rho_init, sys, steps[:m])
 
     # the evolved window legs are S and the last l + 1 probes: trace out E_1 .. E_(m-l-1)
@@ -482,6 +475,11 @@ def full_chain_expectation(
     after = int(np.prod(dims[m - l :], dtype=np.int64))
     rho_w = np.einsum("apbcpd->abcd", rho_tot.reshape(d, before, after, d, before, after))
     rho_w = rho_w.reshape(d * after, d * after)
+    if l:  # each kept leg E_n, n < m, evolves freely over the steps n + 1 .. m
+        free = [expm_hermitian(steps[n - 1].h_e, -1j * sum(p.tau for p in steps[n:m]))
+                for n in range(m - l, m)]
+        g = reduce(np.kron, [np.eye(d), *free, np.eye(dims[m])])
+        rho_w = g @ rho_w @ dag(g)
     ops = np.asarray(op_window)
     if r:  # Tr_idle[(1 x Gibbs_(m+1) x ... x Gibbs_(m+r)) op], the idle legs' expectation
         idle = reduce(np.kron, [probe.gibbs_state() for probe in steps[m : m + r]])

@@ -257,11 +257,11 @@ def ideal_asymptotics(rdo: Rdo, n_max: int = 200) -> IdealAsymptotics:
     it tracks log spr(M_Q). Outside the class the errors need not decay.
     """
     dec = decompose(rdo)
-    errors = np.empty(n_max)
+    powers = np.empty((n_max, rdo.dim, rdo.dim), dtype=complex)
     power = np.eye(rdo.dim, dtype=complex)
-    for n in range(1, n_max + 1):
-        power = power @ rdo.m
-        errors[n - 1] = spectral_norm(power - dec.p)
+    for n in range(n_max):
+        power = powers[n] = power @ rdo.m
+    errors = np.linalg.svd(powers - dec.p, compute_uv=False)[:, 0]  # descending: the largest
     valid = errors > 1e-13
     if valid.sum() < 2:
         return IdealAsymptotics(errors=errors, fitted_rate=-np.inf, spr_mq=dec.spr_mq)

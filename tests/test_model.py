@@ -169,9 +169,8 @@ def test_oracle_capacity_guard(qubit_model):
     message = str(exc.value)
     assert "chain dimension 8192" in message
     assert f"{3 * 8192**2 * 16 / 2**20:,.0f} MiB" in message
-    # the chain grows one leg per step: 12 encounters and 0 + 1 + ... + 11 free evolutions
-    assert "m(m+1)/2 = 78 factor applications g x g* in m = 12 steps" in message
-    assert f"dim^2*d_leg <= {8192**2 * 4:,} entries" in message
+    # the chain grows one leg per step and applies only its encounters: 12 of them
+    assert f"m = 12 encounters g x g*, each touching dim^2*d_S*d_E <= {8192**2 * 4:,} entries per side" in message
 
 
 def test_oracle_heterogeneous_chain(qubit_model, uncoupled_probe, rng):
@@ -225,14 +224,20 @@ def test_reduce_instant_future_slot_is_scalar(qubit_model, rng):
 
 
 def test_full_chain_matches_dense_reference_on_unequal_legs(rng):
-    """Leg-local evolution on the grown chain equals the dense embedded chain, which
-    evolves every leg from the first step, on legs of dims 3, 2 and 3."""
+    """Encounters on the grown chain and one accumulated free evolution per kept window
+    leg equal the dense embedded chain, which evolves every leg at every step, on legs
+    of dims 3, 2 and 3."""
     system, probes = _mixed_chain(rng)
+    probes.append(
+        ries.ProbeSpec(dim_e=2, h_e=random_hermitian(2, rng), beta_e=0.8, v=random_hermitian(6, rng), tau=0.6)
+    )
     a = _complex_matrix(3, rng)
     rho_init = a @ dag(a) / np.trace(a @ dag(a))
     # (1, 0, 2) and (1, 0, 3): idle legs of unequal dims join after the one step;
-    # (4, 0, 0): all four legs coupled, chain dim 108
-    for m, l, r in ((1, 0, 0), (2, 1, 1), (3, 1, 1), (3, 2, 0), (1, 0, 2), (1, 0, 3), (4, 0, 0)):
+    # (4, 0, 0): all four legs coupled, chain dim 108; (4, 3, 0) and (4, 2, 1): every
+    # kept leg E_n carries its free evolution over the steps n + 1 .. 4, of distinct tau
+    cases = ((1, 0, 0), (2, 1, 1), (3, 1, 1), (3, 2, 0), (1, 0, 2), (1, 0, 3), (4, 0, 0), (4, 3, 0), (4, 2, 1))
+    for m, l, r in cases:
         dims = [3] + [p.dim_e for p in probes[m - l - 1 : m + r]]  # window probes
         op = _complex_matrix(int(np.prod(dims)), rng)  # not Hermitian
         got = full_chain_expectation(system, probes, op, m, l, r, rho_init)
@@ -265,12 +270,12 @@ def test_window_reduction_matches_dense_reference_on_unequal_legs(rng):
 
 
 def test_oracle_builds_every_factor(qubit_model, uncoupled_probe, rng, monkeypatch):
-    """An m-step oracle call builds m step unitaries and, as the chain grows one
-    leg per step, the k - 1 free evolutions of the legs coupled before step k:
-    m (m - 1) / 2 in all. A leg not yet coupled is in its Gibbs state, which its
-    free evolution leaves unchanged, so it gets no factor; nor do the r legs
-    after step m. A stack of n observables shares them (m step unitaries, not n m)."""
-    calls = {"step_unitary": 0, "expm_hermitian": 0}
+    """An m-step oracle call builds its step unitaries as one stack per distinct probe
+    dimension, never one `step_unitary` per step, and one free evolution per kept
+    window leg E_n (m - l <= n < m): l in all, 0 for a system-only observable. A leg
+    traced out needs none, as Tr_E[g x g*] = Tr_E[x], and a leg not yet coupled,
+    in its Gibbs state, none either. A stack of n observables shares them."""
+    calls = {"step_unitary": 0, "step_unitaries": 0, "expm_hermitian": 0}
     for name in calls:
         original = getattr(ries.model, name)
 
@@ -280,16 +285,28 @@ def test_oracle_builds_every_factor(qubit_model, uncoupled_probe, rng, monkeypat
 
         monkeypatch.setattr(ries.model, name, counted)
     system, probe = qubit_model
-    steps = [probe, uncoupled_probe, probe, uncoupled_probe, probe]
-    b_list = tuple(random_hermitian(2, rng) for _ in range(3))
-    m = 4  # K = m + r = 5 probes
-    for a_s in (random_hermitian(2, rng), np.array([random_hermitian(2, rng) for _ in range(3)])):
-        calls.update(step_unitary=0, expm_hermitian=0)
-        obs = ries.ObservableWindow(a_s=a_s, b_list=b_list, l=1, r=1)
-        ries.full_chain_oracle(system, steps, obs, m, system.gibbs_state())
-        assert calls["step_unitary"] == m
-        # each step unitary is itself one expm_hermitian; the rest are free evolutions
-        assert calls["expm_hermitian"] - calls["step_unitary"] == m * (m - 1) // 2 == 6
+    qubit_steps = [probe, uncoupled_probe, probe, uncoupled_probe, probe]
+    mixed_system, mixed_steps = _mixed_chain(rng)  # probe dims 2, 3, 2, 3
+    # (system, steps, m, l, r, distinct probe dims among steps[:m])
+    cases = (
+        (system, qubit_steps, 4, 1, 1, 1),
+        (system, qubit_steps, 5, 0, 0, 1),
+        (mixed_system, mixed_steps, 4, 3, 0, 2),
+        (mixed_system, mixed_steps, 3, 2, 1, 2),
+        (mixed_system, mixed_steps, 4, 0, 0, 2),
+        (mixed_system, mixed_steps[:1], 1, 0, 0, 1),
+    )
+    for sys_, steps, m, l, r, n_dims in cases:
+        d = sys_.dim_s
+        b_list = tuple(random_hermitian(p.dim_e, rng) for p in steps[m - l - 1 : m + r])
+        for a_s in (random_hermitian(d, rng), np.array([random_hermitian(d, rng) for _ in range(3)])):
+            calls.update(step_unitary=0, step_unitaries=0, expm_hermitian=0)
+            obs = ries.ObservableWindow(a_s=a_s, b_list=b_list, l=l, r=r)
+            ries.full_chain_oracle(sys_, steps, obs, m, sys_.gibbs_state())
+            assert calls["step_unitary"] == 0
+            assert calls["step_unitaries"] == n_dims
+            # each stacked build is itself one expm_hermitian; the rest are free evolutions
+            assert calls["expm_hermitian"] - calls["step_unitaries"] == l
 
 
 def test_stacked_oracle_equals_one_call_per_operator(rng):

@@ -14,7 +14,7 @@ from dense_reference import (
 import ries
 from ries.cli import main
 from ries.ensemble import EnsembleError, RrdoEnsemble
-from ries.linalg import dag
+from ries.linalg import dag, random_hermitian, spectral_norm
 from ries.rdo import Rdo, RdoValidationError, decompose, ideal_asymptotics
 
 E1 = np.array([1.0, 0.0])
@@ -149,6 +149,19 @@ def test_ideal_asymptotics_requires_class(tmp_path, qubit_model, uncoupled_probe
     path.write_text(json.dumps({"experiment": "ideal", "model": model_to_json(system, uncoupled_probe)}))
     assert main(["run", str(path), "--out", str(tmp_path)]) == 1
     assert json.loads((tmp_path / "summary.json").read_text())["checks"]["in_class"] is False
+
+
+def test_ideal_asymptotics_errors_equal_one_norm_per_power(qubit_rdo, rng):
+    """The batched SVD gives each error bitwise as one spectral norm per power would,
+    on the qubit RDO (D = 4) and a qutrit one (D = 9)."""
+    system = ries.SystemSpec(dim_s=3, h_s=random_hermitian(3, rng), beta_s=0.6)
+    probe = ries.ProbeSpec(dim_e=2, h_e=random_hermitian(2, rng), beta_e=0.9, v=random_hermitian(6, rng), tau=0.7)
+    for rdo in (qubit_rdo, ries.rdo_from_model(system, probe)):
+        p, power, want = decompose(rdo).p, np.eye(rdo.dim), []
+        for _ in range(60):
+            power = power @ rdo.m
+            want.append(spectral_norm(power - p))
+        assert np.array_equal(ideal_asymptotics(rdo, n_max=60).errors, want)
 
 
 def test_ideal_asymptotics_qubit_rate(qubit_rdo):
