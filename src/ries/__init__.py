@@ -33,8 +33,6 @@ from .model import (
     qubit_exchange_model,
     rdo_from_model,
     reduce_instant,
-    reduced_heisenberg_map,
-    step_unitary,
     system_gns_data,
 )
 from .rdo import classify, ideal_asymptotics, validate
@@ -62,10 +60,8 @@ __all__ = [
     "qubit_exchange_model",
     "rdo_from_model",
     "reduce_instant",
-    "reduced_heisenberg_map",
     "simulate_forward",
     "simulate_reverse",
-    "step_unitary",
     "system_gns_data",
     "theta_routes",
     "validate",

@@ -179,9 +179,11 @@ class RrdoEnsemble:
     def energy_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """Energy-jump and flux tables of model-built atoms, computed once per ensemble.
 
-        ``jump[i, j] = vec(Phi_i(vbar_j) - own_i)`` and ``flux[i] = vec(F_i)``
-        (see :func:`ries.thermo.energy_tables`); one stacked reduction of every
-        atom's encounter builds both (:func:`ries.model.energy_terms`).
+        As column-major system vectors: ``jump[i, j] = vec(Phi_i(vbar_j) - own_i)``
+        is the total-energy jump of a step drawn from atom i followed by atom j,
+        and ``flux[i] = vec(F_i)`` is atom i's flux matrix. One stacked reduction
+        of every atom's encounter builds both (:func:`ries.model.energy_terms`);
+        callers must not write into them.
         """
         vbar, own, flux = map(vec, energy_terms(self.system, self.probes, self.phis))
         jump = np.einsum("iab,jb->ija", self.phis, vbar) - own[:, None, :]
@@ -232,15 +234,20 @@ class RrdoEnsemble:
         beta, then the coupling scale is drawn from ``trajectory_rng(seed)``.
         The draws are validated once, as arrays, and the atoms' probes are
         built from the checked base probe without re-checking each one
-        (:func:`ries.model.scaled_probes`). A range whose bounds or span are
+        (:func:`ries.model.scaled_probes`). A range that is not exactly a low
+        and a high, whose bounds are no finite real numbers or whose span is
         not finite, whose low exceeds its high, or (but for the coupling,
         which scales V and may be negative) whose low is negative, or a draw
         that ProbeSpec would reject, raises ValueError.
         """
         for key, bounds in ranges.items():
-            low, high = bounds["low"], bounds["high"]
-            if not np.isfinite(high - low):
-                raise ValueError(f"{key} range {bounds}: bounds and span must be finite")
+            if not isinstance(bounds, dict):
+                raise ValueError(f"{key} range must be an object with 'low' and 'high', got {bounds!r}")
+            if unknown := sorted(bounds.keys() - {"low", "high"}):
+                raise ValueError(f"unknown {key} range keys: {unknown}")
+            low, high = bounds.get("low"), bounds.get("high")
+            if not (is_real(low) and is_real(high) and math.isfinite(float(high) - float(low))):
+                raise ValueError(f"{key} range {bounds}: bounds and span must be finite real numbers")
             if low > high or (low < 0 and key != "coupling"):
                 raise ValueError(f"{key} range {bounds}: need low <= high, and low nonnegative but for coupling")
         rng = trajectory_rng(seed)
@@ -716,19 +723,21 @@ def ensemble_from_json(doc: dict, where: str = "ensemble") -> RrdoEnsemble:
 
     {"atoms": [{"p": w, "model": {...}}, ...]   # all model-form, one system
      | "atoms": [{"p": w, "matrix": [...]}, ...], "psi_s": [[re, im], ...]
-     | "presample": {"model": {...}, "count": 32, "seed": 0,
+     | "presample": {"model": {...}, "count": n, "seed": s,
                      "tau" | "beta" | "coupling": {"low": a, "high": b}}}
 
     The document goes to :meth:`RrdoEnsemble.from_models`,
     :meth:`RrdoEnsemble.from_matrices` or :meth:`RrdoEnsemble.presampled`,
-    each of its matrices parsed once. A malformed document raises ValueError
-    naming its place below `where`: an unknown key, an ensemble or atom
-    without exactly one form, mixed forms, a weight that is no finite real
-    number, model atoms whose systems differ, matrix atoms without psi_s (or
-    a psi_s next to model atoms), a presample count or seed that is no
-    integer >= 1 (>= 0), or a bad range. Matrix atoms that are not RDOs for
-    psi_s raise RdoValidationError, and weights that are negative or do not
-    sum to 1 EnsembleError.
+    each of its matrices parsed once; a presample count or seed left out
+    takes the default of :meth:`RrdoEnsemble.presampled`, which checks the
+    ranges. A malformed document raises ValueError naming its place below
+    `where`: an unknown key, an ensemble or atom without exactly one form,
+    mixed forms, a weight that is no finite real number, model atoms whose
+    systems differ, matrix atoms without psi_s (or a psi_s next to model
+    atoms), a presample count or seed that is no integer >= 1 (>= 0), or a
+    bad range. Matrix atoms that are not RDOs for psi_s raise
+    RdoValidationError, and weights that are negative or do not sum to 1
+    EnsembleError.
     """
     _fields(doc, ("atoms", "psi_s", "presample"), ("atoms", "presample"), where)
     if "presample" in doc:
@@ -736,16 +745,14 @@ def ensemble_from_json(doc: dict, where: str = "ensemble") -> RrdoEnsemble:
             raise ValueError(f"{where}.psi_s is read only with matrix-form atoms")
         gen, where = doc["presample"], f"{where}.presample"
         _fields(gen, ("model", "count", "seed", "tau", "beta", "coupling"), (), where)
-        count, seed = gen.get("count", 32), gen.get("seed", 0)
-        if not (is_int(count, 1) and is_int(seed, 0)):
-            raise ValueError(f"{where} needs integers count >= 1 and seed >= 0, got {count!r}, {seed!r}")
+        counts = {key: gen[key] for key in ("count", "seed") if key in gen}
+        for key, low in (("count", 1), ("seed", 0)):
+            if key in counts and not is_int(counts[key], low):
+                raise ValueError(f"{where}.{key} must be an integer >= {low}, got {counts[key]!r}")
         ranges = {key: gen[key] for key in ("tau", "beta", "coupling") if key in gen}
-        for key, bounds in ranges.items():
-            if not (isinstance(bounds, dict) and all(is_real(bounds.get(b)) for b in ("low", "high"))):
-                raise ValueError(f"{where}.{key} needs finite real 'low' and 'high', got {bounds!r}")
         system, base_probe = model_from_json(gen.get("model"), f"{where}.model")
         try:
-            return RrdoEnsemble.presampled(system, base_probe, ranges, count=count, seed=seed)
+            return RrdoEnsemble.presampled(system, base_probe, ranges, **counts)
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from exc
     atoms = doc["atoms"]

@@ -106,21 +106,13 @@ class KahanAccumulator:
     def __init__(self, shape):
         self._sum = np.zeros(shape, dtype=complex)
         self._comp = np.zeros(shape, dtype=complex)
-        self.count = 0
 
     def add(self, x: np.ndarray) -> None:
         y = x - self._comp
         t = self._sum + y
         self._comp = (t - self._sum) - y
         self._sum = t
-        self.count += 1
 
     @property
     def total(self) -> np.ndarray:
         return self._sum - self._comp
-
-    @property
-    def mean(self) -> np.ndarray:
-        if self.count == 0:
-            raise ZeroDivisionError("empty accumulator")
-        return self.total / self.count

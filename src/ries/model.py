@@ -31,13 +31,13 @@ and every Phi (:func:`reduced_heisenberg_maps`), every RDO
 atom's energy terms (:func:`energy_terms`) come from batched products.
 Probes of different dimensions are built group by group. Each batched step
 runs once per row (batched eigh and matmul, never a contraction that folds
-the row axis), so a row is bitwise what a one-probe build gives; the
-one-probe functions (:func:`step_unitary`, :func:`reduced_heisenberg_map`,
-:func:`rdo_from_model`) are the one-row case. A window family is A_S and a
-per-slot table of B, one B per slot and allowed probe; it reduces every
-atom tuple at once from the same stacked encounters, slot by slot, each
-tuple's B gathered from its slot's table (:func:`reduce_windows`).
-:func:`reduce_instant` is the one-tuple case.
+the row axis), so a row is bitwise what a one-probe build gives: one probe's
+step unitary, Heisenberg map or Gibbs state is the one-row case of its stack,
+and :func:`rdo_from_model` is the one-row case of :func:`rdos_from_model`.
+A window family is A_S and a per-slot table of B, one B per slot and
+allowed probe; it reduces every atom tuple at once from the same stacked
+encounters, slot by slot, each tuple's B gathered from its slot's table
+(:func:`reduce_windows`). :func:`reduce_instant` is the one-tuple case.
 
 The GNS transport never builds a non-normal generator: with
 ``iota(A) = A rho_s^(1/2)``, the RDO is ``iota o Phi o iota^(-1)``.
@@ -136,7 +136,7 @@ class SystemSpec:
             raise ValueError("beta_s must be finite and nonnegative")
 
     def gibbs_state(self) -> np.ndarray:
-        return gibbs(self.h_s, self.beta_s)
+        return _gibbs_states(self.h_s, [self.beta_s])[0]
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,7 @@ class ProbeSpec:
             raise ValueError("tau must be finite and nonnegative")
 
     def gibbs_state(self) -> np.ndarray:
-        return gibbs(self.h_e, self.beta_e)
+        return _gibbs_states(self.h_e, [self.beta_e])[0]
 
 
 def scaled_probes(base: ProbeSpec, taus, betas, scales) -> list[ProbeSpec]:
@@ -200,16 +200,15 @@ class DensityMatrix:
     """Positive semidefinite unit-trace matrix."""
 
     rho: np.ndarray
-    tol: float = 1e-12
 
     def __post_init__(self):
         rho = require_hermitian(self.rho, "rho")
         object.__setattr__(self, "rho", rho)
         tr = np.trace(rho).real
-        if abs(tr - 1.0) > max(self.tol, 1e-12):
+        if abs(tr - 1.0) > 1e-12:
             raise ValueError(f"trace is {tr}, expected 1")
         w = np.linalg.eigvalsh(rho)
-        if w.min() < -max(self.tol, 1e-12):
+        if w.min() < -1e-12:
             raise ValueError(f"negative eigenvalue {w.min():.3e}")
 
 
@@ -243,13 +242,9 @@ class ObservableWindow:
         return cls(a_s=a_s, b_list=(np.eye(dim_e),), l=0, r=0)
 
 
-def gibbs(h: np.ndarray, beta: float) -> np.ndarray:
-    """Gibbs state exp(-beta h) / Tr[exp(-beta h)]; full rank for finite beta."""
-    return _gibbs_states(require_hermitian(h, "h"), [beta])[0]
-
-
 def _gibbs_states(h: np.ndarray, betas) -> np.ndarray:
-    """(n, e, e) Gibbs states of one Hermitian h at each of n inverse temperatures: one eigh."""
+    """(n, e, e) Gibbs states exp(-beta h) / Tr[exp(-beta h)] of one Hermitian h at each
+    of n inverse temperatures, full rank for finite beta: one eigh."""
     betas = np.asarray(betas, dtype=float)
     if not np.isfinite(betas).all() or (betas < 0).any():
         raise ValueError("beta must be finite and nonnegative")
@@ -276,11 +271,6 @@ def step_unitaries(sys: SystemSpec, probes: list[ProbeSpec]) -> np.ndarray:
     v = np.stack([probe.v for probe in probes])
     h = np.kron(sys.h_s, np.eye(e)) + np.kron(np.eye(d), h_e) + v
     return expm_hermitian(h, -1j * np.array([probe.tau for probe in probes]))
-
-
-def step_unitary(sys: SystemSpec, probe: ProbeSpec) -> np.ndarray:
-    """One-encounter unitary exp(-i tau (h_s x 1 + 1 x h_e + v)) on S x E."""
-    return step_unitaries(sys, [probe])[0]
 
 
 def _encounters(sys: SystemSpec, probes: list[ProbeSpec]) -> Iterator[tuple]:
@@ -330,14 +320,6 @@ def reduced_heisenberg_maps(sys: SystemSpec, probes: list[ProbeSpec]) -> np.ndar
         t = t.reshape(n, d, d, e, d, d, e).transpose(0, 5, 2, 4, 1, 6, 3).reshape(n, d**4, e * e)
         phis[rows] = (t @ rho_e.reshape(n, e * e, 1)).reshape(n, d * d, d * d)
     return phis
-
-
-def reduced_heisenberg_map(sys: SystemSpec, probe: ProbeSpec) -> np.ndarray:
-    """Matrix of the one-step Heisenberg map Phi on vectorized d x d matrices.
-
-    Entry (j + d k, i + d x) is Phi(E_ix)[j, k]; see :func:`reduced_heisenberg_maps`.
-    """
-    return reduced_heisenberg_maps(sys, [probe])[0]
 
 
 def system_gns_data(sys: SystemSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -430,9 +412,9 @@ def full_chain_expectation(
     m: int,
     l: int,
     r: int,
-    rho_init: np.ndarray | DensityMatrix,
+    rho_init: np.ndarray,
 ) -> complex | np.ndarray:
-    """Exact expectation of an arbitrary window operator after m steps.
+    """Exact expectation of an arbitrary window operator after m steps, m >= 1.
 
     `op_window` acts on S x E_(m-l) x ... x E_(m+r), in that tensor order.
     Evolves the state rho_init x (x_k Gibbs_k) of the truncated chain
@@ -456,7 +438,7 @@ def full_chain_expectation(
     on the operator, so a stack shares one chain evolution; each operator
     is contracted with it exactly as a one-operator call would be.
     """
-    rho_init = rho_init.rho if isinstance(rho_init, DensityMatrix) else np.asarray(rho_init)
+    rho_init = np.asarray(rho_init)
     d = sys.dim_s
     if rho_init.shape != (d, d):
         raise ValueError("rho_init must act on the system space")
@@ -494,9 +476,9 @@ def full_chain_oracle(
     steps: list[ProbeSpec],
     obs: ObservableWindow,
     m: int,
-    rho_init: np.ndarray | DensityMatrix,
+    rho_init: np.ndarray,
 ) -> complex | np.ndarray:
-    """Exact expectation of a windowed product observable after m steps.
+    """Exact expectation of a windowed product observable after m >= 1 steps.
 
     See :func:`full_chain_expectation` for the underlying brute-force
     contraction; this wrapper assembles A_S x B^(-l) x ... x B^(r). With
@@ -504,14 +486,6 @@ def full_chain_oracle(
     per observable, evaluates them all on one chain evolution and returns
     an (n,) complex array.
     """
-    if m == 0:
-        rho0 = rho_init.rho if isinstance(rho_init, DensityMatrix) else np.asarray(rho_init)
-        for b in obs.b_list:
-            if not np.allclose(b, np.eye(b.shape[0]), atol=1e-14):
-                raise ValueError("m = 0 supports system-only observables")
-        if obs.a_s.ndim == 2:
-            return complex(np.trace(rho0 @ obs.a_s))
-        return np.array([np.trace(rho0 @ a) for a in obs.a_s], dtype=complex)
     ops = obs.a_s
     for b in obs.b_list:
         ops = np.kron(ops, b)

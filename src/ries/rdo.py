@@ -15,12 +15,12 @@ A stack of RDOs (an ensemble's atoms) is classified and split in one
 pass: :func:`spectra` is one batched eig of the adjoints M_k*, whose
 eigenvalues give every spectral class (:func:`class_flags`) and whose
 eigenvectors give psi_k wherever exactly one eigenvalue lies within
-tol_one of 1 (:func:`rank_one_split`); M_Q = Q M Q is one batched
+DEFAULT_TOL_ONE of 1 (:func:`rank_one_split`); M_Q = Q M Q is one batched
 product. An atom whose cluster at 1 has any other size, such as an
 uncoupled encounter, whose eigenvalue 1 is degenerate, falls back to the
 Schur/Sylvester spectral projection, which stays robust there. Each row is
 computed as it would be alone, so :func:`classify` and :func:`decompose`
-are the one-row case.
+are the one-row case: they keep the report and split formats of one RDO.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ INVARIANCE_TOL = 1e-11
 SPECTRAL_RADIUS_TOL = 1e-10
 DEFAULT_TOL_ONE = 1e-8
 DEFAULT_GAP_MIN = 1e-6
+# errors ||M^n - P_1|| at or below this are rounding, which the decay fit skips
+FIT_FLOOR = 1e-13
 # powers of a candidate matrix that validate() checks for boundedness
 POWER_CHECK_LEN = 50
 
@@ -139,16 +141,13 @@ def class_flags(
 
 
 def classify(
-    rdo: Rdo | np.ndarray,
-    tol_one: float = DEFAULT_TOL_ONE,
-    gap_min: float = DEFAULT_GAP_MIN,
+    rdo: Rdo, tol_one: float = DEFAULT_TOL_ONE, gap_min: float = DEFAULT_GAP_MIN
 ) -> SpectralReport:
     """Spectral classification: is 1 the only peripheral eigenvalue, and simple?
 
     The one-row case of :func:`spectra` and :func:`class_flags`.
     """
-    m = rdo.m if isinstance(rdo, Rdo) else np.asarray(rdo, dtype=complex)
-    eigs = spectra(m[None])[0]
+    eigs = spectra(rdo.m[None])[0]
     mult, gap, in_class = class_flags(eigs, tol_one, gap_min)
     eigs = eigs[0]
     return SpectralReport(
@@ -179,17 +178,18 @@ class RdoDecomposition:
         return float(np.abs(np.linalg.eigvals(self.m_q)).max())
 
 
-def _spectral_projection_one(m: np.ndarray, tol_one: float) -> np.ndarray:
-    """Spectral projection of the eigenvalue cluster at 1, via sorted Schur form.
+def _spectral_projection_one(m: np.ndarray) -> np.ndarray:
+    """Spectral projection of the eigenvalue cluster within DEFAULT_TOL_ONE of 1, via
+    sorted Schur form.
 
     Robust at near-defective spectra: uses a Sylvester solve on the Schur
     blocks rather than eigenvector matrices.
     """
     t, z, sdim = scipy.linalg.schur(
-        m, output="complex", sort=lambda lam: abs(lam - 1.0) <= tol_one
+        m, output="complex", sort=lambda lam: abs(lam - 1.0) <= DEFAULT_TOL_ONE
     )
     if sdim == 0:
-        raise RdoValidationError(f"no eigenvalue within {tol_one} of 1")
+        raise RdoValidationError(f"no eigenvalue within {DEFAULT_TOL_ONE} of 1")
     if sdim == m.shape[0]:
         return np.eye(m.shape[0], dtype=complex)
     t11, t12, t22 = t[:sdim, :sdim], t[:sdim, sdim:], t[sdim:, sdim:]
@@ -201,21 +201,17 @@ def _spectral_projection_one(m: np.ndarray, tol_one: float) -> np.ndarray:
 
 
 def rank_one_split(
-    ms: np.ndarray,
-    psi_s: np.ndarray,
-    eigs: np.ndarray,
-    left: np.ndarray,
-    tol_one: float = DEFAULT_TOL_ONE,
+    ms: np.ndarray, psi_s: np.ndarray, eigs: np.ndarray, left: np.ndarray
 ) -> RdoDecomposition:
     """Rank-one/strictly-contracting split of a stack of RDOs fixing psi_s.
 
     `eigs` and `left` are the stack's :func:`spectra`. Where exactly one
-    eigenvalue lies within `tol_one` of 1, psi is its left eigenvector,
+    eigenvalue lies within DEFAULT_TOL_ONE of 1, psi is its left eigenvector,
     normalized so <psi, psi_s> = 1; a cluster of any other size goes
     through the Schur/Sylvester spectral projection. Every field is a stack
     with one row per matrix, each row computed as it would be alone.
     """
-    near_one = np.abs(eigs - 1.0) <= tol_one
+    near_one = np.abs(eigs - 1.0) <= DEFAULT_TOL_ONE
     simple = near_one.sum(axis=-1) == 1
     rows = np.flatnonzero(simple)
     v = left[rows, :, near_one[rows].argmax(axis=-1)][:, None, :]  # (n, 1, D)
@@ -223,7 +219,7 @@ def rank_one_split(
     psi = np.empty(ms.shape[:2], dtype=complex)
     psi[rows] = (v / overlap.conj())[:, 0]
     for k in np.flatnonzero(~simple):
-        psi[k] = dag(_spectral_projection_one(ms[k], tol_one)) @ psi_s
+        psi[k] = dag(_spectral_projection_one(ms[k])) @ psi_s
     overlap = np.matmul(psi.conj()[:, None, :], psi_s[:, None])[:, 0, 0]
     if (bad := np.abs(overlap - 1.0) > 1e-10).any():
         raise RdoValidationError(f"<psi, psi_s> = {overlap[bad][0]}, expected 1")
@@ -232,13 +228,13 @@ def rank_one_split(
     return RdoDecomposition(psi=psi, p=p, q=q, m_q=q @ ms @ q)
 
 
-def decompose(rdo: Rdo, tol_one: float = DEFAULT_TOL_ONE) -> RdoDecomposition:
+def decompose(rdo: Rdo) -> RdoDecomposition:
     """Rank-one/strictly-contracting split of an RDO at eigenvalue 1.
 
     The one-row case of :func:`rank_one_split`.
     """
     m = rdo.m[None]
-    split = rank_one_split(m, rdo.psi_s, *spectra(m), tol_one)
+    split = rank_one_split(m, rdo.psi_s, *spectra(m))
     return RdoDecomposition(psi=split.psi[0], p=split.p[0], q=split.q[0], m_q=split.m_q[0])
 
 
@@ -252,9 +248,11 @@ class IdealAsymptotics:
 def ideal_asymptotics(rdo: Rdo, n_max: int = 200) -> IdealAsymptotics:
     """Convergence of M^n to the rank-one limit, with fitted decay rate.
 
-    The fitted rate is the log-linear slope of ||M^n - P_1||; for an RDO in
-    the simple-peripheral-eigenvalue class, which the ideal runner checks,
-    it tracks log spr(M_Q). Outside the class the errors need not decay.
+    The fitted rate is the log-linear slope of the errors ||M^n - P_1||
+    above FIT_FLOOR, and -inf when fewer than two lie above it (M^n sits at
+    its limit); for an RDO in the simple-peripheral-eigenvalue class, which
+    the ideal runner checks, it tracks log spr(M_Q). Outside the class the
+    errors need not decay.
     """
     dec = decompose(rdo)
     powers = np.empty((n_max, rdo.dim, rdo.dim), dtype=complex)
@@ -262,7 +260,7 @@ def ideal_asymptotics(rdo: Rdo, n_max: int = 200) -> IdealAsymptotics:
     for n in range(n_max):
         power = powers[n] = power @ rdo.m
     errors = np.linalg.svd(powers - dec.p, compute_uv=False)[:, 0]  # descending: the largest
-    valid = errors > 1e-13
+    valid = errors > FIT_FLOOR
     if valid.sum() < 2:
         return IdealAsymptotics(errors=errors, fitted_rate=-np.inf, spr_mq=dec.spr_mq)
     ns = np.arange(1, n_max + 1)[valid]

@@ -17,17 +17,8 @@ from typing import Any
 import numpy as np
 
 
-def complex_to_json(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def matrix_to_json(a: np.ndarray) -> list[list[list[float]]]:
-    a = np.atleast_2d(np.asarray(a, dtype=complex))
-    return [[complex_to_json(z) for z in row] for row in a]
-
-
 def vector_to_json(v: np.ndarray) -> list[list[float]]:
-    return [complex_to_json(z) for z in np.asarray(v, dtype=complex)]
+    return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
 
 
 def is_real(x: Any) -> bool:

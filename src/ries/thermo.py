@@ -1,7 +1,8 @@
 """Instantaneous observables, their ergodic limits, and energy/entropy fluxes.
 
 A window family A_S x B^(-l) x ... x B^(r) is A_S and a per-slot table of
-B, one B per slot and atom (:func:`observable_family`). It becomes one stack
+B, one B per slot and atom (:func:`observable_family`); the system, probe
+energy and identity families are its one-slot case. It becomes one stack
 of reduced Heisenberg system matrices X, one per tuple of ensemble atom
 indices, all reduced at once, slot by slot, by
 :func:`ries.model.reduce_windows`. Every ergodic limit is read off one
@@ -17,7 +18,8 @@ matrix by the probe inverse temperature inside the ensemble expectation.
 At deterministic probe temperature the two satisfy dS+ = beta_E dE+.
 
 Every energy quantity is built from per-atom pieces in the Heisenberg
-picture (:func:`energy_tables`, built once per ensemble): atom i's map
+picture (:attr:`RrdoEnsemble.energy_tables`, built once per ensemble and
+read by every flux function here): atom i's map
 Phi_i (row i of the ensemble's ``phis`` stack), the Gibbs mean field
 vbar_i = Tr_E[(1 x rho_E) V_i], and own_i, the reduction of V_i through
 atom i's encounter. Then F_i = H_S + vbar_i - Phi_i(H_S) - own_i, and
@@ -101,9 +103,9 @@ def probe_energy_family(ens: RrdoEnsemble) -> InstantObservableFamily:
     return observable_family(ens, eye, [[p.h_e for p in ens.probes]], 0, 0)
 
 
-def identity_family(ens: RrdoEnsemble, l: int = 0, r: int = 0) -> InstantObservableFamily:
-    eye = np.eye(_require_models(ens).dim_s)
-    return observable_family(ens, eye, [[np.eye(p.dim_e) for p in ens.probes]] * (l + r + 1), l, r)
+def identity_family(ens: RrdoEnsemble) -> InstantObservableFamily:
+    """The system observable A_S = 1; a wider identity window is an :func:`observable_family`."""
+    return system_observable_family(ens, np.eye(_require_models(ens).dim_s))
 
 
 def mean_reduced_observable(ens: RrdoEnsemble, fam: InstantObservableFamily) -> np.ndarray:
@@ -210,18 +212,6 @@ def ergodic_instant_monte_carlo(
     return {"mean": complex(mean), "stderr": float(np.abs(stderr)), "per_seed": per_seed}
 
 
-def energy_tables(ens: RrdoEnsemble) -> tuple[np.ndarray, np.ndarray]:
-    """Per-atom energy-jump and flux tables, as column-major system vectors.
-
-    ``jump[i, j] = vec(Phi_i(vbar_j) - own_i)`` is the total-energy jump of a
-    step drawn from atom i followed by atom j; ``flux[i] = vec(F_i)`` is atom
-    i's flux matrix. One reduction per atom builds both, once per ensemble
-    (:attr:`RrdoEnsemble.energy_tables`); callers must not write into them.
-    """
-    _require_models(ens)
-    return ens.energy_tables
-
-
 def energy_jump_family(ens: RrdoEnsemble) -> InstantObservableFamily:
     """Window family of the per-step total-energy jump (l = 0, r = 1).
 
@@ -230,7 +220,7 @@ def energy_jump_family(ens: RrdoEnsemble) -> InstantObservableFamily:
     probe has not yet interacted.
     """
     d = _require_models(ens).dim_s
-    jump, _ = energy_tables(ens)
+    jump, _ = ens.energy_tables
     # row i * n_atoms + j holds unvec(jump[i, j]); a column-major vec reshapes to X^T
     x = jump.reshape(-1, d, d).transpose(0, 2, 1)
     return InstantObservableFamily(l=0, r=1, x=x)
@@ -264,7 +254,8 @@ def flux_closed_form(ens: RrdoEnsemble) -> FluxReport:
     entropy display carries beta_E inside the expectation, evaluated per
     joint atom draw.
     """
-    _, flux = energy_tables(ens)
+    _require_models(ens)
+    _, flux = ens.energy_tables
     # Tr[rho_+ F_i] = vec(F_i) . vec(rho_+^T) for every atom at once
     pairings = flux @ vec(_rho_plus(ens).T)
     de = ens.probs @ pairings
@@ -295,7 +286,7 @@ def flux_monte_carlo(
     if rho_init is None:
         rho_init = system.gibbs_state()
     # Heisenberg picture: plain system matrices, no GNS transport
-    jump, flux = energy_tables(ens)
+    jump, flux = ens.energy_tables
     ent = np.repeat(ens.betas[:, None] * flux, ens.n_atoms, axis=0)  # indexed by (i, j)
     tables = np.stack([jump.reshape(ent.shape), ent], axis=-1)
     means = _cesaro_means(ens, dag(ens.phis), vec(rho_init), tables, 2, seeds, n_total)

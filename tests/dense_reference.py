@@ -8,9 +8,11 @@ the sampled power bound and the one-step product loop are the references
 for the uniform product bounds and identities of finite RDO products. The
 per-pair energy tables are the reference for the stacked energy reduction.
 The per-atom presample, which builds and checks each atom's probe on its own,
-is the reference for the presample that checks its draws once. The last
-helpers write model documents and JSON text and draw random matrices for the
-tests; the package reads config documents but never writes them.
+is the reference for the presample that checks its draws once. The wider
+identity windows are observable families of identity slots. The last
+helpers write matrices, model documents and JSON text and draw random
+matrices for the tests; the package reads config documents but never writes
+them.
 """
 
 import json
@@ -21,9 +23,9 @@ import numpy as np
 
 from ries.ensemble import RrdoEnsemble, trajectory_rng
 from ries.linalg import dag, expm_hermitian, spectral_norm, unvec, vec
-from ries.model import step_unitary, weighted_partial_trace
+from ries.model import step_unitaries, weighted_partial_trace
 from ries.rdo import decompose
-from ries.serialize import matrix_to_json
+from ries.thermo import observable_family
 
 
 def embed(op: np.ndarray, dims: list[int], sites: list[int]) -> np.ndarray:
@@ -51,7 +53,7 @@ def dense_chain_unitary(system, probes, n_steps: int, dims: list[int]) -> np.nda
     u = np.eye(int(np.prod(dims)), dtype=complex)
     for k in range(1, n_steps + 1):
         tau = probes[k - 1].tau
-        w_k = embed(step_unitary(system, probes[k - 1]), dims, [0, k])
+        w_k = embed(step_unitaries(system, [probes[k - 1]])[0], dims, [0, k])
         for n, other in enumerate(probes, start=1):
             if n != k:
                 w_k = embed(expm_hermitian(other.h_e, -1j * tau), dims, [n]) @ w_k
@@ -168,7 +170,7 @@ def per_pair_energy_tables(ens) -> tuple[np.ndarray, np.ndarray]:
             vbar_j = weighted_partial_trace(p_j.v, d, p_j.gibbs_state())
             jump[i, j] = dense_window_reduction(system, [p_i], np.kron(vbar_j, eye_e), 0, 0) - own
         x = np.kron(system.h_s, eye_e) + p_i.v
-        w = step_unitary(system, p_i)
+        w = step_unitaries(system, [p_i])[0]
         rho_e = p_i.gibbs_state()
         after = weighted_partial_trace(dag(w) @ x @ w, d, rho_e)
         flux[i] = weighted_partial_trace(x, d, rho_e) - after
@@ -189,6 +191,22 @@ def per_atom_presample(system, base_probe, ranges: dict, count: int, seed: int) 
         v = draw("coupling", 1.0) * base_probe.v
         probes.append(replace(base_probe, beta_e=beta, v=v, tau=tau))
     return RrdoEnsemble.from_models(system, [(1.0 / count, probe) for probe in probes])
+
+
+def identity_window(ens, l: int, r: int):
+    """The identity window family of extents l and r: A_S = 1 and every B = 1."""
+    eye_e = [np.eye(p.dim_e) for p in ens.probes]
+    return observable_family(ens, np.eye(ens.system.dim_s), [eye_e] * (l + r + 1), l, r)
+
+
+def complex_to_json(z: complex) -> list[float]:
+    return [float(np.real(z)), float(np.imag(z))]
+
+
+def matrix_to_json(a: np.ndarray) -> list[list[list[float]]]:
+    """The [re, im] nested lists that :func:`ries.serialize.matrix_from_json` reads back."""
+    a = np.atleast_2d(np.asarray(a, dtype=complex))
+    return [[complex_to_json(z) for z in row] for row in a]
 
 
 def model_to_json(system, probe) -> dict:

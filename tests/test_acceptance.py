@@ -14,7 +14,7 @@ import ries
 from ries.ensemble import RrdoEnsemble, theta_routes
 from ries.linalg import random_hermitian, vec
 from ries.rdo import decompose
-from ries.thermo import energy_tables, flux_closed_form, flux_monte_carlo
+from ries.thermo import flux_closed_form, flux_monte_carlo
 from ries.model import reduce_instant
 
 
@@ -275,7 +275,7 @@ def test_criterion_7_second_law(summary_7, qubit_model, uncoupled_probe):
     # v = 0: both productions vanish identically
     system, _ = qubit_model
     ens0 = RrdoEnsemble.from_models(system, [(1.0, uncoupled_probe)])
-    assert np.abs(energy_tables(ens0)[1]).max() <= 1e-12
+    assert np.abs(ens0.energy_tables[1]).max() <= 1e-12
     mc0 = flux_monte_carlo(ens0, list(range(0, 2)), 1000)
     assert abs(mc0.de_plus) <= 1e-12 and abs(mc0.ds_plus) <= 1e-12
     print(f"\ncriterion 7: 20 models, |dS - beta dE| <= 1e-8 in {elapsed:.1f} s")

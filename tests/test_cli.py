@@ -9,11 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from dense_reference import dumps_json, model_to_json
+from dense_reference import dumps_json, matrix_to_json, model_to_json
 
 import ries
 from ries.cli import EXPERIMENTS, ConfigError, main, run, validate_config
-from ries.serialize import dump_json, matrix_from_json, matrix_to_json, vector_to_json, write_csv
+from ries.serialize import dump_json, matrix_from_json, vector_to_json, write_csv
 
 
 @pytest.fixture(scope="module")
@@ -224,6 +224,11 @@ def test_cli_exit_codes(tmp_path, model_doc, ensemble_doc):
         {"experiment": "ergodic", "ensemble": edited(presample, ("presample", "beta"), negative_range)},
         # a span past the largest float, and an integer too large for one, are not finite
         {"experiment": "ergodic", "ensemble": edited(presample, ("presample", "coupling"), wide_range)},
+        # a range holds exactly a low and a high
+        {"experiment": "ergodic", "ensemble": edited(presample, ("presample", "tau", "hgih"), 9)},
+        {"experiment": "ergodic", "ensemble": edited(presample, ("presample", "beta"), {"low": 1, "high": 1.2, "width": 3})},
+        {"experiment": "ergodic", "ensemble": edited(presample, ("presample", "tau"), {"low": 0.6})},
+        {"experiment": "ergodic", "ensemble": edited(presample, ("presample", "tau"), [0.6, 1.6])},
         {"experiment": "ideal", "model": edited(model_doc, ("probe", "tau"), 10**400)},
     ):
         path = tmp_path / "mistyped.json"
@@ -846,6 +851,31 @@ def test_ideal_check_trips_on_mutated_asymptotics(tmp_path, monkeypatch, check, 
     assert all(ok for name, ok in summary["checks"].items() if name != check)
 
 
+def test_ideal_passes_a_model_at_its_limit_from_one_step(tmp_path):
+    """The resonant full-swap qubit model has M = P_1: every error ||M^n - P_1|| is
+    rounding, at or below the fit floor, so no rate can be fitted. The rate check then
+    holds because spr(M_Q)^2 is below that floor too, and the run exits 0."""
+    system, probe = ries.qubit_exchange_model(1.0, 1.0, 1.0, math.pi / 2, 0.7, 1.3)
+    path = tmp_path / "full_swap.json"
+    dump_json({"experiment": "ideal", "model": model_to_json(system, probe)}, str(path))
+    rc, summary = _run_summary(str(path), tmp_path)
+    assert rc == 0, summary
+    assert summary["payload"]["fitted_rate"] is None and summary["payload"]["spr_mq"] < 1e-13
+
+
+def test_ideal_rate_check_trips_on_unfittable_slow_series(tmp_path, monkeypatch):
+    """Mutation: a series that cannot be fitted (fitted rate -inf) while spr(M_Q) = 0.5
+    fails `rate_within_10pct` alone with rc 1: M^n cannot sit at its limit then."""
+    real = ries.cli.ideal_asymptotics
+    unfittable = lambda rdo, **kw: dataclasses.replace(  # noqa: E731
+        real(rdo, **kw), fitted_rate=-math.inf, spr_mq=0.5
+    )
+    monkeypatch.setattr("ries.cli.ideal_asymptotics", unfittable)
+    rc, summary = _run_summary(os.path.join(DEMO_CONFIGS, "ideal.json"), tmp_path)
+    assert rc == 1 and summary["checks"]["rate_within_10pct"] is False
+    assert all(ok for name, ok in summary["checks"].items() if name != "rate_within_10pct")
+
+
 def test_decay_check_trips_on_mean_out_of_class(tmp_path, monkeypatch):
     """Mutation: the spectral class of E[M] reported out of class fails `mean_in_class`
     on the demo decay config with rc 1; `alpha_positive_all_seeds` still holds."""
@@ -854,7 +884,7 @@ def test_decay_check_trips_on_mean_out_of_class(tmp_path, monkeypatch):
     monkeypatch.setattr(ries.ensemble, "classify", out_of_class)
     rc, summary = _run_summary(os.path.join(DEMO_CONFIGS, "decay.json"), tmp_path)
     assert rc == 1 and summary["checks"]["mean_in_class"] is False
-    assert summary["payload"]["mean_in_class"] is False
+    assert "mean_in_class" not in summary["payload"]  # a check, reported once
     assert summary["checks"]["alpha_positive_all_seeds"] is True
 
 

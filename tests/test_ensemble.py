@@ -20,7 +20,7 @@ from ries.ensemble import (
 )
 from ries.linalg import HERMITICITY_TOL, KahanAccumulator, dag, random_hermitian, spectral_norm, unvec
 from ries.rdo import Rdo, classify, decompose
-from ries.thermo import energy_tables
+from ries.thermo import flux_closed_form
 
 
 def _diag_ensemble(pairs, psi_s=None):
@@ -283,7 +283,7 @@ def test_ensemble_stacks_match_per_atom_builds(qubit_model):
     assert plain.system is None and plain.probes is None
     assert plain.phis is None and plain.betas is None
     with pytest.raises(EnsembleError):
-        energy_tables(plain)
+        flux_closed_form(plain)
 
 
 def test_ensemble_mixed_probe_dimensions(rng):
@@ -310,7 +310,7 @@ def test_ensemble_mixed_probe_dimensions(rng):
     for k, probe in enumerate(probes):
         assert ens.probes[k] is probe
         _assert_rows_match(ens, k, ries.rdo_from_model(system, probe))
-    jump, flux = energy_tables(ens)
+    jump, flux = ens.energy_tables
     ref_jump, ref_flux = per_pair_energy_tables(ens)
     assert np.abs(unvec(jump, 3) - ref_jump).max() < 1e-12
     assert np.abs(unvec(flux, 3) - ref_flux).max() < 1e-12
@@ -491,7 +491,7 @@ def _forward_loop(ens, seed, n_total, checkpoint_every):
         acc.add(psi_prod)
         if n % checkpoint_every == 0 or n == n_total:
             checkpoints.append(n)
-            distances.append(np.linalg.norm(acc.mean - limit, "fro"))
+            distances.append(np.linalg.norm(acc.total / n - limit, "fro"))
             drift = max(drift, float(np.linalg.norm(psi_prod @ ens.psi_s - ens.psi_s)))
     return np.array(checkpoints), np.array(distances), drift
 

@@ -15,6 +15,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from dense_reference import identity_window
 
 import ries
 from ries.linalg import random_hermitian
@@ -96,7 +97,7 @@ def test_window_family_peak_within_guard_estimate(ensembles):
     below the guard's stated arrays per tuple, each (d e)^2 complex entries."""
     wide = ensembles["wide_qutrit"]
     n, de = wide.n_atoms**2, wide.system.dim_s * 2
-    peak = peak_bytes(lambda: identity_family(wide, 1, 0))
+    peak = peak_bytes(lambda: identity_window(wide, 1, 0))
     assert peak <= WINDOW_ARRAYS_PER_TUPLE * 16 * n * de**2, f"{peak / (16 * n * de**2):.2f} arrays"
 
 
@@ -108,7 +109,7 @@ def test_one_slot_family_peak_within_guard_estimate(qubit_model):
         count=1024, seed=3,
     )
     unit = 16 * ens.n_atoms * 4**2
-    peak = peak_bytes(lambda: identity_family(ens, 0, 0))
+    peak = peak_bytes(lambda: identity_family(ens))
     assert peak <= ONE_SLOT_ARRAYS_PER_TUPLE * unit, f"{peak / unit:.2f} arrays"
 
 

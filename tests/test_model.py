@@ -13,10 +13,11 @@ import ries
 from ries.linalg import dag, random_hermitian, unvec, vec
 from ries.model import (
     CapacityError,
+    _gibbs_states,
     full_chain_expectation,
-    gibbs,
     model_from_json,
-    reduced_heisenberg_map,
+    reduced_heisenberg_maps,
+    step_unitaries,
     weighted_partial_trace,
 )
 
@@ -49,22 +50,25 @@ def _complex_matrix(n, rng):
 
 def test_gibbs_properties(rng):
     h = random_hermitian(3, rng)
-    rho = gibbs(h, 0.8)
+    rho, mixed, cold = _gibbs_states(h, [0.8, 0.0, 500.0])
     assert np.isclose(np.trace(rho).real, 1.0)
     assert np.linalg.eigvalsh(rho).min() > 0
     # beta = 0 gives the maximally mixed state
-    assert np.allclose(gibbs(h, 0.0), np.eye(3) / 3)
+    assert np.allclose(mixed, np.eye(3) / 3)
     # large beta concentrates on the ground state without overflow
     w, u = np.linalg.eigh(h)
     ground = u[:, 0]
-    assert np.isclose(np.vdot(ground, gibbs(h, 500.0) @ ground).real, 1.0, atol=1e-10)
+    assert np.isclose(np.vdot(ground, cold @ ground).real, 1.0, atol=1e-10)
+    # a spec's Gibbs state is the one-row case
+    system = ries.SystemSpec(dim_s=3, h_s=h, beta_s=0.8)
+    assert np.array_equal(system.gibbs_state(), rho)
 
 
 def test_gibbs_rejects_bad_beta(rng):
     with pytest.raises(ValueError):
-        gibbs(np.eye(2), -1.0)
+        _gibbs_states(np.eye(2), [-1.0])
     with pytest.raises(ValueError):
-        gibbs(np.eye(2), np.inf)
+        _gibbs_states(np.eye(2), [np.inf])
 
 
 def test_spec_validation():
@@ -78,12 +82,12 @@ def test_spec_validation():
 
 
 def test_step_unitary_is_unitary(qubit_model):
-    u = ries.step_unitary(*qubit_model)
+    u = step_unitaries(qubit_model[0], [qubit_model[1]])[0]
     assert np.allclose(u @ dag(u), np.eye(4), atol=1e-12)
 
 
 def test_weighted_partial_trace_identity(rng):
-    rho = gibbs(random_hermitian(3, rng), 1.0)
+    rho = _gibbs_states(random_hermitian(3, rng), [1.0])[0]
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     out = weighted_partial_trace(np.kron(a, b), 2, rho)
@@ -91,7 +95,7 @@ def test_weighted_partial_trace_identity(rng):
 
 
 def test_heisenberg_map_unital_and_cp(qubit_model):
-    phi = reduced_heisenberg_map(*qubit_model)
+    phi = reduced_heisenberg_maps(qubit_model[0], [qubit_model[1]])[0]
     # unital: Phi(1) = 1
     assert np.allclose(unvec(phi @ vec(np.eye(2)), 2), np.eye(2), atol=1e-12)
     # completely positive: Choi matrix positive semidefinite
@@ -109,8 +113,8 @@ def test_heisenberg_map_matches_definition(rng):
     probe = ries.ProbeSpec(
         dim_e=2, h_e=random_hermitian(2, rng), beta_e=1.1, v=random_hermitian(6, rng), tau=0.8
     )
-    phi = reduced_heisenberg_map(system, probe)
-    u = ries.step_unitary(system, probe)
+    phi = reduced_heisenberg_maps(system, [probe])[0]
+    u = step_unitaries(system, [probe])[0]
     rho_e = probe.gibbs_state()
     for _ in range(4):
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -144,15 +148,6 @@ def test_oracle_identity_random_draws(rng):
                 system, [probe] * m, ries.ObservableWindow.system_only(a_s, 2), m, rho_s
             )
             assert abs(lhs - rhs) < 1e-10
-
-
-def test_oracle_m_zero(qubit_model, rng):
-    system, probe = qubit_model
-    rho_s = system.gibbs_state()
-    a_s = random_hermitian(2, rng)
-    obs = ries.ObservableWindow.system_only(a_s, 2)
-    val = ries.full_chain_oracle(system, [], obs, 0, rho_s)
-    assert np.isclose(val.real, np.trace(rho_s @ a_s).real)
 
 
 def test_oracle_capacity_guard(qubit_model):
@@ -271,11 +266,11 @@ def test_window_reduction_matches_dense_reference_on_unequal_legs(rng):
 
 def test_oracle_builds_every_factor(qubit_model, uncoupled_probe, rng, monkeypatch):
     """An m-step oracle call builds its step unitaries as one stack per distinct probe
-    dimension, never one `step_unitary` per step, and one free evolution per kept
+    dimension, never one stack per step, and one free evolution per kept
     window leg E_n (m - l <= n < m): l in all, 0 for a system-only observable. A leg
     traced out needs none, as Tr_E[g x g*] = Tr_E[x], and a leg not yet coupled,
     in its Gibbs state, none either. A stack of n observables shares them."""
-    calls = {"step_unitary": 0, "step_unitaries": 0, "expm_hermitian": 0}
+    calls = {"step_unitaries": 0, "expm_hermitian": 0}
     for name in calls:
         original = getattr(ries.model, name)
 
@@ -300,10 +295,9 @@ def test_oracle_builds_every_factor(qubit_model, uncoupled_probe, rng, monkeypat
         d = sys_.dim_s
         b_list = tuple(random_hermitian(p.dim_e, rng) for p in steps[m - l - 1 : m + r])
         for a_s in (random_hermitian(d, rng), np.array([random_hermitian(d, rng) for _ in range(3)])):
-            calls.update(step_unitary=0, step_unitaries=0, expm_hermitian=0)
+            calls.update(step_unitaries=0, expm_hermitian=0)
             obs = ries.ObservableWindow(a_s=a_s, b_list=b_list, l=l, r=r)
             ries.full_chain_oracle(sys_, steps, obs, m, sys_.gibbs_state())
-            assert calls["step_unitary"] == 0
             assert calls["step_unitaries"] == n_dims
             # each stacked build is itself one expm_hermitian; the rest are free evolutions
             assert calls["expm_hermitian"] - calls["step_unitaries"] == l
@@ -312,7 +306,7 @@ def test_oracle_builds_every_factor(qubit_model, uncoupled_probe, rng, monkeypat
 def test_stacked_oracle_equals_one_call_per_operator(rng):
     """A stack shares one chain evolution; every entry is bitwise the one-operator
     value, which stays a Python complex. Qutrit S with qubit and qutrit probes, a
-    non-Gibbs start, an l = r = 1 window and the m = 0 path."""
+    non-Gibbs start and an l = r = 1 window."""
     system, probes = _mixed_chain(rng)
     a = _complex_matrix(3, rng)
     rho_init = a @ dag(a) / np.trace(a @ dag(a))
@@ -320,7 +314,7 @@ def test_stacked_oracle_equals_one_call_per_operator(rng):
     b_list = (random_hermitian(2, rng), random_hermitian(3, rng), random_hermitian(2, rng))
     windowed = ries.ObservableWindow(a_s=a_s, b_list=b_list, l=1, r=1)  # probes 1..3 at m = 2
     system_only = ries.ObservableWindow.system_only(a_s, 2)
-    for obs, m in ((windowed, 2), (system_only, 3), (system_only, 0)):
+    for obs, m in ((windowed, 2), (system_only, 3)):
         got = ries.full_chain_oracle(system, probes, obs, m, rho_init)
         assert got.shape == (4,) and got.dtype == complex
         one_each = [ries.ObservableWindow(a, obs.b_list, obs.l, obs.r) for a in a_s]

@@ -179,10 +179,14 @@ def _defined(tree: ast.AST) -> set[str]:
 
 
 def test_test_only_helpers_stay_out_of_the_package():
-    """Writing model documents and JSON text and drawing random complex matrices
-    serve the tests alone: they live in ``tests/dense_reference.py``."""
+    """Writing matrices, model documents and JSON text and drawing random complex
+    matrices serve the tests alone: they live in ``tests/dense_reference.py``. One
+    probe's step unitary, Heisenberg map or Gibbs state is the one-row case of its
+    stacked builder, which the tests call directly."""
     defined = set().union(*(_defined(_parse(p)) for p in MODULES))
-    assert not defined & {"model_to_json", "dumps_json", "random_complex_matrix"}
+    test_only = {"model_to_json", "dumps_json", "random_complex_matrix", "matrix_to_json", "complex_to_json"}
+    one_row = {"step_unitary", "reduced_heisenberg_map", "gibbs"}
+    assert not defined & (test_only | one_row)
 
 
 def test_configs_are_built_in_one_place():

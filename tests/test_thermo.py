@@ -5,6 +5,7 @@ import pytest
 from dense_reference import (
     dense_window_reduction,
     embed,
+    identity_window,
     left_mult_matrix,
     per_pair_energy_tables,
     random_complex_matrix,
@@ -25,7 +26,6 @@ from ries.model import full_chain_expectation, weighted_partial_trace
 from ries.rdo import decompose
 from ries.thermo import (
     energy_jump_family,
-    energy_tables,
     ergodic_instant_limit,
     ergodic_instant_monte_carlo,
     flux_closed_form,
@@ -125,7 +125,7 @@ def test_jump_expectations_match_oracle(qubit_model):
     system, probe = qubit_model
     d = system.dim_s
     rho_init = system.gibbs_state()
-    phi = ries.reduced_heisenberg_map(system, probe)
+    phi = ries.model.reduced_heisenberg_maps(system, [probe])[0]
     vbar = weighted_partial_trace(probe.v, d, probe.gibbs_state())
     next_term = dense_window_reduction(system, [probe], np.kron(vbar, np.eye(2)), 0, 0)
     own_term = dense_window_reduction(system, [probe], probe.v, 0, 0)
@@ -157,7 +157,7 @@ def test_energy_tables_match_per_pair_reductions(rng):
     """Per-atom tables vs one window reduction per atom pair and a direct flux formula."""
     ens = _heterogeneous_ensemble(rng)
     d = 3
-    jump, flux = energy_tables(ens)
+    jump, flux = ens.energy_tables
     fam = energy_jump_family(ens)
     ref_jump, ref_flux = per_pair_energy_tables(ens)
     for i in range(ens.n_atoms):
@@ -248,10 +248,10 @@ def test_family_capacity_guard(qubit_model, monkeypatch):
     encounters = ries.model._encounters
     monkeypatch.setattr(ries.model, "_encounters", lambda *a: built.append(a) or encounters(*a))
     with pytest.raises(ries.model.CapacityError, match="1,185,921 stacked window reductions hold 18,974,736 entries"):
-        identity_family(ens, 3, 0)
+        identity_window(ens, 3, 0)
     assert 32**4 * 4**2 == ries.model.ORACLE_DIM_GUARD**2 and not built
     with pytest.raises(ries.model.CapacityError, match="l \\+ r = 4"):
-        identity_family(ens, 2, 2)
+        identity_window(ens, 2, 2)
 
 
 def test_family_builds_no_windows(wide_qutrit_model, monkeypatch):
@@ -260,7 +260,7 @@ def test_family_builds_no_windows(wide_qutrit_model, monkeypatch):
     ens = RrdoEnsemble.presampled(*wide_qutrit_model, count=64, seed=31)
     calls = []
     monkeypatch.setattr(ries.ObservableWindow, "__post_init__", lambda self: calls.append(self))
-    assert len(identity_family(ens, 1, 0).x) == 4096 and not calls
+    assert len(identity_window(ens, 1, 0).x) == 4096 and not calls
 
 
 def test_family_tables_are_checked(reference_ensemble):
@@ -289,7 +289,7 @@ def _gns_instant_limit(ens, fam):
 
 def _gns_fluxes(ens):
     """Reference: (dE+, dS+) from <theta, vec(F_i rho_s^(1/2))> on the GNS space."""
-    _, flux = energy_tables(ens)
+    _, flux = ens.energy_tables
     _, sqrt_rho, _ = ries.system_gns_data(ens.system)
     pairings = flux @ (right_mult_matrix(sqrt_rho).T @ ens.routes["theta_projector"].conj())
     betas = np.array([p.beta_e for p in ens.probes])
@@ -338,7 +338,7 @@ def test_flux_zero_coupling(qubit_model, uncoupled_probe):
     """A v = 0 encounter hands no energy to the chain: its flux matrix vanishes."""
     system, _ = qubit_model
     ens = RrdoEnsemble.from_models(system, [(1.0, uncoupled_probe)])
-    assert np.abs(energy_tables(ens)[1]).max() < 1e-12
+    assert np.abs(ens.energy_tables[1]).max() < 1e-12
 
 
 def test_flux_monte_carlo_agrees(reference_ensemble):
@@ -391,13 +391,13 @@ def _instant_per_seed_loop(ens, fam, seeds, n_total, burn_in):
                     flat = flat * ens.n_atoms + int(i)
                 acc.add(np.vdot(u, table[flat]))
             u = ens.adjoints[omega[n]] @ u
-        per_seed[s] = acc.mean
+        per_seed[s] = acc.total / n_total
     return per_seed
 
 
 def _flux_per_seed_loop(ens, seeds, n_total, rho_init, burn_in):
     """Reference: (de, ds, de_stderr, ds_stderr), one seed at a time."""
-    jump, flux = energy_tables(ens)
+    jump, flux = ens.energy_tables
     ent_vecs = np.array([p.beta_e for p in ens.probes])[:, None] * flux
     phis_adj = np.stack([dag(phi) for phi in ens.phis])
     de_seed = np.empty(len(seeds))
@@ -414,8 +414,8 @@ def _flux_per_seed_loop(ens, seeds, n_total, rho_init, burn_in):
                 acc_e.add(np.vdot(w, jump[i, j]))
                 acc_s.add(np.vdot(w, ent_vecs[i]))
             w = phis_adj[i] @ w
-        de_seed[s] = acc_e.mean.real
-        ds_seed[s] = acc_s.mean.real
+        de_seed[s] = (acc_e.total / n_total).real
+        ds_seed[s] = (acc_s.total / n_total).real
     err = np.sqrt(len(seeds))
     return (
         float(de_seed.mean()),
