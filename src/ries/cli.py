@@ -65,7 +65,7 @@ from .model import (
 )
 from .rdo import DEFAULT_GAP_MIN, DEFAULT_TOL_ONE, FIT_FLOOR, RdoValidationError, classify, ideal_asymptotics
 from .rdo import validate as validate_rdo
-from .serialize import dump_json, is_int, is_real, matrix_from_json, write_csv
+from .serialize import check_fields, dump_json, is_int, is_real, matrix_from_json, write_csv
 from .thermo import (
     ergodic_instant_limit,
     ergodic_instant_monte_carlo,
@@ -80,7 +80,6 @@ class ConfigError(Exception):
     """The config file violates the schema."""
 
 
-# keys and defaults per experiment besides "experiment"; None marks "no default"
 _TOLERANCES = {"tol_one": DEFAULT_TOL_ONE, "gap_min": DEFAULT_GAP_MIN}
 # the smallest standard error a Monte Carlo 3-sigma check compares against;
 # instant and fluxes payloads report `sigma_floor_used` when a check did
@@ -91,42 +90,6 @@ _SIGMA_RATIO_FLOOR = 1e3 * np.finfo(float).eps
 # a decay rate alpha or a Lyapunov gap must exceed this to count as positive:
 # unitary atoms, which neither decay nor have a gap, read about 1e-16
 _RATE_FLOOR = 1e-12
-_SCHEMAS = {
-    "classify": {"tolerances": _TOLERANCES, "model": None, "matrix": None, "psi_s": None},
-    "ideal": {"model": None, "n_max": 200},
-    "ergodic": {
-        "ensemble": None,
-        "seeds": [0],
-        "n_total": 10_000,
-        "checkpoint_every": 1000,
-        "bound_coefficient": 5.0,
-    },
-    "decay": {"ensemble": None, "seeds": [0], "n_total": 2000},
-    "reverse": {"ensemble": None, "seeds": [0], "n_total": 500, "checkpoint_every": 10},
-    "lyapunov": {"ensemble": None, "seeds": [0], "n_total": 5000, "reorth_every": 10},
-    "instant": {
-        "ensemble": None,
-        "family": "identity",
-        "a_s": None,
-        "seeds": [0, 1],
-        "n_total": 10_000,
-    },
-    "fluxes": {
-        "ensemble": None,
-        "monte_carlo": True,
-        "seeds": [0, 1],
-        "n_total": 10_000,
-        "rho_init": None,
-    },
-    "oracle-check": {
-        "model": None,
-        "m_max": 6,
-        "n_observables": 5,
-        "seed": 0,
-        "tol": 1e-10,
-    },
-}
-EXPERIMENTS = tuple(_SCHEMAS)
 _COUNTS = (
     "n_total",
     "checkpoint_every",
@@ -154,10 +117,12 @@ def _unread_keys(doc: dict) -> set:
     return set()
 
 
-def _reject_unknown(doc: dict, allowed: set, where: str) -> None:
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+def _reject_unknown(doc, allowed: set, where: str) -> None:
+    """:func:`ries.serialize.check_fields`, raising a ConfigError."""
+    try:
+        check_fields(doc, allowed, where)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def validate_config(doc: dict) -> dict:
@@ -168,7 +133,7 @@ def validate_config(doc: dict) -> dict:
     exp = doc.get("experiment")
     if exp not in EXPERIMENTS:
         raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {exp!r}")
-    schema = {"experiment": None, **_SCHEMAS[exp]}
+    schema = {"experiment": None, **_EXPERIMENTS[exp][0]}
     _reject_unknown(doc, set(schema), "config")
     unread = _unread_keys(doc)
     if unread & set(doc):
@@ -181,9 +146,7 @@ def validate_config(doc: dict) -> dict:
             resolved[key] = default
     if "tolerances" in resolved:
         tdoc = resolved["tolerances"]
-        if not isinstance(tdoc, dict):
-            raise ConfigError("tolerances must be a JSON object")
-        _reject_unknown(tdoc, set(_TOLERANCES), "tolerance")
+        _reject_unknown(tdoc, set(_TOLERANCES), "tolerances")
         tols = {k: tdoc.get(k, v) for k, v in _TOLERANCES.items()}
         if not all(_is_number(x) for x in tols.values()):
             raise ConfigError(f"tolerances must be finite nonnegative numbers, got {tols}")
@@ -219,7 +182,7 @@ def _check_resolved(cfg: dict) -> None:
         raise ConfigError("matrix-form classify needs 'psi_s'")
     if exp in ("ideal", "oracle-check") and "model" not in cfg:
         raise ConfigError(f"{exp} needs a 'model'")
-    if "ensemble" in _SCHEMAS[exp] and exp != "classify" and "ensemble" not in cfg:
+    if "ensemble" in _EXPERIMENTS[exp][0] and "ensemble" not in cfg:
         raise ConfigError(f"{exp} needs an 'ensemble'")
     if exp == "instant" and cfg["family"] not in ("identity", "system", "probe_energy"):
         raise ConfigError("family must be identity, system or probe_energy")
@@ -280,7 +243,7 @@ def _theta_checks(ens) -> dict:
     routes = ens.routes
     return {
         "mean_in_class": bool(ens.mean_report.in_class_e),
-        "neumann_converges": bool(np.isfinite(routes["neumann_tail_bound"])),
+        "neumann_converges": bool(np.isfinite(routes["theta_neumann"]).all()),
         "theta_routes_agree": bool(routes["mismatch"] <= 1e-10),
         "theta_normalized": bool(abs(np.vdot(ens.psi_s, routes["theta_projector"]) - 1.0) <= 1e-10),
     }
@@ -499,17 +462,41 @@ def _run_oracle_check(cfg: dict, inputs: dict, out: str) -> tuple[dict, dict]:
     return payload, {"oracle_agreement": bool(worst <= float(cfg["tol"]))}
 
 
-_RUNNERS = {
-    "classify": _run_classify,
-    "ideal": _run_ideal,
-    "ergodic": _run_ergodic,
-    "decay": _run_decay,
-    "reverse": _run_reverse,
-    "lyapunov": _run_lyapunov,
-    "instant": _run_instant,
-    "fluxes": _run_fluxes,
-    "oracle-check": _run_oracle_check,
+# per experiment: its keys and defaults besides "experiment" (None marks "no
+# default"), and its runner
+_EXPERIMENTS = {
+    "classify": (
+        {"tolerances": _TOLERANCES, "model": None, "matrix": None, "psi_s": None},
+        _run_classify,
+    ),
+    "ideal": ({"model": None, "n_max": 200}, _run_ideal),
+    "ergodic": (
+        {"ensemble": None, "seeds": [0], "n_total": 10_000, "checkpoint_every": 1000, "bound_coefficient": 5.0},
+        _run_ergodic,
+    ),
+    "decay": ({"ensemble": None, "seeds": [0], "n_total": 2000}, _run_decay),
+    "reverse": (
+        {"ensemble": None, "seeds": [0], "n_total": 500, "checkpoint_every": 10},
+        _run_reverse,
+    ),
+    "lyapunov": (
+        {"ensemble": None, "seeds": [0], "n_total": 5000, "reorth_every": 10},
+        _run_lyapunov,
+    ),
+    "instant": (
+        {"ensemble": None, "family": "identity", "a_s": None, "seeds": [0, 1], "n_total": 10_000},
+        _run_instant,
+    ),
+    "fluxes": (
+        {"ensemble": None, "monte_carlo": True, "seeds": [0, 1], "n_total": 10_000, "rho_init": None},
+        _run_fluxes,
+    ),
+    "oracle-check": (
+        {"model": None, "m_max": 6, "n_observables": 5, "seed": 0, "tol": 1e-10},
+        _run_oracle_check,
+    ),
 }
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def run(cfg: dict, out: str = ".") -> dict:
@@ -518,7 +505,8 @@ def run(cfg: dict, out: str = ".") -> dict:
     start = time.monotonic()
     inputs = _load(cfg)
     os.makedirs(out, exist_ok=True)
-    payload, checks = _RUNNERS[cfg["experiment"]](cfg, inputs, out)
+    _, runner = _EXPERIMENTS[cfg["experiment"]]
+    payload, checks = runner(cfg, inputs, out)
     elapsed = time.monotonic() - start
     digest = hashlib.sha256(
         json.dumps(cfg, sort_keys=True).encode()

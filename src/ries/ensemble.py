@@ -54,10 +54,11 @@ from . import rdo as rdo_mod
 from .linalg import KahanAccumulator, dag, embed, readback, vec
 from .model import ProbeSpec, SystemSpec, energy_terms, model_from_json, rdos_from_model, scaled_probes
 from .rdo import Rdo, RdoValidationError, SpectralReport, classify, decompose
-from .serialize import is_int, is_real, matrix_from_json
+from .serialize import check_fields, is_int, is_real, matrix_from_json
 
-NEUMANN_TERM_TOL = 1e-14
-NEUMANN_MAX_TERMS = 10_000
+# theta_routes sums theta's series, as one resolvent solve, only when
+# 1 - spr(E[M_Q]) exceeds this floor
+RESOLVENT_FLOOR = 1e-12
 # complex entries per seed that the products of one run of blocks (see
 # _sweeps), or one buffer of vectors, hold: 2048 bytes, a float64 block product
 # holding D**2 of them as its 2D x D embedding column. It bounds a kernel's
@@ -241,10 +242,7 @@ class RrdoEnsemble:
         that ProbeSpec would reject, raises ValueError.
         """
         for key, bounds in ranges.items():
-            if not isinstance(bounds, dict):
-                raise ValueError(f"{key} range must be an object with 'low' and 'high', got {bounds!r}")
-            if unknown := sorted(bounds.keys() - {"low", "high"}):
-                raise ValueError(f"unknown {key} range keys: {unknown}")
+            check_fields(bounds, ("low", "high"), f"{key} range")
             low, high = bounds.get("low"), bounds.get("high")
             if not (is_real(low) and is_real(high) and math.isfinite(float(high) - float(low))):
                 raise ValueError(f"{key} range {bounds}: bounds and span must be finite real numbers")
@@ -273,11 +271,11 @@ def theta_routes(ens: RrdoEnsemble) -> dict:
     """Asymptotic vector theta by two independent formulas.
 
     Route "projector": adjoint of the spectral projection of E[M] at 1,
-    applied to psi_s. Route "neumann": sum_k (E[M_Q]^*)^k E[psi], truncated
-    when the term norm drops below 1e-14, with a geometric tail bound from
-    spr(E[M_Q]). The tail bound is inf when the sum did not get there in
-    NEUMANN_MAX_TERMS terms; at spr(E[M_Q]) >= 1 the sum is not taken, and
-    its vector is NaN and the mismatch inf. Whether theta exists is the
+    applied to psi_s. Route "neumann": the series sum_k (E[M_Q]^*)^k E[psi],
+    which converges exactly when spr(E[M_Q]) < 1, to the resolvent
+    (1 - E[M_Q]^*)^(-1) E[psi]; it is taken as one linear solve, and only
+    when 1 - spr(E[M_Q]) exceeds RESOLVENT_FLOOR. Below the floor its
+    vector is NaN and the mismatch inf. Whether theta exists is the
     runners' to judge, from these numbers and the class of E[M].
     """
     theta_proj = decompose(ens.mean).psi
@@ -286,24 +284,15 @@ def theta_routes(ens: RrdoEnsemble) -> dict:
     e_psi = np.einsum("k,ki->i", ens.probs, ens.psi_omega)
     spr = float(np.abs(np.linalg.eigvals(e_mq)).max())
     theta_series = np.full_like(e_psi, np.nan)
-    mismatch = tail_bound = np.inf
-    if spr < 1.0:
-        e_mq_adj = dag(e_mq)
-        term, theta_series = e_psi, np.zeros_like(e_psi)
-        for _ in range(NEUMANN_MAX_TERMS):
-            theta_series = theta_series + term
-            term = e_mq_adj @ term
-            tnorm = np.linalg.norm(term)
-            if tnorm < NEUMANN_TERM_TOL:
-                tail_bound = tnorm / (1.0 - spr)
-                break
+    mismatch = np.inf
+    if 1.0 - spr > RESOLVENT_FLOOR:
+        theta_series = np.linalg.solve(np.eye(len(e_psi)) - dag(e_mq), e_psi)
         mismatch = np.linalg.norm(theta_proj - theta_series)
     return {
         "theta_projector": theta_proj,
         "theta_neumann": theta_series,
         "mismatch": float(mismatch),
         "spr_mean_mq": spr,
-        "neumann_tail_bound": float(tail_bound),
     }
 
 
@@ -707,17 +696,6 @@ def lyapunov(
     return LyapunovEstimate(seeds, exponents[:, 0], gamma_2, exponents[:, 0] - gamma_2)
 
 
-def _fields(doc, allowed: tuple, one_of: tuple, where: str) -> None:
-    """`doc` is a JSON object with keys from `allowed`, and exactly one of `one_of` (if given)."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where} must be a JSON object")
-    unknown = set(doc) - set(allowed)
-    if unknown:
-        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
-    if one_of and (one_of[0] in doc) == (one_of[1] in doc):
-        raise ValueError(f"{where} needs exactly one of {one_of[0]!r} or {one_of[1]!r}")
-
-
 def ensemble_from_json(doc: dict, where: str = "ensemble") -> RrdoEnsemble:
     """Build an ensemble from its JSON document.
 
@@ -739,12 +717,12 @@ def ensemble_from_json(doc: dict, where: str = "ensemble") -> RrdoEnsemble:
     RdoValidationError, and weights that are negative or do not sum to 1
     EnsembleError.
     """
-    _fields(doc, ("atoms", "psi_s", "presample"), ("atoms", "presample"), where)
+    check_fields(doc, ("atoms", "psi_s", "presample"), where, one_of=("atoms", "presample"))
     if "presample" in doc:
         if "psi_s" in doc:
             raise ValueError(f"{where}.psi_s is read only with matrix-form atoms")
         gen, where = doc["presample"], f"{where}.presample"
-        _fields(gen, ("model", "count", "seed", "tau", "beta", "coupling"), (), where)
+        check_fields(gen, ("model", "count", "seed", "tau", "beta", "coupling"), where)
         counts = {key: gen[key] for key in ("count", "seed") if key in gen}
         for key, low in (("count", 1), ("seed", 0)):
             if key in counts and not is_int(counts[key], low):
@@ -759,7 +737,7 @@ def ensemble_from_json(doc: dict, where: str = "ensemble") -> RrdoEnsemble:
     if not (isinstance(atoms, list) and atoms):
         raise ValueError(f"{where}.atoms must be a nonempty list")
     for i, atom in enumerate(atoms):
-        _fields(atom, ("p", "model", "matrix"), ("model", "matrix"), f"{where}.atoms[{i}]")
+        check_fields(atom, ("p", "model", "matrix"), f"{where}.atoms[{i}]", one_of=("model", "matrix"))
         if not is_real(atom.get("p")):
             raise ValueError(f"{where}.atoms[{i}].p must be a finite real number, got {atom.get('p')!r}")
     probs = [float(atom["p"]) for atom in atoms]

@@ -61,7 +61,7 @@ from .linalg import (
     unvec,
     vec,
 )
-from .serialize import is_int, is_real, matrix_from_json
+from .serialize import check_fields, is_int, is_real, matrix_from_json
 
 ORACLE_DIM_GUARD = 4096  # largest chain dimension; its square bounds a stack of window reductions
 WINDOW_CAPACITY = 3  # largest l + r of an observation window
@@ -622,17 +622,18 @@ def model_from_json(doc: dict, where: str = "model") -> tuple[SystemSpec, ProbeS
     ``{"system": {"dim", "h", "beta"}, "probe": {"dim", "h", "beta", "v", "tau"}}``:
     each dim an integer >= 1, each beta and tau a finite real number (not a
     bool), each matrix as :func:`ries.serialize.matrix_from_json` parses it.
-    Anything else, or a value the specs reject, is a ValueError that names
-    its field by its path below `where`.
+    Anything else (an unknown key at any of the three levels too), or a value
+    the specs reject, is a ValueError that names its field by its path below
+    `where`.
     """
-    parts = {"system": ("beta",), "probe": ("beta", "tau")}
-    if not (isinstance(doc, dict) and all(isinstance(doc.get(part), dict) for part in parts)):
-        raise ValueError(f"{where} must be an object with 'system' and 'probe' objects")
-    for part, reals in parts.items():
+    parts = {"system": ("dim", "h", "beta"), "probe": ("dim", "h", "beta", "v", "tau")}
+    check_fields(doc, tuple(parts), where)
+    for part, keys in parts.items():
+        check_fields(doc.get(part), keys, f"{where}.{part}")
         if not is_int(doc[part].get("dim"), 1):
             raise ValueError(f"{where}.{part}.dim must be an integer >= 1, got {doc[part].get('dim')!r}")
-        for key in reals:
-            if not is_real(x := doc[part].get(key)):
+        for key in ("beta", "tau"):
+            if key in keys and not is_real(x := doc[part].get(key)):
                 raise ValueError(f"{where}.{part}.{key} must be a finite real number, got {x!r}")
     sdoc, pdoc = doc["system"], doc["probe"]
     h_s = matrix_from_json(sdoc.get("h"), f"{where}.system.h")

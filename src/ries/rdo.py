@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 import scipy.linalg
 
-from .linalg import dag, spectral_norm
+from .linalg import dag
 from .serialize import vector_to_json
 
 INVARIANCE_TOL = 1e-11
@@ -78,6 +78,16 @@ class Rdo:
         return self.m.shape[0]
 
 
+def _powers(m: np.ndarray, n: int) -> np.ndarray:
+    """The (n, D, D) stack M, M^2, ..., M^n, each power the previous one times M. Its
+    spectral norms are one batched SVD's first (largest) singular values."""
+    powers = np.empty((n, *m.shape), dtype=complex)
+    power = np.eye(m.shape[0], dtype=complex)
+    for k in range(n):
+        power = powers[k] = power @ m
+    return powers
+
+
 def validate(candidate: np.ndarray, psi_s: np.ndarray) -> Rdo:
     """Accept a candidate matrix as an RDO or raise RdoValidationError.
 
@@ -90,11 +100,8 @@ def validate(candidate: np.ndarray, psi_s: np.ndarray) -> Rdo:
     spr = float(np.abs(np.linalg.eigvals(rdo.m)).max())
     if spr > 1.0 + SPECTRAL_RADIUS_TOL:
         raise RdoValidationError(f"spectral radius {spr} exceeds 1")
-    sup = 1.0
-    power = np.eye(rdo.dim, dtype=complex)
-    for _ in range(POWER_CHECK_LEN):
-        power = power @ rdo.m
-        sup = max(sup, spectral_norm(power))
+    norms = np.linalg.svd(_powers(rdo.m, POWER_CHECK_LEN), compute_uv=False)[:, 0]
+    sup = max(1.0, float(norms.max()))
     if not np.isfinite(sup) or sup > 1e8:
         raise RdoValidationError(f"powers appear unbounded (sampled sup {sup:.3e})")
     return rdo
@@ -255,11 +262,7 @@ def ideal_asymptotics(rdo: Rdo, n_max: int = 200) -> IdealAsymptotics:
     errors need not decay.
     """
     dec = decompose(rdo)
-    powers = np.empty((n_max, rdo.dim, rdo.dim), dtype=complex)
-    power = np.eye(rdo.dim, dtype=complex)
-    for n in range(n_max):
-        power = powers[n] = power @ rdo.m
-    errors = np.linalg.svd(powers - dec.p, compute_uv=False)[:, 0]  # descending: the largest
+    errors = np.linalg.svd(_powers(rdo.m, n_max) - dec.p, compute_uv=False)[:, 0]
     valid = errors > FIT_FLOOR
     if valid.sum() < 2:
         return IdealAsymptotics(errors=errors, fitted_rate=-np.inf, spr_mq=dec.spr_mq)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Iterable
 from typing import Any
 
 import numpy as np
@@ -34,6 +35,18 @@ def is_real(x: Any) -> bool:
 def is_int(x: Any, low: int) -> bool:
     """A JSON integer >= `low` (bools excluded)."""
     return isinstance(x, int) and not isinstance(x, bool) and x >= low
+
+
+def check_fields(doc: Any, allowed: Iterable[str], where: str, one_of: tuple = ()) -> None:
+    """`doc` is a JSON object with keys from `allowed`, and exactly one of `one_of` (if
+    given); anything else is a ValueError naming `where`, the object's path."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    unknown = set(doc) - set(allowed)
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
+    if one_of and (one_of[0] in doc) == (one_of[1] in doc):
+        raise ValueError(f"{where} needs exactly one of {one_of[0]!r} or {one_of[1]!r}")
 
 
 _NUMBER_TYPES = {int, float}  # exact types: a JSON true or false is a bool, which is no number here

@@ -230,6 +230,10 @@ def test_cli_exit_codes(tmp_path, model_doc, ensemble_doc):
         {"experiment": "ergodic", "ensemble": edited(presample, ("presample", "tau"), {"low": 0.6})},
         {"experiment": "ergodic", "ensemble": edited(presample, ("presample", "tau"), [0.6, 1.6])},
         {"experiment": "ideal", "model": edited(model_doc, ("probe", "tau"), 10**400)},
+        # unknown keys inside a model document, wherever it sits
+        {"experiment": "classify", "model": edited(model_doc, ("system", "bta"), 0.7)},
+        {"experiment": "ergodic", "ensemble": edited(ensemble_doc, ("atoms", 0, "model", "probe", "tua"), 1.1)},
+        {"experiment": "ergodic", "ensemble": edited(presample, ("presample", "model", "system", "x"), 1)},
     ):
         path = tmp_path / "mistyped.json"
         dump_json(doc, str(path))
@@ -275,6 +279,50 @@ def test_cli_exit_codes(tmp_path, model_doc, ensemble_doc):
     (tmp_path / "summary.json").unlink(missing_ok=True)
     assert main(["run", str(failing), "--out", str(tmp_path)]) == 1
     assert json.loads((tmp_path / "summary.json").read_text())["checks"]["in_class_atom"] is False
+
+
+def test_unknown_model_keys_are_named(model_doc):
+    for part in ("system", "probe"):
+        doc = {**model_doc, part: {**model_doc[part], "bta": 0.7}}
+        where = re.escape(f"ensemble.atoms[0].model.{part}")
+        with pytest.raises(ValueError, match=rf"unknown {where} keys: \['bta'\]"):
+            ries.model_from_json(doc, "ensemble.atoms[0].model")
+    with pytest.raises(ValueError, match=r"unknown model keys: \['sytem'\]"):
+        ries.model_from_json({**model_doc, "sytem": model_doc["system"]})
+
+
+def test_slowly_mixing_fluxes_pass(tmp_path):
+    """The demo qubit ensemble (an uncoupled and an exchange-coupled atom, p = 1/2 each)
+    at coupling 0.05: E[M] is in the class with gap 7.6e-4, and theta's series converges
+    slowly, spr(E[M_Q]) = 0.99924, so that its first 10,000 terms miss theta by 2.8e-8.
+    The resolvent solve sums it all."""
+    system, probe = ries.qubit_exchange_model(1.0, 0.9, 0.05, 1.1, 0.7, 1.3)
+    probe0 = ries.ProbeSpec(dim_e=2, h_e=probe.h_e, beta_e=probe.beta_e, v=0.0 * probe.v, tau=probe.tau)
+    ensemble = {"atoms": [{"p": 0.5, "model": model_to_json(system, p)} for p in (probe0, probe)]}
+    path = tmp_path / "fluxes.json"
+    dump_json({"experiment": "fluxes", "ensemble": ensemble, "monte_carlo": False}, str(path))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 0
+    checks = json.loads((tmp_path / "summary.json").read_text())["checks"]
+    assert checks["neumann_converges"] is True and checks["theta_routes_agree"] is True
+
+
+def test_theta_solve_skipped_just_below_one(tmp_path, capsys):
+    """1 - spr(E[M_Q]) = 5e-13 lies below the solve's floor: theta's series is not
+    summed, nothing raises, and the run fails its checks with a written report."""
+    m = np.diag([1.0, 1.0 - 5e-13])
+    ens = ries.RrdoEnsemble.from_matrices(np.array([1.0, 0.0]), [(1.0, m)])
+    assert 1.0 - 1e-12 < ens.routes["spr_mean_mq"] < 1.0
+    assert np.isnan(ens.routes["theta_neumann"]).all() and ens.routes["mismatch"] == np.inf
+    path = tmp_path / "ergodic.json"
+    ensemble = {"atoms": [{"p": 1.0, "matrix": matrix_to_json(m)}], "psi_s": [[1.0, 0.0], [0.0, 0.0]]}
+    config = {"experiment": "ergodic", "ensemble": ensemble, "n_total": 200, "checkpoint_every": 100}
+    dump_json(config, str(path))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    summary = _strict_json((tmp_path / "summary.json").read_text())
+    assert summary["checks"]["neumann_converges"] is False
+    assert summary["checks"]["theta_routes_agree"] is False
+    assert summary["payload"]["theta_mismatch"] is None
 
 
 def test_oracle_check_fails_on_non_finite_residual(tmp_path, model_doc, monkeypatch):
@@ -948,7 +996,8 @@ def test_internal_error_exits_4_without_traceback(tmp_path, capsys, monkeypatch)
     def broken(cfg, inputs, out):
         raise ValueError("a defect")
 
-    monkeypatch.setitem(ries.cli._RUNNERS, "classify", broken)
+    schema, _ = ries.cli._EXPERIMENTS["classify"]
+    monkeypatch.setitem(ries.cli._EXPERIMENTS, "classify", (schema, broken))
     path = os.path.join(DEMO_CONFIGS, "classify.json")
     assert main(["validate", path]) == 0
     capsys.readouterr()

@@ -1,10 +1,11 @@
 """Mutated demo configs: `validate` and `run` agree on what is a config error.
 
 Hypothesis mutates the ten demo configs: it drops, retypes and misspells keys
-at every level, puts NaN, inf or a 3-number entry into a matrix (or NaN or
-inf in place of a number), zeroes a number (a zero tau or coupling entry can
-break a theorem's hypothesis), bends a matrix's shape and repeats a seed. For
-every mutant, `ries validate` exits 2 exactly when `ries run` does, neither
+at every level, adds an unknown key to any object, puts NaN, inf or a
+3-number entry into a matrix (or NaN or inf in place of a number), zeroes a
+number (a zero tau or coupling entry can break a theorem's hypothesis), bends
+a matrix's shape and repeats a seed. For every mutant, `ries validate` exits
+2 exactly when `ries run` does (and both do for an unknown key), neither
 exits 4 (internal error), and neither prints a traceback. A run that exits 1
 has written its summary with at least one false check, and one that exits 0
 a summary whose checks are all true.
@@ -32,6 +33,7 @@ NAMES = sorted(p.stem for p in DEMO_CONFIGS.glob("*.json"))
 N_TOTAL = 50  # lowered only to bound the runtime (see the module docstring)
 # values of another type than most fields hold
 OTHER_TYPES = ("text", 1.5, 2, True, None, [], {}, [[1.0, 0.0]])
+EXTRA_KEY = "extra"  # a key no object of a config has
 
 
 def _load(name: str) -> dict:
@@ -81,7 +83,8 @@ def mutants(draw):
     numbers = [p for p, v in paths if _is_number(v)]
     matrices = [p for p, v in paths if _is_matrix(v)]
     pairs = [p for p, v in paths if _is_pair(v)]
-    kinds = ["drop", "retype", "misspell", "non_finite", "zero", "three_numbers", "bend"]
+    objects = [()] + [p for p, v in paths if isinstance(v, dict)]
+    kinds = ["drop", "retype", "misspell", "extra_key", "non_finite", "zero", "three_numbers", "bend"]
     if "seeds" in doc:
         kinds.append("repeat_seed")
     kind = draw(st.sampled_from(kinds))
@@ -95,6 +98,8 @@ def mutants(draw):
         path = draw(st.sampled_from(keyed))
         parent = _get(doc, path[:-1])
         parent[path[-1] + draw(st.sampled_from(("x", "_", "s")))] = parent.pop(path[-1])
+    elif kind == "extra_key":
+        _get(doc, draw(st.sampled_from(objects)))[EXTRA_KEY] = draw(st.sampled_from(OTHER_TYPES))
     elif kind == "non_finite":
         path = draw(st.sampled_from(numbers))
         _get(doc, path[:-1])[path[-1]] = draw(st.sampled_from((math.nan, math.inf, -math.inf)))
@@ -140,6 +145,8 @@ def test_validate_and_run_agree_on_mutated_demo_configs(mutant):
         if rc_run in (0, 1):
             checks = json.loads(Path(tmp, "out", "summary.json").read_text())["checks"]
     assert rc_validate in (0, 2), (name, kind, err_validate)
+    if kind == "extra_key":
+        assert rc_validate == rc_run == 2, (name, doc, rc_validate, rc_run)
     if rc_run == 0:
         assert all(checks.values()), (name, kind, checks)
     if rc_run == 1:

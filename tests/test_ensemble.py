@@ -92,12 +92,20 @@ def test_theta_routes_agree(reference_ensemble):
     routes = theta_routes(reference_ensemble)
     assert routes["mismatch"] <= 1e-10
     assert routes["spr_mean_mq"] < 1.0
-    assert routes["neumann_tail_bound"] < 1e-12
+    # the resolvent solve is the series sum_k (E[M_Q]^*)^k E[psi], summed here term by term
+    ens = reference_ensemble
+    e_mq_adj = dag(np.einsum("k,kij->ij", ens.probs, ens.mq))
+    term = np.einsum("k,ki->i", ens.probs, ens.psi_omega)
+    partial = np.zeros_like(term)
+    for _ in range(2000):
+        partial, term = partial + term, e_mq_adj @ term
+    assert np.linalg.norm(term) < 1e-14
+    assert np.linalg.norm(routes["theta_neumann"] - partial) <= 1e-12
 
 
 def test_theta_routes_diverge_for_unitary_ensemble():
     """A unitary E[M] is out of the class, which the runners' theta checks report;
-    at spr(E[M_Q]) >= 1 the Neumann sum is not taken and the mismatch is inf."""
+    at spr(E[M_Q]) >= 1 the resolvent solve is not taken and the mismatch is inf."""
     m = np.diag([1.0, np.exp(0.3j)])
     ens = RrdoEnsemble.from_matrices(np.array([1.0, 0.0]), [(1.0, m)])
     assert abs(ens.routes["spr_mean_mq"] - 1.0) < 1e-15
@@ -105,8 +113,19 @@ def test_theta_routes_diverge_for_unitary_ensemble():
     outward = RrdoEnsemble.from_matrices(np.array([1.0, 0.0]), [(1.0, np.diag([1.0, -1.0]))])
     routes = theta_routes(outward)
     assert routes["spr_mean_mq"] >= 1.0
-    assert routes["mismatch"] == routes["neumann_tail_bound"] == np.inf
+    assert routes["mismatch"] == np.inf
     assert np.isnan(routes["theta_neumann"]).all()
+
+
+def test_theta_routes_agree_at_weak_coupling(qubit_model, uncoupled_probe):
+    """At coupling 0.01, spr(E[M_Q]) = 0.99997: the first 10,000 terms of theta's series
+    miss it by 5.5e-2, and the resolvent solve agrees with the projector route."""
+    system, probe = qubit_model
+    weak = ries.ProbeSpec(dim_e=2, h_e=probe.h_e, beta_e=probe.beta_e, v=probe.v / 40, tau=probe.tau)
+    ens = RrdoEnsemble.from_models(system, [(0.5, uncoupled_probe), (0.5, weak)])
+    routes = theta_routes(ens)
+    assert 0.9999 < routes["spr_mean_mq"] < 1.0
+    assert routes["mismatch"] <= 1e-10
 
 
 def test_simulate_forward_deterministic(qubit_model):
