@@ -7,8 +7,9 @@ matrix reproduce exact expectations computed by brute force on the
 truncated chain S x E_1 x ... x E_m: the oracle evolves the full chain
 state, applying every step unitary to its own tensor legs, and applies a
 spectator's free evolution, which commutes with every later encounter, once
-to each window leg that it keeps. Then it does the same for a windowed
-observable that rides along with the interaction.
+to each window leg that it keeps. One chain evolution, to the largest m,
+is read out after every step m that is printed. Then it does the same for
+a windowed observable that rides along with the interaction.
 """
 
 import numpy as np
@@ -29,11 +30,12 @@ print("in simple-gap class:", ries.classify(rdo).in_class_e)
 rng = np.random.default_rng(0)
 a_s = random_hermitian(2, rng)
 print("\nsystem observable, <psi_S, M^m A_S psi_S> vs full chain:")
-for m in range(1, 7):
+ms = range(1, 7)
+oracle = ries.full_chain_oracle(
+    system, [probe] * ms[-1], ries.ObservableWindow.system_only(a_s, 2), ms, rho_s
+)
+for m, rhs in zip(ms, oracle):
     lhs = np.vdot(psi_s, np.linalg.matrix_power(rdo.m, m) @ vec(a_s @ sqrt_rho))
-    rhs = ries.full_chain_oracle(
-        system, [probe] * m, ries.ObservableWindow.system_only(a_s, 2), m, rho_s
-    )
     print(f"  m={m}: reduced {lhs.real:+.12f}  oracle {rhs.real:+.12f}  "
           f"|diff| {abs(lhs - rhs):.2e}")
 
@@ -43,9 +45,10 @@ obs = ries.ObservableWindow(
 )
 n_mat = ries.reduce_instant(system, [probe] * 3, obs)
 print("\nwindowed observable (l = r = 1):")
-for m in (3, 4, 5):
+ms = (3, 4, 5)
+oracle = ries.full_chain_oracle(system, [probe] * (ms[-1] + 1), obs, ms, rho_s)
+for m, rhs in zip(ms, oracle):
     word = np.linalg.matrix_power(rdo.m, m - 2)
     lhs = np.vdot(psi_s, word @ vec(n_mat @ sqrt_rho))
-    rhs = ries.full_chain_oracle(system, [probe] * (m + 1), obs, m, rho_s)
     print(f"  m={m}: reduced {lhs.real:+.12f}  oracle {rhs.real:+.12f}  "
           f"|diff| {abs(lhs - rhs):.2e}")

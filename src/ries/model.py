@@ -20,8 +20,9 @@ grown one leg per step: each probe joins in its Gibbs state at its own
 encounter, which alone is applied to the chain, on its own legs, so no
 chain-sized unitary is ever formed. A probe's free evolution commutes with
 every later encounter: it is applied once, on the reduced window state, and
-only to the window legs that keep it. One evolution per m serves every
-observable of a stack.
+only to the window legs that keep it. One evolution to the largest m asked
+for serves every m and every observable of a stack: the chain is read out
+after each step that is asked about.
 
 Encounters are built as stacks, one row per probe: :func:`step_unitaries`
 diagonalizes every generator h_s x 1 + 1 x h_e + v of one probe dimension in
@@ -46,7 +47,7 @@ The GNS transport never builds a non-normal generator: with
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import reduce
 
@@ -71,18 +72,20 @@ class CapacityError(Exception):
     """Raised when a brute-force computation would exceed the dense-algebra guard."""
 
 
-def check_capacity(dims: list[int], window: int = 0, stack: int = 1) -> None:
+def check_capacity(dims: list[int], window: int = 0, stack: int = 1, powers: bool = False) -> None:
     """Raise CapacityError past a dense-algebra guard.
 
     The guards: an observation window extent `window` (= l + r) may not
     exceed WINDOW_CAPACITY, and `stack` dense arrays over the tensor legs
     `dims` may not hold more than ORACLE_DIM_GUARD^2 entries (one chain: its
-    dimension may not exceed ORACLE_DIM_GUARD). The error states the
-    estimated peak bytes and, for a chain of S and one probe leg per step,
-    the number of factor applications: the chain grows one leg per step and
-    step k applies only the encounter of S with E_k, m encounters in m steps,
-    each touching dim^2 d_S d_E entries per side. The free evolutions of the
-    l kept window legs act on the reduced window state, not on the chain.
+    dimension may not exceed ORACLE_DIM_GUARD). With `powers`, the stack is
+    the powers M, M^2, ..., M^stack of one RDO on the GNS space `dims`, as
+    the ideal asymptotics hold them. The error states the estimated peak
+    bytes and, for a chain of S and one probe leg per step, the number of
+    factor applications: the chain grows one leg per step and step k applies
+    only the encounter of S with E_k, m encounters in m steps, each touching
+    dim^2 d_S d_E entries per side. The free evolutions of the l kept window
+    legs act on the reduced window state, not on the chain.
     """
     if window > WINDOW_CAPACITY:
         raise CapacityError(f"window capacity guard: l + r = {window} exceeds {WINDOW_CAPACITY}")
@@ -100,15 +103,21 @@ def check_capacity(dims: list[int], window: int = 0, stack: int = 1) -> None:
     # the tuples are the atoms, and the stacked encounter build (the batched eigh and the U,
     # U* stacks) sets the peak: 8 per tuple (7.92 at d = e = 2, 7.37 at d = 2, e = 3, 6.88 at
     # d = 3, e = 2, 6.63 at d = e = 3, on 1,024 and 4,096 atoms); below d e = 4 the per-tuple
-    # bookkeeping weighs more.
-    per_tuple = 8 if window == 0 else 3.5
-    arrays = 3 if stack == 1 else per_tuple * stack
+    # bookkeeping weighs more. The ideal asymptotics hold the powers M^n and their errors
+    # M^n - P_1 at once: 2.1 per power (2.05 at D = 4 and 2.01 at D = 9 for 10^4 powers,
+    # 2.005 at D = 4 for 10^5; the decay fit's arrays of one entry per power add the rest).
+    per_item = 2.1 if powers else 8 if window == 0 else 3.5
+    arrays = per_item * stack if powers or stack > 1 else 3
     peak = f"{arrays * dim * dim * 16 / 2**20:,.0f} MiB ({arrays:,.0f} dense {dim}x{dim} arrays)"
+    entries = f"hold {stack * dim * dim:,} entries, past ORACLE_DIM_GUARD^2 = {ORACLE_DIM_GUARD**2:,}"
+    if powers:
+        raise CapacityError(
+            f"{stack:,} powers of a {dim}x{dim} RDO {entries}: estimated peak {peak}, {per_item} per power"
+        )
     if stack > 1:
         raise CapacityError(
-            f"{stack:,} stacked window reductions hold {stack * dim * dim:,} entries, past "
-            f"ORACLE_DIM_GUARD^2 = {ORACLE_DIM_GUARD**2:,}: estimated peak {peak}, "
-            f"{per_tuple} per tuple at l + r = {window}"
+            f"{stack:,} stacked window reductions {entries}: estimated peak {peak}, "
+            f"{per_item} per tuple at l + r = {window}"
         )
     raise CapacityError(
         f"chain dimension {dim} exceeds guard {ORACLE_DIM_GUARD}: estimated peak {peak} and "
@@ -374,11 +383,11 @@ def _apply_encounter(x: np.ndarray, u: np.ndarray, d: int, e: int) -> np.ndarray
     return out.reshape(dim, dim)
 
 
-def _conjugate_by_chain(x: np.ndarray, sys: SystemSpec, probes: list[ProbeSpec]) -> np.ndarray:
-    """U (x x Gibbs_1 x ... x Gibbs_n) U*, U = U_n ... U_1, n = len(probes):
-    the oracle's chain evolution by its encounters alone (the free evolutions
-    are left to :func:`full_chain_expectation`), on the chain grown one leg
-    per step.
+def _conjugate_by_chain(x: np.ndarray, sys: SystemSpec, probes: list[ProbeSpec]) -> Iterator[np.ndarray]:
+    """U_k ... U_1 (x x Gibbs_1 x ... x Gibbs_k) (U_k ... U_1)* after each step
+    k = 1 .. len(probes), yielded in turn: the oracle's chain evolution by its
+    encounters alone (the free evolutions are left to
+    :func:`full_chain_expectation`), on the chain grown one leg per step.
 
     `x` is a state on S alone. Just before step k, probe leg E_k joins last,
     in its Gibbs state, so the legs are [S, E_1, ..., E_k], and step k applies
@@ -389,7 +398,8 @@ def _conjugate_by_chain(x: np.ndarray, sys: SystemSpec, probes: list[ProbeSpec])
     directly, and on the column legs as rows of the transpose,
     x U_k* = (conj(U_k) x^T)^T. The transpose is kept from one step to the
     next, so each step costs one, and a leg joining the transpose joins as
-    Gibbs_k^T. No chain-sized unitary is formed.
+    Gibbs_k^T. No chain-sized unitary is formed. A yielded state is not
+    changed by later steps, which build new arrays.
     """
     encounters = [None] * len(probes)
     for rows, us, rho_e in _encounters(sys, probes):
@@ -402,14 +412,39 @@ def _conjugate_by_chain(x: np.ndarray, sys: SystemSpec, probes: list[ProbeSpec])
         x = _apply_encounter(x, u.conj() if transposed else u, d, e)
         x, transposed = x.T, not transposed
         x = _apply_encounter(x, u.conj() if transposed else u, d, e)
-    return x.T if transposed else x
+        yield x.T if transposed else x
+
+
+def _read_window(
+    rho_tot: np.ndarray, sys: SystemSpec, steps: list[ProbeSpec], dims: list[int],
+    ops: np.ndarray, m: int, l: int, r: int,
+) -> complex | np.ndarray:
+    """The expectation of the window operator(s) `ops` in the chain state `rho_tot`
+    after step m, on the legs `dims[: m + 1]` (see :func:`full_chain_expectation`)."""
+    d = sys.dim_s
+    # the evolved window legs are S and the last l + 1 probes: trace out E_1 .. E_(m-l-1)
+    before = int(np.prod(dims[1 : m - l], dtype=np.int64))
+    after = int(np.prod(dims[m - l : m + 1], dtype=np.int64))
+    rho_w = np.einsum("apbcpd->abcd", rho_tot.reshape(d, before, after, d, before, after))
+    rho_w = rho_w.reshape(d * after, d * after)
+    if l:  # each kept leg E_n, n < m, evolves freely over the steps n + 1 .. m
+        free = [expm_hermitian(steps[n - 1].h_e, -1j * sum(p.tau for p in steps[n:m]))
+                for n in range(m - l, m)]
+        g = reduce(np.kron, [np.eye(d), *free, np.eye(dims[m])])
+        rho_w = g @ rho_w @ dag(g)
+    if r:  # Tr_idle[(1 x Gibbs_(m+1) x ... x Gibbs_(m+r)) op], the idle legs' expectation
+        idle = reduce(np.kron, [probe.gibbs_state() for probe in steps[m : m + r]])
+        ops = weighted_partial_trace(ops, d * after, idle)
+    if ops.ndim == 2:
+        return complex(np.einsum("ij,ji->", rho_w, ops))
+    return np.array([np.einsum("ij,ji->", rho_w, op) for op in ops], dtype=complex)
 
 
 def full_chain_expectation(
     sys: SystemSpec,
     steps: list[ProbeSpec],
     op_window: np.ndarray,
-    m: int,
+    m: int | Sequence[int],
     l: int,
     r: int,
     rho_init: np.ndarray,
@@ -433,49 +468,47 @@ def full_chain_expectation(
     S x E_(m-l) x ... x E_m, which is traced against that reduced operator.
     No reduced-picture shortcut is used.
 
-    `op_window` is one (D, D) operator, giving a complex, or an (n, D, D)
-    stack, giving an (n,) complex array. The evolved state does not depend
-    on the operator, so a stack shares one chain evolution; each operator
+    `m` is one step count or an increasing sequence of them. A sequence is
+    served by one evolution, to its largest m: after each step m it asks
+    about, the evolved chain state is read out as above (trace, free
+    evolutions, idle legs, contraction), so each entry is bitwise the
+    one-m value. `op_window` is one (D, D) operator, giving a complex, or
+    an (n, D, D) stack, giving an (n,) complex array; a sequence adds a
+    leading axis with one entry per m. The evolved state does not depend
+    on the operator, so a stack shares the chain evolution; each operator
     is contracted with it exactly as a one-operator call would be.
     """
     rho_init = np.asarray(rho_init)
     d = sys.dim_s
     if rho_init.shape != (d, d):
         raise ValueError("rho_init must act on the system space")
-    if m - l < 1:
-        raise ValueError(f"window slot -l reaches probe {m - l} < 1")
-    if m + r > len(steps):
-        raise ValueError(f"need {m + r} probe specs, got {len(steps)}")
-    dims = [d] + [p.dim_e for p in steps[:m]]
+    single = np.ndim(m) == 0
+    ms = [m] if single else list(m)
+    if not ms or any(b <= a for a, b in zip(ms, ms[1:])):
+        raise ValueError(f"m must be a step count or an increasing sequence of them, got {m!r}")
+    if ms[0] - l < 1:
+        raise ValueError(f"window slot -l reaches probe {ms[0] - l} < 1 at m = {ms[0]}")
+    if ms[-1] + r > len(steps):
+        raise ValueError(f"need {ms[-1] + r} probe specs, got {len(steps)}")
+    dims = [d] + [p.dim_e for p in steps[: ms[-1]]]
     check_capacity(dims)
 
-    # U rho U*, U = U_m ... U_1 the encounters, on rho_init x Gibbs_1 x ... x Gibbs_m
-    rho_tot = _conjugate_by_chain(rho_init, sys, steps[:m])
-
-    # the evolved window legs are S and the last l + 1 probes: trace out E_1 .. E_(m-l-1)
-    before = int(np.prod(dims[1 : m - l], dtype=np.int64))
-    after = int(np.prod(dims[m - l :], dtype=np.int64))
-    rho_w = np.einsum("apbcpd->abcd", rho_tot.reshape(d, before, after, d, before, after))
-    rho_w = rho_w.reshape(d * after, d * after)
-    if l:  # each kept leg E_n, n < m, evolves freely over the steps n + 1 .. m
-        free = [expm_hermitian(steps[n - 1].h_e, -1j * sum(p.tau for p in steps[n:m]))
-                for n in range(m - l, m)]
-        g = reduce(np.kron, [np.eye(d), *free, np.eye(dims[m])])
-        rho_w = g @ rho_w @ dag(g)
-    ops = np.asarray(op_window)
-    if r:  # Tr_idle[(1 x Gibbs_(m+1) x ... x Gibbs_(m+r)) op], the idle legs' expectation
-        idle = reduce(np.kron, [probe.gibbs_state() for probe in steps[m : m + r]])
-        ops = weighted_partial_trace(ops, d * after, idle)
-    if ops.ndim == 2:
-        return complex(np.einsum("ij,ji->", rho_w, ops))
-    return np.array([np.einsum("ij,ji->", rho_w, op) for op in ops], dtype=complex)
+    op_window, values = np.asarray(op_window), []
+    # after step m: U rho U*, U = U_m ... U_1 the encounters, on rho_init x Gibbs_1 x ... x Gibbs_m
+    states = _conjugate_by_chain(rho_init, sys, steps[: ms[-1]])
+    for k in range(1, ms[-1] + 1):
+        rho_tot = next(states)  # not enumerate, whose reused tuple would keep the state alive
+        if k in ms:
+            values.append(_read_window(rho_tot, sys, steps, dims, op_window, k, l, r))
+        del rho_tot  # while the next step runs, only the chain engine holds the state
+    return values[0] if single else np.array(values)
 
 
 def full_chain_oracle(
     sys: SystemSpec,
     steps: list[ProbeSpec],
     obs: ObservableWindow,
-    m: int,
+    m: int | Sequence[int],
     rho_init: np.ndarray,
 ) -> complex | np.ndarray:
     """Exact expectation of a windowed product observable after m >= 1 steps.
@@ -484,7 +517,9 @@ def full_chain_oracle(
     contraction; this wrapper assembles A_S x B^(-l) x ... x B^(r). With
     a stack of system observables in `obs.a_s` it assembles one operator
     per observable, evaluates them all on one chain evolution and returns
-    an (n,) complex array.
+    an (n,) complex array. `m` may be an increasing sequence of step
+    counts, read out of one evolution to its largest; the result then has
+    a leading axis with one entry per m.
     """
     ops = obs.a_s
     for b in obs.b_list:

@@ -42,14 +42,14 @@ def test_criterion_1_oracle_equivalence():
         rho_s = sqrt_rho @ sqrt_rho
         observables = [random_hermitian(2, rng) for _ in range(10)]
         basis_ops = np.kron(np.eye(4, dtype=complex).reshape(4, 2, 2), np.eye(2))
+        # the oracle is linear in A_S: evaluate it on the matrix basis E_kl x 1, all
+        # four at every m = 1..6 on one chain evolution
+        basis_by_m = ries.full_chain_expectation(
+            system, [probe] * 6, basis_ops, range(1, 7), 0, 0, rho_s
+        ).reshape(6, 2, 2)
         power = np.eye(4, dtype=complex)
-        for m in range(1, 7):
+        for basis_vals in basis_by_m:
             power = power @ rdo.m
-            # the oracle is linear in A_S: evaluate it on the matrix basis E_kl x 1,
-            # all four on one chain evolution
-            basis_vals = ries.full_chain_expectation(
-                system, [probe] * m, basis_ops, m, 0, 0, rho_s
-            ).reshape(2, 2)
             for a_s in observables:
                 lhs = np.vdot(psi_s, power @ vec(a_s @ sqrt_rho))
                 rhs = np.sum(a_s * basis_vals)

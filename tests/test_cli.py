@@ -329,7 +329,7 @@ def test_oracle_check_fails_on_non_finite_residual(tmp_path, model_doc, monkeypa
     """max(0.0, nan) is 0.0: a NaN from the oracle must not read as agreement."""
 
     def nan_oracle(system, steps, obs, m, rho_init):
-        return np.full(len(obs.a_s), complex("nan"))  # one entry per observable
+        return np.full((len(m), len(obs.a_s)), complex("nan"))  # one row per m, one entry per operator
 
     monkeypatch.setattr("ries.cli.full_chain_oracle", nan_oracle)
     path = tmp_path / "oracle.json"
@@ -338,7 +338,46 @@ def test_oracle_check_fails_on_non_finite_residual(tmp_path, model_doc, monkeypa
     with open(tmp_path / "summary.json") as fh:
         summary = json.load(fh)
     assert summary["payload"]["residuals_finite"] is False
+    assert summary["payload"]["residual_by_m"] == [None, None]
     assert summary["checks"]["oracle_agreement"] is False
+
+
+def test_oracle_check_reports_residual_by_m(tmp_path, model_doc, monkeypatch):
+    """`residual_by_m` holds, for each m = 1..m_max, the largest |lhs - rhs| over that
+    m's observables; `max_residual` is their largest. Re-runs repeat it exactly, and
+    one chain evolution serves every m: one oracle call, asked about m = 1..m_max."""
+    calls = []
+    real = ries.cli.full_chain_oracle
+
+    def recorded(system, steps, obs, m, rho_init):
+        calls.append(list(m))
+        return real(system, steps, obs, m, rho_init)
+
+    monkeypatch.setattr("ries.cli.full_chain_oracle", recorded)
+    path = tmp_path / "oracle.json"
+    dump_json({"experiment": "oracle-check", "model": model_doc, "m_max": 5, "n_observables": 3}, str(path))
+    payloads = []
+    for run_dir in ("a", "b"):
+        rc, summary = _run_summary(str(path), tmp_path / run_dir)
+        assert rc == 0
+        payloads.append(summary["payload"])
+    assert calls == [[1, 2, 3, 4, 5]] * 2
+    by_m = payloads[0]["residual_by_m"]
+    assert len(by_m) == 5 and all(0.0 <= x <= 1e-10 for x in by_m)
+    assert payloads[0]["max_residual"] == max(by_m)
+    assert payloads[0] == payloads[1]
+
+    # a NaN at one m, one observable: that m alone reads null, and the run fails
+    def one_nan(system, steps, obs, m, rho_init):
+        values = real(system, steps, obs, m, rho_init)
+        values[2, 0] = complex("nan")
+        return values
+
+    monkeypatch.setattr("ries.cli.full_chain_oracle", one_nan)
+    rc, summary = _run_summary(str(path), tmp_path / "nan")
+    by_m = summary["payload"]["residual_by_m"]
+    assert rc == 1 and by_m[2] is None and all(x is not None for i, x in enumerate(by_m) if i != 2)
+    assert summary["payload"]["max_residual"] is None
 
 
 def test_reverse_on_gns_dim_one(tmp_path, capsys):
@@ -909,6 +948,26 @@ def test_ideal_passes_a_model_at_its_limit_from_one_step(tmp_path):
     rc, summary = _run_summary(str(path), tmp_path)
     assert rc == 0, summary
     assert summary["payload"]["fitted_rate"] is None and summary["payload"]["spr_mq"] < 1e-13
+
+
+def test_ideal_power_stack_capacity_guard(tmp_path, model_doc, capsys, monkeypatch):
+    """n_max = 2^21 powers of the 4 x 4 qubit RDO hold 2^25 entries, past the guard's
+    2^24: rc 3 with the estimated peak, no traceback, and no power is formed."""
+
+    def no_powers(*args):
+        raise AssertionError("the power stack was allocated")
+
+    monkeypatch.setattr("ries.rdo._powers", no_powers)
+    path = tmp_path / "ideal.json"
+    dump_json({"experiment": "ideal", "model": model_doc, "n_max": 2**21}, str(path))
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert err.startswith("capacity guard: 2,097,152 powers of a 4x4 RDO hold 33,554,432 entries")
+    assert f"estimated peak {2.1 * 2**21 * 16 * 16 / 2**20:,.0f} MiB" in err
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_ideal_rate_check_trips_on_unfittable_slow_series(tmp_path, monkeypatch):

@@ -7,8 +7,10 @@ exist) must stay within 1.25x of the peak those one-step loops reached on
 the same call, recorded below in bytes (numpy 2.4, Python 3.11). The sizes
 are the full sizes of the `mc_qubit` and `wide_qutrit` benchmark workloads.
 The stacked window reduction must stay within the peak per tuple that its
-capacity guard states, for a window (l + r >= 1) and for one slot, and a
-full-chain oracle call within the dense arrays that its guard states.
+capacity guard states, for a window (l + r >= 1) and for one slot, a
+full-chain oracle call (one m, or every m of one evolution) within the dense
+arrays that its guard states, and the ideal asymptotics within the arrays per
+power that the guard states for a stack of RDO powers.
 """
 
 import tracemalloc
@@ -19,6 +21,7 @@ from dense_reference import identity_window
 
 import ries
 from ries.linalg import random_hermitian
+from ries.rdo import ideal_asymptotics
 from ries.thermo import (
     ergodic_instant_monte_carlo,
     flux_monte_carlo,
@@ -126,3 +129,30 @@ def test_oracle_peak_within_guard_estimate(qubit_model, rng):
     unit = 16 * dim**2
     peak = peak_bytes(lambda: ries.full_chain_oracle(system, [probe] * m, obs, m, system.gibbs_state()))
     assert peak <= ORACLE_ARRAYS * unit, f"{peak / unit:.3f} arrays"
+
+
+def test_oracle_sequence_peak_within_guard_estimate(qubit_model, rng):
+    """One oracle call read out after every m = 1..8 of one evolution, on the qubit
+    chain with two observables, peaks at or below the same guard estimate: a readout
+    holds no chain-sized array past its own step."""
+    system, probe = qubit_model
+    dim = 512
+    a_s = np.array([random_hermitian(2, rng) for _ in range(2)])
+    obs = ries.ObservableWindow.system_only(a_s, 2)
+    unit = 16 * dim**2
+    peak = peak_bytes(
+        lambda: ries.full_chain_oracle(system, [probe] * 8, obs, range(1, 9), system.gibbs_state())
+    )
+    assert peak <= ORACLE_ARRAYS * unit, f"{peak / unit:.3f} arrays"
+
+
+ARRAYS_PER_POWER = 2.1  # the factor `ries.model.check_capacity` states for a stack of RDO powers
+
+
+@pytest.mark.parametrize("n_max", [10_000, 40_000])
+def test_ideal_peak_within_guard_estimate(qubit_rdo, n_max):
+    """The ideal asymptotics of the 4 x 4 qubit RDO peak at or below the guard's
+    stated arrays per power, each D^2 complex entries."""
+    unit = 16 * n_max * qubit_rdo.dim**2
+    peak = peak_bytes(lambda: ideal_asymptotics(qubit_rdo, n_max))
+    assert peak <= ARRAYS_PER_POWER * unit, f"{peak / unit:.3f} arrays"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from dense_reference import (
@@ -327,6 +329,101 @@ def test_stacked_oracle_equals_one_call_per_operator(rng):
     single = [full_chain_expectation(system, probes, op, 2, 1, 1, rho_init) for op in ops]
     assert all(type(value) is complex for value in single)
     assert np.array_equal(got, np.array(single))
+
+
+def test_sequence_readout_equals_one_call_per_m(qubit_model, rng):
+    """A sequence of step counts is read out of one evolution to its largest m, and
+    each entry is bitwise the one-m call: on the qubit chain for m = 1..8, for one
+    observable and for a stack."""
+    system, probe = qubit_model
+    steps, ms = [probe] * 8, range(1, 9)
+    a = _complex_matrix(2, rng)
+    rho_init = a @ dag(a) / np.trace(a @ dag(a))
+    one = ries.ObservableWindow.system_only(random_hermitian(2, rng), 2)
+    stack = ries.ObservableWindow.system_only(np.array([random_hermitian(2, rng) for _ in range(3)]), 2)
+    for obs, shape in ((one, (8,)), (stack, (8, 3))):
+        got = ries.full_chain_oracle(system, steps, obs, ms, rho_init)
+        assert got.shape == shape and got.dtype == complex
+        single = np.array([ries.full_chain_oracle(system, steps, obs, m, rho_init) for m in ms])
+        assert np.array_equal(got, single)
+        # a subsequence reads the same entries, and a one-element sequence keeps its axis
+        assert np.array_equal(ries.full_chain_oracle(system, steps, obs, [2, 5, 8], rho_init), single[[1, 4, 7]])
+        assert np.array_equal(ries.full_chain_oracle(system, steps, obs, [4], rho_init), single[3:4])
+
+
+def test_sequence_readout_on_unequal_legs(rng):
+    """On the qutrit chain with qubit and qutrit probes, for windows with l = 0..3 and
+    r = 0..1, kept legs with their free evolutions and idle legs traced against their
+    Gibbs states, every m of a sequence is bitwise its one-m call, for one arbitrary
+    operator and for a stack. The probe dims repeat with period 2, so one window
+    operator fits m and m + 2."""
+    system, probes = _mixed_chain(rng)
+    _, more = _mixed_chain(rng)  # dims 2, 3, 2, 3 again, other h, beta, v and tau
+    probes += more
+    a = _complex_matrix(3, rng)
+    rho_init = a @ dag(a) / np.trace(a @ dag(a))
+    for l in range(4):
+        for r in range(2):
+            ms = (l + 1, l + 3)
+            size = 3 * math.prod(p.dim_e for p in probes[: l + 1 + r])
+            for op in (_complex_matrix(size, rng), np.array([_complex_matrix(size, rng) for _ in range(2)])):
+                got = full_chain_expectation(system, probes, op, ms, l, r, rho_init)
+                single = [full_chain_expectation(system, probes, op, m, l, r, rho_init) for m in ms]
+                assert got.shape == (2, *op.shape[:-2])
+                assert np.array_equal(got, np.array(single)), (l, r)
+
+
+def test_sequence_builds_and_applies_each_encounter_once(qubit_model, uncoupled_probe, rng, monkeypatch):
+    """One sequence call builds its step unitaries as one stack per distinct probe
+    dimension and applies 2 max(m) encounter halves (U on the rows, then on the
+    columns), however many m it reads out."""
+    calls = {"step_unitaries": 0, "_apply_encounter": 0}
+    for name in calls:
+        original = getattr(ries.model, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(ries.model, name, counted)
+    system, probe = qubit_model
+    mixed_system, mixed_steps = _mixed_chain(rng)
+    # (system, steps, ms, distinct probe dims among steps[: max(ms)]); on the mixed chain
+    # (dims 2, 3, 2, 3) the m of a sequence share their window's probe dim
+    cases = (
+        (system, [probe, uncoupled_probe] * 4, range(1, 9), 1),
+        (system, [probe] * 8, [3, 8], 1),
+        (mixed_system, mixed_steps, [1, 3], 2),
+        (mixed_system, mixed_steps, [2, 4], 2),
+        (mixed_system, mixed_steps, [1], 1),
+    )
+    for sys_, steps, ms, n_dims in cases:
+        calls.update(step_unitaries=0, _apply_encounter=0)
+        obs = ries.ObservableWindow.system_only(random_hermitian(sys_.dim_s, rng), steps[ms[-1] - 1].dim_e)
+        ries.full_chain_oracle(sys_, steps, obs, ms, sys_.gibbs_state())
+        assert calls["step_unitaries"] == n_dims
+        assert calls["_apply_encounter"] == 2 * ms[-1]
+
+
+@pytest.mark.parametrize(
+    "ms, l, r, match",
+    [
+        ([], 0, 0, "increasing sequence"),
+        ([2, 2], 0, 0, "increasing sequence"),
+        ([3, 1, 4], 0, 0, "increasing sequence"),
+        ([0, 1], 0, 0, "reaches probe 0 < 1"),
+        ([-1], 0, 0, "reaches probe -1 < 1"),
+        ([1, 2], 1, 0, "reaches probe 0 < 1"),
+        ([2, 4], 0, 1, "need 5 probe specs, got 4"),
+        (range(1, 6), 0, 0, "need 5 probe specs, got 4"),
+    ],
+    ids=["empty", "repeated", "not_increasing", "zero", "negative", "slot_before_chain", "idle_past_chain", "past_chain"],
+)
+def test_bad_step_sequences_raise(qubit_model, ms, l, r, match):
+    system, probe = qubit_model
+    op = np.eye(2 * 2 ** (l + r + 1), dtype=complex)
+    with pytest.raises(ValueError, match=match):
+        full_chain_expectation(system, [probe] * 4, op, ms, l, r, system.gibbs_state())
 
 
 def test_reduce_window_capacity_guard(qubit_model, rng):

@@ -8,8 +8,9 @@ A seed becomes a random stream in one place only, so no second seed
 convention can grow back, and a window family is data (A_S and a per-slot
 table of B), so ``ries.thermo`` builds no per-tuple window. Probes that skip
 their own checks are built for the presample alone, which checks its draws.
-A config is built into typed inputs in one place, and helpers that only the
-tests use stay out of the package. Only construction and validation code
+A config is built into typed inputs in one place, the cli asks the oracle
+about every m in one call, and helpers that only the tests use stay out of
+the package. Only construction and validation code
 raises the library's own errors: a theorem's hypothesis is a runner's check.
 """
 
@@ -154,6 +155,25 @@ def test_one_path_per_reduction(name, allowed):
     stacked one, so an oracle check compares two independent code paths."""
     used = {f"{p.name}:{f}" for p in MODULES for f in _uses_by_function(_parse(p), name)}
     assert used == allowed
+
+
+_LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def test_oracle_is_called_outside_loops():
+    """The cli asks the oracle about every m in one call, which evolves the chain once:
+    no `full_chain_oracle` or `full_chain_expectation` call sits in a loop body, where
+    it would evolve the chain from step 1 again on every pass."""
+    oracles = {"full_chain_oracle", "full_chain_expectation"}
+    looped = [
+        call.func.id
+        for loop in ast.walk(_parse(SRC / "cli.py"))
+        if isinstance(loop, _LOOPS)
+        for call in ast.walk(loop)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id in oracles
+    ]
+    assert _uses_by_function(_parse(SRC / "cli.py"), "full_chain_oracle") == {"_run_oracle_check"}
+    assert not looped, looped
 
 
 def test_thermo_reads_no_observable_window():
