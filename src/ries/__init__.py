@@ -23,7 +23,6 @@ from .ensemble import (
     theta_routes,
 )
 from .model import (
-    DensityMatrix,
     ObservableWindow,
     ProbeSpec,
     SystemSpec,
@@ -41,7 +40,6 @@ from .thermo import ergodic_instant_limit, flux_closed_form, flux_monte_carlo
 __version__ = "0.1.0"
 
 __all__ = [
-    "DensityMatrix",
     "ObservableWindow",
     "ProbeSpec",
     "RrdoEnsemble",

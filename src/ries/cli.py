@@ -15,6 +15,8 @@ the exit status:
 - 4: internal error: any other exception, reported in one line.
 
 The summary is standard JSON: a NaN or infinite number is written as null.
+The runners build every payload from the library's reports and arrays; no
+other module knows the summary format.
 
 ``ries validate config.json`` prints the fully-resolved config (defaults
 applied) and exits 0/2. Both commands read a config in the same two steps,
@@ -40,6 +42,7 @@ import os
 import sys
 import time
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 
@@ -52,10 +55,9 @@ from .ensemble import (
     simulate_reverse,
     trajectory_rng,
 )
-from .linalg import random_hermitian, vec
+from .linalg import random_hermitian, require_hermitian, vec
 from .model import (
     CapacityError,
-    DensityMatrix,
     ObservableWindow,
     check_capacity,
     full_chain_oracle,
@@ -90,20 +92,33 @@ _SIGMA_RATIO_FLOOR = 1e3 * np.finfo(float).eps
 # a decay rate alpha or a Lyapunov gap must exceed this to count as positive:
 # unitary atoms, which neither decay nor have a gap, read about 1e-16
 _RATE_FLOOR = 1e-12
-_COUNTS = (
-    "n_total",
-    "checkpoint_every",
-    "reorth_every",
-    "n_max",
-    "m_max",
-    "n_observables",
-)
-_NUMBERS = ("bound_coefficient", "tol")
+# the instant runner's observable families, each built from the ensemble and the inputs
+_FAMILIES = {
+    "identity": lambda ens, inputs: identity_family(ens),
+    "system": lambda ens, inputs: system_observable_family(ens, inputs["a_s"]),
+    "probe_energy": lambda ens, inputs: probe_energy_family(ens),
+}
 
 
 def _is_number(x) -> bool:
     """A finite nonnegative JSON number (bools excluded)."""
     return is_real(x) and x >= 0
+
+
+_COUNT = (lambda x: is_int(x, 1), "an integer >= 1")
+_NUMBER = (_is_number, "a finite nonnegative number")
+# per config key: the test its value must pass, and what that value must be
+_VALUES = {
+    "seeds": (
+        lambda x: isinstance(x, list) and bool(x) and all(is_int(s, 0) for s in x),
+        "a nonempty list of integers >= 0",
+    ),
+    "monte_carlo": (lambda x: isinstance(x, bool), "true or false"),
+    "seed": (lambda x: is_int(x, 0), "an integer >= 0"),
+    **dict.fromkeys(("n_total", "checkpoint_every", "reorth_every", "n_max", "m_max", "n_observables"), _COUNT),
+    **dict.fromkeys(("bound_coefficient", "tol"), _NUMBER),
+    "family": (lambda x: isinstance(x, str) and x in _FAMILIES, "identity, system or probe_energy"),
+}
 
 
 def _unread_keys(doc: dict) -> set:
@@ -157,25 +172,15 @@ def validate_config(doc: dict) -> dict:
 
 def _check_resolved(cfg: dict) -> None:
     exp = cfg["experiment"]
+    for key, (valid, what) in _VALUES.items():
+        if key in cfg and not valid(cfg[key]):
+            raise ConfigError(f"{key} must be {what}, got {cfg[key]!r}")
     if "seeds" in cfg:
-        seeds = cfg["seeds"]
-        if not isinstance(seeds, list) or not seeds or not all(is_int(s, 0) for s in seeds):
-            raise ConfigError(f"seeds must be a nonempty list of integers >= 0, got {seeds!r}")
-        repeated = [s for s, n in Counter(seeds).items() if n > 1]
+        repeated = [s for s, n in Counter(cfg["seeds"]).items() if n > 1]
         if repeated:  # a repeated seed repeats its stream: no independent samples
             raise ConfigError(f"seeds must be distinct; {repeated[0]} is repeated")
-    if exp in ("instant", "fluxes") and "seeds" in cfg and len(cfg["seeds"]) < 2:
-        raise ConfigError(f"{exp} Monte Carlo needs at least 2 seeds for a standard error")
-    if "monte_carlo" in cfg and not isinstance(cfg["monte_carlo"], bool):
-        raise ConfigError(f"monte_carlo must be true or false, got {cfg['monte_carlo']!r}")
-    if "seed" in cfg and not is_int(cfg["seed"], 0):
-        raise ConfigError(f"seed must be an integer >= 0, got {cfg['seed']!r}")
-    for key in _COUNTS:
-        if key in cfg and not is_int(cfg[key], 1):
-            raise ConfigError(f"{key} must be an integer >= 1, got {cfg[key]!r}")
-    for key in _NUMBERS:
-        if key in cfg and not _is_number(cfg[key]):
-            raise ConfigError(f"{key} must be a finite nonnegative number, got {cfg[key]!r}")
+        if exp in ("instant", "fluxes") and len(cfg["seeds"]) < 2:
+            raise ConfigError(f"{exp} Monte Carlo needs at least 2 seeds for a standard error")
     if exp == "classify" and not (("model" in cfg) ^ ("matrix" in cfg)):
         raise ConfigError("classify needs exactly one of 'model' or 'matrix'")
     if exp == "classify" and "matrix" in cfg and "psi_s" not in cfg:
@@ -184,9 +189,7 @@ def _check_resolved(cfg: dict) -> None:
         raise ConfigError(f"{exp} needs a 'model'")
     if "ensemble" in _EXPERIMENTS[exp][0] and "ensemble" not in cfg:
         raise ConfigError(f"{exp} needs an 'ensemble'")
-    if exp == "instant" and cfg["family"] not in ("identity", "system", "probe_energy"):
-        raise ConfigError("family must be identity, system or probe_energy")
-    if exp == "instant" and cfg["family"] == "system" and "a_s" not in cfg:
+    if cfg.get("family") == "system" and "a_s" not in cfg:
         raise ConfigError("family 'system' needs 'a_s'")
 
 
@@ -204,8 +207,9 @@ def _load(cfg: dict) -> dict:
 
     A model becomes its ``system``, ``probe`` and ``rdo``, an ensemble its
     ``ens``, a classify matrix and psi_s an ``rdo`` (:func:`ries.rdo.validate`),
-    ``a_s`` a (d, d) matrix and ``rho_init`` a density matrix on the system.
-    This is the one place where what the builders reject becomes a ConfigError.
+    ``a_s`` a (d, d) matrix and ``rho_init`` a density matrix on the system, which
+    this loader checks. This is the one place where what the builders reject
+    becomes a ConfigError.
     """
     inputs = {}
     try:
@@ -228,11 +232,13 @@ def _load(cfg: dict) -> dict:
                 x = inputs[key] = matrix_from_json(cfg[key], key)
                 if x.shape != (d, d):
                     raise ConfigError(f"{key} has shape {x.shape}, expected ({d}, {d})")
-        if "rho_init" in cfg:
-            try:
-                inputs["rho_init"] = DensityMatrix(inputs["rho_init"]).rho
-            except ValueError as exc:
-                raise ConfigError(f"rho_init: {exc}") from exc
+        if "rho_init" in cfg:  # a density matrix: Hermitian, of unit trace, positive semidefinite
+            rho = require_hermitian(inputs["rho_init"], "rho_init: rho")
+            trace = np.trace(rho).real
+            if abs(trace - 1.0) > 1e-12:
+                raise ConfigError(f"rho_init: trace is {trace}, expected 1")
+            if (lowest := np.linalg.eigvalsh(rho).min()) < -1e-12:
+                raise ConfigError(f"rho_init: negative eigenvalue {lowest:.3e}")
     except (ValueError, KeyError, TypeError, RdoValidationError, EnsembleError) as exc:
         raise ConfigError(str(exc)) from exc
     return inputs
@@ -254,10 +260,24 @@ def _in_class_atom(ens) -> bool:
     return bool(any(ic and p > 0 for ic, p in zip(ens.in_class, ens.probs)))
 
 
+def _per_seed(seeds: list, **columns) -> list[dict]:
+    """One payload record per seed: the seed, then its entry of each column, a per-seed
+    array or one value that every seed shares, as a Python number."""
+    rows = zip(*(np.broadcast_to(column, len(seeds)).tolist() for column in columns.values()))
+    return [{"seed": seed, **dict(zip(columns, row))} for seed, row in zip(seeds, rows)]
+
+
+def _fields(report, **replaced) -> dict:
+    """A report dataclass as a payload: its fields but those that are None, with the
+    `replaced` ones swapped in."""
+    return {**{key: value for key, value in asdict(report).items() if value is not None}, **replaced}
+
+
 def _run_classify(cfg: dict, inputs: dict, out: str) -> tuple[dict, dict]:
     tol = cfg["tolerances"]
     report = classify(inputs["rdo"], tol_one=tol["tol_one"], gap_min=tol["gap_min"])
-    return report.to_json(), {}
+    eigs = report.eigenvalues
+    return _fields(report, eigenvalues=np.column_stack([eigs.real, eigs.imag]).tolist()), {}
 
 
 def _run_ideal(cfg: dict, inputs: dict, out: str) -> tuple[dict, dict]:
@@ -297,24 +317,19 @@ def _run_ergodic(cfg: dict, inputs: dict, out: str) -> tuple[dict, dict]:
     )
     final_n = int(rep.checkpoints[-1])
     bound_ok = rep.distances[:, -1] <= coef / np.sqrt(final_n)
-    per_seed = [
-        {
-            "seed": seed,
-            "final_distance": float(distances[-1]),
-            "final_n": final_n,
-            "bound_ok": bool(ok),
-            "max_invariance_drift": float(drift),
-        }
-        for seed, distances, ok, drift in zip(
-            cfg["seeds"], rep.distances, bound_ok, rep.max_invariance_drift
-        )
-    ]
     for seed, distances in zip(cfg["seeds"], rep.distances):
         write_csv(
             os.path.join(out, f"ergodic_seed{seed}.csv"),
             ["n", "distance", "bound"],
             ([int(n), float(d), coef / math.sqrt(n)] for n, d in zip(rep.checkpoints, distances)),
         )
+    per_seed = _per_seed(
+        cfg["seeds"],
+        final_distance=rep.distances[:, -1],
+        final_n=final_n,
+        bound_ok=bound_ok,
+        max_invariance_drift=rep.max_invariance_drift,
+    )
     payload = {
         "per_seed": per_seed,
         "theta_mismatch": float(routes["mismatch"]),
@@ -327,7 +342,9 @@ def _run_decay(cfg: dict, inputs: dict, out: str) -> tuple[dict, dict]:
     ens = inputs["ens"]
     rep = decay_estimator(ens, cfg["seeds"], int(cfg["n_total"]))
     payload = {
-        "per_seed": rep.to_json(),
+        "per_seed": _per_seed(
+            cfg["seeds"], alpha=rep.alpha, n0=rep.n0, log_c=rep.log_c, final_log_norm=rep.log_norms[:, -1]
+        ),
         "alpha_min": float(rep.alpha.min()),
         "alpha_median": float(np.median(rep.alpha)),
         "n0_max": int(rep.n0.max()),
@@ -351,30 +368,23 @@ def _run_reverse(cfg: dict, inputs: dict, out: str) -> tuple[dict, dict]:
     rep = simulate_reverse(
         ens, cfg["seeds"], int(cfg["n_total"]), checkpoint_every=int(cfg["checkpoint_every"])
     )
-    per_seed = []
-    decays = True
+    rates = []
     for seed, residuals, ratios in zip(cfg["seeds"], rep.residuals, rep.sigma_ratios):
-        fit = ratios > _SIGMA_RATIO_FLOOR
-        if fit.sum() >= 2:
-            rate = float(np.polyfit(rep.checkpoints[fit], np.log(ratios[fit]), 1)[0])
-        else:
-            rate = -np.inf
-        decays = decays and rate < 0 and residuals[-1] <= residuals[0]
-        per_seed.append(
-            {
-                "seed": seed,
-                "sigma_ratio_rate": rate,
-                "final_residual": float(residuals[-1]),
-                "final_sigma_ratio": float(ratios[-1]),
-            }
-        )
+        fit = ratios > _SIGMA_RATIO_FLOOR  # fitted log-linearly; -inf with fewer than two
+        rates.append(np.polyfit(rep.checkpoints[fit], np.log(ratios[fit]), 1)[0] if fit.sum() >= 2 else -np.inf)
         write_csv(
             os.path.join(out, f"reverse_seed{seed}.csv"),
             ["n", "residual", "sigma_ratio"],
             ([int(n), float(x), float(y)] for n, x, y in zip(rep.checkpoints, residuals, ratios)),
         )
-    checks = {"in_class_atom": _in_class_atom(ens), "rank_one_decay": bool(decays)}
-    return {"per_seed": per_seed}, checks
+    decays = all(rate < 0 and res[-1] <= res[0] for rate, res in zip(rates, rep.residuals))
+    per_seed = _per_seed(
+        cfg["seeds"],
+        sigma_ratio_rate=rates,
+        final_residual=rep.residuals[:, -1],
+        final_sigma_ratio=rep.sigma_ratios[:, -1],
+    )
+    return {"per_seed": per_seed}, {"in_class_atom": _in_class_atom(ens), "rank_one_decay": bool(decays)}
 
 
 def _run_lyapunov(cfg: dict, inputs: dict, out: str) -> tuple[dict, dict]:
@@ -384,7 +394,8 @@ def _run_lyapunov(cfg: dict, inputs: dict, out: str) -> tuple[dict, dict]:
         "gamma1_zero": bool(np.abs(rep.gamma_1).max() <= 2e-3),
         "gap_positive": bool(rep.gap.min() > _RATE_FLOOR),
     }
-    return {"per_seed": rep.to_json()}, checks
+    per_seed = _per_seed(cfg["seeds"], gamma_1=rep.gamma_1, gamma_2=rep.gamma_2, gap=rep.gap)
+    return {"per_seed": per_seed}, checks
 
 
 def _within_3_sigma(diff: float, stderr: float) -> tuple[bool, bool]:
@@ -396,12 +407,7 @@ def _within_3_sigma(diff: float, stderr: float) -> tuple[bool, bool]:
 def _run_instant(cfg: dict, inputs: dict, out: str) -> tuple[dict, dict]:
     ens = inputs["ens"]
     kind = cfg["family"]
-    if kind == "identity":
-        fam = identity_family(ens)
-    elif kind == "probe_energy":
-        fam = probe_energy_family(ens)
-    else:
-        fam = system_observable_family(ens, inputs["a_s"])
+    fam = _FAMILIES[kind](ens, inputs)
     closed = ergodic_instant_limit(ens, fam)
     mc = ergodic_instant_monte_carlo(ens, fam, cfg["seeds"], int(cfg["n_total"]))
     diff = abs(mc["mean"] - closed)
@@ -420,7 +426,7 @@ def _run_instant(cfg: dict, inputs: dict, out: str) -> tuple[dict, dict]:
 def _run_fluxes(cfg: dict, inputs: dict, out: str) -> tuple[dict, dict]:
     ens = inputs["ens"]
     closed = flux_closed_form(ens)
-    payload = {"closed_form": closed.to_json()}
+    payload = {"closed_form": _fields(closed)}
     deterministic_beta = ens.betas.max() - ens.betas.min() <= 1e-14
     checks = {"real_valued": bool(closed.imag_defect <= 1e-9), **_theta_checks(ens)}
     if deterministic_beta:
@@ -428,7 +434,7 @@ def _run_fluxes(cfg: dict, inputs: dict, out: str) -> tuple[dict, dict]:
     if cfg["monte_carlo"]:
         rho_init = inputs.get("rho_init")
         mc = flux_monte_carlo(ens, cfg["seeds"], int(cfg["n_total"]), rho_init=rho_init)
-        payload["monte_carlo"] = mc.to_json()
+        payload["monte_carlo"] = _fields(mc)
         de = _within_3_sigma(abs(mc.de_plus - closed.de_plus), mc.de_stderr)
         ds = _within_3_sigma(abs(mc.ds_plus - closed.ds_plus), mc.ds_stderr)
         checks.update(mc_de_within_3_sigma=de[0], mc_ds_within_3_sigma=ds[0])
@@ -439,8 +445,6 @@ def _run_fluxes(cfg: dict, inputs: dict, out: str) -> tuple[dict, dict]:
 def _run_oracle_check(cfg: dict, inputs: dict, out: str) -> tuple[dict, dict]:
     system, probe, rdo = inputs["system"], inputs["probe"], inputs["rdo"]
     m_max, d = int(cfg["m_max"]), system.dim_s
-    # fail fast, before the observables are drawn: the largest chain must fit the guard
-    check_capacity([d] + [probe.dim_e] * m_max)
     _, sqrt_rho, psi_s = system_gns_data(system)
     rho_s = sqrt_rho @ sqrt_rho
     rng = trajectory_rng(int(cfg["seed"]))

@@ -375,12 +375,6 @@ def _pair(shape: tuple) -> Iterator[np.ndarray]:
     return itertools.cycle(np.empty((2, *shape)))
 
 
-def _records(seeds: np.ndarray, **columns: np.ndarray) -> list[dict]:
-    """One JSON record per seed: the seed, then its entry of each per-seed column."""
-    rows = zip(seeds, *columns.values())
-    return [dict(zip(["seed", *columns], (x.item() for x in row))) for row in rows]
-
-
 @dataclass
 class ErgodicReport:
     """Forward trajectories of several seeds; row s of each array is seeds[s]."""
@@ -444,10 +438,6 @@ class DecayEstimate:
     alpha: np.ndarray
     n0: np.ndarray
     log_c: np.ndarray
-
-    def to_json(self) -> list[dict]:
-        columns = {"alpha": self.alpha, "n0": self.n0, "log_c": self.log_c}
-        return _records(self.seeds, **columns, final_log_norm=self.log_norms[:, -1])
 
 
 def _fit_envelope(log_norms: np.ndarray) -> tuple[float, int, float]:
@@ -650,9 +640,6 @@ class LyapunovEstimate:
     gamma_1: np.ndarray
     gamma_2: np.ndarray
     gap: np.ndarray
-
-    def to_json(self) -> list[dict]:
-        return _records(self.seeds, gamma_1=self.gamma_1, gamma_2=self.gamma_2, gap=self.gap)
 
 
 def lyapunov(

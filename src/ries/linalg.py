@@ -91,10 +91,6 @@ def expm_hermitian(h: np.ndarray, scale: complex | np.ndarray = 1.0) -> np.ndarr
     return (u * np.exp(np.asarray(scale)[..., None] * w)[..., None, :]) @ dag(u)
 
 
-def spectral_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a, 2))
-
-
 def random_hermitian(d: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return scale * (a + dag(a)) / 2.0

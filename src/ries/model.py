@@ -103,10 +103,11 @@ def check_capacity(dims: list[int], window: int = 0, stack: int = 1, powers: boo
     # the tuples are the atoms, and the stacked encounter build (the batched eigh and the U,
     # U* stacks) sets the peak: 8 per tuple (7.92 at d = e = 2, 7.37 at d = 2, e = 3, 6.88 at
     # d = 3, e = 2, 6.63 at d = e = 3, on 1,024 and 4,096 atoms); below d e = 4 the per-tuple
-    # bookkeeping weighs more. The ideal asymptotics hold the powers M^n and their errors
-    # M^n - P_1 at once: 2.1 per power (2.05 at D = 4 and 2.01 at D = 9 for 10^4 powers,
-    # 2.005 at D = 4 for 10^5; the decay fit's arrays of one entry per power add the rest).
-    per_item = 2.1 if powers else 8 if window == 0 else 3.5
+    # bookkeeping weighs more. The ideal asymptotics hold one stack, the powers M^n turned
+    # into their errors M^n - P_1 in place: 1.2 per power (1.16 at D = 4 for 10^4 and
+    # 4 * 10^4 powers; the D singular values of each error and the decay fit's arrays of
+    # one entry per power add the rest).
+    per_item = 1.2 if powers else 8 if window == 0 else 3.5
     arrays = per_item * stack if powers or stack > 1 else 3
     peak = f"{arrays * dim * dim * 16 / 2**20:,.0f} MiB ({arrays:,.0f} dense {dim}x{dim} arrays)"
     entries = f"hold {stack * dim * dim:,} entries, past ORACLE_DIM_GUARD^2 = {ORACLE_DIM_GUARD**2:,}"
@@ -202,23 +203,6 @@ def scaled_probes(base: ProbeSpec, taus, betas, scales) -> list[ProbeSpec]:
         probe.__dict__.update(dim_e=base.dim_e, h_e=base.h_e, beta_e=beta, v=v, tau=tau)
         probes.append(probe)
     return probes
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Positive semidefinite unit-trace matrix."""
-
-    rho: np.ndarray
-
-    def __post_init__(self):
-        rho = require_hermitian(self.rho, "rho")
-        object.__setattr__(self, "rho", rho)
-        tr = np.trace(rho).real
-        if abs(tr - 1.0) > 1e-12:
-            raise ValueError(f"trace is {tr}, expected 1")
-        w = np.linalg.eigvalsh(rho)
-        if w.min() < -1e-12:
-            raise ValueError(f"negative eigenvalue {w.min():.3e}")
 
 
 @dataclass(frozen=True)

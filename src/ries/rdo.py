@@ -25,13 +25,12 @@ are the one-row case: they keep the report and split formats of one RDO.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .linalg import dag
-from .serialize import vector_to_json
 
 INVARIANCE_TOL = 1e-11
 SPECTRAL_RADIUS_TOL = 1e-10
@@ -115,9 +114,6 @@ class SpectralReport:
     in_class_e: bool
     tol_one: float
     gap_min: float
-
-    def to_json(self) -> dict:
-        return {**asdict(self), "eigenvalues": vector_to_json(self.eigenvalues)}
 
 
 def spectra(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -262,7 +258,9 @@ def ideal_asymptotics(rdo: Rdo, n_max: int = 200) -> IdealAsymptotics:
     errors need not decay.
     """
     dec = decompose(rdo)
-    errors = np.linalg.svd(_powers(rdo.m, n_max) - dec.p, compute_uv=False)[:, 0]
+    powers = _powers(rdo.m, n_max)
+    powers -= dec.p  # in place: the one stack holds the errors M^n - P_1
+    errors = np.linalg.svd(powers, compute_uv=False)[:, 0]
     valid = errors > FIT_FLOOR
     if valid.sum() < 2:
         return IdealAsymptotics(errors=errors, fitted_rate=-np.inf, spr_mq=dec.spr_mq)

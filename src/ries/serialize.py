@@ -18,10 +18,6 @@ from typing import Any
 import numpy as np
 
 
-def vector_to_json(v: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
-
-
 def is_real(x: Any) -> bool:
     """A finite real JSON number: bools, and integers too large for a float, excluded."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):

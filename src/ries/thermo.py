@@ -38,7 +38,7 @@ stated tolerance of a one-step loop.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -236,10 +236,6 @@ class FluxReport:
     de_stderr: float | None = None
     ds_stderr: float | None = None
     seeds: int | None = None
-
-    def to_json(self) -> dict:
-        """Every field but the Monte Carlo ones of a closed form."""
-        return {key: value for key, value in asdict(self).items() if value is not None}
 
 
 def mean_beta(ens: RrdoEnsemble) -> float:

@@ -10,9 +10,9 @@ per-pair energy tables are the reference for the stacked energy reduction.
 The per-atom presample, which builds and checks each atom's probe on its own,
 is the reference for the presample that checks its draws once. The wider
 identity windows are observable families of identity slots. The last
-helpers write matrices, model documents and JSON text and draw random
-matrices for the tests; the package reads config documents but never writes
-them.
+helpers take spectral norms, write vectors, matrices, model documents and
+JSON text and draw random matrices for the tests; the package reads config
+documents but never writes them.
 """
 
 import json
@@ -22,7 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from ries.ensemble import RrdoEnsemble, trajectory_rng
-from ries.linalg import dag, expm_hermitian, spectral_norm, unvec, vec
+from ries.linalg import dag, expm_hermitian, unvec, vec
 from ries.model import step_unitaries, weighted_partial_trace
 from ries.rdo import decompose
 from ries.thermo import observable_family
@@ -199,8 +199,17 @@ def identity_window(ens, l: int, r: int):
     return observable_family(ens, np.eye(ens.system.dim_s), [eye_e] * (l + r + 1), l, r)
 
 
+def spectral_norm(a: np.ndarray) -> float:
+    return float(np.linalg.norm(a, 2))
+
+
 def complex_to_json(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
+
+
+def vector_to_json(v: np.ndarray) -> list[list[float]]:
+    """The [re, im] pairs of a vector, as a config's psi_s holds them."""
+    return [complex_to_json(z) for z in np.asarray(v, dtype=complex)]
 
 
 def matrix_to_json(a: np.ndarray) -> list[list[list[float]]]:

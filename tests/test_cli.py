@@ -9,11 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from dense_reference import dumps_json, matrix_to_json, model_to_json
+from dense_reference import dumps_json, matrix_to_json, model_to_json, vector_to_json
 
 import ries
 from ries.cli import EXPERIMENTS, ConfigError, main, run, validate_config
-from ries.serialize import dump_json, matrix_from_json, vector_to_json, write_csv
+from ries.serialize import dump_json, matrix_from_json, write_csv
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +106,7 @@ def test_run_classify_matrix(tmp_path):
     assert report["passed"]
 
 
-def test_cli_exit_codes(tmp_path, model_doc, ensemble_doc):
+def test_cli_exit_codes(tmp_path, model_doc, ensemble_doc, capsys):
     good = tmp_path / "oracle.json"
     dump_json({"experiment": "oracle-check", "model": model_doc, "m_max": 3}, str(good))
     assert main(["run", str(good), "--out", str(tmp_path)]) == 0
@@ -261,7 +261,14 @@ def test_cli_exit_codes(tmp_path, model_doc, ensemble_doc):
 
     huge = tmp_path / "huge.json"
     dump_json({"experiment": "oracle-check", "model": model_doc, "m_max": 12}, str(huge))
+    capsys.readouterr()
     assert main(["run", str(huge), "--out", str(tmp_path)]) == 3
+    # the oracle's own guard, before any chain evolution: one line with the estimate
+    assert capsys.readouterr().err == (
+        "capacity guard: chain dimension 8192 exceeds guard 4096: estimated peak 3,072 MiB "
+        "(3 dense 8192x8192 arrays) and m = 12 encounters g x g*, each touching "
+        "dim^2*d_S*d_E <= 268,435,456 entries per side\n"
+    )
 
     failing = tmp_path / "failing.json"
     # an all-unitary ensemble has no in-class atom: a failed check, with its report
@@ -966,7 +973,7 @@ def test_ideal_power_stack_capacity_guard(tmp_path, model_doc, capsys, monkeypat
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.splitlines()) == 1
     assert err.startswith("capacity guard: 2,097,152 powers of a 4x4 RDO hold 33,554,432 entries")
-    assert f"estimated peak {2.1 * 2**21 * 16 * 16 / 2**20:,.0f} MiB" in err
+    assert f"estimated peak {1.2 * 2**21 * 16 * 16 / 2**20:,.0f} MiB" in err
     assert not (tmp_path / "summary.json").exists()
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from dense_reference import embed, left_mult_matrix, random_complex_matrix
+from dense_reference import embed, left_mult_matrix, random_complex_matrix, spectral_norm
 
 from ries import linalg
 from ries.linalg import (
@@ -10,7 +10,6 @@ from ries.linalg import (
     random_hermitian,
     require_hermitian,
     right_mult_matrix,
-    spectral_norm,
     unvec,
     vec,
 )

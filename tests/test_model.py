@@ -79,8 +79,6 @@ def test_spec_validation():
     for tau in (-0.1, np.nan, np.inf):
         with pytest.raises(ValueError):
             ries.ProbeSpec(dim_e=2, h_e=np.eye(2), beta_e=1.0, v=np.eye(4), tau=tau)
-    with pytest.raises(ValueError):
-        ries.DensityMatrix(np.eye(2))  # trace 2
 
 
 def test_step_unitary_is_unitary(qubit_model):

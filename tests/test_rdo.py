@@ -9,12 +9,13 @@ from dense_reference import (
     product_trace,
     random_complex_matrix,
     sampled_power_bound,
+    spectral_norm,
 )
 
 import ries
 from ries.cli import main
 from ries.ensemble import EnsembleError, RrdoEnsemble
-from ries.linalg import dag, random_hermitian, spectral_norm
+from ries.linalg import dag, random_hermitian
 from ries.rdo import Rdo, RdoValidationError, decompose, ideal_asymptotics
 
 E1 = np.array([1.0, 0.0])

@@ -9,8 +9,8 @@ convention can grow back, and a window family is data (A_S and a per-slot
 table of B), so ``ries.thermo`` builds no per-tuple window. Probes that skip
 their own checks are built for the presample alone, which checks its draws.
 A config is built into typed inputs in one place, the cli asks the oracle
-about every m in one call, and helpers that only the tests use stay out of
-the package. Only construction and validation code
+about every m in one call, only the cli builds summary payloads, and helpers
+that only the tests use stay out of the package. Only construction and validation code
 raises the library's own errors: a theorem's hypothesis is a runner's check.
 """
 
@@ -199,14 +199,43 @@ def _defined(tree: ast.AST) -> set[str]:
 
 
 def test_test_only_helpers_stay_out_of_the_package():
-    """Writing matrices, model documents and JSON text and drawing random complex
-    matrices serve the tests alone: they live in ``tests/dense_reference.py``. One
+    """Taking spectral norms, writing vectors, matrices, model documents and JSON text
+    and drawing random complex matrices serve the tests alone: they live in
+    ``tests/dense_reference.py``. One
     probe's step unitary, Heisenberg map or Gibbs state is the one-row case of its
     stacked builder, which the tests call directly."""
     defined = set().union(*(_defined(_parse(p)) for p in MODULES))
-    test_only = {"model_to_json", "dumps_json", "random_complex_matrix", "matrix_to_json", "complex_to_json"}
+    test_only = {
+        "model_to_json",
+        "dumps_json",
+        "random_complex_matrix",
+        "matrix_to_json",
+        "complex_to_json",
+        "vector_to_json",
+        "spectral_norm",
+    }
     one_row = {"step_unitary", "reduced_heisenberg_map", "gibbs"}
     assert not defined & (test_only | one_row)
+
+
+def test_only_the_cli_builds_payloads():
+    """The cli alone knows the run formats: no other module gives a report a JSON form
+    (a ``to_json`` method) or turns a dataclass into a dict (``asdict``)."""
+    found = []
+    for path in MODULES:
+        if path.name == "cli.py":
+            continue
+        tree = _parse(path)
+        calls = {
+            call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+            for call in ast.walk(tree)
+            if isinstance(call, ast.Call) and isinstance(call.func, (ast.Name, ast.Attribute))
+        }
+        if "to_json" in _defined(tree):
+            found.append(f"{path.name} defines to_json")
+        if "asdict" in calls:
+            found.append(f"{path.name} calls asdict")
+    assert not found, found
 
 
 def test_configs_are_built_in_one_place():
