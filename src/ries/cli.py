@@ -370,8 +370,9 @@ def _run_reverse(cfg: dict, inputs: dict, out: str) -> tuple[dict, dict]:
     )
     rates = []
     for seed, residuals, ratios in zip(cfg["seeds"], rep.residuals, rep.sigma_ratios):
-        fit = ratios > _SIGMA_RATIO_FLOOR  # fitted log-linearly; -inf with fewer than two
-        rates.append(np.polyfit(rep.checkpoints[fit], np.log(ratios[fit]), 1)[0] if fit.sum() >= 2 else -np.inf)
+        fit = ratios > _SIGMA_RATIO_FLOOR  # fitted log-linearly; too few: -inf at the floor, else no rate
+        too_few = np.nan if fit.all() else -np.inf
+        rates.append(np.polyfit(rep.checkpoints[fit], np.log(ratios[fit]), 1)[0] if fit.sum() >= 2 else too_few)
         write_csv(
             os.path.join(out, f"reverse_seed{seed}.csv"),
             ["n", "residual", "sigma_ratio"],

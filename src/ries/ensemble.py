@@ -52,7 +52,9 @@ import numpy as np
 
 from . import rdo as rdo_mod
 from .linalg import KahanAccumulator, dag, embed, readback, vec
-from .model import ProbeSpec, SystemSpec, energy_terms, model_from_json, rdos_from_model, scaled_probes
+from .model import (
+    Encounters, ProbeSpec, SystemSpec, encounters, energy_terms, model_from_json, rdos_from_model, scaled_probes
+)
 from .rdo import Rdo, RdoValidationError, SpectralReport, classify, decompose
 from .serialize import check_fields, is_int, is_real, matrix_from_json
 
@@ -94,15 +96,16 @@ class RrdoEnsemble:
     atom: ``probs`` (the weights), ``matrices`` (M), ``adjoints`` (M*),
     ``mq`` and ``mq_adjoints`` (M_Q = Q M Q and its adjoint), ``psi_omega``
     (psi(w) = P_1(w)^* psi_s) and the ``in_class`` flags (simple gapped 1).
-    A model-built ensemble also holds its one ``system``, its ``probes``, the
-    ``phis`` stack of vectorized Heisenberg maps and the probe ``betas``; a
-    matrix-form ensemble has None in all four.
+    A model-built ensemble also holds its ``encounters`` (:class:`ries.model.Encounters`)
+    with its one ``system`` and its ``probes``, the ``phis`` stack of vectorized
+    Heisenberg maps and the probe ``betas``; a matrix-form ensemble has None in all five.
 
     The stacks are filled by batched builds, never atom by atom: the atoms'
     psi_s must all equal the first to 1e-12 (absolute), one batched eig of
     the M* gives the classes, psi(w) and M_Q (:func:`ries.rdo.rank_one_split`),
-    and :meth:`from_models` builds every M and Phi as one stack
-    (:func:`ries.model.rdos_from_model`). Row k is bitwise atom k's own build.
+    and :meth:`from_models` builds the encounters once, which every M and Phi
+    (:func:`ries.model.rdos_from_model`), the energy tables and every observable
+    family read. Row k is bitwise atom k's own build.
 
     The trajectory kernels step on float64 tables, each built once, on first
     use: ``real_matrices``, ``real_adjoints``, ``real_mq`` and
@@ -120,14 +123,11 @@ class RrdoEnsemble:
         self,
         probs,
         rdos: list[Rdo],
-        system: SystemSpec | None = None,
-        probes: list[ProbeSpec] | None = None,
+        encounters: Encounters | None = None,
     ):
         if not rdos:
             raise EnsembleError("ensemble needs at least one atom")
-        if (system is None) != (probes is None):
-            raise EnsembleError("model-built atoms need both the system and the probes")
-        if len(probs) != len(rdos) or (probes is not None and len(probes) != len(rdos)):
+        if len(probs) != len(rdos) or (encounters is not None and len(encounters.probes) != len(rdos)):
             raise EnsembleError("one weight (and one probe) per atom")
         self.probs = np.array(probs, dtype=float)
         # a NaN weight passes every tolerance comparison, so it is rejected by name
@@ -148,10 +148,11 @@ class RrdoEnsemble:
         split = rdo_mod.rank_one_split(self.matrices, self.psi_s, eigs, left)
         self.mq, self.psi_omega = split.m_q, split.psi
         self.mq_adjoints = np.ascontiguousarray(dag(self.mq))
-        self.system = system
-        self.probes = probes
-        self.phis = None if probes is None else np.stack([r.phi for r in rdos])
-        self.betas = None if probes is None else np.array([p.beta_e for p in probes])
+        self.encounters = encounters
+        self.system = self.probes = self.phis = self.betas = None
+        if encounters is not None:
+            self.system, self.probes = encounters.system, encounters.probes
+            self.phis, self.betas = np.stack([r.phi for r in rdos]), np.array([p.beta_e for p in self.probes])
 
     @property
     def dim(self) -> int:
@@ -183,10 +184,10 @@ class RrdoEnsemble:
         As column-major system vectors: ``jump[i, j] = vec(Phi_i(vbar_j) - own_i)``
         is the total-energy jump of a step drawn from atom i followed by atom j,
         and ``flux[i] = vec(F_i)`` is atom i's flux matrix. One stacked reduction
-        of every atom's encounter builds both (:func:`ries.model.energy_terms`);
+        of the ensemble's encounters builds both (:func:`ries.model.energy_terms`);
         callers must not write into them.
         """
-        vbar, own, flux = map(vec, energy_terms(self.system, self.probes, self.phis))
+        vbar, own, flux = map(vec, energy_terms(self.encounters, self.phis))
         jump = np.einsum("iab,jb->ija", self.phis, vbar) - own[:, None, :]
         return jump, flux
 
@@ -202,8 +203,8 @@ class RrdoEnsemble:
     def from_models(
         cls, system: SystemSpec, weighted_probes: list[tuple[float, ProbeSpec]]
     ) -> "RrdoEnsemble":
-        probes = [probe for _, probe in weighted_probes]
-        return cls([p for p, _ in weighted_probes], rdos_from_model(system, probes), system, probes)
+        enc = encounters(system, [probe for _, probe in weighted_probes])
+        return cls([p for p, _ in weighted_probes], rdos_from_model(enc), enc)
 
     @classmethod
     def from_matrices(
@@ -447,8 +448,8 @@ def _fit_envelope(log_norms: np.ndarray) -> tuple[float, int, float]:
     ns = np.arange(1, n_total + 1)
     fit_from = max(n_total // 2, 1)
     sel = finite & (ns >= fit_from)
-    if sel.sum() < 2:  # word hit exact zero early; decay is as fast as it gets
-        return np.inf, 1, 0.0
+    if sel.sum() < 2:  # as fast as it gets if the word hit exact zero; else no rate
+        return np.inf if not finite.all() else np.nan, 1, 0.0
     slope, intercept = np.polyfit(ns[sel], log_norms[sel], 1)
     alpha = -float(slope)
     # envelope C e^(-alpha n) with C inflated by the fit's residual spread,
@@ -502,7 +503,8 @@ def decay_estimator(ens: RrdoEnsemble, seeds, n_total: int) -> DecayEstimate:
     within the stated tolerance of it, and bitwise independent of batching.
     Per seed, the fitted envelope C e^(-alpha n) comes from a log-linear fit
     on the second half of the series, and n0 is the first index from which
-    the envelope bounds the whole tail.
+    the envelope bounds the whole tail; too few to fit, alpha is inf if the
+    word hit exact zero, and NaN (no rate) if not.
     """
     seeds, omega = _start(ens, seeds, n_total)
     _, ends, _ = block_grid(n_total, n_total)

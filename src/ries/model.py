@@ -24,21 +24,21 @@ only to the window legs that keep it. One evolution to the largest m asked
 for serves every m and every observable of a stack: the chain is read out
 after each step that is asked about.
 
-Encounters are built as stacks, one row per probe: :func:`step_unitaries`
-diagonalizes every generator h_s x 1 + 1 x h_e + v of one probe dimension in
-one batched eigh, the probe Gibbs states take one eigh per distinct h_e,
-and every Phi (:func:`reduced_heisenberg_maps`), every RDO
-(:func:`rdos_from_model`, with iota and iota^(-1) formed once) and every
-atom's energy terms (:func:`energy_terms`) come from batched products.
-Probes of different dimensions are built group by group. Each batched step
-runs once per row (batched eigh and matmul, never a contraction that folds
-the row axis), so a row is bitwise what a one-probe build gives: one probe's
-step unitary, Heisenberg map or Gibbs state is the one-row case of its stack,
-and :func:`rdo_from_model` is the one-row case of :func:`rdos_from_model`.
-A window family is A_S and a per-slot table of B, one B per slot and
-allowed probe; it reduces every atom tuple at once from the same stacked
-encounters, slot by slot, each tuple's B gathered from its slot's table
-(:func:`reduce_windows`). :func:`reduce_instant` is the one-tuple case.
+Encounters are built once per probe list, as one stack with one row per probe
+(:func:`encounters`): :func:`step_unitaries` diagonalizes every generator
+h_s x 1 + 1 x h_e + v of one probe dimension in one batched eigh, and the
+probe Gibbs states take one eigh per distinct h_e. Every Phi
+(:func:`reduced_heisenberg_maps`), RDO (:func:`rdos_from_model`, with iota and
+iota^(-1) formed once), atom's energy terms (:func:`energy_terms`), window
+reduction and the oracle's chain read that stack, group by group of probe
+dimension. Each batched step runs once per row (batched eigh and matmul, never
+a contraction that folds the row axis), so a row is bitwise what a one-probe
+build gives: one probe's step unitary, Heisenberg map or Gibbs state is the
+one-row case of its stack, and :func:`rdo_from_model` is the one-row case of
+:func:`rdos_from_model`. A window family is A_S and a per-slot table of B, one
+B per slot and allowed probe; it reduces every atom tuple at once from the
+stacked encounters, slot by slot, each tuple's B gathered from its slot's
+table (:func:`reduce_windows`). :func:`reduce_instant` is the one-tuple case.
 
 The GNS transport never builds a non-normal generator: with
 ``iota(A) = A rho_s^(1/2)``, the RDO is ``iota o Phi o iota^(-1)``.
@@ -100,14 +100,14 @@ def check_capacity(dims: list[int], window: int = 0, stack: int = 1, powers: boo
     # maximum RSS 700 MiB). A window reduction with l + r >= 1 holds 3.5 per tuple (3.50 at
     # d = e = 2 for l + r = 1 to 3, 3.38 at d = 3, e = 2, l = 1: a gathered U or U*, the
     # product it enters and its result, plus the tuple's X row and indices). With l = r = 0
-    # the tuples are the atoms, and the stacked encounter build (the batched eigh and the U,
-    # U* stacks) sets the peak: 8 per tuple (7.92 at d = e = 2, 7.37 at d = 2, e = 3, 6.88 at
-    # d = 3, e = 2, 6.63 at d = e = 3, on 1,024 and 4,096 atoms); below d e = 4 the per-tuple
-    # bookkeeping weighs more. The ideal asymptotics hold one stack, the powers M^n turned
-    # into their errors M^n - P_1 in place: 1.2 per power (1.16 at D = 4 for 10^4 and
-    # 4 * 10^4 powers; the D singular values of each error and the decay fit's arrays of
-    # one entry per power add the rest).
-    per_item = 1.2 if powers else 8 if window == 0 else 3.5
+    # the tuples are the atoms, whose encounters are built before, once per probe list: 4.5
+    # per tuple (identity family 4.39 at d = e = 2, 3.83 at d = 2, e = 3, 3.76 at d = 3,
+    # e = 2, 3.43 at d = e = 3; probe energy 3.76 at d = e = 2; on 1,024 and 4,096 atoms;
+    # below d e = 4 the per-tuple bookkeeping weighs more). The ideal asymptotics hold one
+    # stack, the powers M^n turned into their errors M^n - P_1 in place: 1.2 per power (1.16
+    # at D = 4 for 10^4 and 4 * 10^4 powers; the D singular values of each error and the
+    # decay fit's arrays of one entry per power add the rest).
+    per_item = 1.2 if powers else 4.5 if window == 0 else 3.5
     arrays = per_item * stack if powers or stack > 1 else 3
     peak = f"{arrays * dim * dim * 16 / 2**20:,.0f} MiB ({arrays:,.0f} dense {dim}x{dim} arrays)"
     entries = f"hold {stack * dim * dim:,} entries, past ORACLE_DIM_GUARD^2 = {ORACLE_DIM_GUARD**2:,}"
@@ -266,12 +266,27 @@ def step_unitaries(sys: SystemSpec, probes: list[ProbeSpec]) -> np.ndarray:
     return expm_hermitian(h, -1j * np.array([probe.tau for probe in probes]))
 
 
-def _encounters(sys: SystemSpec, probes: list[ProbeSpec]) -> Iterator[tuple]:
-    """(rows, U, rho_E) per probe dimension: the stacked step unitaries and
-    probe Gibbs states of ``probes[rows]``, with one eigh per distinct h_e."""
+@dataclass(frozen=True, eq=False)
+class Encounters:
+    """Encounters of the system with each of `probes`, as stacks: ``groups[e] = (rows, U,
+    rho_E)`` holds the indices into `probes` of the probes of dimension e, their (n, d e, d e)
+    step unitaries and their (n, e, e) Gibbs states; probe k is row ``pos[k]`` of its group."""
+
+    system: SystemSpec
+    probes: list[ProbeSpec]
+    groups: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
+    pos: np.ndarray
+
+
+def encounters(sys: SystemSpec, probes: list[ProbeSpec]) -> Encounters:
+    """The stacked encounters of `sys` with `probes`: one batched :func:`step_unitaries`
+    per probe dimension, and one eigh per distinct h_e for the Gibbs states."""
     dims = np.array([probe.dim_e for probe in probes])
-    for e in np.unique(dims):
+    pos = np.empty(len(probes), dtype=np.intp)
+    groups = {}
+    for e in np.unique(dims).tolist():
         rows = np.flatnonzero(dims == e)
+        pos[rows] = np.arange(len(rows))
         group = [probes[k] for k in rows]
         by_h: dict[bytes, list[int]] = {}
         for i, probe in enumerate(group):
@@ -279,7 +294,8 @@ def _encounters(sys: SystemSpec, probes: list[ProbeSpec]) -> Iterator[tuple]:
         rho_e = np.empty((len(group), e, e), dtype=complex)
         for same in by_h.values():
             rho_e[same] = _gibbs_states(group[same[0]].h_e, [group[i].beta_e for i in same])
-        yield rows, step_unitaries(sys, group), rho_e
+        groups[e] = (rows, step_unitaries(sys, group), rho_e)
+    return Encounters(sys, list(probes), groups, pos)
 
 
 def weighted_partial_trace(x: np.ndarray, dim_s: int, rho_env: np.ndarray) -> np.ndarray:
@@ -292,16 +308,16 @@ def weighted_partial_trace(x: np.ndarray, dim_s: int, rho_env: np.ndarray) -> np
     return (xt.reshape(*batch, dim_s * dim_s, de * de) @ r).reshape(*batch, dim_s, dim_s)
 
 
-def reduced_heisenberg_maps(sys: SystemSpec, probes: list[ProbeSpec]) -> np.ndarray:
+def reduced_heisenberg_maps(enc: Encounters) -> np.ndarray:
     """(n, d^2, d^2) matrices of the one-step Heisenberg maps Phi, one per probe.
 
     Phi(A) = Tr_E[(1 x rho_E) U* (A x 1) U] is unital and completely positive;
     entry (j + d k, i + d x) is Phi(E_ix)[j, k]. Per probe dimension, the
     stacked unitaries and Gibbs states are contracted by two batched matmuls.
     """
-    d = sys.dim_s
-    phis = np.empty((len(probes), d * d, d * d), dtype=complex)
-    for rows, u, rho_e in _encounters(sys, probes):
+    d = enc.system.dim_s
+    phis = np.empty((len(enc.probes), d * d, d * d), dtype=complex)
+    for rows, u, rho_e in enc.groups.values():
         n, e = len(rows), rho_e.shape[-1]
         u = u.reshape(n, d, e, d, e)
         # pair U* with U over the probe leg of their rows before weighting by rho_E:
@@ -325,7 +341,7 @@ def system_gns_data(sys: SystemSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return rho_s, sqrt_rho, vec(sqrt_rho)
 
 
-def rdos_from_model(sys: SystemSpec, probes: list[ProbeSpec]) -> list["rdo_mod.Rdo"]:
+def rdos_from_model(enc: Encounters) -> list["rdo_mod.Rdo"]:
     """Reduced dynamics operators of the system's encounter with each probe.
 
     The maps Phi come as one stack (:func:`reduced_heisenberg_maps`), and
@@ -335,8 +351,8 @@ def rdos_from_model(sys: SystemSpec, probes: list[ProbeSpec]) -> list["rdo_mod.R
     (C0 = 1). Each RDO keeps the Heisenberg map Phi it transports, so the
     Heisenberg picture needs no inverse transport.
     """
-    _, sqrt_rho, psi_s = system_gns_data(sys)
-    phis = reduced_heisenberg_maps(sys, probes)
+    _, sqrt_rho, psi_s = system_gns_data(enc.system)
+    phis = reduced_heisenberg_maps(enc)
     iota = right_mult_matrix(sqrt_rho)  # iota(A) = A rho_s^(1/2)
     ms = iota @ phis @ np.linalg.inv(iota)
     return [rdo_mod.Rdo(m=m, psi_s=psi_s, phi=phi) for m, phi in zip(ms, phis)]
@@ -344,7 +360,7 @@ def rdos_from_model(sys: SystemSpec, probes: list[ProbeSpec]) -> list["rdo_mod.R
 
 def rdo_from_model(sys: SystemSpec, probe: ProbeSpec) -> "rdo_mod.Rdo":
     """Reduced dynamics operator of one encounter (see :func:`rdos_from_model`)."""
-    return rdos_from_model(sys, [probe])[0]
+    return rdos_from_model(encounters(sys, [probe]))[0]
 
 
 def _apply_encounter(x: np.ndarray, u: np.ndarray, d: int, e: int) -> np.ndarray:
@@ -367,16 +383,15 @@ def _apply_encounter(x: np.ndarray, u: np.ndarray, d: int, e: int) -> np.ndarray
     return out.reshape(dim, dim)
 
 
-def _conjugate_by_chain(x: np.ndarray, sys: SystemSpec, probes: list[ProbeSpec]) -> Iterator[np.ndarray]:
+def _conjugate_by_chain(x: np.ndarray, enc: Encounters) -> Iterator[np.ndarray]:
     """U_k ... U_1 (x x Gibbs_1 x ... x Gibbs_k) (U_k ... U_1)* after each step
-    k = 1 .. len(probes), yielded in turn: the oracle's chain evolution by its
+    k = 1 .. len(enc.probes), yielded in turn: the oracle's chain evolution by its
     encounters alone (the free evolutions are left to
     :func:`full_chain_expectation`), on the chain grown one leg per step.
 
     `x` is a state on S alone. Just before step k, probe leg E_k joins last,
     in its Gibbs state, so the legs are [S, E_1, ..., E_k], and step k applies
-    the encounter U_k of S with E_k through `probes[k - 1]`. Every U_k and
-    Gibbs state is built once, in stacks (:func:`_encounters`).
+    the encounter U_k of S with E_k, row k - 1 of the stacks `enc`.
 
     Each U_k acts on its own legs of `x` only, as U_k x U_k*: on the row legs
     directly, and on the column legs as rows of the transpose,
@@ -385,27 +400,22 @@ def _conjugate_by_chain(x: np.ndarray, sys: SystemSpec, probes: list[ProbeSpec])
     Gibbs_k^T. No chain-sized unitary is formed. A yielded state is not
     changed by later steps, which build new arrays.
     """
-    encounters = [None] * len(probes)
-    for rows, us, rho_e in _encounters(sys, probes):
-        for k, u, gibbs_k in zip(rows, us, rho_e):
-            encounters[k] = (u, gibbs_k)
-    d, transposed = sys.dim_s, False  # whether `x` currently holds the transpose
-    for u, gibbs_k in encounters:
-        x = np.kron(x, gibbs_k.T if transposed else gibbs_k)
-        e = gibbs_k.shape[0]
-        x = _apply_encounter(x, u.conj() if transposed else u, d, e)
+    d, transposed = enc.system.dim_s, False  # whether `x` currently holds the transpose
+    for probe, k in zip(enc.probes, enc.pos):
+        _, us, gibbs = enc.groups[e := probe.dim_e]
+        x = np.kron(x, gibbs[k].T if transposed else gibbs[k])
+        x = _apply_encounter(x, us[k].conj() if transposed else us[k], d, e)
         x, transposed = x.T, not transposed
-        x = _apply_encounter(x, u.conj() if transposed else u, d, e)
+        x = _apply_encounter(x, us[k].conj() if transposed else us[k], d, e)
         yield x.T if transposed else x
 
 
 def _read_window(
-    rho_tot: np.ndarray, sys: SystemSpec, steps: list[ProbeSpec], dims: list[int],
-    ops: np.ndarray, m: int, l: int, r: int,
+    rho_tot: np.ndarray, steps: list[ProbeSpec], dims: list[int], ops: np.ndarray, m: int, l: int, r: int
 ) -> complex | np.ndarray:
     """The expectation of the window operator(s) `ops` in the chain state `rho_tot`
-    after step m, on the legs `dims[: m + 1]` (see :func:`full_chain_expectation`)."""
-    d = sys.dim_s
+    after step m, on the legs `dims[: m + 1]`, S first (see :func:`full_chain_expectation`)."""
+    d = dims[0]
     # the evolved window legs are S and the last l + 1 probes: trace out E_1 .. E_(m-l-1)
     before = int(np.prod(dims[1 : m - l], dtype=np.int64))
     after = int(np.prod(dims[m - l : m + 1], dtype=np.int64))
@@ -479,11 +489,11 @@ def full_chain_expectation(
 
     op_window, values = np.asarray(op_window), []
     # after step m: U rho U*, U = U_m ... U_1 the encounters, on rho_init x Gibbs_1 x ... x Gibbs_m
-    states = _conjugate_by_chain(rho_init, sys, steps[: ms[-1]])
+    states = _conjugate_by_chain(rho_init, encounters(sys, steps[: ms[-1]]))
     for k in range(1, ms[-1] + 1):
         rho_tot = next(states)  # not enumerate, whose reused tuple would keep the state alive
         if k in ms:
-            values.append(_read_window(rho_tot, sys, steps, dims, op_window, k, l, r))
+            values.append(_read_window(rho_tot, steps, dims, op_window, k, l, r))
         del rho_tot  # while the next step runs, only the chain engine holds the state
     return values[0] if single else np.array(values)
 
@@ -511,14 +521,12 @@ def full_chain_oracle(
     return full_chain_expectation(sys, steps, ops, m, obs.l, obs.r, rho_init)
 
 
-def reduce_windows(
-    sys: SystemSpec, probes: list[ProbeSpec], choices: list, a_s: np.ndarray, bs: list, l: int, r: int
-) -> np.ndarray:
+def reduce_windows(enc: Encounters, choices: list, a_s: np.ndarray, bs: list, l: int, r: int) -> np.ndarray:
     """(n, d, d) reduced Heisenberg matrices X of A_S x B^(-l) x ... x B^(r), one per tuple.
 
     A window family is A_S and a per-slot table of B. The tuples are those of
     ``itertools.product(*choices)``: ``choices[j + l]`` lists the indices into
-    `probes` allowed at slot j, and ``bs[j + l][i]`` is the (e, e) B at slot j
+    ``enc.probes`` allowed at slot j, and ``bs[j + l][i]`` is the (e, e) B at slot j
     for probe ``choices[j + l][i]`` of dimension e; every tuple shares the
     (d, d) `a_s`. Each is checked once, and a slot's B enter its step as one
     gather per probe dimension.
@@ -529,14 +537,14 @@ def reduce_windows(
     slots j+1..0. A future slot (j > 0) has not interacted: it takes no U,
     so it only scales Y by Tr[rho_E B_j]. Each step is a batched matmul per
     tuple, so a row is bitwise its one-tuple reduction. The window guard is
-    checked before any encounter is built.
+    checked before any reduction work is done.
     """
-    d, n, a_s = sys.dim_s, math.prod(len(c) for c in choices), np.asarray(a_s, dtype=complex)
+    d, n, a_s = enc.system.dim_s, math.prod(len(c) for c in choices), np.asarray(a_s, dtype=complex)
     if (min(l, r) < 0 or len(choices) != l + r + 1 or a_s.shape != (d, d)
             or [*map(len, bs)] != [*map(len, choices)]):
         raise ValueError(f"a window family needs l, r >= 0, a ({d}, {d}) A_S and one B per choice")
-    check_capacity([d, max(probes[k].dim_e for c in choices for k in c)], l + r, stack=n)
-    dim_e, taus = np.array([p.dim_e for p in probes]), np.array([p.tau for p in probes])
+    check_capacity([d, max(enc.probes[k].dim_e for c in choices for k in c)], l + r, stack=n)
+    dim_e, taus = np.array([p.dim_e for p in enc.probes]), np.array([p.tau for p in enc.probes])
     # per slot and probe dimension e: a table whose row i is choice i's B if it has dimension e
     tables = [{e: np.zeros((len(c), e, e), complex) for e in np.unique(dim_e[c])} for c in choices]
     for j, (c, slot_bs, table) in enumerate(zip(choices, bs, tables), start=-l):
@@ -544,31 +552,26 @@ def reduce_windows(
             if np.shape(b) != (e, e):
                 raise ValueError(f"slot {j}: B has shape {np.shape(b)}, expected ({e}, {e})")
             table[e][i] = b
-    # per probe dimension e: the stacked (U, U*, rho_E, h_E) and each probe's row in them
-    pos = np.empty(len(probes), dtype=np.intp)
-    groups = {}
-    for rows, u, rho_e in _encounters(sys, probes):
-        pos[rows] = np.arange(len(rows))
-        h_e = np.stack([probes[k].h_e for k in rows])
-        groups[rho_e.shape[-1]] = (u, np.ascontiguousarray(dag(u)), rho_e, h_e)
+    # per probe dimension e, if a past slot evolves its B freely: the probes' h_E, row for row
+    h_es = {e: np.stack([enc.probes[k].h_e for k in rows]) for e, (rows, _, _) in enc.groups.items()} if l else {}
     picks = np.indices([len(c) for c in choices]).reshape(len(choices), n)  # row s: slot s - l
     x = np.repeat(a_s[None], n, axis=0)
     elapsed = np.zeros(n)  # summed tau of the slots j+1..0
     for j in range(r, -l - 1, -1):
         atoms = np.asarray(choices[j + l], dtype=np.intp)[picks[j + l]]
         for e, table in tables[j + l].items():
-            u, u_adj, rho_e, h_e = groups[e]
+            _, u, rho_e = enc.groups[e]
             rows = np.flatnonzero(dim_e[atoms] == e)
-            k, m = pos[atoms[rows]], len(rows)
+            k, m = enc.pos[atoms[rows]], len(rows)
             b = table[picks[j + l, rows]]
             if j < 0:
-                free = expm_hermitian(h_e[k], -1j * elapsed[rows])
+                free = expm_hermitian(h_es[e][k], -1j * elapsed[rows])
                 b = dag(free) @ b @ free
                 del free
             y = (x[rows][:, :, None, :, None] * b[:, None, :, None, :]).reshape(m, d * e, d * e)
             del b  # before the products, which hold 3 (m, d e, d e) arrays at most
             if j <= 0:
-                y = u_adj[k] @ y
+                y = np.ascontiguousarray(dag(u[k])) @ y
                 y = y @ u[k]
             x[rows] = weighted_partial_trace(y, d, rho_e[k])
         if j <= 0:
@@ -576,9 +579,7 @@ def reduce_windows(
     return x
 
 
-def reduce_instant(
-    sys: SystemSpec, window_steps: list[ProbeSpec], obs: ObservableWindow
-) -> np.ndarray:
+def reduce_instant(sys: SystemSpec, window_steps: list[ProbeSpec], obs: ObservableWindow) -> np.ndarray:
     """Reduced Heisenberg system matrix X of one instantaneous observable.
 
     The one-tuple case of :func:`reduce_windows`, with `window_steps` the
@@ -588,26 +589,23 @@ def reduce_instant(
     """
     choices = [[k] for k in range(len(window_steps))]
     bs = [[b] for b in obs.b_list]
-    return reduce_windows(sys, window_steps, choices, obs.a_s, bs, obs.l, obs.r)[0]
+    return reduce_windows(encounters(sys, window_steps), choices, obs.a_s, bs, obs.l, obs.r)[0]
 
 
-def energy_terms(
-    sys: SystemSpec, probes: list[ProbeSpec], phis: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def energy_terms(enc: Encounters, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(vbar, own, F) of each probe's encounter, as (n, d, d) stacks of system matrices.
 
     `phis` holds the probes' Heisenberg maps. vbar = Tr_E[(1 x rho_E) V] is
     the Gibbs mean field of the interaction, own = Tr_E[(1 x rho_E) W* V W]
     its reduction through the encounter, and F = H_S + vbar - Phi(H_S) - own
-    the per-encounter flux matrix. Both reductions read one stack of step
-    unitaries and Gibbs states per probe dimension, built as for
-    :func:`reduced_heisenberg_maps`.
+    the per-encounter flux matrix. Both reductions read the stacked step
+    unitaries and Gibbs states of `enc`, as :func:`reduced_heisenberg_maps` does.
     """
-    d = sys.dim_s
-    vbar = np.empty((len(probes), d, d), dtype=complex)
+    sys, d = enc.system, enc.system.dim_s
+    vbar = np.empty((len(enc.probes), d, d), dtype=complex)
     own = np.empty_like(vbar)
-    for rows, u, rho_e in _encounters(sys, probes):
-        v = np.stack([probes[k].v for k in rows])
+    for rows, u, rho_e in enc.groups.values():
+        v = np.stack([enc.probes[k].v for k in rows])
         vbar[rows] = weighted_partial_trace(v, d, rho_e)
         own[rows] = weighted_partial_trace(dag(u) @ v @ u, d, rho_e)
     flux = sys.h_s + vbar - unvec(phis @ vec(sys.h_s), d) - own

@@ -44,7 +44,7 @@ import numpy as np
 
 from .ensemble import SWEEP_ENTRIES, EnsembleError, RrdoEnsemble, block_grid
 from .linalg import KahanAccumulator, dag, unvec, vec
-from .model import SystemSpec, reduce_windows
+from .model import Encounters, reduce_windows
 
 
 @dataclass
@@ -71,10 +71,10 @@ class InstantObservableFamily:
         return (self.x @ unvec(psi_s, self.x.shape[1])).transpose(0, 2, 1).reshape(len(self.x), -1)
 
 
-def _require_models(ens: RrdoEnsemble) -> SystemSpec:
-    if ens.system is None:
+def _require_models(ens: RrdoEnsemble) -> Encounters:
+    if ens.encounters is None:
         raise EnsembleError("this operation needs model-built atoms (interaction data)")
-    return ens.system
+    return ens.encounters
 
 
 def observable_family(
@@ -86,26 +86,24 @@ def observable_family(
     slot j when atom i sits there. Row t of the stack reduces the t-th tuple
     of ``itertools.product``; see :func:`ries.model.reduce_windows`.
     """
-    system = _require_models(ens)
-    x = reduce_windows(system, ens.probes, [range(ens.n_atoms)] * (l + r + 1), a_s, bs, l, r)
+    x = reduce_windows(_require_models(ens), [range(ens.n_atoms)] * (l + r + 1), a_s, bs, l, r)
     return InstantObservableFamily(l=l, r=r, x=x)
 
 
 def system_observable_family(ens: RrdoEnsemble, a_s: np.ndarray) -> InstantObservableFamily:
     """Window family carrying only a system observable (l = r = 0, B = 1)."""
-    _require_models(ens)
-    return observable_family(ens, a_s, [[np.eye(p.dim_e) for p in ens.probes]], 0, 0)
+    return observable_family(ens, a_s, [[np.eye(p.dim_e) for p in _require_models(ens).probes]], 0, 0)
 
 
 def probe_energy_family(ens: RrdoEnsemble) -> InstantObservableFamily:
     """B^(0) = probe Hamiltonian at the interacting slot."""
-    eye = np.eye(_require_models(ens).dim_s)
-    return observable_family(ens, eye, [[p.h_e for p in ens.probes]], 0, 0)
+    enc = _require_models(ens)
+    return observable_family(ens, np.eye(enc.system.dim_s), [[p.h_e for p in enc.probes]], 0, 0)
 
 
 def identity_family(ens: RrdoEnsemble) -> InstantObservableFamily:
     """The system observable A_S = 1; a wider identity window is an :func:`observable_family`."""
-    return system_observable_family(ens, np.eye(_require_models(ens).dim_s))
+    return system_observable_family(ens, np.eye(_require_models(ens).system.dim_s))
 
 
 def mean_reduced_observable(ens: RrdoEnsemble, fam: InstantObservableFamily) -> np.ndarray:
@@ -219,7 +217,7 @@ def energy_jump_family(ens: RrdoEnsemble) -> InstantObservableFamily:
     operators; slot +1 enters through its Gibbs mean field because that
     probe has not yet interacted.
     """
-    d = _require_models(ens).dim_s
+    d = _require_models(ens).system.dim_s
     jump, _ = ens.energy_tables
     # row i * n_atoms + j holds unvec(jump[i, j]); a column-major vec reshapes to X^T
     x = jump.reshape(-1, d, d).transpose(0, 2, 1)
@@ -278,7 +276,7 @@ def flux_monte_carlo(
     energy jump of atom i followed by j, and atom i's beta-weighted flux
     matrix. See :func:`_cesaro_means` for the seed batching and the burn-in.
     """
-    system = _require_models(ens)
+    system = _require_models(ens).system
     if rho_init is None:
         rho_init = system.gibbs_state()
     # Heisenberg picture: plain system matrices, no GNS transport

@@ -399,6 +399,22 @@ def test_reverse_on_gns_dim_one(tmp_path, capsys):
     assert summary["payload"]["per_seed"][0]["final_sigma_ratio"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "name, n_total, check",
+    [("decay", 1, "alpha_positive_all_seeds"), ("reverse", 1, "rank_one_decay"), ("reverse", 5, "rank_one_decay")],
+)
+def test_too_short_runs_fail_their_decay_checks(tmp_path, name, n_total, check):
+    """A fit over fewer than two points gives no rate unless the series reached its
+    floor (a -inf log norm, a sigma ratio at the rounding floor), so a demo run too
+    short to fit a rate fails its decay check instead of passing it for free."""
+    with open(os.path.join(DEMO_CONFIGS, f"{name}.json")) as fh:
+        doc = {**json.load(fh), "n_total": n_total}
+    path = tmp_path / "cfg.json"
+    dump_json(doc, str(path))
+    rc, summary = _run_summary(str(path), tmp_path / "out")
+    assert rc == 1 and summary["checks"][check] is False
+
+
 def test_reverse_rate_ignores_rounding_noise(tmp_path, monkeypatch):
     """sigma_ratio_rate fits only the ratios above the rounding floor.
 
@@ -647,9 +663,9 @@ def test_fluxes_build_energy_tables_once(tmp_path, ensemble_doc, monkeypatch):
     calls = []
     orig = ries.model.energy_terms
 
-    def counted(system, probes, phis):
-        calls.append(len(probes))
-        return orig(system, probes, phis)
+    def counted(enc, phis):
+        calls.append(len(enc.probes))
+        return orig(enc, phis)
 
     for mod in (ries.model, ries.ensemble, ries.thermo):  # wherever it is imported by name
         if getattr(mod, "energy_terms", None) is orig:
@@ -658,6 +674,20 @@ def test_fluxes_build_energy_tables_once(tmp_path, ensemble_doc, monkeypatch):
     assert cfg["monte_carlo"]
     run(cfg, out=str(tmp_path))
     assert calls == [len(ensemble_doc["atoms"])]
+
+
+@pytest.mark.parametrize("experiment", ["instant", "fluxes"])
+def test_monte_carlo_runs_build_each_encounter_once(tmp_path, ensemble_doc, monkeypatch, experiment):
+    """A Monte Carlo instant or fluxes run builds one step-unitary row per atom: the
+    RDOs, the energy tables and the observable family read one stack of encounters."""
+    rows = []
+    orig = ries.model.step_unitaries
+    monkeypatch.setattr(ries.model, "step_unitaries", lambda sys, probes: rows.append(len(probes)) or orig(sys, probes))
+    doc = {"experiment": experiment, "ensemble": ensemble_doc, "n_total": 500}
+    if experiment == "instant":
+        doc.update(family="system", a_s=matrix_to_json(np.diag([1.0, -1.0])))
+    run(validate_config(doc), out=str(tmp_path))
+    assert sum(rows) == len(ensemble_doc["atoms"])
 
 
 class _ReadRecorder(dict):

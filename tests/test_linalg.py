@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from dense_reference import embed, left_mult_matrix, random_complex_matrix, spectral_norm
+from dense_reference import embed, left_mult_matrix, random_complex_matrix
 
 from ries import linalg
+from ries.ensemble import _top_singular_values
 from ries.linalg import (
     KahanAccumulator,
     dag,
@@ -74,8 +75,15 @@ def test_embed_order_sensitivity(rng):
 
 
 def test_norms(rng):
-    a = np.diag([3.0, -2.0, 1.0])
-    assert spectral_norm(a) == 3.0
+    """The package's spectral norm, `ensemble._top_singular_values` of the first block
+    column [Re Y; Im Y] of each Y's embedding, is numpy's 2-norm on a random complex
+    stack, a zero matrix and a rank-one matrix."""
+    d = 4
+    rank_one = random_complex_matrix(d, rng)[:, :1] @ random_complex_matrix(d, rng)[:1]
+    stack = np.array([random_complex_matrix(d, rng) for _ in range(6)])
+    for ys in (stack, np.zeros((1, d, d), dtype=complex), rank_one[None]):
+        got = _top_singular_values(linalg.embed(ys)[..., :d])
+        assert np.allclose(got, [np.linalg.norm(y, 2) for y in ys], rtol=1e-12, atol=0)
 
 
 def test_kahan_matches_direct_sum(rng):

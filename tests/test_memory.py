@@ -93,7 +93,7 @@ def test_kernel_peak_memory_within_one_step_loops(key, ensembles):
 
 
 WINDOW_ARRAYS_PER_TUPLE = 3.5  # the factors `ries.model.check_capacity` states: l + r >= 1,
-ONE_SLOT_ARRAYS_PER_TUPLE = 8  # and l = r = 0
+ONE_SLOT_ARRAYS_PER_TUPLE = 4.5  # and l = r = 0
 
 
 def test_window_family_peak_within_guard_estimate(ensembles):

@@ -16,6 +16,7 @@ from ries.linalg import dag, random_hermitian, unvec, vec
 from ries.model import (
     CapacityError,
     _gibbs_states,
+    encounters,
     full_chain_expectation,
     model_from_json,
     reduced_heisenberg_maps,
@@ -95,7 +96,7 @@ def test_weighted_partial_trace_identity(rng):
 
 
 def test_heisenberg_map_unital_and_cp(qubit_model):
-    phi = reduced_heisenberg_maps(qubit_model[0], [qubit_model[1]])[0]
+    phi = reduced_heisenberg_maps(encounters(qubit_model[0], [qubit_model[1]]))[0]
     # unital: Phi(1) = 1
     assert np.allclose(unvec(phi @ vec(np.eye(2)), 2), np.eye(2), atol=1e-12)
     # completely positive: Choi matrix positive semidefinite
@@ -113,7 +114,7 @@ def test_heisenberg_map_matches_definition(rng):
     probe = ries.ProbeSpec(
         dim_e=2, h_e=random_hermitian(2, rng), beta_e=1.1, v=random_hermitian(6, rng), tau=0.8
     )
-    phi = reduced_heisenberg_maps(system, [probe])[0]
+    phi = reduced_heisenberg_maps(encounters(system, [probe]))[0]
     u = step_unitaries(system, [probe])[0]
     rho_e = probe.gibbs_state()
     for _ in range(4):

@@ -148,11 +148,13 @@ def test_one_seed_convention(name, allowed):
     [
         ("_conjugate_by_chain", {"model.py:full_chain_expectation"}),
         ("reduce_windows", {"model.py:reduce_instant", "thermo.py:observable_family"}),
+        ("step_unitaries", {"model.py:encounters"}),
     ],
 )
 def test_one_path_per_reduction(name, allowed):
     """The chain engine serves only the oracle, and every window reduction is the
-    stacked one, so an oracle check compares two independent code paths."""
+    stacked one, so an oracle check compares two independent code paths; every
+    step unitary comes from one `Encounters` stack, which the reductions read."""
     used = {f"{p.name}:{f}" for p in MODULES for f in _uses_by_function(_parse(p), name)}
     assert used == allowed
 

@@ -125,7 +125,7 @@ def test_jump_expectations_match_oracle(qubit_model):
     system, probe = qubit_model
     d = system.dim_s
     rho_init = system.gibbs_state()
-    phi = ries.model.reduced_heisenberg_maps(system, [probe])[0]
+    phi = ries.model.reduced_heisenberg_maps(ries.model.encounters(system, [probe]))[0]
     vbar = weighted_partial_trace(probe.v, d, probe.gibbs_state())
     next_term = dense_window_reduction(system, [probe], np.kron(vbar, np.eye(2)), 0, 0)
     own_term = dense_window_reduction(system, [probe], probe.v, 0, 0)
@@ -241,12 +241,14 @@ def test_family_rows_follow_tuple_order(rng):
 def test_family_capacity_guard(qubit_model, monkeypatch):
     """The one window guard bounds the stacked reduction: 33 atoms at l + r = 3
     hold 33^4 (2 * 2)^2 entries, past ORACLE_DIM_GUARD^2 = 4096^2 (32 atoms would
-    reach it exactly), and fail before any encounter is built."""
+    reach it exactly), and fail before any reduction work is done: no encounter is
+    built, no U* stacked and no partial trace taken."""
     system, probe = qubit_model
     ens = RrdoEnsemble.from_models(system, [(1.0 / 33, probe)] * 33)
     built = []
-    encounters = ries.model._encounters
-    monkeypatch.setattr(ries.model, "_encounters", lambda *a: built.append(a) or encounters(*a))
+    for name in ("step_unitaries", "dag", "weighted_partial_trace"):
+        orig = getattr(ries.model, name)
+        monkeypatch.setattr(ries.model, name, lambda *a, _orig=orig: built.append(a) or _orig(*a))
     with pytest.raises(ries.model.CapacityError, match="1,185,921 stacked window reductions hold 18,974,736 entries"):
         identity_window(ens, 3, 0)
     assert 32**4 * 4**2 == ries.model.ORACLE_DIM_GUARD**2 and not built
