@@ -338,12 +338,24 @@ def _run_ergodic(cfg: dict, inputs: dict, out: str) -> tuple[dict, dict]:
     return payload, {"distance_bound": bool(bound_ok.all()), **_theta_checks(ens)}
 
 
+def _rate_kinds(rates, floor: str) -> list[str]:
+    """Per seed, where its rate comes from, as JSON writes an infinite and a NaN rate
+    alike as null: "fitted" (finite), `floor` (infinite: the series reached its
+    floor) or "too_few_points" (NaN: too few points above it to fit)."""
+    return ["fitted" if np.isfinite(x) else floor if np.isinf(x) else "too_few_points" for x in rates]
+
+
 def _run_decay(cfg: dict, inputs: dict, out: str) -> tuple[dict, dict]:
     ens = inputs["ens"]
     rep = decay_estimator(ens, cfg["seeds"], int(cfg["n_total"]))
     payload = {
         "per_seed": _per_seed(
-            cfg["seeds"], alpha=rep.alpha, n0=rep.n0, log_c=rep.log_c, final_log_norm=rep.log_norms[:, -1]
+            cfg["seeds"],
+            alpha=rep.alpha,
+            alpha_kind=_rate_kinds(rep.alpha, "exact_zero"),
+            n0=rep.n0,
+            log_c=rep.log_c,
+            final_log_norm=rep.log_norms[:, -1],
         ),
         "alpha_min": float(rep.alpha.min()),
         "alpha_median": float(np.median(rep.alpha)),
@@ -382,6 +394,7 @@ def _run_reverse(cfg: dict, inputs: dict, out: str) -> tuple[dict, dict]:
     per_seed = _per_seed(
         cfg["seeds"],
         sigma_ratio_rate=rates,
+        sigma_ratio_rate_kind=_rate_kinds(rates, "sigma_ratio_floor"),
         final_residual=rep.residuals[:, -1],
         final_sigma_ratio=rep.sigma_ratios[:, -1],
     )

@@ -27,13 +27,25 @@ the energy jump when atom j follows atom i is Phi_i(vbar_j) - own_i.
 
 Both Monte Carlo estimators are one seed-batched Cesaro average of the
 pairing of a vector, carried by adjoint one-step maps, with a table over
-the next atoms (:func:`_cesaro_means`). The step matrices are gathered once
-per chunk of steps, the vectors are stepped one matmul per step straight into
-a time-major block buffer, and each block is paired and summed in one matmul
-per seed. As in every trajectory kernel, each listed seed is one
+the next atoms (:func:`_cesaro_means`). The seeds walk k atoms per matmul:
+k is the largest k >= 1 with A**(k + w - 1) D**2 <= 2**12 (A atoms, window
+width w, GNS dimension D), so 8 for the instant average and 7 for the fluxes
+on two qubit atoms, 2 for a width-2 window on three qutrit atoms and 1 on 64.
+A table of the A**k words' step products and one of their pairings with the
+tables, built once per call, let each matmul advance a whole word and each
+block of words be paired in one matmul per seed. Every step keeps one
+component of the vector (along psi_s for the instant average, along vec(1)
+for the fluxes) up to its atom's rounding, and a one-step walk follows that
+defect; a word's product would add a rounding of its own, the same at every
+use of the word, and words uncorrected for it miss the closed form by 4.2e-13
+at 10^5 steps on the two-atom exchange ensemble. So each word's row along it
+is set to the row its atoms carry exactly, an atom whose row rounds back to
+itself counting as exact, as a one-step walk at a floating-point fixed point
+sees it: the same run then lands 1.7e-16 from the closed form (the one-step
+walk: 3.1e-15), and at 1,500 steps the estimates lie within 3e-15 of
+one-step loops. As in every trajectory kernel, each listed seed is one
 realization: its path comes from :meth:`RrdoEnsemble.sample_paths`, so its
-mean is bitwise independent of which other seeds ran, and within the
-stated tolerance of a one-step loop.
+mean is bitwise independent of which other seeds ran.
 """
 
 from __future__ import annotations
@@ -127,6 +139,108 @@ def ergodic_instant_limit(ens: RrdoEnsemble, fam: InstantObservableFamily) -> co
     return complex(np.trace(_rho_plus(ens) @ mean_reduced_observable(ens, fam)))
 
 
+# the word tables' budget: the largest pairing table, A**(k + width - 1) rows, holds at
+# most this many D x D matrices' worth of entries (see :func:`word_length`)
+WORD_ENTRIES = 2**12
+
+
+def word_length(n_atoms: int, width: int, dim: int) -> int:
+    """The word length k of a Monte Carlo walk: the largest k >= 1 with
+    A**(k + width - 1) * dim**2 <= WORD_ENTRIES. A single atom, whose one word of
+    each length would fit at any k, is budgeted as two."""
+    a, k = max(n_atoms, 2), 1
+    while a ** (k + width) * dim**2 <= WORD_ENTRIES:
+        k += 1
+    return k
+
+
+def _dot2(coefficients: np.ndarray, arrays) -> np.ndarray:
+    """sum_i coefficients[i] * arrays[i] (complex), as if summed in twice the working
+    precision and rounded once.
+
+    Each real product is split into its float and its exact rounding error
+    (Dekker's TwoProduct, by Veltkamp splitting), and the sum carries its own
+    rounding errors along (Ogita, Rump and Oishi, "Accurate sum and dot
+    product", SIAM J. Sci. Comput. 2005, Dot2). Zero coefficients add nothing.
+    """
+
+    def real_sum(terms):
+        total = carry = 0.0
+        for c, y in terms:
+            p = c * y
+            ch = 134217729.0 * c  # 2**27 + 1: c = ch + cl, each half of 26 bits
+            ch -= ch - c
+            yh = 134217729.0 * y
+            yh -= yh - y
+            cl, yl = c - ch, y - yh
+            err = cl * yl - (((p - ch * yh) - cl * yh) - ch * yl)  # c y - p, exactly
+            t = total + p
+            z = t - total
+            carry = carry + ((total - (t - z)) + (p - z)) + err
+            total = t
+        return total + carry
+
+    pairs = list(zip(coefficients, arrays))
+    re = [(c.real, y.real) for c, y in pairs if c.real] + [(-c.imag, y.imag) for c, y in pairs if c.imag]
+    im = [(c.real, y.imag) for c, y in pairs if c.real] + [(c.imag, y.real) for c, y in pairs if c.imag]
+    return real_sum(re) + 1j * real_sum(im)
+
+
+def _word_tables(steps: np.ndarray, tables: np.ndarray, conserved: np.ndarray, width: int, lengths) -> dict:
+    """{m: (W, G)} for every word length m in `lengths`: the words and their pairing tables.
+
+    W[c] = S(c_m) ... S(c_1) is the product of word c's steps and
+    G[c] = sum_j P_j^* tables[c_(j+1), ..., c_(j+width)] pairs the vector at the
+    word's start with its m tables at once, P_j = S(c_j) ... S(c_1) being the
+    product of the word's first j steps; both are indexed by the flattened atom
+    tuple, c_1 first, G by m + width - 1 atoms. Both grow from length 1 (the
+    atoms' own `steps` and `tables`) one atom at a time, prepended as the first
+    step: W = W'[c_2, ...] S(c_1), and G by Horner from the last step,
+    G = tables[c_1, ...] + S(c_1)^* G'[c_2, ...].
+
+    Every step keeps <u, v> (u = `conserved`, a unit vector) up to its own
+    rounding, the defect u^* S - u^*, which a one-step walk follows. A word's
+    product adds a rounding of its own along u, the same at every use of the
+    word, so a walk of n words would pile it up linearly. So each word's row
+    along u is set, by the rank-one update W <- W + u (u^* + e - u^* W), to
+    u^* + e, where e is its atoms' exact defects carried through the word:
+    u^* S(c_m) ... S(c_1) - u^* = defect(c_1) + e'[c_2, ...] S(c_1). An atom
+    whose row u^* S rounds back to u^* counts as exact: a one-step walk that
+    reaches a floating-point fixed point of such atoms stays there, and so do
+    the words. The defects and the update's difference are a few units in the
+    last place, so they are summed in twice the working precision
+    (:func:`_dot2`); in working precision their own rounding would be as large
+    as what they correct.
+    """
+    if lengths == {1}:  # one-atom words are the atoms
+        return {1: (steps, tables)}
+    a, dim = len(steps), steps.shape[1]
+    row = np.conjugate(conserved)
+    heads = steps[:, None]  # S(c_1), broadcast over the rest of the word
+    lead_adj = dag(steps)[:, None, None]
+    # each atom's defect u^* S - u^*, exactly; zero where u^* S rounds back to u^*
+    defects = _dot2(np.append(row, -1.0), [*steps.transpose(1, 0, 2), np.broadcast_to(row, (a, dim))])
+    defects[(row @ steps == row).all(axis=1)] = 0.0
+    w, g, e = steps, tables, defects
+    out = {}
+    for m in range(1, max(lengths) + 1):
+        if m > 1:
+            w = (w[None] @ heads).reshape(-1, dim, dim)
+            e = (e @ heads + defects[:, None, None]).reshape(-1, dim)  # u^* W - u^* by the atoms
+            rest = g.reshape(1, a ** (width - 1), a ** (m - 1), dim, -1)
+            g = tables.reshape(a, a ** (width - 1), 1, dim, -1) + lead_adj @ rest
+            g = g.reshape(-1, dim, tables.shape[2])
+        if m in lengths:
+            # W <- W + u (u^* + e - u^* W), at the kept lengths only: an update of a
+            # shorter word moves the longer ones along u alone, which their own update resets
+            if m > 1:
+                gap = _dot2(np.append([1.0, 1.0], -row), [e, np.broadcast_to(row, e.shape), *w.transpose(1, 0, 2)])
+                for i, x in enumerate(conserved):
+                    w[:, i] += x * gap
+            out[m] = (w, g)
+    return out
+
+
 def _cesaro_means(
     ens: RrdoEnsemble,
     steps: np.ndarray,
@@ -135,56 +249,82 @@ def _cesaro_means(
     width: int,
     seeds,
     n_total: int,
+    conserved: np.ndarray,
 ) -> np.ndarray:
     """(S, n_tables) Cesaro means of <v_n, tables[w_(n+1), ..., w_(n+width)]>.
 
-    v_0 = `start` and v_n = steps[w_n] v_(n-1). `tables` is (n_atoms**width,
-    D, n_tables), indexed by the flattened atom tuple. Row s is seeds[s]'s
-    path from :meth:`RrdoEnsemble.sample_paths`; all seeds step as one stack.
-    The first min(n_total // 10, 1000) steps are left out: the transient
-    decays geometrically, so this removes the O(1/n) bias of the plain
-    Cesaro mean without touching its variance. The averaged steps follow
-    :func:`ries.ensemble.block_grid`, with blocks of at most SWEEP_ENTRIES / D
-    steps. The step matrices are gathered once per chunk of SWEEP_ENTRIES / D^2
-    steps, rounded up, and one matmul per step writes v_n straight
-    into a time-major buffer; one matmul per seed pairs the block's vectors
-    with its gathered table rows and sums them, and the block sums go into a
-    Kahan sum. Each seed's mean is bitwise independent of batching, and
-    within the stated tolerance of a one-step loop.
+    v_0 = `start` and v_n = steps[w_n] v_(n-1), each step keeping <u, v> for the
+    unit vector u = `conserved`. `tables` is (n_atoms**width, D, n_tables),
+    indexed by the flattened atom tuple. Row s is seeds[s]'s path from
+    :meth:`RrdoEnsemble.sample_paths`; all seeds step as one stack. The first
+    min(n_total // 10, 1000) steps are left out: the transient decays
+    geometrically, so this removes the O(1/n) bias of the plain Cesaro mean
+    without touching its variance.
+
+    The seeds walk k steps at a time, one k-atom word per matmul, k from
+    :func:`word_length`; the words and their pairing tables are built once per
+    call (:func:`_word_tables`). A burn-in that is not a multiple of k starts
+    with one shorter word, and a run that is not ends with one shorter pairing.
+    The averaged words follow :func:`ries.ensemble.block_grid`, with blocks of at
+    most SWEEP_ENTRIES / D words: the words of a chunk of SWEEP_ENTRIES / D^2 of
+    them, rounded up, are gathered at once, each word's matmul writes the vector
+    straight into a time-major buffer, and one matmul per seed pairs the block's
+    vectors with their gathered pairing rows and sums them into a Kahan sum. At
+    k = 1 the words are the steps and this is a one-step walk. Each seed's mean
+    is bitwise independent of batching, and within the stated tolerance of a
+    one-step loop.
     """
+    n_atoms = ens.n_atoms
     burn = min(n_total // 10, 1000)
-    steps = np.ascontiguousarray(steps)
     omega = ens.sample_paths(seeds, burn + n_total + width - 1)
     n_seeds, dim = len(omega), len(start)
+    k = word_length(n_atoms, width, dim)
+    lead, tail = burn % k, n_total % k
+    words = _word_tables(np.ascontiguousarray(steps), tables, conserved, width, {k, lead, tail} - {0})
     chunk = -(-SWEEP_ENTRIES // dim**2)
-    _, ends, _ = block_grid(n_total, max(1, SWEEP_ENTRIES // dim))
-    starts = np.concatenate(([0], ends[:-1])) + burn
-    # time-major: while steps a, a + 1, ... are walked, buf[k] holds v_(a+k)
-    buf = np.empty((max(chunk, (ends + burn - starts).max()) + 1, n_seeds, dim, 1), dtype=complex)
+    _, ends, _ = block_grid(n_total // k, max(1, SWEEP_ENTRIES // dim))
+    # time-major: while words are walked, buf[i] holds v after the i-th of them
+    longest = max(chunk, np.diff(ends, prepend=0).max(initial=0))
+    buf = np.empty((longest + 1, n_seeds, dim, 1), dtype=complex)
     buf[0] = start[:, None]
     slots = list(buf)  # its rows, as views made once
-
-    def walk(a: int, b: int) -> None:
-        """v_(a+1), ..., v_b into buf[1 : b - a + 1], from v_a in buf[0]."""
-        for c in range(a, b, chunk):  # one gather of step matrices per chunk of steps
-            for k, step in enumerate(steps[omega[:, c : min(c + chunk, b)].T], c - a):
-                np.matmul(step, slots[k], out=slots[k + 1])
-
-    for a in range(0, burn, chunk):  # the burn-in, a chunk at a time
-        b = min(a + chunk, burn)
-        walk(a, b)
-        buf[0] = buf[b - a]
     acc = KahanAccumulator((n_seeds, tables.shape[2]))
-    for a, b in zip(starts, ends + burn):
-        walk(a, b)
-        rows = np.conjugate(buf[: b - a, :, :, 0].transpose(1, 0, 2), order="C").reshape(n_seeds, 1, -1)
-        buf[0] = buf[b - a]
-        # flattened tuples of the block in the smallest dtype that holds a table index
-        flat = omega[:, a:b].astype(np.min_scalar_type(len(tables)))
-        for k in range(1, width):
-            flat *= ens.n_atoms
-            flat += omega[:, a + k : b + k]
-        acc.add(np.matmul(rows, tables[flat].reshape(n_seeds, rows.shape[2], -1))[:, 0])
+
+    def atoms(a: int, b: int, m: int, n: int) -> np.ndarray:
+        """(S, (b - a) / m) flattened tuples of the n atoms from each step a, a + m, ..., b - m."""
+        flat = omega[:, a:b:m].astype(np.min_scalar_type(n_atoms**n))
+        for j in range(1, n):
+            flat *= n_atoms
+            flat += omega[:, a + j : b + j : m]
+        return flat
+
+    def walk(m: int, word_atoms: np.ndarray) -> None:
+        """v after each of the (S, L) words of length m into buf[1 : L + 1], from buf[0]."""
+        table = words[m][0]
+        for c in range(0, word_atoms.shape[1], chunk):  # one gather per chunk of words
+            for i, word in enumerate(table[word_atoms[:, c : c + chunk].T], c):
+                np.matmul(word, slots[i], out=slots[i + 1])
+
+    def pair(m: int, tuples: np.ndarray) -> None:
+        """Add the pairings of the vectors in buf[: L] with their (S, L) tuples' rows."""
+        rows = np.conjugate(buf[: tuples.shape[1], :, :, 0].transpose(1, 0, 2), order="C")
+        rows = rows.reshape(n_seeds, 1, -1)
+        acc.add(np.matmul(rows, words[m][1][tuples].reshape(n_seeds, rows.shape[2], -1))[:, 0])
+
+    if lead:  # the burn-in's first steps, as one shorter word
+        walk(lead, atoms(0, lead, lead, lead))
+        buf[0] = buf[1]
+    for a in range(lead, burn, chunk * k):  # the rest of it, a chunk of words at a time
+        b = min(a + chunk * k, burn)
+        walk(k, atoms(a, b, k, k))
+        buf[0] = buf[(b - a) // k]
+    for a, b in zip(np.concatenate(([0], ends[:-1])) * k + burn, ends * k + burn):
+        tuples = atoms(a, b, k, k + width - 1)
+        walk(k, tuples // n_atoms ** (width - 1))
+        pair(k, tuples)
+        buf[0] = buf[(b - a) // k]
+    if tail:  # the last steps, paired as one shorter word
+        pair(tail, atoms(burn + n_total - tail, burn + n_total, tail, tail + width - 1))
     return acc.total / n_total
 
 
@@ -205,7 +345,8 @@ def ergodic_instant_monte_carlo(
     :func:`_cesaro_means` for the seed batching and the burn-in.
     """
     table = fam.n_psi_table(ens.psi_s)[:, :, None]
-    per_seed = _cesaro_means(ens, ens.adjoints, ens.psi_s, table, fam.width, seeds, n_total)[:, 0]
+    unit = ens.psi_s / np.linalg.norm(ens.psi_s)
+    per_seed = _cesaro_means(ens, ens.adjoints, ens.psi_s, table, fam.width, seeds, n_total, unit)[:, 0]
     mean, stderr = _mean_stderr(per_seed)
     return {"mean": complex(mean), "stderr": float(np.abs(stderr)), "per_seed": per_seed}
 
@@ -283,7 +424,8 @@ def flux_monte_carlo(
     jump, flux = ens.energy_tables
     ent = np.repeat(ens.betas[:, None] * flux, ens.n_atoms, axis=0)  # indexed by (i, j)
     tables = np.stack([jump.reshape(ent.shape), ent], axis=-1)
-    means = _cesaro_means(ens, dag(ens.phis), vec(rho_init), tables, 2, seeds, n_total)
+    unit = vec(np.eye(system.dim_s)) / np.sqrt(system.dim_s)  # Phi_i^* keeps the trace
+    means = _cesaro_means(ens, dag(ens.phis), vec(rho_init), tables, 2, seeds, n_total, unit)
     de, de_err = _mean_stderr(means[:, 0].real)
     ds, ds_err = _mean_stderr(means[:, 1].real)
     return FluxReport(

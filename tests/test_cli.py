@@ -397,6 +397,20 @@ def test_reverse_on_gns_dim_one(tmp_path, capsys):
     with open(tmp_path / "summary.json") as fh:
         summary = json.load(fh)
     assert summary["payload"]["per_seed"][0]["final_sigma_ratio"] == 0.0
+    # no ratio lies above the floor: the rate is -inf, which JSON writes as null
+    assert summary["payload"]["per_seed"][0]["sigma_ratio_rate"] is None
+    assert summary["payload"]["per_seed"][0]["sigma_ratio_rate_kind"] == "sigma_ratio_floor"
+
+
+def test_decay_word_at_exact_zero_reads_as_such(tmp_path):
+    """A 1 x 1 matrix atom has M_Q = 0, so every word is exactly zero: alpha is
+    infinite, which JSON writes as null, and the seed's `alpha_kind` says why."""
+    path = tmp_path / "decay.json"
+    ensemble = {"psi_s": [[1, 0]], "atoms": [{"p": 1, "matrix": [[[1, 0]]]}]}
+    dump_json({"experiment": "decay", "ensemble": ensemble, "seeds": [0, 1], "n_total": 20}, str(path))
+    _, summary = _run_summary(str(path), tmp_path / "out")
+    assert summary["checks"]["alpha_positive_all_seeds"] is True
+    assert [(r["alpha"], r["alpha_kind"]) for r in summary["payload"]["per_seed"]] == [(None, "exact_zero")] * 2
 
 
 @pytest.mark.parametrize(
@@ -406,13 +420,16 @@ def test_reverse_on_gns_dim_one(tmp_path, capsys):
 def test_too_short_runs_fail_their_decay_checks(tmp_path, name, n_total, check):
     """A fit over fewer than two points gives no rate unless the series reached its
     floor (a -inf log norm, a sigma ratio at the rounding floor), so a demo run too
-    short to fit a rate fails its decay check instead of passing it for free."""
+    short to fit a rate fails its decay check instead of passing it for free, and
+    each seed's rate, null in JSON, says that it had too few points."""
     with open(os.path.join(DEMO_CONFIGS, f"{name}.json")) as fh:
         doc = {**json.load(fh), "n_total": n_total}
     path = tmp_path / "cfg.json"
     dump_json(doc, str(path))
     rc, summary = _run_summary(str(path), tmp_path / "out")
     assert rc == 1 and summary["checks"][check] is False
+    kind = {"decay": "alpha_kind", "reverse": "sigma_ratio_rate_kind"}[name]
+    assert {r[kind] for r in summary["payload"]["per_seed"]} == {"too_few_points"}
 
 
 def test_reverse_rate_ignores_rounding_noise(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -25,6 +26,7 @@ from ries.linalg import (
 from ries.model import full_chain_expectation, weighted_partial_trace
 from ries.rdo import decompose
 from ries.thermo import (
+    _dot2,
     energy_jump_family,
     ergodic_instant_limit,
     ergodic_instant_monte_carlo,
@@ -36,6 +38,7 @@ from ries.thermo import (
     observable_family,
     probe_energy_family,
     system_observable_family,
+    word_length,
 )
 
 
@@ -429,44 +432,136 @@ def _flux_per_seed_loop(ens, seeds, n_total, rho_init, burn_in):
     )
 
 
-def _qubit_case(reference_ensemble, rng):
+def _qubit_case(reference_ensemble, rng, wide_qutrit_model):
     ens = reference_ensemble
     return ens, probe_energy_family(ens), ens.system.gibbs_state()
 
 
-def _qutrit_case(reference_ensemble, rng):
+def _qutrit_case(reference_ensemble, rng, wide_qutrit_model):
     ens = _heterogeneous_ensemble(rng)
     a = random_complex_matrix(3, rng)
     rho = a @ dag(a)
     return ens, energy_jump_family(ens), rho / np.trace(rho)
 
 
-# The batched estimators sum each block's pairings in one matmul and the
-# blocks in a Kahan sum, so they match the loops' step-by-step Kahan sums to
-# about 100x the largest deviation measured on these tests (5.6e-17).
+def _other_qutrit_case(reference_ensemble, rng, wide_qutrit_model):
+    return _qutrit_case(reference_ensemble, np.random.default_rng(8), wide_qutrit_model)
+
+
+def _wide_case(reference_ensemble, rng, wide_qutrit_model):
+    ens = RrdoEnsemble.presampled(*wide_qutrit_model, count=64, seed=31)
+    return ens, identity_family(ens), ens.system.gibbs_state()
+
+
+# The estimators walk k-atom words (k = 8 for the qubit instant run, 7 for its
+# fluxes, 2 for the qutrit runs, 1 for 64 atoms). A word's product rounds
+# differently from k single steps, so the vectors stray from the loops' by a
+# few units in the last place, and the stray along the conserved direction,
+# which never decays, shows in the means: the largest deviations measured on
+# these tests at n_total 1500 are 2.9e-15 (qubit instant) and 1.0e-15 (qutrit
+# fluxes). At k = 1 the walk is the one-step engine, which sums each block's
+# pairings in one matmul and the blocks in a Kahan sum.
 MONTE_CARLO_ATOL = 5e-15
 
 
-@pytest.mark.parametrize("case", [_qubit_case, _qutrit_case], ids=["qubit", "qutrit"])
-def test_monte_carlo_matches_per_seed_loops(case, reference_ensemble, rng):
+def _assert_estimators_match_loops(ens, fam, rho_init, n_total):
+    burn = min(n_total // 10, 1000)
+    seeds = list(range(17, 21))
+    mc = ergodic_instant_monte_carlo(ens, fam, seeds, n_total)
+    ref = _instant_per_seed_loop(ens, fam, seeds, n_total, burn)
+    np.testing.assert_allclose(mc["per_seed"], ref, rtol=0, atol=MONTE_CARLO_ATOL)
+    np.testing.assert_allclose(mc["mean"], ref.mean(), rtol=0, atol=MONTE_CARLO_ATOL)
+    seeds = list(range(23, 27))
+    rep = flux_monte_carlo(ens, seeds, n_total, rho_init=rho_init)
+    got = (rep.de_plus, rep.ds_plus, rep.de_stderr, rep.ds_stderr)
+    want = _flux_per_seed_loop(ens, seeds, n_total, rho_init, burn)
+    np.testing.assert_allclose(got, want, rtol=0, atol=MONTE_CARLO_ATOL)
+
+
+@pytest.mark.parametrize(
+    "case, n_totals",
+    [
+        (_qubit_case, (1500, 7, 1)),
+        (_qutrit_case, (1500, 7, 1)),
+        (_other_qutrit_case, (1500,)),
+        (_wide_case, (120, 1)),
+    ],
+    ids=["qubit", "qutrit", "other_qutrit", "wide"],
+)
+def test_monte_carlo_matches_per_seed_loops(case, n_totals, reference_ensemble, rng, wide_qutrit_model):
     """The seed-batched estimators match the per-seed loops, at every run length.
 
     1500 steps average over several buffers of the block grid, the last one
-    partial; 7 steps and 1 step fit in one buffer and have no burn-in.
+    partial, and on the qubit (k = 8 and 7) start and end with a shorter word;
+    7 steps and 1 step have no burn-in and at most one word. On a second
+    qutrit ensemble, atom defects summed in working precision miss by 7.6e-15.
+    The 64 atoms walk single steps (k = 1).
     """
-    ens, fam, rho_init = case(reference_ensemble, rng)
-    for n_total in (1500, 7, 1):
-        burn = min(n_total // 10, 1000)
-        seeds = list(range(17, 21))
-        mc = ergodic_instant_monte_carlo(ens, fam, seeds, n_total)
-        ref = _instant_per_seed_loop(ens, fam, seeds, n_total, burn)
-        np.testing.assert_allclose(mc["per_seed"], ref, rtol=0, atol=MONTE_CARLO_ATOL)
-        np.testing.assert_allclose(mc["mean"], ref.mean(), rtol=0, atol=MONTE_CARLO_ATOL)
-        seeds = list(range(23, 27))
-        rep = flux_monte_carlo(ens, seeds, n_total, rho_init=rho_init)
-        got = (rep.de_plus, rep.ds_plus, rep.de_stderr, rep.ds_stderr)
-        want = _flux_per_seed_loop(ens, seeds, n_total, rho_init, burn)
-        np.testing.assert_allclose(got, want, rtol=0, atol=MONTE_CARLO_ATOL)
+    ens, fam, rho_init = case(reference_ensemble, rng, wide_qutrit_model)
+    for n_total in n_totals:
+        _assert_estimators_match_loops(ens, fam, rho_init, n_total)
+
+
+def test_word_length_rule(reference_ensemble, rng, wide_qutrit_model):
+    """k is the largest k >= 1 with A**(k + width - 1) D**2 <= 2**12."""
+    qutrit = _heterogeneous_ensemble(rng)
+    wide = RrdoEnsemble.presampled(*wide_qutrit_model, count=64, seed=31)
+    got = {
+        "qubit instant": word_length(reference_ensemble.n_atoms, 1, reference_ensemble.dim),
+        "qubit fluxes": word_length(reference_ensemble.n_atoms, 2, reference_ensemble.dim),
+        "qutrit jump window": word_length(qutrit.n_atoms, 2, qutrit.dim),
+        "wide instant": word_length(wide.n_atoms, 1, wide.dim),
+        "wide fluxes": word_length(wide.n_atoms, 2, wide.dim),
+    }
+    assert got == {"qubit instant": 8, "qubit fluxes": 7, "qutrit jump window": 2, "wide instant": 1, "wide fluxes": 1}
+    for a, width, dim in product((1, 2, 3, 5), (1, 2), (1, 2, 4, 9, 70)):
+        k = word_length(a, width, dim)
+        entries = [max(a, 2) ** (j + width - 1) * dim**2 for j in (k, k + 1)]
+        assert k >= 1 and (entries[0] <= 2**12 or k == 1) and entries[1] > 2**12
+
+
+@pytest.mark.parametrize("case", [_qubit_case, _qutrit_case], ids=["qubit", "qutrit"])
+def test_word_boundaries_match_per_seed_loops(case, reference_ensemble, rng, wide_qutrit_model):
+    """Runs of k - 1, k, k + 1 and 8k + 3 steps for each estimator's k: no full word,
+    exactly one, one and a one-step tail, and a burn-in (n_total // 10) that is
+    not a multiple of k before eight words and a tail."""
+    ens, fam, rho_init = case(reference_ensemble, rng, wide_qutrit_model)
+    for width in sorted({fam.width, 2}):  # the instant family's width, and the fluxes'
+        k = word_length(ens.n_atoms, width, ens.dim)
+        assert (8 * k + 3) // 10 % k
+        for n_total in (k - 1, k, k + 1, 8 * k + 3):
+            if n_total >= 1:
+                _assert_estimators_match_loops(ens, fam, rho_init, n_total)
+
+
+def test_dot2_sums_in_twice_the_working_precision(rng):
+    """The words' conservation update sums r - u^* W in twice the working
+    precision: on sums whose float evaluation cancels to noise, `_dot2` lands
+    within the Dot2 bound, eps |sum| + (n eps)^2 sum |c y|, of the exact sum."""
+    coefficients = np.array([1.0, 1e-3 + 2j, -1.0 / 3.0, 0.1j])
+    arrays = [rng.normal(size=5) + 1j * rng.normal(size=5) for _ in coefficients]
+    arrays.append(-sum(c * y for c, y in zip(coefficients, arrays)))  # the float sum of all is noise
+    coefficients = np.append(coefficients, 1.0)
+    eps, n = np.finfo(float).eps, 2 * len(coefficients)
+    parts = [(lambda c, y: (c.real, y.real, -c.imag, y.imag)), (lambda c, y: (c.real, y.imag, c.imag, y.real))]
+    got = _dot2(coefficients, arrays)
+    for part, value in zip(parts, (got.real, got.imag)):
+        for j in range(5):
+            terms = [part(c, y[j]) for c, y in zip(coefficients, arrays)]
+            exact = sum(Fraction(a) * Fraction(b) + Fraction(c) * Fraction(d) for a, b, c, d in terms)
+            size = sum(abs(a * b) + abs(c * d) for a, b, c, d in terms)
+            assert abs(Fraction(value[j]) - exact) <= eps * abs(exact) + (n * eps) ** 2 * size
+    assert _dot2(np.array([1.0, 1.0, -1.0]), [np.array([1e16]), np.array([1.0]), np.array([1e16])])[0] == 1.0
+
+
+def test_monte_carlo_does_not_drift(reference_ensemble):
+    """On the two-atom exchange ensemble every seed's one-step walk sits still at
+    the same vector, so a drift along the conserved direction shows in full: at
+    10^5 steps the instant mean must stay within 1e-14 of its closed form (words
+    uncorrected along it drift to about 4e-13)."""
+    fam = probe_energy_family(reference_ensemble)
+    mc = ergodic_instant_monte_carlo(reference_ensemble, fam, list(range(4)), 100_000)
+    assert abs(mc["mean"] - ergodic_instant_limit(reference_ensemble, fam)) <= 1e-14
 
 
 def test_monte_carlo_seed_independent_of_batch(reference_ensemble):
