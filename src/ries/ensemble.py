@@ -14,25 +14,46 @@ one stack, with one batched SVD or QR where a step or checkpoint needs one
 and norms taken slice by slice; their records hold one row per seed. Time
 is blocked as well (a blocked prefix scan): :func:`block_grid` cuts each
 checkpoint interval into near-equal blocks of at most ceil(sqrt(n_total))
-steps, the matrix kernels step runs of blocks side by side into block
+steps, the matrix kernels walk runs of blocks side by side into block
 products (:func:`_sweeps`) and then chain the blocks, and the vector
 kernels sum per-block buffers. The grid depends only on n_total and the
 interval, so each seed's results are bitwise independent of batching and
 of which other seeds ran; they are within a stated tolerance of a one-step
 loop (see the tests), not bitwise equal to it.
 
+The forward, reverse and Lyapunov kernels walk a block one k-atom word per
+matmul (the "method of Four Russians": Arlazarov, Dinic, Kronrod and
+Faradzev, 1970). :func:`_words` cuts each block into words of k steps from
+its start, a block whose length is not a multiple of k ending in one
+shorter word, so no word spans two blocks; the words' tables are built once
+per call (:func:`word_tables`, the one builder, which the Monte Carlo means
+of :mod:`ries.thermo` use too) and embedded in float64 once. k is the
+:func:`word_length` of one word's float64 table entries, the largest k >= 1
+with A**k times them at most WORD_ENTRIES = 2**12 (A atoms, a single atom
+counted as two): on two atoms at GNS dimension D = 4, k = 5 for forward (a
+word and the sum of its prefix products, 8 D**2 entries), 4 for reverse (a
+left word, a lead word and a local eta sum, 8 D**2 + 4 D) and 6 for Lyapunov
+(a word, 4 D**2); on 64 atoms at D = 9, k = 1, and each kernel steps single
+atoms as a one-step walk does. The words keep the psi_s row of the M^*
+products (forward, Lyapunov) and the psi_s column of the M products (the
+reverse left words) as their atoms carry them: a plain word product adds a
+rounding of its own, the same at every use of the word, along psi_s, which
+no step contracts, and would let the forward invariance drift reach 4.1e-12
+at 10^5 steps on two qubit atoms, where it stays at 5.6e-14. The decay
+kernel reads a norm after every step, so it steps single atoms.
+
 The matrix kernels step their block products in float64. A complex D x D
 product X is carried as [Re X; Im X], the first column of its real 2D x 2D
 embedding [[Re X, -Im X], [Im X, Re X]] (:func:`ries.linalg.embed`), and
-each step left-multiplies it by the embedded atom matrix, gathered from a
-float64 table that the ensemble builds once, on first use; a product that
-grows on the right steps as its adjoint. The embedding is an exact algebra
-homomorphism, so the products are those of the complex matrices up to
-rounding. Each kernel reads its blocks back as complex once per run of
-blocks (the decay norms once per in-block offset), and its Kahan sums,
-distances, drift, SVDs and QRs stay complex. The vector kernels of
-:mod:`ries.thermo` step in complex, with their step matrices gathered once
-per chunk of steps.
+each step left-multiplies it by an embedded word or atom matrix, gathered
+from a float64 table: a call's word tables, or an atom table that the
+ensemble builds once, on first use; a product that grows on the right
+steps as its adjoint. The embedding is an exact algebra homomorphism, so
+the products are those of the complex matrices up to rounding. Each kernel
+reads its blocks back as complex once per run of blocks (the decay norms
+once per in-block offset), and its Kahan sums, distances, drift, SVDs and
+QRs stay complex. The vector kernels of :mod:`ries.thermo` walk their words
+in complex.
 
 Randomness is counter-based (Philox) and fully reproducible: a seed is
 one realization of the atom sequence, and :meth:`RrdoEnsemble.sample_paths`
@@ -321,30 +342,193 @@ def block_grid(n: int, every: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return stops, ends, rank == count
 
 
-def _sweeps(
-    ens: RrdoEnsemble, omega: np.ndarray, ends: np.ndarray, *tables: tuple[np.ndarray, np.ndarray]
-) -> Iterator[tuple[np.ndarray, Callable[[], Iterator]]]:
-    """Runs of consecutive blocks of the grid, stepped side by side.
+# the word tables' budget: the A**k words of length k, times the entries of one word's
+# tables, hold at most this many entries (see :func:`word_length`)
+WORD_ENTRIES = 2**12
 
-    Yields (run, steps) for runs of at most max(1, SWEEP_ENTRIES // dim**2)
+
+def word_length(n_atoms: int, entries: int) -> int:
+    """The word length k of a trajectory walk: the largest k >= 1 with
+    A**k * entries <= WORD_ENTRIES, where A = n_atoms and `entries` counts one word's
+    tables. A single atom, whose one word of each length would fit at any k, is
+    budgeted as two."""
+    a, k = max(n_atoms, 2), 1
+    while a ** (k + 1) * entries <= WORD_ENTRIES:
+        k += 1
+    return k
+
+
+def _dot2(coefficients: np.ndarray, arrays) -> np.ndarray:
+    """sum_i coefficients[i] * arrays[i] (complex), as if summed in twice the working
+    precision and rounded once.
+
+    Each real product is split into its float and its exact rounding error
+    (Dekker's TwoProduct, by Veltkamp splitting), and the sum carries its own
+    rounding errors along (Ogita, Rump and Oishi, "Accurate sum and dot
+    product", SIAM J. Sci. Comput. 2005, Dot2). Zero coefficients add nothing.
+    """
+
+    def real_sum(terms):
+        total = carry = 0.0
+        for c, y in terms:
+            p = c * y
+            ch = 134217729.0 * c  # 2**27 + 1: c = ch + cl, each half of 26 bits
+            ch -= ch - c
+            yh = 134217729.0 * y
+            yh -= yh - y
+            cl, yl = c - ch, y - yh
+            err = cl * yl - (((p - ch * yh) - cl * yh) - ch * yl)  # c y - p, exactly
+            t = total + p
+            z = t - total
+            carry = carry + ((total - (t - z)) + (p - z)) + err
+            total = t
+        return total + carry
+
+    pairs = list(zip(coefficients, arrays))
+    re = [(c.real, y.real) for c, y in pairs if c.real] + [(-c.imag, y.imag) for c, y in pairs if c.imag]
+    im = [(c.real, y.imag) for c, y in pairs if c.real] + [(c.imag, y.real) for c, y in pairs if c.imag]
+    return real_sum(re) + 1j * real_sum(im)
+
+
+def word_tables(
+    steps: np.ndarray, tables: np.ndarray, conserved: np.ndarray | None, width: int, lengths
+) -> dict:
+    """{m: (W, G)} for every word length m in `lengths`, in increasing m: the words and
+    their pairing tables.
+
+    W[c] = S(c_m) ... S(c_1) is the product of word c's steps and
+    G[c] = sum_j P_j^* tables[c_(j+1), ..., c_(j+width)] pairs the vector at the
+    word's start with its m tables at once, P_j = S(c_j) ... S(c_1) being the
+    product of the word's first j steps; both are indexed by the flattened atom
+    tuple, c_1 first, G by m + width - 1 atoms. Both grow from length 1 (the
+    atoms' own `steps` and `tables`) one atom at a time, prepended as the first
+    step: W = W'[c_2, ...] S(c_1), and G by Horner from the last step,
+    G = tables[c_1, ...] + S(c_1)^* G'[c_2, ...]. `tables` may have no columns.
+
+    If every step keeps <u, v> (u = `conserved`, a unit vector) up to its own
+    rounding, the defect u^* S - u^*, a one-step walk follows that defect. A word's
+    product adds a rounding of its own along u, the same at every use of the
+    word, so a walk of n words would pile it up linearly. So each word's row
+    along u is set, by the rank-one update W <- W + u (u^* + e - u^* W), to
+    u^* + e, where e is its atoms' exact defects carried through the word:
+    u^* S(c_m) ... S(c_1) - u^* = defect(c_1) + e'[c_2, ...] S(c_1). An atom
+    whose row u^* S rounds back to u^* counts as exact: a one-step walk that
+    reaches a floating-point fixed point of such atoms stays there, and so do
+    the words. The defects and the update's difference are a few units in the
+    last place, so they are summed in twice the working precision
+    (:func:`_dot2`); in working precision their own rounding would be as large
+    as what they correct. With `conserved` None the words are the plain products.
+    """
+    if lengths == {1}:  # one-atom words are the atoms
+        return {1: (steps, tables)}
+    a, dim, cols = len(steps), steps.shape[1], tables.shape[2]
+    heads = steps[:, None]  # S(c_1), broadcast over the rest of the word
+    lead_adj = dag(steps)[:, None, None]
+    if conserved is not None:
+        row = np.conjugate(conserved)
+        # each atom's defect u^* S - u^*, exactly; zero where u^* S rounds back to u^*
+        defects = _dot2(np.append(row, -1.0), [*steps.transpose(1, 0, 2), np.broadcast_to(row, (a, dim))])
+        defects[(row @ steps == row).all(axis=1)] = 0.0
+        e = defects
+    w, g = steps, tables
+    out = {}
+    for m in range(1, max(lengths) + 1):
+        if m > 1:
+            w = (w[None] @ heads).reshape(-1, dim, dim)
+            rest = g.reshape(1, a ** (width - 1), a ** (m - 1), dim, cols)
+            g = tables.reshape(a, a ** (width - 1), 1, dim, cols) + lead_adj @ rest
+            g = g.reshape(a ** (m + width - 1), dim, cols)
+            if conserved is not None:
+                e = (e @ heads + defects[:, None, None]).reshape(-1, dim)  # u^* W - u^* by the atoms
+        if m in lengths:
+            # W <- W + u (u^* + e - u^* W), at the kept lengths only: an update of a
+            # shorter word moves the longer ones along u alone, which their own update resets
+            if m > 1 and conserved is not None:
+                gap = _dot2(np.append([1.0, 1.0], -row), [e, np.broadcast_to(row, e.shape), *w.transpose(1, 0, 2)])
+                for i, x in enumerate(conserved):
+                    w[:, i] += x * gap
+            out[m] = (w, g)
+    return out
+
+
+def _words(
+    ens: RrdoEnsemble, omega: np.ndarray, ends: np.ndarray, entries: int
+) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """The word walk of the grid `ends` over the (S, n) paths `omega`: (lengths, path, word ends).
+
+    k is the :func:`word_length` of `entries`, the float64 entries of one word's
+    tables. Each block is cut into words of k steps from its start, a block
+    whose length is not a multiple of k ending in one shorter word, so a word
+    never spans two blocks. `lengths` are the word lengths that occur, in
+    increasing order. `path` holds, as (S, words) in the smallest dtype, each
+    word's row in tables that stack the words of every length in that order,
+    each length's words indexed by their flattened atom tuple, first atom first
+    (:func:`word_tables`, :func:`_stacked`); `word ends` counts the words up to
+    each block end. At k = 1 the words are the steps: the path is `omega`, and
+    the word ends are `ends`.
+    """
+    k = word_length(ens.n_atoms, entries)
+    sizes = np.diff(ends, prepend=0)
+    lengths = tuple(sorted(set(np.minimum(sizes, k).tolist()) | set((sizes % k).tolist()) - {0})) or (1,)
+    if lengths == (1,):  # single steps, or no step at all
+        return lengths, omega, ends
+    k = lengths[-1]  # below the rule's k when every block is shorter: then one word a block
+    per_block = -(-sizes // k)
+    word_ends = np.cumsum(per_block)
+    block = np.repeat(np.arange(len(ends)), per_block)
+    start = ends[block] - sizes[block] + k * (np.arange(word_ends[-1]) - (word_ends - per_block)[block])
+    size = np.minimum(ends[block] - start, k)
+    rows = np.cumsum([0] + [ens.n_atoms**m for m in lengths])
+    first_row = np.zeros(k + 1, dtype=np.min_scalar_type(rows[-1]))  # by word length
+    first_row[list(lengths)] = rows[:-1]
+    path = np.zeros((len(omega), len(start)), dtype=first_row.dtype)
+    for i in range(k):  # Horner over each word's own atoms
+        digit = i < size
+        np.multiply(path, ens.n_atoms, out=path, where=digit)
+        np.add(path, omega[:, np.minimum(start + i, omega.shape[1] - 1)], out=path, where=digit)
+    path += first_row[size]
+    return lengths, path, word_ends
+
+
+def _reversals(n_atoms: int, m: int) -> np.ndarray:
+    """The row of each m-atom word's reversal (c_m, ..., c_1), words indexed by their
+    flattened atom tuple, first atom first."""
+    shape = (n_atoms,) * m
+    return np.ravel_multi_index(np.unravel_index(np.arange(n_atoms**m), shape)[::-1], shape)
+
+
+def _stacked(rows) -> np.ndarray:
+    """One float64 table of the complex stacks `rows`, in order, each row embedded once
+    (:func:`ries.linalg.embed`): the word tables of every length a walk reads."""
+    return np.concatenate([embed(r) for r in rows])
+
+
+def _sweeps(
+    ens: RrdoEnsemble, path: np.ndarray, ends: np.ndarray, *tables: tuple[np.ndarray, np.ndarray]
+) -> Iterator[tuple[np.ndarray, Callable[[], Iterator]]]:
+    """Runs of consecutive blocks of the grid, walked side by side one word at a time.
+
+    `path` and `ends` are a walk's words and its block ends counted in words
+    (:func:`_words`; for a walk of single steps, the paths and the grid's
+    ends). Yields (run, steps) for runs of at most max(1, SWEEP_ENTRIES // dim**2)
     blocks: `run` holds the run's block indices into `ends`, and each call
-    of `steps()` iterates the in-block offsets j = 0, 1, ... of the run.
-    `tables` are (per-atom table, fill) pairs, the ensemble's float64 step
-    tables; offset j yields one gather per table and the (blocks,) mask of
-    blocks that have a step j (None when all do). A gather returns the
-    (blocks, S, ...) stack of table[w] at each block's step j, with `fill` in
-    the slots of blocks shorter than j + 1 steps. Tables of one shape share
+    of `steps()` iterates the in-block word offsets j = 0, 1, ... of the run.
+    `tables` are (table, fill) pairs, float64 tables of the walk's words;
+    offset j yields one gather per table and the (blocks,) mask of
+    blocks that have a word j (None when all do). A gather returns the
+    (blocks, S, ...) stack of table[w] at each block's word j, with `fill` in
+    the slots of blocks shorter than j + 1 words. Tables of one shape share
     one stack, reused from offset to offset, so a gather overwrites the last
-    one of its shape. The run's indices are cut from the small-dtype paths.
+    one of its shape. The run's indices are cut from the small-dtype path.
     An identity fill is exact, so a block's numbers do not depend on the run
-    it is stepped in.
+    it is walked in.
     """
 
     def steps(run: np.ndarray) -> Iterator[tuple[list, np.ndarray | None]]:
         first = np.where(run > 0, ends[run - 1], 0)
         lengths = ends[run] - first
-        cols = np.minimum(first[:, None] + np.arange(lengths.max()), omega.shape[1] - 1)
-        indices = np.ascontiguousarray(omega[:, cols].transpose(2, 1, 0))
+        cols = np.minimum(first[:, None] + np.arange(lengths.max()), path.shape[1] - 1)
+        indices = np.ascontiguousarray(path[:, cols].transpose(2, 1, 0))
         short_from = lengths.min()
         shapes = {table.shape[1:] for table, _ in tables}
         stacks = {shape: np.empty(indices.shape[1:] + shape) for shape in shapes}
@@ -393,36 +577,55 @@ def simulate_forward(
 
     At each checkpoint N the Frobenius distance between the running average
     (1/N) sum Psi_n and the rank-one limit |psi_s><theta| is recorded. The
-    blocks of the grid (:func:`block_grid`) are stepped side by side into each
-    block's product P and local prefix sum Q, in float64: P^* = M^*(w_b)...M^*(w_a)
-    steps as the first column of its embedding (:func:`ries.linalg.embed`),
-    left-multiplied by the embedded M^*. Chaining the blocks, read back once
-    per run, adds Psi_a Q to a Kahan sum and moves Psi_a to Psi_a P. Norms are
-    taken slice by slice. Each seed's numbers are bitwise independent of
-    batching, and within the stated tolerance of a one-step loop.
+    blocks of the grid (:func:`block_grid`) are walked side by side, one word
+    at a time (:func:`_words`), into each block's product P and local prefix
+    sum Q, in float64: P^* = M^*(w_b)...M^*(w_a) grows as the first column of
+    its embedding (:func:`ries.linalg.embed`). A word c first adds Q[c] P^* to
+    the block's sum, Q[c] = sum_j M^*(c_j)...M^*(c_1) being the sum of its
+    prefix products, then left-multiplies P^* by its product W[c] (both from
+    :func:`word_tables`, W[c] with its psi_s row kept); at k = 1 each step
+    left-multiplies by the embedded M^* and adds the product. Chaining the
+    blocks, read back once per run, adds Psi_a Q to a Kahan sum and moves
+    Psi_a to Psi_a P. Norms are taken slice by slice. Each seed's numbers are
+    bitwise independent of batching, and within the stated tolerance of a
+    one-step loop.
     """
     seeds, omega = _start(ens, seeds, n_total)
     limit = np.outer(ens.psi_s, ens.routes["theta_projector"].conj())
     checkpoints, ends, at_checkpoint = block_grid(n_total, checkpoint_every)
     d = ens.dim
+    lengths, path, ends = _words(ens, omega, ends, 8 * d * d)  # W and Q: 2 embeddings a word
+    del omega
+    tables = [(ens.real_adjoints, np.eye(2 * d))]
+    if lengths != (1,):
+        words = word_tables(ens.adjoints, ens.matrices, ens.psi_s / np.linalg.norm(ens.psi_s), 1, set(lengths))
+        tables = [
+            (_stacked(w for w, _ in words.values()), np.eye(2 * d)),
+            (_stacked(dag(g) for _, g in words.values()), 0.0),  # Q = G^*
+        ]
+        del words
     psi_prod = _identities(np.eye(d, dtype=complex), len(seeds))
     acc = KahanAccumulator(psi_prod.shape)
     distances = np.empty((len(seeds), len(checkpoints)))
     drift = np.zeros(len(seeds))
     c = 0
-    for run, steps in _sweeps(ens, omega, ends, (ens.real_adjoints, np.eye(2 * d))):
+    for run, steps in _sweeps(ens, path, ends, *tables):
         prod = _identities(np.eye(2 * d, d), len(run), len(seeds))
         outs = _pair(prod.shape)
         sums = np.zeros(prod.shape)  # local prefix sums of the P^*
-        for (factor,), live in steps():
-            prod = np.matmul(factor(), prod, out=next(outs))
-            sums += prod if live is None else prod * live[:, None, None, None]
+        for factors, live in steps():
+            if lengths == (1,):  # single steps: add each stepped product
+                prod = np.matmul(factors[0](), prod, out=next(outs))
+                sums += prod if live is None else prod * live[:, None, None, None]
+            else:  # words: Q[c] P^* is the sum of the word's prefix products
+                sums += np.matmul(factors[1](), prod)
+                prod = np.matmul(factors[0](), prod, out=next(outs))
         prod, sums = dag(readback(prod)), dag(readback(sums))
         for b, block in enumerate(run):
             acc.add(np.matmul(psi_prod, sums[b]))
             psi_prod = np.matmul(psi_prod, prod[b])
             if at_checkpoint[block]:
-                mean = acc.total / ends[block]
+                mean = acc.total / checkpoints[c]
                 for s in range(len(seeds)):
                     distances[s, c] = np.linalg.norm(mean[s] - limit, "fro")
                     drift[s] = max(drift[s], np.linalg.norm(psi_prod[s] @ ens.psi_s - ens.psi_s))
@@ -575,11 +778,15 @@ def simulate_reverse(
     lead_k = M_Q^*(w_1)...M_Q^*(w_(k-1)); the residual to
     |psi_s><eta| and the singular-value ratio of Phi_n both decay
     exponentially when decay of the M_Q words holds. The blocks of the grid
-    (:func:`block_grid`) are stepped side by side, in float64, into their left
-    product and local lead product, each as the first column of an embedding
-    (:func:`ries.linalg.embed`; the lead product as its adjoint, a left
-    product of the M_Q), and their local eta sum; read back once per run, they
-    are chained. Each run of blocks ends in one batched SVD for the ratios and
+    (:func:`block_grid`) are walked side by side, in float64, one word at a
+    time (:func:`_words`), into their left product and local lead product,
+    each as the first column of an embedding (:func:`ries.linalg.embed`; the
+    lead product as its adjoint, a left product of the M_Q), and their local
+    eta sum: each word left-multiplies them by its M and M_Q products and adds
+    its own local eta sum, paired with the lead product at its start (all
+    from :func:`word_tables`, the M products with their psi_s column kept); at
+    k = 1 the words are the atoms. Read back once per run, the blocks are
+    chained. Each run of blocks ends in one batched SVD for the ratios and
     one batched eigvalsh for the residuals (:func:`_top_singular_values`) over
     the checkpoints it reached. Each seed's numbers are bitwise independent of
     batching, and within the stated tolerance of a one-step loop.
@@ -587,11 +794,23 @@ def simulate_reverse(
     seeds, omega = _start(ens, seeds, n_total)
     checkpoints, ends, at_checkpoint = block_grid(n_total, checkpoint_every)
     d = ens.dim
-    tables = (
-        (ens.real_matrices, np.eye(2 * d)),
-        (ens.real_mq, np.eye(2 * d)),
-        (ens.real_psi_omega, 0.0),  # embed(psi(w)), 2D x 2
-    )
+    # the left and lead words, 2 embeddings a word, and the local eta sums, 2D x 2
+    lengths, path, ends = _words(ens, omega, ends, 8 * d * d + 4 * d)
+    del omega
+    tables = (ens.real_matrices, ens.real_mq, ens.real_psi_omega)  # embed(psi(w)), 2D x 2
+    if lengths != (1,):
+        # a left word M(c_m)...M(c_1) keeps the column psi_s: it is the adjoint of the
+        # M^* word of the reversed tuple, whose row psi_s^* the builder keeps
+        unit = ens.psi_s / np.linalg.norm(ens.psi_s)
+        adjoint = word_tables(dag(ens.matrices), ens.adjoints[:, :, :0], unit, 1, set(lengths))
+        lead = word_tables(ens.mq, ens.psi_omega[:, :, None], None, 1, set(lengths))
+        tables = (
+            _stacked(dag(w)[_reversals(ens.n_atoms, m)] for m, (w, _) in adjoint.items()),
+            _stacked(w for w, _ in lead.values()),
+            _stacked(g for _, g in lead.values()),  # embed of each word's local eta sum
+        )
+        del adjoint, lead
+    tables = list(zip(tables, (np.eye(2 * d), np.eye(2 * d), 0.0)))
     phi = lead = _identities(np.eye(d, dtype=complex), len(seeds))  # lead = M_Q^*(w_1)...M_Q^*(w_(k-1))
     eta = np.zeros((len(seeds), d, 1), dtype=complex)
     residuals = np.empty((len(seeds), len(checkpoints)))
@@ -627,9 +846,9 @@ def simulate_reverse(
             sv = np.linalg.svd(phis, compute_uv=False)
             np.divide(sv[..., 1], sv[..., 0], out=ratios[:, reached], where=sv[..., 0] > 0)
         phis -= ens.psi_s[:, None] * etas.conj()[..., None, :]
-        residuals[:, reached] = _top_singular_values(embed(phis)[..., :d])
+        residuals[:, reached] = _top_singular_values(np.concatenate((phis.real, phis.imag), axis=-2))
 
-    for run, steps in _sweeps(ens, omega, ends, *tables):
+    for run, steps in _sweeps(ens, path, ends, *tables):
         step_run(run, steps)
     return ReverseReport(seeds, checkpoints, residuals, ratios, eta[:, :, 0])
 
@@ -653,9 +872,11 @@ def lyapunov(
     Psi_n becomes a left multiplication. The blocks of the grid (:func:`block_grid`,
     with the re-orthonormalization interval as checkpoint interval) are
     stepped side by side into their products, which are no longer than an
-    interval. A block steps in float64 as M^*(w_b)...M^*(w_a), the first
+    interval. A block grows in float64 as M^*(w_b)...M^*(w_a), the first
     column of its embedding (embed(M^*) = embed(M)^T, :func:`ries.linalg.embed`),
-    and is read back and conjugated once per run, since conj(M^*) = M^T.
+    one word product per matmul (:func:`_words`, :func:`word_tables`, with the
+    words' psi_s row kept; at k = 1 one M^* per matmul), and is read back and
+    conjugated once per run, since conj(M^*) = M^T.
     Chaining them, one batched QR per re-orthonormalization accumulates every
     seed's log stretching factors; they are bitwise
     independent of batching, and within the stated tolerance of a one-step
@@ -665,9 +886,17 @@ def lyapunov(
     seeds, omega = _start(ens, seeds, n_total)
     _, ends, at_reorth = block_grid(n_total, reorth_every)
     d = ens.dim
+    lengths, path, ends = _words(ens, omega, ends, 4 * d * d)  # one embedding a word
+    del omega
+    table = ens.real_adjoints
+    if lengths != (1,):
+        unit = ens.psi_s / np.linalg.norm(ens.psi_s)
+        words = word_tables(ens.adjoints, ens.adjoints[:, :, :0], unit, 1, set(lengths))
+        table = _stacked(w for w, _ in words.values())
+        del words
     frame = _identities(np.eye(d, dtype=complex), len(seeds))
     log_r = np.zeros((len(seeds), d))
-    for run, steps in _sweeps(ens, omega, ends, (ens.real_adjoints, np.eye(2 * d))):
+    for run, steps in _sweeps(ens, path, ends, (table, np.eye(2 * d))):
         prod = _identities(np.eye(2 * d, d), len(run), len(seeds))
         outs = _pair(prod.shape)
         for (factor,), _ in steps():

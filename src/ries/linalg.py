@@ -38,9 +38,14 @@ def embed(a: np.ndarray) -> np.ndarray:
     embed(A + B) = embed(A) + embed(B), so a product or sum of embeddings,
     read back, is the complex product or sum. Also embed(A).T = embed(A*),
     and the first block column of embed(v[:, None]) is the stacked [Re v; Im v].
+    The four blocks are written into one preallocated array.
     """
-    re, im = a.real, a.imag
-    return np.block([[re, -im], [im, re]])
+    m, n = a.shape[-2:]
+    out = np.empty((*a.shape[:-2], 2 * m, 2 * n))
+    out[..., :m, :n] = out[..., m:, n:] = a.real
+    out[..., m:, :n] = a.imag
+    np.negative(a.imag, out=out[..., :m, n:])
+    return out
 
 
 def readback(x: np.ndarray) -> np.ndarray:

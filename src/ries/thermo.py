@@ -32,7 +32,8 @@ k is the largest k >= 1 with A**(k + w - 1) D**2 <= 2**12 (A atoms, window
 width w, GNS dimension D), so 8 for the instant average and 7 for the fluxes
 on two qubit atoms, 2 for a width-2 window on three qutrit atoms and 1 on 64.
 A table of the A**k words' step products and one of their pairings with the
-tables, built once per call, let each matmul advance a whole word and each
+tables, built once per call by :func:`ries.ensemble.word_tables` (the builder
+of every trajectory walk's words), let each matmul advance a whole word and each
 block of words be paired in one matmul per seed. Every step keeps one
 component of the vector (along psi_s for the instant average, along vec(1)
 for the fluxes) up to its atom's rounding, and a one-step walk follows that
@@ -54,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import SWEEP_ENTRIES, EnsembleError, RrdoEnsemble, block_grid
+from .ensemble import SWEEP_ENTRIES, EnsembleError, RrdoEnsemble, block_grid, word_length, word_tables
 from .linalg import KahanAccumulator, dag, unvec, vec
 from .model import Encounters, reduce_windows
 
@@ -139,108 +140,6 @@ def ergodic_instant_limit(ens: RrdoEnsemble, fam: InstantObservableFamily) -> co
     return complex(np.trace(_rho_plus(ens) @ mean_reduced_observable(ens, fam)))
 
 
-# the word tables' budget: the largest pairing table, A**(k + width - 1) rows, holds at
-# most this many D x D matrices' worth of entries (see :func:`word_length`)
-WORD_ENTRIES = 2**12
-
-
-def word_length(n_atoms: int, width: int, dim: int) -> int:
-    """The word length k of a Monte Carlo walk: the largest k >= 1 with
-    A**(k + width - 1) * dim**2 <= WORD_ENTRIES. A single atom, whose one word of
-    each length would fit at any k, is budgeted as two."""
-    a, k = max(n_atoms, 2), 1
-    while a ** (k + width) * dim**2 <= WORD_ENTRIES:
-        k += 1
-    return k
-
-
-def _dot2(coefficients: np.ndarray, arrays) -> np.ndarray:
-    """sum_i coefficients[i] * arrays[i] (complex), as if summed in twice the working
-    precision and rounded once.
-
-    Each real product is split into its float and its exact rounding error
-    (Dekker's TwoProduct, by Veltkamp splitting), and the sum carries its own
-    rounding errors along (Ogita, Rump and Oishi, "Accurate sum and dot
-    product", SIAM J. Sci. Comput. 2005, Dot2). Zero coefficients add nothing.
-    """
-
-    def real_sum(terms):
-        total = carry = 0.0
-        for c, y in terms:
-            p = c * y
-            ch = 134217729.0 * c  # 2**27 + 1: c = ch + cl, each half of 26 bits
-            ch -= ch - c
-            yh = 134217729.0 * y
-            yh -= yh - y
-            cl, yl = c - ch, y - yh
-            err = cl * yl - (((p - ch * yh) - cl * yh) - ch * yl)  # c y - p, exactly
-            t = total + p
-            z = t - total
-            carry = carry + ((total - (t - z)) + (p - z)) + err
-            total = t
-        return total + carry
-
-    pairs = list(zip(coefficients, arrays))
-    re = [(c.real, y.real) for c, y in pairs if c.real] + [(-c.imag, y.imag) for c, y in pairs if c.imag]
-    im = [(c.real, y.imag) for c, y in pairs if c.real] + [(c.imag, y.real) for c, y in pairs if c.imag]
-    return real_sum(re) + 1j * real_sum(im)
-
-
-def _word_tables(steps: np.ndarray, tables: np.ndarray, conserved: np.ndarray, width: int, lengths) -> dict:
-    """{m: (W, G)} for every word length m in `lengths`: the words and their pairing tables.
-
-    W[c] = S(c_m) ... S(c_1) is the product of word c's steps and
-    G[c] = sum_j P_j^* tables[c_(j+1), ..., c_(j+width)] pairs the vector at the
-    word's start with its m tables at once, P_j = S(c_j) ... S(c_1) being the
-    product of the word's first j steps; both are indexed by the flattened atom
-    tuple, c_1 first, G by m + width - 1 atoms. Both grow from length 1 (the
-    atoms' own `steps` and `tables`) one atom at a time, prepended as the first
-    step: W = W'[c_2, ...] S(c_1), and G by Horner from the last step,
-    G = tables[c_1, ...] + S(c_1)^* G'[c_2, ...].
-
-    Every step keeps <u, v> (u = `conserved`, a unit vector) up to its own
-    rounding, the defect u^* S - u^*, which a one-step walk follows. A word's
-    product adds a rounding of its own along u, the same at every use of the
-    word, so a walk of n words would pile it up linearly. So each word's row
-    along u is set, by the rank-one update W <- W + u (u^* + e - u^* W), to
-    u^* + e, where e is its atoms' exact defects carried through the word:
-    u^* S(c_m) ... S(c_1) - u^* = defect(c_1) + e'[c_2, ...] S(c_1). An atom
-    whose row u^* S rounds back to u^* counts as exact: a one-step walk that
-    reaches a floating-point fixed point of such atoms stays there, and so do
-    the words. The defects and the update's difference are a few units in the
-    last place, so they are summed in twice the working precision
-    (:func:`_dot2`); in working precision their own rounding would be as large
-    as what they correct.
-    """
-    if lengths == {1}:  # one-atom words are the atoms
-        return {1: (steps, tables)}
-    a, dim = len(steps), steps.shape[1]
-    row = np.conjugate(conserved)
-    heads = steps[:, None]  # S(c_1), broadcast over the rest of the word
-    lead_adj = dag(steps)[:, None, None]
-    # each atom's defect u^* S - u^*, exactly; zero where u^* S rounds back to u^*
-    defects = _dot2(np.append(row, -1.0), [*steps.transpose(1, 0, 2), np.broadcast_to(row, (a, dim))])
-    defects[(row @ steps == row).all(axis=1)] = 0.0
-    w, g, e = steps, tables, defects
-    out = {}
-    for m in range(1, max(lengths) + 1):
-        if m > 1:
-            w = (w[None] @ heads).reshape(-1, dim, dim)
-            e = (e @ heads + defects[:, None, None]).reshape(-1, dim)  # u^* W - u^* by the atoms
-            rest = g.reshape(1, a ** (width - 1), a ** (m - 1), dim, -1)
-            g = tables.reshape(a, a ** (width - 1), 1, dim, -1) + lead_adj @ rest
-            g = g.reshape(-1, dim, tables.shape[2])
-        if m in lengths:
-            # W <- W + u (u^* + e - u^* W), at the kept lengths only: an update of a
-            # shorter word moves the longer ones along u alone, which their own update resets
-            if m > 1:
-                gap = _dot2(np.append([1.0, 1.0], -row), [e, np.broadcast_to(row, e.shape), *w.transpose(1, 0, 2)])
-                for i, x in enumerate(conserved):
-                    w[:, i] += x * gap
-            out[m] = (w, g)
-    return out
-
-
 def _cesaro_means(
     ens: RrdoEnsemble,
     steps: np.ndarray,
@@ -262,9 +161,11 @@ def _cesaro_means(
     without touching its variance.
 
     The seeds walk k steps at a time, one k-atom word per matmul, k from
-    :func:`word_length`; the words and their pairing tables are built once per
-    call (:func:`_word_tables`). A burn-in that is not a multiple of k starts
-    with one shorter word, and a run that is not ends with one shorter pairing.
+    :func:`ries.ensemble.word_length`, one word's tables counted as a D x D
+    matrix per pairing row; the words and their pairing tables are built once
+    per call (:func:`ries.ensemble.word_tables`). A burn-in that is not a
+    multiple of k starts with one shorter word, and a run that is not ends
+    with one shorter pairing.
     The averaged words follow :func:`ries.ensemble.block_grid`, with blocks of at
     most SWEEP_ENTRIES / D words: the words of a chunk of SWEEP_ENTRIES / D^2 of
     them, rounded up, are gathered at once, each word's matmul writes the vector
@@ -278,9 +179,9 @@ def _cesaro_means(
     burn = min(n_total // 10, 1000)
     omega = ens.sample_paths(seeds, burn + n_total + width - 1)
     n_seeds, dim = len(omega), len(start)
-    k = word_length(n_atoms, width, dim)
+    k = word_length(n_atoms, max(n_atoms, 2) ** (width - 1) * dim**2)  # a D x D matrix per pairing row
     lead, tail = burn % k, n_total % k
-    words = _word_tables(np.ascontiguousarray(steps), tables, conserved, width, {k, lead, tail} - {0})
+    words = word_tables(np.ascontiguousarray(steps), tables, conserved, width, {k, lead, tail} - {0})
     chunk = -(-SWEEP_ENTRIES // dim**2)
     _, ends, _ = block_grid(n_total // k, max(1, SWEEP_ENTRIES // dim))
     # time-major: while words are walked, buf[i] holds v after the i-th of them

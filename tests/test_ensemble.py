@@ -17,6 +17,7 @@ from ries.ensemble import (
     mean_rdo,
     theta_routes,
     trajectory_rng,
+    word_length,
 )
 from ries.linalg import HERMITICITY_TOL, KahanAccumulator, dag, random_hermitian, unvec
 from ries.rdo import Rdo, classify, decompose
@@ -486,15 +487,20 @@ def test_ensemble_psi_s_shared_without_relative_slack():
 # ------------------------------------------------- per-seed reference loops
 # The step-by-step, one-seed-at-a-time kernels that the blocked, seed-batched
 # engine replaced, kept as references. The blocked kernels multiply and sum
-# in another order, so they match the loops to the tolerances below, each
-# about 100x the largest deviation measured on these tests (the measured
-# value follows each one), and never looser than 1e-10 absolute.
-FORWARD_DISTANCE_ATOL = 2e-13  # measured 1.4e-15
-FORWARD_DRIFT_ATOL = 1e-11  # measured 9.0e-14
+# in another order, and the forward, reverse and Lyapunov kernels step whole
+# k-atom words (k = 5, 4 and 6 on the qubit atoms, 2, 2 and 3 on two qutrit
+# atoms, 1 on six), so they match the loops to the tolerances below, each at
+# least 100x the largest deviation measured on these tests (the measured value
+# follows each one), and never looser than 1e-10 absolute. The words' kept
+# psi_s row (forward, Lyapunov) and column (reverse) hold the forward drift to
+# 1.4e-14 and the reverse residual to 3.1e-14 (that on six qutrit atoms, which
+# walk single steps); plain word products would leave 9.1e-14 and 9.6e-14.
+FORWARD_DISTANCE_ATOL = 2e-13  # measured 9.1e-16
+FORWARD_DRIFT_ATOL = 1e-11  # measured 1.4e-14
 DECAY_LOG_NORM_ATOL = 1e-10  # measured 2.3e-12 (log norms down to about -780)
-REVERSE_RESIDUAL_ATOL = 1e-11  # measured 9.3e-14
-REVERSE_RATIO_ATOL = 3e-14  # measured 1.7e-16
-REVERSE_ETA_ATOL = 7e-14  # measured 6.7e-16
+REVERSE_RESIDUAL_ATOL = 1e-11  # measured 3.1e-14
+REVERSE_RATIO_ATOL = 3e-14  # measured 5.6e-16
+REVERSE_ETA_ATOL = 7e-14  # measured 7.8e-16
 LYAPUNOV_ATOL = 2e-14  # measured 1.7e-16
 
 
@@ -606,25 +612,26 @@ def _assert_kernels_match_loops(ens, seeds, n_total, every):
         close((lya.gamma_1[s], lya.gamma_2[s], lya.gap[s]), want, rtol=0, atol=LYAPUNOV_ATOL)
 
 
-def _wide_ensemble():
-    """Qutrit system, qubit probe, 6 presampled atoms: GNS dim 9."""
+def _wide_ensemble(count=6):
+    """Qutrit system, qubit probe, `count` presampled atoms: GNS dim 9."""
     rng = np.random.default_rng(909)
     system = ries.SystemSpec(dim_s=3, h_s=np.diag([0.0, 1.0, 2.3]), beta_s=0.7)
     probe = ries.ProbeSpec(
         dim_e=2, h_e=np.diag([0.0, 1.1]), beta_e=1.3, v=random_hermitian(6, rng, 0.4), tau=1.0
     )
     ranges = {"tau": {"low": 0.6, "high": 1.6}, "coupling": {"low": 0.5, "high": 1.5}}
-    return RrdoEnsemble.presampled(system, probe, ranges, count=6, seed=4)
+    return RrdoEnsemble.presampled(system, probe, ranges, count=count, seed=4)
 
 
-@pytest.mark.parametrize("case", ["qubit", "qutrit"])
+@pytest.mark.parametrize("case", ["qubit", "qutrit", "two_qutrit"])
 def test_batched_kernels_match_per_seed_loops(case, reference_ensemble):
     """Blocked, seed-batched kernels match the per-seed loops (GNS dim 4 and 9).
 
     A checkpoint interval of 7 leaves a partial last block in 2600 steps;
-    two-step runs make the first checkpoint count.
+    two-step runs make the first checkpoint count. Six qutrit atoms walk
+    single steps, two walk words (see `test_kernel_word_lengths`).
     """
-    ens = reference_ensemble if case == "qubit" else _wide_ensemble()
+    ens = {"qubit": reference_ensemble, "qutrit": _wide_ensemble(), "two_qutrit": _wide_ensemble(2)}[case]
     assert ens.dim == (4 if case == "qubit" else 9)
     _assert_kernels_match_loops(ens, [5, 0, 12, 5], 2600, 7)
     _assert_kernels_match_loops(ens, list(range(8)), 2, 1)
@@ -657,12 +664,55 @@ def test_decay_and_lyapunov_kernels_check_each_other(case, slack, reference_ense
         (17, 1),  # a checkpoint after every step: blocks of one step
         (300, 1000),  # one partial interval, cut into blocks of 17 and 18
         (1000, 300),  # 300 is not a multiple of the block length 32, nor 1000 of 300
+        # blocks of `every` steps, then one of 2: every word length k of
+        # `test_kernel_word_lengths` meets blocks of k - 1, k and k + 1 steps, and
+        # blocks of 11 and 2 steps are a multiple of none but k = 2
+        (6, 2),
+        (11, 3),
+        (18, 4),
+        (27, 5),
+        (38, 6),
+        (51, 7),
+        (123, 11),
     ],
 )
 def test_block_grid_edges_match_per_seed_loops(n_total, every, reference_ensemble):
-    """Grid edge cases, including runs longer than one run of blocks, against the loops."""
+    """Grid edge cases, including runs longer than one run of blocks, and word
+    boundaries, each block cut into words of k steps from its start and ending in
+    one shorter word, against the loops."""
     _assert_kernels_match_loops(reference_ensemble, [3, 8], n_total, every)
     _assert_kernels_match_loops(_wide_ensemble(), [4], n_total, every)
+    _assert_kernels_match_loops(_wide_ensemble(2), [4], n_total, every)
+
+
+def test_kernel_word_lengths(reference_ensemble, wide_qutrit_model, monkeypatch):
+    """k is the largest k >= 1 with A**k times one word's float64 table entries at most
+    2**12, a single atom counted as two: on two qubit atoms (D = 4) 5 for forward
+    (W and Q, 8 D**2 entries a word), 4 for reverse (the left and lead words and the
+    local eta sum, 8 D**2 + 4 D) and 6 for Lyapunov (W, 4 D**2); on two qutrit atoms
+    (D = 9) 2, 2 and 3; on 64 atoms 1."""
+    ks = []
+    monkeypatch.setattr(ries.ensemble, "word_length", lambda *args: ks.append(word_length(*args)) or ks[-1])
+    wide = RrdoEnsemble.presampled(*wide_qutrit_model, count=64, seed=31)
+    for ens in (reference_ensemble, _wide_ensemble(2), wide):
+        ries.simulate_forward(ens, [1], 50, 50)
+        ries.simulate_reverse(ens, [1], 50, 50)
+        ries.lyapunov(ens, [1], 50, 50)
+    assert ks == [5, 4, 6, 2, 2, 3, 1, 1, 1]
+    assert [word_length(1, 2**12 // 2**j) for j in range(4)] == [1, 1, 2, 3]
+
+
+def test_word_walks_do_not_pile_up_rounding(reference_ensemble):
+    """A word's product rounds the same at every use of the word, so plain word
+    products pile a rounding up along psi_s, which no step contracts: on the two
+    qubit atoms the forward invariance drift at 10^5 steps would reach 4.1e-12
+    and the reverse residual at 6,000 steps 2.4e-13, where one-step loops stay at
+    1.4e-14. The kept psi_s row of the forward words and column of the reverse
+    left words hold them at 5.6e-14 and 3.9e-15."""
+    fwd = ries.simulate_forward(reference_ensemble, [0, 1], 100_000, 1000)
+    assert fwd.max_invariance_drift.max() <= 2e-13
+    rev = ries.simulate_reverse(reference_ensemble, [0, 1], 6000, 10)
+    assert rev.residuals[:, -1].max() <= 5e-14
 
 
 @pytest.mark.parametrize(

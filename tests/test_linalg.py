@@ -109,6 +109,14 @@ def test_real_embedding_reads_back_bitwise(rng):
     assert linalg.readback(linalg.embed(v)[..., :1]).tobytes() == v.tobytes()
 
 
+def test_real_embedding_blocks(rng):
+    """embed(A) is the block matrix [[Re A, -Im A], [Im A, Re A]], bit for bit, on
+    a stack, on a column stack and on a real matrix."""
+    for a in (_complex_stack(rng, 4, 8, 4, 4), _complex_stack(rng, 3, 5, 1), rng.standard_normal((3, 3))):
+        want = np.block([[a.real, -a.imag], [a.imag, a.real]])
+        assert linalg.embed(a).tobytes() == want.tobytes() and linalg.embed(a).shape == want.shape
+
+
 def test_real_embedding_is_multiplicative(rng):
     """The product of two embedded stacks reads back as the complex product, to
     1e-15 relative in the Frobenius norm of each matrix."""

@@ -149,16 +149,25 @@ def test_one_seed_convention(name, allowed):
         ("_conjugate_by_chain", {"model.py:full_chain_expectation"}),
         ("reduce_windows", {"model.py:reduce_instant", "thermo.py:observable_family"}),
         ("step_unitaries", {"model.py:encounters"}),
-        ("_word_tables", {"thermo.py:_cesaro_means"}),
-        ("word_length", {"thermo.py:_cesaro_means"}),
+        (
+            "word_tables",
+            {
+                "thermo.py:_cesaro_means",
+                "ensemble.py:simulate_forward",
+                "ensemble.py:simulate_reverse",
+                "ensemble.py:lyapunov",
+            },
+        ),
+        ("word_length", {"thermo.py:_cesaro_means", "ensemble.py:_words"}),
     ],
 )
 def test_one_path_per_reduction(name, allowed):
     """The chain engine serves only the oracle, and every window reduction is the
     stacked one, so an oracle check compares two independent code paths; every
     step unitary comes from one `Encounters` stack, which the reductions read; and
-    both Monte Carlo estimators walk words from one table builder, at one word
-    length rule, k = 1 included."""
+    every trajectory walk reads words from one table builder, at one word length
+    rule, k = 1 included: both Monte Carlo estimators, and the forward, reverse and
+    Lyapunov kernels, whose word walks `_words` cuts."""
     used = {f"{p.name}:{f}" for p in MODULES for f in _uses_by_function(_parse(p), name)}
     assert used == allowed
 

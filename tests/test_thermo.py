@@ -14,7 +14,7 @@ from dense_reference import (
 
 import ries
 from ries.cli import _fields, _theta_checks
-from ries.ensemble import EnsembleError, RrdoEnsemble, trajectory_rng
+from ries.ensemble import EnsembleError, RrdoEnsemble, _dot2, trajectory_rng, word_length
 from ries.linalg import (
     KahanAccumulator,
     dag,
@@ -26,7 +26,6 @@ from ries.linalg import (
 from ries.model import full_chain_expectation, weighted_partial_trace
 from ries.rdo import decompose
 from ries.thermo import (
-    _dot2,
     energy_jump_family,
     ergodic_instant_limit,
     ergodic_instant_monte_carlo,
@@ -38,7 +37,6 @@ from ries.thermo import (
     observable_family,
     probe_energy_family,
     system_observable_family,
-    word_length,
 )
 
 
@@ -502,20 +500,26 @@ def test_monte_carlo_matches_per_seed_loops(case, n_totals, reference_ensemble, 
         _assert_estimators_match_loops(ens, fam, rho_init, n_total)
 
 
+def _monte_carlo_k(ens, width):
+    """The Monte Carlo word length: one word's tables counted as a D x D matrix per
+    pairing row, max(A, 2)**(width - 1) of them."""
+    return word_length(ens.n_atoms, max(ens.n_atoms, 2) ** (width - 1) * ens.dim**2)
+
+
 def test_word_length_rule(reference_ensemble, rng, wide_qutrit_model):
     """k is the largest k >= 1 with A**(k + width - 1) D**2 <= 2**12."""
     qutrit = _heterogeneous_ensemble(rng)
     wide = RrdoEnsemble.presampled(*wide_qutrit_model, count=64, seed=31)
     got = {
-        "qubit instant": word_length(reference_ensemble.n_atoms, 1, reference_ensemble.dim),
-        "qubit fluxes": word_length(reference_ensemble.n_atoms, 2, reference_ensemble.dim),
-        "qutrit jump window": word_length(qutrit.n_atoms, 2, qutrit.dim),
-        "wide instant": word_length(wide.n_atoms, 1, wide.dim),
-        "wide fluxes": word_length(wide.n_atoms, 2, wide.dim),
+        "qubit instant": _monte_carlo_k(reference_ensemble, 1),
+        "qubit fluxes": _monte_carlo_k(reference_ensemble, 2),
+        "qutrit jump window": _monte_carlo_k(qutrit, 2),
+        "wide instant": _monte_carlo_k(wide, 1),
+        "wide fluxes": _monte_carlo_k(wide, 2),
     }
     assert got == {"qubit instant": 8, "qubit fluxes": 7, "qutrit jump window": 2, "wide instant": 1, "wide fluxes": 1}
     for a, width, dim in product((1, 2, 3, 5), (1, 2), (1, 2, 4, 9, 70)):
-        k = word_length(a, width, dim)
+        k = word_length(a, max(a, 2) ** (width - 1) * dim**2)
         entries = [max(a, 2) ** (j + width - 1) * dim**2 for j in (k, k + 1)]
         assert k >= 1 and (entries[0] <= 2**12 or k == 1) and entries[1] > 2**12
 
@@ -527,7 +531,7 @@ def test_word_boundaries_match_per_seed_loops(case, reference_ensemble, rng, wid
     not a multiple of k before eight words and a tail."""
     ens, fam, rho_init = case(reference_ensemble, rng, wide_qutrit_model)
     for width in sorted({fam.width, 2}):  # the instant family's width, and the fluxes'
-        k = word_length(ens.n_atoms, width, ens.dim)
+        k = _monte_carlo_k(ens, width)
         assert (8 * k + 3) // 10 % k
         for n_total in (k - 1, k, k + 1, 8 * k + 3):
             if n_total >= 1:
