@@ -5,9 +5,10 @@ invariant vector psi_s; iid draws from it generate the random product
 Psi_n = M(w_1) ... M(w_n). :class:`RrdoEnsemble` holds it as stacks, one
 array per quantity with one row per atom, and every reader indexes those
 rows. This module provides the mean operator and the closed-form
-asymptotic vector theta (two independent routes), seeded forward/reverse
-trajectory simulation, decay-rate estimation for the
-strictly-contracting parts, and Lyapunov exponent estimation.
+asymptotic vector theta (two independent routes), and every trajectory
+walk: seeded forward/reverse trajectory simulation, decay-rate estimation
+for the strictly-contracting parts, Lyapunov exponent estimation, and the
+Monte Carlo Cesaro means that :mod:`ries.thermo` estimates from.
 
 The trajectory kernels take a list of seeds (or one seed) and step them as
 one stack, with one batched SVD or QR where a step or checkpoint needs one
@@ -15,32 +16,35 @@ and norms taken slice by slice; their records hold one row per seed. Time
 is blocked as well (a blocked prefix scan): :func:`block_grid` cuts each
 checkpoint interval into near-equal blocks of at most ceil(sqrt(n_total))
 steps, the matrix kernels walk runs of blocks side by side into block
-products (:func:`_sweeps`) and then chain the blocks, and the vector
-kernels sum per-block buffers. The grid depends only on n_total and the
-interval, so each seed's results are bitwise independent of batching and
-of which other seeds ran; they are within a stated tolerance of a one-step
-loop (see the tests), not bitwise equal to it.
+products (:func:`_sweeps`) and then chain the blocks, and the Monte Carlo
+means (:func:`cesaro_means`) sum per-block buffers of vectors. The grid
+depends only on n_total and the interval, so each seed's results are
+bitwise independent of batching and of which other seeds ran; they are
+within a stated tolerance of a one-step loop (see the tests), not bitwise
+equal to it.
 
-The forward, reverse and Lyapunov kernels walk a block one k-atom word per
-matmul (the "method of Four Russians": Arlazarov, Dinic, Kronrod and
-Faradzev, 1970). :func:`_words` cuts each block into words of k steps from
-its start, a block whose length is not a multiple of k ending in one
-shorter word, so no word spans two blocks; the words' tables are built once
-per call (:func:`word_tables`, the one builder, which the Monte Carlo means
-of :mod:`ries.thermo` use too) and embedded in float64 once. k is the
-:func:`word_length` of one word's float64 table entries, the largest k >= 1
-with A**k times them at most WORD_ENTRIES = 2**12 (A atoms, a single atom
-counted as two): on two atoms at GNS dimension D = 4, k = 5 for forward (a
-word and the sum of its prefix products, 8 D**2 entries), 4 for reverse (a
-left word, a lead word and a local eta sum, 8 D**2 + 4 D) and 6 for Lyapunov
-(a word, 4 D**2); on 64 atoms at D = 9, k = 1, and each kernel steps single
-atoms as a one-step walk does. The words keep the psi_s row of the M^*
-products (forward, Lyapunov) and the psi_s column of the M products (the
-reverse left words) as their atoms carry them: a plain word product adds a
-rounding of its own, the same at every use of the word, along psi_s, which
-no step contracts, and would let the forward invariance drift reach 4.1e-12
-at 10^5 steps on two qubit atoms, where it stays at 5.6e-14. The decay
-kernel reads a norm after every step, so it steps single atoms.
+The forward, reverse and Lyapunov kernels and the Monte Carlo means walk
+one k-atom word per matmul (the "method of Four Russians": Arlazarov,
+Dinic, Kronrod and Faradzev, 1970), from tables built once per call by one
+builder (:func:`_word_tables`), at one rule (:func:`_word_length`): k is the
+largest k >= 1 with A**k times one word's table entries at most
+WORD_ENTRIES = 2**12 (A atoms, a single atom counted as two). On two qubit
+atoms (GNS dimension D = 4) k is 5 for forward, 4 for reverse and 6 for
+Lyapunov, whose words :func:`_words` cuts from each block's start and which
+embed them in float64 once, and 8 for the instant average and 7 for the
+fluxes, which walk in complex; on 64 atoms at D = 9 k is 1, and every walk
+steps single atoms as a one-step walk does. The decay kernel reads a norm
+after every step, so it steps single atoms too.
+
+Every step keeps one component up to its atom's rounding (the psi_s row of
+the M^* products, the psi_s column of reverse's M products, the vec(1) row
+of the flux walk's adjoint maps). A word's product would add a rounding of
+its own along it, the same at every use of the word, which no step
+contracts, so each word's row is set to the one its atoms carry exactly:
+at 10^5 steps, plain words would let the forward invariance drift reach
+4.1e-12 on two qubit atoms (kept: 5.6e-14), and the instant average miss
+the closed form by 4.2e-13 on the two-atom exchange ensemble (kept:
+1.7e-16; the one-step walk: 3.1e-15).
 
 The matrix kernels step their block products in float64. A complex D x D
 product X is carried as [Re X; Im X], the first column of its real 2D x 2D
@@ -52,13 +56,13 @@ steps as its adjoint. The embedding is an exact algebra homomorphism, so
 the products are those of the complex matrices up to rounding. Each kernel
 reads its blocks back as complex once per run of blocks (the decay norms
 once per in-block offset), and its Kahan sums, distances, drift, SVDs and
-QRs stay complex. The vector kernels of :mod:`ries.thermo` walk their words
-in complex.
+QRs stay complex.
 
 Randomness is counter-based (Philox) and fully reproducible: a seed is
-one realization of the atom sequence, and :meth:`RrdoEnsemble.sample_paths`
-is the one place where it becomes a stream, so a seed's path never depends
-on which other seeds ran.
+one realization of the atom sequence, :meth:`RrdoEnsemble.sample_paths`
+is the one place where it becomes a stream, and :func:`_start` the one
+place where a walk turns its seeds into paths, so a seed's path never
+depends on which other seeds ran.
 """
 
 from __future__ import annotations
@@ -318,10 +322,14 @@ def theta_routes(ens: RrdoEnsemble) -> dict:
     }
 
 
-def _start(ens: RrdoEnsemble, seeds, n_total: int) -> tuple[np.ndarray, np.ndarray]:
-    """Seeds as a 1-d array and their (S, n_total) paths (see :meth:`RrdoEnsemble.sample_paths`)."""
+def _start(ens: RrdoEnsemble, seeds, n_total: int, extra: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Seeds as a 1-d array and their (S, n_total + extra) paths (see
+    :meth:`RrdoEnsemble.sample_paths`), `extra` counting the steps that a walk draws
+    besides its n_total (a burn-in, a window's next atoms); n_total < 1 raises ValueError."""
+    if n_total < 1:
+        raise ValueError(f"a walk needs n_total >= 1 steps, got {n_total}")
     seeds = np.atleast_1d(seeds)
-    return seeds, ens.sample_paths(seeds, n_total)
+    return seeds, ens.sample_paths(seeds, n_total + extra)
 
 
 def block_grid(n: int, every: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -343,11 +351,11 @@ def block_grid(n: int, every: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 # the word tables' budget: the A**k words of length k, times the entries of one word's
-# tables, hold at most this many entries (see :func:`word_length`)
+# tables, hold at most this many entries (see :func:`_word_length`)
 WORD_ENTRIES = 2**12
 
 
-def word_length(n_atoms: int, entries: int) -> int:
+def _word_length(n_atoms: int, entries: int) -> int:
     """The word length k of a trajectory walk: the largest k >= 1 with
     A**k * entries <= WORD_ENTRIES, where A = n_atoms and `entries` counts one word's
     tables. A single atom, whose one word of each length would fit at any k, is
@@ -390,7 +398,7 @@ def _dot2(coefficients: np.ndarray, arrays) -> np.ndarray:
     return real_sum(re) + 1j * real_sum(im)
 
 
-def word_tables(
+def _word_tables(
     steps: np.ndarray, tables: np.ndarray, conserved: np.ndarray | None, width: int, lengths
 ) -> dict:
     """{m: (W, G)} for every word length m in `lengths`, in increasing m: the words and
@@ -456,21 +464,21 @@ def _words(
 ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     """The word walk of the grid `ends` over the (S, n) paths `omega`: (lengths, path, word ends).
 
-    k is the :func:`word_length` of `entries`, the float64 entries of one word's
+    k is the :func:`_word_length` of `entries`, the float64 entries of one word's
     tables. Each block is cut into words of k steps from its start, a block
     whose length is not a multiple of k ending in one shorter word, so a word
     never spans two blocks. `lengths` are the word lengths that occur, in
     increasing order. `path` holds, as (S, words) in the smallest dtype, each
     word's row in tables that stack the words of every length in that order,
     each length's words indexed by their flattened atom tuple, first atom first
-    (:func:`word_tables`, :func:`_stacked`); `word ends` counts the words up to
+    (:func:`_word_tables`, :func:`_stacked`); `word ends` counts the words up to
     each block end. At k = 1 the words are the steps: the path is `omega`, and
     the word ends are `ends`.
     """
-    k = word_length(ens.n_atoms, entries)
+    k = _word_length(ens.n_atoms, entries)
     sizes = np.diff(ends, prepend=0)
-    lengths = tuple(sorted(set(np.minimum(sizes, k).tolist()) | set((sizes % k).tolist()) - {0})) or (1,)
-    if lengths == (1,):  # single steps, or no step at all
+    lengths = tuple(sorted(set(np.minimum(sizes, k).tolist()) | set((sizes % k).tolist()) - {0}))
+    if lengths == (1,):  # single steps
         return lengths, omega, ends
     k = lengths[-1]  # below the rule's k when every block is shorter: then one word a block
     per_block = -(-sizes // k)
@@ -583,7 +591,7 @@ def simulate_forward(
     its embedding (:func:`ries.linalg.embed`). A word c first adds Q[c] P^* to
     the block's sum, Q[c] = sum_j M^*(c_j)...M^*(c_1) being the sum of its
     prefix products, then left-multiplies P^* by its product W[c] (both from
-    :func:`word_tables`, W[c] with its psi_s row kept); at k = 1 each step
+    :func:`_word_tables`, W[c] with its psi_s row kept); at k = 1 each step
     left-multiplies by the embedded M^* and adds the product. Chaining the
     blocks, read back once per run, adds Psi_a Q to a Kahan sum and moves
     Psi_a to Psi_a P. Norms are taken slice by slice. Each seed's numbers are
@@ -598,7 +606,7 @@ def simulate_forward(
     del omega
     tables = [(ens.real_adjoints, np.eye(2 * d))]
     if lengths != (1,):
-        words = word_tables(ens.adjoints, ens.matrices, ens.psi_s / np.linalg.norm(ens.psi_s), 1, set(lengths))
+        words = _word_tables(ens.adjoints, ens.matrices, ens.psi_s / np.linalg.norm(ens.psi_s), 1, set(lengths))
         tables = [
             (_stacked(w for w, _ in words.values()), np.eye(2 * d)),
             (_stacked(dag(g) for _, g in words.values()), 0.0),  # Q = G^*
@@ -784,7 +792,7 @@ def simulate_reverse(
     lead product as its adjoint, a left product of the M_Q), and their local
     eta sum: each word left-multiplies them by its M and M_Q products and adds
     its own local eta sum, paired with the lead product at its start (all
-    from :func:`word_tables`, the M products with their psi_s column kept); at
+    from :func:`_word_tables`, the M products with their psi_s column kept); at
     k = 1 the words are the atoms. Read back once per run, the blocks are
     chained. Each run of blocks ends in one batched SVD for the ratios and
     one batched eigvalsh for the residuals (:func:`_top_singular_values`) over
@@ -802,8 +810,8 @@ def simulate_reverse(
         # a left word M(c_m)...M(c_1) keeps the column psi_s: it is the adjoint of the
         # M^* word of the reversed tuple, whose row psi_s^* the builder keeps
         unit = ens.psi_s / np.linalg.norm(ens.psi_s)
-        adjoint = word_tables(dag(ens.matrices), ens.adjoints[:, :, :0], unit, 1, set(lengths))
-        lead = word_tables(ens.mq, ens.psi_omega[:, :, None], None, 1, set(lengths))
+        adjoint = _word_tables(dag(ens.matrices), ens.adjoints[:, :, :0], unit, 1, set(lengths))
+        lead = _word_tables(ens.mq, ens.psi_omega[:, :, None], None, 1, set(lengths))
         tables = (
             _stacked(dag(w)[_reversals(ens.n_atoms, m)] for m, (w, _) in adjoint.items()),
             _stacked(w for w, _ in lead.values()),
@@ -874,7 +882,7 @@ def lyapunov(
     stepped side by side into their products, which are no longer than an
     interval. A block grows in float64 as M^*(w_b)...M^*(w_a), the first
     column of its embedding (embed(M^*) = embed(M)^T, :func:`ries.linalg.embed`),
-    one word product per matmul (:func:`_words`, :func:`word_tables`, with the
+    one word product per matmul (:func:`_words`, :func:`_word_tables`, with the
     words' psi_s row kept; at k = 1 one M^* per matmul), and is read back and
     conjugated once per run, since conj(M^*) = M^T.
     Chaining them, one batched QR per re-orthonormalization accumulates every
@@ -891,7 +899,7 @@ def lyapunov(
     table = ens.real_adjoints
     if lengths != (1,):
         unit = ens.psi_s / np.linalg.norm(ens.psi_s)
-        words = word_tables(ens.adjoints, ens.adjoints[:, :, :0], unit, 1, set(lengths))
+        words = _word_tables(ens.adjoints, ens.adjoints[:, :, :0], unit, 1, set(lengths))
         table = _stacked(w for w, _ in words.values())
         del words
     frame = _identities(np.eye(d, dtype=complex), len(seeds))
@@ -912,6 +920,93 @@ def lyapunov(
     exponents = np.sort(log_r / n_total)[:, ::-1]
     gamma_2 = exponents[:, 1] if d > 1 else np.full(len(seeds), -np.inf)
     return LyapunovEstimate(seeds, exponents[:, 0], gamma_2, exponents[:, 0] - gamma_2)
+
+
+def cesaro_means(
+    ens: RrdoEnsemble,
+    steps: np.ndarray,
+    start: np.ndarray,
+    tables: np.ndarray,
+    width: int,
+    seeds,
+    n_total: int,
+    conserved: np.ndarray,
+) -> np.ndarray:
+    """(S, n_tables) Cesaro means of <v_n, tables[w_(n+1), ..., w_(n+width)]>.
+
+    v_0 = `start` and v_n = steps[w_n] v_(n-1), each step keeping <u, v> for the
+    unit vector u = `conserved`. `tables` is (n_atoms**width, D, n_tables),
+    indexed by the flattened atom tuple. Row s is seeds[s]'s path (:func:`_start`);
+    all seeds step as one stack. The first min(n_total // 10, 1000) steps are
+    left out: the transient decays geometrically, so this removes the O(1/n)
+    bias of the plain Cesaro mean without touching its variance.
+
+    The seeds walk k steps at a time, one k-atom word per matmul, k from
+    :func:`_word_length`, one word's tables counted as a D x D matrix per
+    pairing row; the words and their pairing tables are built once per call
+    (:func:`_word_tables`, each word's row along u kept). A burn-in that is not
+    a multiple of k starts with one shorter word, and a run that is not ends
+    with one shorter pairing. The averaged words follow :func:`block_grid`,
+    with blocks of at most SWEEP_ENTRIES / D words: the words of a chunk of
+    SWEEP_ENTRIES / D^2 of them, rounded up, are gathered at once, each word's
+    matmul writes the vector straight into a time-major buffer, and one matmul
+    per seed pairs the block's vectors with their gathered pairing rows and
+    sums them into a Kahan sum. At k = 1 the words are the steps and this is a
+    one-step walk. Each seed's mean is bitwise independent of batching, and
+    within the stated tolerance of a one-step loop.
+    """
+    n_atoms = ens.n_atoms
+    burn = min(n_total // 10, 1000)
+    _, omega = _start(ens, seeds, n_total, burn + width - 1)
+    n_seeds, dim = len(omega), len(start)
+    k = _word_length(n_atoms, max(n_atoms, 2) ** (width - 1) * dim**2)  # a D x D matrix per pairing row
+    lead, tail = burn % k, n_total % k
+    words = _word_tables(np.ascontiguousarray(steps), tables, conserved, width, {k, lead, tail} - {0})
+    chunk = -(-SWEEP_ENTRIES // dim**2)
+    _, ends, _ = block_grid(n_total // k, max(1, SWEEP_ENTRIES // dim))
+    # time-major: while words are walked, buf[i] holds v after the i-th of them
+    longest = max(chunk, np.diff(ends, prepend=0).max(initial=0))
+    buf = np.empty((longest + 1, n_seeds, dim, 1), dtype=complex)
+    buf[0] = start[:, None]
+    slots = list(buf)  # its rows, as views made once
+    acc = KahanAccumulator((n_seeds, tables.shape[2]))
+
+    def atoms(a: int, b: int, m: int, n: int) -> np.ndarray:
+        """(S, (b - a) / m) flattened tuples of the n atoms from each step a, a + m, ..., b - m."""
+        flat = omega[:, a:b:m].astype(np.min_scalar_type(n_atoms**n))
+        for j in range(1, n):
+            flat *= n_atoms
+            flat += omega[:, a + j : b + j : m]
+        return flat
+
+    def walk(m: int, word_atoms: np.ndarray) -> None:
+        """v after each of the (S, L) words of length m into buf[1 : L + 1], from buf[0]."""
+        table = words[m][0]
+        for c in range(0, word_atoms.shape[1], chunk):  # one gather per chunk of words
+            for i, word in enumerate(table[word_atoms[:, c : c + chunk].T], c):
+                np.matmul(word, slots[i], out=slots[i + 1])
+
+    def pair(m: int, tuples: np.ndarray) -> None:
+        """Add the pairings of the vectors in buf[: L] with their (S, L) tuples' rows."""
+        rows = np.conjugate(buf[: tuples.shape[1], :, :, 0].transpose(1, 0, 2), order="C")
+        rows = rows.reshape(n_seeds, 1, -1)
+        acc.add(np.matmul(rows, words[m][1][tuples].reshape(n_seeds, rows.shape[2], -1))[:, 0])
+
+    if lead:  # the burn-in's first steps, as one shorter word
+        walk(lead, atoms(0, lead, lead, lead))
+        buf[0] = buf[1]
+    for a in range(lead, burn, chunk * k):  # the rest of it, a chunk of words at a time
+        b = min(a + chunk * k, burn)
+        walk(k, atoms(a, b, k, k))
+        buf[0] = buf[(b - a) // k]
+    for a, b in zip(np.concatenate(([0], ends[:-1])) * k + burn, ends * k + burn):
+        tuples = atoms(a, b, k, k + width - 1)
+        walk(k, tuples // n_atoms ** (width - 1))
+        pair(k, tuples)
+        buf[0] = buf[(b - a) // k]
+    if tail:  # the last steps, paired as one shorter word
+        pair(tail, atoms(burn + n_total - tail, burn + n_total, tail, tail + width - 1))
+    return acc.total / n_total
 
 
 def ensemble_from_json(doc: dict, where: str = "ensemble") -> RrdoEnsemble:

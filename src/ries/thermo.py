@@ -27,26 +27,8 @@ the energy jump when atom j follows atom i is Phi_i(vbar_j) - own_i.
 
 Both Monte Carlo estimators are one seed-batched Cesaro average of the
 pairing of a vector, carried by adjoint one-step maps, with a table over
-the next atoms (:func:`_cesaro_means`). The seeds walk k atoms per matmul:
-k is the largest k >= 1 with A**(k + w - 1) D**2 <= 2**12 (A atoms, window
-width w, GNS dimension D), so 8 for the instant average and 7 for the fluxes
-on two qubit atoms, 2 for a width-2 window on three qutrit atoms and 1 on 64.
-A table of the A**k words' step products and one of their pairings with the
-tables, built once per call by :func:`ries.ensemble.word_tables` (the builder
-of every trajectory walk's words), let each matmul advance a whole word and each
-block of words be paired in one matmul per seed. Every step keeps one
-component of the vector (along psi_s for the instant average, along vec(1)
-for the fluxes) up to its atom's rounding, and a one-step walk follows that
-defect; a word's product would add a rounding of its own, the same at every
-use of the word, and words uncorrected for it miss the closed form by 4.2e-13
-at 10^5 steps on the two-atom exchange ensemble. So each word's row along it
-is set to the row its atoms carry exactly, an atom whose row rounds back to
-itself counting as exact, as a one-step walk at a floating-point fixed point
-sees it: the same run then lands 1.7e-16 from the closed form (the one-step
-walk: 3.1e-15), and at 1,500 steps the estimates lie within 3e-15 of
-one-step loops. As in every trajectory kernel, each listed seed is one
-realization: its path comes from :meth:`RrdoEnsemble.sample_paths`, so its
-mean is bitwise independent of which other seeds ran.
+the next atoms: :func:`ries.ensemble.cesaro_means`, which walks their seeds
+as the ensemble's other trajectory kernels walk theirs.
 """
 
 from __future__ import annotations
@@ -55,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import SWEEP_ENTRIES, EnsembleError, RrdoEnsemble, block_grid, word_length, word_tables
-from .linalg import KahanAccumulator, dag, unvec, vec
+from .ensemble import EnsembleError, RrdoEnsemble, cesaro_means
+from .linalg import dag, unvec, vec
 from .model import Encounters, reduce_windows
 
 
@@ -140,95 +122,6 @@ def ergodic_instant_limit(ens: RrdoEnsemble, fam: InstantObservableFamily) -> co
     return complex(np.trace(_rho_plus(ens) @ mean_reduced_observable(ens, fam)))
 
 
-def _cesaro_means(
-    ens: RrdoEnsemble,
-    steps: np.ndarray,
-    start: np.ndarray,
-    tables: np.ndarray,
-    width: int,
-    seeds,
-    n_total: int,
-    conserved: np.ndarray,
-) -> np.ndarray:
-    """(S, n_tables) Cesaro means of <v_n, tables[w_(n+1), ..., w_(n+width)]>.
-
-    v_0 = `start` and v_n = steps[w_n] v_(n-1), each step keeping <u, v> for the
-    unit vector u = `conserved`. `tables` is (n_atoms**width, D, n_tables),
-    indexed by the flattened atom tuple. Row s is seeds[s]'s path from
-    :meth:`RrdoEnsemble.sample_paths`; all seeds step as one stack. The first
-    min(n_total // 10, 1000) steps are left out: the transient decays
-    geometrically, so this removes the O(1/n) bias of the plain Cesaro mean
-    without touching its variance.
-
-    The seeds walk k steps at a time, one k-atom word per matmul, k from
-    :func:`ries.ensemble.word_length`, one word's tables counted as a D x D
-    matrix per pairing row; the words and their pairing tables are built once
-    per call (:func:`ries.ensemble.word_tables`). A burn-in that is not a
-    multiple of k starts with one shorter word, and a run that is not ends
-    with one shorter pairing.
-    The averaged words follow :func:`ries.ensemble.block_grid`, with blocks of at
-    most SWEEP_ENTRIES / D words: the words of a chunk of SWEEP_ENTRIES / D^2 of
-    them, rounded up, are gathered at once, each word's matmul writes the vector
-    straight into a time-major buffer, and one matmul per seed pairs the block's
-    vectors with their gathered pairing rows and sums them into a Kahan sum. At
-    k = 1 the words are the steps and this is a one-step walk. Each seed's mean
-    is bitwise independent of batching, and within the stated tolerance of a
-    one-step loop.
-    """
-    n_atoms = ens.n_atoms
-    burn = min(n_total // 10, 1000)
-    omega = ens.sample_paths(seeds, burn + n_total + width - 1)
-    n_seeds, dim = len(omega), len(start)
-    k = word_length(n_atoms, max(n_atoms, 2) ** (width - 1) * dim**2)  # a D x D matrix per pairing row
-    lead, tail = burn % k, n_total % k
-    words = word_tables(np.ascontiguousarray(steps), tables, conserved, width, {k, lead, tail} - {0})
-    chunk = -(-SWEEP_ENTRIES // dim**2)
-    _, ends, _ = block_grid(n_total // k, max(1, SWEEP_ENTRIES // dim))
-    # time-major: while words are walked, buf[i] holds v after the i-th of them
-    longest = max(chunk, np.diff(ends, prepend=0).max(initial=0))
-    buf = np.empty((longest + 1, n_seeds, dim, 1), dtype=complex)
-    buf[0] = start[:, None]
-    slots = list(buf)  # its rows, as views made once
-    acc = KahanAccumulator((n_seeds, tables.shape[2]))
-
-    def atoms(a: int, b: int, m: int, n: int) -> np.ndarray:
-        """(S, (b - a) / m) flattened tuples of the n atoms from each step a, a + m, ..., b - m."""
-        flat = omega[:, a:b:m].astype(np.min_scalar_type(n_atoms**n))
-        for j in range(1, n):
-            flat *= n_atoms
-            flat += omega[:, a + j : b + j : m]
-        return flat
-
-    def walk(m: int, word_atoms: np.ndarray) -> None:
-        """v after each of the (S, L) words of length m into buf[1 : L + 1], from buf[0]."""
-        table = words[m][0]
-        for c in range(0, word_atoms.shape[1], chunk):  # one gather per chunk of words
-            for i, word in enumerate(table[word_atoms[:, c : c + chunk].T], c):
-                np.matmul(word, slots[i], out=slots[i + 1])
-
-    def pair(m: int, tuples: np.ndarray) -> None:
-        """Add the pairings of the vectors in buf[: L] with their (S, L) tuples' rows."""
-        rows = np.conjugate(buf[: tuples.shape[1], :, :, 0].transpose(1, 0, 2), order="C")
-        rows = rows.reshape(n_seeds, 1, -1)
-        acc.add(np.matmul(rows, words[m][1][tuples].reshape(n_seeds, rows.shape[2], -1))[:, 0])
-
-    if lead:  # the burn-in's first steps, as one shorter word
-        walk(lead, atoms(0, lead, lead, lead))
-        buf[0] = buf[1]
-    for a in range(lead, burn, chunk * k):  # the rest of it, a chunk of words at a time
-        b = min(a + chunk * k, burn)
-        walk(k, atoms(a, b, k, k))
-        buf[0] = buf[(b - a) // k]
-    for a, b in zip(np.concatenate(([0], ends[:-1])) * k + burn, ends * k + burn):
-        tuples = atoms(a, b, k, k + width - 1)
-        walk(k, tuples // n_atoms ** (width - 1))
-        pair(k, tuples)
-        buf[0] = buf[(b - a) // k]
-    if tail:  # the last steps, paired as one shorter word
-        pair(tail, atoms(burn + n_total - tail, burn + n_total, tail, tail + width - 1))
-    return acc.total / n_total
-
-
 def _mean_stderr(per_seed: np.ndarray) -> tuple:
     """Mean over seeds and its standard error (inf for a single seed)."""
     n = per_seed.size
@@ -243,11 +136,11 @@ def ergodic_instant_monte_carlo(
 
     Carries (M_1 ... M_n)^* psi_s by the adjoints of the atom matrices and
     pairs it with the stacked N psi_s table of the family; see
-    :func:`_cesaro_means` for the seed batching and the burn-in.
+    :func:`ries.ensemble.cesaro_means` for the seed batching and the burn-in.
     """
     table = fam.n_psi_table(ens.psi_s)[:, :, None]
     unit = ens.psi_s / np.linalg.norm(ens.psi_s)
-    per_seed = _cesaro_means(ens, ens.adjoints, ens.psi_s, table, fam.width, seeds, n_total, unit)[:, 0]
+    per_seed = cesaro_means(ens, ens.adjoints, ens.psi_s, table, fam.width, seeds, n_total, unit)[:, 0]
     mean, stderr = _mean_stderr(per_seed)
     return {"mean": complex(mean), "stderr": float(np.abs(stderr)), "per_seed": per_seed}
 
@@ -316,7 +209,7 @@ def flux_monte_carlo(
     vec(rho_init) is carried by the adjoint maps Phi_i^* and paired, in one
     pass per seed, with two tables over consecutive atom pairs (i, j): the
     energy jump of atom i followed by j, and atom i's beta-weighted flux
-    matrix. See :func:`_cesaro_means` for the seed batching and the burn-in.
+    matrix. See :func:`ries.ensemble.cesaro_means` for the seed batching and the burn-in.
     """
     system = _require_models(ens).system
     if rho_init is None:
@@ -326,7 +219,7 @@ def flux_monte_carlo(
     ent = np.repeat(ens.betas[:, None] * flux, ens.n_atoms, axis=0)  # indexed by (i, j)
     tables = np.stack([jump.reshape(ent.shape), ent], axis=-1)
     unit = vec(np.eye(system.dim_s)) / np.sqrt(system.dim_s)  # Phi_i^* keeps the trace
-    means = _cesaro_means(ens, dag(ens.phis), vec(rho_init), tables, 2, seeds, n_total, unit)
+    means = cesaro_means(ens, dag(ens.phis), vec(rho_init), tables, 2, seeds, n_total, unit)
     de, de_err = _mean_stderr(means[:, 0].real)
     ds, ds_err = _mean_stderr(means[:, 1].real)
     return FluxReport(

@@ -4,9 +4,10 @@ Every module-level import in ``src/ries/*.py`` must be used (names listed
 in ``__all__`` count as used), and no module may reach into another
 ``ries`` module's underscore-prefixed names, by import or by attribute.
 ``ries.__all__`` lists exactly the names the package namespace imports.
-A seed becomes a random stream in one place only, so no second seed
-convention can grow back, and a window family is data (A_S and a per-slot
-table of B), so ``ries.thermo`` builds no per-tuple window. Probes that skip
+A seed becomes a random stream in one place only, and a walk turns its
+seeds into paths in one place, so no second seed convention can grow
+back, and a window family is data (A_S and a per-slot table of B), so
+``ries.thermo`` builds no per-tuple window. Probes that skip
 their own checks are built for the presample alone, which checks its draws.
 A config is built into typed inputs in one place, the cli asks the oracle
 about every m in one call, only the cli builds summary payloads, and helpers
@@ -150,24 +151,27 @@ def test_one_seed_convention(name, allowed):
         ("reduce_windows", {"model.py:reduce_instant", "thermo.py:observable_family"}),
         ("step_unitaries", {"model.py:encounters"}),
         (
-            "word_tables",
+            "_word_tables",
             {
-                "thermo.py:_cesaro_means",
+                "ensemble.py:cesaro_means",
                 "ensemble.py:simulate_forward",
                 "ensemble.py:simulate_reverse",
                 "ensemble.py:lyapunov",
             },
         ),
-        ("word_length", {"thermo.py:_cesaro_means", "ensemble.py:_words"}),
+        ("_word_length", {"ensemble.py:cesaro_means", "ensemble.py:_words"}),
+        ("sample_paths", {"ensemble.py:_start"}),
     ],
 )
 def test_one_path_per_reduction(name, allowed):
     """The chain engine serves only the oracle, and every window reduction is the
     stacked one, so an oracle check compares two independent code paths; every
-    step unitary comes from one `Encounters` stack, which the reductions read; and
-    every trajectory walk reads words from one table builder, at one word length
-    rule, k = 1 included: both Monte Carlo estimators, and the forward, reverse and
-    Lyapunov kernels, whose word walks `_words` cuts."""
+    step unitary comes from one `Encounters` stack, which the reductions read;
+    every trajectory walk that steps words reads them from one table builder, at
+    one word length rule: the Monte Carlo means, and the forward, reverse and
+    Lyapunov kernels, whose word walks `_words` cuts (at k = 1 these three step
+    the ensemble's cached atom tables instead); and every walk turns its seeds
+    into paths in `_start`."""
     used = {f"{p.name}:{f}" for p in MODULES for f in _uses_by_function(_parse(p), name)}
     assert used == allowed
 

@@ -14,7 +14,7 @@ from dense_reference import (
 
 import ries
 from ries.cli import _fields, _theta_checks
-from ries.ensemble import EnsembleError, RrdoEnsemble, _dot2, trajectory_rng, word_length
+from ries.ensemble import EnsembleError, RrdoEnsemble, _dot2, _word_length, trajectory_rng
 from ries.linalg import (
     KahanAccumulator,
     dag,
@@ -503,7 +503,7 @@ def test_monte_carlo_matches_per_seed_loops(case, n_totals, reference_ensemble, 
 def _monte_carlo_k(ens, width):
     """The Monte Carlo word length: one word's tables counted as a D x D matrix per
     pairing row, max(A, 2)**(width - 1) of them."""
-    return word_length(ens.n_atoms, max(ens.n_atoms, 2) ** (width - 1) * ens.dim**2)
+    return _word_length(ens.n_atoms, max(ens.n_atoms, 2) ** (width - 1) * ens.dim**2)
 
 
 def test_word_length_rule(reference_ensemble, rng, wide_qutrit_model):
@@ -519,7 +519,7 @@ def test_word_length_rule(reference_ensemble, rng, wide_qutrit_model):
     }
     assert got == {"qubit instant": 8, "qubit fluxes": 7, "qutrit jump window": 2, "wide instant": 1, "wide fluxes": 1}
     for a, width, dim in product((1, 2, 3, 5), (1, 2), (1, 2, 4, 9, 70)):
-        k = word_length(a, max(a, 2) ** (width - 1) * dim**2)
+        k = _word_length(a, max(a, 2) ** (width - 1) * dim**2)
         entries = [max(a, 2) ** (j + width - 1) * dim**2 for j in (k, k + 1)]
         assert k >= 1 and (entries[0] <= 2**12 or k == 1) and entries[1] > 2**12
 
