@@ -17,12 +17,14 @@ interaction dynamics on a truncated chain (``full_chain_oracle``) against
 which every reduced-picture quantity can be checked at small sizes. The
 oracle alone evolves a dim x dim chain state over the chain's tensor legs,
 grown one leg per step: each probe joins in its Gibbs state at its own
-encounter, which alone is applied to the chain, on its own legs, so no
-chain-sized unitary is ever formed. A probe's free evolution commutes with
-every later encounter: it is applied once, on the reduced window state, and
-only to the window legs that keep it. One evolution to the largest m asked
-for serves every m and every observable of a stack: the chain is read out
-after each step that is asked about.
+encounter, next to S, so the legs run [S, E_k, ..., E_1] and the encounter,
+which alone is applied to the chain, acts on the two leading legs: one matmul
+per side, no chain-sized unitary and no transposed copy. The kept window legs,
+which arrive newest first, are put back in probe order at readout. A probe's
+free evolution commutes with every later encounter: it is applied once, on
+the reduced window state, and only to the window legs that keep it. One
+evolution to the largest m asked for serves every m and every observable of a
+stack: the chain is read out after each step that is asked about.
 
 Encounters are built once per probe list, as one stack with one row per probe
 (:func:`encounters`): :func:`step_unitaries` diagonalizes every generator
@@ -92,14 +94,15 @@ def check_capacity(dims: list[int], window: int = 0, stack: int = 1, powers: boo
     dim = int(np.prod(dims, dtype=np.int64))
     if stack * dim * dim <= ORACLE_DIM_GUARD**2:
         return
-    # tracemalloc peaks in dim x dim complex arrays. An oracle call holds 2 + 1/d_S (2.50 at
-    # dims 256 to 4096 on the qubit chain: the state, the result of the encounter with the
-    # leg that joined last, and one block product of 1/d_S of an array); the guard states 3,
-    # which bounds 2 + 1/d_S at every d_S. On the qubit chain (2 cores, OpenBLAS) one call
-    # took 0.8 s at dim 2048 (m = 10) and 4.6 s at dim 4096 (m = 11, traced peak 640 MiB,
-    # maximum RSS 700 MiB). A window reduction with l + r >= 1 holds 3.5 per tuple (3.50 at
-    # d = e = 2 for l + r = 1 to 3, 3.38 at d = 3, e = 2, l = 1: a gathered U or U*, the
-    # product it enters and its result, plus the tuple's X row and indices). With l = r = 0
+    # tracemalloc peaks in dim x dim complex arrays. An oracle call holds 2 (2.00 at dims 512
+    # to 4096 on the qubit chain: the state and the result of one side of the encounter with
+    # the leg that joined next to S); the guard states 2.1, a margin of 0.1 for the arrays
+    # of the legs before the last step, the step unitaries and the readout. On the qubit
+    # chain (2 cores, OpenBLAS) one call took 0.09 s at dim 2048 (m = 10) and 0.37 s at dim
+    # 4096 (m = 11, traced peak 512 MiB, maximum RSS 590 MiB). A window reduction with
+    # l + r >= 1 holds 3.5 per tuple (3.50 at d = e = 2 for l + r = 1 to 3, 3.38 at d = 3,
+    # e = 2, l = 1: a gathered U or U*, the product it enters and its result, plus the
+    # tuple's X row and indices). With l = r = 0
     # the tuples are the atoms, whose encounters are built before, once per probe list: 4.5
     # per tuple (identity family 4.39 at d = e = 2, 3.83 at d = 2, e = 3, 3.76 at d = 3,
     # e = 2, 3.43 at d = e = 3; probe energy 3.76 at d = e = 2; on 1,024 and 4,096 atoms;
@@ -108,8 +111,9 @@ def check_capacity(dims: list[int], window: int = 0, stack: int = 1, powers: boo
     # at D = 4 for 10^4 and 4 * 10^4 powers; the D singular values of each error and the
     # decay fit's arrays of one entry per power add the rest).
     per_item = 1.2 if powers else 4.5 if window == 0 else 3.5
-    arrays = per_item * stack if powers or stack > 1 else 3
-    peak = f"{arrays * dim * dim * 16 / 2**20:,.0f} MiB ({arrays:,.0f} dense {dim}x{dim} arrays)"
+    arrays = per_item * stack if powers or stack > 1 else 2.1
+    count = f"{arrays:,.1f}".removesuffix(".0")
+    peak = f"{arrays * dim * dim * 16 / 2**20:,.0f} MiB ({count} dense {dim}x{dim} arrays)"
     entries = f"hold {stack * dim * dim:,} entries, past ORACLE_DIM_GUARD^2 = {ORACLE_DIM_GUARD**2:,}"
     if powers:
         raise CapacityError(
@@ -363,24 +367,11 @@ def rdo_from_model(sys: SystemSpec, probe: ProbeSpec) -> "rdo_mod.Rdo":
     return rdos_from_model(encounters(sys, [probe]))[0]
 
 
-def _apply_encounter(x: np.ndarray, u: np.ndarray, d: int, e: int) -> np.ndarray:
-    """(u on S and the last leg, identity elsewhere) @ x, without building the embedding.
-
-    `x` is a dim x dim array whose rows are (S, legs between, last leg E),
-    with S of dimension `d` and E of dimension `e`; `u` acts on S x E. It is
-    applied block by block of S's rows: block a of the result is the sum
-    over b of u[(a, .), (b, .)] times block b of `x`, each block a view of
-    `x` whether it holds the state or its transpose, so it holds `x`, the
-    result and one block product (1/d_S of an array).
-    """
-    dim = x.shape[0]
-    u, x = u.reshape(d, e, d, e), x.reshape(d, -1, e, dim)
-    out = np.empty(x.shape, dtype=complex)
-    for a in range(d):
-        np.matmul(u[a, :, 0], x[0], out=out[a])
-        for b in range(1, d):
-            out[a] += u[a, :, b] @ x[b]
-    return out.reshape(dim, dim)
+def _apply_encounter(u: np.ndarray, x: np.ndarray, blocks: int) -> np.ndarray:
+    """`u` on the two leading legs S x E_k of the square chain array `x`, as one matmul:
+    on its rows, u @ x, with `blocks` = 1; on its columns, with `blocks` = dim, where each
+    row, seen as a (d e, rest) array, becomes u @ row, so conj(U_k) there gives x U_k*."""
+    return (u @ x.reshape(blocks, len(u), -1)).reshape(x.shape)
 
 
 def _conjugate_by_chain(x: np.ndarray, enc: Encounters) -> Iterator[np.ndarray]:
@@ -389,38 +380,41 @@ def _conjugate_by_chain(x: np.ndarray, enc: Encounters) -> Iterator[np.ndarray]:
     encounters alone (the free evolutions are left to
     :func:`full_chain_expectation`), on the chain grown one leg per step.
 
-    `x` is a state on S alone. Just before step k, probe leg E_k joins last,
-    in its Gibbs state, so the legs are [S, E_1, ..., E_k], and step k applies
-    the encounter U_k of S with E_k, row k - 1 of the stacks `enc`.
-
-    Each U_k acts on its own legs of `x` only, as U_k x U_k*: on the row legs
-    directly, and on the column legs as rows of the transpose,
-    x U_k* = (conj(U_k) x^T)^T. The transpose is kept from one step to the
-    next, so each step costs one, and a leg joining the transpose joins as
-    Gibbs_k^T. No chain-sized unitary is formed. A yielded state is not
-    changed by later steps, which build new arrays.
+    `x` is a state on S alone. Just before step k, probe leg E_k joins next to S,
+    in its Gibbs state, so the legs are [S, E_k, ..., E_1], newest probe first, and
+    step k applies the encounter U_k of S with E_k, row k - 1 of the stacks `enc`,
+    on the two leading legs: U_k x U_k* is U_k on the rows, one matmul, then
+    conj(U_k) on the leading legs of each row's columns, x U_k* = (conj(U_k) x_row)
+    per row, one stacked matmul. No chain-sized unitary and no transposed copy is
+    formed, and each step holds two chain-sized arrays at most. A yielded state is
+    not changed by later steps, which build new arrays.
     """
-    d, transposed = enc.system.dim_s, False  # whether `x` currently holds the transpose
+    d = enc.system.dim_s
     for probe, k in zip(enc.probes, enc.pos):
         _, us, gibbs = enc.groups[e := probe.dim_e]
-        x = np.kron(x, gibbs[k].T if transposed else gibbs[k])
-        x = _apply_encounter(x, us[k].conj() if transposed else us[k], d, e)
-        x, transposed = x.T, not transposed
-        x = _apply_encounter(x, us[k].conj() if transposed else us[k], d, e)
-        yield x.T if transposed else x
+        rest = len(x) // d
+        # x[(a, p), (b, q)] Gibbs_k[i, j] at [(a, i, p), (b, j, q)]: a kron with E_k in the middle
+        x = (x.reshape(d, 1, rest, d, 1, rest) * gibbs[k][:, None, None, :, None]).reshape(d * e * rest, -1)
+        x = _apply_encounter(us[k], x, 1)  # U_k on the rows
+        x = _apply_encounter(us[k].conj(), x, len(x))  # U_k* on the columns
+        yield x
 
 
 def _read_window(
     rho_tot: np.ndarray, steps: list[ProbeSpec], dims: list[int], ops: np.ndarray, m: int, l: int, r: int
 ) -> complex | np.ndarray:
     """The expectation of the window operator(s) `ops` in the chain state `rho_tot`
-    after step m, on the legs `dims[: m + 1]`, S first (see :func:`full_chain_expectation`)."""
-    d = dims[0]
-    # the evolved window legs are S and the last l + 1 probes: trace out E_1 .. E_(m-l-1)
-    before = int(np.prod(dims[1 : m - l], dtype=np.int64))
-    after = int(np.prod(dims[m - l : m + 1], dtype=np.int64))
-    rho_w = np.einsum("apbcpd->abcd", rho_tot.reshape(d, before, after, d, before, after))
-    rho_w = rho_w.reshape(d * after, d * after)
+    after step m, on the legs [S, E_m, ..., E_1] (see :func:`full_chain_expectation`)."""
+    d, kept = dims[0], dims[m - l : m + 1]  # the window legs E_(m-l) .. E_m, in probe order
+    # the evolved window legs are S and the newest l + 1 probes, which lead: trace out the
+    # trailing E_(m-l-1) .. E_1
+    size, rest = math.prod(kept), math.prod(dims[1 : m - l])
+    rho_w = np.einsum("abpcdp->abcd", rho_tot.reshape(d, size, rest, d, size, rest))
+    if l:  # the kept legs arrive newest first: put them back in probe order
+        n = l + 1
+        rho_w = rho_w.reshape(d, *kept[::-1], d, *kept[::-1])
+        rho_w = rho_w.transpose(0, *range(n, 0, -1), n + 1, *range(2 * n + 1, n + 1, -1))
+    rho_w = rho_w.reshape(d * size, d * size)
     if l:  # each kept leg E_n, n < m, evolves freely over the steps n + 1 .. m
         free = [expm_hermitian(steps[n - 1].h_e, -1j * sum(p.tau for p in steps[n:m]))
                 for n in range(m - l, m)]
@@ -428,7 +422,7 @@ def _read_window(
         rho_w = g @ rho_w @ dag(g)
     if r:  # Tr_idle[(1 x Gibbs_(m+1) x ... x Gibbs_(m+r)) op], the idle legs' expectation
         idle = reduce(np.kron, [probe.gibbs_state() for probe in steps[m : m + r]])
-        ops = weighted_partial_trace(ops, d * after, idle)
+        ops = weighted_partial_trace(ops, d * size, idle)
     if ops.ndim == 2:
         return complex(np.einsum("ij,ji->", rho_w, ops))
     return np.array([np.einsum("ij,ji->", rho_w, op) for op in ops], dtype=complex)
@@ -448,18 +442,21 @@ def full_chain_expectation(
     `op_window` acts on S x E_(m-l) x ... x E_(m+r), in that tensor order.
     Evolves the state rho_init x (x_k Gibbs_k) of the truncated chain
     S x E_1 x ... x E_m, growing the chain one leg per step: probe k joins
-    in its Gibbs state just before its own encounter, which is applied to
-    its own tensor legs (:func:`_conjugate_by_chain`). Step k also evolves
+    next to S, in its Gibbs state, just before its own encounter, which is
+    applied to the two leading legs S x E_k of the chain, held in the leg order
+    [S, E_k, ..., E_1] (:func:`_conjugate_by_chain`). Step k also evolves
     every other probe freely for tau_k. A probe not yet coupled needs no
     factor, as its Gibbs state commutes with its free evolution, so the r
     probes after step m are traced out of `op_window` against their Gibbs
     states, never joined to the state. The free evolution of a probe E_n
     already coupled acts on its leg alone, commutes with every later
     encounter and so collects into one factor g_n = exp(-i h_(E_n) t_n),
-    t_n = tau_(n+1) + ... + tau_m. E_1 .. E_(m-l-1) are traced out first and
-    need none, as Tr_E[g x g*] = Tr_E[x]; each kept leg E_n (m - l <= n < m)
-    gets its g_n once, as g rho_w g* on the reduced window state rho_w on
-    S x E_(m-l) x ... x E_m, which is traced against that reduced operator.
+    t_n = tau_(n+1) + ... + tau_m. The trailing legs E_(m-l-1) .. E_1 are
+    traced out first and need none, as Tr_E[g x g*] = Tr_E[x]; the kept legs,
+    newest first, are transposed back into probe order, and each kept leg E_n
+    (m - l <= n < m) gets its g_n once, as g rho_w g* on the reduced window
+    state rho_w on S x E_(m-l) x ... x E_m, which is traced against that
+    reduced operator.
     No reduced-picture shortcut is used.
 
     `m` is one step count or an increasing sequence of them. A sequence is

@@ -8,10 +8,10 @@ the same call, recorded below in bytes (numpy 2.4, Python 3.11). The sizes
 are the full sizes of the `mc_qubit` and `wide_qutrit` benchmark workloads.
 The stacked window reduction must stay within the peak per tuple that its
 capacity guard states, for a window (l + r >= 1) and for one slot, a
-full-chain oracle call (one m, or every m of one evolution) within the
-2 + 1/d_S dense arrays that its guard's comment states, plus a margin of 0.1,
-and the ideal asymptotics within the arrays per power that the guard states
-for a stack of RDO powers.
+full-chain oracle call (one m, or every m of one evolution, on the qubit chain
+and on a chain of qubit and qutrit probes) within the 2 dense arrays that its
+guard's comment states, plus a margin of 0.1, and the ideal asymptotics within
+the arrays per power that the guard states for a stack of RDO powers.
 """
 
 import tracemalloc
@@ -117,21 +117,34 @@ def test_one_slot_family_peak_within_guard_estimate(qubit_model):
     assert peak <= ONE_SLOT_ARRAYS_PER_TUPLE * unit, f"{peak / unit:.2f} arrays"
 
 
-# the peak that `ries.model.check_capacity` states for one oracle call, 2 + 1/d_S dense
-# dim x dim arrays on the qubit chain (d_S = 2), plus a margin of 0.1
-ORACLE_ARRAYS = 2 + 1 / 2 + 0.1
+# the peak that `ries.model.check_capacity` states for one oracle call: 2 dense dim x dim
+# arrays, plus a margin of 0.1
+ORACLE_ARRAYS = 2.1
+
+
+def _mixed_chain(qubit_model, rng):
+    """The qubit system with qubit and qutrit probes alternating, 7 of them (dim 864),
+    each qutrit probe with its own random h_e and v."""
+    system, qubit = qubit_model
+    qutrit = [
+        ries.ProbeSpec(dim_e=3, h_e=random_hermitian(3, rng), beta_e=0.8, v=random_hermitian(6, rng), tau=0.9)
+        for _ in range(3)
+    ]
+    return system, [qubit, qutrit[0], qubit, qutrit[1], qubit, qutrit[2], qubit], 864
 
 
 def test_oracle_peak_within_guard_estimate(qubit_model, rng):
     """An m = 8 oracle call on the qubit chain (dim 512) with two observables, as in
-    `oracle_chain`, peaks at or below the stated dense dim x dim arrays."""
+    `oracle_chain`, and an m = 7 call on the qubit system with qubit and qutrit probes
+    (dim 864), each probe dimension joining the chain on its own, peak at or below the
+    stated dense dim x dim arrays."""
     system, probe = qubit_model
-    m, dim = 8, 512
-    a_s = np.array([random_hermitian(2, rng) for _ in range(2)])
-    obs = ries.ObservableWindow.system_only(a_s, 2)
-    unit = 16 * dim**2
-    peak = peak_bytes(lambda: ries.full_chain_oracle(system, [probe] * m, obs, m, system.gibbs_state()))
-    assert peak <= ORACLE_ARRAYS * unit, f"{peak / unit:.3f} arrays"
+    for system, steps, dim in ((system, [probe] * 8, 512), _mixed_chain(qubit_model, rng)):
+        a_s = np.array([random_hermitian(2, rng) for _ in range(2)])
+        obs = ries.ObservableWindow.system_only(a_s, steps[-1].dim_e)
+        unit = 16 * dim**2
+        peak = peak_bytes(lambda: ries.full_chain_oracle(system, steps, obs, len(steps), system.gibbs_state()))
+        assert peak <= ORACLE_ARRAYS * unit, f"dim {dim}: {peak / unit:.3f} arrays"
 
 
 def test_oracle_sequence_peak_within_guard_estimate(qubit_model, rng):

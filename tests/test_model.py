@@ -164,7 +164,7 @@ def test_oracle_capacity_guard(qubit_model):
         ries.full_chain_oracle(system, [probe] * 13, future, 12, system.gibbs_state())
     message = str(exc.value)
     assert "chain dimension 8192" in message
-    assert f"{3 * 8192**2 * 16 / 2**20:,.0f} MiB" in message
+    assert f"{2.1 * 8192**2 * 16 / 2**20:,.0f} MiB (2.1 dense 8192x8192 arrays)" in message
     # the chain grows one leg per step and applies only its encounters: 12 of them
     assert f"m = 12 encounters g x g*, each touching dim^2*d_S*d_E <= {8192**2 * 4:,} entries per side" in message
 
@@ -374,14 +374,18 @@ def test_sequence_readout_on_unequal_legs(rng):
 
 def test_sequence_builds_and_applies_each_encounter_once(qubit_model, uncoupled_probe, rng, monkeypatch):
     """One sequence call builds its step unitaries as one stack per distinct probe
-    dimension and applies 2 max(m) encounter halves (U on the rows, then on the
-    columns), however many m it reads out."""
+    dimension and applies max(m) encounters, each as two halves on the leading legs
+    S x E_k: U_k on the rows as one block, then conj(U_k) on the columns, one block
+    per row of the chain grown to that step, however many m it reads out."""
     calls = {"step_unitaries": 0, "_apply_encounter": 0}
+    blocks = []
     for name in calls:
         original = getattr(ries.model, name)
 
         def counted(*args, _original=original, _name=name):
             calls[_name] += 1
+            if _name == "_apply_encounter":
+                blocks.append(args[2])
             return _original(*args)
 
         monkeypatch.setattr(ries.model, name, counted)
@@ -398,10 +402,13 @@ def test_sequence_builds_and_applies_each_encounter_once(qubit_model, uncoupled_
     )
     for sys_, steps, ms, n_dims in cases:
         calls.update(step_unitaries=0, _apply_encounter=0)
+        blocks.clear()
         obs = ries.ObservableWindow.system_only(random_hermitian(sys_.dim_s, rng), steps[ms[-1] - 1].dim_e)
         ries.full_chain_oracle(sys_, steps, obs, ms, sys_.gibbs_state())
         assert calls["step_unitaries"] == n_dims
         assert calls["_apply_encounter"] == 2 * ms[-1]
+        dims = [sys_.dim_s * math.prod(p.dim_e for p in steps[:k]) for k in range(1, ms[-1] + 1)]
+        assert blocks == [n for dim in dims for n in (1, dim)]
 
 
 @pytest.mark.parametrize(
