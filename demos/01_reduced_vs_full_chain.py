@@ -5,9 +5,9 @@ excitation-exchange interaction, constructs the reduced dynamics operator
 (RDO) on the 4-dimensional GNS space, and checks that powers of that small
 matrix reproduce exact expectations computed by brute force on the
 truncated chain S x E_1 x ... x E_m: the oracle evolves the full chain
-state, applying every step unitary to its own tensor legs, and applies a
-spectator's free evolution, which commutes with every later encounter, once
-to each window leg that it keeps. One chain evolution, to the largest m,
+as a purified vector, applying every step unitary to its own tensor legs,
+and applies a spectator's free evolution, which commutes with every later
+encounter, once to each window leg that it keeps. One chain evolution, to the largest m,
 is read out after every step m that is printed. Then it does the same for
 a windowed observable that rides along with the interaction.
 """

@@ -80,9 +80,8 @@ def require_hermitian(a: np.ndarray, name: str = "matrix", tol: float = HERMITIC
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    defect = float(np.linalg.norm(a - dag(a), 2))
-    scale = max(1.0, float(np.linalg.norm(a, 2)))
-    if defect > tol * scale:
+    defect, norm = np.linalg.svd(np.stack([a - dag(a), a]), compute_uv=False).max(axis=1, initial=0.0).tolist()
+    if defect > tol * max(1.0, norm):
         raise ValueError(f"{name} is not Hermitian (defect {defect:.3e})")
     return a
 

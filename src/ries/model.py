@@ -15,11 +15,10 @@ a time ``tau``. This module builds, from such data:
 and, crucially, an exact brute-force evaluation of the repeated
 interaction dynamics on a truncated chain (``full_chain_oracle``) against
 which every reduced-picture quantity can be checked at small sizes. The
-oracle alone evolves a dim x dim chain state over the chain's tensor legs,
-grown one leg per step: each probe joins in its Gibbs state at its own
-encounter, next to S, so the legs run [S, E_k, ..., E_1] and the encounter,
-which alone is applied to the chain, acts on the two leading legs: one matmul
-per side, no chain-sized unitary and no transposed copy. The kept window legs,
+oracle alone evolves the chain, as a purified vector (the GNS picture): the
+legs run [A_S, S, E_k, A_k, ..., E_1, A_1], each probe joining next to S at
+its own encounter as g_k = Gibbs_k^(1/2) on E_k and its ancilla A_k, so step
+k is one matmul, W_k = U_k (1 x g_k) on the S leg. The kept window legs,
 which arrive newest first, are put back in probe order at readout. A probe's
 free evolution commutes with every later encounter: it is applied once, on
 the reduced window state, and only to the window legs that keep it. One
@@ -54,6 +53,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
+from scipy.linalg.blas import zherk
 
 from . import rdo as rdo_mod
 from .linalg import (
@@ -84,35 +84,34 @@ def check_capacity(dims: list[int], window: int = 0, stack: int = 1, powers: boo
     the powers M, M^2, ..., M^stack of one RDO on the GNS space `dims`, as
     the ideal asymptotics hold them. The error states the estimated peak
     bytes and, for a chain of S and one probe leg per step, the number of
-    factor applications: the chain grows one leg per step and step k applies
-    only the encounter of S with E_k, m encounters in m steps, each touching
-    dim^2 d_S d_E entries per side. The free evolutions of the l kept window
-    legs act on the reduced window state, not on the chain.
+    encounter products: step k is one product with the isometry of the
+    encounter of S with E_k, m in m steps, the last writing dim^2 entries.
+    The free evolutions of the l kept window legs act on the reduced window
+    state, not on the chain.
     """
     if window > WINDOW_CAPACITY:
         raise CapacityError(f"window capacity guard: l + r = {window} exceeds {WINDOW_CAPACITY}")
     dim = int(np.prod(dims, dtype=np.int64))
     if stack * dim * dim <= ORACLE_DIM_GUARD**2:
         return
-    # tracemalloc peaks in dim x dim complex arrays. An oracle call holds 2 (2.00 at dims 512
-    # to 4096 on the qubit chain: the state and the result of one side of the encounter with
-    # the leg that joined next to S); the guard states 2.1, a margin of 0.1 for the arrays
-    # of the legs before the last step, the step unitaries and the readout. On the qubit
-    # chain (2 cores, OpenBLAS) one call took 0.09 s at dim 2048 (m = 10) and 0.37 s at dim
-    # 4096 (m = 11, traced peak 512 MiB, maximum RSS 590 MiB). A window reduction with
-    # l + r >= 1 holds 3.5 per tuple (3.50 at d = e = 2 for l + r = 1 to 3, 3.38 at d = 3,
-    # e = 2, l = 1: a gathered U or U*, the product it enters and its result, plus the
-    # tuple's X row and indices). With l = r = 0
-    # the tuples are the atoms, whose encounters are built before, once per probe list: 4.5
-    # per tuple (identity family 4.39 at d = e = 2, 3.83 at d = 2, e = 3, 3.76 at d = 3,
-    # e = 2, 3.43 at d = e = 3; probe energy 3.76 at d = e = 2; on 1,024 and 4,096 atoms;
-    # below d e = 4 the per-tuple bookkeeping weighs more). The ideal asymptotics hold one
-    # stack, the powers M^n turned into their errors M^n - P_1 in place: 1.2 per power (1.16
-    # at D = 4 for 10^4 and 4 * 10^4 powers; the D singular values of each error and the
-    # decay fit's arrays of one entry per power add the rest).
+    # tracemalloc peaks in dim x dim complex arrays. An oracle call holds 1 + 1/e^2, e the
+    # last probe's dimension (1.25 at dims 512 to 4096 on the qubit chain, l = 0 to 3: the
+    # last step's vector and the one before, 1/e^2 of it); the guard adds 0.1 for the readout,
+    # which for l >= 1 copies 1/(d_S e^(l+1)) of the vector at a time. On the qubit chain (2
+    # cores, OpenBLAS) one call took 0.05 s at dim 2048 (m = 10) and 0.15 s at dim 4096 (m =
+    # 11, traced peak 320 MiB, maximum RSS 402 MiB). A window reduction with l + r >= 1 holds
+    # 3.5 per tuple (3.50 at d = e = 2 for l + r = 1 to 3, 3.38 at d = 3, e = 2, l = 1: a
+    # gathered U or U*, the product it enters and its result, plus the tuple's X row and
+    # indices). With l = r = 0 the tuples are the atoms, whose encounters are built before,
+    # once per probe list: 4.5 per tuple (identity family 4.39 at d = e = 2, 3.83 at d = 2,
+    # e = 3, 3.76 at d = 3, e = 2, 3.43 at d = e = 3; probe energy 3.76 at d = e = 2; on
+    # 1,024 and 4,096 atoms; below d e = 4 the per-tuple bookkeeping weighs more). The ideal
+    # asymptotics hold one stack, the powers M^n turned into their errors M^n - P_1 in place:
+    # 1.2 per power (1.16 at D = 4 for 10^4 and 4 * 10^4 powers; the D singular values of
+    # each error and the decay fit's arrays of one entry per power add the rest).
     per_item = 1.2 if powers else 4.5 if window == 0 else 3.5
-    arrays = per_item * stack if powers or stack > 1 else 2.1
-    count = f"{arrays:,.1f}".removesuffix(".0")
+    arrays = per_item * stack if powers or stack > 1 else 1.1 + 1 / dims[-1] ** 2
+    count = f"{arrays:,.2f}".rstrip("0").removesuffix(".")
     peak = f"{arrays * dim * dim * 16 / 2**20:,.0f} MiB ({count} dense {dim}x{dim} arrays)"
     entries = f"hold {stack * dim * dim:,} entries, past ORACLE_DIM_GUARD^2 = {ORACLE_DIM_GUARD**2:,}"
     if powers:
@@ -126,8 +125,8 @@ def check_capacity(dims: list[int], window: int = 0, stack: int = 1, powers: boo
         )
     raise CapacityError(
         f"chain dimension {dim} exceeds guard {ORACLE_DIM_GUARD}: estimated peak {peak} and "
-        f"m = {len(dims) - 1} encounters g x g*, each touching "
-        f"dim^2*d_S*d_E <= {dim * dim * dims[0] * max(dims[1:], default=1):,} entries per side"
+        f"m = {len(dims) - 1} encounters, one product W_k psi each, the last writing "
+        f"dim^2 = {dim * dim:,} entries"
     )
 
 
@@ -367,49 +366,52 @@ def rdo_from_model(sys: SystemSpec, probe: ProbeSpec) -> "rdo_mod.Rdo":
     return rdos_from_model(encounters(sys, [probe]))[0]
 
 
-def _apply_encounter(u: np.ndarray, x: np.ndarray, blocks: int) -> np.ndarray:
-    """`u` on the two leading legs S x E_k of the square chain array `x`, as one matmul:
-    on its rows, u @ x, with `blocks` = 1; on its columns, with `blocks` = dim, where each
-    row, seen as a (d e, rest) array, becomes u @ row, so conj(U_k) there gives x U_k*."""
-    return (u @ x.reshape(blocks, len(u), -1)).reshape(x.shape)
+def _chain_isometries(enc: Encounters) -> dict[int, np.ndarray]:
+    """Per probe dimension e, the (n, d e^2, d) isometries W_k[(s, e, a), s'] = (U_k (1 x
+    g_k))[(s, e), (s', a)] from S to S x E_k x A_k, g_k = Gibbs_k^(1/2): one batched eigh
+    and one batched matmul per group."""
+    d, ws = enc.system.dim_s, {}
+    for e, (_, u, rho_e) in enc.groups.items():
+        w, v = np.linalg.eigh(rho_e)
+        g = (v * np.sqrt(np.maximum(w, 0.0))[:, None, :]) @ dag(v)
+        ws[e] = (u.reshape(-1, d * e, d, e) @ g[:, None]).transpose(0, 1, 3, 2).reshape(-1, d * e * e, d)
+    return ws
 
 
-def _conjugate_by_chain(x: np.ndarray, enc: Encounters) -> Iterator[np.ndarray]:
-    """U_k ... U_1 (x x Gibbs_1 x ... x Gibbs_k) (U_k ... U_1)* after each step
-    k = 1 .. len(enc.probes), yielded in turn: the oracle's chain evolution by its
-    encounters alone (the free evolutions are left to
-    :func:`full_chain_expectation`), on the chain grown one leg per step.
+def _purified_chain(psi: np.ndarray, enc: Encounters) -> Iterator[np.ndarray]:
+    """The purified chain vector after each step k = 1 .. len(enc.probes), yielded in turn:
+    the oracle's evolution by its encounters alone (free ones: :func:`full_chain_expectation`).
 
-    `x` is a state on S alone. Just before step k, probe leg E_k joins next to S,
-    in its Gibbs state, so the legs are [S, E_k, ..., E_1], newest probe first, and
-    step k applies the encounter U_k of S with E_k, row k - 1 of the stacks `enc`,
-    on the two leading legs: U_k x U_k* is U_k on the rows, one matmul, then
-    conj(U_k) on the leading legs of each row's columns, x U_k* = (conj(U_k) x_row)
-    per row, one stacked matmul. No chain-sized unitary and no transposed copy is
-    formed, and each step holds two chain-sized arrays at most. A yielded state is
-    not changed by later steps, which build new arrays.
+    `psi` is a (d_A, d) purification of the start on S, the state sum_alpha sign_alpha
+    psi[alpha] psi[alpha]*. Probe k joins as the vector g_k on E_k and an ancilla A_k
+    (g_k g_k* = Gibbs_k), so the legs run [A_S, S, E_k, A_k, ..., E_1, A_1]: step k is
+    one product W_k psi on the S leg (:func:`_chain_isometries`), which adds E_k and A_k
+    next to S and applies U_k, with no kron, no column side and no transposed copy; it
+    holds the new vector and the old one, e^-2 of it. A yielded vector is not changed
+    by later steps, which build new arrays.
     """
-    d = enc.system.dim_s
+    ws, d = _chain_isometries(enc), enc.system.dim_s
     for probe, k in zip(enc.probes, enc.pos):
-        _, us, gibbs = enc.groups[e := probe.dim_e]
-        rest = len(x) // d
-        # x[(a, p), (b, q)] Gibbs_k[i, j] at [(a, i, p), (b, j, q)]: a kron with E_k in the middle
-        x = (x.reshape(d, 1, rest, d, 1, rest) * gibbs[k][:, None, None, :, None]).reshape(d * e * rest, -1)
-        x = _apply_encounter(us[k], x, 1)  # U_k on the rows
-        x = _apply_encounter(us[k].conj(), x, len(x))  # U_k* on the columns
-        yield x
+        psi = ws[probe.dim_e][k] @ psi.reshape(len(psi), d, -1)
+        yield psi
 
 
 def _read_window(
-    rho_tot: np.ndarray, steps: list[ProbeSpec], dims: list[int], ops: np.ndarray, m: int, l: int, r: int
+    psi: np.ndarray, signs: np.ndarray, steps: list[ProbeSpec], dims: list[int], ops: np.ndarray, m: int, l: int, r: int
 ) -> complex | np.ndarray:
-    """The expectation of the window operator(s) `ops` in the chain state `rho_tot`
-    after step m, on the legs [S, E_m, ..., E_1] (see :func:`full_chain_expectation`)."""
+    """The expectation of the window operator(s) `ops` in the chain vector `psi` after step
+    m (see :func:`full_chain_expectation`). The window state is sum_alpha signs[alpha] Y Y*
+    over the slices Y of row alpha: S and E_m .. E_(m-l) are Y's rows and the other legs its
+    columns, and for l > 0 there is one Y per value of the kept legs' ancillas A_m .. A_(m-l)."""
     d, kept = dims[0], dims[m - l : m + 1]  # the window legs E_(m-l) .. E_m, in probe order
-    # the evolved window legs are S and the newest l + 1 probes, which lead: trace out the
-    # trailing E_(m-l-1) .. E_1
-    size, rest = math.prod(kept), math.prod(dims[1 : m - l])
-    rho_w = np.einsum("abpcdp->abcd", rho_tot.reshape(d, size, rest, d, size, rest))
+    size = math.prod(kept)
+    x = psi.reshape(len(psi), d, *[n for e in kept[::-1] for n in (e, e)], -1)
+    rho_t = np.zeros((d * size, d * size), dtype=complex, order="F")  # upper triangle of rho_w^T
+    for alpha, sign in enumerate(signs.tolist()):
+        for idx in np.ndindex(*kept[::-1] if l else ()):  # zherk: no conjugated copy
+            y = x[(alpha, slice(None), *[i for a in idx for i in (slice(None), a)])]  # copied if l > 0
+            rho_t = zherk(sign, y.reshape(d * size, -1).T, beta=1.0, c=rho_t, trans=2, overwrite_c=1)
+    rho_w = np.tril(rho_t.T) + np.triu(rho_t, 1).conj()
     if l:  # the kept legs arrive newest first: put them back in probe order
         n = l + 1
         rho_w = rho_w.reshape(d, *kept[::-1], d, *kept[::-1])
@@ -418,8 +420,8 @@ def _read_window(
     if l:  # each kept leg E_n, n < m, evolves freely over the steps n + 1 .. m
         free = [expm_hermitian(steps[n - 1].h_e, -1j * sum(p.tau for p in steps[n:m]))
                 for n in range(m - l, m)]
-        g = reduce(np.kron, [np.eye(d), *free, np.eye(dims[m])])
-        rho_w = g @ rho_w @ dag(g)
+        f = reduce(np.kron, [np.eye(d), *free, np.eye(dims[m])])
+        rho_w = f @ rho_w @ dag(f)
     if r:  # Tr_idle[(1 x Gibbs_(m+1) x ... x Gibbs_(m+r)) op], the idle legs' expectation
         idle = reduce(np.kron, [probe.gibbs_state() for probe in steps[m : m + r]])
         ops = weighted_partial_trace(ops, d * size, idle)
@@ -439,25 +441,24 @@ def full_chain_expectation(
 ) -> complex | np.ndarray:
     """Exact expectation of an arbitrary window operator after m steps, m >= 1.
 
-    `op_window` acts on S x E_(m-l) x ... x E_(m+r), in that tensor order.
-    Evolves the state rho_init x (x_k Gibbs_k) of the truncated chain
-    S x E_1 x ... x E_m, growing the chain one leg per step: probe k joins
-    next to S, in its Gibbs state, just before its own encounter, which is
-    applied to the two leading legs S x E_k of the chain, held in the leg order
-    [S, E_k, ..., E_1] (:func:`_conjugate_by_chain`). Step k also evolves
-    every other probe freely for tau_k. A probe not yet coupled needs no
-    factor, as its Gibbs state commutes with its free evolution, so the r
-    probes after step m are traced out of `op_window` against their Gibbs
-    states, never joined to the state. The free evolution of a probe E_n
-    already coupled acts on its leg alone, commutes with every later
-    encounter and so collects into one factor g_n = exp(-i h_(E_n) t_n),
-    t_n = tau_(n+1) + ... + tau_m. The trailing legs E_(m-l-1) .. E_1 are
-    traced out first and need none, as Tr_E[g x g*] = Tr_E[x]; the kept legs,
-    newest first, are transposed back into probe order, and each kept leg E_n
-    (m - l <= n < m) gets its g_n once, as g rho_w g* on the reduced window
-    state rho_w on S x E_(m-l) x ... x E_m, which is traced against that
-    reduced operator.
-    No reduced-picture shortcut is used.
+    `op_window` acts on S x E_(m-l) x ... x E_(m+r), in that tensor order;
+    `rho_init` is a Hermitian matrix on S (every caller passes a density
+    matrix), else a ValueError. Evolves rho_init x (x_k Gibbs_k) on the
+    truncated chain S x E_1 x ... x E_m as a purified vector, every probe leg
+    carried to the end and each full U_k applied (:func:`_purified_chain`):
+    with rho_init = V diag(lam) V*, an ancilla leg A_S carries V |lam|^(1/2),
+    and the readout weights it by sign(lam), exact for any Hermitian rho_init.
+    Step k also evolves every other probe freely for tau_k. A probe not yet
+    coupled needs no factor, as its Gibbs state commutes with its free
+    evolution, so the r probes after step m are traced out of `op_window`
+    against their Gibbs states, never joined to the state. The free
+    evolution of a probe E_n already coupled commutes with every later
+    encounter and collects into one factor f_n = exp(-i h_(E_n) t_n), t_n =
+    tau_(n+1) + ... + tau_m. The legs outside the window are traced out
+    first (:func:`_read_window`) and need none, as Tr_E[f x f*] = Tr_E[x];
+    the kept legs, newest first, are put back in probe order, and each kept
+    leg E_n (m - l <= n < m) gets its f_n once, as f rho_w f* on the reduced
+    window state rho_w. No reduced-picture shortcut is used.
 
     `m` is one step count or an increasing sequence of them. A sequence is
     served by one evolution, to its largest m: after each step m it asks
@@ -469,7 +470,7 @@ def full_chain_expectation(
     on the operator, so a stack shares the chain evolution; each operator
     is contracted with it exactly as a one-operator call would be.
     """
-    rho_init = np.asarray(rho_init)
+    rho_init = require_hermitian(rho_init, "rho_init")
     d = sys.dim_s
     if rho_init.shape != (d, d):
         raise ValueError("rho_init must act on the system space")
@@ -485,13 +486,13 @@ def full_chain_expectation(
     check_capacity(dims)
 
     op_window, values = np.asarray(op_window), []
-    # after step m: U rho U*, U = U_m ... U_1 the encounters, on rho_init x Gibbs_1 x ... x Gibbs_m
-    states = _conjugate_by_chain(rho_init, encounters(sys, steps[: ms[-1]]))
+    lam, v = np.linalg.eigh(rho_init)  # rho_init = sum_alpha sign(lam_alpha) psi[alpha] psi[alpha]*
+    states = _purified_chain((v * np.sqrt(np.abs(lam))).T, encounters(sys, steps[: ms[-1]]))
     for k in range(1, ms[-1] + 1):
-        rho_tot = next(states)  # not enumerate, whose reused tuple would keep the state alive
+        psi = next(states)  # not enumerate, whose reused tuple would keep the vector alive
         if k in ms:
-            values.append(_read_window(rho_tot, steps, dims, op_window, k, l, r))
-        del rho_tot  # while the next step runs, only the chain engine holds the state
+            values.append(_read_window(psi, np.sign(lam), steps, dims, op_window, k, l, r))
+        del psi  # while the next step runs, only the chain engine holds the vector
     return values[0] if single else np.array(values)
 
 

@@ -265,9 +265,9 @@ def test_cli_exit_codes(tmp_path, model_doc, ensemble_doc, capsys):
     assert main(["run", str(huge), "--out", str(tmp_path)]) == 3
     # the oracle's own guard, before any chain evolution: one line with the estimate
     assert capsys.readouterr().err == (
-        "capacity guard: chain dimension 8192 exceeds guard 4096: estimated peak 2,150 MiB "
-        "(2.1 dense 8192x8192 arrays) and m = 12 encounters g x g*, each touching "
-        "dim^2*d_S*d_E <= 268,435,456 entries per side\n"
+        "capacity guard: chain dimension 8192 exceeds guard 4096: estimated peak 1,382 MiB "
+        "(1.35 dense 8192x8192 arrays) and m = 12 encounters, one product W_k psi each, "
+        "the last writing dim^2 = 67,108,864 entries\n"
     )
 
     failing = tmp_path / "failing.json"

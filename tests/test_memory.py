@@ -9,9 +9,11 @@ are the full sizes of the `mc_qubit` and `wide_qutrit` benchmark workloads.
 The stacked window reduction must stay within the peak per tuple that its
 capacity guard states, for a window (l + r >= 1) and for one slot, a
 full-chain oracle call (one m, or every m of one evolution, on the qubit chain
-and on a chain of qubit and qutrit probes) within the 2 dense arrays that its
-guard's comment states, plus a margin of 0.1, and the ideal asymptotics within
-the arrays per power that the guard states for a stack of RDO powers.
+and on a chain of qubit and qutrit probes, with a system-only observable or a
+window with kept legs) within the 1 + 1/e^2 dense arrays that its guard's
+comment states, e the last probe's dimension, plus a margin of 0.1, and the
+ideal asymptotics within the arrays per power that the guard states for a
+stack of RDO powers.
 """
 
 import tracemalloc
@@ -117,9 +119,9 @@ def test_one_slot_family_peak_within_guard_estimate(qubit_model):
     assert peak <= ONE_SLOT_ARRAYS_PER_TUPLE * unit, f"{peak / unit:.2f} arrays"
 
 
-# the peak that `ries.model.check_capacity` states for one oracle call: 2 dense dim x dim
-# arrays, plus a margin of 0.1
-ORACLE_ARRAYS = 2.1
+# the peak that `ries.model.check_capacity` states for one oracle call on a chain whose last
+# probe is a qubit: 1 + 1/2^2 dense dim x dim arrays, plus a margin of 0.1
+ORACLE_ARRAYS = 1.35
 
 
 def _mixed_chain(qubit_model, rng):
@@ -145,6 +147,20 @@ def test_oracle_peak_within_guard_estimate(qubit_model, rng):
         unit = 16 * dim**2
         peak = peak_bytes(lambda: ries.full_chain_oracle(system, steps, obs, len(steps), system.gibbs_state()))
         assert peak <= ORACLE_ARRAYS * unit, f"dim {dim}: {peak / unit:.3f} arrays"
+
+
+@pytest.mark.parametrize("l, r", [(1, 0), (1, 1), (3, 0)])
+def test_oracle_window_peak_within_guard_estimate(qubit_model, rng, l, r):
+    """An m = 8 oracle call on the qubit chain (dim 512) with two observables on a
+    window that keeps l >= 1 evolved probe legs peaks at or below the same stated
+    arrays: the readout copies one slice of the chain vector at a time."""
+    system, probe = qubit_model
+    dim = 512
+    a_s = np.array([random_hermitian(2, rng) for _ in range(2)])
+    obs = ries.ObservableWindow(a_s, tuple(random_hermitian(2, rng) for _ in range(l + r + 1)), l, r)
+    unit = 16 * dim**2
+    peak = peak_bytes(lambda: ries.full_chain_oracle(system, [probe] * (8 + r), obs, 8, system.gibbs_state()))
+    assert peak <= ORACLE_ARRAYS * unit, f"{peak / unit:.3f} arrays"
 
 
 def test_oracle_sequence_peak_within_guard_estimate(qubit_model, rng):

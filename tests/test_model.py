@@ -164,9 +164,9 @@ def test_oracle_capacity_guard(qubit_model):
         ries.full_chain_oracle(system, [probe] * 13, future, 12, system.gibbs_state())
     message = str(exc.value)
     assert "chain dimension 8192" in message
-    assert f"{2.1 * 8192**2 * 16 / 2**20:,.0f} MiB (2.1 dense 8192x8192 arrays)" in message
-    # the chain grows one leg per step and applies only its encounters: 12 of them
-    assert f"m = 12 encounters g x g*, each touching dim^2*d_S*d_E <= {8192**2 * 4:,} entries per side" in message
+    assert f"{1.35 * 8192**2 * 16 / 2**20:,.0f} MiB (1.35 dense 8192x8192 arrays)" in message
+    # the chain grows one probe per step and applies only its encounters: 12 products
+    assert f"m = 12 encounters, one product W_k psi each, the last writing dim^2 = {8192**2:,} entries" in message
 
 
 def test_oracle_heterogeneous_chain(qubit_model, uncoupled_probe, rng):
@@ -374,41 +374,81 @@ def test_sequence_readout_on_unequal_legs(rng):
 
 def test_sequence_builds_and_applies_each_encounter_once(qubit_model, uncoupled_probe, rng, monkeypatch):
     """One sequence call builds its step unitaries as one stack per distinct probe
-    dimension and applies max(m) encounters, each as two halves on the leading legs
-    S x E_k: U_k on the rows as one block, then conj(U_k) on the columns, one block
-    per row of the chain grown to that step, however many m it reads out."""
-    calls = {"step_unitaries": 0, "_apply_encounter": 0}
-    blocks = []
-    for name in calls:
-        original = getattr(ries.model, name)
+    dimension, and its isometries W_k = U_k (1 x g_k) in one build, one (n, d e^2, d)
+    stack per probe dimension, and applies max(m) encounters, each as one product
+    W_k psi on the S leg whose result is the purified vector at that step's chain size
+    (d_A, d e_k^2, e_1^2 ... e_(k-1)^2), however many m it reads out."""
+    calls, builds, products = {"step_unitaries": 0}, [], []
+    original = ries.model.step_unitaries
 
-        def counted(*args, _original=original, _name=name):
-            calls[_name] += 1
-            if _name == "_apply_encounter":
-                blocks.append(args[2])
-            return _original(*args)
+    def counted(*args):
+        calls["step_unitaries"] += 1
+        return original(*args)
 
-        monkeypatch.setattr(ries.model, name, counted)
+    class Recorded(np.ndarray):
+        """An isometry stack whose products record the shape of their result."""
+
+        def __matmul__(self, other):
+            out = np.asarray(self) @ other
+            products.append(out.shape)
+            return out
+
+    build = ries.model._chain_isometries
+
+    def recorded(enc):
+        ws = build(enc)
+        builds.append({e: w.shape for e, w in ws.items()})
+        return {e: w.view(Recorded) for e, w in ws.items()}
+
+    monkeypatch.setattr(ries.model, "step_unitaries", counted)
+    monkeypatch.setattr(ries.model, "_chain_isometries", recorded)
     system, probe = qubit_model
     mixed_system, mixed_steps = _mixed_chain(rng)
-    # (system, steps, ms, distinct probe dims among steps[: max(ms)]); on the mixed chain
-    # (dims 2, 3, 2, 3) the m of a sequence share their window's probe dim
+    # (system, steps, ms); on the mixed chain (dims 2, 3, 2, 3) the m of a sequence
+    # share their window's probe dim
     cases = (
-        (system, [probe, uncoupled_probe] * 4, range(1, 9), 1),
-        (system, [probe] * 8, [3, 8], 1),
-        (mixed_system, mixed_steps, [1, 3], 2),
-        (mixed_system, mixed_steps, [2, 4], 2),
-        (mixed_system, mixed_steps, [1], 1),
+        (system, [probe, uncoupled_probe] * 4, range(1, 9)),
+        (system, [probe] * 8, [3, 8]),
+        (mixed_system, mixed_steps, [1, 3]),
+        (mixed_system, mixed_steps, [2, 4]),
+        (mixed_system, mixed_steps, [1]),
     )
-    for sys_, steps, ms, n_dims in cases:
-        calls.update(step_unitaries=0, _apply_encounter=0)
-        blocks.clear()
+    for sys_, steps, ms in cases:
+        calls["step_unitaries"] = 0
+        builds.clear()
+        products.clear()
         obs = ries.ObservableWindow.system_only(random_hermitian(sys_.dim_s, rng), steps[ms[-1] - 1].dim_e)
         ries.full_chain_oracle(sys_, steps, obs, ms, sys_.gibbs_state())
-        assert calls["step_unitaries"] == n_dims
-        assert calls["_apply_encounter"] == 2 * ms[-1]
-        dims = [sys_.dim_s * math.prod(p.dim_e for p in steps[:k]) for k in range(1, ms[-1] + 1)]
-        assert blocks == [n for dim in dims for n in (1, dim)]
+        d, es = sys_.dim_s, [p.dim_e for p in steps[: ms[-1]]]
+        assert calls["step_unitaries"] == len(set(es))
+        assert builds == [{e: (es.count(e), d * e * e, d) for e in sorted(set(es))}]
+        assert products == [(d, d * e * e, math.prod(f * f for f in es[:k])) for k, e in enumerate(es)]
+
+
+def test_full_chain_matches_dense_reference_for_indefinite_and_pure_starts(rng):
+    """The start rho_init = V diag(lam) V* enters the purified chain as V |lam|^(1/2),
+    weighted by sign(lam) at readout: an indefinite Hermitian rho_init (eigenvalues of
+    both signs) and a rank-1 one (zero eigenvalues) match the dense chain, on the qutrit
+    chain with qubit and qutrit probes, for an l = 2, r = 1 window among others."""
+    system, probes = _mixed_chain(rng)
+    q, _ = np.linalg.qr(_complex_matrix(3, rng))
+    indefinite = (q * np.array([0.9, -0.6, 0.3])) @ dag(q)
+    v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    pure = np.outer(v, v.conj()) / np.vdot(v, v).real
+    for rho_init in (indefinite, pure):
+        for m, l, r in ((3, 2, 1), (2, 1, 0), (2, 0, 2), (4, 0, 0)):
+            dims = [3] + [p.dim_e for p in probes[m - l - 1 : m + r]]  # window probes
+            op = _complex_matrix(int(np.prod(dims)), rng)
+            got = full_chain_expectation(system, probes, op, m, l, r, rho_init)
+            want = _dense_expectation(system, probes, op, m, l, r, rho_init)
+            assert abs(got - want) <= 1e-12, (m, l, r)
+
+
+def test_oracle_rejects_non_hermitian_rho_init(qubit_model):
+    system, probe = qubit_model
+    obs = ries.ObservableWindow.system_only(np.eye(2), 2)
+    with pytest.raises(ValueError, match="rho_init is not Hermitian"):
+        ries.full_chain_oracle(system, [probe] * 2, obs, 2, np.array([[0.5, 0.1], [0.0, 0.5]]))
 
 
 @pytest.mark.parametrize(

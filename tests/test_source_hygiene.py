@@ -147,7 +147,7 @@ def test_one_seed_convention(name, allowed):
 @pytest.mark.parametrize(
     "name, allowed",
     [
-        ("_conjugate_by_chain", {"model.py:full_chain_expectation"}),
+        ("_purified_chain", {"model.py:full_chain_expectation"}),
         ("reduce_windows", {"model.py:reduce_instant", "thermo.py:observable_family"}),
         ("step_unitaries", {"model.py:encounters"}),
         (
