@@ -36,15 +36,12 @@ fluxes, which walk in complex; on 64 atoms at D = 9 k is 1, and every walk
 steps single atoms as a one-step walk does. The decay kernel reads a norm
 after every step, so it steps single atoms too.
 
-Every step keeps one component up to its atom's rounding (the psi_s row of
-the M^* products, the psi_s column of reverse's M products, the vec(1) row
-of the flux walk's adjoint maps). A word's product would add a rounding of
-its own along it, the same at every use of the word, which no step
-contracts, so each word's row is set to the one its atoms carry exactly:
-at 10^5 steps, plain words would let the forward invariance drift reach
-4.1e-12 on two qubit atoms (kept: 5.6e-14), and the instant average miss
-the closed form by 4.2e-13 on the two-atom exchange ensemble (kept:
-1.7e-16; the one-step walk: 3.1e-15).
+Every walk steps its atoms in a basis where the vector they keep (psi_s, or
+vec(1) for the flux walk's adjoint maps) is a multiple of e_1, each M^* (each
+adjoint map) with its first row set to e_1^* exactly and each M with its first
+column set to e_1 (:func:`_e1_frame`, :attr:`RrdoEnsemble.e1`). Every float
+product of such steps keeps that row or column bit for bit, so the words are
+plain products and nothing drifts along the kept vector.
 
 The matrix kernels step their block products in float64. A complex D x D
 product X is carried as [Re X; Im X], the first column of its real 2D x 2D
@@ -103,12 +100,33 @@ def trajectory_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _e1_frame(u: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(H, S'): a unitary H with H u = e_1 for the unit vector u, and the stack `steps`
+    in its basis, each S' = H S H^* with its first row set to e_1^* exactly.
+
+    H is the Householder reflection 1 - 2 v v^* / (v^* v), v = u + phi e_1, which
+    maps u to -phi e_1 (Householder, "Unitary triangularization of a nonsymmetric
+    matrix", J. ACM 1958), times the phase -conj(phi), phi = u_1 / |u_1| (1 if
+    u_1 = 0). Each step keeps u^* (u^* S = u^*) up to its rounding, so setting the
+    row moves it by that defect ||u^* S - u^*||, and every float product of the S'
+    keeps the row bit for bit.
+    """
+    phase = u[0] / abs(u[0]) if u[0] != 0 else 1.0
+    v = u.astype(complex)
+    v[0] += phase
+    h = -np.conj(phase) * (np.eye(len(u)) - (2.0 / np.vdot(v, v).real) * np.outer(v, v.conj()))
+    kept = h @ steps @ dag(h)
+    kept[:, 0] = 0.0
+    kept[:, 0, 0] = 1.0
+    return h, kept
+
+
 def _embedded(name: str) -> cached_property:
-    """The ensemble's stack `name` as float64, built on first use: embed() of each row
-    (:func:`ries.linalg.embed`), a vector row taken as a D x 1 column."""
+    """The e_1-basis stack `name` (:attr:`RrdoEnsemble.e1`) as float64, built on first
+    use: embed() of each row (:func:`ries.linalg.embed`), a vector row taken as D x 1."""
 
     def build(ens: "RrdoEnsemble") -> np.ndarray:
-        table = getattr(ens, name)
+        table = ens.e1[name]
         return np.ascontiguousarray(embed(table if table.ndim == 3 else table[:, :, None]))
 
     return cached_property(build)
@@ -118,8 +136,7 @@ class RrdoEnsemble:
     """Finite-support distribution over RDOs with a common invariant vector, as stacks.
 
     Each per-atom quantity is stored once, as one array with one row per
-    atom: ``probs`` (the weights), ``matrices`` (M), ``adjoints`` (M*),
-    ``mq`` and ``mq_adjoints`` (M_Q = Q M Q and its adjoint), ``psi_omega``
+    atom: ``probs`` (the weights), ``matrices`` (M), ``mq`` (M_Q = Q M Q), ``psi_omega``
     (psi(w) = P_1(w)^* psi_s) and the ``in_class`` flags (simple gapped 1).
     A model-built ensemble also holds its ``encounters`` (:class:`ries.model.Encounters`)
     with its one ``system`` and its ``probes``, the ``phis`` stack of vectorized
@@ -132,10 +149,10 @@ class RrdoEnsemble:
     (:func:`ries.model.rdos_from_model`), the energy tables and every observable
     family read. Row k is bitwise atom k's own build.
 
-    The trajectory kernels step on float64 tables, each built once, on first
+    The trajectory kernels step float64 tables, each built once, on first
     use: ``real_matrices``, ``real_adjoints``, ``real_mq`` and
-    ``real_mq_adjoints`` embed M, M*, M_Q and M_Q*, and ``real_psi_omega``
-    embeds each psi(w) as a 2D x 2 block (:func:`ries.linalg.embed`).
+    ``real_mq_adjoints`` embed M, M*, M_Q and M_Q* of the e_1 basis (:attr:`e1`),
+    and ``real_psi_omega`` embeds each psi(w) as a 2D x 2 block (:func:`ries.linalg.embed`).
     """
 
     real_matrices = _embedded("matrices")
@@ -166,13 +183,11 @@ class RrdoEnsemble:
         self.psi_s = psis[0]
         if not np.allclose(psis, self.psi_s, rtol=0.0, atol=1e-12):
             raise EnsembleError("all atoms must share psi_s")
-        self.adjoints = np.ascontiguousarray(dag(self.matrices))
         # one batched eig of the M* gives the spectral classes and the splits
         eigs, left = rdo_mod.spectra(self.matrices)
         self.in_class = rdo_mod.class_flags(eigs)[2].tolist()
         split = rdo_mod.rank_one_split(self.matrices, self.psi_s, eigs, left)
         self.mq, self.psi_omega = split.m_q, split.psi
-        self.mq_adjoints = np.ascontiguousarray(dag(self.mq))
         self.encounters = encounters
         self.system = self.probes = self.phis = self.betas = None
         if encounters is not None:
@@ -186,6 +201,29 @@ class RrdoEnsemble:
     @property
     def n_atoms(self) -> int:
         return len(self.probs)
+
+    @cached_property
+    def e1(self) -> dict:
+        """The stacks the walks step, in the basis of H = :func:`_e1_frame` of psi_s / |psi_s|,
+        built on first use: "frame" (H), "adjoints" (H M^* H^*, first row e_1^* exactly),
+        "matrices" (their adjoints), "mq" (H M_Q H^*), "mq_adjoints" and "psi_omega" (H psi(w))."""
+        h, adjoints = _e1_frame(self.psi_s / np.linalg.norm(self.psi_s), dag(self.matrices))
+        mq = h @ self.mq @ dag(h)
+        return {
+            "frame": h,
+            "adjoints": adjoints,
+            "matrices": np.ascontiguousarray(dag(adjoints)),
+            "mq": mq,
+            "mq_adjoints": np.ascontiguousarray(dag(mq)),
+            "psi_omega": self.psi_omega @ h.T,
+        }
+
+    @cached_property
+    def e1_heisenberg(self) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`_e1_frame` of u = vec(1) / sqrt(d) and the Phi^*, which keep the trace
+        (u^* Phi^* = u^*), built on first use: the flux walk's steps."""
+        d = self.system.dim_s
+        return _e1_frame(vec(np.eye(d)) / np.sqrt(d), dag(self.phis))
 
     @cached_property
     def mean(self) -> Rdo:
@@ -366,41 +404,7 @@ def _word_length(n_atoms: int, entries: int) -> int:
     return k
 
 
-def _dot2(coefficients: np.ndarray, arrays) -> np.ndarray:
-    """sum_i coefficients[i] * arrays[i] (complex), as if summed in twice the working
-    precision and rounded once.
-
-    Each real product is split into its float and its exact rounding error
-    (Dekker's TwoProduct, by Veltkamp splitting), and the sum carries its own
-    rounding errors along (Ogita, Rump and Oishi, "Accurate sum and dot
-    product", SIAM J. Sci. Comput. 2005, Dot2). Zero coefficients add nothing.
-    """
-
-    def real_sum(terms):
-        total = carry = 0.0
-        for c, y in terms:
-            p = c * y
-            ch = 134217729.0 * c  # 2**27 + 1: c = ch + cl, each half of 26 bits
-            ch -= ch - c
-            yh = 134217729.0 * y
-            yh -= yh - y
-            cl, yl = c - ch, y - yh
-            err = cl * yl - (((p - ch * yh) - cl * yh) - ch * yl)  # c y - p, exactly
-            t = total + p
-            z = t - total
-            carry = carry + ((total - (t - z)) + (p - z)) + err
-            total = t
-        return total + carry
-
-    pairs = list(zip(coefficients, arrays))
-    re = [(c.real, y.real) for c, y in pairs if c.real] + [(-c.imag, y.imag) for c, y in pairs if c.imag]
-    im = [(c.real, y.imag) for c, y in pairs if c.real] + [(c.imag, y.real) for c, y in pairs if c.imag]
-    return real_sum(re) + 1j * real_sum(im)
-
-
-def _word_tables(
-    steps: np.ndarray, tables: np.ndarray, conserved: np.ndarray | None, width: int, lengths
-) -> dict:
+def _word_tables(steps: np.ndarray, tables: np.ndarray, width: int, lengths) -> dict:
     """{m: (W, G)} for every word length m in `lengths`, in increasing m: the words and
     their pairing tables.
 
@@ -412,32 +416,15 @@ def _word_tables(
     atoms' own `steps` and `tables`) one atom at a time, prepended as the first
     step: W = W'[c_2, ...] S(c_1), and G by Horner from the last step,
     G = tables[c_1, ...] + S(c_1)^* G'[c_2, ...]. `tables` may have no columns.
-
-    If every step keeps <u, v> (u = `conserved`, a unit vector) up to its own
-    rounding, the defect u^* S - u^*, a one-step walk follows that defect. A word's
-    product adds a rounding of its own along u, the same at every use of the
-    word, so a walk of n words would pile it up linearly. So each word's row
-    along u is set, by the rank-one update W <- W + u (u^* + e - u^* W), to
-    u^* + e, where e is its atoms' exact defects carried through the word:
-    u^* S(c_m) ... S(c_1) - u^* = defect(c_1) + e'[c_2, ...] S(c_1). An atom
-    whose row u^* S rounds back to u^* counts as exact: a one-step walk that
-    reaches a floating-point fixed point of such atoms stays there, and so do
-    the words. The defects and the update's difference are a few units in the
-    last place, so they are summed in twice the working precision
-    (:func:`_dot2`); in working precision their own rounding would be as large
-    as what they correct. With `conserved` None the words are the plain products.
+    The words are the plain float products: steps whose first row (or column) is
+    e_1 exactly (:func:`_e1_frame`) give words whose first row (or column) is e_1
+    bit for bit, each entry of it a sum of 1 x and 0 y terms.
     """
     if lengths == {1}:  # one-atom words are the atoms
         return {1: (steps, tables)}
     a, dim, cols = len(steps), steps.shape[1], tables.shape[2]
     heads = steps[:, None]  # S(c_1), broadcast over the rest of the word
     lead_adj = dag(steps)[:, None, None]
-    if conserved is not None:
-        row = np.conjugate(conserved)
-        # each atom's defect u^* S - u^*, exactly; zero where u^* S rounds back to u^*
-        defects = _dot2(np.append(row, -1.0), [*steps.transpose(1, 0, 2), np.broadcast_to(row, (a, dim))])
-        defects[(row @ steps == row).all(axis=1)] = 0.0
-        e = defects
     w, g = steps, tables
     out = {}
     for m in range(1, max(lengths) + 1):
@@ -446,15 +433,7 @@ def _word_tables(
             rest = g.reshape(1, a ** (width - 1), a ** (m - 1), dim, cols)
             g = tables.reshape(a, a ** (width - 1), 1, dim, cols) + lead_adj @ rest
             g = g.reshape(a ** (m + width - 1), dim, cols)
-            if conserved is not None:
-                e = (e @ heads + defects[:, None, None]).reshape(-1, dim)  # u^* W - u^* by the atoms
         if m in lengths:
-            # W <- W + u (u^* + e - u^* W), at the kept lengths only: an update of a
-            # shorter word moves the longer ones along u alone, which their own update resets
-            if m > 1 and conserved is not None:
-                gap = _dot2(np.append([1.0, 1.0], -row), [e, np.broadcast_to(row, e.shape), *w.transpose(1, 0, 2)])
-                for i, x in enumerate(conserved):
-                    w[:, i] += x * gap
             out[m] = (w, g)
     return out
 
@@ -496,13 +475,6 @@ def _words(
         np.add(path, omega[:, np.minimum(start + i, omega.shape[1] - 1)], out=path, where=digit)
     path += first_row[size]
     return lengths, path, word_ends
-
-
-def _reversals(n_atoms: int, m: int) -> np.ndarray:
-    """The row of each m-atom word's reversal (c_m, ..., c_1), words indexed by their
-    flattened atom tuple, first atom first."""
-    shape = (n_atoms,) * m
-    return np.ravel_multi_index(np.unravel_index(np.arange(n_atoms**m), shape)[::-1], shape)
 
 
 def _stacked(rows) -> np.ndarray:
@@ -575,7 +547,8 @@ class ErgodicReport:
     seeds: np.ndarray
     checkpoints: np.ndarray
     distances: np.ndarray  # (S, checkpoints): Frobenius distance to |psi_s><theta|
-    max_invariance_drift: np.ndarray  # (S,): max ||Psi_n psi_s - psi_s|| at checkpoints
+    # (S,): max ||Psi_n psi_s - psi_s|| at checkpoints, in the e_1 basis: H psi_s's rounding
+    max_invariance_drift: np.ndarray
 
 
 def simulate_forward(
@@ -584,29 +557,33 @@ def simulate_forward(
     """Simulate Psi_n = M(w_1)...M(w_n) and its Cesaro mean, all seeds as one stack.
 
     At each checkpoint N the Frobenius distance between the running average
-    (1/N) sum Psi_n and the rank-one limit |psi_s><theta| is recorded. The
-    blocks of the grid (:func:`block_grid`) are walked side by side, one word
-    at a time (:func:`_words`), into each block's product P and local prefix
-    sum Q, in float64: P^* = M^*(w_b)...M^*(w_a) grows as the first column of
-    its embedding (:func:`ries.linalg.embed`). A word c first adds Q[c] P^* to
-    the block's sum, Q[c] = sum_j M^*(c_j)...M^*(c_1) being the sum of its
-    prefix products, then left-multiplies P^* by its product W[c] (both from
-    :func:`_word_tables`, W[c] with its psi_s row kept); at k = 1 each step
-    left-multiplies by the embedded M^* and adds the product. Chaining the
-    blocks, read back once per run, adds Psi_a Q to a Kahan sum and moves
-    Psi_a to Psi_a P. Norms are taken slice by slice. Each seed's numbers are
-    bitwise independent of batching, and within the stated tolerance of a
-    one-step loop.
+    (1/N) sum Psi_n and the rank-one limit |psi_s><theta| is recorded, and the
+    invariance drift ||Psi_N psi_s - psi_s||, both in the e_1 basis of
+    :attr:`RrdoEnsemble.e1`, where Psi_N keeps its first column e_1 bit for bit:
+    the drift measures only the rounding of H psi_s. The blocks of the grid
+    (:func:`block_grid`) are walked side by side, one word at a time
+    (:func:`_words`), into each block's product P and local prefix sum Q, in
+    float64: P^* = M^*(w_b)...M^*(w_a) grows as the first column of its
+    embedding (:func:`ries.linalg.embed`). A word c first adds Q[c] P^* to the
+    block's sum, Q[c] = sum_j M^*(c_j)...M^*(c_1) being the sum of its prefix
+    products, then left-multiplies P^* by its product W[c] (both from
+    :func:`_word_tables`); at k = 1 each step left-multiplies by the embedded
+    M^* and adds the product. Chaining the blocks, read back once per run, adds
+    Psi_a Q to a Kahan sum and moves Psi_a to Psi_a P. Norms are taken slice by
+    slice. Each seed's numbers are bitwise independent of batching, and within
+    the stated tolerance of a one-step loop.
     """
     seeds, omega = _start(ens, seeds, n_total)
-    limit = np.outer(ens.psi_s, ens.routes["theta_projector"].conj())
+    e1 = ens.e1
+    psi_s = e1["frame"] @ ens.psi_s  # |psi_s| e_1 up to rounding
+    limit = np.outer(psi_s, (e1["frame"] @ ens.routes["theta_projector"]).conj())
     checkpoints, ends, at_checkpoint = block_grid(n_total, checkpoint_every)
     d = ens.dim
     lengths, path, ends = _words(ens, omega, ends, 8 * d * d)  # W and Q: 2 embeddings a word
     del omega
     tables = [(ens.real_adjoints, np.eye(2 * d))]
     if lengths != (1,):
-        words = _word_tables(ens.adjoints, ens.matrices, ens.psi_s / np.linalg.norm(ens.psi_s), 1, set(lengths))
+        words = _word_tables(e1["adjoints"], e1["matrices"], 1, set(lengths))
         tables = [
             (_stacked(w for w, _ in words.values()), np.eye(2 * d)),
             (_stacked(dag(g) for _, g in words.values()), 0.0),  # Q = G^*
@@ -636,7 +613,7 @@ def simulate_forward(
                 mean = acc.total / checkpoints[c]
                 for s in range(len(seeds)):
                     distances[s, c] = np.linalg.norm(mean[s] - limit, "fro")
-                    drift[s] = max(drift[s], np.linalg.norm(psi_prod[s] @ ens.psi_s - ens.psi_s))
+                    drift[s] = max(drift[s], np.linalg.norm(psi_prod[s] @ psi_s - psi_s))
                 c += 1
     return ErgodicReport(seeds, checkpoints, distances, drift)
 
@@ -792,12 +769,13 @@ def simulate_reverse(
     lead product as its adjoint, a left product of the M_Q), and their local
     eta sum: each word left-multiplies them by its M and M_Q products and adds
     its own local eta sum, paired with the lead product at its start (all
-    from :func:`_word_tables`, the M products with their psi_s column kept); at
-    k = 1 the words are the atoms. Read back once per run, the blocks are
-    chained. Each run of blocks ends in one batched SVD for the ratios and
-    one batched eigvalsh for the residuals (:func:`_top_singular_values`) over
-    the checkpoints it reached. Each seed's numbers are bitwise independent of
-    batching, and within the stated tolerance of a one-step loop.
+    from :func:`_word_tables`); at k = 1 the words are the atoms. Read back
+    once per run, the blocks are chained. Each run of blocks ends in one
+    batched SVD for the ratios and one batched eigvalsh for the residuals
+    (:func:`_top_singular_values`) over the checkpoints it reached. The walk
+    runs in the e_1 basis of :attr:`RrdoEnsemble.e1`, and eta is mapped back
+    once, at the end. Each seed's numbers are bitwise independent of batching, and within the
+    stated tolerance of a one-step loop.
     """
     seeds, omega = _start(ens, seeds, n_total)
     checkpoints, ends, at_checkpoint = block_grid(n_total, checkpoint_every)
@@ -805,19 +783,18 @@ def simulate_reverse(
     # the left and lead words, 2 embeddings a word, and the local eta sums, 2D x 2
     lengths, path, ends = _words(ens, omega, ends, 8 * d * d + 4 * d)
     del omega
+    e1 = ens.e1
+    psi_s = e1["frame"] @ ens.psi_s
     tables = (ens.real_matrices, ens.real_mq, ens.real_psi_omega)  # embed(psi(w)), 2D x 2
     if lengths != (1,):
-        # a left word M(c_m)...M(c_1) keeps the column psi_s: it is the adjoint of the
-        # M^* word of the reversed tuple, whose row psi_s^* the builder keeps
-        unit = ens.psi_s / np.linalg.norm(ens.psi_s)
-        adjoint = _word_tables(dag(ens.matrices), ens.adjoints[:, :, :0], unit, 1, set(lengths))
-        lead = _word_tables(ens.mq, ens.psi_omega[:, :, None], None, 1, set(lengths))
+        left = _word_tables(e1["matrices"], e1["matrices"][:, :, :0], 1, set(lengths))
+        lead = _word_tables(e1["mq"], e1["psi_omega"][:, :, None], 1, set(lengths))
         tables = (
-            _stacked(dag(w)[_reversals(ens.n_atoms, m)] for m, (w, _) in adjoint.items()),
+            _stacked(w for w, _ in left.values()),
             _stacked(w for w, _ in lead.values()),
             _stacked(g for _, g in lead.values()),  # embed of each word's local eta sum
         )
-        del adjoint, lead
+        del left, lead
     tables = list(zip(tables, (np.eye(2 * d), np.eye(2 * d), 0.0)))
     phi = lead = _identities(np.eye(d, dtype=complex), len(seeds))  # lead = M_Q^*(w_1)...M_Q^*(w_(k-1))
     eta = np.zeros((len(seeds), d, 1), dtype=complex)
@@ -853,12 +830,12 @@ def simulate_reverse(
         if d > 1:  # at GNS dim 1 every product is rank one: ratio 0
             sv = np.linalg.svd(phis, compute_uv=False)
             np.divide(sv[..., 1], sv[..., 0], out=ratios[:, reached], where=sv[..., 0] > 0)
-        phis -= ens.psi_s[:, None] * etas.conj()[..., None, :]
+        phis -= psi_s[:, None] * etas.conj()[..., None, :]
         residuals[:, reached] = _top_singular_values(np.concatenate((phis.real, phis.imag), axis=-2))
 
     for run, steps in _sweeps(ens, path, ends, *tables):
         step_run(run, steps)
-    return ReverseReport(seeds, checkpoints, residuals, ratios, eta[:, :, 0])
+    return ReverseReport(seeds, checkpoints, residuals, ratios, eta[:, :, 0] @ e1["frame"].conj())
 
 
 @dataclass
@@ -882,14 +859,15 @@ def lyapunov(
     stepped side by side into their products, which are no longer than an
     interval. A block grows in float64 as M^*(w_b)...M^*(w_a), the first
     column of its embedding (embed(M^*) = embed(M)^T, :func:`ries.linalg.embed`),
-    one word product per matmul (:func:`_words`, :func:`_word_tables`, with the
-    words' psi_s row kept; at k = 1 one M^* per matmul), and is read back and
-    conjugated once per run, since conj(M^*) = M^T.
-    Chaining them, one batched QR per re-orthonormalization accumulates every
-    seed's log stretching factors; they are bitwise
-    independent of batching, and within the stated tolerance of a one-step
-    loop. The sigma_2 / sigma_1 diagnostic of the reverse product belongs to
-    :func:`simulate_reverse`.
+    one word product per matmul (:func:`_words`, :func:`_word_tables`; at k = 1
+    one M^* per matmul), and is read back and conjugated once per run, since
+    conj(M^*) = M^T. The M^* are H M^* H^* (:attr:`RrdoEnsemble.e1`), and the
+    frame starts at conj(H), so that the QR diagonals keep the moduli of the
+    plain products'. Chaining the blocks, one batched QR per
+    re-orthonormalization accumulates every seed's log stretching factors;
+    they are bitwise independent of batching, and within the stated tolerance
+    of a one-step loop. The sigma_2 / sigma_1 diagnostic of the reverse
+    product belongs to :func:`simulate_reverse`.
     """
     seeds, omega = _start(ens, seeds, n_total)
     _, ends, at_reorth = block_grid(n_total, reorth_every)
@@ -898,11 +876,10 @@ def lyapunov(
     del omega
     table = ens.real_adjoints
     if lengths != (1,):
-        unit = ens.psi_s / np.linalg.norm(ens.psi_s)
-        words = _word_tables(ens.adjoints, ens.adjoints[:, :, :0], unit, 1, set(lengths))
+        words = _word_tables(ens.e1["adjoints"], ens.e1["adjoints"][:, :, :0], 1, set(lengths))
         table = _stacked(w for w, _ in words.values())
         del words
-    frame = _identities(np.eye(d, dtype=complex), len(seeds))
+    frame = _identities(np.conj(ens.e1["frame"]), len(seeds))  # conj(H) Psi^T has the R of Psi^T
     log_r = np.zeros((len(seeds), d))
     for run, steps in _sweeps(ens, path, ends, (table, np.eye(2 * d))):
         prod = _identities(np.eye(2 * d, d), len(run), len(seeds))
@@ -924,19 +901,22 @@ def lyapunov(
 
 def cesaro_means(
     ens: RrdoEnsemble,
-    steps: np.ndarray,
+    frame: tuple[np.ndarray, np.ndarray],
     start: np.ndarray,
-    tables: np.ndarray,
+    tables: list,
     width: int,
     seeds,
     n_total: int,
-    conserved: np.ndarray,
 ) -> np.ndarray:
-    """(S, n_tables) Cesaro means of <v_n, tables[w_(n+1), ..., w_(n+width)]>.
+    """(S, len(tables)) Cesaro means of <v_n, t[w_(n+1), ..., w_(n+width)]>, one per table t.
 
-    v_0 = `start` and v_n = steps[w_n] v_(n-1), each step keeping <u, v> for the
-    unit vector u = `conserved`. `tables` is (n_atoms**width, D, n_tables),
-    indexed by the flattened atom tuple. Row s is seeds[s]'s path (:func:`_start`);
+    v_0 = `start` and v_n = S(w_n) v_(n-1), for steps S that keep <u, v> for a
+    unit vector u. `frame` is (H, steps) with H u = e_1 and each step given in
+    its basis, H S H^* with its first row e_1^* exactly (:attr:`RrdoEnsemble.e1`,
+    :attr:`RrdoEnsemble.e1_heisenberg`): the walk carries H v_n, whose first
+    entry every float product keeps bit for bit, and pairs it with H t. Each
+    table t is (n_atoms**width, D), indexed by the flattened atom tuple; they
+    are stacked once, in the basis of H. Row s is seeds[s]'s path (:func:`_start`);
     all seeds step as one stack. The first min(n_total // 10, 1000) steps are
     left out: the transient decays geometrically, so this removes the O(1/n)
     bias of the plain Cesaro mean without touching its variance.
@@ -944,7 +924,7 @@ def cesaro_means(
     The seeds walk k steps at a time, one k-atom word per matmul, k from
     :func:`_word_length`, one word's tables counted as a D x D matrix per
     pairing row; the words and their pairing tables are built once per call
-    (:func:`_word_tables`, each word's row along u kept). A burn-in that is not
+    (:func:`_word_tables`, plain products). A burn-in that is not
     a multiple of k starts with one shorter word, and a run that is not ends
     with one shorter pairing. The averaged words follow :func:`block_grid`,
     with blocks of at most SWEEP_ENTRIES / D words: the words of a chunk of
@@ -959,17 +939,26 @@ def cesaro_means(
     burn = min(n_total // 10, 1000)
     _, omega = _start(ens, seeds, n_total, burn + width - 1)
     n_seeds, dim = len(omega), len(start)
+    h, steps = frame
+    # H t into its column of the stack, a block of rows at a time: one matmul into the
+    # strided column would copy it whole, and one of more than 2**14 multiply-adds may
+    # start BLAS threads, which wait for a busy core
+    pairings = np.empty((len(tables[0]), dim, len(tables)), dtype=complex)
+    rows = max(1, 2**14 // dim**2)
+    for i, table in enumerate(tables):
+        for a in range(0, len(table), rows):
+            pairings[a : a + rows, :, i] = table[a : a + rows] @ h.T
     k = _word_length(n_atoms, max(n_atoms, 2) ** (width - 1) * dim**2)  # a D x D matrix per pairing row
     lead, tail = burn % k, n_total % k
-    words = _word_tables(np.ascontiguousarray(steps), tables, conserved, width, {k, lead, tail} - {0})
+    words = _word_tables(steps, pairings, width, {k, lead, tail} - {0})
     chunk = -(-SWEEP_ENTRIES // dim**2)
     _, ends, _ = block_grid(n_total // k, max(1, SWEEP_ENTRIES // dim))
     # time-major: while words are walked, buf[i] holds v after the i-th of them
     longest = max(chunk, np.diff(ends, prepend=0).max(initial=0))
     buf = np.empty((longest + 1, n_seeds, dim, 1), dtype=complex)
-    buf[0] = start[:, None]
+    buf[0] = (h @ start)[:, None]
     slots = list(buf)  # its rows, as views made once
-    acc = KahanAccumulator((n_seeds, tables.shape[2]))
+    acc = KahanAccumulator((n_seeds, pairings.shape[2]))
 
     def atoms(a: int, b: int, m: int, n: int) -> np.ndarray:
         """(S, (b - a) / m) flattened tuples of the n atoms from each step a, a + m, ..., b - m."""

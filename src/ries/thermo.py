@@ -138,9 +138,8 @@ def ergodic_instant_monte_carlo(
     pairs it with the stacked N psi_s table of the family; see
     :func:`ries.ensemble.cesaro_means` for the seed batching and the burn-in.
     """
-    table = fam.n_psi_table(ens.psi_s)[:, :, None]
-    unit = ens.psi_s / np.linalg.norm(ens.psi_s)
-    per_seed = cesaro_means(ens, ens.adjoints, ens.psi_s, table, fam.width, seeds, n_total, unit)[:, 0]
+    frame = (ens.e1["frame"], ens.e1["adjoints"])
+    per_seed = cesaro_means(ens, frame, ens.psi_s, [fam.n_psi_table(ens.psi_s)], fam.width, seeds, n_total)[:, 0]
     mean, stderr = _mean_stderr(per_seed)
     return {"mean": complex(mean), "stderr": float(np.abs(stderr)), "per_seed": per_seed}
 
@@ -217,9 +216,8 @@ def flux_monte_carlo(
     # Heisenberg picture: plain system matrices, no GNS transport
     jump, flux = ens.energy_tables
     ent = np.repeat(ens.betas[:, None] * flux, ens.n_atoms, axis=0)  # indexed by (i, j)
-    tables = np.stack([jump.reshape(ent.shape), ent], axis=-1)
-    unit = vec(np.eye(system.dim_s)) / np.sqrt(system.dim_s)  # Phi_i^* keeps the trace
-    means = cesaro_means(ens, dag(ens.phis), vec(rho_init), tables, 2, seeds, n_total, unit)
+    tables = [jump.reshape(ent.shape), ent]
+    means = cesaro_means(ens, ens.e1_heisenberg, vec(rho_init), tables, 2, seeds, n_total)
     de, de_err = _mean_stderr(means[:, 0].real)
     ds, ds_err = _mean_stderr(means[:, 1].real)
     return FluxReport(

@@ -9,10 +9,11 @@ for the uniform product bounds and identities of finite RDO products. The
 per-pair energy tables are the reference for the stacked energy reduction.
 The per-atom presample, which builds and checks each atom's probe on its own,
 is the reference for the presample that checks its draws once. The wider
-identity windows are observable families of identity slots. The last
-helpers take spectral norms, write vectors, matrices, model documents and
-JSON text and draw random matrices for the tests; the package reads config
-documents but never writes them.
+identity windows are observable families of identity slots. The replay of
+the Monte Carlo Cesaro means in extended precision is the yardstick for the
+rounding of their float64 walk. The last helpers take spectral norms, write
+vectors, matrices, model documents and JSON text and draw random matrices for
+the tests; the package reads config documents but never writes them.
 """
 
 import json
@@ -239,3 +240,25 @@ def dumps_json(obj) -> str:
 
 def random_complex_matrix(d: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     return scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+
+
+def replay_cesaro_means(ens, frame, start, tables, width, seeds, n_total) -> np.ndarray:
+    """:func:`ries.ensemble.cesaro_means` of the same arguments, replayed one step at a
+    time in ``np.clongdouble`` (a 64-bit significand on x86-64): the same paths, burn-in
+    and e_1-basis steps, each float64 atom taken exactly, with the vector, its pairings and
+    their sums carried in extended precision. Returns the (S, len(tables)) means."""
+    h, steps = frame
+    burn = min(n_total // 10, 1000)
+    omega = ens.sample_paths(seeds, burn + n_total + width - 1)
+    steps = steps.astype(np.clongdouble)
+    pairings = np.stack([t @ h.T for t in tables], axis=-1).astype(np.clongdouble)
+    v = np.broadcast_to((h @ start).astype(np.clongdouble), (len(omega), len(start)))
+    total = np.zeros((len(omega), len(tables)), dtype=np.clongdouble)
+    for n in range(burn + n_total):
+        if n >= burn:
+            flat = np.zeros(len(omega), dtype=np.int64)
+            for i in range(width):
+                flat = flat * ens.n_atoms + omega[:, n + i]
+            total += np.einsum("sd,sdt->st", v.conj(), pairings[flat])
+        v = np.einsum("sij,sj->si", steps[omega[:, n]], v)
+    return total / n_total

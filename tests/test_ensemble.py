@@ -12,15 +12,17 @@ from ries.cli import _theta_checks, main
 from ries.ensemble import (
     EnsembleError,
     RrdoEnsemble,
+    _e1_frame,
     _word_length,
+    _word_tables,
     block_grid,
     ensemble_from_json,
     mean_rdo,
     theta_routes,
     trajectory_rng,
 )
-from ries.linalg import HERMITICITY_TOL, KahanAccumulator, dag, random_hermitian, unvec
-from ries.rdo import Rdo, classify, decompose
+from ries.linalg import HERMITICITY_TOL, KahanAccumulator, dag, embed, random_hermitian, unvec, vec
+from ries.rdo import INVARIANCE_TOL, Rdo, classify, decompose
 from ries.thermo import ergodic_instant_monte_carlo, flux_closed_form, flux_monte_carlo, identity_family
 
 
@@ -240,9 +242,7 @@ def _assert_rows_match(ens, k, rdo):
     split = decompose(rdo)
     for stack, ref in (
         (ens.matrices, rdo.m),
-        (ens.adjoints, dag(rdo.m)),
         (ens.mq, split.m_q),
-        (ens.mq_adjoints, dag(split.m_q)),
         (ens.psi_omega, split.psi),
     ):
         assert np.array_equal(stack[k], ref)
@@ -384,7 +384,7 @@ def test_presampled_matches_per_atom_build(wide_qutrit_model, ranges):
     system, probe, _ = wide_qutrit_model
     ens = RrdoEnsemble.presampled(system, probe, ranges, count=16, seed=9)
     ref = per_atom_presample(system, probe, ranges, count=16, seed=9)
-    for name in ("probs", "matrices", "adjoints", "mq", "mq_adjoints", "psi_omega", "phis", "betas"):
+    for name in ("probs", "matrices", "mq", "psi_omega", "phis", "betas"):
         assert np.array_equal(getattr(ens, name), getattr(ref, name)), name
     assert ens.in_class == ref.in_class
     for got, want in zip(ens.probes, ref.probes, strict=True):
@@ -486,38 +486,41 @@ def test_ensemble_psi_s_shared_without_relative_slack():
 
 # ------------------------------------------------- per-seed reference loops
 # The step-by-step, one-seed-at-a-time kernels that the blocked, seed-batched
-# engine replaced, kept as references. The blocked kernels multiply and sum
-# in another order, and the forward, reverse and Lyapunov kernels step whole
-# k-atom words (k = 5, 4 and 6 on the qubit atoms, 2, 2 and 3 on two qutrit
-# atoms, 1 on six), so they match the loops to the tolerances below, each at
-# least 100x the largest deviation measured on these tests (the measured value
-# follows each one), and never looser than 1e-10 absolute. The words' kept
-# psi_s row (forward, Lyapunov) and column (reverse) hold the forward drift to
-# 1.4e-14 and the reverse residual to 3.1e-14 (that on six qutrit atoms, which
-# walk single steps); plain word products would leave 9.1e-14 and 9.6e-14.
-FORWARD_DISTANCE_ATOL = 2e-13  # measured 9.1e-16
-FORWARD_DRIFT_ATOL = 1e-11  # measured 1.4e-14
-DECAY_LOG_NORM_ATOL = 1e-10  # measured 2.3e-12 (log norms down to about -780)
-REVERSE_RESIDUAL_ATOL = 1e-11  # measured 3.1e-14
-REVERSE_RATIO_ATOL = 3e-14  # measured 5.6e-16
-REVERSE_ETA_ATOL = 7e-14  # measured 7.8e-16
-LYAPUNOV_ATOL = 2e-14  # measured 1.7e-16
+# engine replaced, kept as references. They step the same e_1-basis atoms as
+# the kernels (`RrdoEnsemble.e1`) and read out as the kernels do. The blocked
+# kernels multiply and sum in another order, and the forward, reverse and
+# Lyapunov kernels step whole k-atom words (k = 5, 4 and 6 on the qubit atoms,
+# 2, 2 and 3 on two qutrit atoms, 1 on six), so they match the loops to the
+# tolerances below, each at least 100x the largest deviation measured on these
+# tests (the measured value follows each one), and never looser than 1e-10
+# absolute. Every product of these atoms keeps its first row (forward,
+# Lyapunov) or column (reverse) bit for bit, so the forward drifts of kernel
+# and loop agree to 1.2e-32 and the reverse residuals to 5.8e-16.
+FORWARD_DISTANCE_ATOL = 2e-13  # measured 2.2e-16
+FORWARD_DRIFT_ATOL = 1e-11  # measured 1.2e-32
+DECAY_LOG_NORM_ATOL = 1e-10  # measured 2.2e-12 (log norms down to about -780)
+REVERSE_RESIDUAL_ATOL = 1e-11  # measured 5.8e-16
+REVERSE_RATIO_ATOL = 3e-14  # measured 2.8e-16
+REVERSE_ETA_ATOL = 7e-14  # measured 3.3e-16
+LYAPUNOV_ATOL = 2e-14  # measured 1.1e-16
 
 
 def _forward_loop(ens, seed, n_total, checkpoint_every):
     omega = trajectory_rng(seed).choice(ens.n_atoms, size=n_total, p=ens.probs)
-    limit = np.outer(ens.psi_s, ens.routes["theta_projector"].conj())
+    h = ens.e1["frame"]
+    psi_s = h @ ens.psi_s
+    limit = np.outer(psi_s, (h @ ens.routes["theta_projector"]).conj())
     psi_prod = np.eye(ens.dim, dtype=complex)
     acc = KahanAccumulator((ens.dim, ens.dim))
     checkpoints, distances = [], []
     drift = 0.0
     for n in range(1, n_total + 1):
-        psi_prod = psi_prod @ ens.matrices[omega[n - 1]]
+        psi_prod = psi_prod @ ens.e1["matrices"][omega[n - 1]]
         acc.add(psi_prod)
         if n % checkpoint_every == 0 or n == n_total:
             checkpoints.append(n)
             distances.append(np.linalg.norm(acc.total / n - limit, "fro"))
-            drift = max(drift, float(np.linalg.norm(psi_prod @ ens.psi_s - ens.psi_s)))
+            drift = max(drift, float(np.linalg.norm(psi_prod @ psi_s - psi_s)))
     return np.array(checkpoints), np.array(distances), drift
 
 
@@ -528,7 +531,7 @@ def _decay_loop(ens, seed, n_total):
     log_norms = np.empty(n_total)
     log_scale = 0.0
     for n in range(n_total):
-        word = word @ ens.mq[omega[n]]
+        word = word @ ens.e1["mq"][omega[n]]
         s = spectral_norm(word)
         if s == 0.0:
             log_norms[n:] = -np.inf
@@ -541,32 +544,33 @@ def _decay_loop(ens, seed, n_total):
 
 def _reverse_loop(ens, seed, n_total, checkpoint_every):
     omega = trajectory_rng(seed).choice(ens.n_atoms, size=n_total, p=ens.probs)
-    d = ens.dim
+    d, e1 = ens.dim, ens.e1
+    psi_s = e1["frame"] @ ens.psi_s
     phi = np.eye(d, dtype=complex)
     lead = np.eye(d, dtype=complex)
     eta = np.zeros(d, dtype=complex)
     checkpoints, residuals, ratios = [], [], []
     for n in range(1, n_total + 1):
         k = omega[n - 1]
-        phi = ens.matrices[k] @ phi
-        eta = eta + lead @ ens.psi_omega[k]
-        lead = lead @ ens.mq_adjoints[k]
+        phi = e1["matrices"][k] @ phi
+        eta = eta + lead @ e1["psi_omega"][k]
+        lead = lead @ e1["mq_adjoints"][k]
         if n % checkpoint_every == 0 or n == n_total:
             checkpoints.append(n)
-            residuals.append(spectral_norm(phi - np.outer(ens.psi_s, eta.conj())))
+            residuals.append(spectral_norm(phi - np.outer(psi_s, eta.conj())))
             sv = np.linalg.svd(phi, compute_uv=False)
             ratios.append(sv[1] / sv[0] if sv[0] > 0 else 0.0)
-    return np.array(checkpoints), np.array(residuals), np.array(ratios), eta
+    return np.array(checkpoints), np.array(residuals), np.array(ratios), dag(e1["frame"]) @ eta
 
 
 def _lyapunov_loop(ens, seed, n_total, reorth_every):
     omega = trajectory_rng(seed).choice(ens.n_atoms, size=n_total, p=ens.probs)
     d = ens.dim
-    frame = np.eye(d, dtype=complex)
+    frame = np.conj(ens.e1["frame"])
     log_r = np.zeros(d)
     steps = 0
     for n in range(1, n_total + 1):
-        frame = ens.matrices[omega[n - 1]].T @ frame
+        frame = ens.e1["matrices"][omega[n - 1]].T @ frame
         if n % reorth_every == 0 or n == n_total:
             q, r = np.linalg.qr(frame)
             diag = np.abs(np.diag(r))
@@ -663,10 +667,10 @@ def test_reverse_routes_check_each_other(case, reference_ensemble):
     Phi_n^* psi(w_n), and each checkpoint's residual equals ||M_Q(w_n)...M_Q(w_1)||.
 
     Here Phi_n and the M_Q product are plain one-step products of the M and of the
-    M_Q, and neither reads the eta sum that the kernel keeps. The largest deviations
-    measured are 1.1e-14, 7.8e-14 and 1.1e-14 for eta and 3.3e-16, 1.1e-13 and
-    2.3e-14 for the residuals (qubit, six and two qutrit atoms); the tolerance is
-    at least 100x of both.
+    M_Q, in the atoms' own basis, and neither reads the eta sum that the kernel
+    keeps. The largest deviations measured are 1.2e-14, 7.8e-14 and 1.2e-14 for
+    eta and 4.4e-16, 3.6e-15 and 2.5e-15 for the residuals (qubit, six and two
+    qutrit atoms); the tolerance is at least 100x of both.
     """
     ens = {"qubit": reference_ensemble, "qutrit": _wide_ensemble(), "two_qutrit": _wide_ensemble(2)}[case]
     seeds, n_total, every = [0, 1, 2, 3], 300, 7
@@ -748,19 +752,101 @@ def test_kernel_word_lengths(reference_ensemble, wide_qutrit_model, monkeypatch)
 
 
 def test_word_walks_do_not_pile_up_rounding(reference_ensemble):
-    """A word's product rounds the same at every use of the word, so plain word
-    products pile a rounding up along psi_s, which no step contracts: on the two
-    qubit atoms the forward invariance drift at 10^5 steps would reach 4.1e-12
-    and the reverse residual at 6,000 steps 2.4e-13, where one-step loops stay at
-    1.4e-14. The kept psi_s row of the forward words and column of the reverse
-    left words hold them at 5.6e-14 and 3.9e-15, and the forward drift of seed 0
-    at 10^6 steps at 4.7e-13."""
+    """A word's product rounds the same at every use of the word, so a rounding
+    along psi_s, which no step contracts, would pile up: on the two qubit atoms,
+    plain word products of the unrotated atoms let the forward invariance drift
+    reach 4.1e-12 at 10^5 steps and the reverse residual 2.4e-13 at 6,000 steps.
+    In the e_1 basis every word keeps its first row (column) bit for bit, and
+    they read 1.1e-16 and 6.2e-16; the forward drift of seed 0 at 10^6 steps
+    reads 1.1e-16 too. The bounds are about 10x these."""
     fwd = ries.simulate_forward(reference_ensemble, [0, 1], 100_000, 1000)
-    assert fwd.max_invariance_drift.max() <= 2e-13
+    assert fwd.max_invariance_drift.max() <= 1e-15
     fwd = ries.simulate_forward(reference_ensemble, [0], 1_000_000, 10_000)
-    assert fwd.max_invariance_drift.max() <= 2e-12
+    assert fwd.max_invariance_drift.max() <= 1e-15
     rev = ries.simulate_reverse(reference_ensemble, [0, 1], 6000, 10)
-    assert rev.residuals[:, -1].max() <= 5e-14
+    assert rev.residuals[:, -1].max() <= 6e-15
+
+
+def _unit(v) -> np.ndarray:
+    v = np.asarray(v, dtype=complex)
+    return v / np.linalg.norm(v)
+
+
+_E1_CASES = {
+    "e1": _unit([1.0, 0.0, 0.0]),
+    "zero_lead": _unit([0.0, 1.0, 1j]),
+    "random": _unit([1.0, 1j] @ np.random.default_rng(3).normal(size=(2, 9))),
+    "vec_identity": _unit(vec(np.eye(3))),
+    "dim_1": _unit([1j]),
+}
+
+
+@pytest.mark.parametrize("u", _E1_CASES.values(), ids=_E1_CASES)
+def test_e1_frame_is_unitary_and_maps_u_to_e1(u):
+    """H is unitary and H u = e_1, each to 1e-15, also where u is e_1 already or
+    its first entry is 0."""
+    eye = np.eye(len(u))
+    h, _ = _e1_frame(u, eye[None])
+    assert np.abs(dag(h) @ h - eye).max() <= 1e-15
+    assert np.abs(h @ u - eye[0]).max() <= 1e-15
+
+
+def _demo_ensemble(name):
+    path = Path(__file__).resolve().parent.parent / "demos" / "configs" / f"{name}.json"
+    return ensemble_from_json(json.loads(path.read_text())["ensemble"])
+
+
+def test_projected_atoms_move_by_their_invariance_defect(reference_ensemble, wide_qutrit_model):
+    """Setting the first row of H S H^* to e_1^* moves each step S by no more than its
+    own invariance defect ||u^* S - u^*|| plus 1e-15 for the rounding of the rotation:
+    the M^* of the reference, demo `instant`, six- and 64-atom ensembles, and their
+    adjoint Heisenberg maps. A matrix-form atom that keeps psi_s only to 0.9
+    INVARIANCE_TOL, as much as validation accepts, moves by that defect, at most
+    INVARIANCE_TOL."""
+    wide = RrdoEnsemble.presampled(*wide_qutrit_model, count=64, seed=31)
+    for ens in (reference_ensemble, _demo_ensemble("instant"), _wide_ensemble(), wide):
+        d = ens.system.dim_s
+        frames = [
+            (_unit(ens.psi_s), dag(ens.matrices), ens.e1["frame"], ens.e1["adjoints"]),
+            (_unit(vec(np.eye(d))), dag(ens.phis), *ens.e1_heisenberg),
+        ]
+        for u, steps, h, kept in frames:
+            moved = np.linalg.norm(kept - h @ steps @ dag(h), axis=(1, 2))
+            defect = np.linalg.norm(u.conj() @ steps - u.conj(), axis=1)
+            assert np.all(moved <= defect + 1e-15), (moved, defect)
+    psi = np.array([0.6, 0.8])
+    p = np.outer(psi, psi)
+    off = np.array([0.8, -0.6])  # orthogonal to psi
+    m = p + 0.5 * (np.eye(2) - p) + 0.9 * INVARIANCE_TOL * np.outer(off, psi)
+    ens = RrdoEnsemble.from_matrices(psi, [(1.0, m)])
+    h = ens.e1["frame"]
+    moved = np.linalg.norm(ens.e1["matrices"][0] - h @ m @ dag(h))
+    assert abs(moved - 0.9 * INVARIANCE_TOL) <= 1e-15 and moved <= INVARIANCE_TOL
+
+
+def test_word_tables_keep_the_e1_row_bitwise(reference_ensemble):
+    """On the two qubit atoms, every word of every length a walk uses keeps the first
+    row e_1^* of its steps bit for bit (an M word its first column e_1), and so do
+    the float64 embeddings the matrix kernels step (rows, or columns, 1 and D + 1)
+    and a 2,000-step product of embedded atoms: the M^* words of forward (k = 5),
+    Lyapunov (6) and the instant means (8), forward's prefix sums Q (first row m
+    e_1^* at length m), reverse's M words (4) and the flux words (7)."""
+    ens, d = reference_ensemble, reference_ensemble.dim
+    e1 = ens.e1
+    rows = embed(np.eye(d, dtype=complex))[[0, d]]  # rows 1 and D + 1 of embed(1)
+    cases = [(e1["adjoints"], e1["matrices"], 8), (ens.e1_heisenberg[1], None, 7), (dag(e1["matrices"]), None, 4)]
+    for steps, tables, k in cases:
+        words = _word_tables(steps, steps[:, :, :0] if tables is None else tables, 1, set(range(1, k + 1)))
+        for m, (w, g) in words.items():
+            assert np.array_equal(w[:, 0], np.broadcast_to(rows[0, :d], w[:, 0].shape)), m
+            assert np.array_equal(embed(w)[:, [0, d]], np.broadcast_to(rows, (len(w), 2, 2 * d))), m
+            if tables is not None:  # forward's Q = G^*
+                assert np.array_equal(dag(g)[:, 0], np.broadcast_to(m * rows[0, :d], (len(g), d))), m
+    path = ens.sample_paths([0], 2000)[0]
+    prod = np.eye(2 * d)
+    for i in path:
+        prod = ens.real_adjoints[i] @ prod
+    assert np.array_equal(prod[[0, d]], rows)
 
 
 @pytest.mark.parametrize(
@@ -863,10 +949,10 @@ def test_reverse_zero_leading_singular_value():
     """A zero product in one seed gives sigma ratio 0 there and leaves the others be.
 
     A valid RDO fixes psi_s, so Phi_n never vanishes; the zero factor is
-    planted in the ensemble's matrix table by hand.
+    planted in the ensemble's e_1-basis matrix table by hand, before its first use.
     """
     ens = _diag_ensemble([(0.95, [1, 0.5]), (0.05, [1, 0.3])])
-    ens.matrices[1] = 0.0
+    ens.e1["matrices"][1] = 0.0
     seeds, n_total = list(range(6)), 12
     rev = ries.simulate_reverse(ens, seeds, n_total, checkpoint_every=3)
     zero = rev.sigma_ratios[:, -1] == 0

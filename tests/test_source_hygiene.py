@@ -161,6 +161,7 @@ def test_one_seed_convention(name, allowed):
         ),
         ("_word_length", {"ensemble.py:cesaro_means", "ensemble.py:_words"}),
         ("sample_paths", {"ensemble.py:_start"}),
+        ("_e1_frame", {"ensemble.py:RrdoEnsemble.e1", "ensemble.py:RrdoEnsemble.e1_heisenberg"}),
     ],
 )
 def test_one_path_per_reduction(name, allowed):
@@ -170,8 +171,11 @@ def test_one_path_per_reduction(name, allowed):
     every trajectory walk that steps words reads them from one table builder, at
     one word length rule: the Monte Carlo means, and the forward, reverse and
     Lyapunov kernels, whose word walks `_words` cuts (at k = 1 these three step
-    the ensemble's cached atom tables instead); and every walk turns its seeds
-    into paths in `_start`."""
+    the ensemble's cached atom tables instead); every walk steps atoms in the
+    e_1 basis of one helper, which only the ensemble's cached stacks call: the
+    kernels' and the instant means' (`e1`) and the flux walk's (`e1_heisenberg`),
+    so plain products keep the conserved component; and every walk turns its
+    seeds into paths in `_start`."""
     used = {f"{p.name}:{f}" for p in MODULES for f in _uses_by_function(_parse(p), name)}
     assert used == allowed
 

@@ -1,5 +1,6 @@
-from fractions import Fraction
+import json
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +11,12 @@ from dense_reference import (
     left_mult_matrix,
     per_pair_energy_tables,
     random_complex_matrix,
+    replay_cesaro_means,
 )
 
 import ries
 from ries.cli import _fields, _theta_checks
-from ries.ensemble import EnsembleError, RrdoEnsemble, _dot2, _word_length, trajectory_rng
+from ries.ensemble import EnsembleError, RrdoEnsemble, _word_length, ensemble_from_json, trajectory_rng
 from ries.linalg import (
     KahanAccumulator,
     dag,
@@ -380,14 +382,16 @@ def test_flux_report_json_fields(reference_ensemble):
 
 
 def _instant_per_seed_loop(ens, fam, seeds, n_total, burn_in):
-    """Reference: one seed at a time, one np.vdot per step."""
-    table = fam.n_psi_table(ens.psi_s)
+    """Reference: one seed at a time, one np.vdot per step, on the e_1-basis atoms
+    that the walk steps."""
+    h, adjoints = ens.e1["frame"], ens.e1["adjoints"]
+    table = fam.n_psi_table(ens.psi_s) @ h.T
     w = fam.width
     per_seed = np.empty(len(seeds), dtype=complex)
     for s, seed in enumerate(seeds):
         rng = trajectory_rng(seed)
         omega = rng.choice(ens.n_atoms, size=burn_in + n_total + w, p=ens.probs)
-        u = ens.psi_s.copy()
+        u = h @ ens.psi_s
         acc = KahanAccumulator(())
         for n in range(burn_in + n_total):
             if n >= burn_in:
@@ -395,22 +399,24 @@ def _instant_per_seed_loop(ens, fam, seeds, n_total, burn_in):
                 for i in omega[n : n + w]:
                     flat = flat * ens.n_atoms + int(i)
                 acc.add(np.vdot(u, table[flat]))
-            u = ens.adjoints[omega[n]] @ u
+            u = adjoints[omega[n]] @ u
         per_seed[s] = acc.total / n_total
     return per_seed
 
 
 def _flux_per_seed_loop(ens, seeds, n_total, rho_init, burn_in):
-    """Reference: (de, ds, de_stderr, ds_stderr), one seed at a time."""
+    """Reference: (de, ds, de_stderr, ds_stderr), one seed at a time, on the e_1-basis
+    maps that the walk steps."""
+    h, phis_adj = ens.e1_heisenberg
     jump, flux = ens.energy_tables
+    jump, flux = jump @ h.T, flux @ h.T
     ent_vecs = np.array([p.beta_e for p in ens.probes])[:, None] * flux
-    phis_adj = np.stack([dag(phi) for phi in ens.phis])
     de_seed = np.empty(len(seeds))
     ds_seed = np.empty(len(seeds))
     for s, seed in enumerate(seeds):
         rng = trajectory_rng(seed)
         omega = rng.choice(ens.n_atoms, size=burn_in + n_total + 1, p=ens.probs)
-        w = vec(rho_init).astype(complex)
+        w = h @ vec(rho_init)
         acc_e = KahanAccumulator(())
         acc_s = KahanAccumulator(())
         for n in range(burn_in + n_total):
@@ -454,11 +460,12 @@ def _wide_case(reference_ensemble, rng, wide_qutrit_model):
 # The estimators walk k-atom words (k = 8 for the qubit instant run, 7 for its
 # fluxes, 2 for the qutrit runs, 1 for 64 atoms). A word's product rounds
 # differently from k single steps, so the vectors stray from the loops' by a
-# few units in the last place, and the stray along the conserved direction,
-# which never decays, shows in the means: the largest deviations measured on
-# these tests at n_total 1500 are 2.9e-15 (qubit instant) and 1.0e-15 (qutrit
-# fluxes). At k = 1 the walk is the one-step engine, which sums each block's
-# pairings in one matmul and the blocks in a Kahan sum.
+# few units in the last place. Both step the same e_1-basis atoms, whose every
+# product keeps the conserved component bit for bit, so no stray piles up
+# along it: the largest deviations measured on these tests are 1.1e-16 (the
+# instant means) and 1.7e-16 (the fluxes). At k = 1 the walk is the one-step
+# engine, which sums each block's pairings in one matmul and the blocks in a
+# Kahan sum.
 MONTE_CARLO_ATOL = 5e-15
 
 
@@ -491,9 +498,10 @@ def test_monte_carlo_matches_per_seed_loops(case, n_totals, reference_ensemble, 
 
     1500 steps average over several buffers of the block grid, the last one
     partial, and on the qubit (k = 8 and 7) start and end with a shorter word;
-    7 steps and 1 step have no burn-in and at most one word. On a second
-    qutrit ensemble, atom defects summed in working precision miss by 7.6e-15.
-    The 64 atoms walk single steps (k = 1).
+    7 steps and 1 step have no burn-in and at most one word. The 64 atoms walk
+    single steps (k = 1). Loops of the plain atoms would differ from the walks by
+    up to 7.6e-15 (qutrit) and 5.4e-14 (second qutrit) at 1500 steps: their own
+    drift along the conserved direction.
     """
     ens, fam, rho_init = case(reference_ensemble, rng, wide_qutrit_model)
     for n_total in n_totals:
@@ -538,34 +546,31 @@ def test_word_boundaries_match_per_seed_loops(case, reference_ensemble, rng, wid
                 _assert_estimators_match_loops(ens, fam, rho_init, n_total)
 
 
-def test_dot2_sums_in_twice_the_working_precision(rng):
-    """The words' conservation update sums r - u^* W in twice the working
-    precision: on sums whose float evaluation cancels to noise, `_dot2` lands
-    within the Dot2 bound, eps |sum| + (n eps)^2 sum |c y|, of the exact sum."""
-    coefficients = np.array([1.0, 1e-3 + 2j, -1.0 / 3.0, 0.1j])
-    arrays = [rng.normal(size=5) + 1j * rng.normal(size=5) for _ in coefficients]
-    arrays.append(-sum(c * y for c, y in zip(coefficients, arrays)))  # the float sum of all is noise
-    coefficients = np.append(coefficients, 1.0)
-    eps, n = np.finfo(float).eps, 2 * len(coefficients)
-    parts = [(lambda c, y: (c.real, y.real, -c.imag, y.imag)), (lambda c, y: (c.real, y.imag, c.imag, y.real))]
-    got = _dot2(coefficients, arrays)
-    for part, value in zip(parts, (got.real, got.imag)):
-        for j in range(5):
-            terms = [part(c, y[j]) for c, y in zip(coefficients, arrays)]
-            exact = sum(Fraction(a) * Fraction(b) + Fraction(c) * Fraction(d) for a, b, c, d in terms)
-            size = sum(abs(a * b) + abs(c * d) for a, b, c, d in terms)
-            assert abs(Fraction(value[j]) - exact) <= eps * abs(exact) + (n * eps) ** 2 * size
-    assert _dot2(np.array([1.0, 1.0, -1.0]), [np.array([1e16]), np.array([1.0]), np.array([1e16])])[0] == 1.0
-
-
 def test_monte_carlo_does_not_drift(reference_ensemble):
     """On the two-atom exchange ensemble every seed's one-step walk sits still at
     the same vector, so a drift along the conserved direction shows in full: at
-    10^5 steps the instant mean must stay within 1e-14 of its closed form (words
-    uncorrected along it drift to about 4e-13)."""
+    10^5 steps the instant mean must stay within 1e-14 of its closed form
+    (measured 5.6e-17; plain word products of the unrotated atoms drift to about
+    4e-13)."""
     fam = probe_energy_family(reference_ensemble)
     mc = ergodic_instant_monte_carlo(reference_ensemble, fam, list(range(4)), 100_000)
     assert abs(mc["mean"] - ergodic_instant_limit(reference_ensemble, fam)) <= 1e-14
+
+
+def test_instant_means_match_an_extended_precision_replay():
+    """On the demo `instant` ensemble, whose coupled atom keeps psi_s only to 6.7e-16
+    in float64, the per-seed means of seeds 0 and 1 at 2 * 10^4 steps lie within
+    1e-14 of a np.clongdouble replay of the same e_1-basis atoms (measured 6.4e-17).
+    A walk of the plain atoms missed it by 1.06e-12: their float rows drift along
+    psi_s."""
+    path = Path(__file__).resolve().parent.parent / "demos" / "configs" / "instant.json"
+    ens = ensemble_from_json(json.loads(path.read_text())["ensemble"])
+    fam = probe_energy_family(ens)
+    seeds, n_total = [0, 1], 20_000
+    mc = ergodic_instant_monte_carlo(ens, fam, seeds, n_total)["per_seed"]
+    frame = (ens.e1["frame"], ens.e1["adjoints"])
+    want = replay_cesaro_means(ens, frame, ens.psi_s, [fam.n_psi_table(ens.psi_s)], fam.width, seeds, n_total)
+    assert np.abs(mc - want[:, 0]).max() <= 1e-14
 
 
 def test_monte_carlo_seed_independent_of_batch(reference_ensemble):
