@@ -25,16 +25,19 @@ equal to it.
 
 The forward, reverse and Lyapunov kernels and the Monte Carlo means walk
 one k-atom word per matmul (the "method of Four Russians": Arlazarov,
-Dinic, Kronrod and Faradzev, 1970), from tables built once per call by one
-builder (:func:`_word_tables`), at one rule (:func:`_word_length`): k is the
+Dinic, Kronrod and Faradzev, 1970), from tables of one builder
+(:func:`_word_tables`), at one rule (:func:`_word_length`): k is the
 largest k >= 1 with A**k times one word's table entries at most
 WORD_ENTRIES = 2**12 (A atoms, a single atom counted as two). On two qubit
 atoms (GNS dimension D = 4) k is 5 for forward, 4 for reverse and 6 for
-Lyapunov, whose words :func:`_words` cuts from each block's start and which
-embed them in float64 once, and 8 for the instant average and 7 for the
-fluxes, which walk in complex; on 64 atoms at D = 9 k is 1, and every walk
-steps single atoms as a one-step walk does. The decay kernel reads a norm
-after every step, so it steps single atoms too.
+Lyapunov, whose words :func:`_words` cuts from each block's start, and 8
+for the instant average and 7 for the fluxes, which walk in complex; on 64
+atoms at D = 9 k is 1, and every walk steps single atoms as a one-step walk
+does. The decay kernel reads a norm after every step, so it steps single
+atoms too. The four matrix kernels read their float64 tables, at every k,
+from one cache on the ensemble with one entry per walk, built on the walk's
+first call (:func:`_walk_tables`); the Monte Carlo means build theirs once
+per call, from the observable tables they are given.
 
 Every walk steps its atoms in a basis where the vector they keep (psi_s, or
 vec(1) for the flux walk's adjoint maps) is a multiple of e_1, each M^* (each
@@ -47,9 +50,8 @@ The matrix kernels step their block products in float64. A complex D x D
 product X is carried as [Re X; Im X], the first column of its real 2D x 2D
 embedding [[Re X, -Im X], [Im X, Re X]] (:func:`ries.linalg.embed`), and
 each step left-multiplies it by an embedded word or atom matrix, gathered
-from a float64 table: a call's word tables, or an atom table that the
-ensemble builds once, on first use; a product that grows on the right
-steps as its adjoint. The embedding is an exact algebra homomorphism, so
+from the walk's float64 table; a product that grows on the right steps as
+its adjoint. The embedding is an exact algebra homomorphism, so
 the products are those of the complex matrices up to rounding. Each kernel
 reads its blocks back as complex once per run of blocks (the decay norms
 once per in-block offset), and its Kahan sums, distances, drift, SVDs and
@@ -121,17 +123,6 @@ def _e1_frame(u: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return h, kept
 
 
-def _embedded(name: str) -> cached_property:
-    """The e_1-basis stack `name` (:attr:`RrdoEnsemble.e1`) as float64, built on first
-    use: embed() of each row (:func:`ries.linalg.embed`), a vector row taken as D x 1."""
-
-    def build(ens: "RrdoEnsemble") -> np.ndarray:
-        table = ens.e1[name]
-        return np.ascontiguousarray(embed(table if table.ndim == 3 else table[:, :, None]))
-
-    return cached_property(build)
-
-
 class RrdoEnsemble:
     """Finite-support distribution over RDOs with a common invariant vector, as stacks.
 
@@ -149,17 +140,10 @@ class RrdoEnsemble:
     (:func:`ries.model.rdos_from_model`), the energy tables and every observable
     family read. Row k is bitwise atom k's own build.
 
-    The trajectory kernels step float64 tables, each built once, on first
-    use: ``real_matrices``, ``real_adjoints``, ``real_mq`` and
-    ``real_mq_adjoints`` embed M, M*, M_Q and M_Q* of the e_1 basis (:attr:`e1`),
-    and ``real_psi_omega`` embeds each psi(w) as a 2D x 2 block (:func:`ries.linalg.embed`).
+    The matrix kernels step float64 word tables of the e_1-basis stacks (:attr:`e1`),
+    which ``walk_tables`` holds, one read-only entry per walk, each built on the
+    walk's first call (:func:`_walk_tables`).
     """
-
-    real_matrices = _embedded("matrices")
-    real_adjoints = _embedded("adjoints")
-    real_mq = _embedded("mq")
-    real_mq_adjoints = _embedded("mq_adjoints")
-    real_psi_omega = _embedded("psi_omega")
 
     def __init__(
         self,
@@ -189,6 +173,7 @@ class RrdoEnsemble:
         split = rdo_mod.rank_one_split(self.matrices, self.psi_s, eigs, left)
         self.mq, self.psi_omega = split.m_q, split.psi
         self.encounters = encounters
+        self.walk_tables = {}  # walk: (k, its float64 tables), see _walk_tables
         self.system = self.probes = self.phis = self.betas = None
         if encounters is not None:
             self.system, self.probes = encounters.system, encounters.probes
@@ -404,8 +389,8 @@ def _word_length(n_atoms: int, entries: int) -> int:
     return k
 
 
-def _word_tables(steps: np.ndarray, tables: np.ndarray, width: int, lengths) -> dict:
-    """{m: (W, G)} for every word length m in `lengths`, in increasing m: the words and
+def _word_tables(steps: np.ndarray, tables: np.ndarray, width: int, k: int) -> dict:
+    """{m: (W, G)} for every word length m = 1, ..., k, in increasing m: the words and
     their pairing tables.
 
     W[c] = S(c_m) ... S(c_1) is the product of word c's steps and
@@ -420,67 +405,87 @@ def _word_tables(steps: np.ndarray, tables: np.ndarray, width: int, lengths) -> 
     e_1 exactly (:func:`_e1_frame`) give words whose first row (or column) is e_1
     bit for bit, each entry of it a sum of 1 x and 0 y terms.
     """
-    if lengths == {1}:  # one-atom words are the atoms
-        return {1: (steps, tables)}
     a, dim, cols = len(steps), steps.shape[1], tables.shape[2]
     heads = steps[:, None]  # S(c_1), broadcast over the rest of the word
-    lead_adj = dag(steps)[:, None, None]
-    w, g = steps, tables
-    out = {}
-    for m in range(1, max(lengths) + 1):
-        if m > 1:
-            w = (w[None] @ heads).reshape(-1, dim, dim)
-            rest = g.reshape(1, a ** (width - 1), a ** (m - 1), dim, cols)
-            g = tables.reshape(a, a ** (width - 1), 1, dim, cols) + lead_adj @ rest
-            g = g.reshape(a ** (m + width - 1), dim, cols)
-        if m in lengths:
-            out[m] = (w, g)
+    out = {1: (steps, tables)}
+    for m in range(2, k + 1):
+        w, g = out[m - 1]
+        rest = g.reshape(1, a ** (width - 1), a ** (m - 1), dim, cols)
+        g = tables.reshape(a, a ** (width - 1), 1, dim, cols) + dag(steps)[:, None, None] @ rest
+        out[m] = (w[None] @ heads).reshape(-1, dim, dim), g.reshape(a ** (m + width - 1), dim, cols)
     return out
 
 
-def _words(
-    ens: RrdoEnsemble, omega: np.ndarray, ends: np.ndarray, entries: int
-) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """The word walk of the grid `ends` over the (S, n) paths `omega`: (lengths, path, word ends).
+def _words(ens: RrdoEnsemble, omega: np.ndarray, ends: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The walk of k-atom words over the grid `ends` and the (S, n) paths `omega`: (path, word ends).
 
-    k is the :func:`_word_length` of `entries`, the float64 entries of one word's
-    tables. Each block is cut into words of k steps from its start, a block
-    whose length is not a multiple of k ending in one shorter word, so a word
-    never spans two blocks. `lengths` are the word lengths that occur, in
-    increasing order. `path` holds, as (S, words) in the smallest dtype, each
-    word's row in tables that stack the words of every length in that order,
-    each length's words indexed by their flattened atom tuple, first atom first
-    (:func:`_word_tables`, :func:`_stacked`); `word ends` counts the words up to
-    each block end. At k = 1 the words are the steps: the path is `omega`, and
-    the word ends are `ends`.
+    Each block is cut into words of k steps from its start, a block whose
+    length is not a multiple of k ending in one shorter word (a block shorter
+    than k is one word), so a word never spans two blocks. `path` holds, as
+    (S, words) in the smallest dtype, each word's row in a table that stacks
+    the words of every length 1, ..., k in that order (:func:`_walk_tables`):
+    a word of length m sits at row offset_m plus its flattened atom tuple,
+    first atom first, offset_m = A + A**2 + ... + A**(m - 1) for A atoms.
+    `word ends` counts the words up to each block end. At k = 1 the words are
+    the steps: the path is `omega`, and the word ends are `ends`.
     """
-    k = _word_length(ens.n_atoms, entries)
+    if k == 1:  # single steps, without the index arithmetic, which would double forward's peak
+        return omega, ends
     sizes = np.diff(ends, prepend=0)
-    lengths = tuple(sorted(set(np.minimum(sizes, k).tolist()) | set((sizes % k).tolist()) - {0}))
-    if lengths == (1,):  # single steps
-        return lengths, omega, ends
-    k = lengths[-1]  # below the rule's k when every block is shorter: then one word a block
     per_block = -(-sizes // k)
     word_ends = np.cumsum(per_block)
     block = np.repeat(np.arange(len(ends)), per_block)
     start = ends[block] - sizes[block] + k * (np.arange(word_ends[-1]) - (word_ends - per_block)[block])
     size = np.minimum(ends[block] - start, k)
-    rows = np.cumsum([0] + [ens.n_atoms**m for m in lengths])
-    first_row = np.zeros(k + 1, dtype=np.min_scalar_type(rows[-1]))  # by word length
-    first_row[list(lengths)] = rows[:-1]
-    path = np.zeros((len(omega), len(start)), dtype=first_row.dtype)
+    rows = np.cumsum([0] + [ens.n_atoms**m for m in range(1, k + 1)])  # offset_m at m - 1, then all rows
+    path = np.zeros((len(omega), len(start)), dtype=np.min_scalar_type(rows[-1]))
     for i in range(k):  # Horner over each word's own atoms
         digit = i < size
         np.multiply(path, ens.n_atoms, out=path, where=digit)
         np.add(path, omega[:, np.minimum(start + i, omega.shape[1] - 1)], out=path, where=digit)
-    path += first_row[size]
-    return lengths, path, word_ends
+    path += rows[:-1].astype(path.dtype)[size - 1]
+    return path, word_ends
 
 
-def _stacked(rows) -> np.ndarray:
-    """One float64 table of the complex stacks `rows`, in order, each row embedded once
-    (:func:`ries.linalg.embed`): the word tables of every length a walk reads."""
-    return np.concatenate([embed(r) for r in rows])
+def _walk_tables(ens: RrdoEnsemble, walk: str) -> tuple[int, list[tuple[np.ndarray, object]]]:
+    """(k, [(table, fill), ...]) of a matrix kernel's walk, "forward", "reverse",
+    "lyapunov" or "decay": its word length and its float64 tables, each with the fill
+    of a finished block's slot (:func:`_sweeps`), from the ensemble's one cache.
+
+    The walk's entry in ``ens.walk_tables`` is built on its first call and read by
+    every later one, at every k; the calls share its arrays, which are read-only.
+    k is the :func:`_word_length` of one word's float64 entries. A table stacks the
+    words (:func:`_word_tables`, e_1 basis of :attr:`RrdoEnsemble.e1`) of every
+    length 1, ..., k in that order, as :func:`_words` indexes them, each embedded
+    once (:func:`ries.linalg.embed`, a D x 1 column as 2D x 2): forward's M^* words
+    W and the sums Q = G^* of their prefix products (8 D**2 entries a word; at
+    k = 1 Q = W, so no Q), reverse's M and M_Q words and local eta sums G
+    (8 D**2 + 4 D), Lyapunov's M^* words (4 D**2), and decay's M_Q^* atoms: decay
+    reads a norm after every step, so its k is 1.
+    """
+    if walk not in ens.walk_tables:
+        e1, d = ens.e1, ens.dim
+        eye, none = np.eye(2 * d), e1["matrices"][:, :, :0]  # the identity fill; no pairing tables
+        if walk == "forward":
+            k = _word_length(ens.n_atoms, 8 * d * d)
+            w, g = zip(*_word_tables(e1["adjoints"], e1["matrices"], 1, k).values())
+            parts = [(w, eye), ([dag(q) for q in g], 0.0)] if k > 1 else [(w, eye)]
+        elif walk == "reverse":
+            k = _word_length(ens.n_atoms, 8 * d * d + 4 * d)
+            left, _ = zip(*_word_tables(e1["matrices"], none, 1, k).values())
+            lead, eta = zip(*_word_tables(e1["mq"], e1["psi_omega"][:, :, None], 1, k).values())
+            parts = [(left, eye), (lead, eye), (eta, 0.0)]
+        elif walk == "lyapunov":
+            k = _word_length(ens.n_atoms, 4 * d * d)
+            w, _ = zip(*_word_tables(e1["adjoints"], none, 1, k).values())
+            parts = [(w, eye)]
+        else:  # decay
+            k, parts = 1, [((e1["mq_adjoints"],), eye)]
+        tables = [(embed(np.concatenate(rows)), fill) for rows, fill in parts]
+        for table, _ in tables:
+            table.flags.writeable = False
+        ens.walk_tables[walk] = k, tables
+    return ens.walk_tables[walk]
 
 
 def _sweeps(
@@ -566,11 +571,11 @@ def simulate_forward(
     float64: P^* = M^*(w_b)...M^*(w_a) grows as the first column of its
     embedding (:func:`ries.linalg.embed`). A word c first adds Q[c] P^* to the
     block's sum, Q[c] = sum_j M^*(c_j)...M^*(c_1) being the sum of its prefix
-    products, then left-multiplies P^* by its product W[c] (both from
-    :func:`_word_tables`); at k = 1 each step left-multiplies by the embedded
-    M^* and adds the product. Chaining the blocks, read back once per run, adds
-    Psi_a Q to a Kahan sum and moves Psi_a to Psi_a P. Norms are taken slice by
-    slice. Each seed's numbers are bitwise independent of batching, and within
+    products, then left-multiplies P^* by its product W[c] (both from the
+    ensemble's cached tables, :func:`_walk_tables`); at k = 1, where Q = W,
+    each step left-multiplies by the embedded M^* and adds the product.
+    Chaining the blocks, read back once per run, adds Psi_a Q to a Kahan sum
+    and moves Psi_a to Psi_a P. Norms are taken slice by slice. Each seed's numbers are bitwise independent of batching, and within
     the stated tolerance of a one-step loop.
     """
     seeds, omega = _start(ens, seeds, n_total)
@@ -579,16 +584,9 @@ def simulate_forward(
     limit = np.outer(psi_s, (e1["frame"] @ ens.routes["theta_projector"]).conj())
     checkpoints, ends, at_checkpoint = block_grid(n_total, checkpoint_every)
     d = ens.dim
-    lengths, path, ends = _words(ens, omega, ends, 8 * d * d)  # W and Q: 2 embeddings a word
+    k, tables = _walk_tables(ens, "forward")
+    path, ends = _words(ens, omega, ends, k)
     del omega
-    tables = [(ens.real_adjoints, np.eye(2 * d))]
-    if lengths != (1,):
-        words = _word_tables(e1["adjoints"], e1["matrices"], 1, set(lengths))
-        tables = [
-            (_stacked(w for w, _ in words.values()), np.eye(2 * d)),
-            (_stacked(dag(g) for _, g in words.values()), 0.0),  # Q = G^*
-        ]
-        del words
     psi_prod = _identities(np.eye(d, dtype=complex), len(seeds))
     acc = KahanAccumulator(psi_prod.shape)
     distances = np.empty((len(seeds), len(checkpoints)))
@@ -599,7 +597,9 @@ def simulate_forward(
         outs = _pair(prod.shape)
         sums = np.zeros(prod.shape)  # local prefix sums of the P^*
         for factors, live in steps():
-            if lengths == (1,):  # single steps: add each stepped product
+            # at k = 1 Q = W, so Q[c] P^* would repeat the step's matmul: add the stepped
+            # product instead, one matmul a step, not two
+            if k == 1:
                 prod = np.matmul(factors[0](), prod, out=next(outs))
                 sums += prod if live is None else prod * live[:, None, None, None]
             else:  # words: Q[c] P^* is the sum of the word's prefix products
@@ -737,7 +737,7 @@ def decay_estimator(ens: RrdoEnsemble, seeds, n_total: int) -> DecayEstimate:
                 log_norms[:, cols[live]] = value[live].T
         word, exp = words[-1].copy(), exps[-1].copy()
 
-    for run, steps in _sweeps(ens, omega, ends, (ens.real_mq_adjoints, np.eye(2 * d))):
+    for run, steps in _sweeps(ens, omega, ends, *_walk_tables(ens, "decay")[1]):
         step_run(run, steps)
     alpha, n0, log_c = (np.array(x) for x in zip(*map(_fit_envelope, log_norms)))
     return DecayEstimate(seeds, log_norms, alpha, n0, log_c)
@@ -769,8 +769,8 @@ def simulate_reverse(
     lead product as its adjoint, a left product of the M_Q), and their local
     eta sum: each word left-multiplies them by its M and M_Q products and adds
     its own local eta sum, paired with the lead product at its start (all
-    from :func:`_word_tables`); at k = 1 the words are the atoms. Read back
-    once per run, the blocks are chained. Each run of blocks ends in one
+    from the ensemble's cached tables, :func:`_walk_tables`); at k = 1 the
+    words are the atoms. Read back once per run, the blocks are chained. Each run of blocks ends in one
     batched SVD for the ratios and one batched eigvalsh for the residuals
     (:func:`_top_singular_values`) over the checkpoints it reached. The walk
     runs in the e_1 basis of :attr:`RrdoEnsemble.e1`, and eta is mapped back
@@ -780,22 +780,11 @@ def simulate_reverse(
     seeds, omega = _start(ens, seeds, n_total)
     checkpoints, ends, at_checkpoint = block_grid(n_total, checkpoint_every)
     d = ens.dim
-    # the left and lead words, 2 embeddings a word, and the local eta sums, 2D x 2
-    lengths, path, ends = _words(ens, omega, ends, 8 * d * d + 4 * d)
+    k, tables = _walk_tables(ens, "reverse")
+    path, ends = _words(ens, omega, ends, k)
     del omega
     e1 = ens.e1
     psi_s = e1["frame"] @ ens.psi_s
-    tables = (ens.real_matrices, ens.real_mq, ens.real_psi_omega)  # embed(psi(w)), 2D x 2
-    if lengths != (1,):
-        left = _word_tables(e1["matrices"], e1["matrices"][:, :, :0], 1, set(lengths))
-        lead = _word_tables(e1["mq"], e1["psi_omega"][:, :, None], 1, set(lengths))
-        tables = (
-            _stacked(w for w, _ in left.values()),
-            _stacked(w for w, _ in lead.values()),
-            _stacked(g for _, g in lead.values()),  # embed of each word's local eta sum
-        )
-        del left, lead
-    tables = list(zip(tables, (np.eye(2 * d), np.eye(2 * d), 0.0)))
     phi = lead = _identities(np.eye(d, dtype=complex), len(seeds))  # lead = M_Q^*(w_1)...M_Q^*(w_(k-1))
     eta = np.zeros((len(seeds), d, 1), dtype=complex)
     residuals = np.empty((len(seeds), len(checkpoints)))
@@ -859,7 +848,7 @@ def lyapunov(
     stepped side by side into their products, which are no longer than an
     interval. A block grows in float64 as M^*(w_b)...M^*(w_a), the first
     column of its embedding (embed(M^*) = embed(M)^T, :func:`ries.linalg.embed`),
-    one word product per matmul (:func:`_words`, :func:`_word_tables`; at k = 1
+    one word product per matmul (:func:`_words`, :func:`_walk_tables`; at k = 1
     one M^* per matmul), and is read back and conjugated once per run, since
     conj(M^*) = M^T. The M^* are H M^* H^* (:attr:`RrdoEnsemble.e1`), and the
     frame starts at conj(H), so that the QR diagonals keep the moduli of the
@@ -872,16 +861,12 @@ def lyapunov(
     seeds, omega = _start(ens, seeds, n_total)
     _, ends, at_reorth = block_grid(n_total, reorth_every)
     d = ens.dim
-    lengths, path, ends = _words(ens, omega, ends, 4 * d * d)  # one embedding a word
+    k, tables = _walk_tables(ens, "lyapunov")
+    path, ends = _words(ens, omega, ends, k)
     del omega
-    table = ens.real_adjoints
-    if lengths != (1,):
-        words = _word_tables(ens.e1["adjoints"], ens.e1["adjoints"][:, :, :0], 1, set(lengths))
-        table = _stacked(w for w, _ in words.values())
-        del words
     frame = _identities(np.conj(ens.e1["frame"]), len(seeds))  # conj(H) Psi^T has the R of Psi^T
     log_r = np.zeros((len(seeds), d))
-    for run, steps in _sweeps(ens, path, ends, (table, np.eye(2 * d))):
+    for run, steps in _sweeps(ens, path, ends, *tables):
         prod = _identities(np.eye(2 * d, d), len(run), len(seeds))
         outs = _pair(prod.shape)
         for (factor,), _ in steps():
@@ -923,10 +908,12 @@ def cesaro_means(
 
     The seeds walk k steps at a time, one k-atom word per matmul, k from
     :func:`_word_length`, one word's tables counted as a D x D matrix per
-    pairing row; the words and their pairing tables are built once per call
-    (:func:`_word_tables`, plain products). A burn-in that is not
-    a multiple of k starts with one shorter word, and a run that is not ends
-    with one shorter pairing. The averaged words follow :func:`block_grid`,
+    pairing row; the words of every length 1, ..., k and their pairing tables
+    are built once per call (:func:`_word_tables`, plain products), not cached
+    on the ensemble as the matrix kernels' are (:func:`_walk_tables`): they
+    pair with `tables`, which a cache keyed by walk could serve stale. A
+    burn-in that is not a multiple of k starts with one shorter word, and a
+    run that is not ends with one shorter pairing. The averaged words follow :func:`block_grid`,
     with blocks of at most SWEEP_ENTRIES / D words: the words of a chunk of
     SWEEP_ENTRIES / D^2 of them, rounded up, are gathered at once, each word's
     matmul writes the vector straight into a time-major buffer, and one matmul
@@ -950,7 +937,7 @@ def cesaro_means(
             pairings[a : a + rows, :, i] = table[a : a + rows] @ h.T
     k = _word_length(n_atoms, max(n_atoms, 2) ** (width - 1) * dim**2)  # a D x D matrix per pairing row
     lead, tail = burn % k, n_total % k
-    words = _word_tables(steps, pairings, width, {k, lead, tail} - {0})
+    words = _word_tables(steps, pairings, width, k)
     chunk = -(-SWEEP_ENTRIES // dim**2)
     _, ends, _ = block_grid(n_total // k, max(1, SWEEP_ENTRIES // dim))
     # time-major: while words are walked, buf[i] holds v after the i-th of them

@@ -13,8 +13,10 @@ from ries.ensemble import (
     EnsembleError,
     RrdoEnsemble,
     _e1_frame,
+    _walk_tables,
     _word_length,
     _word_tables,
+    _words,
     block_grid,
     ensemble_from_json,
     mean_rdo,
@@ -734,7 +736,13 @@ def test_block_grid_edges_match_per_seed_loops(n_total, every, reference_ensembl
     _assert_kernels_match_loops(_wide_ensemble(2), [4], n_total, every)
 
 
-def test_kernel_word_lengths(reference_ensemble, wide_qutrit_model, monkeypatch):
+def _fresh_reference(qubit_model, uncoupled_probe):
+    """A new `reference_ensemble`, whose table cache (`walk_tables`) is still empty."""
+    system, probe = qubit_model
+    return RrdoEnsemble.from_models(system, [(0.5, uncoupled_probe), (0.5, probe)])
+
+
+def test_kernel_word_lengths(qubit_model, uncoupled_probe, wide_qutrit_model, monkeypatch):
     """k is the largest k >= 1 with A**k times one word's float64 table entries at most
     2**12, a single atom counted as two: on two qubit atoms (D = 4) 5 for forward
     (W and Q, 8 D**2 entries a word), 4 for reverse (the left and lead words and the
@@ -743,12 +751,85 @@ def test_kernel_word_lengths(reference_ensemble, wide_qutrit_model, monkeypatch)
     ks = []
     monkeypatch.setattr(ries.ensemble, "_word_length", lambda *args: ks.append(_word_length(*args)) or ks[-1])
     wide = RrdoEnsemble.presampled(*wide_qutrit_model, count=64, seed=31)
-    for ens in (reference_ensemble, _wide_ensemble(2), wide):
+    for ens in (_fresh_reference(qubit_model, uncoupled_probe), _wide_ensemble(2), wide):
         ries.simulate_forward(ens, [1], 50, 50)
         ries.simulate_reverse(ens, [1], 50, 50)
         ries.lyapunov(ens, [1], 50, 50)
     assert ks == [5, 4, 6, 2, 2, 3, 1, 1, 1]
     assert [_word_length(1, 2**12 // 2**j) for j in range(4)] == [1, 1, 2, 3]
+
+
+_KERNELS = {
+    "forward": lambda ens, n: ries.simulate_forward(ens, [3, 8], n, 7),
+    "reverse": lambda ens, n: ries.simulate_reverse(ens, [3, 8], n, 7),
+    "lyapunov": lambda ens, n: ries.lyapunov(ens, [3, 8], n, 7),
+    "decay": lambda ens, n: ries.decay_estimator(ens, [3, 8], n),
+}
+
+
+@pytest.mark.parametrize("case", ["qubit", "wide"])
+def test_kernel_tables_are_built_once(case, qubit_model, uncoupled_probe, wide_qutrit_model, monkeypatch):
+    """After each matrix kernel's first call on an ensemble, a second call reads its
+    tables from the ensemble's cache: it builds no word (`_word_tables`) and embeds
+    no table (`embed`), and its record equals the first call's bit for bit. On two
+    qubit atoms the walks step words (k = 5, 4 and 6), on 64 atoms single atoms.
+    Decay also embeds its block products when a run holds more than one block, so
+    on the qubit atoms it walks one block of 2 steps; at D = 9 every run is one block."""
+    if case == "qubit":
+        ens = _fresh_reference(qubit_model, uncoupled_probe)
+    else:
+        ens = RrdoEnsemble.presampled(*wide_qutrit_model, count=64, seed=31)
+    for walk, call in _KERNELS.items():
+        n = 2 if (case, walk) == ("qubit", "decay") else 300
+        first = call(ens, n)
+        with monkeypatch.context() as patch:
+            built = [_count_calls(patch, ries.ensemble, name) for name in ("_word_tables", "embed")]
+            second = call(ens, n)
+        assert built == [[], []], (walk, built)
+        for name, value in vars(first).items():
+            assert np.array_equal(getattr(second, name), value, equal_nan=True), (walk, name)
+
+
+def test_cached_tables_stay_within_the_word_budget(reference_ensemble, wide_qutrit_model):
+    """Each walk's cache entry holds at most sum_(m = 1..k) A**m times one word's float64
+    entries, which is at most 2 max(WORD_ENTRIES, A times one word's entries), on two
+    qubit atoms (D = 4) and on 64 qutrit-qubit atoms (D = 9); every cached table is
+    read-only, since every call of the walk shares it."""
+    wide = RrdoEnsemble.presampled(*wide_qutrit_model, count=64, seed=31)
+    for ens in (reference_ensemble, wide):
+        a, d = ens.n_atoms, ens.dim
+        for walk in _KERNELS:  # one word's float64 entries, as in `test_kernel_word_lengths`
+            entries = {"forward": 8 * d * d, "reverse": 8 * d * d + 4 * d}.get(walk, 4 * d * d)
+            k, tables = _walk_tables(ens, walk)
+            held = sum(table.size for table, _ in tables)
+            assert held <= sum(a**m for m in range(1, k + 1)) * entries, (walk, held)
+            assert held <= 2 * max(ries.ensemble.WORD_ENTRIES, a * entries), (walk, held)
+            assert not any(table.flags.writeable for table, _ in tables), walk
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_words_index_their_own_products(k, reference_ensemble):
+    """`_words` cuts blocks of 1 to 2k + 1 steps, some shorter than k, into words of k
+    steps from each block's start, and each path entry is the row of the word's own
+    product in a table that stacks the words of every length 1, ..., k: row
+    A + ... + A**(m - 1) plus the flattened atom tuple, first atom first, for a word
+    of m atoms. The product is taken in the builder's grouping, so it is bitwise the row."""
+    ens = reference_ensemble
+    steps = ens.e1["adjoints"]
+    table = np.concatenate([w for w, _ in _word_tables(steps, steps[:, :, :0], 1, k).values()])
+    sizes = np.arange(1, 2 * k + 2)
+    ends = np.cumsum(sizes)
+    omega = ens.sample_paths([0, 1, 2], int(ends[-1]))
+    path, word_ends = _words(ens, omega, ends, k)
+    assert np.array_equal(word_ends, np.cumsum(-(-sizes // k)))
+    for s, rows in enumerate(path):
+        words = [omega[s, a : min(a + k, b)] for first, b in zip(ends - sizes, ends) for a in range(first, b, k)]
+        assert len(words) == len(rows)
+        for word, row in zip(words, rows):
+            prod = steps[word[-1]]  # S(c_m) ... S(c_2), then times S(c_1)
+            for atom in word[-2::-1]:
+                prod = prod @ steps[atom]
+            assert np.array_equal(table[row], prod), (s, word, row)
 
 
 def test_word_walks_do_not_pile_up_rounding(reference_ensemble):
@@ -836,7 +917,7 @@ def test_word_tables_keep_the_e1_row_bitwise(reference_ensemble):
     rows = embed(np.eye(d, dtype=complex))[[0, d]]  # rows 1 and D + 1 of embed(1)
     cases = [(e1["adjoints"], e1["matrices"], 8), (ens.e1_heisenberg[1], None, 7), (dag(e1["matrices"]), None, 4)]
     for steps, tables, k in cases:
-        words = _word_tables(steps, steps[:, :, :0] if tables is None else tables, 1, set(range(1, k + 1)))
+        words = _word_tables(steps, steps[:, :, :0] if tables is None else tables, 1, k)
         for m, (w, g) in words.items():
             assert np.array_equal(w[:, 0], np.broadcast_to(rows[0, :d], w[:, 0].shape)), m
             assert np.array_equal(embed(w)[:, [0, d]], np.broadcast_to(rows, (len(w), 2, 2 * d))), m
@@ -844,8 +925,9 @@ def test_word_tables_keep_the_e1_row_bitwise(reference_ensemble):
                 assert np.array_equal(dag(g)[:, 0], np.broadcast_to(m * rows[0, :d], (len(g), d))), m
     path = ens.sample_paths([0], 2000)[0]
     prod = np.eye(2 * d)
+    atoms = _walk_tables(ens, "forward")[1][0][0]  # rows 0, ..., A - 1: the embedded M^*
     for i in path:
-        prod = ens.real_adjoints[i] @ prod
+        prod = atoms[i] @ prod
     assert np.array_equal(prod[[0, d]], rows)
 
 

@@ -2,10 +2,12 @@
 
 The blocked kernels hold stacks of block products and buffers of vectors
 that the one-step loops they replaced did not. Each kernel's tracemalloc
-peak over one call (after a warm-up call, so the ensemble's cached tables
-exist) must stay within 1.25x of the peak those one-step loops reached on
-the same call, recorded below in bytes (numpy 2.4, Python 3.11). The sizes
-are the full sizes of the `mc_qubit` and `wide_qutrit` benchmark workloads.
+peak over one call must stay within 1.25x of the peak those one-step loops
+reached on the same call, recorded below in bytes (numpy 2.4, Python 3.11).
+The call follows a warm-up call, which fills the ensemble's cache with the
+walk's word tables, so a matrix kernel's tables count as ensemble state; the
+Monte Carlo means build theirs within every call. The sizes are the full
+sizes of the `mc_qubit` and `wide_qutrit` benchmark workloads.
 The stacked window reduction must stay within the peak per tuple that its
 capacity guard states, for a window (l + r >= 1) and for one slot, a
 full-chain oracle call (one m, or every m of one evolution, on the qubit chain

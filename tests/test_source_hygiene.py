@@ -150,18 +150,20 @@ def test_one_seed_convention(name, allowed):
         ("_purified_chain", {"model.py:full_chain_expectation"}),
         ("reduce_windows", {"model.py:reduce_instant", "thermo.py:observable_family"}),
         ("step_unitaries", {"model.py:encounters"}),
+        ("_word_tables", {"ensemble.py:cesaro_means", "ensemble.py:_walk_tables"}),
+        ("_word_length", {"ensemble.py:cesaro_means", "ensemble.py:_walk_tables"}),
+        ("sample_paths", {"ensemble.py:_start"}),
+        ("_e1_frame", {"ensemble.py:RrdoEnsemble.e1", "ensemble.py:RrdoEnsemble.e1_heisenberg"}),
         (
-            "_word_tables",
+            "_walk_tables",
             {
-                "ensemble.py:cesaro_means",
                 "ensemble.py:simulate_forward",
+                "ensemble.py:decay_estimator",
                 "ensemble.py:simulate_reverse",
                 "ensemble.py:lyapunov",
             },
         ),
-        ("_word_length", {"ensemble.py:cesaro_means", "ensemble.py:_words"}),
-        ("sample_paths", {"ensemble.py:_start"}),
-        ("_e1_frame", {"ensemble.py:RrdoEnsemble.e1", "ensemble.py:RrdoEnsemble.e1_heisenberg"}),
+        ("walk_tables", {"ensemble.py:RrdoEnsemble.__init__", "ensemble.py:_walk_tables"}),
     ],
 )
 def test_one_path_per_reduction(name, allowed):
@@ -169,13 +171,14 @@ def test_one_path_per_reduction(name, allowed):
     stacked one, so an oracle check compares two independent code paths; every
     step unitary comes from one `Encounters` stack, which the reductions read;
     every trajectory walk that steps words reads them from one table builder, at
-    one word length rule: the Monte Carlo means, and the forward, reverse and
-    Lyapunov kernels, whose word walks `_words` cuts (at k = 1 these three step
-    the ensemble's cached atom tables instead); every walk steps atoms in the
-    e_1 basis of one helper, which only the ensemble's cached stacks call: the
-    kernels' and the instant means' (`e1`) and the flux walk's (`e1_heisenberg`),
-    so plain products keep the conserved component; and every walk turns its
-    seeds into paths in `_start`."""
+    one word length rule: the Monte Carlo means, per call, and the forward,
+    reverse and Lyapunov kernels, whose word walks `_words` cuts; the four
+    matrix kernels, decay's single steps included, read their tables at every
+    k from the ensemble's one cache, which only `_walk_tables` fills; every
+    walk steps atoms in the e_1 basis of one helper, which only the ensemble's
+    cached stacks call: the kernels' and the instant means' (`e1`) and the flux
+    walk's (`e1_heisenberg`), so plain products keep the conserved component;
+    and every walk turns its seeds into paths in `_start`."""
     used = {f"{p.name}:{f}" for p in MODULES for f in _uses_by_function(_parse(p), name)}
     assert used == allowed
 
