@@ -29,7 +29,7 @@ Dinic, Kronrod and Faradzev, 1970), from tables of one builder
 (:func:`_word_tables`), at one rule (:func:`_word_length`): k is the
 largest k >= 1 with A**k times one word's table entries at most
 WORD_ENTRIES = 2**12 (A atoms, a single atom counted as two). On two qubit
-atoms (GNS dimension D = 4) k is 5 for forward, 4 for reverse and 6 for
+atoms (GNS dimension D = 4) k is 5 for forward, 6 for reverse and 6 for
 Lyapunov, whose words :func:`_words` cuts from each block's start, and 8
 for the instant average and 7 for the fluxes, which walk in complex; on 64
 atoms at D = 9 k is 1, and every walk steps single atoms as a one-step walk
@@ -191,14 +191,13 @@ class RrdoEnsemble:
     def e1(self) -> dict:
         """The stacks the walks step, in the basis of H = :func:`_e1_frame` of psi_s / |psi_s|,
         built on first use: "frame" (H), "adjoints" (H M^* H^*, first row e_1^* exactly),
-        "matrices" (their adjoints), "mq" (H M_Q H^*), "mq_adjoints" and "psi_omega" (H psi(w))."""
+        "matrices" (their adjoints), "mq_adjoints" (H M_Q^* H^*) and "psi_omega" (H psi(w))."""
         h, adjoints = _e1_frame(self.psi_s / np.linalg.norm(self.psi_s), dag(self.matrices))
         mq = h @ self.mq @ dag(h)
         return {
             "frame": h,
             "adjoints": adjoints,
             "matrices": np.ascontiguousarray(dag(adjoints)),
-            "mq": mq,
             "mq_adjoints": np.ascontiguousarray(dag(mq)),
             "psi_omega": self.psi_omega @ h.T,
         }
@@ -457,10 +456,9 @@ def _walk_tables(ens: RrdoEnsemble, walk: str) -> tuple[int, list[tuple[np.ndarr
     k is the :func:`_word_length` of one word's float64 entries. A table stacks the
     words (:func:`_word_tables`, e_1 basis of :attr:`RrdoEnsemble.e1`) of every
     length 1, ..., k in that order, as :func:`_words` indexes them, each embedded
-    once (:func:`ries.linalg.embed`, a D x 1 column as 2D x 2): forward's M^* words
-    W and the sums Q = G^* of their prefix products (8 D**2 entries a word; at
-    k = 1 Q = W, so no Q), reverse's M and M_Q words and local eta sums G
-    (8 D**2 + 4 D), Lyapunov's M^* words (4 D**2), and decay's M_Q^* atoms: decay
+    once (:func:`ries.linalg.embed`): forward's M^* words W and the sums Q = G^* of
+    their prefix products (8 D**2 entries a word; at k = 1 Q = W, so no Q), reverse's
+    M words and Lyapunov's M^* words (4 D**2 each), and decay's M_Q^* atoms: decay
     reads a norm after every step, so its k is 1.
     """
     if walk not in ens.walk_tables:
@@ -470,14 +468,9 @@ def _walk_tables(ens: RrdoEnsemble, walk: str) -> tuple[int, list[tuple[np.ndarr
             k = _word_length(ens.n_atoms, 8 * d * d)
             w, g = zip(*_word_tables(e1["adjoints"], e1["matrices"], 1, k).values())
             parts = [(w, eye), ([dag(q) for q in g], 0.0)] if k > 1 else [(w, eye)]
-        elif walk == "reverse":
-            k = _word_length(ens.n_atoms, 8 * d * d + 4 * d)
-            left, _ = zip(*_word_tables(e1["matrices"], none, 1, k).values())
-            lead, eta = zip(*_word_tables(e1["mq"], e1["psi_omega"][:, :, None], 1, k).values())
-            parts = [(left, eye), (lead, eye), (eta, 0.0)]
-        elif walk == "lyapunov":
+        elif walk in ("reverse", "lyapunov"):
             k = _word_length(ens.n_atoms, 4 * d * d)
-            w, _ = zip(*_word_tables(e1["adjoints"], none, 1, k).values())
+            w, _ = zip(*_word_tables(e1["matrices" if walk == "reverse" else "adjoints"], none, 1, k).values())
             parts = [(w, eye)]
         else:  # decay
             k, parts = 1, [((e1["mq_adjoints"],), eye)]
@@ -751,7 +744,7 @@ class ReverseReport:
     checkpoints: np.ndarray
     residuals: np.ndarray  # (S, checkpoints): ||Phi_n - |psi_s><eta_n|||
     sigma_ratios: np.ndarray  # (S, checkpoints): sigma_2 / sigma_1 of Phi_n
-    eta: np.ndarray  # (S, d): final partial sums of eta_inf
+    eta: np.ndarray  # (S, d): final eta_n = Phi_n^* psi(w_n), which tends to eta_inf
 
 
 def simulate_reverse(
@@ -759,72 +752,63 @@ def simulate_reverse(
 ) -> ReverseReport:
     """Reverse-order products Phi_n = M(w_n)...M(w_1) and their rank-one limits.
 
-    eta_inf is accumulated incrementally as sum_k lead_k psi(w_k), with
-    lead_k = M_Q^*(w_1)...M_Q^*(w_(k-1)); the residual to
-    |psi_s><eta| and the singular-value ratio of Phi_n both decay
+    Each M(w) = |psi_s><psi(w)| + M_Q(w), with M_Q(w) psi_s = 0 and
+    M_Q(w)^* psi(w) = 0, so Phi_n = |psi_s><eta_n| + M_Q(w_n)...M_Q(w_1), and
+    eta_n = Phi_n^* psi(w_n) is read off the product at each checkpoint; the
+    residual to |psi_s><eta_n| and the singular-value ratio of Phi_n both decay
     exponentially when decay of the M_Q words holds. The blocks of the grid
     (:func:`block_grid`) are walked side by side, in float64, one word at a
-    time (:func:`_words`), into their left product and local lead product,
-    each as the first column of an embedding (:func:`ries.linalg.embed`; the
-    lead product as its adjoint, a left product of the M_Q), and their local
-    eta sum: each word left-multiplies them by its M and M_Q products and adds
-    its own local eta sum, paired with the lead product at its start (all
-    from the ensemble's cached tables, :func:`_walk_tables`); at k = 1 the
-    words are the atoms. Read back once per run, the blocks are chained. Each run of blocks ends in one
-    batched SVD for the ratios and one batched eigvalsh for the residuals
-    (:func:`_top_singular_values`) over the checkpoints it reached. The walk
-    runs in the e_1 basis of :attr:`RrdoEnsemble.e1`, and eta is mapped back
-    once, at the end. Each seed's numbers are bitwise independent of batching, and within the
-    stated tolerance of a one-step loop.
+    time (:func:`_words`), into their products, each the first column of an
+    embedding (:func:`ries.linalg.embed`) left-multiplied by its M words (from
+    the ensemble's cached table, :func:`_walk_tables`; at k = 1 the words are
+    the atoms). Read back once per run, the blocks are chained, and the run
+    ends in one batched SVD for the ratios and one batched eigvalsh for the
+    residuals (:func:`_top_singular_values`) over the checkpoints it reached.
+    The walk runs in the e_1 basis of :attr:`RrdoEnsemble.e1`, and eta is
+    mapped back once, at the end. Each seed's numbers are bitwise independent
+    of batching, and within the stated tolerance of a one-step loop.
     """
     seeds, omega = _start(ens, seeds, n_total)
     checkpoints, ends, at_checkpoint = block_grid(n_total, checkpoint_every)
     d = ens.dim
     k, tables = _walk_tables(ens, "reverse")
     path, ends = _words(ens, omega, ends, k)
+    last = omega[:, checkpoints - 1]  # w_n at each checkpoint n
     del omega
     e1 = ens.e1
     psi_s = e1["frame"] @ ens.psi_s
-    phi = lead = _identities(np.eye(d, dtype=complex), len(seeds))  # lead = M_Q^*(w_1)...M_Q^*(w_(k-1))
-    eta = np.zeros((len(seeds), d, 1), dtype=complex)
+    phi = _identities(np.eye(d, dtype=complex), len(seeds))
     residuals = np.empty((len(seeds), len(checkpoints)))
     ratios = np.zeros((len(seeds), len(checkpoints)))
     c = 0
 
     def step_run(run, steps):  # a function, so that the run's stacks go on return
-        nonlocal phi, eta, lead, c
-        left = lead_adj = _identities(np.eye(2 * d, d), len(run), len(seeds))
-        left_outs, lead_outs = _pair(left.shape), _pair(left.shape)
-        local_eta = np.zeros((len(run), len(seeds), d, 2))  # [Re, -Im] of the local eta sum
-        for (factor, mq, psi), _ in steps():
-            left = np.matmul(factor(), left, out=next(left_outs))
-            # lead psi = [A; B]^T embed(psi) for lead^* = A + iB, as [Re, -Im]
-            local_eta += np.matmul(lead_adj.swapaxes(-1, -2), psi())
-            lead_adj = np.matmul(mq(), lead_adj, out=next(lead_outs))
-        del factor, mq, psi  # their stacks go before the read-back
-        left, local_lead = readback(left), dag(readback(lead_adj))
-        local_eta = local_eta[..., :1] - 1j * local_eta[..., 1:]
-        del left_outs, lead_outs, lead_adj
+        nonlocal phi, c
+        prod = _identities(np.eye(2 * d, d), len(run), len(seeds))
+        outs = _pair(prod.shape)
+        for (factor,), _ in steps():
+            prod = np.matmul(factor(), prod, out=next(outs))
+        del factor, outs  # their stacks go before the read-back
+        prod = readback(prod)
         reached = slice(c, c + at_checkpoint[run].sum())
         phis = np.empty((len(seeds), reached.stop - c, d, d), dtype=complex)
-        etas = np.empty(phis.shape[:3], dtype=complex)
         for b, block in enumerate(run):
-            phi = np.matmul(left[b], phi)
-            eta = eta + np.matmul(lead, local_eta[b])
-            lead = np.matmul(lead, local_lead[b])
+            phi = np.matmul(prod[b], phi)
             if at_checkpoint[block]:
-                phis[:, c - reached.start], etas[:, c - reached.start] = phi, eta[:, :, 0]
+                phis[:, c - reached.start] = phi
                 c += 1
-        del left, local_lead, local_eta  # before the SVDs
+        del prod  # before the SVDs
         if d > 1:  # at GNS dim 1 every product is rank one: ratio 0
             sv = np.linalg.svd(phis, compute_uv=False)
             np.divide(sv[..., 1], sv[..., 0], out=ratios[:, reached], where=sv[..., 0] > 0)
-        phis -= psi_s[:, None] * etas.conj()[..., None, :]
+        eta_adj = np.matmul(e1["psi_omega"][last[:, reached]].conj()[..., None, :], phis)  # eta_n^*
+        phis -= psi_s[:, None] * eta_adj
         residuals[:, reached] = _top_singular_values(np.concatenate((phis.real, phis.imag), axis=-2))
 
     for run, steps in _sweeps(ens, path, ends, *tables):
         step_run(run, steps)
-    return ReverseReport(seeds, checkpoints, residuals, ratios, eta[:, :, 0] @ e1["frame"].conj())
+    eta = np.matmul(e1["psi_omega"][last[:, -1]].conj()[:, None], phi)[:, 0].conj()
+    return ReverseReport(seeds, checkpoints, residuals, ratios, eta @ e1["frame"].conj())
 
 
 @dataclass

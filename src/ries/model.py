@@ -91,7 +91,7 @@ def check_capacity(dims: list[int], window: int = 0, stack: int = 1, powers: boo
     """
     if window > WINDOW_CAPACITY:
         raise CapacityError(f"window capacity guard: l + r = {window} exceeds {WINDOW_CAPACITY}")
-    dim = int(np.prod(dims, dtype=np.int64))
+    dim = math.prod(map(int, dims))  # Python ints: 64 qubit legs would wrap an int64 to 0
     if stack * dim * dim <= ORACLE_DIM_GUARD**2:
         return
     # tracemalloc peaks in dim x dim complex arrays. An oracle call holds 1 + 1/e^2, e the
@@ -112,7 +112,9 @@ def check_capacity(dims: list[int], window: int = 0, stack: int = 1, powers: boo
     per_item = 1.2 if powers else 4.5 if window == 0 else 3.5
     arrays = per_item * stack if powers or stack > 1 else 1.1 + 1 / dims[-1] ** 2
     count = f"{arrays:,.2f}".rstrip("0").removesuffix(".")
-    peak = f"{arrays * dim * dim * 16 / 2**20:,.0f} MiB ({count} dense {dim}x{dim} arrays)"
+    # arrays * dim^2 * 16 bytes in MiB, rounded, in ints: a float overflows from dim = 2**1024 on
+    num, den = arrays.as_integer_ratio()
+    peak = f"{(num * dim * dim + den * 2**15) // (den * 2**16):,} MiB ({count} dense {dim}x{dim} arrays)"
     entries = f"hold {stack * dim * dim:,} entries, past ORACLE_DIM_GUARD^2 = {ORACLE_DIM_GUARD**2:,}"
     if powers:
         raise CapacityError(

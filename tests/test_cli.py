@@ -332,6 +332,16 @@ def test_theta_solve_skipped_just_below_one(tmp_path, capsys):
     assert summary["payload"]["theta_mismatch"] is None
 
 
+def test_oracle_check_past_int64_is_refused(tmp_path, model_doc, capsys):
+    """An oracle check to m_max 64 needs a chain of dimension 2**65, past an int64: the
+    guard refuses it with exit 3, before the chain evolves."""
+    path = tmp_path / "m64.json"
+    dump_json({"experiment": "oracle-check", "model": model_doc, "m_max": 64}, str(path))
+    capsys.readouterr()
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith(f"capacity guard: chain dimension {2**65} exceeds guard 4096")
+
+
 def test_oracle_check_fails_on_non_finite_residual(tmp_path, model_doc, monkeypatch):
     """max(0.0, nan) is 0.0: a NaN from the oracle must not read as agreement."""
 

@@ -491,19 +491,21 @@ def test_ensemble_psi_s_shared_without_relative_slack():
 # engine replaced, kept as references. They step the same e_1-basis atoms as
 # the kernels (`RrdoEnsemble.e1`) and read out as the kernels do. The blocked
 # kernels multiply and sum in another order, and the forward, reverse and
-# Lyapunov kernels step whole k-atom words (k = 5, 4 and 6 on the qubit atoms,
-# 2, 2 and 3 on two qutrit atoms, 1 on six), so they match the loops to the
+# Lyapunov kernels step whole k-atom words (k = 5, 6 and 6 on the qubit atoms,
+# 2, 3 and 3 on two qutrit atoms, 1 on six), so they match the loops to the
 # tolerances below, each at least 100x the largest deviation measured on these
-# tests (the measured value follows each one), and never looser than 1e-10
-# absolute. Every product of these atoms keeps its first row (forward,
-# Lyapunov) or column (reverse) bit for bit, so the forward drifts of kernel
-# and loop agree to 1.2e-32 and the reverse residuals to 5.8e-16.
+# tests (the measured value follows each one) but eta's, about 40x, and never
+# looser than 1e-10 absolute. Every product of these atoms keeps its first row
+# (forward, Lyapunov) or column (reverse) bit for bit, so the forward drifts of
+# kernel and loop agree to 1.2e-32. The reverse loop sums eta step by step, while
+# the kernel reads eta_n = Phi_n^* psi(w_n) off its product: the two routes part
+# by the rounding of that sum, which the loop's residuals carry too.
 FORWARD_DISTANCE_ATOL = 2e-13  # measured 2.2e-16
 FORWARD_DRIFT_ATOL = 1e-11  # measured 1.2e-32
 DECAY_LOG_NORM_ATOL = 1e-10  # measured 2.2e-12 (log norms down to about -780)
-REVERSE_RESIDUAL_ATOL = 1e-11  # measured 5.8e-16
+REVERSE_RESIDUAL_ATOL = 1e-11  # measured 2.7e-15
 REVERSE_RATIO_ATOL = 3e-14  # measured 2.8e-16
-REVERSE_ETA_ATOL = 7e-14  # measured 3.3e-16
+REVERSE_ETA_ATOL = 7e-14  # measured 1.7e-15
 LYAPUNOV_ATOL = 2e-14  # measured 1.1e-16
 
 
@@ -533,7 +535,7 @@ def _decay_loop(ens, seed, n_total):
     log_norms = np.empty(n_total)
     log_scale = 0.0
     for n in range(n_total):
-        word = word @ ens.e1["mq"][omega[n]]
+        word = word @ dag(ens.e1["mq_adjoints"][omega[n]])
         s = spectral_norm(word)
         if s == 0.0:
             log_norms[n:] = -np.inf
@@ -669,10 +671,11 @@ def test_reverse_routes_check_each_other(case, reference_ensemble):
     Phi_n^* psi(w_n), and each checkpoint's residual equals ||M_Q(w_n)...M_Q(w_1)||.
 
     Here Phi_n and the M_Q product are plain one-step products of the M and of the
-    M_Q, in the atoms' own basis, and neither reads the eta sum that the kernel
-    keeps. The largest deviations measured are 1.2e-14, 7.8e-14 and 1.2e-14 for
-    eta and 4.4e-16, 3.6e-15 and 2.5e-15 for the residuals (qubit, six and two
-    qutrit atoms); the tolerance is at least 100x of both.
+    M_Q, in the atoms' own basis; the kernel reads eta_n = Phi_n^* psi(w_n) off its
+    own word products in the e_1 basis, and keeps no eta sum, a route that only
+    `_reverse_loop` keeps. The largest deviations measured are 1.2e-14, 7.6e-14 and
+    1.1e-14 for eta and 3.3e-16, 3.9e-16 and 3.8e-16 for the residuals (qubit, six
+    and two qutrit atoms); the tolerance is at least 100x of both.
     """
     ens = {"qubit": reference_ensemble, "qutrit": _wide_ensemble(), "two_qutrit": _wide_ensemble(2)}[case]
     seeds, n_total, every = [0, 1, 2, 3], 300, 7
@@ -688,6 +691,16 @@ def test_reverse_routes_check_each_other(case, reference_ensemble):
     eta = np.einsum("sji,sj->si", phi.conj(), ens.psi_omega[omega[:, -1]])
     np.testing.assert_allclose(rev.eta, eta, rtol=0, atol=1e-11)
     np.testing.assert_allclose(rev.residuals, np.transpose(residuals), rtol=0, atol=1e-11)
+
+
+def test_reverse_residual_floor():
+    """Read off Phi_n, eta_n shares its rounding, so the residual ||Phi_n - |psi_s><eta_n|||
+    of a decayed product sits at rounding level: on six and two qutrit atoms (GNS dim 9),
+    16 seeds x 600 steps, it reads 2.6e-16 to 4.1e-16. A separately rounded sum of eta
+    misses Phi_n by more: it read 1.3e-15 to 3.8e-15 on every seed."""
+    for ens in (_wide_ensemble(), _wide_ensemble(2)):
+        rev = ries.simulate_reverse(ens, list(range(16)), 600, 7)
+        assert rev.residuals[:, -1].max() <= 1e-15, rev.residuals[:, -1]
 
 
 @pytest.mark.parametrize("walk", ["forward", "reverse", "decay", "lyapunov", "instant", "fluxes"])
@@ -745,9 +758,9 @@ def _fresh_reference(qubit_model, uncoupled_probe):
 def test_kernel_word_lengths(qubit_model, uncoupled_probe, wide_qutrit_model, monkeypatch):
     """k is the largest k >= 1 with A**k times one word's float64 table entries at most
     2**12, a single atom counted as two: on two qubit atoms (D = 4) 5 for forward
-    (W and Q, 8 D**2 entries a word), 4 for reverse (the left and lead words and the
-    local eta sum, 8 D**2 + 4 D) and 6 for Lyapunov (W, 4 D**2); on two qutrit atoms
-    (D = 9) 2, 2 and 3; on 64 atoms 1."""
+    (W and Q, 8 D**2 entries a word), 6 for reverse (its M words, 4 D**2) and 6 for
+    Lyapunov (its M^* words, 4 D**2); on two qutrit atoms (D = 9) 2, 3 and 3; on 64
+    atoms 1."""
     ks = []
     monkeypatch.setattr(ries.ensemble, "_word_length", lambda *args: ks.append(_word_length(*args)) or ks[-1])
     wide = RrdoEnsemble.presampled(*wide_qutrit_model, count=64, seed=31)
@@ -755,7 +768,7 @@ def test_kernel_word_lengths(qubit_model, uncoupled_probe, wide_qutrit_model, mo
         ries.simulate_forward(ens, [1], 50, 50)
         ries.simulate_reverse(ens, [1], 50, 50)
         ries.lyapunov(ens, [1], 50, 50)
-    assert ks == [5, 4, 6, 2, 2, 3, 1, 1, 1]
+    assert ks == [5, 6, 6, 2, 3, 3, 1, 1, 1]
     assert [_word_length(1, 2**12 // 2**j) for j in range(4)] == [1, 1, 2, 3]
 
 
@@ -772,7 +785,7 @@ def test_kernel_tables_are_built_once(case, qubit_model, uncoupled_probe, wide_q
     """After each matrix kernel's first call on an ensemble, a second call reads its
     tables from the ensemble's cache: it builds no word (`_word_tables`) and embeds
     no table (`embed`), and its record equals the first call's bit for bit. On two
-    qubit atoms the walks step words (k = 5, 4 and 6), on 64 atoms single atoms.
+    qubit atoms the walks step words (k = 5, 6 and 6), on 64 atoms single atoms.
     Decay also embeds its block products when a run holds more than one block, so
     on the qubit atoms it walks one block of 2 steps; at D = 9 every run is one block."""
     if case == "qubit":
@@ -799,7 +812,7 @@ def test_cached_tables_stay_within_the_word_budget(reference_ensemble, wide_qutr
     for ens in (reference_ensemble, wide):
         a, d = ens.n_atoms, ens.dim
         for walk in _KERNELS:  # one word's float64 entries, as in `test_kernel_word_lengths`
-            entries = {"forward": 8 * d * d, "reverse": 8 * d * d + 4 * d}.get(walk, 4 * d * d)
+            entries = {"forward": 8 * d * d}.get(walk, 4 * d * d)
             k, tables = _walk_tables(ens, walk)
             held = sum(table.size for table, _ in tables)
             assert held <= sum(a**m for m in range(1, k + 1)) * entries, (walk, held)
@@ -911,14 +924,20 @@ def test_word_tables_keep_the_e1_row_bitwise(reference_ensemble):
     the float64 embeddings the matrix kernels step (rows, or columns, 1 and D + 1)
     and a 2,000-step product of embedded atoms: the M^* words of forward (k = 5),
     Lyapunov (6) and the instant means (8), forward's prefix sums Q (first row m
-    e_1^* at length m), reverse's M words (4) and the flux words (7)."""
+    e_1^* at length m), reverse's M words (6) and the flux words (7)."""
     ens, d = reference_ensemble, reference_ensemble.dim
     e1 = ens.e1
     rows = embed(np.eye(d, dtype=complex))[[0, d]]  # rows 1 and D + 1 of embed(1)
-    cases = [(e1["adjoints"], e1["matrices"], 8), (ens.e1_heisenberg[1], None, 7), (dag(e1["matrices"]), None, 4)]
-    for steps, tables, k in cases:
+    # (steps, pairing tables, k, whether the words keep their first column, not row)
+    cases = [
+        (e1["adjoints"], e1["matrices"], 8, False),
+        (ens.e1_heisenberg[1], None, 7, False),
+        (e1["matrices"], None, 6, True),
+    ]
+    for steps, tables, k, columns in cases:
         words = _word_tables(steps, steps[:, :, :0] if tables is None else tables, 1, k)
         for m, (w, g) in words.items():
+            w = dag(w) if columns else w  # a kept first column is its adjoint's first row
             assert np.array_equal(w[:, 0], np.broadcast_to(rows[0, :d], w[:, 0].shape)), m
             assert np.array_equal(embed(w)[:, [0, d]], np.broadcast_to(rows, (len(w), 2, 2 * d))), m
             if tables is not None:  # forward's Q = G^*
@@ -1032,6 +1051,9 @@ def test_reverse_zero_leading_singular_value():
 
     A valid RDO fixes psi_s, so Phi_n never vanishes; the zero factor is
     planted in the ensemble's e_1-basis matrix table by hand, before its first use.
+    Such an M is no RDO, so eta_n = Phi_n^* psi(w_n), which the kernel reads, and
+    the loop's running sum part ways once the product vanishes: from there on the
+    kernel's residuals and eta are 0, and before it they match the loop's.
     """
     ens = _diag_ensemble([(0.95, [1, 0.5]), (0.05, [1, 0.3])])
     ens.e1["matrices"][1] = 0.0
@@ -1039,9 +1061,15 @@ def test_reverse_zero_leading_singular_value():
     rev = ries.simulate_reverse(ens, seeds, n_total, checkpoint_every=3)
     zero = rev.sigma_ratios[:, -1] == 0
     assert zero.any() and not zero.all()
+    close = np.testing.assert_allclose
     for s, seed in enumerate(seeds):
         _, residuals, ratios, eta = _reverse_loop(ens, seed, n_total, 3)
-        np.testing.assert_allclose(rev.residuals[s], residuals, rtol=0, atol=REVERSE_RESIDUAL_ATOL)
-        np.testing.assert_allclose(rev.sigma_ratios[s], ratios, rtol=0, atol=REVERSE_RATIO_ATOL)
-        assert np.array_equal(rev.sigma_ratios[s] == 0, ratios == 0)
-        np.testing.assert_allclose(rev.eta[s], eta, rtol=0, atol=REVERSE_ETA_ATOL)
+        close(rev.sigma_ratios[s], ratios, rtol=0, atol=REVERSE_RATIO_ATOL)
+        vanished = ratios == 0
+        assert np.array_equal(rev.sigma_ratios[s] == 0, vanished)
+        assert np.all(rev.residuals[s, vanished] == 0)
+        close(rev.residuals[s, ~vanished], residuals[~vanished], rtol=0, atol=REVERSE_RESIDUAL_ATOL)
+        if zero[s]:
+            assert np.all(rev.eta[s] == 0)
+        else:
+            close(rev.eta[s], eta, rtol=0, atol=REVERSE_ETA_ATOL)

@@ -16,6 +16,7 @@ from ries.linalg import dag, random_hermitian, unvec, vec
 from ries.model import (
     CapacityError,
     _gibbs_states,
+    check_capacity,
     encounters,
     full_chain_expectation,
     model_from_json,
@@ -167,6 +168,15 @@ def test_oracle_capacity_guard(qubit_model):
     assert f"{1.35 * 8192**2 * 16 / 2**20:,.0f} MiB (1.35 dense 8192x8192 arrays)" in message
     # the chain grows one probe per step and applies only its encounters: 12 products
     assert f"m = 12 encounters, one product W_k psi each, the last writing dim^2 = {8192**2:,} entries" in message
+
+
+@pytest.mark.parametrize("m", [63, 64, 2000])
+def test_capacity_guard_counts_past_int64(m):
+    """A chain of m qubit probes has dimension 2**(m + 1), counted in Python ints: an int64
+    product wraps to 0 from m = 63 on and would pass the guard, and the estimate in the
+    message, which a float overflows from about 2**1024 on, still formats."""
+    with pytest.raises(CapacityError, match=f"^chain dimension {2 ** (m + 1)} exceeds guard 4096"):
+        check_capacity([2] + [2] * m)
 
 
 def test_oracle_heterogeneous_chain(qubit_model, uncoupled_probe, rng):
